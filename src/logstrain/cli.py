@@ -25,17 +25,19 @@ from .decomposition import (StressTriple, becker_tables,
                             decompose_stress_additive,
                             decompose_stretch_multiplicative)
 from .errors import LogstrainError
-from .kinematics import polar_decompose, pure_shear_F, simple_glide_F
+from .kinematics import pure_shear_F, simple_glide_F
 from .moduli import Moduli
 from .shear_statics import (failure_criteria, mohr_circle,
                             pond_stress_components)
-from .stresses import MEASURES, StressState, stress_convert
+from .stresses import MEASURES, stress_convert
 from .tensors import dev3, eig_sym, fro_norm, sym_part, tr
 
 CONFIG_NAME = "logstrain.cfg"
 _CONFIG_KEYS = {"g": "g", "lambda": "lam", "k": "k", "e": "e", "nu": "nu"}
-_CLI_LAWS = ("becker", "hencky-kirchhoff", "hencky-cauchy", "hooke-biot",
-             "hooke-cauchy")
+_CLI_LAWS = tuple(tag for tag, row in laws._LAWS.items() if row.tensor)
+# name -> form(lambda, G) of the incompressible comparison curves, shared by
+# the incompressible figure and ``fit --laws``
+_INCOMPRESSIBLE = dict(laws._incompressible_columns())
 
 
 def _fmt(x):
@@ -122,21 +124,14 @@ def _parse_deformation(args):
     return np.array([float(v) for v in parts]).reshape(3, 3)
 
 
-def _law_stress_state(law_tag, f, m):
-    pf = polar_decompose(f)
-    if law_tag in ("becker", "hooke-biot"):
-        return StressState(laws.stretch_stress(law_tag, pf.u, m), "biot", f)
-    measure = "kirchhoff" if law_tag == "hencky-kirchhoff" else "cauchy"
-    return StressState(laws.stretch_stress(law_tag, pf.v, m), measure, f)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_stress(args):
     m = _moduli_from_args(args)
     f = _parse_deformation(args)
-    state = stress_convert(_law_stress_state(args.law, f, m), args.measure)
+    state = stress_convert(laws._stress_state(args.law, f, m)[0],
+                           args.measure)
     t = state.tensor
     print(f"law {args.law}, measure {args.measure}, unit {m.unit}")
     print("deformation gradient F:")
@@ -276,27 +271,11 @@ def _cmd_fit(args):
         columns = {"lambda": xs,
                    "fit": fitting.model_curve(args.mode, result.g, xs)}
         for name in args.laws:
-            columns[name] = _comparison_column(name, result.g, xs)
+            columns[name] = np.array(
+                [_INCOMPRESSIBLE[name](x, result.g) for x in xs.tolist()])
         _write_csv(args.out, columns)
         print(f"curve written to {args.out}")
     return 0
-
-
-def _comparison_column(name, g, xs):
-    m = Moduli.from_g_lam(g, 0.0)
-    if name == "becker":
-        return np.array([laws.incompressible_uniaxial_limit(x, m)
-                         for x in xs])
-    if name == "becker-hyper":
-        return np.array([laws.incompressible_uniaxial_hyper(x, m)
-                         for x in xs])
-    if name == "hencky":
-        return np.array([3.0 * g * math.log(x) / x for x in xs])
-    if name == "neo-hooke":
-        return np.array([g * (x - x ** -2.0) for x in xs])
-    if name == "hooke":
-        return np.array([3.0 * g * (x - 1.0) for x in xs])
-    raise LogstrainError(f"unknown comparison law {name!r}")
 
 
 def _write_csv(path, columns):
@@ -339,28 +318,20 @@ def _cmd_plot_data(args):
     else:
         lo = 0.5 if args.min is None else args.min
         hi = 3.0 if args.max is None else args.max
-        if not lo > 0.0:
+        if not min(lo, hi) > 0.0:
             raise LogstrainError("stretch range must be positive")
         xs = np.linspace(lo, hi, args.points)
         columns = {"lambda": xs}
         if args.figure == "incompressible":
-            columns["becker"] = np.array(
-                [laws.incompressible_uniaxial_limit(x, m) for x in xs])
-            columns["becker_hyper"] = np.array(
-                [laws.incompressible_uniaxial_hyper(x, m) for x in xs])
-            columns["hencky"] = np.array(
-                [3.0 * m.g * math.log(x) / x for x in xs])
-            columns["neo_hooke"] = np.array(
-                [m.g * (x - x ** -2.0) for x in xs])
-            columns["hooke"] = np.array(
-                [3.0 * m.g * (x - 1.0) for x in xs])
+            for name, form in _INCOMPRESSIBLE.items():
+                columns[name.replace("-", "_")] = np.array(
+                    [form(x, m.g) for x in xs.tolist()])
         else:  # tension: the compressible uniaxial responses
-            columns["becker"] = np.array(
-                [laws.uniaxial_biot_load(x, m) for x in xs])
-            columns["hooke"] = np.array(
-                [laws.hooke_uniaxial_load(x, m) for x in xs])
-            columns["neo_hooke"] = np.array(
-                [m.g * (x - x ** -2.0) for x in xs])
+            for name, tag in (("becker", "becker"), ("hooke", "hooke-biot"),
+                              ("neo_hooke", "neo-hooke")):
+                form = laws._LAWS[tag].uniaxial
+                columns[name] = np.array(
+                    [form(x, m.e, m.g, None) for x in xs.tolist()])
         if ogden:
             columns["ogden"] = np.array(
                 [laws.comparison_law(ogden, m, lam=x) for x in xs])
@@ -431,8 +402,7 @@ def build_parser():
                                   "('-' for stdout)")
     sp.add_argument("--points", type=int, default=200)
     sp.add_argument("--laws", nargs="*", default=[],
-                    choices=["becker", "becker-hyper", "hencky",
-                             "neo-hooke", "hooke"],
+                    choices=list(_INCOMPRESSIBLE),
                     help="extra comparison columns at the fitted G")
     sp.set_defaults(fn=_cmd_fit)
 

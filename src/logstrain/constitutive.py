@@ -10,15 +10,21 @@ here called Becker's law.  Its closed-form inverse, the two Hencky laws
 (the same logarithmic form read as a Cauchy or Kirchhoff stress in the left
 stretch), finite-Hooke comparison laws, the associated energies, and the
 uniaxial and incompressible closed forms all live here.
+
+Every law dispatch reads one table, ``_LAWS``, with one row per entry of
+:data:`LAW_TAGS`: the law's tensor map, the stretch it takes, the stress
+measure it returns, and its uniaxial and simple-glide closed forms.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import LambdaNotZero
-from .kinematics import polar_decompose, simple_glide_F
+from .kinematics import (glide_principal_stretches, polar_decompose,
+                         simple_glide_F)
 from .moduli import Moduli
 from .stresses import StressState, stress_convert
 from .tensors import (as_mat3, dev3, inner, mat_exp, mat_log, sym_part,
@@ -51,10 +57,6 @@ __all__ = [
     "simple_shear_sigma12",
     "pk1_for_law",
 ]
-
-LAW_TAGS = ("becker", "hencky-kirchhoff", "hencky-cauchy",
-            "hooke-biot", "hooke-cauchy", "neo-hooke", "ogden")
-
 
 @dataclass(frozen=True)
 class LawId:
@@ -115,8 +117,7 @@ def hencky_cauchy(v, m: Moduli):
     Same formula as :func:`hencky_kirchhoff`; the two are independent laws
     that differ in which stress measure the result is read as.
     """
-    w = mat_log(v)
-    return 2.0 * m.g * dev3(w) + m.k * tr(w) * np.eye(3)
+    return hencky_kirchhoff(v, m)
 
 
 def becker_kirchhoff(v, m: Moduli):
@@ -141,8 +142,7 @@ def becker_pk2(u, m: Moduli):
 
 def becker_pk1(f, m: Moduli):
     """First Piola-Kirchhoff stress of Becker's law: R @ biot(U)."""
-    pf = polar_decompose(f)
-    return pf.r @ becker_biot(pf.u, m)
+    return pk1_for_law("becker", f, m)
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +150,12 @@ def becker_pk1(f, m: Moduli):
 
 def hooke_biot(u, m: Moduli):
     """Finite Hooke law on the Biot pair: 2 G (U - I) + lam tr(U - I) I."""
-    u = sym_part(as_mat3(u, "u"))
-    e = u - np.eye(3)
-    return 2.0 * m.g * e + m.lam * tr(e) * np.eye(3)
+    return _lame(sym_part(as_mat3(u, "u")) - np.eye(3), m)
 
 
 def hooke_cauchy(v, m: Moduli):
     """Finite Hooke law on the Cauchy pair: 2 G (V - I) + lam tr(V - I) I."""
-    v = sym_part(as_mat3(v, "v"))
-    e = v - np.eye(3)
-    return 2.0 * m.g * e + m.lam * tr(e) * np.eye(3)
+    return _lame(sym_part(as_mat3(v, "v")) - np.eye(3), m)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +195,16 @@ def uniaxial_response(q, m: Moduli):
     return math.exp(q / m.e), math.exp(-m.nu * q / m.e)
 
 
+def _positive(lam):
+    lam = float(lam)
+    if not lam > 0.0:
+        raise ValueError(f"stretch must be positive, got {lam}")
+    return lam
+
+
 def uniaxial_biot_load(lam_axial, m: Moduli):
     """Uniaxial Biot load producing axial stretch lam_axial: E ln(lambda)."""
-    lam_axial = float(lam_axial)
-    if not lam_axial > 0.0:
-        raise ValueError(f"stretch must be positive, got {lam_axial}")
-    return m.e * math.log(lam_axial)
+    return _LAWS["becker"].uniaxial(_positive(lam_axial), m.e, m.g, None)
 
 
 def hooke_uniaxial_load(lam_axial, m: Moduli):
@@ -213,15 +213,13 @@ def hooke_uniaxial_load(lam_axial, m: Moduli):
     Obtained from :func:`hooke_biot` with the lateral stretch chosen so the
     lateral stress vanishes (lambda_lat = 1 - nu (lambda - 1)).
     """
-    return m.e * (float(lam_axial) - 1.0)
+    return _LAWS["hooke-biot"].uniaxial(float(lam_axial), m.e, m.g, None)
 
 
 def incompressible_uniaxial_limit(lam_stretch, m: Moduli):
     """Uniaxial load in the incompressible limit K -> inf: 3 G ln(lambda)."""
-    lam_stretch = float(lam_stretch)
-    if not lam_stretch > 0.0:
-        raise ValueError(f"stretch must be positive, got {lam_stretch}")
-    return 3.0 * m.g * math.log(lam_stretch)
+    return _LAWS["becker"].uniaxial(_positive(lam_stretch), 3.0 * m.g, m.g,
+                                    None)
 
 
 def incompressible_uniaxial_hyper(lam_stretch, m: Moduli):
@@ -231,10 +229,7 @@ def incompressible_uniaxial_hyper(lam_stretch, m: Moduli):
     :func:`incompressible_uniaxial_limit` to first order at lambda = 1
     (both have slope 3 G).
     """
-    lam_stretch = float(lam_stretch)
-    if not lam_stretch > 0.0:
-        raise ValueError(f"stretch must be positive, got {lam_stretch}")
-    return m.g * math.log(lam_stretch) * (2.0 + lam_stretch ** -1.5)
+    return _LAWS["becker"].hyper(_positive(lam_stretch), m.g)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +237,12 @@ def incompressible_uniaxial_hyper(lam_stretch, m: Moduli):
 
 def linearized_law(eps, m: Moduli):
     """Infinitesimal isotropic law 2 G eps + lam tr(eps) I."""
-    eps = sym_part(as_mat3(eps, "eps"))
-    return 2.0 * m.g * eps + m.lam * tr(eps) * np.eye(3)
+    return _lame(sym_part(as_mat3(eps, "eps")), m)
+
+
+def _lame(e, m):
+    # the isotropic linear law, shared by the finite-Hooke laws
+    return 2.0 * m.g * e + m.lam * tr(e) * np.eye(3)
 
 
 def linearized_inverse(sigma, m: Moduli):
@@ -253,19 +252,102 @@ def linearized_inverse(sigma, m: Moduli):
 
 
 # ---------------------------------------------------------------------------
-# law dispatch for the verification suite, the CLI and the figures
+# the law table: every law dispatch of the package reads it
 
-_TENSOR_LAWS = {
-    "becker": becker_biot,
-    "hencky-kirchhoff": hencky_kirchhoff,
-    "hencky-cauchy": hencky_cauchy,
-    "hooke-biot": hooke_biot,
-    "hooke-cauchy": hooke_cauchy,
-}
+def _hencky_uniaxial(lam, e, g, law):
+    return 3.0 * g * math.log(lam) / lam
 
 
-def _law(law):
-    return law if isinstance(law, LawId) else LawId(tag=law)
+def _ogden_uniaxial(lam, e, g, law):
+    return sum(mu * (lam ** (a - 1.0) - lam ** (-1.0 - a / 2.0))
+               for mu, a in zip(law.mu, law.alpha))
+
+
+def _ogden_glide(gamma, m, law):
+    l1 = glide_principal_stretches(gamma)[0]
+    num = sum(mu * (l1 ** a - l1 ** -a) for mu, a in zip(law.mu, law.alpha))
+    return num / (l1 + 1.0 / l1)
+
+
+class _Law(NamedTuple):
+    """One row of the law table.
+
+    ``tensor(stretch, m)`` gives the stress in ``measure`` from the right
+    (``stretch == "u"``) or left (``"v"``) stretch; the incompressible
+    scalar models have none.  ``uniaxial(lam, e, g, law)`` is the Biot
+    stress under uniaxial stretch lam and zero lateral stress.  The
+    compressible forms are written in Young's modulus e, so that e = 3 G
+    gives the incompressible curve named ``column``; the incompressible
+    models use G alone.  ``hyper(lam, g)`` is the constrained-energy
+    incompressible form.  ``glide(gamma, m, law)`` is the simple-shear
+    sigma_12 in closed form; without one the glide runs through the tensor
+    pipeline.
+    """
+
+    tag: str
+    tensor: object = None
+    stretch: str = None
+    measure: str = None
+    uniaxial: object = None
+    glide: object = None
+    column: str = None
+    hyper: object = None
+
+
+# The tensor maps are looked up by name at call time, so that wrappers put
+# on the module's functions (such as the perfbench span tracer) see them.
+_LAWS = {row.tag: row for row in (
+    _Law("becker", lambda u, m: becker_biot(u, m), "u", "biot",
+         uniaxial=lambda lam, e, g, law: e * math.log(lam), column="becker",
+         hyper=lambda lam, g: g * math.log(lam) * (2.0 + lam ** -1.5)),
+    _Law("hencky-kirchhoff", lambda v, m: hencky_kirchhoff(v, m), "v",
+         "kirchhoff", uniaxial=_hencky_uniaxial, column="hencky"),
+    _Law("hencky-cauchy", lambda v, m: hencky_cauchy(v, m), "v", "cauchy",
+         uniaxial=_hencky_uniaxial),
+    _Law("neo-hooke",
+         uniaxial=lambda lam, e, g, law: g * (lam - lam ** -2.0),
+         glide=lambda gamma, m, law: m.g * gamma, column="neo-hooke"),
+    _Law("hooke-biot", lambda u, m: hooke_biot(u, m), "u", "biot",
+         uniaxial=lambda lam, e, g, law: e * (lam - 1.0), column="hooke"),
+    _Law("hooke-cauchy", lambda v, m: hooke_cauchy(v, m), "v", "cauchy"),
+    _Law("ogden", uniaxial=_ogden_uniaxial, glide=_ogden_glide),
+)}
+
+LAW_TAGS = tuple(_LAWS)
+
+
+def _resolve(law):
+    """(table row, law) for a law tag or a :class:`LawId`."""
+    if isinstance(law, LawId):
+        return _LAWS[law.tag], law
+    row = _LAWS.get(law) if isinstance(law, str) else None
+    if row is None or row.tag == "ogden":
+        # LawId normalizes the tag, or raises: unknown tag, or ogden
+        # without its coefficients
+        law = LawId(tag=law)
+        row = _LAWS[law.tag]
+    return row, law
+
+
+def _incompressible_columns():
+    """(name, form(lam, g)) of the incompressible comparison curves."""
+    for row in _LAWS.values():
+        if row.column:
+            yield row.column, (lambda lam, g, form=row.uniaxial:
+                               form(lam, 3.0 * g, g, None))
+        if row.hyper:
+            yield row.column + "-hyper", row.hyper
+
+
+def _stress_state(law, f, m: Moduli):
+    """The law's stress state at deformation f, in the law's own measure,
+    together with the polar factors of f."""
+    row, law = _resolve(law)
+    if row.tensor is None:
+        raise ValueError(f"law {row.tag!r} has no deformation-gradient form")
+    pf = polar_decompose(f)
+    t = row.tensor(pf.u if row.stretch == "u" else pf.v, m)
+    return StressState(t, row.measure, f), pf
 
 
 def stretch_stress(law, stretch, m: Moduli):
@@ -276,20 +358,10 @@ def stretch_stress(law, stretch, m: Moduli):
     tensor is in the law's own measure.  Not defined for the incompressible
     scalar models (neo-hooke, ogden).
     """
-    law = _law(law)
-    fn = _TENSOR_LAWS.get(law.tag)
-    if fn is None:
-        raise ValueError(f"law {law.tag!r} has no tensor stretch-stress form")
-    return fn(stretch, m)
-
-
-def _ogden_uniaxial(law, lam):
-    return sum(mu * (lam ** (a - 1.0) - lam ** (-1.0 - a / 2.0))
-               for mu, a in zip(law.mu, law.alpha))
-
-
-def _glide_lam1(gamma):
-    return 0.5 * (gamma + math.sqrt(gamma * gamma + 4.0))
+    row, law = _resolve(law)
+    if row.tensor is None:
+        raise ValueError(f"law {row.tag!r} has no tensor stretch-stress form")
+    return row.tensor(stretch, m)
 
 
 def comparison_law(law, m: Moduli = None, *, stretch=None, lam=None,
@@ -308,30 +380,21 @@ def comparison_law(law, m: Moduli = None, *, stretch=None, lam=None,
     ``gamma``
         Simple-shear stress sigma_12 at glide amount gamma.
     """
-    law = _law(law)
+    row, law = _resolve(law)
     picked = [x is not None for x in (stretch, lam, gamma)]
     if sum(picked) != 1:
         raise ValueError("give exactly one of stretch=, lam=, gamma=")
-    if law.tag != "ogden" and m is None:
+    if row.tag != "ogden" and m is None:
         raise ValueError("moduli required")
     if stretch is not None:
         return stretch_stress(law, stretch, m)
     if gamma is not None:
         return simple_shear_sigma12(law, gamma, m)
-    lam = float(lam)
-    if not lam > 0.0:
-        raise ValueError(f"stretch must be positive, got {lam}")
-    if law.tag == "becker":
-        return uniaxial_biot_load(lam, m)
-    if law.tag == "hooke-biot":
-        return hooke_uniaxial_load(lam, m)
-    if law.tag in ("hencky-kirchhoff", "hencky-cauchy"):
-        return 3.0 * m.g * math.log(lam) / lam
-    if law.tag == "neo-hooke":
-        return m.g * (lam - lam ** -2.0)
-    if law.tag == "ogden":
-        return _ogden_uniaxial(law, lam)
-    raise ValueError(f"no uniaxial closed form for {law.tag!r}")
+    lam = _positive(lam)
+    if row.uniaxial is None:
+        raise ValueError(f"no uniaxial closed form for {row.tag!r}")
+    e, g = (None, None) if m is None else (m.e, m.g)
+    return row.uniaxial(lam, e, g, law)
 
 
 def simple_shear_sigma12(law, gamma, m: Moduli = None):
@@ -342,44 +405,26 @@ def simple_shear_sigma12(law, gamma, m: Moduli = None):
     incompressible closed forms.  For Becker's law the result equals
     ``2 G ln((sqrt(gamma**2 + 4) + gamma) / 2)`` independently of lam.
     """
-    law = _law(law)
+    row, law = _resolve(law)
     gamma = float(gamma)
     if gamma < 0.0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    l1 = _glide_lam1(gamma)
-    if law.tag == "neo-hooke":
-        return m.g * gamma
-    if law.tag == "ogden":
-        num = sum(mu * (l1 ** a - l1 ** -a)
-                  for mu, a in zip(law.mu, law.alpha))
-        return num / (l1 + 1.0 / l1)
+    if row.glide is not None:
+        return row.glide(gamma, m, law)
     if gamma == 0.0:
         return 0.0
-    f = simple_glide_F(gamma)
-    pf = polar_decompose(f)
-    if law.tag in ("becker", "hooke-biot"):
-        t = stretch_stress(law, pf.u, m)
-        state = StressState(t, "biot", f)
-        return float(stress_convert(state, "cauchy").tensor[0, 1])
-    if law.tag == "hencky-kirchhoff":
-        state = StressState(stretch_stress(law, pf.v, m), "kirchhoff", f)
-        return float(stress_convert(state, "cauchy").tensor[0, 1])
-    # hencky-cauchy
-    return float(stretch_stress(law, pf.v, m)[0, 1])
+    state, _ = _stress_state(law, simple_glide_F(gamma), m)
+    return float(stress_convert(state, "cauchy").tensor[0, 1])
 
 
 def pk1_for_law(law, f, m: Moduli):
     """First Piola-Kirchhoff stress of a tensor law at deformation f.
 
     Used as the work-conjugate stress in path integrals: builds the law's
-    stress in its own measure from the polar factors of f and converts.
+    stress in its own measure from the polar factors of f and converts
+    (a Biot stress T directly as ``R @ T``).
     """
-    law = _law(law)
-    pf = polar_decompose(f)
-    if law.tag in ("becker", "hooke-biot"):
-        return pf.r @ stretch_stress(law, pf.u, m)
-    if law.tag in ("hencky-kirchhoff", "hencky-cauchy"):
-        measure = "kirchhoff" if law.tag == "hencky-kirchhoff" else "cauchy"
-        state = StressState(stretch_stress(law, pf.v, m), measure, f)
-        return stress_convert(state, "pk1").tensor
-    raise ValueError(f"law {law.tag!r} has no deformation-gradient form")
+    state, pf = _stress_state(law, f, m)
+    if state.measure == "biot":
+        return pf.r @ state.tensor
+    return stress_convert(state, "pk1").tensor

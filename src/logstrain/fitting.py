@@ -5,9 +5,9 @@ CSV format: header ``lambda,t`` for uniaxial data (stretch, Biot stress) or
 Rows are sorted by abscissa on ingestion and duplicate abscissae averaged.
 
 Two uniaxial models are fitted, each with the shear modulus G as the only
-parameter: the incompressible-limit law ``t = 3 G ln(lambda)`` (closed-form
-least squares) and the constrained-energy law ``t = G ln(lambda)
-(2 + lambda**-1.5)`` (golden-section search on G).
+parameter: the incompressible-limit law ``t = 3 G ln(lambda)`` and the
+constrained-energy law ``t = G ln(lambda) (2 + lambda**-1.5)``.  Both are
+linear in G, so each fit is the closed-form one-parameter least squares.
 """
 
 import csv
@@ -21,7 +21,6 @@ from .errors import DegenerateData
 __all__ = ["DataSet", "FitResult", "read_dataset", "dataset_from_rows",
            "fit_dataset", "model_curve", "FIT_MODES"]
 
-FIT_MODES = ("uniaxial-incompressible", "uniaxial-hyper")
 
 _HEADERS = {
     ("lambda", "t"): "uniaxial",
@@ -91,51 +90,28 @@ def read_dataset(path):
     return dataset_from_rows(rows, kind, source=str(path))
 
 
-def _phi_incompressible(lam):
-    return 3.0 * np.log(lam)
-
-
-def _phi_hyper(lam):
-    return np.log(lam) * (2.0 + lam ** -1.5)
+# Each model is t = G phi(lambda); mode -> phi.
+_PHI = {
+    "uniaxial-incompressible": lambda lam: 3.0 * np.log(lam),
+    "uniaxial-hyper": lambda lam: np.log(lam) * (2.0 + lam ** -1.5),
+}
+FIT_MODES = tuple(_PHI)
 
 
 def model_curve(mode, g, xs):
     """Model stresses at the given stretches for a fitted modulus."""
-    xs = np.asarray(xs, dtype=float)
-    if mode == "uniaxial-incompressible":
-        return g * _phi_incompressible(xs)
-    if mode == "uniaxial-hyper":
-        return g * _phi_hyper(xs)
-    raise ValueError(f"unknown fit mode {mode!r}")
-
-
-def _golden_minimize(f, lo, hi, iterations=200):
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iterations):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if abs(b - a) <= 1e-14 * max(1.0, abs(a), abs(b)):
-            break
-    return 0.5 * (a + b)
+    if mode not in _PHI:
+        raise ValueError(f"unknown fit mode {mode!r}")
+    return g * _PHI[mode](np.asarray(xs, dtype=float))
 
 
 def fit_dataset(ds: DataSet, mode):
     """Fit the shear modulus of a uniaxial model to a data set.
 
-    The incompressible mode solves the one-parameter least squares in
-    closed form, ``G = sum(t_i 3 ln lam_i) / sum((3 ln lam_i)**2)``; the
-    hyper mode minimizes the sum of squares by golden-section search.
+    Both models are ``t = G phi(lambda)``, so the least squares is solved in
+    closed form, ``G = sum(t_i phi_i) / sum(phi_i**2)``, with
+    ``phi = 3 ln lambda`` (incompressible) or ``ln lambda (2 +
+    lambda**-1.5)`` (hyper).
 
     Raises
     ------
@@ -149,24 +125,12 @@ def fit_dataset(ds: DataSet, mode):
         raise ValueError(f"{mode} fit needs uniaxial data, got {ds.kind}")
     if len(ds) < 1:
         raise DegenerateData("no data rows")
-    phi = (_phi_incompressible if mode == "uniaxial-incompressible"
-           else _phi_hyper)(ds.x)
+    phi = _PHI[mode](ds.x)
     denom = float(phi @ phi)
     if denom == 0.0:
         raise DegenerateData(
             "all stretches equal 1; the modulus is undetermined")
-    g_closed = float(ds.y @ phi) / denom
-
-    if mode == "uniaxial-incompressible":
-        g = g_closed
-    else:
-        def sse(g_try):
-            r = ds.y - g_try * phi
-            return float(r @ r)
-
-        half_width = max(1.0, abs(g_closed))
-        g = _golden_minimize(sse, g_closed - half_width,
-                             g_closed + half_width)
+    g = float(ds.y @ phi) / denom
     residuals = ds.y - g * phi
     rms = math.sqrt(float(residuals @ residuals) / len(ds))
     return FitResult(g=g, rms=rms, residuals=residuals, model=mode)

@@ -10,6 +10,7 @@ Admissibility comes in two levels: every instance must satisfy G != 0 and
 be invertible; the ``physical`` flag additionally enforces G > 0 and K > 0.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidModuli
@@ -58,6 +59,9 @@ class Moduli:
                 "moduli must be given as exactly one of the pairs "
                 "(G, lambda), (G, K), (E, nu), (G, nu); "
                 f"got {sorted(given) or 'nothing'}")
+        for name, v in given.items():
+            if not math.isfinite(float(v)):
+                raise InvalidModuli(f"{name} = {v} is not finite")
         if "g" in given and "lam" in given:
             g_, lam_ = float(given["g"]), float(given["lam"])
         elif "g" in given and "k" in given:

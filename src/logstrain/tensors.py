@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
+from .errors import LogstrainError, NotPositiveDefinite
 
 __all__ = [
     "Spectral3",
@@ -222,7 +222,8 @@ def mat_fn(a, f, require_pd=False, name="mat_fn"):
 
     With ``require_pd=True`` the minimum eigenvalue must exceed
     ``PD_REL_TOL * max(1, ||a||)``; otherwise :class:`NotPositiveDefinite`
-    is raised rather than silently clamping.
+    is raised rather than silently clamping.  A scalar function that
+    overflows raises :class:`LogstrainError` naming the eigenvalue.
     """
     m = sym_part(as_mat3(a, "a"))
     spec = eig_sym(m)
@@ -232,7 +233,13 @@ def mat_fn(a, f, require_pd=False, name="mat_fn"):
             raise NotPositiveDefinite(
                 f"{name}: min eigenvalue {spec.eigenvalues[2]:.6g} <= "
                 f"tolerance {floor:.6g}")
-    vals = np.array([f(x) for x in spec.eigenvalues], dtype=float)
+    vals = np.empty(3)
+    for i, x in enumerate(spec.eigenvalues):
+        try:
+            vals[i] = f(x)
+        except OverflowError:
+            raise LogstrainError(
+                f"{name}: overflow at eigenvalue {x:.6g}") from None
     return sym_part(spec.frame @ np.diag(vals) @ spec.frame.T)
 
 

@@ -126,6 +126,11 @@ def _coaxial_pair(rng, lo=EIG_RANGE[0], hi=EIG_RANGE[1]):
     return q.T @ np.diag(lam1) @ q, q.T @ np.diag(lam2) @ q
 
 
+def _require_samples(samples):
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def _rel(err, *scales):
     return err / max((1.0, *scales))
 
@@ -141,7 +146,9 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
     checks; for the logarithmic laws also the inverse round trip.  All pass
     for the logarithmic family; the finite-Hooke laws are expected to fail
     superposition (among others), with the violating pair recorded.
+    ``samples < 1`` raises ``ValueError``: no check passes vacuously.
     """
+    _require_samples(samples)
     law = law if isinstance(law, LawId) else LawId(tag=law)
     t = lambda u: stretch_stress(law, u, m)
     log_family = law.tag in _LOG_FAMILY
@@ -366,6 +373,7 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
     ``energy_convexity_spd`` confirms midpoint convexity of ``U -> W(U)``
     over random SPD pairs with eigenvalues in [0.1, 10], which does hold.
     """
+    _require_samples(samples)
     if abs(m.lam) > 1e-14 * max(1.0, abs(m.g)):
         raise ValueError("probe defined only for lam = 0")
     tol = 1e-10

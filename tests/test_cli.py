@@ -80,6 +80,14 @@ def test_invert_round_trip(capsys):
     assert "round trip" in out
 
 
+def test_invert_overflow_exits_two(capsys):
+    code, out, err = run(capsys, "invert", "--T", "1e4 0 0 0 0 0",
+                         "--G", "1", "--lam", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: mat_exp: overflow at eigenvalue")
+
+
 # ---------------------------------------------------------------------------
 # shear-statics
 
@@ -126,6 +134,14 @@ def test_check_hooke_reports_superposition_failure(capsys):
                for l in out.splitlines()}
     assert by_name["superposition"]["passed"] is False
     assert by_name["superposition"]["witness"] is not None
+
+
+def test_check_zero_samples_exits_two(capsys):
+    code, out, err = run(capsys, "check", "--G", "1", "--lam", "0",
+                         "--samples", "0")
+    assert code == 2
+    assert out == ""
+    assert "samples must be at least 1" in err
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,10 @@ def test_becker_uniaxial_mode_is_exact_compressible():
     lam = 2.1
     assert comparison_law("becker", M, lam=lam) \
         == pytest.approx(M.e * math.log(lam), rel=1e-14)
+    # written in E, so E = 3 G (nu -> 1/2) is the incompressible limit
+    m_inc = Moduli.from_g_nu(M.g, 0.5 - 1e-12)
+    assert comparison_law("becker", m_inc, lam=lam) \
+        == pytest.approx(incompressible_uniaxial_limit(lam, M), rel=1e-11)
 
 
 def test_simple_shear_closed_forms():
@@ -506,3 +510,46 @@ def test_comparison_law_mode_validation():
         comparison_law("hooke-cauchy", M, lam=2.0)
     with pytest.raises(ValueError):
         laws.stretch_stress("neo-hooke", np.eye(3), M)
+
+
+# ---------------------------------------------------------------------------
+# the law table
+
+def test_law_tags_cover_every_mode():
+    assert set(laws.LAW_TAGS) == {"becker", "hencky-kirchhoff",
+                                  "hencky-cauchy", "hooke-biot",
+                                  "hooke-cauchy", "neo-hooke", "ogden"}
+    ogden = LawId("ogden", mu=(M.g,), alpha=(2.0,))
+    for tag in laws.LAW_TAGS:
+        law = ogden if tag == "ogden" else tag
+        assert simple_shear_sigma12(law, 0.9, M) > 0.0
+        if tag != "hooke-cauchy":
+            assert comparison_law(law, M, lam=1.5) > 0.0
+
+
+def test_hooke_laws_are_the_linear_law_of_the_stretch(rng):
+    for _ in range(20):
+        u = random_spd(rng)
+        shifted = linearized_law(u - np.eye(3), M)
+        assert np.array_equal(hooke_biot(u, M), shifted)
+        assert np.array_equal(laws.hooke_cauchy(u, M), shifted)
+        assert np.array_equal(hencky_cauchy(u, M), hencky_kirchhoff(u, M))
+
+
+def test_pk1_matches_each_laws_own_measure(rng):
+    from logstrain.kinematics import polar_decompose
+    own = {"becker": ("biot", "u", becker_biot),
+           "hencky-kirchhoff": ("kirchhoff", "v", hencky_kirchhoff),
+           "hencky-cauchy": ("cauchy", "v", hencky_cauchy),
+           "hooke-biot": ("biot", "u", hooke_biot),
+           "hooke-cauchy": ("cauchy", "v", laws.hooke_cauchy)}
+    for _ in range(10):
+        f = random_rotation(rng) @ random_spd(rng, 0.3, 3.0)
+        pf = polar_decompose(f)
+        for tag, (measure, side, fn) in own.items():
+            state = StressState(fn(getattr(pf, side), M), measure, f)
+            expected = stress_convert(state, "pk1").tensor
+            assert rel_err(laws.pk1_for_law(tag, f, M), expected) < 1e-12
+    with pytest.raises(ValueError):
+        laws.pk1_for_law("neo-hooke", np.eye(3), M)
+

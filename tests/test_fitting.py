@@ -1,6 +1,7 @@
 """Data ingestion and shear-modulus fits."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,18 @@ def test_hyper_mode_recovery():
     fit = fit_dataset(dataset_from_rows(rows, "uniaxial"), "uniaxial-hyper")
     assert fit.g == pytest.approx(g0, rel=1e-9)
     assert fit.rms < 1e-9
+
+
+def test_hyper_mode_is_exact_least_squares(rng):
+    lams = np.linspace(0.6, 2.5, 24)
+    phi = np.log(lams) * (2.0 + lams ** -1.5)
+    ys = 0.8 * phi + rng.normal(0.0, 0.01, lams.size)
+    fit = fit_dataset(dataset_from_rows(zip(lams, ys), "uniaxial"),
+                      "uniaxial-hyper")
+    # the normal equation in exact rational arithmetic on the same floats
+    num = sum(Fraction(y) * Fraction(p) for y, p in zip(ys, phi))
+    den = sum(Fraction(p) ** 2 for p in phi)
+    assert abs(Fraction(fit.g) - num / den) <= Fraction(1, 10 ** 15)
 
 
 def test_noisy_fit_is_least_squares(rng):

@@ -79,6 +79,20 @@ def test_polar_invariants_random():
         assert eig_sym(pf.v).eigenvalues[2] > 0.0
 
 
+def test_polar_strongly_anisotropic():
+    # stretch ratio 1e6: the factors stay accurate to roundoff
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        q, p = random_rotation(rng), random_rotation(rng)
+        f = q @ np.diag([1.0, 1e3, 1e6]) @ p.T
+        pf = polar_decompose(f)
+        scale = fro_norm(f)
+        assert fro_norm(pf.r @ pf.u - f) <= 1e-13 * scale
+        assert fro_norm(pf.v @ pf.r - f) <= 1e-13 * scale
+        assert fro_norm(pf.r.T @ pf.r - np.eye(3)) <= 1e-13
+        assert abs(np.linalg.det(pf.r) - 1.0) <= 1e-13
+
+
 def test_polar_rejects_noninvertible():
     with pytest.raises(NonInvertible):
         polar_decompose(np.diag([1.0, 0.0, 1.0]))

@@ -1,5 +1,7 @@
 """Elastic-constant construction and consistency."""
 
+import math
+
 import pytest
 
 from logstrain.errors import InvalidModuli
@@ -58,6 +60,17 @@ def test_rejects_inadmissible():
         Moduli.from_g_lam(1.0, -2.0 / 3.0)  # 3 lam + 2 G = 0
     with pytest.raises(InvalidModuli):
         Moduli.from_e_nu(1.0, 0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidModuli):
+            Moduli.from_g_lam(bad, 1.0)
+        with pytest.raises(InvalidModuli):
+            Moduli.from_g_lam(1.0, bad)
+        with pytest.raises(InvalidModuli):
+            Moduli.from_g_k(1.0, bad)
+        with pytest.raises(InvalidModuli):
+            Moduli.from_e_nu(bad, 0.3)
+        with pytest.raises(InvalidModuli):
+            Moduli.from_g_nu(1.0, bad)
 
 
 def test_physical_flag():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logstrain.errors import NotPositiveDefinite
+from logstrain.errors import LogstrainError, NotPositiveDefinite
 from logstrain.tensors import (cofactor, dev3, eig_sym, fro_norm, inner,
                                mat_exp, mat_log, mat_pow, mat_sqrt, tr)
 from logstrain.verify import random_rotation, random_spd
@@ -110,6 +110,11 @@ def test_log_requires_positive_definite():
 def test_negative_integer_power_of_singular_matrix():
     with pytest.raises(NotPositiveDefinite):
         mat_pow(np.diag([1.0, 0.0, 1.0]), -1)
+
+
+def test_exp_overflow_names_the_eigenvalue():
+    with pytest.raises(LogstrainError, match="eigenvalue 5000"):
+        mat_exp(np.diag([5000.0, -2500.0, -2500.0]))
 
 
 def test_exp_log_round_trip(rng):

@@ -171,6 +171,16 @@ def test_hill_probe_finds_log_domain_violation():
     assert spd_report.passed              # convexity in the stretch itself
 
 
+def test_no_check_runs_on_zero_samples():
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples"):
+            check_axioms("becker", M, samples=samples)
+        with pytest.raises(ValueError, match="samples"):
+            hill_convexity_probe(M0, samples=samples)
+        with pytest.raises(ValueError, match="samples"):
+            suite("becker", M0, samples=samples)
+
+
 def test_hill_probe_requires_lam_zero():
     with pytest.raises(ValueError):
         hill_convexity_probe(M, samples=10, seed=0)
