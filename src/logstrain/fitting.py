@@ -52,12 +52,18 @@ class FitResult:
 
 
 def dataset_from_rows(rows, kind, source=""):
-    """Build a data set from (x, y) pairs: sort, average duplicates."""
+    """Build a data set from (x, y) pairs: sort, average duplicates.
+
+    Raises ``ValueError`` naming the first row with a NaN or infinite value.
+    """
     if kind not in ("uniaxial", "shear"):
         raise ValueError(f"unknown data kind {kind!r}")
     pairs = [(float(x), float(y)) for x, y in rows]
     if not pairs:
         raise DegenerateData(f"no data rows in {source or 'input'}")
+    for i, (x, y) in enumerate(pairs, 1):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"data row {i} ({x!r}, {y!r}) is not finite")
     if kind == "uniaxial" and any(x <= 0.0 for x, _ in pairs):
         raise ValueError("stretches must be positive")
     merged = {}

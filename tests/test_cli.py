@@ -224,6 +224,15 @@ def test_fit_degenerate_exits_two(capsys, tmp_path):
     assert "undetermined" in err
 
 
+def test_fit_nan_row_exits_two(capsys, tmp_path):
+    data = tmp_path / "nan.csv"
+    data.write_text("lambda,t\n1.2,0.5\n1.5,nan\n2.0,1.9\n")
+    code, out, err = run(capsys, "fit", str(data))
+    assert code == 2
+    assert "fitted" not in out
+    assert err.startswith("error:") and "row 2" in err
+
+
 def test_fit_missing_file_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "fit", str(tmp_path / "nope.csv"))
     assert code == 2

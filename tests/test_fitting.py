@@ -93,6 +93,12 @@ def test_nonpositive_stretch_rejected():
         dataset_from_rows([(0.0, 1.0)], "uniaxial")
 
 
+def test_nonfinite_row_rejected():
+    rows = [(1.2, 0.5), (1.5, math.nan), (2.0, 1.9), (math.inf, 1.0)]
+    with pytest.raises(ValueError, match=r"row 2 \(1\.5, nan\)"):
+        dataset_from_rows(rows, "uniaxial")
+
+
 def test_read_csv_with_comments(tmp_path):
     path = write_csv(tmp_path, "# synthetic rubber data\nlambda,t\n"
                                "2.0,1.0\n# midway note\n1.5,0.5\n")

@@ -1,6 +1,7 @@
 """Spectral kernel and tensor operators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logstrain.errors import LogstrainError, NotPositiveDefinite
+from logstrain.kinematics import polar_decompose
 from logstrain.tensors import (cofactor, dev3, eig_sym, fro_norm, inner,
                                mat_exp, mat_log, mat_pow, mat_sqrt, tr)
 from logstrain.verify import random_rotation, random_spd
@@ -75,6 +77,34 @@ def test_eig_deterministic():
     assert np.array_equal(s1.frame, s2.frame)
 
 
+def _rotated(rng, eigenvalues):
+    q = random_rotation(rng)
+    a = q.T @ np.diag(eigenvalues) @ q
+    return 0.5 * (a + a.T)
+
+
+def test_eig_within_stated_bound_of_exact(rng):
+    # the eig_sym docstring: every eigenvalue within 16 eps max|eigenvalue|
+    # of the exact eigenvalue of the stored (symmetric) input
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for k in range(120):
+            cond = 10.0 ** rng.uniform(0.0, 12.0)
+            spectrum = ([1.0, math.sqrt(cond), cond],
+                        [1.0, 1.0 + 1e-12, cond],
+                        [1.0, cond, cond * (1.0 + 1e-13)])[k % 3]
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            signs = rng.choice([-1.0, 1.0], 3)
+            a = _rotated(rng, scale * signs * np.array(spectrum))
+            exact = sorted(mpmath.eigsy(mpmath.matrix(a.tolist()))[0],
+                           reverse=True)
+            got = eig_sym(a).eigenvalues
+            bound = 16.0 * eps * float(np.abs(got).max())
+            for g, e in zip(got.tolist(), exact):
+                assert abs(float(mpmath.mpf(g) - e)) <= bound
+
+
 # ---------------------------------------------------------------------------
 # matrix functions
 
@@ -115,6 +145,25 @@ def test_negative_integer_power_of_singular_matrix():
 def test_exp_overflow_names_the_eigenvalue():
     with pytest.raises(LogstrainError, match="eigenvalue 5000"):
         mat_exp(np.diag([5000.0, -2500.0, -2500.0]))
+
+
+def test_pd_floor_follows_the_spectrum():
+    # the floor scales with max|eigenvalue|, which stays finite where the
+    # Frobenius norm of a large spectrum would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = mat_log(np.diag([1e300, 1e300, 1e290]))
+        assert np.all(np.isfinite(out))
+        with pytest.raises(NotPositiveDefinite, match="tolerance 1e\\+288"):
+            mat_log(np.diag([1e300, 1e300, 1.0]))
+
+
+def test_pow_overflow_names_the_eigenvalue():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(LogstrainError, match="mat_pow: overflow at "
+                                                 "eigenvalue 0.01"):
+            mat_pow(np.diag([0.01, 1.0, 1.0]), -400)
 
 
 def test_exp_log_round_trip(rng):
@@ -181,6 +230,61 @@ def test_round_trip_property(lams, angle, ax):
     q = np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
     a = q @ np.diag(lams) @ q.T
     assert rel_err(mat_exp(mat_log(a)), a) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# oracles and properties
+
+def test_matrix_functions_match_scipy(rng):
+    sl = pytest.importorskip("scipy.linalg")
+    for k in range(40):
+        if k % 2:
+            lo = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+            a = _rotated(rng, [lo, lo * (1.0 + 1e-12),
+                               rng.uniform(0.05, 20.0)])
+        else:
+            a = random_spd(rng)
+        x = _rotated(rng, rng.uniform(-3.0, 3.0, 3))
+        assert rel_err(mat_log(a), sl.logm(a)) < 1e-13
+        # scipy's Pade expm is itself off by up to ~5e-14 on these inputs
+        assert rel_err(mat_exp(x), sl.expm(x)) < 1e-12
+        assert rel_err(mat_sqrt(a), sl.sqrtm(a)) < 1e-13
+        assert rel_err(mat_pow(a, 0.5),
+                       sl.fractional_matrix_power(a, 0.5)) < 1e-13
+        f = random_rotation(rng) @ a
+        pf = polar_decompose(f)
+        r, u = sl.polar(f)
+        _, v = sl.polar(f, side="left")
+        assert rel_err(pf.r, r) < 1e-13
+        assert rel_err(pf.u, u) < 1e-13
+        assert rel_err(pf.v, v) < 1e-13
+
+
+_ENTRY = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+              st.floats(min_value=-300.0, max_value=300.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(entries=st.lists(_ENTRY, min_size=6, max_size=6),
+       fn=st.sampled_from(["eig_sym", "mat_log", "mat_exp", "mat_sqrt",
+                           "mat_pow"]),
+       r=st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 2.0, math.pi]))
+def test_kernel_finite_or_logstrain_error(entries, fn, r):
+    a00, a01, a02, a11, a12, a22 = entries
+    a = np.array([[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]])
+    call = {"eig_sym": lambda: eig_sym(a).reconstruct(),
+            "mat_log": lambda: mat_log(a), "mat_exp": lambda: mat_exp(a),
+            "mat_sqrt": lambda: mat_sqrt(a),
+            "mat_pow": lambda: mat_pow(a, r)}[fn]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            out = call()
+        except LogstrainError:
+            return
+    assert np.all(np.isfinite(out))
 
 
 # ---------------------------------------------------------------------------
