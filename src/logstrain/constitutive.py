@@ -26,9 +26,9 @@ from .errors import LambdaNotZero
 from .kinematics import (glide_principal_stretches, polar_decompose,
                          simple_glide_F)
 from .moduli import Moduli
-from .stresses import StressState, stress_convert
-from .tensors import (as_mat3, dev3, inner, mat_exp, mat_log, sym_part,
-                      tr)
+from .stresses import StressState, _convert, stress_convert
+from .tensors import (_as_mats, _trace, as_mat3, dev3, inner, mat_exp,
+                      mat_log, sym_part, tr)
 
 __all__ = [
     "LawId",
@@ -90,9 +90,10 @@ class LawId:
 # the logarithmic law and its relatives
 
 def becker_biot(u, m: Moduli):
-    """Biot stress of the logarithmic law at right stretch u (SPD)."""
+    """Biot stress of the logarithmic law at right stretch u (SPD), or at
+    each stretch of a (..., 3, 3) stack."""
     w = mat_log(u)
-    return 2.0 * m.g * w + m.lam * tr(w) * np.eye(3)
+    return 2.0 * m.g * w + m.lam * _trace(w) * np.eye(3)
 
 
 def becker_inverse(t, m: Moduli):
@@ -106,9 +107,10 @@ def becker_inverse(t, m: Moduli):
 
 
 def hencky_kirchhoff(v, m: Moduli):
-    """Kirchhoff stress of the logarithmic law in the left stretch v."""
+    """Kirchhoff stress of the logarithmic law in the left stretch v (or a
+    (..., 3, 3) stack of them)."""
     w = mat_log(v)
-    return 2.0 * m.g * dev3(w) + m.k * tr(w) * np.eye(3)
+    return 2.0 * m.g * dev3(w) + m.k * _trace(w) * np.eye(3)
 
 
 def hencky_cauchy(v, m: Moduli):
@@ -149,13 +151,19 @@ def becker_pk1(f, m: Moduli):
 # finite-Hooke comparison laws
 
 def hooke_biot(u, m: Moduli):
-    """Finite Hooke law on the Biot pair: 2 G (U - I) + lam tr(U - I) I."""
-    return _lame(sym_part(as_mat3(u, "u")) - np.eye(3), m)
+    """Finite Hooke law on the Biot pair: 2 G (U - I) + lam tr(U - I) I.
+
+    u has shape (3, 3) or (..., 3, 3).
+    """
+    return _lame(sym_part(_as_mats(u, "u")) - np.eye(3), m)
 
 
 def hooke_cauchy(v, m: Moduli):
-    """Finite Hooke law on the Cauchy pair: 2 G (V - I) + lam tr(V - I) I."""
-    return _lame(sym_part(as_mat3(v, "v")) - np.eye(3), m)
+    """Finite Hooke law on the Cauchy pair: 2 G (V - I) + lam tr(V - I) I.
+
+    v has shape (3, 3) or (..., 3, 3).
+    """
+    return _lame(sym_part(_as_mats(v, "v")) - np.eye(3), m)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +249,9 @@ def linearized_law(eps, m: Moduli):
 
 
 def _lame(e, m):
-    # the isotropic linear law, shared by the finite-Hooke laws
-    return 2.0 * m.g * e + m.lam * tr(e) * np.eye(3)
+    # the isotropic linear law, shared by the finite-Hooke laws; e has
+    # shape (3, 3) or (..., 3, 3)
+    return 2.0 * m.g * e + m.lam * _trace(e) * np.eye(3)
 
 
 def linearized_inverse(sigma, m: Moduli):
@@ -339,14 +348,21 @@ def _incompressible_columns():
             yield row.column + "-hyper", row.hyper
 
 
-def _stress_state(law, f, m: Moduli):
-    """The law's stress state at deformation f, in the law's own measure,
-    together with the polar factors of f."""
-    row, law = _resolve(law)
+def _law_stress(law, f, m: Moduli):
+    """(table row, stress, polar factors of f): the law's stress at
+    deformation f, in the law's own measure.  f has shape (3, 3) or
+    (..., 3, 3)."""
+    row, _ = _resolve(law)
     if row.tensor is None:
         raise ValueError(f"law {row.tag!r} has no deformation-gradient form")
     pf = polar_decompose(f)
-    t = row.tensor(pf.u if row.stretch == "u" else pf.v, m)
+    return row, row.tensor(pf.u if row.stretch == "u" else pf.v, m), pf
+
+
+def _stress_state(law, f, m: Moduli):
+    """The law's stress state at deformation f, in the law's own measure,
+    together with the polar factors of f."""
+    row, t, pf = _law_stress(law, f, m)
     return StressState(t, row.measure, f), pf
 
 
@@ -420,11 +436,16 @@ def simple_shear_sigma12(law, gamma, m: Moduli = None):
 def pk1_for_law(law, f, m: Moduli):
     """First Piola-Kirchhoff stress of a tensor law at deformation f.
 
-    Used as the work-conjugate stress in path integrals: builds the law's
-    stress in its own measure from the polar factors of f and converts
-    (a Biot stress T directly as ``R @ T``).
+    ``f`` is one deformation gradient, shape (3, 3), or a stack of them,
+    shape (..., 3, 3); the result has the same shape, and a matrix gives
+    the same bits alone and inside a stack.  Used as the work-conjugate
+    stress in path integrals: builds the law's stress in its own measure
+    from the polar factors of f and converts (a Biot stress T directly as
+    ``R @ T``).  For a stack, an error names the index of the first bad
+    member.
     """
-    state, pf = _stress_state(law, f, m)
-    if state.measure == "biot":
-        return pf.r @ state.tensor
-    return stress_convert(state, "pk1").tensor
+    row, t, pf = _law_stress(law, f, m)
+    t = _as_mats(t, "tensor")
+    if row.measure == "biot":
+        return pf.r @ t
+    return _convert(t, row.measure, "pk1", np.asarray(f, dtype=float))

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonInvertible, NoSuchPlane
-from .tensors import as_mat3, cofactor, eig_sym, sym_part
+from .tensors import (_as_mats, _at, _first, as_mat3, cofactor, eig_sym,
+                      sym_part)
 
 __all__ = [
     "PolarFactors",
@@ -46,28 +47,34 @@ class PolarFactors:
 
 
 def polar_decompose(f, det_tol=DET_TOL):
-    """Polar decomposition of a deformation gradient.
+    """Polar decomposition of a deformation gradient, or of each one in a
+    (..., 3, 3) stack (the factors then have the stack's shape).
 
     From the singular value decomposition ``F = W diag(s) Vt``:
     ``R = W Vt``, ``U = sym(Vt.T diag(s) Vt)`` and ``V = sym(W diag(s) W.T)``.
     The SVD is backward stable, so the factors need no polishing: the
     relative reconstruction error ``|R U - F| / |F|`` and the loss of
     orthogonality of R stay below 1e-13 up to stretch ratios of at least
-    1e6 (see the tests).
+    1e6 (see the tests).  A matrix gives the same bits alone and inside a
+    stack.
 
     Raises
     ------
     NonInvertible
-        If ``det f <= det_tol``.
+        If ``det f <= det_tol`` (for a stack, the message names the index
+        of the first such member).
     """
-    f = as_mat3(f, "f")
-    det = float(np.linalg.det(f))
-    if det <= det_tol:
-        raise NonInvertible(f"det F = {det:.6g} <= {det_tol:.6g}")
+    f = _as_mats(f, "f")
+    det = np.linalg.det(f)
+    i = _first(det <= det_tol)
+    if i is not None:
+        raise NonInvertible(f"det F = {det.flat[i]:.6g} <= {det_tol:.6g}"
+                            f"{_at(i, f.shape[:-2])}")
     w, s, vt = np.linalg.svd(f)
+    s = s[..., None, :]
     r = w @ vt
-    u = sym_part((vt.T * s) @ vt)
-    v = sym_part((w * s) @ w.T)
+    u = sym_part((vt.swapaxes(-1, -2) * s) @ vt)
+    v = sym_part((w * s) @ w.swapaxes(-1, -2))
     return PolarFactors(r=r, u=u, v=v)
 
 

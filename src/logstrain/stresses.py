@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NonInvertible
 from .kinematics import DET_TOL, polar_decompose
-from .tensors import as_mat3
+from .tensors import _at, _first, as_mat3
 
 __all__ = ["MEASURES", "StressState", "stress_convert"]
 
@@ -51,38 +51,51 @@ class StressState:
             self, "deformation", as_mat3(self.deformation, "deformation"))
 
 
-def _to_cauchy(t, measure, f):
-    j = float(np.linalg.det(f))
-    if j <= DET_TOL:
-        raise NonInvertible(f"det F = {j:.6g} <= {DET_TOL:.6g}")
+def _to_cauchy(t, measure, f, j):
     if measure == "cauchy":
         return t
     if measure == "kirchhoff":
         return t / j
+    ft = f.swapaxes(-1, -2)
     if measure == "pk1":
-        return (t @ f.T) / j
+        return (t @ ft) / j
     if measure == "pk2":
-        return (f @ t @ f.T) / j
+        return (f @ t @ ft) / j
     # biot: S2 = inv(U) @ T
     u = polar_decompose(f).u
     s2 = np.linalg.solve(u, t)
-    return (f @ s2 @ f.T) / j
+    return (f @ s2 @ ft) / j
 
 
-def _from_cauchy(sigma, measure, f):
-    j = float(np.linalg.det(f))
+def _from_cauchy(sigma, measure, f, j):
     if measure == "cauchy":
         return sigma
     if measure == "kirchhoff":
         return j * sigma
     f_inv = np.linalg.inv(f)
+    f_inv_t = f_inv.swapaxes(-1, -2)
     if measure == "pk1":
-        return j * sigma @ f_inv.T
-    s2 = j * f_inv @ sigma @ f_inv.T
+        return j * sigma @ f_inv_t
+    s2 = j * f_inv @ sigma @ f_inv_t
     if measure == "pk2":
         return s2
     u = polar_decompose(f).u
     return u @ s2
+
+
+def _convert(t, measure, target, f):
+    """Stress tensor t in ``measure`` at deformation f, in ``target``.
+
+    t and f have shape (3, 3) or (..., 3, 3); conversions route through the
+    Cauchy stress, one determinant per matrix.
+    """
+    j = np.linalg.det(f)
+    i = _first(j <= DET_TOL)
+    if i is not None:
+        raise NonInvertible(f"det F = {j.flat[i]:.6g} <= {DET_TOL:.6g}"
+                            f"{_at(i, f.shape[:-2])}")
+    j = j[..., None, None]
+    return _from_cauchy(_to_cauchy(t, measure, f, j), target, f, j)
 
 
 def stress_convert(state, target):
@@ -98,6 +111,5 @@ def stress_convert(state, target):
     target = _check_measure(target)
     if target == state.measure:
         return StressState(state.tensor.copy(), target, state.deformation)
-    sigma = _to_cauchy(state.tensor, state.measure, state.deformation)
-    out = _from_cauchy(sigma, target, state.deformation)
+    out = _convert(state.tensor, state.measure, target, state.deformation)
     return StressState(out, target, state.deformation)

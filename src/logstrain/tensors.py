@@ -5,11 +5,14 @@ matrix functions (log, exp, sqrt, real powers) evaluated spectrally, and the
 small tensor operators (deviator, trace, inner product, Frobenius norm,
 cofactor) that the rest of the package is built on.
 
-All tensors are plain ``numpy.ndarray`` objects of shape (3, 3) and dtype
-float64.  Symmetric arguments are symmetrized on entry, so callers may pass
-matrices that are symmetric only up to roundoff (e.g. products ``F.T @ F``).
-Everything here is a pure function of its arguments and safe for concurrent
-use.
+All tensors are plain ``numpy.ndarray`` objects of dtype float64 and shape
+(3, 3).  The matrix functions, ``sym_part`` and ``dev3`` also take stacks of
+shape (..., 3, 3) and act on each matrix; a matrix gives the same bits
+alone and inside a stack.  The other operators (``eig_sym``, ``tr``,
+``inner``, ``fro_norm``, ``cofactor``) take one matrix.  Symmetric arguments
+are symmetrized on entry, so callers may pass matrices that are symmetric
+only up to roundoff (e.g. products ``F.T @ F``).  Everything here is a pure
+function of its arguments and safe for concurrent use.
 """
 
 import math
@@ -48,17 +51,58 @@ def identity():
 
 def as_mat3(a, name="matrix"):
     """Coerce to a finite float64 (3, 3) array (copies the input)."""
-    m = np.array(a, dtype=float)
-    if m.shape != (3, 3):
+    m = _as_mats(a, name)
+    if m.ndim != 2:
         raise ValueError(f"{name} must be 3x3, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} has non-finite entries")
+    return m
+
+
+def _at(flat_index, shape):
+    """Message suffix naming a member of a (..., 3, 3) stack.
+
+    ``shape`` is the stack's leading shape; a single matrix (empty shape)
+    gets no suffix.
+    """
+    if not shape:
+        return ""
+    i = np.unravel_index(flat_index, shape)
+    return f" at index {i[0] if len(i) == 1 else tuple(int(k) for k in i)}"
+
+
+def _first(bad):
+    """Flat index of the first true entry of a boolean array, or None."""
+    flat = np.ravel(bad).tolist()
+    return flat.index(True) if True in flat else None
+
+
+def _as_mats(a, name="matrix"):
+    """Coerce to a finite float64 array of shape (3, 3) or (..., 3, 3).
+
+    Copies the input.  For a stack the non-finite message names the index
+    of the first bad member.
+    """
+    m = np.array(a, dtype=float)
+    if m.shape[-2:] != (3, 3):
+        raise ValueError(f"{name} must be 3x3, got shape {m.shape}")
+    finite = np.isfinite(m)
+    if not finite.all():
+        i = _first(~finite.all(axis=(-2, -1)))
+        raise ValueError(
+            f"{name} has non-finite entries{_at(i, m.shape[:-2])}")
     return m
 
 
 def sym_part(a):
-    """Symmetric part (a + a.T) / 2."""
-    return 0.5 * (a + a.T)
+    """Symmetric part (a + a.T) / 2, of each matrix of a (..., 3, 3) stack."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _trace(a):
+    """Trace of each matrix of a (..., 3, 3) stack, shape (..., 1, 1)."""
+    return np.trace(a, axis1=-2, axis2=-1)[..., None, None]
+
+
+_DIAG = np.arange(3)
 
 
 @dataclass(frozen=True)
@@ -83,17 +127,25 @@ class Spectral3:
 
 
 def _spectrum(m):
-    """Spectral decomposition of a checked, symmetric 3x3 matrix ``m``.
+    """Spectral decomposition of checked, symmetric matrices ``m``.
 
-    The frame comes from LAPACK (``np.linalg.eigh``); each eigenvalue is
-    recomputed as the Rayleigh quotient ``v_i . m v_i`` of its frame
-    column, which is more accurate than LAPACK's own eigenvalue for the
-    small end of the spectrum, where the logarithm needs accuracy.
+    ``m`` has shape (3, 3) or (..., 3, 3); returns ``(eigenvalues, frame)``
+    of shapes (..., 3) and (..., 3, 3), eigenvalues descending.  The frame
+    comes from LAPACK (``np.linalg.eigh``); each eigenvalue is recomputed
+    as the Rayleigh quotient ``v_i . m v_i`` of its frame column, which is
+    more accurate than LAPACK's own eigenvalue for the small end of the
+    spectrum, where the logarithm needs accuracy.  eigh's ascending frame
+    is reversed; only when a Rayleigh quotient ties or breaks that order is
+    the spectrum sorted, stably, so that ties keep eigh's order (the sort
+    gives the reversal wherever the order holds).
     """
     _, frame = np.linalg.eigh(m)
-    vals = ((m @ frame) * frame).sum(axis=0)
-    order = np.argsort(-vals, kind="stable")
-    return Spectral3(eigenvalues=vals[order], frame=frame[:, order])
+    vals = ((m @ frame) * frame).sum(axis=-2)
+    if (vals[..., :-1] < vals[..., 1:]).all():
+        return vals[..., ::-1].copy(), frame[..., ::-1].copy()
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    return (np.take_along_axis(vals, order, -1),
+            np.take_along_axis(frame, order[..., None, :], -1))
 
 
 def eig_sym(a):
@@ -119,71 +171,84 @@ def eig_sym(a):
     ValueError
         If ``a`` is not 3x3 or contains non-finite entries.
     """
-    return _spectrum(sym_part(as_mat3(a, "a")))
+    vals, frame = _spectrum(sym_part(as_mat3(a, "a")))
+    return Spectral3(eigenvalues=vals, frame=frame)
 
 
 def _mat_fn(a, f, name, floor_on):
     # body of mat_fn; floor_on names the spectral quantity that must exceed
     # the floor: "eigenvalue" (positive definite), "|eigenvalue|"
     # (invertible) or None (no check)
-    spec = _spectrum(sym_part(as_mat3(a, "a")))
-    if floor_on is not None:
-        ev = spec.eigenvalues
-        least = ev[2] if floor_on == "eigenvalue" else np.abs(ev).min()
-        floor = PD_REL_TOL * max(1.0, abs(ev[0]), abs(ev[2]))
-        if least <= floor:
-            raise NotPositiveDefinite(
-                f"{name}: min {floor_on} {least:.6g} <= "
-                f"tolerance {floor:.6g}")
-    vals = np.empty(3)
-    for i, x in enumerate(spec.eigenvalues.tolist()):
-        try:
-            vals[i] = f(x)
-        except OverflowError:
-            raise LogstrainError(
-                f"{name}: overflow at eigenvalue {x:.6g}") from None
-    return sym_part(spec.frame @ np.diag(vals) @ spec.frame.T)
+    m = _as_mats(a, "a")
+    shape = m.shape[:-2]
+    vals, frame = _spectrum(sym_part(m))
+    out = []
+    for k, ev in enumerate(vals.reshape(-1, 3).tolist()):
+        if floor_on is not None:
+            least = (ev[2] if floor_on == "eigenvalue"
+                     else min(map(abs, ev)))
+            floor = PD_REL_TOL * max(1.0, abs(ev[0]), abs(ev[2]))
+            if least <= floor:
+                raise NotPositiveDefinite(
+                    f"{name}: min {floor_on} {least:.6g} <= "
+                    f"tolerance {floor:.6g}{_at(k, shape)}")
+        for x in ev:
+            try:
+                out.append(f(x))
+            except OverflowError:
+                raise LogstrainError(
+                    f"{name}: overflow at eigenvalue {x:.6g}"
+                    f"{_at(k, shape)}") from None
+    d = np.zeros(frame.shape)
+    d[..., _DIAG, _DIAG] = np.array(out).reshape(vals.shape)
+    return sym_part(frame @ d @ frame.swapaxes(-1, -2))
 
 
 def mat_fn(a, f, require_pd=False, name="mat_fn"):
-    """Apply a scalar function to a symmetric matrix through its spectrum.
+    """Apply a scalar function to symmetric matrices through the spectrum.
 
-    ``mat_fn(a, f) = frame @ diag(f(eigenvalue_i)) @ frame.T``, with ``f``
-    called on Python floats.
+    ``a`` has shape (3, 3) or (..., 3, 3); the result has the same shape.
+    ``mat_fn(a, f) = frame @ diag(f(eigenvalue_i)) @ frame.T`` for each
+    matrix, with ``f`` called on Python floats, so a matrix gives the same
+    bits alone and inside a stack.
 
     With ``require_pd=True`` the minimum eigenvalue must exceed
     ``PD_REL_TOL * max(1, max|eigenvalue|)``; otherwise
     :class:`NotPositiveDefinite` is raised rather than silently clamping.
     A scalar function that overflows raises :class:`LogstrainError` naming
-    the eigenvalue.
+    the eigenvalue.  For a stack, error messages name the index of the
+    first bad member.
     """
     return _mat_fn(a, f, name, "eigenvalue" if require_pd else None)
 
 
 def mat_log(a):
-    """Principal matrix logarithm of a symmetric positive definite matrix."""
+    """Principal matrix logarithm of symmetric positive definite matrices."""
     return mat_fn(a, math.log, require_pd=True, name="mat_log")
 
 
 def mat_exp(a):
-    """Matrix exponential of a symmetric matrix."""
+    """Matrix exponential of symmetric matrices."""
     return mat_fn(a, math.exp, name="mat_exp")
 
 
 def mat_sqrt(a):
-    """Principal square root of a symmetric positive definite matrix."""
+    """Principal square root of symmetric positive definite matrices."""
     return mat_fn(a, math.sqrt, require_pd=True, name="mat_sqrt")
 
 
 def mat_pow(a, r):
-    """Real matrix power ``a**r`` of a symmetric matrix.
+    """Real matrix power ``a**r`` of symmetric matrices (see :func:`mat_fn`).
 
-    Non-integer exponents require ``a`` positive definite.  Integer
-    exponents are evaluated spectrally as well; negative integer powers
-    require every ``|eigenvalue|`` to exceed the floor of :func:`mat_fn`.
-    A power that overflows raises :class:`LogstrainError`.
+    The exponent must be finite.  Non-integer exponents require ``a``
+    positive definite.  Integer exponents are evaluated spectrally as
+    well; negative integer powers require every ``|eigenvalue|`` to exceed
+    the floor of :func:`mat_fn`.  A power that overflows raises
+    :class:`LogstrainError`.
     """
     r = float(r)
+    if not math.isfinite(r):
+        raise ValueError(f"mat_pow: exponent must be finite, got {r}")
     if r != int(r):
         return mat_fn(a, lambda x: x ** r, require_pd=True, name="mat_pow")
     return _mat_fn(a, lambda x: x ** r, "mat_pow",
@@ -191,9 +256,10 @@ def mat_pow(a, r):
 
 
 def dev3(a):
-    """Deviatoric (trace-free) part: a - tr(a)/3 * I."""
+    """Deviatoric (trace-free) part a - tr(a)/3 * I, of each matrix of a
+    (..., 3, 3) stack."""
     a = np.asarray(a, dtype=float)
-    return a - (np.trace(a) / 3.0) * np.eye(3)
+    return a - (_trace(a) / 3.0) * np.eye(3)
 
 
 def tr(a):

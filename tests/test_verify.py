@@ -2,10 +2,12 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from logstrain import verify
 from logstrain.constitutive import becker_energy_nu0
 from logstrain.moduli import Moduli
 from logstrain.verify import (LoadPath, baker_ericksen_check, check_axioms,
@@ -258,6 +260,17 @@ def test_path_validation():
                  closed=True)
 
 
+def test_path_rejects_nonfinite_gradients_up_front():
+    g = np.array([np.eye(3)] * 5)
+    g[3, 1, 2] = math.nan
+    g[4, 0, 0] = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="gradient 3 on the path is "
+                                             "not finite"):
+            LoadPath(g)
+
+
 # ---------------------------------------------------------------------------
 # remainder ladders
 
@@ -311,6 +324,26 @@ def test_suite_lam_zero_runs_hyperelastic_checks():
             "open_path_energy_match", "m_condition_random"} <= names
     for r in reports:
         assert r.passed == r.expected, r.name
+
+
+def test_open_path_report_records_the_quadrature(monkeypatch):
+    by_name = {r.name: r for r in suite("becker", M0, samples=20, seed=2)}
+    w = by_name["open_path_energy_match"].witness
+    assert by_name["open_path_energy_match"].passed
+    assert w["quadrature_converged"] is True and w["steps"] >= 384
+
+    def unconverged(f_of_t, law, m, closed=False):
+        delta = (becker_energy_nu0(f_of_t(1.0), m)
+                 - becker_energy_nu0(f_of_t(0.0), m))
+        return (0.0 if closed else delta), 6144, False
+
+    monkeypatch.setattr(verify, "converged_path_work", unconverged)
+    by_name = {r.name: r for r in suite("becker", M0, samples=20, seed=2)}
+    report = by_name["open_path_energy_match"]
+    assert not report.passed and report.expected
+    assert report.witness["work"] == report.witness["energy_difference"]
+    assert report.witness["steps"] == 6144
+    assert report.witness["quadrature_converged"] is False
 
 
 def test_failed_reports_carry_witnesses():
