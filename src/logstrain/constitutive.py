@@ -27,8 +27,8 @@ from .kinematics import (glide_principal_stretches, polar_decompose,
                          simple_glide_F)
 from .moduli import Moduli
 from .stresses import StressState, _convert, stress_convert
-from .tensors import (_as_mats, _trace, as_mat3, dev3, inner, mat_exp,
-                      mat_log, sym_part, tr)
+from .tensors import (_as_mats, _inners, _trace, as_mat3, dev3, inner,
+                      mat_exp, mat_log, sym_part, tr)
 
 __all__ = [
     "LawId",
@@ -100,10 +100,11 @@ def becker_inverse(t, m: Moduli):
     """Right stretch that produces Biot stress t under the logarithmic law.
 
     ``exp(dev3(t) / (2 G) + tr(t) / (9 K) * I)``; exact inverse of
-    :func:`becker_biot`.
+    :func:`becker_biot`.  ``t`` has shape (3, 3) or (..., 3, 3).
     """
-    t = sym_part(as_mat3(t, "t"))
-    return mat_exp(dev3(t) / (2.0 * m.g) + tr(t) / (9.0 * m.k) * np.eye(3))
+    t = sym_part(_as_mats(t, "t"))
+    return mat_exp(dev3(t) / (2.0 * m.g)
+                   + _trace(t) / (9.0 * m.k) * np.eye(3))
 
 
 def hencky_kirchhoff(v, m: Moduli):
@@ -173,14 +174,16 @@ def becker_energy_nu0(u, m: Moduli):
     """Strain energy of Becker's law for lam = 0 (the only hyperelastic case).
 
     ``2 G (<U, log U - I> + 3) = 2 G sum_i lambda_i (ln lambda_i - 1) + 6 G``.
-    Nonnegative, zero only at U = I, and finite even as U -> 0.
+    Nonnegative, zero only at U = I, and finite even as U -> 0.  For one
+    matrix returns a float; for a (..., 3, 3) stack, an array of shape (...).
     """
     if abs(m.lam) > 1e-14 * max(1.0, abs(m.g)):
         raise LambdaNotZero(
             f"energy defined only for lambda = 0, got {m.lam}")
-    u = sym_part(as_mat3(u, "u"))
+    u = sym_part(_as_mats(u, "u"))
     w = mat_log(u)
-    return 2.0 * m.g * (inner(u, w - np.eye(3)) + 3.0)
+    energy = 2.0 * m.g * (_inners(u, w - np.eye(3)) + 3.0)
+    return energy if u.ndim > 2 else float(energy)
 
 
 def hencky_energy(v, m: Moduli):

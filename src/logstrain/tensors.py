@@ -9,10 +9,11 @@ All tensors are plain ``numpy.ndarray`` objects of dtype float64 and shape
 (3, 3).  The matrix functions, ``sym_part`` and ``dev3`` also take stacks of
 shape (..., 3, 3) and act on each matrix; a matrix gives the same bits
 alone and inside a stack.  The other operators (``eig_sym``, ``tr``,
-``inner``, ``fro_norm``, ``cofactor``) take one matrix.  Symmetric arguments
-are symmetrized on entry, so callers may pass matrices that are symmetric
-only up to roundoff (e.g. products ``F.T @ F``).  Everything here is a pure
-function of its arguments and safe for concurrent use.
+``inner``, ``fro_norm``, ``cofactor``) take one matrix and reject a stack
+with ``ValueError``.  Symmetric arguments are symmetrized on entry, so
+callers may pass matrices that are symmetric only up to roundoff (e.g.
+products ``F.T @ F``).  Everything here is a pure function of its arguments
+and safe for concurrent use.
 """
 
 import math
@@ -103,6 +104,13 @@ def _trace(a):
 
 
 _DIAG = np.arange(3)
+
+
+def _diag(v):
+    """Diagonal matrices from the (..., 3) rows of v."""
+    d = np.zeros(v.shape + (3,))
+    d[..., _DIAG, _DIAG] = v
+    return d
 
 
 @dataclass(frozen=True)
@@ -199,8 +207,7 @@ def _mat_fn(a, f, name, floor_on):
                 raise LogstrainError(
                     f"{name}: overflow at eigenvalue {x:.6g}"
                     f"{_at(k, shape)}") from None
-    d = np.zeros(frame.shape)
-    d[..., _DIAG, _DIAG] = np.array(out).reshape(vals.shape)
+    d = _diag(np.array(out).reshape(vals.shape))
     return sym_part(frame @ d @ frame.swapaxes(-1, -2))
 
 
@@ -262,19 +269,43 @@ def dev3(a):
     return a - (_trace(a) / 3.0) * np.eye(3)
 
 
+def _one(a, name):
+    """``a`` as an array, rejecting a stack of matrices."""
+    a = np.asarray(a)
+    if a.ndim > 2:
+        raise ValueError(f"{name} takes one matrix, got shape {a.shape}")
+    return a
+
+
 def tr(a):
-    """Trace."""
-    return float(np.trace(a))
+    """Trace of one matrix."""
+    return float(np.trace(_one(a, "tr")))
 
 
 def inner(a, b):
-    """Canonical inner product tr(b.T @ a)."""
-    return float(np.tensordot(a, b))
+    """Canonical inner product tr(b.T @ a) of two matrices."""
+    return float(np.tensordot(_one(a, "inner"), _one(b, "inner")))
 
 
 def fro_norm(a):
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm of one matrix."""
+    return float(np.linalg.norm(_one(a, "fro_norm")))
+
+
+def _inners(a, b):
+    """``inner`` of each pair of matrices of two (..., 3, 3) stacks.
+
+    A ``(1, 9) @ (9, 1)`` product per pair: the arithmetic of
+    :func:`inner`, so each member gets the bits it gets alone.
+    """
+    lead = a.shape[:-2]
+    return (a.reshape(lead + (1, 9)) @ b.reshape(lead + (9, 1)))[..., 0, 0]
+
+
+def _fro_norms(a):
+    """Frobenius norm of each matrix of a (..., 3, 3) stack, with the bits
+    :func:`fro_norm` gives each member."""
+    return np.sqrt(_inners(a, a))
 
 
 def cofactor(m):

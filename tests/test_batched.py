@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from logstrain import constitutive as laws
-from logstrain.constitutive import pk1_for_law
+from logstrain import verify
+from logstrain.constitutive import (becker_biot, becker_energy_nu0,
+                                    becker_inverse, pk1_for_law)
 from logstrain.errors import (LogstrainError, NonInvertible,
                               NotPositiveDefinite)
 from logstrain.kinematics import polar_decompose
 from logstrain.moduli import Moduli
 from logstrain.stresses import StressState
-from logstrain.tensors import (cofactor, dev3, eig_sym, mat_exp, mat_log,
-                               mat_pow, mat_sqrt)
+from logstrain.tensors import (_fro_norms, _inners, cofactor, dev3, eig_sym,
+                               fro_norm, inner, mat_exp, mat_log, mat_pow,
+                               mat_sqrt, tr)
 from logstrain.verify import (LoadPath, converged_path_work, diagonal_path,
                               dilation_shear_cycle, path_work,
-                              random_rotation)
+                              random_rotation, random_spd)
 
 M = Moduli.from_g_lam(1.0, 0.5)
 TENSOR_LAWS = [t for t in laws.LAW_TAGS if laws._LAWS[t].tensor is not None]
@@ -140,6 +143,69 @@ def test_scalar_only_functions_reject_stacks():
             fn(stack)
     with pytest.raises(ValueError, match="must be 3x3"):
         StressState(stack, "biot", stack)
+    for fn in (fro_norm, tr, lambda a: inner(a, np.eye(3)),
+               lambda a: inner(np.eye(3), a)):
+        for n in (2, 3):
+            with pytest.raises(ValueError, match=rf"shape \({n}, 3, "):
+                fn(np.array([np.eye(3)] * n))
+
+
+def test_stacked_norm_and_inner_equal_the_one_matrix_ones(rng):
+    a = rng.standard_normal((500, 3, 3)) * np.exp(
+        rng.uniform(-30.0, 30.0, (500, 1, 1)))
+    a[-1] = 0.0
+    b = rng.standard_normal((500, 3, 3))
+    norms, inners = _fro_norms(a), _inners(a, b)
+    assert norms.shape == inners.shape == (500,)
+    assert all(norms[k] == fro_norm(x) for k, x in enumerate(a))
+    assert all(inners[k] == inner(x, y) for k, (x, y) in enumerate(zip(a, b)))
+    assert _fro_norms(a.reshape(10, 50, 3, 3)).shape == (10, 50)
+
+
+def test_inverse_and_energy_stacks_equal_each_member(rng):
+    u = _spd(rng)
+    t = becker_biot(u, M)
+    back = becker_inverse(t, M)
+    assert _same_bits(back, np.array([becker_inverse(x, M) for x in t]))
+    m0 = Moduli.from_g_lam(1.0, 0.0)
+    energies = becker_energy_nu0(u, m0)
+    single = [becker_energy_nu0(x, m0) for x in u]
+    assert all(type(w) is float for w in single)
+    assert _same_bits(energies, np.array(single))
+    assert becker_energy_nu0(u.reshape(2, -1, 3, 3), m0).shape \
+        == (2, len(u) // 2)
+
+
+def _rotation_one_at_a_time(rng):
+    # the per-sample draw that verify's stacked draws must reproduce
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q @ np.diag(np.sign(np.diag(r)))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def _spd_one_at_a_time(rng, lo=0.05, hi=20.0):
+    lam = np.exp(rng.uniform(math.log(lo), math.log(hi), 3))
+    q = _rotation_one_at_a_time(rng)
+    return q.T @ np.diag(lam) @ q
+
+
+def test_stacked_draws_equal_one_sample_draws():
+    for seed in range(50):
+        # the isotropy layout: an SPD matrix, then a rotation
+        u, q = verify._draw(np.random.default_rng([seed, 4]), 16,
+                            [verify._SPD, ()])
+        rng = np.random.default_rng([seed, 4])
+        for k in range(16):
+            assert _same_bits(u[k], _spd_one_at_a_time(rng))
+            assert _same_bits(q[k], _rotation_one_at_a_time(rng))
+        rng, ref = (np.random.default_rng([seed, 5]) for _ in range(2))
+        for _ in range(4):
+            assert _same_bits(random_spd(rng, 0.1, 10.0),
+                              _spd_one_at_a_time(ref, 0.1, 10.0))
+            assert _same_bits(random_rotation(rng),
+                              _rotation_one_at_a_time(ref))
 
 
 def _counting(f_of_t):

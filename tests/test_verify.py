@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from logstrain import verify
-from logstrain.constitutive import becker_energy_nu0
+from logstrain.constitutive import (becker_energy_nu0, becker_inverse,
+                                    stretch_stress)
 from logstrain.moduli import Moduli
+from logstrain.tensors import fro_norm, mat_pow
 from logstrain.verify import (LoadPath, baker_ericksen_check, check_axioms,
                               converged_path_work, diagonal_path,
                               dilation_shear_cycle, format_reports,
@@ -17,7 +19,8 @@ from logstrain.verify import (LoadPath, baker_ericksen_check, check_axioms,
                               linearization_order_check, m_condition_check,
                               m_condition_paper_pair_value, ordered_force_check,
                               path_work, pk2_expansion_check,
-                              principal_cauchy_stresses, random_spd, suite)
+                              principal_cauchy_stresses, random_rotation,
+                              random_spd, suite)
 
 M = Moduli.from_g_lam(1.0, 0.5)
 M0 = Moduli.from_g_lam(1.0, 0.0)
@@ -70,6 +73,107 @@ def test_axiom_reports_deterministic():
     assert a == b
     c = format_reports(check_axioms("becker", M, samples=100, seed=8))
     assert a != c
+
+
+def test_nonfinite_residual_fails_the_check():
+    # lam = 1e307: the stresses overflow, so residuals come out NaN or inf
+    with np.errstate(all="ignore"):
+        reports = check_axioms("becker", Moduli.from_g_lam(1.0, 1e307),
+                               samples=8)
+    by_name = {r.name: r for r in reports}
+    for name in ("sphere_to_dilation", "superposition", "isotropy",
+                 "power_law", "inversion_symmetry"):
+        assert not by_name[name].passed and by_name[name].expected, name
+        assert by_name[name].witness is not None, name
+
+
+def _reference_axioms(law, m, samples, seed):
+    """check_axioms one matrix at a time: draw, evaluate, and keep the
+    first sample with the largest residual."""
+    t = lambda u: stretch_stress(law, u, m)
+    rel = lambda err, *scales: err / max((1.0, *scales))
+    misfit = lambda a, b: rel(fro_norm(a - b), fro_norm(a), fro_norm(b))
+    logs = (math.log(0.05), math.log(20.0))
+
+    def shear_to_shear(rng, i):
+        alpha = math.exp(rng.uniform(*logs))
+        s = t(np.diag([alpha, 1.0 / alpha, 1.0]))
+        off = fro_norm(s - np.diag(np.diag(s)))
+        return (rel(abs(s[2, 2]) + abs(s[0, 0] + s[1, 1]) + off,
+                    fro_norm(s)), {"alpha": alpha, "stress": s})
+
+    def sphere_to_dilation(rng, i):
+        lam = math.exp(rng.uniform(*logs))
+        s = t(lam * np.eye(3))
+        return (rel(fro_norm(s - s[0, 0] * np.eye(3)), fro_norm(s)),
+                {"lam": lam, "stress": s})
+
+    def superposition(rng, i):
+        l1, l2 = (np.exp(rng.uniform(*logs, 3)) for _ in range(2))
+        q = random_rotation(rng)
+        u1, u2 = q.T @ np.diag(l1) @ q, q.T @ np.diag(l2) @ q
+        lhs, rhs = t(u1 @ u2), t(u1) + t(u2)
+        return misfit(lhs, rhs), {"u1": u1, "u2": u2,
+                                  "stress_of_product": lhs,
+                                  "sum_of_stresses": rhs}
+
+    def isotropy(rng, i):
+        u, q = random_spd(rng), random_rotation(rng)
+        return misfit(t(q.T @ u @ q), q.T @ t(u) @ q), {"u": u, "q": q}
+
+    def power_law(rng, i):
+        u, r = random_spd(rng, 0.1, 10.0), (-2.0, -0.5, 0.5, 2.0,
+                                            math.pi)[i % 5]
+        return misfit(t(mat_pow(u, r)), r * t(u)), {"u": u, "r": r}
+
+    def inversion_symmetry(rng, i):
+        u = random_spd(rng)
+        return misfit(t(mat_pow(u, -1)), -t(u)), {"u": u}
+
+    def inverse_round_trip(rng, i):
+        u = random_spd(rng)
+        back = becker_inverse(t(u), m)
+        return rel(fro_norm(back - u), fro_norm(u)), {"u": u,
+                                                      "round_trip": back}
+
+    rng = np.random.default_rng([seed, 0])
+    worst, witness = fro_norm(t(np.eye(3))), {"stress_at_identity":
+                                              t(np.eye(3))}
+    for _ in range(samples):
+        u = random_spd(rng)
+        if fro_norm(u - np.eye(3)) > 1e-6 and fro_norm(t(u)) == 0.0:
+            worst, witness = math.inf, {"nonidentity_with_zero_stress": u}
+            break
+    reports = [verify.CheckReport("stress_free_reference",
+                                  worst <= verify.AXIOM_TOL,
+                                  verify.AXIOM_TOL, witness)]
+    checks = [shear_to_shear, sphere_to_dilation, superposition, isotropy,
+              power_law, inversion_symmetry]
+    if law != "hooke-biot":
+        checks.append(inverse_round_trip)
+    for k, check in enumerate(checks, start=1):
+        name = check.__name__
+        rng = np.random.default_rng([seed, k])
+        worst, witness = 0.0, None
+        for i in range(samples):
+            err, w = check(rng, i)
+            if err > worst:
+                worst, witness = err, w
+        expected = not (law == "hooke-biot" and name in verify._HOOKE_FAILS)
+        reports.append(verify.CheckReport(name, worst <= verify.AXIOM_TOL,
+                                          verify.AXIOM_TOL, witness,
+                                          expected))
+    return reports
+
+
+@pytest.mark.parametrize("law, lam, seed", [
+    ("becker", 0.0, 3), ("becker", 0.5, 4), ("becker", 25.0, 5),
+    ("hencky-kirchhoff", 0.5, 6), ("hooke-biot", 0.5, 7)])
+def test_suite_axioms_equal_the_one_matrix_reference(law, lam, seed):
+    m = Moduli.from_g_lam(1.0, lam)
+    ref = format_reports(_reference_axioms(law, m, 16, seed))
+    assert format_reports(suite(law, m, samples=16, seed=seed))[:len(ref)] \
+        == ref
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +447,22 @@ def test_open_path_report_records_the_quadrature(monkeypatch):
     assert not report.passed and report.expected
     assert report.witness["work"] == report.witness["energy_difference"]
     assert report.witness["steps"] == 6144
+    assert report.witness["quadrature_converged"] is False
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_unconverged_closed_cycle_is_not_as_expected(monkeypatch, lam):
+    m = Moduli.from_g_lam(1.0, lam)
+
+    def unconverged(f_of_t, law, m, closed=False):
+        predicted = m.lam * (4.0 - 6.0 * math.log(2.0))
+        return predicted, 6144, False
+
+    monkeypatch.setattr(verify, "converged_path_work", unconverged)
+    by_name = {r.name: r for r in suite("becker", m, samples=20, seed=2)}
+    report = by_name["closed_cycle_work"]
+    assert report.expected == (lam == 0.0)
+    assert not report.as_expected
     assert report.witness["quadrature_converged"] is False
 
 
