@@ -130,7 +130,7 @@ def _parse_deformation(args):
 def _cmd_stress(args):
     m = _moduli_from_args(args)
     f = _parse_deformation(args)
-    state = stress_convert(laws._stress_state(args.law, f, m)[0],
+    state = stress_convert(laws._stress_state(args.law, f, m),
                            args.measure)
     t = state.tensor
     print(f"law {args.law}, measure {args.measure}, unit {m.unit}")

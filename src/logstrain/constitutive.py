@@ -12,8 +12,14 @@ stretch), finite-Hooke comparison laws, the associated energies, and the
 uniaxial and incompressible closed forms all live here.
 
 Every law dispatch reads one table, ``_LAWS``, with one row per entry of
-:data:`LAW_TAGS`: the law's tensor map, the stretch it takes, the stress
-measure it returns, and its uniaxial and simple-glide closed forms.
+:data:`LAW_TAGS`: the law's tensor map, its principal response, the
+stretch it takes, the stress measure it returns, and its uniaxial and
+simple-glide closed forms.  The principal response is the law as the paper
+states it, principal stresses from principal stretches; the logarithmic
+tensor maps are ``frame @ diag(response) @ frame.T`` on the spectrum of the
+stretch, and :func:`pk1_for_law` reads the response on the singular values
+of F.  Every tensor law returns a finite stress or raises
+:class:`LogstrainError`.
 """
 
 import math
@@ -22,13 +28,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LambdaNotZero
-from .kinematics import (glide_principal_stretches, polar_decompose,
-                         simple_glide_F)
+from .errors import LambdaNotZero, LogstrainError
+from .kinematics import (_jacobian, glide_principal_stretches,
+                         polar_decompose, simple_glide_F)
 from .moduli import Moduli
-from .stresses import StressState, _convert, stress_convert
-from .tensors import (_as_mats, _inners, _trace, as_mat3, dev3, inner,
-                      mat_exp, mat_log, sym_part, tr)
+from .stresses import StressState, stress_convert
+from .tensors import (_as_mats, _at, _first, _inners, _require_floor,
+                      _spectrum, _trace, as_mat3, dev3, inner, mat_exp,
+                      mat_log, sym_part, tr)
 
 __all__ = [
     "LawId",
@@ -46,8 +53,6 @@ __all__ = [
     "becker_energy_nu0",
     "hencky_energy",
     "uniaxial_response",
-    "uniaxial_biot_load",
-    "hooke_uniaxial_load",
     "incompressible_uniaxial_limit",
     "incompressible_uniaxial_hyper",
     "linearized_law",
@@ -91,9 +96,12 @@ class LawId:
 
 def becker_biot(u, m: Moduli):
     """Biot stress of the logarithmic law at right stretch u (SPD), or at
-    each stretch of a (..., 3, 3) stack."""
-    w = mat_log(u)
-    return 2.0 * m.g * w + m.lam * _trace(w) * np.eye(3)
+    each stretch of a (..., 3, 3) stack.
+
+    ``frame @ diag(T_i) @ frame.T`` on the spectrum of U, with the
+    principal forces ``T_i = 2 G ln s_i + lam sum_j ln s_j``.
+    """
+    return _spectral_law("becker", u, m)
 
 
 def becker_inverse(t, m: Moduli):
@@ -109,9 +117,9 @@ def becker_inverse(t, m: Moduli):
 
 def hencky_kirchhoff(v, m: Moduli):
     """Kirchhoff stress of the logarithmic law in the left stretch v (or a
-    (..., 3, 3) stack of them)."""
-    w = mat_log(v)
-    return 2.0 * m.g * dev3(w) + m.k * _trace(w) * np.eye(3)
+    (..., 3, 3) stack of them): ``2 G dev3(log V) + K tr(log V) I``, with
+    the principal values of :func:`becker_biot` on the spectrum of V."""
+    return _spectral_law("hencky-kirchhoff", v, m)
 
 
 def hencky_cauchy(v, m: Moduli):
@@ -120,14 +128,14 @@ def hencky_cauchy(v, m: Moduli):
     Same formula as :func:`hencky_kirchhoff`; the two are independent laws
     that differ in which stress measure the result is read as.
     """
-    return hencky_kirchhoff(v, m)
+    return _spectral_law("hencky-cauchy", v, m)
 
 
 def becker_kirchhoff(v, m: Moduli):
-    """Kirchhoff stress of Becker's law: V @ hencky_kirchhoff(V)."""
+    """Kirchhoff stress of Becker's law: V @ becker_biot(V), which is
+    V @ hencky_kirchhoff(V)."""
     v = sym_part(as_mat3(v, "v"))
-    w = mat_log(v)
-    return sym_part(2.0 * m.g * v @ w + m.lam * tr(w) * v)
+    return sym_part(v @ becker_biot(v, m))
 
 
 def becker_cauchy(v, m: Moduli):
@@ -156,7 +164,7 @@ def hooke_biot(u, m: Moduli):
 
     u has shape (3, 3) or (..., 3, 3).
     """
-    return _lame(sym_part(_as_mats(u, "u")) - np.eye(3), m)
+    return _linear_law("hooke-biot", u, m)
 
 
 def hooke_cauchy(v, m: Moduli):
@@ -164,7 +172,7 @@ def hooke_cauchy(v, m: Moduli):
 
     v has shape (3, 3) or (..., 3, 3).
     """
-    return _lame(sym_part(_as_mats(v, "v")) - np.eye(3), m)
+    return _linear_law("hooke-cauchy", v, m)
 
 
 # ---------------------------------------------------------------------------
@@ -213,20 +221,6 @@ def _positive(lam):
     return lam
 
 
-def uniaxial_biot_load(lam_axial, m: Moduli):
-    """Uniaxial Biot load producing axial stretch lam_axial: E ln(lambda)."""
-    return _LAWS["becker"].uniaxial(_positive(lam_axial), m.e, m.g, None)
-
-
-def hooke_uniaxial_load(lam_axial, m: Moduli):
-    """Uniaxial Biot load of the finite Hooke law: E (lambda - 1).
-
-    Obtained from :func:`hooke_biot` with the lateral stretch chosen so the
-    lateral stress vanishes (lambda_lat = 1 - nu (lambda - 1)).
-    """
-    return _LAWS["hooke-biot"].uniaxial(float(lam_axial), m.e, m.g, None)
-
-
 def incompressible_uniaxial_limit(lam_stretch, m: Moduli):
     """Uniaxial load in the incompressible limit K -> inf: 3 G ln(lambda)."""
     return _LAWS["becker"].uniaxial(_positive(lam_stretch), 3.0 * m.g, m.g,
@@ -255,6 +249,11 @@ def _lame(e, m):
     # the isotropic linear law, shared by the finite-Hooke laws; e has
     # shape (3, 3) or (..., 3, 3)
     return 2.0 * m.g * e + m.lam * _trace(e) * np.eye(3)
+
+
+def _lame_principal(e, m):
+    # the same law on principal values e, shape (..., 3)
+    return 2.0 * m.g * e + m.lam * e.sum(axis=-1, keepdims=True)
 
 
 def linearized_inverse(sigma, m: Moduli):
@@ -286,7 +285,10 @@ class _Law(NamedTuple):
 
     ``tensor(stretch, m)`` gives the stress in ``measure`` from the right
     (``stretch == "u"``) or left (``"v"``) stretch; the incompressible
-    scalar models have none.  ``uniaxial(lam, e, g, law)`` is the Biot
+    scalar models have none.  ``principal(s, m)`` is the same law on the
+    principal stretches ``s`` of that stretch, shape (..., 3): the
+    principal stresses in ``measure``, in the order of ``s``.
+    ``uniaxial(lam, e, g, law)`` is the Biot
     stress under uniaxial stretch lam and zero lateral stress.  The
     compressible forms are written in Young's modulus e, so that e = 3 G
     gives the incompressible curve named ``column``; the incompressible
@@ -298,6 +300,7 @@ class _Law(NamedTuple):
 
     tag: str
     tensor: object = None
+    principal: object = None
     stretch: str = None
     measure: str = None
     uniaxial: object = None
@@ -306,22 +309,32 @@ class _Law(NamedTuple):
     hyper: object = None
 
 
+def _log_principal(s, m):
+    # 2 G ln s_i + lam sum_j ln s_j, for the Biot, Kirchhoff and Cauchy rows
+    _require_floor(s, "mat_log", "eigenvalue", s.shape[:-1])
+    return _lame_principal(np.log(s), m)
+
+
 # The tensor maps are looked up by name at call time, so that wrappers put
 # on the module's functions (such as the perfbench span tracer) see them.
 _LAWS = {row.tag: row for row in (
-    _Law("becker", lambda u, m: becker_biot(u, m), "u", "biot",
-         uniaxial=lambda lam, e, g, law: e * math.log(lam), column="becker",
+    _Law("becker", lambda u, m: becker_biot(u, m), _log_principal, "u",
+         "biot", uniaxial=lambda lam, e, g, law: e * math.log(lam),
+         column="becker",
          hyper=lambda lam, g: g * math.log(lam) * (2.0 + lam ** -1.5)),
-    _Law("hencky-kirchhoff", lambda v, m: hencky_kirchhoff(v, m), "v",
-         "kirchhoff", uniaxial=_hencky_uniaxial, column="hencky"),
-    _Law("hencky-cauchy", lambda v, m: hencky_cauchy(v, m), "v", "cauchy",
-         uniaxial=_hencky_uniaxial),
+    _Law("hencky-kirchhoff", lambda v, m: hencky_kirchhoff(v, m),
+         _log_principal, "v", "kirchhoff", uniaxial=_hencky_uniaxial,
+         column="hencky"),
+    _Law("hencky-cauchy", lambda v, m: hencky_cauchy(v, m), _log_principal,
+         "v", "cauchy", uniaxial=_hencky_uniaxial),
     _Law("neo-hooke",
          uniaxial=lambda lam, e, g, law: g * (lam - lam ** -2.0),
          glide=lambda gamma, m, law: m.g * gamma, column="neo-hooke"),
-    _Law("hooke-biot", lambda u, m: hooke_biot(u, m), "u", "biot",
+    _Law("hooke-biot", lambda u, m: hooke_biot(u, m),
+         lambda s, m: _lame_principal(s - 1.0, m), "u", "biot",
          uniaxial=lambda lam, e, g, law: e * (lam - 1.0), column="hooke"),
-    _Law("hooke-cauchy", lambda v, m: hooke_cauchy(v, m), "v", "cauchy"),
+    _Law("hooke-cauchy", lambda v, m: hooke_cauchy(v, m),
+         lambda s, m: _lame_principal(s - 1.0, m), "v", "cauchy"),
     _Law("ogden", uniaxial=_ogden_uniaxial, glide=_ogden_glide),
 )}
 
@@ -351,22 +364,52 @@ def _incompressible_columns():
             yield row.column + "-hyper", row.hyper
 
 
-def _law_stress(law, f, m: Moduli):
-    """(table row, stress, polar factors of f): the law's stress at
-    deformation f, in the law's own measure.  f has shape (3, 3) or
-    (..., 3, 3)."""
+def _tensor_row(law):
+    """The table row of a tensor law (ValueError for the scalar models)."""
     row, _ = _resolve(law)
     if row.tensor is None:
         raise ValueError(f"law {row.tag!r} has no deformation-gradient form")
-    pf = polar_decompose(f)
-    return row, row.tensor(pf.u if row.stretch == "u" else pf.v, m), pf
+    return row
 
 
 def _stress_state(law, f, m: Moduli):
-    """The law's stress state at deformation f, in the law's own measure,
-    together with the polar factors of f."""
-    row, t, pf = _law_stress(law, f, m)
-    return StressState(t, row.measure, f), pf
+    """The law's stress state at one deformation f, in the law's own
+    measure, from the polar factors of f."""
+    row = _tensor_row(law)
+    pf = polar_decompose(f)
+    return StressState(row.tensor(pf.u if row.stretch == "u" else pf.v, m),
+                       row.measure, f)
+
+
+def _finite(tag, t, m):
+    """t, a (..., 3, 3) stress of law ``tag``, if it is finite; else
+    :class:`LogstrainError` naming the law and the first bad member.  The
+    stress dispatches run with numpy's overflow and invalid-value warnings
+    off, so an overflow on the way raises here, quietly."""
+    finite = np.isfinite(t)
+    if finite.all():
+        return t
+    i = _first(~finite.all(axis=(-2, -1)))
+    raise LogstrainError(
+        f"law {tag!r}: stress is not finite at G = {m.g:.6g}, "
+        f"lam = {m.lam:.6g}{_at(i, t.shape[:-2])}")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _spectral_law(tag, a, m):
+    # tensor map of a logarithmic row: frame @ diag(principal) @ frame.T on
+    # the spectrum of the stretch a
+    row = _LAWS[tag]
+    vals, frame = _spectrum(sym_part(_as_mats(a, row.stretch)))
+    t = (frame * row.principal(vals, m)[..., None, :]) @ frame.swapaxes(-1, -2)
+    return _finite(tag, sym_part(t), m)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _linear_law(tag, a, m):
+    # tensor map of a finite-Hooke row: the linear law of a - I
+    a = sym_part(_as_mats(a, _LAWS[tag].stretch))
+    return _finite(tag, _lame(a - np.eye(3), m), m)
 
 
 def stretch_stress(law, stretch, m: Moduli):
@@ -377,10 +420,7 @@ def stretch_stress(law, stretch, m: Moduli):
     tensor is in the law's own measure.  Not defined for the incompressible
     scalar models (neo-hooke, ogden).
     """
-    row, law = _resolve(law)
-    if row.tensor is None:
-        raise ValueError(f"law {row.tag!r} has no tensor stretch-stress form")
-    return row.tensor(stretch, m)
+    return _tensor_row(law).tensor(stretch, m)
 
 
 def comparison_law(law, m: Moduli = None, *, stretch=None, lam=None,
@@ -432,23 +472,41 @@ def simple_shear_sigma12(law, gamma, m: Moduli = None):
         return row.glide(gamma, m, law)
     if gamma == 0.0:
         return 0.0
-    state, _ = _stress_state(law, simple_glide_F(gamma), m)
+    state = _stress_state(law, simple_glide_F(gamma), m)
     return float(stress_convert(state, "cauchy").tensor[0, 1])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pk1_for_law(law, f, m: Moduli):
     """First Piola-Kirchhoff stress of a tensor law at deformation f.
 
     ``f`` is one deformation gradient, shape (3, 3), or a stack of them,
     shape (..., 3, 3); the result has the same shape, and a matrix gives
     the same bits alone and inside a stack.  Used as the work-conjugate
-    stress in path integrals: builds the law's stress in its own measure
-    from the polar factors of f and converts (a Biot stress T directly as
-    ``R @ T``).  For a stack, an error names the index of the first bad
-    member.
+    stress in path integrals.
+
+    One SVD ``F = W diag(s) V.T`` and the row's principal stresses ``t_i``
+    at ``s_i`` give P, with no eigendecomposition: ``P = W diag(t_i) V.T``
+    (that is ``R @ T``) for a Biot law; for a law in the left stretch, the
+    Kirchhoff stress ``tau = W diag(t_i) W.T`` (``t_i`` times ``J = det F``
+    for a Cauchy law) and ``P = tau @ inv(F).T``.  The shorter
+    ``W diag(t_i / s_i) V.T`` is more accurate for P itself, but the
+    Cauchy stress ``P @ F.T / J`` recovered from it loses about 0.7 digits.
+
+    Errors: :class:`NonInvertible` for ``det F <= 1e-12``,
+    :class:`NotPositiveDefinite` (the :func:`mat_log` text) for stretches
+    below the positivity floor of a logarithmic law, and
+    :class:`LogstrainError` for a stress that is not finite; for a stack
+    they name the first bad member.
     """
-    row, t, pf = _law_stress(law, f, m)
-    t = _as_mats(t, "tensor")
+    row = _tensor_row(law)
+    f = _as_mats(f, "f")
+    j = _jacobian(f)
+    w, s, vt = np.linalg.svd(f)
+    t = row.principal(s, m)
     if row.measure == "biot":
-        return pf.r @ t
-    return _convert(t, row.measure, "pk1", np.asarray(f, dtype=float))
+        return _finite(row.tag, (w * t[..., None, :]) @ vt, m)
+    if row.measure == "cauchy":
+        t = t * j[..., None]
+    tau = (w * t[..., None, :]) @ w.swapaxes(-1, -2)
+    return _finite(row.tag, tau @ np.linalg.inv(f).swapaxes(-1, -2), m)

@@ -46,6 +46,17 @@ class PolarFactors:
     v: np.ndarray
 
 
+def _jacobian(f, det_tol=DET_TOL):
+    """``det f`` of each matrix of a checked (..., 3, 3) stack, or
+    :class:`NonInvertible` naming the first with ``det f <= det_tol``."""
+    det = np.linalg.det(f)
+    i = _first(det <= det_tol)
+    if i is not None:
+        raise NonInvertible(f"det F = {det.flat[i]:.6g} <= {det_tol:.6g}"
+                            f"{_at(i, f.shape[:-2])}")
+    return det
+
+
 def polar_decompose(f, det_tol=DET_TOL):
     """Polar decomposition of a deformation gradient, or of each one in a
     (..., 3, 3) stack (the factors then have the stack's shape).
@@ -65,11 +76,7 @@ def polar_decompose(f, det_tol=DET_TOL):
         of the first such member).
     """
     f = _as_mats(f, "f")
-    det = np.linalg.det(f)
-    i = _first(det <= det_tol)
-    if i is not None:
-        raise NonInvertible(f"det F = {det.flat[i]:.6g} <= {det_tol:.6g}"
-                            f"{_at(i, f.shape[:-2])}")
+    _jacobian(f, det_tol)
     w, s, vt = np.linalg.svd(f)
     s = s[..., None, :]
     r = w @ vt

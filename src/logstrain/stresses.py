@@ -12,16 +12,17 @@ Cauchy stress using
 with F = R @ U the polar decomposition.  No symmetrization is applied
 inside the conversions, so round trips are exact up to roundoff; for an
 isotropic law the Biot, Cauchy, Kirchhoff and PK2 tensors all come out
-symmetric, while PK1 is general.
+symmetric, while PK1 is general.  ``constitutive.pk1_for_law`` does not
+route through here: it builds PK1 from one SVD of F, and for a law in the
+left stretch it keeps this module's ``kirchhoff @ inv(F).T`` form.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonInvertible
-from .kinematics import DET_TOL, polar_decompose
-from .tensors import _at, _first, as_mat3
+from .kinematics import _jacobian, polar_decompose
+from .tensors import as_mat3
 
 __all__ = ["MEASURES", "StressState", "stress_convert"]
 
@@ -89,12 +90,7 @@ def _convert(t, measure, target, f):
     t and f have shape (3, 3) or (..., 3, 3); conversions route through the
     Cauchy stress, one determinant per matrix.
     """
-    j = np.linalg.det(f)
-    i = _first(j <= DET_TOL)
-    if i is not None:
-        raise NonInvertible(f"det F = {j.flat[i]:.6g} <= {DET_TOL:.6g}"
-                            f"{_at(i, f.shape[:-2])}")
-    j = j[..., None, None]
+    j = _jacobian(f)[..., None, None]
     return _from_cauchy(_to_cauchy(t, measure, f, j), target, f, j)
 
 

@@ -38,16 +38,11 @@ __all__ = [
     "cofactor",
     "sym_part",
     "as_mat3",
-    "identity",
 ]
 
 # Positivity threshold for the spectral kernel: the min eigenvalue must
 # exceed PD_REL_TOL * max(1, max|eigenvalue|).
 PD_REL_TOL = 1e-12
-
-
-def identity():
-    return np.eye(3)
 
 
 def as_mat3(a, name="matrix"):
@@ -183,6 +178,30 @@ def eig_sym(a):
     return Spectral3(eigenvalues=vals, frame=frame)
 
 
+def _require_floor(vals, name, floor_on, shape):
+    """Raise :class:`NotPositiveDefinite` for the first spectrum of vals,
+    shape (..., 3), whose least eigenvalue (``floor_on == "eigenvalue"``)
+    or least |eigenvalue| is at most ``PD_REL_TOL * max(1, max|eigenvalue|)``;
+    ``shape`` is the leading shape of the stack it names."""
+    if vals.ndim == 1:  # one spectrum: the same test on Python floats
+        ev = vals.tolist()
+        mags = list(map(abs, ev))
+        least = min(ev if floor_on == "eigenvalue" else mags)
+        floor = PD_REL_TOL * max(1.0, max(mags))
+        k = 0 if least <= floor else None
+    else:
+        mags = np.abs(vals)
+        least = (vals if floor_on == "eigenvalue" else mags).min(axis=-1)
+        floor = PD_REL_TOL * np.maximum(mags.max(axis=-1), 1.0)
+        k = _first(least <= floor)
+        if k is not None:
+            least, floor = least.flat[k], floor.flat[k]
+    if k is not None:
+        raise NotPositiveDefinite(
+            f"{name}: min {floor_on} {float(least):.6g} <= "
+            f"tolerance {float(floor):.6g}{_at(k, shape)}")
+
+
 def _mat_fn(a, f, name, floor_on):
     # body of mat_fn; floor_on names the spectral quantity that must exceed
     # the floor: "eigenvalue" (positive definite), "|eigenvalue|"
@@ -190,16 +209,10 @@ def _mat_fn(a, f, name, floor_on):
     m = _as_mats(a, "a")
     shape = m.shape[:-2]
     vals, frame = _spectrum(sym_part(m))
+    if floor_on is not None:
+        _require_floor(vals, name, floor_on, shape)
     out = []
     for k, ev in enumerate(vals.reshape(-1, 3).tolist()):
-        if floor_on is not None:
-            least = (ev[2] if floor_on == "eigenvalue"
-                     else min(map(abs, ev)))
-            floor = PD_REL_TOL * max(1.0, abs(ev[0]), abs(ev[2]))
-            if least <= floor:
-                raise NotPositiveDefinite(
-                    f"{name}: min {floor_on} {least:.6g} <= "
-                    f"tolerance {floor:.6g}{_at(k, shape)}")
         for x in ev:
             try:
                 out.append(f(x))

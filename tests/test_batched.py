@@ -64,6 +64,28 @@ def test_pk1_stack_equals_each_member(rng, law):
     assert _same_bits(stacked, single)
 
 
+def test_pk1_takes_one_svd_and_no_eigh(rng, monkeypatch):
+    calls = {"svd": 0, "eigh": 0}
+
+    def counting(name):
+        original = getattr(laws.np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    fs = _gradients(rng, 12)
+    for name in calls:
+        monkeypatch.setattr(laws.np.linalg, name, counting(name))
+    for law in TENSOR_LAWS:
+        for name in calls:
+            calls[name] = 0
+        laws.pk1_for_law(law, fs, M)
+        assert calls == {"svd": 1, "eigh": 0}, law
+
+
 def test_pk1_keeps_leading_shape(rng):
     fs = _gradients(rng, 9)[:12].reshape(3, 4, 3, 3)
     stacked = pk1_for_law("hencky-cauchy", fs, M)
@@ -82,7 +104,10 @@ def test_polar_stack_equals_each_member(rng):
 @pytest.mark.parametrize("fn", [
     mat_log, mat_sqrt, dev3, lambda a: mat_exp(a - np.eye(3)),
     lambda a: mat_pow(a, math.pi), lambda a: mat_pow(a, -2),
-    lambda a: mat_pow(a, 3)])
+    lambda a: mat_pow(a, 3)] + [
+    # the tensor laws: the principal form on one spectrum
+    lambda a, law=law: laws.stretch_stress(law, a, M)
+    for law in TENSOR_LAWS])
 def test_matrix_function_stack_equals_each_member(rng, fn):
     a = _spd(rng)
     assert _same_bits(fn(a), np.array([fn(x) for x in a]))
@@ -118,9 +143,18 @@ def test_bad_member_raises_the_scalar_class_and_names_it(rng):
         mat_exp(bad)
     fs = _gradients(rng, 6)
     fs[5] = np.diag([1.0, 0.0, 1.0])
+    fs[3] = np.diag([1e7, 1e7, 1e-12])  # det 100, below the log floor
     for law in TENSOR_LAWS:
+        # the determinant is checked on the whole stack first
         with pytest.raises(NonInvertible, match="at index 5$"):
             pk1_for_law(law, fs, M)
+        if law.startswith("hooke"):  # no logarithm, no floor
+            assert np.isfinite(pk1_for_law(law, fs[:5], M)).all()
+            continue
+        with pytest.raises(NotPositiveDefinite) as err:
+            pk1_for_law(law, fs[:5], M)
+        assert str(err.value) == ("mat_log: min eigenvalue 1e-12 <= "
+                                  "tolerance 1e-05 at index 3")
     fs[5, 1, 1] = math.inf
     with pytest.raises(ValueError, match="at index 5$"):
         polar_decompose(fs)
@@ -134,6 +168,14 @@ def test_scalar_messages_name_no_index():
     with pytest.raises(NonInvertible) as err:
         polar_decompose(np.diag([1.0, 0.0, 1.0]))
     assert str(err.value) == "det F = 0 <= 1e-12"
+    for law in ("becker", "hencky-cauchy"):
+        with pytest.raises(NonInvertible) as err:
+            pk1_for_law(law, np.diag([1.0, 0.0, 1.0]), M)
+        assert str(err.value) == "det F = 0 <= 1e-12"
+        with pytest.raises(NotPositiveDefinite) as err:
+            pk1_for_law(law, np.diag([1e7, 1e7, 1e-12]), M)
+        assert str(err.value) == ("mat_log: min eigenvalue 1e-12 <= "
+                                  "tolerance 1e-05")
 
 
 def test_scalar_only_functions_reject_stacks():

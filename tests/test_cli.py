@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,25 @@ def test_check_hooke_reports_superposition_failure(capsys):
                for l in out.splitlines()}
     assert by_name["superposition"]["passed"] is False
     assert by_name["superposition"]["witness"] is not None
+
+
+def test_check_at_overflowing_moduli_fails_its_checks_quietly(capsys):
+    # lam = 1e307: the stresses overflow.  The checks that meet an overflow
+    # fail, with no numpy floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "check", "--G", "1", "--lam", "1e307",
+                             "--samples", "8")
+    assert code == 1
+    assert all(line.startswith("# ") for line in err.splitlines())
+    by_name = {json.loads(l)["name"]: json.loads(l)
+               for l in out.splitlines()}
+    assert by_name["power_law"]["witness"] == {
+        "error": "law 'becker': stress is not finite at G = 1, "
+                 "lam = 1e+307 at index 4"}
+    assert not by_name["power_law"]["passed"]
+    cycle = by_name["closed_cycle_work"]["witness"]
+    assert not cycle["quadrature_converged"] and cycle["steps"] == 384
 
 
 def test_check_zero_samples_exits_two(capsys):
