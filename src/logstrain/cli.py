@@ -296,6 +296,9 @@ _FIGURES = ("incompressible", "simple-shear", "tension")
 
 def _cmd_plot_data(args):
     m = _moduli_from_args(args)
+    for flag, value in (("--min", args.min), ("--max", args.max)):
+        if value is not None and not math.isfinite(value):
+            raise LogstrainError(f"{flag} must be finite, got {value}")
     ogden = None
     if args.ogden_mu or args.ogden_alpha:
         mu = [float(v) for v in (args.ogden_mu or "").split(",") if v]

@@ -12,14 +12,14 @@ stretch), finite-Hooke comparison laws, the associated energies, and the
 uniaxial and incompressible closed forms all live here.
 
 Every law dispatch reads one table, ``_LAWS``, with one row per entry of
-:data:`LAW_TAGS`: the law's tensor map, its principal response, the
-stretch it takes, the stress measure it returns, and its uniaxial and
-simple-glide closed forms.  The principal response is the law as the paper
-states it, principal stresses from principal stretches; the logarithmic
-tensor maps are ``frame @ diag(response) @ frame.T`` on the spectrum of the
-stretch, and :func:`pk1_for_law` reads the response on the singular values
-of F.  Every tensor law returns a finite stress or raises
-:class:`LogstrainError`.
+:data:`LAW_TAGS`: the law's tensor map, its principal strain, the stretch
+it takes, the stress measure it returns, the axioms it is known to break,
+and its uniaxial and simple-glide closed forms.  The principal response is
+the law as the paper states it, principal stresses from principal
+stretches.  The logarithmic tensor maps build it on the spectrum of the
+stretch; every stress at a deformation F (:func:`pk1_for_law`, the CLI's
+``stress`` and the simple glide) reads it on one SVD of F.  Every tensor
+law returns a finite stress or raises :class:`LogstrainError`.
 """
 
 import math
@@ -30,10 +30,10 @@ import numpy as np
 
 from .errors import LambdaNotZero, LogstrainError
 from .kinematics import (_jacobian, glide_principal_stretches,
-                         polar_decompose, simple_glide_F)
+                         simple_glide_F)
 from .moduli import Moduli
-from .stresses import StressState, stress_convert
-from .tensors import (_as_mats, _at, _first, _inners, _require_floor,
+from .stresses import StressState
+from .tensors import (_DIAG, _as_mats, _at, _first, _inners, _require_floor,
                       _spectrum, _trace, as_mat3, dev3, inner, mat_exp,
                       mat_log, sym_part, tr)
 
@@ -98,10 +98,12 @@ def becker_biot(u, m: Moduli):
     """Biot stress of the logarithmic law at right stretch u (SPD), or at
     each stretch of a (..., 3, 3) stack.
 
-    ``frame @ diag(T_i) @ frame.T`` on the spectrum of U, with the
-    principal forces ``T_i = 2 G ln s_i + lam sum_j ln s_j``.
+    ``2 G frame @ diag(ln s_i) @ frame.T + lam sum_j ln s_j I`` on the
+    spectrum of U: the principal forces ``T_i = 2 G ln s_i + lam sum_j ln
+    s_j``, with the spherical part added to the diagonal after the frame
+    product, so that its roundoff stays off the shear entries.
     """
-    return _spectral_law("becker", u, m)
+    return _tensor_law("becker", u, m)
 
 
 def becker_inverse(t, m: Moduli):
@@ -119,7 +121,7 @@ def hencky_kirchhoff(v, m: Moduli):
     """Kirchhoff stress of the logarithmic law in the left stretch v (or a
     (..., 3, 3) stack of them): ``2 G dev3(log V) + K tr(log V) I``, with
     the principal values of :func:`becker_biot` on the spectrum of V."""
-    return _spectral_law("hencky-kirchhoff", v, m)
+    return _tensor_law("hencky-kirchhoff", v, m)
 
 
 def hencky_cauchy(v, m: Moduli):
@@ -128,7 +130,7 @@ def hencky_cauchy(v, m: Moduli):
     Same formula as :func:`hencky_kirchhoff`; the two are independent laws
     that differ in which stress measure the result is read as.
     """
-    return _spectral_law("hencky-cauchy", v, m)
+    return _tensor_law("hencky-cauchy", v, m)
 
 
 def becker_kirchhoff(v, m: Moduli):
@@ -164,7 +166,7 @@ def hooke_biot(u, m: Moduli):
 
     u has shape (3, 3) or (..., 3, 3).
     """
-    return _linear_law("hooke-biot", u, m)
+    return _tensor_law("hooke-biot", u, m)
 
 
 def hooke_cauchy(v, m: Moduli):
@@ -172,7 +174,7 @@ def hooke_cauchy(v, m: Moduli):
 
     v has shape (3, 3) or (..., 3, 3).
     """
-    return _linear_law("hooke-cauchy", v, m)
+    return _tensor_law("hooke-cauchy", v, m)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +218,8 @@ def uniaxial_response(q, m: Moduli):
 
 def _positive(lam):
     lam = float(lam)
-    if not lam > 0.0:
-        raise ValueError(f"stretch must be positive, got {lam}")
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError(f"stretch must be positive and finite, got {lam}")
     return lam
 
 
@@ -285,56 +287,74 @@ class _Law(NamedTuple):
 
     ``tensor(stretch, m)`` gives the stress in ``measure`` from the right
     (``stretch == "u"``) or left (``"v"``) stretch; the incompressible
-    scalar models have none.  ``principal(s, m)`` is the same law on the
-    principal stretches ``s`` of that stretch, shape (..., 3): the
-    principal stresses in ``measure``, in the order of ``s``.
-    ``uniaxial(lam, e, g, law)`` is the Biot
+    scalar models have none.  ``strain(s)`` is the principal strain of
+    that stretch at its principal stretches ``s``, shape (..., 3): ``ln s``
+    or ``s - 1``.  Every tensor law is the isotropic linear law of its
+    strain, so :meth:`principal` gives its principal response, the
+    principal stresses in ``measure`` in the order of ``s``.  ``violates``
+    names the checks of ``verify.check_axioms`` that the law is known to
+    fail.  ``uniaxial(lam, e, g, law)`` is the Biot
     stress under uniaxial stretch lam and zero lateral stress.  The
     compressible forms are written in Young's modulus e, so that e = 3 G
     gives the incompressible curve named ``column``; the incompressible
     models use G alone.  ``hyper(lam, g)`` is the constrained-energy
     incompressible form.  ``glide(gamma, m, law)`` is the simple-shear
-    sigma_12 in closed form; without one the glide runs through the tensor
-    pipeline.
+    sigma_12 in closed form; without one the glide is read on the SVD of
+    the glide gradient.
     """
 
     tag: str
     tensor: object = None
-    principal: object = None
+    strain: object = None
     stretch: str = None
     measure: str = None
+    violates: frozenset = frozenset()
     uniaxial: object = None
     glide: object = None
     column: str = None
     hyper: object = None
 
+    def principal(self, s, m):
+        """Principal stresses ``2 G e_i + lam sum_j e_j`` of the strain
+        ``e = strain(s)`` at principal stretches s, shape (..., 3)."""
+        return _lame_principal(self.strain(s), m)
 
-def _log_principal(s, m):
-    # 2 G ln s_i + lam sum_j ln s_j, for the Biot, Kirchhoff and Cauchy rows
+
+def _log_strain(s):
     _require_floor(s, "mat_log", "eigenvalue", s.shape[:-1])
-    return _lame_principal(np.log(s), m)
+    return np.log(s)
 
+
+def _linear_strain(s):
+    return s - 1.0
+
+
+# The checks the finite-Hooke laws fail: the strain s - 1 does not add
+# under products of coaxial stretches, scale under powers or change sign
+# under inversion, and its trace is nonzero in a pure shear.
+_HOOKE_VIOLATES = frozenset({"superposition", "power_law",
+                             "inversion_symmetry", "shear_to_shear"})
 
 # The tensor maps are looked up by name at call time, so that wrappers put
 # on the module's functions (such as the perfbench span tracer) see them.
 _LAWS = {row.tag: row for row in (
-    _Law("becker", lambda u, m: becker_biot(u, m), _log_principal, "u",
-         "biot", uniaxial=lambda lam, e, g, law: e * math.log(lam),
+    _Law("becker", lambda u, m: becker_biot(u, m), _log_strain, "u",
+         "biot", uniaxial=lambda lam, e, g, law: e * np.log(lam),
          column="becker",
-         hyper=lambda lam, g: g * math.log(lam) * (2.0 + lam ** -1.5)),
+         hyper=lambda lam, g: g * np.log(lam) * (2.0 + lam ** -1.5)),
     _Law("hencky-kirchhoff", lambda v, m: hencky_kirchhoff(v, m),
-         _log_principal, "v", "kirchhoff", uniaxial=_hencky_uniaxial,
+         _log_strain, "v", "kirchhoff", uniaxial=_hencky_uniaxial,
          column="hencky"),
-    _Law("hencky-cauchy", lambda v, m: hencky_cauchy(v, m), _log_principal,
+    _Law("hencky-cauchy", lambda v, m: hencky_cauchy(v, m), _log_strain,
          "v", "cauchy", uniaxial=_hencky_uniaxial),
     _Law("neo-hooke",
          uniaxial=lambda lam, e, g, law: g * (lam - lam ** -2.0),
          glide=lambda gamma, m, law: m.g * gamma, column="neo-hooke"),
-    _Law("hooke-biot", lambda u, m: hooke_biot(u, m),
-         lambda s, m: _lame_principal(s - 1.0, m), "u", "biot",
+    _Law("hooke-biot", lambda u, m: hooke_biot(u, m), _linear_strain, "u",
+         "biot", _HOOKE_VIOLATES,
          uniaxial=lambda lam, e, g, law: e * (lam - 1.0), column="hooke"),
-    _Law("hooke-cauchy", lambda v, m: hooke_cauchy(v, m),
-         lambda s, m: _lame_principal(s - 1.0, m), "v", "cauchy"),
+    _Law("hooke-cauchy", lambda v, m: hooke_cauchy(v, m), _linear_strain,
+         "v", "cauchy", _HOOKE_VIOLATES),
     _Law("ogden", uniaxial=_ogden_uniaxial, glide=_ogden_glide),
 )}
 
@@ -372,15 +392,6 @@ def _tensor_row(law):
     return row
 
 
-def _stress_state(law, f, m: Moduli):
-    """The law's stress state at one deformation f, in the law's own
-    measure, from the polar factors of f."""
-    row = _tensor_row(law)
-    pf = polar_decompose(f)
-    return StressState(row.tensor(pf.u if row.stretch == "u" else pf.v, m),
-                       row.measure, f)
-
-
 def _finite(tag, t, m):
     """t, a (..., 3, 3) stress of law ``tag``, if it is finite; else
     :class:`LogstrainError` naming the law and the first bad member.  The
@@ -395,21 +406,61 @@ def _finite(tag, t, m):
         f"lam = {m.lam:.6g}{_at(i, t.shape[:-2])}")
 
 
+def _lame_on_frame(frame, e, m):
+    """The isotropic linear law of the strain whose principal values e,
+    shape (..., 3), lie on the columns of frame: ``2 G frame @ diag(e) @
+    frame.T + lam sum_j e_j I``.  The spherical part is added to the
+    diagonal after the frame product, so that its roundoff stays there."""
+    t = sym_part((frame * (2.0 * m.g * e)[..., None, :])
+                 @ frame.swapaxes(-1, -2))
+    t[..., _DIAG, _DIAG] += m.lam * e.sum(axis=-1, keepdims=True)
+    return t
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _spectral_law(tag, a, m):
-    # tensor map of a logarithmic row: frame @ diag(principal) @ frame.T on
-    # the spectrum of the stretch a
+def _tensor_law(tag, a, m):
+    # tensor map of a row at its stretch a: the linear law of the strain,
+    # on the spectrum of a for a logarithmic strain, of a - I directly for
+    # the finite-Hooke rows
     row = _LAWS[tag]
-    vals, frame = _spectrum(sym_part(_as_mats(a, row.stretch)))
-    t = (frame * row.principal(vals, m)[..., None, :]) @ frame.swapaxes(-1, -2)
-    return _finite(tag, sym_part(t), m)
+    a = sym_part(_as_mats(a, row.stretch))
+    if row.strain is _linear_strain:
+        return _finite(tag, _lame(a - np.eye(3), m), m)
+    vals, frame = _spectrum(a)
+    return _finite(tag, _lame_on_frame(frame, row.strain(vals), m), m)
+
+
+def _svd_principal(row, f):
+    """``(J, W, s, Vt, e)`` at checked deformations f, (3, 3) or (..., 3,
+    3): ``det F``, one SVD ``F = W diag(s) Vt`` and the row's principal
+    strains at s.  Every stress at a deformation starts here."""
+    j = _jacobian(f)
+    w, s, vt = np.linalg.svd(f)
+    return j, w, s, vt, row.strain(s)
+
+
+def _principal_cauchy(row, s, t, j):
+    """Principal Cauchy stresses from the row's principal stresses t at
+    principal stretches s, (..., 3), and ``J = det F``, (...): ``t s / J``
+    (Biot), ``t / J`` (Kirchhoff) or t (Cauchy)."""
+    if row.measure == "biot":
+        return s / j[..., None] * t
+    if row.measure == "kirchhoff":
+        return t / j[..., None]
+    return t
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _linear_law(tag, a, m):
-    # tensor map of a finite-Hooke row: the linear law of a - I
-    a = sym_part(_as_mats(a, _LAWS[tag].stretch))
-    return _finite(tag, _lame(a - np.eye(3), m), m)
+def _stress_state(law, f, m: Moduli):
+    """The law's stress state at one deformation f, in the law's own
+    measure, from one SVD ``F = W diag(s) V.T``: ``V diag(t) V.T`` for a
+    Biot law, ``W diag(t) W.T`` for a law in the left stretch."""
+    row = _tensor_row(law)
+    f = as_mat3(f, "f")
+    _, w, _, vt, e = _svd_principal(row, f)
+    frame = vt.swapaxes(-1, -2) if row.stretch == "u" else w
+    return StressState(_finite(row.tag, _lame_on_frame(frame, e, m), m),
+                       row.measure, f)
 
 
 def stretch_stress(law, stretch, m: Moduli):
@@ -438,6 +489,9 @@ def comparison_law(law, m: Moduli = None, *, stretch=None, lam=None,
         logarithmic Kirchhoff/Cauchy laws.
     ``gamma``
         Simple-shear stress sigma_12 at glide amount gamma.
+
+    A stretch ``lam`` or glide ``gamma`` that is not finite raises
+    ``ValueError`` for every law.
     """
     row, law = _resolve(law)
     picked = [x is not None for x in (stretch, lam, gamma)]
@@ -456,24 +510,31 @@ def comparison_law(law, m: Moduli = None, *, stretch=None, lam=None,
     return row.uniaxial(lam, e, g, law)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simple_shear_sigma12(law, gamma, m: Moduli = None):
     """Cauchy shear stress sigma_12 in a simple glide of amount gamma.
 
-    Tensor laws are evaluated through the full kinematic pipeline (glide F,
-    polar factors, conversion to Cauchy); neo-hooke and ogden use their
-    incompressible closed forms.  For Becker's law the result equals
-    ``2 G ln((sqrt(gamma**2 + 4) + gamma) / 2)`` independently of lam.
+    A tensor law is read on one SVD ``F = W diag(s) V.T`` of the glide
+    gradient: sigma_12 of ``W diag(c) W.T``, with the principal Cauchy
+    stresses ``c = t s / J``, ``t / J`` or ``t`` of the law's principal
+    stresses ``t`` in the Biot, Kirchhoff or Cauchy measure.  neo-hooke and
+    ogden use their incompressible closed forms.  For Becker's law the
+    result equals ``2 G asinh(gamma / 2) = 2 G ln((sqrt(gamma**2 + 4) +
+    gamma) / 2)`` independently of lam.  A negative or non-finite gamma
+    raises ``ValueError`` for every law.
     """
     row, law = _resolve(law)
     gamma = float(gamma)
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    if not (gamma >= 0.0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     if row.glide is not None:
         return row.glide(gamma, m, law)
     if gamma == 0.0:
         return 0.0
-    state = _stress_state(law, simple_glide_F(gamma), m)
-    return float(stress_convert(state, "cauchy").tensor[0, 1])
+    j, w, s, vt, e = _svd_principal(row, simple_glide_F(gamma))
+    c = _principal_cauchy(row, s, _lame_principal(e, m), j)
+    sigma = (w * c) @ w.T
+    return float(_finite(row.tag, sigma, m)[0, 1])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -501,9 +562,8 @@ def pk1_for_law(law, f, m: Moduli):
     """
     row = _tensor_row(law)
     f = _as_mats(f, "f")
-    j = _jacobian(f)
-    w, s, vt = np.linalg.svd(f)
-    t = row.principal(s, m)
+    j, w, s, vt, e = _svd_principal(row, f)
+    t = _lame_principal(e, m)
     if row.measure == "biot":
         return _finite(row.tag, (w * t[..., None, :]) @ vt, m)
     if row.measure == "cauchy":

@@ -7,7 +7,9 @@ Rows are sorted by abscissa on ingestion and duplicate abscissae averaged.
 Two uniaxial models are fitted, each with the shear modulus G as the only
 parameter: the incompressible-limit law ``t = 3 G ln(lambda)`` and the
 constrained-energy law ``t = G ln(lambda) (2 + lambda**-1.5)``.  Both are
-linear in G, so each fit is the closed-form one-parameter least squares.
+read from the becker row of the law table (its incompressible columns
+``becker`` and ``becker-hyper``), and both are linear in G, so each fit is
+the closed-form one-parameter least squares.
 """
 
 import csv
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constitutive import _incompressible_columns
 from .errors import DegenerateData
 
 __all__ = ["DataSet", "FitResult", "read_dataset", "dataset_from_rows",
@@ -96,11 +99,12 @@ def read_dataset(path):
     return dataset_from_rows(rows, kind, source=str(path))
 
 
-# Each model is t = G phi(lambda); mode -> phi.
-_PHI = {
-    "uniaxial-incompressible": lambda lam: 3.0 * np.log(lam),
-    "uniaxial-hyper": lambda lam: np.log(lam) * (2.0 + lam ** -1.5),
-}
+# Each model is t = G phi(lambda), with phi the mode's incompressible
+# column of the law table at G = 1; mode -> phi.
+_COLUMNS = dict(_incompressible_columns())
+_PHI = {mode: (lambda lam, form=_COLUMNS[column]: form(lam, 1.0))
+        for mode, column in (("uniaxial-incompressible", "becker"),
+                             ("uniaxial-hyper", "becker-hyper"))}
 FIT_MODES = tuple(_PHI)
 
 
@@ -115,8 +119,8 @@ def fit_dataset(ds: DataSet, mode):
     """Fit the shear modulus of a uniaxial model to a data set.
 
     Both models are ``t = G phi(lambda)``, so the least squares is solved in
-    closed form, ``G = sum(t_i phi_i) / sum(phi_i**2)``, with
-    ``phi = 3 ln lambda`` (incompressible) or ``ln lambda (2 +
+    closed form, ``G = sum(t_i phi_i) / sum(phi_i**2)``, with ``phi`` the
+    model at G = 1: ``3 ln lambda`` (incompressible) or ``ln lambda (2 +
     lambda**-1.5)`` (hyper).
 
     Raises

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import (_LAWS, LawId, becker_biot, becker_energy_nu0,
-                           becker_inverse, becker_pk2, linearized_law,
-                           pk1_for_law, stretch_stress)
+from .constitutive import (_LAWS, LawId, _log_strain, _principal_cauchy,
+                           becker_biot, becker_energy_nu0, becker_inverse,
+                           becker_pk2, linearized_law, pk1_for_law,
+                           stretch_stress)
 from .errors import LogstrainError
 from .moduli import Moduli
 from .tensors import (_as_mats, _at, _diag, _first, _fro_norms, _inners,
@@ -59,11 +60,6 @@ LADDER_H = (1e-2, 1e-3, 1e-4)
 LADDER_FACTOR = 4.0
 EIG_RANGE = (0.05, 20.0)
 
-_LOG_FAMILY = ("becker", "hencky-kirchhoff", "hencky-cauchy")
-# Checks the finite-Hooke laws are known to violate.
-_HOOKE_FAILS = ("superposition", "power_law", "inversion_symmetry",
-                "shear_to_shear")
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -87,9 +83,11 @@ class CheckReport:
 
 def _jsonable(x):
     if isinstance(x, np.ndarray):
-        return x.tolist()
+        return _jsonable(x.tolist())
     if isinstance(x, (np.floating, np.integer, np.bool_)):
-        return x.item()
+        return _jsonable(x.item())
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)  # "nan", "inf" or "-inf"
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -98,14 +96,18 @@ def _jsonable(x):
 
 
 def format_reports(reports):
-    """One JSON object per line: name, pass/fail, tolerance, witness."""
+    """One JSON object per line: name, pass/fail, tolerance, witness.
+
+    Each line is strict JSON: a float that is not finite is written as the
+    string ``"nan"``, ``"inf"`` or ``"-inf"``.
+    """
     lines = []
     for r in reports:
         lines.append(json.dumps(
             {"name": r.name, "passed": bool(r.passed),
              "expected": bool(r.expected), "tolerance": float(r.tolerance),
              "witness": _jsonable(r.witness)},
-            sort_keys=True))
+            sort_keys=True, allow_nan=False))
     return lines
 
 
@@ -210,9 +212,10 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
 
     Runs the superposition, isotropy, shear-to-shear, sphere-to-dilation,
     uniqueness-of-the-stress-free-state, power-law and inversion-symmetry
-    checks; for the logarithmic laws also the inverse round trip.  All pass
-    for the logarithmic family; the finite-Hooke laws are expected to fail
-    superposition (among others), with the violating pair recorded.
+    checks; for a law whose strain is logarithmic also the inverse round
+    trip.  A check is expected to pass unless the law's row of the law
+    table names it in ``violates`` (the finite-Hooke laws fail
+    superposition, among others, with the violating pair recorded).
     ``samples < 1`` raises ``ValueError``: no check passes vacuously.
 
     Each check draws its whole batch from its own stream
@@ -225,6 +228,7 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
     """
     _require_samples(samples)
     law = law if isinstance(law, LawId) else LawId(tag=law)
+    row = _LAWS[law.tag]
     t = lambda u: stretch_stress(law, u, m)
 
     def misfit(lhs, rhs):
@@ -312,7 +316,7 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
 
     checks = [stress_free_reference, shear_to_shear, sphere_to_dilation,
               superposition, isotropy, power_law, inversion_symmetry]
-    if law.tag in _LOG_FAMILY:
+    if row.strain is _log_strain:  # becker_inverse inverts the law
         checks.append(inverse_round_trip)
     reports = []
     for k, check in enumerate(checks):
@@ -325,8 +329,7 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
         name = check.__name__
         reports.append(CheckReport(
             name=name, passed=worst <= AXIOM_TOL, tolerance=AXIOM_TOL,
-            witness=witness, expected=not (law.tag.startswith("hooke")
-                                           and name in _HOOKE_FAILS)))
+            witness=witness, expected=name not in row.violates))
     return reports
 
 
@@ -366,10 +369,12 @@ def principal_cauchy_stresses(stretches, m: Moduli):
 
     ``sigma_k = lam_k / (lam_1 lam_2 lam_3) * T_k``, with the principal
     forces ``T_k = 2 G ln lam_k + lam sum_j ln lam_j`` of the becker row of
-    the law table, in the order of the given stretches.
+    the law table, in the order of the given stretches; the formula the
+    simple glide reads (``constitutive._principal_cauchy``).
     """
     lam = np.asarray(stretches, dtype=float)
-    return lam / np.prod(lam) * _LAWS["becker"].principal(lam, m)
+    row = _LAWS["becker"]
+    return _principal_cauchy(row, lam, row.principal(lam, m), np.prod(lam))
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))

@@ -80,10 +80,15 @@ def test_pk1_takes_one_svd_and_no_eigh(rng, monkeypatch):
     for name in calls:
         monkeypatch.setattr(laws.np.linalg, name, counting(name))
     for law in TENSOR_LAWS:
-        for name in calls:
-            calls[name] = 0
-        laws.pk1_for_law(law, fs, M)
-        assert calls == {"svd": 1, "eigh": 0}, law
+        # every stress at a deformation: PK1 of a stack, the CLI's stress
+        # state and the simple glide
+        for stress in (lambda: laws.pk1_for_law(law, fs, M),
+                       lambda: laws._stress_state(law, fs[1], M),
+                       lambda: laws.simple_shear_sigma12(law, 0.7, M)):
+            for name in calls:
+                calls[name] = 0
+            stress()
+            assert calls == {"svd": 1, "eigh": 0}, law
 
 
 def test_pk1_keeps_leading_shape(rng):

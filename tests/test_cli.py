@@ -138,11 +138,11 @@ def test_check_hooke_reports_superposition_failure(capsys):
 
 
 def test_check_at_overflowing_moduli_fails_its_checks_quietly(capsys):
-    # lam = 1e307: the stresses overflow.  The checks that meet an overflow
+    # lam = 5e307: the stresses overflow.  The checks that meet an overflow
     # fail, with no numpy floating-point warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, "check", "--G", "1", "--lam", "1e307",
+        code, out, err = run(capsys, "check", "--G", "1", "--lam", "5e307",
                              "--samples", "8")
     assert code == 1
     assert all(line.startswith("# ") for line in err.splitlines())
@@ -150,10 +150,30 @@ def test_check_at_overflowing_moduli_fails_its_checks_quietly(capsys):
                for l in out.splitlines()}
     assert by_name["power_law"]["witness"] == {
         "error": "law 'becker': stress is not finite at G = 1, "
-                 "lam = 1e+307 at index 4"}
+                 "lam = 5e+307 at index 4"}
     assert not by_name["power_law"]["passed"]
     cycle = by_name["closed_cycle_work"]["witness"]
     assert not cycle["quadrature_converged"] and cycle["steps"] == 384
+
+
+def _strict(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_check_lines_are_strict_json(capsys):
+    # lam = 1e307: a NaN work and infinite ladder ratios, written as strings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "check", "--G", "1", "--lam", "1e307",
+                           "--samples", "8")
+    assert code == 1
+    by_name = {}
+    for line in out.splitlines():
+        report = json.loads(line, parse_constant=_strict)
+        by_name[report["name"]] = report
+    assert by_name["closed_cycle_work"]["witness"]["work"] == "nan"
+    for name in ("linearization_order", "pk2_expansion"):
+        assert set(by_name[name]["witness"]["ratios"].values()) == {"inf"}
 
 
 def test_check_zero_samples_exits_two(capsys):
@@ -303,6 +323,21 @@ def test_plot_tension_hooke_slope(capsys):
     slope_becker = (hi["becker"] - lo["becker"]) / (2 * h)
     assert slope_hooke == pytest.approx(m_e, rel=1e-9)
     assert slope_becker == pytest.approx(m_e, rel=1e-6)
+
+
+@pytest.mark.parametrize("figure", ["tension", "incompressible",
+                                    "simple-shear"])
+@pytest.mark.parametrize("bound", ["--min", "--max"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_plot_rejects_a_bound_that_is_not_finite(capsys, figure, bound,
+                                                 value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "plot-data", "--figure", figure,
+                             "--G", "1", "--lam", "0.5", f"{bound}={value}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bound} must be finite, got {float(value)}\n"
 
 
 def test_plot_unknown_figure_exits_two():

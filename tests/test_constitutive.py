@@ -54,6 +54,19 @@ def test_biot_of_identity_is_zero():
                                atol=1e-15)
 
 
+def test_spherical_part_stays_on_the_diagonal(rng):
+    # lam sum_j ln s_j I is added after the frame product, so lam moves no
+    # shear entry: at lam = 25 the shear entries of the principal product
+    # with lam inside moved by up to 4.3e-15
+    u = np.array([random_spd(rng) for _ in range(200)])
+    off = ~np.eye(3, dtype=bool)
+    for law in ("becker", "hencky-kirchhoff", "hencky-cauchy"):
+        shear = TENSOR_MAPS[law](u, Moduli.from_g_lam(1.3, 0.0))[:, off]
+        for lam in (0.5, 25.0):
+            t = TENSOR_MAPS[law](u, Moduli.from_g_lam(1.3, lam))
+            assert np.array_equal(t[:, off], shear), (law, lam)
+
+
 def test_biot_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         becker_biot(np.diag([1.0, -0.5, 1.0]), M)
@@ -474,20 +487,60 @@ def test_becker_uniaxial_mode_is_exact_compressible():
         == pytest.approx(incompressible_uniaxial_limit(lam, M), rel=1e-11)
 
 
+def _mp_glide_sigma12(mpmath, law, gamma, m):
+    """sigma_12 of a tensor law in the simple glide gamma, at 50 digits.
+
+    The glide has ``V = (F F.T + I) / r`` in its 1-2 block, r = sqrt(gamma**2
+    + 4), and tr V - 3 = r - 2.  Becker's law gives ``2 G asinh(gamma / 2)``
+    and the Hencky laws ``4 G asinh(gamma / 2) / r``, whatever lam; the
+    finite-Hooke laws give ``sigma = 2 G (V - I) + lam tr(V - I) I`` (Cauchy)
+    and that stress times V (Biot).
+    """
+    with mpmath.workdps(50):
+        g = mpmath.mpf(gamma)
+        r = mpmath.sqrt(g * g + 4)
+        if law == "becker":
+            return float(2 * m.g * mpmath.asinh(g / 2))
+        if law.startswith("hencky"):
+            return float(4 * m.g * mpmath.asinh(g / 2) / r)
+        if law == "hooke-cauchy":
+            return float(2 * m.g * g / r)
+        return float(2 * m.g * (g - g / r) + m.lam * (r - 2) * g / r)
+
+
 def test_simple_shear_closed_forms():
+    # gamma from 0.1 to 10 and lam in {0, 0.5, 25}: the worst relative
+    # error measured 2.5e-15 (through the polar factors, eigh of U or V and
+    # a conversion to Cauchy: 1.0e-14, becker at lam = 25).  Below gamma =
+    # 0.1 the singular vectors of the glide, and so sigma_12, lose about
+    # eps / gamma
+    mpmath = pytest.importorskip("mpmath")
+    gammas = np.linspace(0.1, 10.0, 100).tolist()
+    for lam in (0.0, 0.5, 25.0):
+        m = Moduli.from_g_lam(1.3, lam)
+        for law in TENSOR_MAPS:
+            for gamma in gammas:
+                assert simple_shear_sigma12(law, gamma, m) == pytest.approx(
+                    _mp_glide_sigma12(mpmath, law, gamma, m), rel=1e-14), \
+                    (law, lam, gamma)
     gamma = 1.2
-    lam1 = 0.5 * (math.sqrt(gamma ** 2 + 4.0) + gamma)
-    assert simple_shear_sigma12("becker", gamma, M) \
-        == pytest.approx(2.0 * M.g * math.log(lam1), rel=1e-12)
     assert simple_shear_sigma12("neo-hooke", gamma, M) \
         == pytest.approx(M.g * gamma, rel=1e-15)
-    expected_hencky = 4.0 * M.g * math.log(lam1) / (lam1 + 1.0 / lam1)
-    assert simple_shear_sigma12("hencky-kirchhoff", gamma, M) \
-        == pytest.approx(expected_hencky, rel=1e-12)
-    assert simple_shear_sigma12("hencky-cauchy", gamma, M) \
-        == pytest.approx(expected_hencky, rel=1e-12)
     for tag in ("becker", "hencky-kirchhoff", "neo-hooke", "hooke-biot"):
         assert simple_shear_sigma12(tag, 0.0, M) == 0.0
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_glide_and_stretch_must_be_finite(value):
+    ogden = LawId("ogden", mu=(M.g,), alpha=(2.0,))
+    for law in laws.LAW_TAGS:
+        law = ogden if law == "ogden" else law
+        with pytest.raises(ValueError, match="finite"):
+            simple_shear_sigma12(law, value, M)
+        with pytest.raises(ValueError, match="finite"):
+            comparison_law(law, M, gamma=value)
+        with pytest.raises(ValueError, match="finite"):
+            comparison_law(law, M, lam=value)
 
 
 def test_ogden_consistency_with_neo_hooke():
