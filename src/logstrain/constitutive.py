@@ -474,6 +474,12 @@ def stretch_stress(law, stretch, m: Moduli):
     return _tensor_row(law).tensor(stretch, m)
 
 
+def _require_moduli(row, m):
+    # ogden carries its own coefficients; every other law reads G and lam
+    if row.tag != "ogden" and m is None:
+        raise ValueError("moduli required")
+
+
 def comparison_law(law, m: Moduli = None, *, stretch=None, lam=None,
                    gamma=None):
     """Evaluate a law in one of three modes for side-by-side comparison.
@@ -497,8 +503,7 @@ def comparison_law(law, m: Moduli = None, *, stretch=None, lam=None,
     picked = [x is not None for x in (stretch, lam, gamma)]
     if sum(picked) != 1:
         raise ValueError("give exactly one of stretch=, lam=, gamma=")
-    if row.tag != "ogden" and m is None:
-        raise ValueError("moduli required")
+    _require_moduli(row, m)
     if stretch is not None:
         return stretch_stress(law, stretch, m)
     if gamma is not None:
@@ -521,9 +526,11 @@ def simple_shear_sigma12(law, gamma, m: Moduli = None):
     ogden use their incompressible closed forms.  For Becker's law the
     result equals ``2 G asinh(gamma / 2) = 2 G ln((sqrt(gamma**2 + 4) +
     gamma) / 2)`` independently of lam.  A negative or non-finite gamma
-    raises ``ValueError`` for every law.
+    raises ``ValueError`` for every law, and so do missing moduli for every
+    law but ogden.
     """
     row, law = _resolve(law)
+    _require_moduli(row, m)
     gamma = float(gamma)
     if not (gamma >= 0.0 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")

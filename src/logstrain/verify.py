@@ -527,16 +527,17 @@ class LoadPath:
 def path_work(path: LoadPath, law, m: Moduli):
     """Net work per unit reference volume along a load path.
 
-    Trapezoidal integral of ``<S1(F(t)), dF/dt>`` with centered differences
-    for the velocity (periodic neighbors on closed paths, second-order
-    one-sided stencils at open ends).  The first Piola stress paired with
-    the deformation gradient is the reference-volume work conjugate, so for
-    a hyperelastic law the closed-path work vanishes as the grid refines.
-    The PK1 stress is evaluated once, on the whole (n + 1, 3, 3) stack of
-    gradients.
+    The symmetric sum ``W = 1/2 sum_i <P_i + P_{i+1}, F_{i+1} - F_i>`` over
+    the grid, with P the first Piola stress, the reference-volume work
+    conjugate of F; it needs no velocity, so open and closed paths take
+    the same sum.  For a hyperelastic law the closed-path work vanishes as
+    the grid refines.  On a path that is smooth between grid points the
+    error expands in even powers of the step, which
+    :func:`converged_path_work` extrapolates away.  The PK1 stress is
+    evaluated once, on the whole (n + 1, 3, 3) stack of gradients.
     """
     _require_points(path)
-    return _trapezoid(path, pk1_for_law(law, path.gradients, m))
+    return _symmetric_sum(path.gradients, pk1_for_law(law, path.gradients, m))
 
 
 def _require_points(path):
@@ -544,41 +545,85 @@ def _require_points(path):
         raise ValueError("path must contain at least 3 points")
 
 
-def _trapezoid(path, pk1):
+def _symmetric_sum(g, pk1):
     # the path-work quadrature, given the PK1 stress at every grid point
-    g = path.gradients
-    n = g.shape[0] - 1
-    h = 1.0 / n
-    vel = np.empty_like(g)
-    vel[1:-1] = (g[2:] - g[:-2]) / (2.0 * h)
-    if path.closed:
-        vel[0] = (g[1] - g[-2]) / (2.0 * h)
-        vel[-1] = vel[0]
-    else:
-        vel[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * h)
-        vel[-1] = (3.0 * g[-1] - 4.0 * g[-2] + g[-3]) / (2.0 * h)
-    integrand = _inners(pk1, vel)  # <pk1_i, vel_i> per point
-    return h * (0.5 * integrand[0] + float(np.sum(integrand[1:-1]))
-                + 0.5 * integrand[-1])
+    return 0.5 * float(np.sum(_inners(pk1[:-1] + pk1[1:], g[1:] - g[:-1])))
+
+
+# The sub-grids of the first grid that start the Romberg table: n0 / s
+# steps for each stride s that divides n0 and leaves at least 3 steps.
+_SUBGRID_STRIDES = (8, 4, 2)
+# The Romberg table extrapolates in h**2, h**4 and h**6.
+_ROMBERG_COLUMNS = 3
+# The table is trusted only once its first column shows the h**2 rate:
+# successive differences of the sums shrink by a factor within this band
+# of 4.  At a kink off the grid the factor wanders (3 to 5), and the
+# diagonal entries can agree by chance far from the work.
+_RATE_BAND = 0.1
+
+
+def _extend(table, work):
+    """Append to the Romberg table the row of ``work``, the symmetric sum
+    on the grid of half the step of its last row."""
+    row = [work]
+    for k, coarse in enumerate(table[-1][:_ROMBERG_COLUMNS] if table else (),
+                               start=1):
+        row.append(row[-1] + (row[-1] - coarse) / (4.0 ** k - 1.0))
+    table.append(row)
+
+
+def _settled(table, tol):
+    """Whether the last two diagonal entries (the last entry of each row)
+    differ by less than tol, with the sums showing their h**2 rate or
+    already agreeing to tol."""
+    if len(table) < 2 or not abs(table[-1][-1] - table[-2][-1]) < tol:
+        return False
+    step = table[-1][0] - table[-2][0]
+    if abs(step) < tol:
+        return True
+    return (len(table) > 2 and abs((table[-2][0] - table[-3][0]) / step
+                                   - 4.0) <= _RATE_BAND)
 
 
 def converged_path_work(f_of_t, law, m: Moduli, closed=False, n0=192,
                         tol=None, max_doublings=10):
-    """Refine the path-work quadrature by Richardson step halving.
+    """Path work from a Romberg table of symmetric sums.
 
-    Samples ``f_of_t`` at n+1 uniform parameters and keeps doubling n; each
-    pair of trapezoidal values gives a Richardson-extrapolated estimate
-    ``(4 W(2n) - W(n)) / 3``, and refinement stops once two successive
-    extrapolated estimates differ by less than ``tol`` (default
-    ``1e-8 * |G|``).  Returns ``(work, n, converged)``.  A non-finite
-    estimate stops the refinement unconverged.
+    Samples ``f_of_t`` at n0 + 1 uniform parameters.  The symmetric sums
+    of :func:`path_work` on that grid and on its nested sub-grids of n0 / 8,
+    n0 / 4 and n0 / 2 steps (each used only while its step count is an
+    integer of at least 3) fill a Romberg table that extrapolates in h**2,
+    h**4 and h**6; then each of at most ``max_doublings`` doublings of n
+    adds one row.  Refinement stops once two successive diagonal entries
+    (the last entry of each row) differ by less than ``tol`` (default
+    ``1e-8 * |G|``) while the last three sums shrink at the h**2 rate, a
+    factor within 0.1 of 4 (or already agree to ``tol``).  Returns
+    ``(work, n, converged)``.  A non-finite estimate stops the refinement
+    unconverged.
 
+    The even-power error expansion holds only where the path is smooth
+    between the points of the coarsest grid used: a kink (a corner of a
+    piecewise path) must fall on it.  The corners at t = 1/3 and 2/3 of
+    :func:`dilation_shear_cycle` do for the default n0 = 192, whose
+    coarsest sub-grid has 24 steps.  A kink off that grid breaks the h**2
+    rate of the sums, which mostly ends the run unconverged or at a work
+    the sums themselves have settled to ``tol``; the rate check is not a
+    proof, and on random diagonal cycles of 5 to 11 segments about 1 in
+    130 still stops converged with an error above ``tol``.
+
+    At the defaults the dilation-shear cycle converges on the first grid,
+    to within ``1e-13 max(1, |lam|)`` of ``lam (4 - 6 ln 2)`` for lam up
+    to 25; rotating cycles of corner stretch up to 2 at lam up to 0.5
+    come within 2e-12 of their closed forms, and within 1e-13 at
+    ``tol = 1e-12 |G|``.
+
+    Sub-grids cost no sample: they are strided views of the first grid.
     Each doubling keeps the gradients and PK1 stresses of the coarser grid
     and samples ``f_of_t`` and evaluates PK1 only at the n new midpoints,
     as one stack, so ``f_of_t`` is called ``n + 1`` times in all for the
     returned n.  The kept points are those a fresh grid would sample:
     ``linspace(0, 1, 2n + 1)[::2]`` is bit-equal to ``linspace(0, 1,
-    n + 1)``, so every trapezoidal value is that of a fresh grid.
+    n + 1)``, so every table entry is built from the sums of fresh grids.
     """
     if tol is None:
         tol = 1e-8 * abs(m.g)
@@ -587,20 +632,16 @@ def converged_path_work(f_of_t, law, m: Moduli, closed=False, n0=192,
                     closed=closed)
     _require_points(path)
     pk1 = pk1_for_law(law, path.gradients, m)
-    coarse = _trapezoid(path, pk1)
-    path, pk1, n = _refine(f_of_t, path, pk1, n, law, m)
-    fine = _trapezoid(path, pk1)
-    prev_extrap = (4.0 * fine - coarse) / 3.0
+    table = []
+    strides = [s for s in _SUBGRID_STRIDES if n % s == 0 and n // s >= 3]
+    for s in strides + [1]:
+        _extend(table, _symmetric_sum(path.gradients[::s], pk1[::s]))
     for _ in range(max_doublings):
-        if not math.isfinite(prev_extrap):
-            break  # the kept grid points keep every finer value non-finite
+        if _settled(table, tol) or not math.isfinite(table[-1][-1]):
+            break  # a non-finite sum stays so: the kept points stay
         path, pk1, n = _refine(f_of_t, path, pk1, n, law, m)
-        coarse, fine = fine, _trapezoid(path, pk1)
-        extrap = (4.0 * fine - coarse) / 3.0
-        if abs(extrap - prev_extrap) < tol:
-            return extrap, n, True
-        prev_extrap = extrap
-    return prev_extrap, n, False
+        _extend(table, _symmetric_sum(path.gradients, pk1))
+    return table[-1][-1], n, _settled(table, tol)
 
 
 def _samples(f_of_t, ts):
@@ -717,7 +758,9 @@ def suite(law, m: Moduli, samples=1000, seed=0):
     The returned reports carry ``expected`` flags: counterexample
     reproductions (ordering of Cauchy stresses at strong compression,
     convexity in the log domain, monotonicity for lam > 20 G, nonzero
-    closed-cycle work for lam != 0) are expected to fail.  When the
+    closed-cycle work for lam != 0) are expected to fail.  The closed-cycle
+    witness records the paper's ``lam (4 - 6 ln 2)`` and the distance of
+    the work from it, ``work_error``.  When the
     quadrature of a path-work report did not converge, the report comes out
     not as expected: the open-path energy match fails, and the closed-cycle
     work fails at lam = 0 and passes where it is expected to fail.
@@ -785,12 +828,14 @@ def suite(law, m: Moduli, samples=1000, seed=0):
     # a quadrature that did not converge decides nothing: the report then
     # comes out not as expected, whichever way the work was expected to go
     expected = m.lam == 0.0
+    predicted = m.lam * (4.0 - 6.0 * math.log(2.0))
     reports.append(CheckReport(
         name="closed_cycle_work",
         passed=abs(work) <= cycle_tol if converged else not expected,
         tolerance=cycle_tol,
         witness={"work": work, "steps": n, "quadrature_converged": converged,
-                 "predicted_work": m.lam * (4.0 - 6.0 * math.log(2.0))},
+                 "predicted_work": predicted,
+                 "work_error": abs(work - predicted)},
         expected=expected))
 
     if m.lam == 0.0:

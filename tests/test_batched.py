@@ -276,18 +276,32 @@ def test_each_grid_point_is_sampled_once(closed):
     assert sorted(calls) == np.linspace(0.0, 1.0, n + 1).tolist()
 
 
+def test_dilation_cycle_converges_on_the_first_grid():
+    f, calls = _counting(dilation_shear_cycle())
+    converged_path_work(f, "becker", M, closed=True)
+    assert len(calls) == 193
+
+
 def test_converged_work_equals_fresh_quadrature():
-    # reusing the coarse grid changes no bit of the trapezoid values
+    # the sub-grids and the kept coarse points change no bit of the
+    # symmetric sums: the work is the Romberg diagonal of fresh grids
     f = dilation_shear_cycle()
-    work, n, _ = converged_path_work(f, "becker", M, closed=True)
-    w = [path_work(LoadPath(np.array([f(t) for t in
-                                      np.linspace(0.0, 1.0, k + 1)]),
-                            closed=True), "becker", M)
-         for k in (n // 4, n // 2, n)]
-    prev = (4.0 * w[1] - w[0]) / 3.0
-    extrap = (4.0 * w[2] - w[1]) / 3.0
-    assert abs(extrap - prev) < 1e-8
-    assert work == extrap
+    work, n, converged = converged_path_work(f, "becker", M, closed=True)
+    assert converged
+    row, diagonal = [], []
+    k = 24  # n0 / 8 at the default n0 = 192
+    while k <= n:
+        w = path_work(LoadPath(np.array([f(t) for t in
+                                         np.linspace(0.0, 1.0, k + 1)]),
+                               closed=True), "becker", M)
+        new = [w]
+        for j, coarse in enumerate(row[:3], start=1):
+            new.append(new[-1] + (new[-1] - coarse) / (4.0 ** j - 1.0))
+        row = new
+        diagonal.append(row[-1])
+        k *= 2
+    assert abs(diagonal[-1] - diagonal[-2]) < 1e-8
+    assert work == diagonal[-1]
 
 
 def test_midpoint_failure_names_the_fine_grid_index():

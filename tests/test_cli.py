@@ -153,7 +153,7 @@ def test_check_at_overflowing_moduli_fails_its_checks_quietly(capsys):
                  "lam = 5e+307 at index 4"}
     assert not by_name["power_law"]["passed"]
     cycle = by_name["closed_cycle_work"]["witness"]
-    assert not cycle["quadrature_converged"] and cycle["steps"] == 384
+    assert not cycle["quadrature_converged"] and cycle["steps"] == 192
 
 
 def _strict(token):
@@ -161,10 +161,10 @@ def _strict(token):
 
 
 def test_check_lines_are_strict_json(capsys):
-    # lam = 1e307: a NaN work and infinite ladder ratios, written as strings
+    # lam = 5e307: a NaN work and infinite ladder ratios, written as strings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, _ = run(capsys, "check", "--G", "1", "--lam", "1e307",
+        code, out, _ = run(capsys, "check", "--G", "1", "--lam", "5e307",
                            "--samples", "8")
     assert code == 1
     by_name = {}

@@ -543,6 +543,15 @@ def test_glide_and_stretch_must_be_finite(value):
             comparison_law(law, M, lam=value)
 
 
+@pytest.mark.parametrize("law", [t for t in laws.LAW_TAGS if t != "ogden"])
+@pytest.mark.parametrize("gamma", [0.0, 0.9])
+def test_glide_without_moduli_raises(law, gamma):
+    with pytest.raises(ValueError, match="moduli required"):
+        simple_shear_sigma12(law, gamma)
+    with pytest.raises(ValueError, match="moduli required"):
+        comparison_law(law, gamma=gamma)
+
+
 def test_ogden_consistency_with_neo_hooke():
     # one-term ogden with alpha = 2, mu = G reproduces neo-hooke
     ogden = LawId("ogden", mu=(M.g,), alpha=(2.0,))

@@ -340,7 +340,18 @@ def test_closed_cycle_nonzero_for_lam_equal_g():
     assert converged
     assert abs(work) > 1e-2 * m.g
     assert work == pytest.approx(m.lam * (4.0 - 6.0 * math.log(2.0)),
-                                 abs=1e-8)
+                                 abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 25.0])
+def test_cycle_work_witness_matches_the_paper(lam):
+    m = Moduli.from_g_lam(1.0, lam)
+    by_name = {r.name: r for r in suite("becker", m, samples=8, seed=0)}
+    w = by_name["closed_cycle_work"].witness
+    predicted = lam * (4.0 - 6.0 * math.log(2.0))
+    assert w["quadrature_converged"] and w["steps"] == 192
+    assert w["work_error"] == abs(w["work"] - predicted)
+    assert w["work_error"] <= 1e-13 * max(1.0, abs(lam))
 
 
 def test_open_path_matches_energy_difference():
@@ -366,6 +377,87 @@ def test_rotating_closed_cycle_vanishes_for_lam_zero():
                                              closed=True)
     assert converged
     assert abs(work) < 1e-6 * M0.g
+
+
+def _rotation(axis, angle):
+    k = np.cross(np.eye(3), np.asarray(axis) / np.linalg.norm(axis))
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * k @ k
+
+
+def _curved_open_path(t):
+    # principal axes of U turn about x while the whole turns about z
+    q = _rotation((1.0, 0.0, 0.0), 0.25 * math.pi * t)
+    s = np.diag([1.0 + 0.6 * t, 1.0 - 0.3 * t * t,
+                 1.0 + 0.2 * math.sin(0.5 * math.pi * t)])
+    return _rotation((0.0, 0.0, 1.0), math.pi * t / 3.0) @ q @ s @ q.T
+
+
+@pytest.mark.parametrize("law, lam", [("becker", 0.0),
+                                      ("hencky-kirchhoff", 0.0),
+                                      ("hencky-kirchhoff", 0.5)])
+def test_curved_open_path_matches_the_energy(law, lam):
+    # both laws are hyperelastic here; the energy at the end stretches
+    # (1.6, 0.7, 1.2) in closed form
+    m = Moduli.from_g_lam(1.0, lam)
+    s = np.array([1.6, 0.7, 1.2])
+    e = np.log(s)
+    if law == "becker":
+        energy = 2.0 * m.g * float(np.sum(s * e - s + 1.0))
+    else:
+        energy = (m.g * float(np.sum((e - e.mean()) ** 2))
+                  + 0.5 * (m.lam + 2.0 * m.g / 3.0) * float(e.sum()) ** 2)
+    work, n, converged = converged_path_work(_curved_open_path, law, m)
+    assert converged and n == 192
+    assert abs(work - energy) <= 1e-13
+
+
+@pytest.mark.parametrize("c", [1.5, 2.0])
+@pytest.mark.parametrize("law", ["becker", "hencky-kirchhoff"])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_rotating_cycles_match_their_closed_forms(c, law, lam):
+    # a full turn about a tilted axis while the stretch runs the diagonal
+    # cycle of corner stretch c; the hencky law is hyperelastic, becker's
+    # loop work is lam (2 (c - 1) ln c - 4 (c ln c - c + 1))
+    m = Moduli.from_g_lam(1.0, lam)
+    base = diagonal_path([(1.0, 1.0, 1.0), (c, 1.0, 1.0), (c, c, c),
+                          (1.0, 1.0, 1.0)])
+
+    def f_of_t(t):
+        return _rotation((1.0, 2.0, 2.0), 2.0 * math.pi * t) @ base(t)
+
+    lnc = math.log(c)
+    closed = (lam * (2.0 * (c - 1.0) * lnc - 4.0 * (c * lnc - c + 1.0))
+              if law == "becker" else 0.0)
+    work, _, converged = converged_path_work(f_of_t, law, m, closed=True)
+    assert converged and abs(work - closed) <= 2e-12
+    work, _, converged = converged_path_work(f_of_t, law, m, closed=True,
+                                             tol=1e-12)
+    assert converged and abs(work - closed) <= 1e-13
+
+
+def _segment_log_mean(a, b):
+    # integral over [0, 1] of ln(a + t (b - a)), per component
+    d = b - a
+    safe = np.where(d == 0.0, 1.0, d)
+    return np.where(d != 0.0, (b * np.log(b) - a * np.log(a)) / safe - 1.0,
+                    np.log(a))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+def test_kinks_off_the_grid_do_not_read_as_converged(lam):
+    # seven segments: the corners at t = k/7 lie on no grid of 24 * 2**j
+    # steps.  Becker's loop work is lam * sum over the segments of
+    # (mean of ln J) * (change of tr U)
+    corners = np.array([(1.0, 1.0, 1.0), (1.5, 1.0, 1.0), (1.5, 1.3, 1.0),
+                        (1.8, 1.3, 1.2), (1.2, 1.6, 1.2), (1.0, 1.2, 1.4),
+                        (0.8, 1.0, 1.1), (1.0, 1.0, 1.0)])
+    m = Moduli.from_g_lam(1.0, lam)
+    closed = lam * sum(float(np.sum(_segment_log_mean(a, b)) * np.sum(b - a))
+                       for a, b in zip(corners[:-1], corners[1:]))
+    tol = 1e-8 * m.g
+    work, _, converged = converged_path_work(diagonal_path(corners),
+                                             "becker", m, closed=True)
+    assert not converged or abs(work - closed) < tol
 
 
 def test_path_validation():
@@ -448,7 +540,7 @@ def test_open_path_report_records_the_quadrature(monkeypatch):
     by_name = {r.name: r for r in suite("becker", M0, samples=20, seed=2)}
     w = by_name["open_path_energy_match"].witness
     assert by_name["open_path_energy_match"].passed
-    assert w["quadrature_converged"] is True and w["steps"] >= 384
+    assert w["quadrature_converged"] is True and w["steps"] >= 192
 
     def unconverged(f_of_t, law, m, closed=False):
         delta = (becker_energy_nu0(f_of_t(1.0), m)
