@@ -211,17 +211,25 @@ def _mat_fn(a, f, name, floor_on):
     vals, frame = _spectrum(sym_part(m))
     if floor_on is not None:
         _require_floor(vals, name, floor_on, shape)
-    out = []
-    for k, ev in enumerate(vals.reshape(-1, 3).tolist()):
-        for x in ev:
-            try:
-                out.append(f(x))
-            except OverflowError:
-                raise LogstrainError(
-                    f"{name}: overflow at eigenvalue {x:.6g}"
-                    f"{_at(k, shape)}") from None
-    d = _diag(np.array(out).reshape(vals.shape))
-    return sym_part(frame @ d @ frame.swapaxes(-1, -2))
+    out = _finite_values(f, vals, name, shape)
+    return sym_part(frame @ _diag(out) @ frame.swapaxes(-1, -2))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _finite_values(f, vals, name, shape):
+    """``f(vals)`` on the (..., 3) spectra ``vals``, one call, without
+    numpy's overflow and invalid-value warnings; a value that is not finite
+    raises :class:`LogstrainError` naming its eigenvalue and member."""
+    out = f(vals)
+    if math.isfinite(out.sum()):  # the common case, in one reduction
+        return out
+    bad = ~np.isfinite(out)
+    if not bad.any():  # finite values whose sum overflowed
+        return out
+    k = _first(bad.any(axis=-1))
+    x = vals.reshape(-1, 3)[k][_first(bad.reshape(-1, 3)[k])]
+    raise LogstrainError(f"{name}: overflow at eigenvalue {x:.6g}"
+                         f"{_at(k, shape)}")
 
 
 def mat_fn(a, f, require_pd=False, name="mat_fn"):
@@ -229,32 +237,34 @@ def mat_fn(a, f, require_pd=False, name="mat_fn"):
 
     ``a`` has shape (3, 3) or (..., 3, 3); the result has the same shape.
     ``mat_fn(a, f) = frame @ diag(f(eigenvalue_i)) @ frame.T`` for each
-    matrix, with ``f`` called on Python floats, so a matrix gives the same
-    bits alone and inside a stack.
+    matrix.  ``f`` is applied once to the whole (..., 3) array of
+    eigenvalues and must act elementwise (a numpy ufunc such as ``np.log``),
+    so a matrix gives the same bits alone and inside a stack.
 
     With ``require_pd=True`` the minimum eigenvalue must exceed
     ``PD_REL_TOL * max(1, max|eigenvalue|)``; otherwise
     :class:`NotPositiveDefinite` is raised rather than silently clamping.
-    A scalar function that overflows raises :class:`LogstrainError` naming
-    the eigenvalue.  For a stack, error messages name the index of the
-    first bad member.
+    ``f`` runs with numpy's overflow and invalid-value warnings silenced; a
+    value that is not finite raises :class:`LogstrainError` naming the
+    eigenvalue.  For a stack, error messages name the index of the first
+    bad member.
     """
     return _mat_fn(a, f, name, "eigenvalue" if require_pd else None)
 
 
 def mat_log(a):
     """Principal matrix logarithm of symmetric positive definite matrices."""
-    return mat_fn(a, math.log, require_pd=True, name="mat_log")
+    return mat_fn(a, np.log, require_pd=True, name="mat_log")
 
 
 def mat_exp(a):
     """Matrix exponential of symmetric matrices."""
-    return mat_fn(a, math.exp, name="mat_exp")
+    return mat_fn(a, np.exp, name="mat_exp")
 
 
 def mat_sqrt(a):
     """Principal square root of symmetric positive definite matrices."""
-    return mat_fn(a, math.sqrt, require_pd=True, name="mat_sqrt")
+    return mat_fn(a, np.sqrt, require_pd=True, name="mat_sqrt")
 
 
 def mat_pow(a, r):
@@ -269,10 +279,10 @@ def mat_pow(a, r):
     r = float(r)
     if not math.isfinite(r):
         raise ValueError(f"mat_pow: exponent must be finite, got {r}")
+    power = lambda x: np.power(x, r)
     if r != int(r):
-        return mat_fn(a, lambda x: x ** r, require_pd=True, name="mat_pow")
-    return _mat_fn(a, lambda x: x ** r, "mat_pow",
-                   "|eigenvalue|" if r < 0 else None)
+        return mat_fn(a, power, require_pd=True, name="mat_pow")
+    return _mat_fn(a, power, "mat_pow", "|eigenvalue|" if r < 0 else None)
 
 
 def dev3(a):

@@ -10,11 +10,12 @@ Randomized SPD matrices are generated as ``Q.T @ diag(lam) @ Q`` with the
 ``lam`` log-uniform in [0.05, 20] and Q the orthogonal factor of a matrix of
 standard normals, so recorded witnesses are reproducible from the seed.
 Each randomized check draws its whole batch of samples from its own stream
-``default_rng([seed, k])``, one sample at a time and in a fixed order, then
-evaluates the batch as (samples, 3, 3) stacks, with one call per law or
-matrix function.  It reports the first worst sample, or for a search the
-first flagged one.  A NaN or infinite residual counts as the worst, so a
-check that cannot be evaluated fails.
+``default_rng([seed, k])`` in bulk: one (samples, 3) array of eigenvalues
+per spectrum and one (samples, 3, 3) array of normals per rotation, in a
+fixed order.  It evaluates the batch as (samples, 3, 3) stacks, with one
+call per law or matrix function, and reports the first worst sample, or for
+a search the first flagged one.  A NaN or infinite residual counts as the
+worst, so a check that cannot be evaluated fails.
 """
 
 import json
@@ -124,36 +125,31 @@ _SYM_LOG = ((-8.0, 2.0, False),)
 
 
 def _draw(rng, samples, groups):
-    """Stacks of random matrices, drawn one sample at a time.
+    """Stacks of random matrices, each group's draws made in bulk.
 
-    For each sample, each group of ``groups`` draws in turn one spectrum
-    ``rng.uniform(lo, hi, 3)`` per ``(lo, hi, log)`` entry, exponentiated
-    when ``log`` is true, and then the 3x3 standard normals whose
-    orthogonal factor Q (sign-fixed, det +1) is the group's rotation.  A
-    group gives one (samples, 3, 3) stack ``Q.T @ diag(lam) @ Q`` per
-    spectrum, or the stack of Q itself when it has no spectrum; the stacks
-    of all groups are returned in one list.  Only the draws run per sample,
-    in the order of the one-sample functions, so a stream gives the same
-    matrices drawn alone or in a stack; the QR, the sign and determinant
-    fix and the products run once on each stack.
+    Each group of ``groups`` draws in turn one (samples, 3) array of
+    spectra ``rng.uniform(lo, hi, (samples, 3))`` per ``(lo, hi, log)``
+    entry, exponentiated when ``log`` is true, and then one
+    (samples, 3, 3) array of standard normals, whose orthogonal factors Q
+    (sign-fixed, det +1) are the group's rotations.  A group gives one
+    (samples, 3, 3) stack ``Q.T @ diag(lam) @ Q`` per spectrum, or the
+    stack of Q itself when it has no spectrum; the stacks of all groups are
+    returned in one list.  The number of ``rng`` calls does not depend on
+    ``samples``, and one sample consumes the stream as the one-sample
+    functions :func:`random_spd` and :func:`random_rotation` do.
     """
-    spectra = [[[] for _ in group] for group in groups]
-    normals = [[] for _ in groups]
-    for _ in range(samples):
-        for group, lams, z in zip(groups, spectra, normals):
-            for (lo, hi, _), lam in zip(group, lams):
-                lam.append(rng.uniform(lo, hi, 3))
-            z.append(rng.standard_normal((3, 3)))
     out = []
-    for group, lams, z in zip(groups, spectra, normals):
-        q, r = np.linalg.qr(np.array(z))
+    for group in groups:
+        spectra = [rng.uniform(lo, hi, (samples, 3)) for lo, hi, _ in group]
+        q, r = np.linalg.qr(rng.standard_normal((samples, 3, 3)))
         q = q @ _diag(np.sign(np.diagonal(r, axis1=-2, axis2=-1)))
         flip = np.linalg.det(q) < 0.0
-        q[flip, :, 0] = -q[flip, :, 0]
+        if flip.any():
+            q[flip, :, 0] = -q[flip, :, 0]
         if not group:
             out.append(q)
-        for (_, _, log), lam in zip(group, lams):
-            lam = np.exp(lam) if log else np.array(lam)
+        for (_, _, log), lam in zip(group, spectra):
+            lam = np.exp(lam) if log else lam
             out.append(q.swapaxes(-1, -2) @ _diag(lam) @ q)
     return out
 
@@ -219,8 +215,9 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
     ``samples < 1`` raises ``ValueError``: no check passes vacuously.
 
     Each check draws its whole batch from its own stream
-    ``default_rng([seed, k])``, sample by sample, evaluates it with one
-    stacked call per law or matrix function, and records the worst sample
+    ``default_rng([seed, k])`` in bulk (see :func:`_draw`; a scalar stretch
+    draws one array of ``samples`` values), evaluates it with one stacked
+    call per law or matrix function, and records the worst sample
     (the first largest relative residual) as the witness.  A NaN or
     infinite residual is the worst and fails the check; so does a
     :class:`LogstrainError` raised while evaluating the batch (for
@@ -236,10 +233,8 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
         return _rel(_fro_norms(lhs - rhs), _fro_norms(lhs), _fro_norms(rhs))
 
     def stretch_draws(rng):
-        # scalar log-uniform draws in [0.05, 20], one per sample
-        return np.array([math.exp(rng.uniform(math.log(0.05),
-                                              math.log(20.0)))
-                         for _ in range(samples)])
+        # scalar log-uniform draws over EIG_RANGE, one per sample
+        return np.exp(rng.uniform(*_log_range(*EIG_RANGE)[:2], samples))
 
     # Each check takes its stream and returns (worst, witness).
 
@@ -455,9 +450,10 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
     over random SPD pairs with eigenvalues in [0.1, 10], which does hold;
     its witness is the pair with the largest relative excess.
 
-    Each probe draws its pairs sample by sample from its own stream and
-    evaluates the energies with one stacked call per argument; a NaN or
-    infinite excess is the largest and fails ``energy_convexity_spd``.
+    Each probe draws its pairs in bulk from its own stream (see
+    :func:`_draw`) and evaluates the energies with one stacked call per
+    argument; a NaN or infinite excess is the largest and fails
+    ``energy_convexity_spd``.
     """
     _require_samples(samples)
     if abs(m.lam) > 1e-14 * max(1.0, abs(m.g)):
@@ -595,11 +591,13 @@ def converged_path_work(f_of_t, law, m: Moduli, closed=False, n0=192,
     integer of at least 3) fill a Romberg table that extrapolates in h**2,
     h**4 and h**6; then each of at most ``max_doublings`` doublings of n
     adds one row.  Refinement stops once two successive diagonal entries
-    (the last entry of each row) differ by less than ``tol`` (default
-    ``1e-8 * |G|``) while the last three sums shrink at the h**2 rate, a
-    factor within 0.1 of 4 (or already agree to ``tol``).  Returns
-    ``(work, n, converged)``.  A non-finite estimate stops the refinement
-    unconverged.
+    (the last entry of each row) differ by less than ``tol`` while the
+    last three sums shrink at the h**2 rate, a factor within 0.1 of 4 (or
+    already agree to ``tol``).  The default ``tol`` is
+    ``1e-8 * max(|G|, |lam|)``: the work scales with the larger modulus,
+    and a tolerance on the scale of G alone cannot be met by the roundoff
+    of a work of order lam when lam is huge.  Returns ``(work, n,
+    converged)``.  A non-finite estimate stops the refinement unconverged.
 
     The even-power error expansion holds only where the path is smooth
     between the points of the coarsest grid used: a kink (a corner of a
@@ -626,7 +624,7 @@ def converged_path_work(f_of_t, law, m: Moduli, closed=False, n0=192,
     n + 1)``, so every table entry is built from the sums of fresh grids.
     """
     if tol is None:
-        tol = 1e-8 * abs(m.g)
+        tol = 1e-8 * max(abs(m.g), abs(m.lam))
     n = int(n0)
     path = LoadPath(_samples(f_of_t, np.linspace(0.0, 1.0, n + 1)),
                     closed=closed)
@@ -674,8 +672,10 @@ def diagonal_path(corners):
         x = t * segs
         i = min(int(x), segs - 1)
         w = x - i
-        return np.diag([(1.0 - w) * a + w * b
-                        for a, b in zip(pts[i], pts[i + 1])])
+        d = np.zeros((3, 3))
+        d[0, 0], d[1, 1], d[2, 2] = [(1.0 - w) * a + w * b
+                                     for a, b in zip(pts[i], pts[i + 1])]
+        return d
 
     return f
 

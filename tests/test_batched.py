@@ -1,5 +1,6 @@
 """The (..., 3, 3) kernel: a stack gives the bits of its members alone."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -19,7 +20,9 @@ from logstrain.tensors import (_fro_norms, _inners, cofactor, dev3, eig_sym,
                                mat_sqrt, tr)
 from logstrain.verify import (LoadPath, converged_path_work, diagonal_path,
                               dilation_shear_cycle, path_work,
-                              random_rotation, random_spd)
+                              random_rotation)
+
+from conftest import rotation_from_normals, spd_from_draws
 
 M = Moduli.from_g_lam(1.0, 0.5)
 TENSOR_LAWS = [t for t in laws.LAW_TAGS if laws._LAWS[t].tensor is not None]
@@ -223,36 +226,83 @@ def test_inverse_and_energy_stacks_equal_each_member(rng):
         == (2, len(u) // 2)
 
 
-def _rotation_one_at_a_time(rng):
-    # the per-sample draw that verify's stacked draws must reproduce
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0.0:
-        q[:, 0] = -q[:, 0]
-    return q
+class _CountingRng:
+    """A generator that counts the calls ``verify._draw`` makes of it."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def uniform(self, *args):
+        self.calls += 1
+        return self.rng.uniform(*args)
+
+    def standard_normal(self, *args):
+        self.calls += 1
+        return self.rng.standard_normal(*args)
 
 
-def _spd_one_at_a_time(rng, lo=0.05, hi=20.0):
-    lam = np.exp(rng.uniform(math.log(lo), math.log(hi), 3))
-    q = _rotation_one_at_a_time(rng)
-    return q.T @ np.diag(lam) @ q
-
-
-def test_stacked_draws_equal_one_sample_draws():
+def test_stacked_draws_equal_matrices_built_alone():
+    # each stacked matrix has the bits of the same matrix built alone from
+    # the same raw draws: per group one (samples, 3) uniform array per
+    # spectrum, then one (samples, 3, 3) normal array
+    logs = verify._SPD[0][:2]
     for seed in range(50):
-        # the isotropy layout: an SPD matrix, then a rotation
+        # the isotropy layout: an SPD group, then a rotation group
         u, q = verify._draw(np.random.default_rng([seed, 4]), 16,
                             [verify._SPD, ()])
         rng = np.random.default_rng([seed, 4])
+        spectra = rng.uniform(*logs, (16, 3))
+        z_u = rng.standard_normal((16, 3, 3))
+        z_q = rng.standard_normal((16, 3, 3))
         for k in range(16):
-            assert _same_bits(u[k], _spd_one_at_a_time(rng))
-            assert _same_bits(q[k], _rotation_one_at_a_time(rng))
-        rng, ref = (np.random.default_rng([seed, 5]) for _ in range(2))
-        for _ in range(4):
-            assert _same_bits(random_spd(rng, 0.1, 10.0),
-                              _spd_one_at_a_time(ref, 0.1, 10.0))
-            assert _same_bits(random_rotation(rng),
-                              _rotation_one_at_a_time(ref))
+            assert _same_bits(u[k], spd_from_draws(spectra[k], z_u[k]))
+            assert _same_bits(q[k], rotation_from_normals(z_q[k]))
+        # the superposition layout: two spectra on one rotation
+        u1, u2 = verify._draw(np.random.default_rng([seed, 3]), 16,
+                              [verify._SPD * 2])
+        rng = np.random.default_rng([seed, 3])
+        s1, s2 = rng.uniform(*logs, (16, 3)), rng.uniform(*logs, (16, 3))
+        z = rng.standard_normal((16, 3, 3))
+        for k in range(16):
+            assert _same_bits(u1[k], spd_from_draws(s1[k], z[k]))
+            assert _same_bits(u2[k], spd_from_draws(s2[k], z[k]))
+
+
+@pytest.mark.parametrize("groups, calls", [
+    ([verify._SPD, ()], 3), ([verify._SPD * 2], 3),
+    ([verify._SYM_LOG, verify._SYM_LOG], 4)])
+def test_draw_calls_do_not_grow_with_samples(groups, calls):
+    for samples in (1, 7, 1000):
+        rng = _CountingRng(0)
+        stacks = verify._draw(rng, samples, groups)
+        assert rng.calls == calls
+        assert all(x.shape == (samples, 3, 3) for x in stacks)
+
+
+# sha256 of format_reports(suite(law, G, lam, samples=64, seed=9)), one per
+# configuration of the benchmark's check-suite workload.  The draws were
+# laid out in bulk once, deliberately; a change to these digests changes
+# what the suite reports and must be a deliberate one too.
+_SUITE_DIGESTS = {
+    ("becker", 0.0): "fe9f3d78fbe59bed1c34706cffd6b27a"
+                     "a713a4793145b508d0c39025d98af2d6",
+    ("becker", 0.5): "9c88c71f85b138cd01a73cc5215ff0cb"
+                     "d829bb101ea9f189655634e64ef46c03",
+    ("becker", 25.0): "7e6493f066f621472284ed16be475f85"
+                      "5207a1596edd1729a4b82af87369dbc0",
+    ("hencky-kirchhoff", 0.5): "572802d1aa3d40586128bc26967008ff"
+                               "d9fb185058e18fd1c09c5ed52b289c01",
+    ("hooke-biot", 0.5): "f5f7ee28df7382e4fd5e6a80793be239"
+                         "c41ef13aeac71bcbb21499b17c52af27",
+}
+
+
+@pytest.mark.parametrize("law, lam", list(_SUITE_DIGESTS))
+def test_seeded_suite_reports_are_pinned(law, lam):
+    text = "\n".join(verify.format_reports(verify.suite(
+        law, Moduli.from_g_lam(1.0, lam), samples=64, seed=9)))
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == _SUITE_DIGESTS[law, lam]
 
 
 def _counting(f_of_t):

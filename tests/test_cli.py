@@ -150,7 +150,7 @@ def test_check_at_overflowing_moduli_fails_its_checks_quietly(capsys):
                for l in out.splitlines()}
     assert by_name["power_law"]["witness"] == {
         "error": "law 'becker': stress is not finite at G = 1, "
-                 "lam = 5e+307 at index 4"}
+                 "lam = 5e+307 at index 3"}
     assert not by_name["power_law"]["passed"]
     cycle = by_name["closed_cycle_work"]["witness"]
     assert not cycle["quadrature_converged"] and cycle["steps"] == 192
@@ -174,6 +174,20 @@ def test_check_lines_are_strict_json(capsys):
     assert by_name["closed_cycle_work"]["witness"]["work"] == "nan"
     for name in ("linearization_order", "pk2_expansion"):
         assert set(by_name[name]["witness"]["ratios"].values()) == {"inf"}
+
+
+def test_huge_cycle_work_converges_on_the_first_grid(capsys):
+    # lam = 1e307: the work is finite and of order lam, so the default
+    # tolerance scales with lam too and the first grid meets it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "check", "--G", "1", "--lam", "1e307",
+                           "--samples", "8")
+    assert code == 1
+    by_name = {json.loads(l)["name"]: json.loads(l)
+               for l in out.splitlines()}
+    cycle = by_name["closed_cycle_work"]["witness"]
+    assert cycle["steps"] == 192 and cycle["quadrature_converged"]
 
 
 def test_check_zero_samples_exits_two(capsys):

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from logstrain.errors import LogstrainError, NotPositiveDefinite
 from logstrain.kinematics import polar_decompose
 from logstrain.tensors import (cofactor, dev3, eig_sym, fro_norm, inner,
-                               mat_exp, mat_log, mat_pow, mat_sqrt, tr)
+                               mat_exp, mat_fn, mat_log, mat_pow, mat_sqrt,
+                               tr)
 from logstrain.verify import random_rotation, random_spd
 
-from conftest import rel_err
+from conftest import rel_err, rotation_from_normals, spd_from_draws
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -140,11 +141,34 @@ def test_log_requires_positive_definite():
 def test_negative_integer_power_of_singular_matrix():
     with pytest.raises(NotPositiveDefinite):
         mat_pow(np.diag([1.0, 0.0, 1.0]), -1)
+    # min |eigenvalue| equal to the floor 1e-12 * max(1, max|eigenvalue|)
+    at_floor = np.diag([1.0, -1.0, 1e-12])
+    with pytest.raises(NotPositiveDefinite) as err:
+        mat_pow(at_floor, -1)
+    assert str(err.value) == ("mat_pow: min |eigenvalue| 1e-12 <= "
+                              "tolerance 1e-12")
+    with pytest.raises(NotPositiveDefinite, match="at index 1$"):
+        mat_pow(np.array([np.eye(3), at_floor]), -1)
+    assert np.isfinite(mat_pow(np.diag([1.0, -1.0, 2e-12]), -1)).all()
 
 
-def test_exp_overflow_names_the_eigenvalue():
+def test_exp_overflow_names_the_eigenvalue(rng):
     with pytest.raises(LogstrainError, match="eigenvalue 5000"):
         mat_exp(np.diag([5000.0, -2500.0, -2500.0]))
+    big = np.diag([800.0, 0.0, 0.0])
+    stack = np.array([random_spd(rng) for _ in range(5)])
+    stack[3] = big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LogstrainError) as err:
+            mat_exp(big)
+        assert str(err.value) == "mat_exp: overflow at eigenvalue 800"
+        with pytest.raises(LogstrainError) as err:
+            mat_exp(stack)
+        assert str(err.value) == ("mat_exp: overflow at eigenvalue 800 "
+                                  "at index 3")
+        # finite values whose sum overflows are no overflow
+        assert np.isfinite(mat_exp(np.diag([709.0, 709.0, 709.0]))).all()
 
 
 def test_pd_floor_follows_the_spectrum():
@@ -171,6 +195,45 @@ def test_pow_rejects_nonfinite_exponent(r):
     with pytest.raises(ValueError) as err:
         mat_pow(np.eye(3), r)
     assert str(err.value) == f"mat_pow: exponent must be finite, got {r}"
+
+
+def test_mat_fn_applies_f_once_to_the_spectrum(rng):
+    stack = np.array([random_spd(rng) for _ in range(4)]).reshape(2, 2, 3, 3)
+    shapes = []
+    out = mat_fn(stack, lambda x: shapes.append(x.shape) or np.exp(x))
+    assert shapes == [(2, 2, 3)]
+    assert np.array_equal(out, mat_exp(stack))
+
+
+@pytest.mark.parametrize("fn", [
+    mat_log, mat_exp, mat_sqrt, lambda a: mat_pow(a, 2),
+    lambda a: mat_pow(a, -1), lambda a: mat_pow(a, 0.5),
+    lambda a: mat_pow(a, math.pi)])
+def test_matrix_function_gives_the_same_bits_alone_and_in_a_stack(fn):
+    rng = np.random.default_rng(99)
+    a = np.array([random_spd(rng) for _ in range(2000)])
+    # diagonal members: exact frames, with zeros whose sign must survive
+    a[1::3] = np.exp(rng.uniform(-3.0, 3.0, (667, 3)))[:, :, None] * np.eye(3)
+    stacked = fn(a)
+    for k, x in enumerate(a):
+        alone = fn(x)
+        assert np.array_equal(stacked[k], alone), k
+        assert np.array_equal(np.signbit(stacked[k]), np.signbit(alone)), k
+
+
+def test_one_sample_draws_equal_their_raw_construction():
+    # random_spd and random_rotation read the stream as a (1, 3) uniform
+    # array and a (1, 3, 3) normal array: the numbers of one sample
+    for seed in range(200):
+        rng, raw = np.random.default_rng(seed), np.random.default_rng(seed)
+        spd = random_spd(rng, 0.1, 10.0)
+        spectrum = raw.uniform(math.log(0.1), math.log(10.0), 3)
+        expected = spd_from_draws(spectrum, raw.standard_normal((3, 3)))
+        assert np.array_equal(spd, expected)
+        assert np.array_equal(random_rotation(rng),
+                              rotation_from_normals(raw.standard_normal(
+                                  (3, 3))))
+        assert rng.uniform() == raw.uniform()  # the streams stay in step
 
 
 def test_exp_log_round_trip(rng):

@@ -19,8 +19,9 @@ from logstrain.verify import (LoadPath, baker_ericksen_check, check_axioms,
                               linearization_order_check, m_condition_check,
                               m_condition_paper_pair_value, ordered_force_check,
                               path_work, pk2_expansion_check,
-                              principal_cauchy_stresses, random_rotation,
-                              random_spd, suite)
+                              principal_cauchy_stresses, random_spd, suite)
+
+from conftest import rotation_from_normals, spd_from_draws
 
 M = Moduli.from_g_lam(1.0, 0.5)
 M0 = Moduli.from_g_lam(1.0, 0.0)
@@ -102,59 +103,69 @@ def test_nonfinite_residual_fails_the_check():
 
 
 def _reference_axioms(law, m, samples, seed):
-    """check_axioms one matrix at a time: draw, evaluate, and keep the
-    first sample with the largest residual."""
+    """check_axioms one matrix at a time: each check draws its raw numbers
+    in the bulk layout of ``verify._draw`` (per group, one (samples, 3)
+    uniform array per spectrum, then one (samples, 3, 3) normal array),
+    builds each sample alone, evaluates it alone and keeps the first sample
+    with the largest residual."""
     t = lambda u: stretch_stress(law, u, m)
     rel = lambda err, *scales: err / max((1.0, *scales))
     misfit = lambda a, b: rel(fro_norm(a - b), fro_norm(a), fro_norm(b))
     logs = (math.log(0.05), math.log(20.0))
 
-    def shear_to_shear(rng, i):
-        alpha = math.exp(rng.uniform(*logs))
-        s = t(np.diag([alpha, 1.0 / alpha, 1.0]))
-        off = fro_norm(s - np.diag(np.diag(s)))
-        return (rel(abs(s[2, 2]) + abs(s[0, 0] + s[1, 1]) + off,
-                    fro_norm(s)), {"alpha": alpha, "stress": s})
+    def spds(rng, lo=0.05, hi=20.0):
+        spectra = rng.uniform(math.log(lo), math.log(hi), (samples, 3))
+        z = rng.standard_normal((samples, 3, 3))
+        return [spd_from_draws(s, x) for s, x in zip(spectra, z)]
 
-    def sphere_to_dilation(rng, i):
-        lam = math.exp(rng.uniform(*logs))
-        s = t(lam * np.eye(3))
-        return (rel(fro_norm(s - s[0, 0] * np.eye(3)), fro_norm(s)),
-                {"lam": lam, "stress": s})
+    def shear_to_shear(rng):
+        for alpha in np.exp(rng.uniform(*logs, samples)).tolist():
+            s = t(np.diag([alpha, 1.0 / alpha, 1.0]))
+            off = fro_norm(s - np.diag(np.diag(s)))
+            yield (rel(abs(s[2, 2]) + abs(s[0, 0] + s[1, 1]) + off,
+                       fro_norm(s)), {"alpha": alpha, "stress": s})
 
-    def superposition(rng, i):
-        l1, l2 = (np.exp(rng.uniform(*logs, 3)) for _ in range(2))
-        q = random_rotation(rng)
-        u1, u2 = q.T @ np.diag(l1) @ q, q.T @ np.diag(l2) @ q
-        lhs, rhs = t(u1 @ u2), t(u1) + t(u2)
-        return misfit(lhs, rhs), {"u1": u1, "u2": u2,
-                                  "stress_of_product": lhs,
-                                  "sum_of_stresses": rhs}
+    def sphere_to_dilation(rng):
+        for lam in np.exp(rng.uniform(*logs, samples)).tolist():
+            s = t(lam * np.eye(3))
+            yield (rel(fro_norm(s - s[0, 0] * np.eye(3)), fro_norm(s)),
+                   {"lam": lam, "stress": s})
 
-    def isotropy(rng, i):
-        u, q = random_spd(rng), random_rotation(rng)
-        return misfit(t(q.T @ u @ q), q.T @ t(u) @ q), {"u": u, "q": q}
+    def superposition(rng):
+        l1, l2 = (rng.uniform(*logs, (samples, 3)) for _ in range(2))
+        z = rng.standard_normal((samples, 3, 3))
+        for a, b, x in zip(l1, l2, z):
+            u1, u2 = spd_from_draws(a, x), spd_from_draws(b, x)
+            lhs, rhs = t(u1 @ u2), t(u1) + t(u2)
+            yield misfit(lhs, rhs), {"u1": u1, "u2": u2,
+                                     "stress_of_product": lhs,
+                                     "sum_of_stresses": rhs}
 
-    def power_law(rng, i):
-        u, r = random_spd(rng, 0.1, 10.0), (-2.0, -0.5, 0.5, 2.0,
-                                            math.pi)[i % 5]
-        return misfit(t(mat_pow(u, r)), r * t(u)), {"u": u, "r": r}
+    def isotropy(rng):
+        us = spds(rng)
+        qs = [rotation_from_normals(x)
+              for x in rng.standard_normal((samples, 3, 3))]
+        for u, q in zip(us, qs):
+            yield misfit(t(q.T @ u @ q), q.T @ t(u) @ q), {"u": u, "q": q}
 
-    def inversion_symmetry(rng, i):
-        u = random_spd(rng)
-        return misfit(t(mat_pow(u, -1)), -t(u)), {"u": u}
+    def power_law(rng):
+        for i, u in enumerate(spds(rng, 0.1, 10.0)):
+            r = (-2.0, -0.5, 0.5, 2.0, math.pi)[i % 5]
+            yield misfit(t(mat_pow(u, r)), r * t(u)), {"u": u, "r": r}
 
-    def inverse_round_trip(rng, i):
-        u = random_spd(rng)
-        back = becker_inverse(t(u), m)
-        return rel(fro_norm(back - u), fro_norm(u)), {"u": u,
-                                                      "round_trip": back}
+    def inversion_symmetry(rng):
+        for u in spds(rng):
+            yield misfit(t(mat_pow(u, -1)), -t(u)), {"u": u}
 
-    rng = np.random.default_rng([seed, 0])
+    def inverse_round_trip(rng):
+        for u in spds(rng):
+            back = becker_inverse(t(u), m)
+            yield rel(fro_norm(back - u), fro_norm(u)), {"u": u,
+                                                         "round_trip": back}
+
     worst, witness = fro_norm(t(np.eye(3))), {"stress_at_identity":
                                               t(np.eye(3))}
-    for _ in range(samples):
-        u = random_spd(rng)
+    for u in spds(np.random.default_rng([seed, 0])):
         if fro_norm(u - np.eye(3)) > 1e-6 and fro_norm(t(u)) == 0.0:
             worst, witness = math.inf, {"nonidentity_with_zero_stress": u}
             break
@@ -167,10 +178,8 @@ def _reference_axioms(law, m, samples, seed):
         checks.append(inverse_round_trip)
     for k, check in enumerate(checks, start=1):
         name = check.__name__
-        rng = np.random.default_rng([seed, k])
         worst, witness = 0.0, None
-        for i in range(samples):
-            err, w = check(rng, i)
+        for err, w in check(np.random.default_rng([seed, k])):
             if err > worst:
                 worst, witness = err, w
         expected = name not in _LAWS[law].violates
@@ -352,6 +361,33 @@ def test_cycle_work_witness_matches_the_paper(lam):
     assert w["quadrature_converged"] and w["steps"] == 192
     assert w["work_error"] == abs(w["work"] - predicted)
     assert w["work_error"] <= 1e-13 * max(1.0, abs(lam))
+
+
+def test_diagonal_path_samples_its_corners_linearly():
+    corners = [(1.0, 1.0, 1.0), (2.0, 0.7, 1.3), (0.9, 1.7, 1.1),
+               (1.0, 1.0, 1.0)]
+    f = diagonal_path(corners)
+    for t in np.linspace(-0.1, 1.1, 241).tolist():
+        # the formula of the sampler, from Python floats to np.diag
+        x = min(max(t, 0.0), 1.0) * 3
+        i = min(int(x), 2)
+        w = x - i
+        expected = np.diag([(1.0 - w) * a + w * b
+                            for a, b in zip(corners[i], corners[i + 1])])
+        got = f(t)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_default_tolerance_scales_with_the_larger_modulus():
+    # the cycle's work is lam (4 - 6 ln 2): at lam = 1e307 it converges on
+    # the first grid, as it does at lam of order G
+    m = Moduli.from_g_lam(1.0, 1e307)
+    work, n, converged = converged_path_work(dilation_shear_cycle(),
+                                             "becker", m, closed=True)
+    assert converged and n == 192
+    # within the docstring's 1e-13 max(1, |lam|) of the closed form
+    assert abs(work - 1e307 * (4.0 - 6.0 * math.log(2.0))) <= 1e-13 * 1e307
 
 
 def test_open_path_matches_energy_difference():
