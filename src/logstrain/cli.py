@@ -9,11 +9,18 @@ flags win over the file.
 All numbers are printed with 12 significant digits and a dot decimal
 separator.  Exit codes: 0 success, 1 check-suite failure, 2 usage or input
 error (the message names the violated precondition).
+
+:func:`main` builds its argument parser once per process, on its first
+call, and reuses it; :func:`build_parser` returns a fresh one.  The curve
+commands (``plot-data``, ``fit --out``) evaluate each column with one call
+on the whole abscissa array.
 """
 
 import argparse
+import functools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -30,7 +37,7 @@ from .moduli import Moduli
 from .shear_statics import (failure_criteria, mohr_circle,
                             pond_stress_components)
 from .stresses import MEASURES, stress_convert
-from .tensors import dev3, eig_sym, fro_norm, sym_part, tr
+from .tensors import _first, dev3, eig_sym, fro_norm, sym_part, tr
 
 CONFIG_NAME = "logstrain.cfg"
 _CONFIG_KEYS = {"g": "g", "lambda": "lam", "k": "k", "e": "e", "nu": "nu"}
@@ -256,6 +263,7 @@ def _cmd_decompose(args):
     return 0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_fit(args):
     ds = fitting.read_dataset(args.data)
     result = fitting.fit_dataset(ds, args.mode)
@@ -271,14 +279,19 @@ def _cmd_fit(args):
         columns = {"lambda": xs,
                    "fit": fitting.model_curve(args.mode, result.g, xs)}
         for name in args.laws:
-            columns[name] = np.array(
-                [_INCOMPRESSIBLE[name](x, result.g) for x in xs.tolist()])
+            columns[name] = _INCOMPRESSIBLE[name](xs, result.g)
         _write_csv(args.out, columns)
         print(f"curve written to {args.out}")
     return 0
 
 
 def _write_csv(path, columns):
+    (x_name, xs), *_ = columns.items()
+    for name, col in columns.items():
+        i = _first(~np.isfinite(col))
+        if i is not None:
+            raise LogstrainError(f"column {name} is not finite at "
+                                 f"{x_name} = {_fmt(xs[i])}")
     lines = [",".join(columns)]
     arrays = list(columns.values())
     for i in range(len(arrays[0])):
@@ -294,6 +307,7 @@ def _write_csv(path, columns):
 _FIGURES = ("incompressible", "simple-shear", "tension")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_plot_data(args):
     m = _moduli_from_args(args)
     for flag, value in (("--min", args.min), ("--max", args.max)):
@@ -310,14 +324,11 @@ def _cmd_plot_data(args):
         hi = 3.5 if args.max is None else args.max
         xs = np.linspace(lo, hi, args.points)
         columns = {"gamma": xs}
-        for tag, name in (("becker", "becker"),
+        for law, name in (("becker", "becker"),
                           ("hencky-kirchhoff", "hencky"),
-                          ("neo-hooke", "neo_hooke")):
-            columns[name] = np.array(
-                [laws.simple_shear_sigma12(tag, x, m) for x in xs])
-        if ogden:
-            columns["ogden"] = np.array(
-                [laws.simple_shear_sigma12(ogden, x, m) for x in xs])
+                          ("neo-hooke", "neo_hooke"), (ogden, "ogden")):
+            if law:
+                columns[name] = laws.simple_shear_sigma12(law, xs, m)
     else:
         lo = 0.5 if args.min is None else args.min
         hi = 3.0 if args.max is None else args.max
@@ -327,25 +338,35 @@ def _cmd_plot_data(args):
         columns = {"lambda": xs}
         if args.figure == "incompressible":
             for name, form in _INCOMPRESSIBLE.items():
-                columns[name.replace("-", "_")] = np.array(
-                    [form(x, m.g) for x in xs.tolist()])
+                columns[name.replace("-", "_")] = form(xs, m.g)
         else:  # tension: the compressible uniaxial responses
             for name, tag in (("becker", "becker"), ("hooke", "hooke-biot"),
                               ("neo_hooke", "neo-hooke")):
-                form = laws._LAWS[tag].uniaxial
-                columns[name] = np.array(
-                    [form(x, m.e, m.g, None) for x in xs.tolist()])
+                columns[name] = laws._LAWS[tag].uniaxial(xs, m.e, m.g, None)
         if ogden:
-            columns["ogden"] = np.array(
-                [laws.comparison_law(ogden, m, lam=x) for x in xs])
+            columns["ogden"] = laws._LAWS["ogden"].uniaxial(xs, None, None,
+                                                            ogden)
     _write_csv(args.out, columns)
     return 0
 
 
 # ---------------------------------------------------------------------------
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative number in exponent form,
+    such as ``-9.7e-05``, as a value, as argparse already reads ``-1`` and
+    ``-0.5``, and not as an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="logstrain",
         description="Finite-elasticity computations with the logarithmic "
                     "Biot-stress law: stress evaluation and inversion, "
@@ -423,9 +444,14 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    # parse_args leaves a parser as it found it, so one serves every call
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (LogstrainError, ValueError, OSError) as exc:

@@ -17,9 +17,10 @@ it takes, the stress measure it returns, the axioms it is known to break,
 and its uniaxial and simple-glide closed forms.  The principal response is
 the law as the paper states it, principal stresses from principal
 stretches.  The logarithmic tensor maps build it on the spectrum of the
-stretch; every stress at a deformation F (:func:`pk1_for_law`, the CLI's
-``stress`` and the simple glide) reads it on one SVD of F.  Every tensor
-law returns a finite stress or raises :class:`LogstrainError`.
+stretch; a stress at a deformation F (:func:`pk1_for_law`, the CLI's
+``stress``) reads it on one SVD of F, and the simple glide on the glide's
+closed-form principal log-stretches.  Every tensor law returns a finite
+stress or raises :class:`LogstrainError`.
 """
 
 import math
@@ -29,8 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LambdaNotZero, LogstrainError
-from .kinematics import (_jacobian, glide_principal_stretches,
-                         simple_glide_F)
+from .kinematics import _jacobian
 from .moduli import Moduli
 from .stresses import StressState
 from .tensors import (_DIAG, _as_mats, _at, _first, _inners, _require_floor,
@@ -268,7 +268,7 @@ def linearized_inverse(sigma, m: Moduli):
 # the law table: every law dispatch of the package reads it
 
 def _hencky_uniaxial(lam, e, g, law):
-    return 3.0 * g * math.log(lam) / lam
+    return 3.0 * g * np.log(lam) / lam
 
 
 def _ogden_uniaxial(lam, e, g, law):
@@ -277,9 +277,10 @@ def _ogden_uniaxial(lam, e, g, law):
 
 
 def _ogden_glide(gamma, m, law):
-    l1 = glide_principal_stretches(gamma)[0]
-    num = sum(mu * (l1 ** a - l1 ** -a) for mu, a in zip(law.mu, law.alpha))
-    return num / (l1 + 1.0 / l1)
+    # principal stretches (e^a, 1, e^-a) with a = asinh(gamma / 2)
+    a = np.arcsinh(0.5 * gamma)
+    return sum(mu * np.sinh(al * a)
+               for mu, al in zip(law.mu, law.alpha)) / np.cosh(a)
 
 
 class _Law(NamedTuple):
@@ -287,11 +288,12 @@ class _Law(NamedTuple):
 
     ``tensor(stretch, m)`` gives the stress in ``measure`` from the right
     (``stretch == "u"``) or left (``"v"``) stretch; the incompressible
-    scalar models have none.  ``strain(s)`` is the principal strain of
-    that stretch at its principal stretches ``s``, shape (..., 3): ``ln s``
-    or ``s - 1``.  Every tensor law is the isotropic linear law of its
-    strain, so :meth:`principal` gives its principal response, the
-    principal stresses in ``measure`` in the order of ``s``.  ``violates``
+    scalar models have none.  ``strain`` is the principal strain of that
+    stretch, ``ln s`` or ``s - 1``, as a :class:`_Strain`: a function of the
+    principal stretches ``s`` or of their logarithms, shape (..., 3).  Every
+    tensor law is the isotropic linear law of its strain, so
+    :meth:`principal` gives its principal response, the principal stresses
+    in ``measure`` in the order of ``s``.  ``violates``
     names the checks of ``verify.check_axioms`` that the law is known to
     fail.  ``uniaxial(lam, e, g, law)`` is the Biot
     stress under uniaxial stretch lam and zero lateral stress.  The
@@ -299,8 +301,9 @@ class _Law(NamedTuple):
     gives the incompressible curve named ``column``; the incompressible
     models use G alone.  ``hyper(lam, g)`` is the constrained-energy
     incompressible form.  ``glide(gamma, m, law)`` is the simple-shear
-    sigma_12 in closed form; without one the glide is read on the SVD of
-    the glide gradient.
+    sigma_12 of a scalar model, in closed form on an array of gamma; a
+    tensor row's glide is read from its strain at the glide's principal
+    log-stretches (see :func:`simple_shear_sigma12`).
     """
 
     tag: str
@@ -315,18 +318,26 @@ class _Law(NamedTuple):
     hyper: object = None
 
     def principal(self, s, m):
-        """Principal stresses ``2 G e_i + lam sum_j e_j`` of the strain
-        ``e = strain(s)`` at principal stretches s, shape (..., 3)."""
-        return _lame_principal(self.strain(s), m)
+        """Principal stresses ``2 G e_i + lam sum_j e_j`` of the row's
+        strain e at principal stretches s, shape (..., 3)."""
+        return _lame_principal(self.strain.of_stretch(s), m)
 
 
-def _log_strain(s):
+class _Strain(NamedTuple):
+    """A principal strain, ``of_stretch(s)`` at principal stretches s and
+    ``of_log(a)`` at their logarithms ``a = ln s``, both shape (..., 3)."""
+
+    of_stretch: object
+    of_log: object
+
+
+def _ln_above_floor(s):
     _require_floor(s, "mat_log", "eigenvalue", s.shape[:-1])
     return np.log(s)
 
 
-def _linear_strain(s):
-    return s - 1.0
+_log_strain = _Strain(_ln_above_floor, lambda a: a)
+_linear_strain = _Strain(lambda s: s - 1.0, np.expm1)
 
 
 # The checks the finite-Hooke laws fail: the strain s - 1 does not add
@@ -394,16 +405,17 @@ def _tensor_row(law):
 
 def _finite(tag, t, m):
     """t, a (..., 3, 3) stress of law ``tag``, if it is finite; else
-    :class:`LogstrainError` naming the law and the first bad member.  The
-    stress dispatches run with numpy's overflow and invalid-value warnings
-    off, so an overflow on the way raises here, quietly."""
+    :class:`LogstrainError` naming the law, its moduli (if given) and the
+    first bad member.  The stress dispatches run with numpy's overflow and
+    invalid-value warnings off, so an overflow on the way raises here,
+    quietly."""
     finite = np.isfinite(t)
     if finite.all():
         return t
     i = _first(~finite.all(axis=(-2, -1)))
-    raise LogstrainError(
-        f"law {tag!r}: stress is not finite at G = {m.g:.6g}, "
-        f"lam = {m.lam:.6g}{_at(i, t.shape[:-2])}")
+    moduli = "" if m is None else f" at G = {m.g:.6g}, lam = {m.lam:.6g}"
+    raise LogstrainError(f"law {tag!r}: stress is not finite{moduli}"
+                         f"{_at(i, t.shape[:-2])}")
 
 
 def _lame_on_frame(frame, e, m):
@@ -427,7 +439,8 @@ def _tensor_law(tag, a, m):
     if row.strain is _linear_strain:
         return _finite(tag, _lame(a - np.eye(3), m), m)
     vals, frame = _spectrum(a)
-    return _finite(tag, _lame_on_frame(frame, row.strain(vals), m), m)
+    return _finite(tag, _lame_on_frame(frame, row.strain.of_stretch(vals), m),
+                   m)
 
 
 def _svd_principal(row, f):
@@ -436,7 +449,7 @@ def _svd_principal(row, f):
     strains at s.  Every stress at a deformation starts here."""
     j = _jacobian(f)
     w, s, vt = np.linalg.svd(f)
-    return j, w, s, vt, row.strain(s)
+    return j, w, s, vt, row.strain.of_stretch(s)
 
 
 def _principal_cauchy(row, s, t, j):
@@ -519,29 +532,51 @@ def comparison_law(law, m: Moduli = None, *, stretch=None, lam=None,
 def simple_shear_sigma12(law, gamma, m: Moduli = None):
     """Cauchy shear stress sigma_12 in a simple glide of amount gamma.
 
-    A tensor law is read on one SVD ``F = W diag(s) V.T`` of the glide
-    gradient: sigma_12 of ``W diag(c) W.T``, with the principal Cauchy
-    stresses ``c = t s / J``, ``t / J`` or ``t`` of the law's principal
-    stresses ``t`` in the Biot, Kirchhoff or Cauchy measure.  neo-hooke and
-    ogden use their incompressible closed forms.  For Becker's law the
-    result equals ``2 G asinh(gamma / 2) = 2 G ln((sqrt(gamma**2 + 4) +
-    gamma) / 2)`` independently of lam.  A negative or non-finite gamma
-    raises ``ValueError`` for every law, and so do missing moduli for every
-    law but ogden.
+    ``gamma`` is a number (the result is a float) or an array of them (the
+    result has its shape); an element gets the same bits alone and inside
+    an array.  The glide is a rotated pure shear with principal stretches
+    ``s = exp((a, 0, -a))``, ``a = asinh(gamma / 2)``, and ``J = 1``.  A
+    tensor law reads its principal strain from these log-stretches,
+    ``(a, 0, -a)`` itself for a logarithmic strain and ``expm1`` of it for
+    ``s - 1``, and gives ``sigma_12 = (c_1 - c_3) / sqrt(gamma**2 + 4)``
+    (the root as ``hypot(gamma, 2)``, which cannot overflow) of its
+    principal Cauchy stresses c: ``t s`` for a Biot law, its principal
+    stresses t otherwise.  No matrix is factorized.  neo-hooke and ogden
+    use their incompressible closed forms.  For Becker's law the result is
+    ``2 G asinh(gamma / 2)`` whatever lam, and for the Hencky laws ``4 G
+    asinh(gamma / 2) / sqrt(gamma**2 + 4)``.
+
+    Accuracy: against 50-digit references over gamma in [1e-300, 1e3] and
+    lam in {0, 0.5, 25}, every tensor law is within 2e-15 relative (the
+    tests check this).  Above that range the becker and finite-Hooke rows,
+    whose principal Cauchy stresses read ``exp`` or ``expm1`` of ``+-a``,
+    lose about eps * a to the rounding of a (2.4e-14 at gamma = 1e300).
+
+    Errors: ``ValueError`` for a negative or non-finite gamma (naming the
+    first bad element of an array), and for missing moduli for every law
+    but ogden; :class:`LogstrainError` for a stress that overflows.
     """
     row, law = _resolve(law)
     _require_moduli(row, m)
-    gamma = float(gamma)
-    if not (gamma >= 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
+    shape = np.shape(gamma)
+    # one contiguous 1-d array, so that an element alone and inside an
+    # array goes through the same numpy loops
+    g = np.array(gamma, dtype=float).reshape(-1)
+    bad = ~(g >= 0.0) | ~np.isfinite(g)
+    if bad.any():
+        i = _first(bad)
+        raise ValueError(f"gamma must be finite and nonnegative, got "
+                         f"{float(g[i])}{_at(i, shape)}")
     if row.glide is not None:
-        return row.glide(gamma, m, law)
-    if gamma == 0.0:
-        return 0.0
-    j, w, s, vt, e = _svd_principal(row, simple_glide_F(gamma))
-    c = _principal_cauchy(row, s, _lame_principal(e, m), j)
-    sigma = (w * c) @ w.T
-    return float(_finite(row.tag, sigma, m)[0, 1])
+        sigma = row.glide(g, m, law)
+    else:
+        a = np.arcsinh(0.5 * g)
+        log_s = np.stack((a, np.zeros_like(a), -a), axis=-1)
+        t = _lame_principal(row.strain.of_log(log_s), m)
+        c = _principal_cauchy(row, np.exp(log_s), t, np.ones_like(g))
+        sigma = (c[..., 0] - c[..., 2]) / np.hypot(g, 2.0)
+    sigma = _finite(row.tag, sigma.reshape(shape + (1, 1)), m)[..., 0, 0]
+    return sigma if shape else float(sigma)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -89,8 +89,15 @@ def _as_mats(a, name="matrix"):
 
 
 def sym_part(a):
-    """Symmetric part (a + a.T) / 2, of each matrix of a (..., 3, 3) stack."""
-    return 0.5 * (a + a.swapaxes(-1, -2))
+    """Symmetric part (a + a.T) / 2, of each matrix of a (..., 3, 3) stack.
+
+    Halved before the sum, ``a / 2 + a.T / 2``, so that it overflows only
+    where the result does.  Halving a normal number is exact, so this has
+    the bits of ``(a + a.T) / 2`` wherever that sum neither overflows nor
+    meets subnormal entries.
+    """
+    half = 0.5 * a
+    return half + half.swapaxes(-1, -2)
 
 
 def _trace(a):

@@ -9,7 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
-from logstrain.cli import main
+from logstrain import cli
+from logstrain import constitutive as laws
+from logstrain.cli import build_parser, main
+from logstrain.moduli import Moduli
 
 
 def run(capsys, *argv):
@@ -360,6 +363,70 @@ def test_plot_unknown_figure_exits_two():
     assert exc.value.code == 2
 
 
+_OGDEN = ["--ogden-mu", "0.5,0.1", "--ogden-alpha", "2,-2"]
+
+
+def test_plot_columns_equal_their_per_point_values(capsys):
+    # each column is one call on the whole abscissa array; the reference
+    # evaluates every point alone
+    m = Moduli.from_g_lam(1.3, 0.5)
+    ogden = laws.LawId("ogden", mu=(0.5, 0.1), alpha=(2.0, -2.0))
+    xs = {"simple-shear": np.linspace(0.0, 3.5, 41),
+          "incompressible": np.linspace(0.5, 3.0, 41),
+          "tension": np.linspace(0.5, 3.0, 41)}
+    columns = {
+        "simple-shear": [
+            lambda x, law=law: laws.simple_shear_sigma12(law, x, m)
+            for law in ("becker", "hencky-kirchhoff", "neo-hooke", ogden)],
+        "incompressible": [lambda x, form=form: form(x, m.g)
+                           for form in cli._INCOMPRESSIBLE.values()],
+        "tension": [
+            lambda x, law=law: laws.comparison_law(law, m, lam=x)
+            for law in ("becker", "hooke-biot", "neo-hooke", ogden)],
+    }
+    for figure, forms in columns.items():
+        ogden_flags = [] if figure == "incompressible" else _OGDEN
+        code, out, _ = run(capsys, "plot-data", "--figure", figure,
+                           "--points", "41", "--G", "1.3", "--lam", "0.5",
+                           *ogden_flags)
+        assert code == 0
+        expected = [",".join(cli._fmt(v) for v in [x, *(f(x) for f in forms)])
+                    for x in xs[figure].tolist()]
+        assert out.splitlines()[1:] == expected, figure
+
+
+def test_plot_evaluates_each_column_once(capsys, monkeypatch):
+    calls = []
+    glide = laws.simple_shear_sigma12
+
+    def counting(*args):
+        calls.append(args[0])
+        return glide(*args)
+
+    monkeypatch.setattr(laws, "simple_shear_sigma12", counting)
+    code, _, _ = run(capsys, "plot-data", "--figure", "simple-shear",
+                     "--points", "200", "--G", "1", "--lam", "0.5", *_OGDEN)
+    assert code == 0
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--figure", "incompressible", "--min", "1e-300", "--max", "1"],
+     "column becker_hyper is not finite at lambda = 1e-300"),
+    (["--figure", "tension", "--max", "1e300", "--ogden-mu", "1",
+      "--ogden-alpha", "3"],
+     "column ogden is not finite at lambda = 5.02512562814e+297"),
+    (["--figure", "simple-shear", "--max", "1e307"],
+     "law 'becker': stress is not finite at G = 1, lam = 0.5 at index 3"),
+])
+def test_plot_column_that_overflows_exits_two(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "plot-data", *argv, "--G", "1",
+                             "--lam", "0.5")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_plot_csv_is_deterministic(capsys):
     args = ["plot-data", "--figure", "simple-shear", "--G", "1.5",
             "--lam", "0", "--points", "50"]
@@ -367,6 +434,87 @@ def test_plot_csv_is_deterministic(capsys):
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
     assert "," in out1 and ";" not in out1
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+@pytest.fixture
+def empty_parser_cache():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch,
+                                     empty_parser_cache):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv in (["shear-statics", "--Q", "1", "--alpha", "2"],
+                 ["decompose", "--stretch", "2", "1", "0.5"],
+                 ["plot-data", "--figure", "tension", "--points", "3",
+                  "--G", "1", "--lam", "0"]):
+        assert main(argv) == 0
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
+def test_failed_calls_leave_the_cached_parser_as_fresh(capsys, tmp_path,
+                                                       empty_parser_cache):
+    data = tmp_path / "data.csv"
+    data.write_text("lambda,t\n0.8,-0.6\n1.2,0.5\n1.5,1.2\n2.0,2.1\n")
+    commands = [
+        ["fit", str(data), "--out", "-", "--points", "4", "--laws", "becker",
+         "hencky"],
+        ["fit", str(data), "--out", "-", "--points", "4"],
+        ["plot-data", "--figure", "tension", "--points", "4", "--G", "1",
+         "--lam", "0.5"],
+    ]
+    fresh = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        fresh.append((main(argv), capsys.readouterr()))
+    for failing in (["plot-data", "--figure", "bogus", "--G", "1"],
+                    ["fit", "--laws", "becker"]):
+        with pytest.raises(SystemExit) as exc:
+            main(failing)
+        assert exc.value.code == 2
+    assert main(["plot-data", "--figure", "tension", "--min", "-1",
+                 "--G", "1", "--lam", "0"]) == 2
+    capsys.readouterr()
+    assert [(main(argv), capsys.readouterr()) for argv in commands] == fresh
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["decompose", "--loads", "-1.26", "0.031", "-9.7e-05"],
+     "diag(-1.26, 0.031, -9.7e-05) ="),
+    (["stress", "--shear", "2", "--G", "1", "--lam", "-1E-5"],
+     "law becker, measure biot, unit MPa"),
+    (["plot-data", "--figure", "tension", "--points", "2", "--G", "1",
+      "--lam", "-2.5e-1"], "lambda,becker,hooke,neo_hooke"),
+])
+def test_negative_numbers_in_exponent_form_are_values(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert line in out.splitlines()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["plot-data", "--help"],
+                                  ["fit", "--help"]])
+def test_help_text_is_unchanged(capsys, empty_parser_cache, argv):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    fresh = capsys.readouterr().out
+    for _ in range(2):  # the first call builds the parser, the second reuses
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == fresh
 
 
 # ---------------------------------------------------------------------------

@@ -509,19 +509,19 @@ def _mp_glide_sigma12(mpmath, law, gamma, m):
 
 
 def test_simple_shear_closed_forms():
-    # gamma from 0.1 to 10 and lam in {0, 0.5, 25}: the worst relative
-    # error measured 2.5e-15 (through the polar factors, eigh of U or V and
-    # a conversion to Cauchy: 1.0e-14, becker at lam = 25).  Below gamma =
-    # 0.1 the singular vectors of the glide, and so sigma_12, lose about
-    # eps / gamma
+    # gamma from 1e-300 to 1e3 and lam in {0, 0.5, 25}: the worst relative
+    # error measured 1.4e-15 (hooke-cauchy at lam = 25, where the spherical
+    # part cancels in c_1 - c_3)
     mpmath = pytest.importorskip("mpmath")
-    gammas = np.linspace(0.1, 10.0, 100).tolist()
+    gammas = (np.geomspace(1e-300, 1e3, 607).tolist()
+              + np.linspace(0.1, 10.0, 100).tolist())
     for lam in (0.0, 0.5, 25.0):
         m = Moduli.from_g_lam(1.3, lam)
         for law in TENSOR_MAPS:
             for gamma in gammas:
                 assert simple_shear_sigma12(law, gamma, m) == pytest.approx(
-                    _mp_glide_sigma12(mpmath, law, gamma, m), rel=1e-14), \
+                    _mp_glide_sigma12(mpmath, law, gamma, m), rel=2e-15,
+                    abs=0.0), \
                     (law, lam, gamma)
     gamma = 1.2
     assert simple_shear_sigma12("neo-hooke", gamma, M) \
@@ -550,6 +550,86 @@ def test_glide_without_moduli_raises(law, gamma):
         simple_shear_sigma12(law, gamma)
     with pytest.raises(ValueError, match="moduli required"):
         comparison_law(law, gamma=gamma)
+
+
+_OGDEN = LawId("ogden", mu=(0.5, 0.1, 0.3), alpha=(2.5, -2.0, 1.3))
+
+
+def test_glide_array_gives_the_scalar_bits(rng):
+    # every law, including ogden, on gammas from 0 to 1e3: an element gets
+    # the same bits alone, in the array and in a strided view of it
+    gammas = np.exp(rng.uniform(math.log(1e-12), math.log(1e3), 203))
+    gammas[::17] = 0.0
+    strided = np.stack([gammas, -gammas], axis=-1)[:, 0]
+    for lam in (0.0, 0.5, 25.0):
+        m = Moduli.from_g_lam(1.3, lam)
+        for law in [*laws.LAW_TAGS[:-1], _OGDEN]:
+            alone = [simple_shear_sigma12(law, x, m) for x in gammas.tolist()]
+            assert all(type(v) is float for v in alone)
+            alone = np.array(alone)
+            for array in (gammas, strided, gammas[:7], gammas[:1]):
+                got = simple_shear_sigma12(law, array, m)
+                assert got.shape == array.shape
+                assert got.tobytes() == alone[:len(array)].tobytes(), \
+                    (law, lam)
+            grid = simple_shear_sigma12(law, gammas[:200].reshape(10, 20), m)
+            assert grid.tobytes() == alone[:200].tobytes()
+
+
+def test_glide_makes_no_linalg_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in ("svd", "eigh", "eig", "det", "inv", "solve", "qr"):
+        monkeypatch.setattr(laws.np.linalg, name, refuse)
+    for law in [*laws.LAW_TAGS[:-1], _OGDEN]:
+        simple_shear_sigma12(law, np.linspace(0.0, 3.5, 9), M)
+        simple_shear_sigma12(law, 0.7, M)
+
+
+@pytest.mark.parametrize("value", [-1.0, -1e-300, math.inf, -math.inf,
+                                   math.nan])
+def test_glide_names_the_bad_element(value):
+    gammas = [0.0, 0.5, value, 1.0, value]
+    for law in [*laws.LAW_TAGS[:-1], _OGDEN]:
+        with pytest.raises(ValueError,
+                           match=r"finite and nonnegative, got .* at index 2$"):
+            simple_shear_sigma12(law, gammas, M)
+        with pytest.raises(ValueError, match=r"at index \(1, 0\)$"):
+            simple_shear_sigma12(law, [[0.5, 1.0], [value, 0.0]], M)
+        with pytest.raises(ValueError) as info:
+            simple_shear_sigma12(law, value, M)
+        assert "index" not in str(info.value)
+
+
+def test_glide_domain_without_warnings():
+    mpmath = pytest.importorskip("mpmath")
+    m = Moduli.from_g_lam(1.3, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # r = hypot(gamma, 2): a naive sqrt(gamma**2 + 4) overflows here.
+        # Beyond gamma = 1e3 the rows that read the stretches exp(+-a) lose
+        # about eps * a to the rounding of a = asinh(gamma / 2)
+        for gamma in (1e200, 1e307):
+            assert simple_shear_sigma12("hooke-cauchy", gamma, m) \
+                == pytest.approx(2.0 * m.g, rel=1e-13)
+        assert (simple_shear_sigma12("hooke-cauchy", [1e200, 1e307], m)
+                == pytest.approx(2.0 * m.g, rel=1e-13))
+        # the smallest stretch 1/l1 = 1e-150 is no longer floored
+        for law in ("becker", "hencky-kirchhoff"):
+            assert simple_shear_sigma12(law, 1e150, m) == pytest.approx(
+                _mp_glide_sigma12(mpmath, law, 1e150, m), rel=1e-13)
+        for law, gamma in (("becker", 1e307), ("hooke-biot", 1e200),
+                           ("neo-hooke", 1e308)):
+            with pytest.raises(LogstrainError, match="not finite"):
+                simple_shear_sigma12(law, gamma, Moduli.from_g_lam(2.0, 0.5))
+        with pytest.raises(LogstrainError, match=r"not finite at G = 1.3, "
+                                                 r"lam = 0.5 at index 1$"):
+            simple_shear_sigma12("becker", [1.0, 1e307], m)
+        big = LawId("ogden", mu=(1.0,), alpha=(3.0,))
+        with pytest.raises(LogstrainError, match=r"'ogden': stress is not "
+                                                 r"finite at index 0$"):
+            simple_shear_sigma12(big, [1e300])
 
 
 def test_ogden_consistency_with_neo_hooke():

@@ -171,6 +171,20 @@ def test_exp_overflow_names_the_eigenvalue(rng):
         assert np.isfinite(mat_exp(np.diag([709.0, 709.0, 709.0]))).all()
 
 
+def test_exp_near_the_largest_double_stays_finite(rng):
+    # function values above half the largest double: the symmetric part
+    # halves before it adds, so that a + a.T cannot overflow
+    d = np.array([709.78, 709.78, 709.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(20):
+            q = random_rotation(rng)
+            out = mat_exp(q @ np.diag(d) @ q.T)
+            assert np.isfinite(out).all()
+            scaled = q @ np.diag(np.exp(d - 709.0)) @ q.T
+            assert rel_err(out / math.exp(709.0), scaled) < 1e-12
+
+
 def test_pd_floor_follows_the_spectrum():
     # the floor scales with max|eigenvalue|, which stays finite where the
     # Frobenius norm of a large spectrum would overflow
