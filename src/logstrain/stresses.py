@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import _jacobian, polar_decompose
-from .tensors import as_mat3
+from .errors import LogstrainError
+from .kinematics import _jacobian, _polar
+from .tensors import _first_nonfinite, as_mat3
 
 __all__ = ["MEASURES", "StressState", "stress_convert"]
 
@@ -52,6 +53,16 @@ class StressState:
             self, "deformation", as_mat3(self.deformation, "deformation"))
 
 
+def _checked_state(tensor, measure, deformation):
+    """A :class:`StressState` of fields that are already checked, built
+    without running ``__post_init__`` again."""
+    state = object.__new__(StressState)
+    object.__setattr__(state, "tensor", tensor)
+    object.__setattr__(state, "measure", measure)
+    object.__setattr__(state, "deformation", deformation)
+    return state
+
+
 def _to_cauchy(t, measure, f, j):
     if measure == "cauchy":
         return t
@@ -63,7 +74,7 @@ def _to_cauchy(t, measure, f, j):
     if measure == "pk2":
         return (f @ t @ ft) / j
     # biot: S2 = inv(U) @ T
-    u = polar_decompose(f).u
+    u = _polar(f).u
     s2 = np.linalg.solve(u, t)
     return (f @ s2 @ ft) / j
 
@@ -80,32 +91,44 @@ def _from_cauchy(sigma, measure, f, j):
     s2 = j * f_inv @ sigma @ f_inv_t
     if measure == "pk2":
         return s2
-    u = polar_decompose(f).u
+    u = _polar(f).u
     return u @ s2
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _convert(t, measure, target, f):
     """Stress tensor t in ``measure`` at deformation f, in ``target``.
 
     t and f have shape (3, 3) or (..., 3, 3); conversions route through the
-    Cauchy stress, one determinant per matrix.
+    Cauchy stress, one determinant per matrix.  Runs without numpy's
+    overflow and invalid-value warnings: a result that is not finite raises
+    :class:`LogstrainError` naming ``target``.
     """
     j = _jacobian(f)[..., None, None]
-    return _from_cauchy(_to_cauchy(t, measure, f, j), target, f, j)
+    out = _from_cauchy(_to_cauchy(t, measure, f, j), target, f, j)
+    if _first_nonfinite(out) is not None:
+        raise LogstrainError(f"stress_convert: {target} stress is not "
+                             f"finite")
+    return out
 
 
 def stress_convert(state, target):
     """Convert a stress state to another measure at the same deformation.
 
-    Round trips reproduce the original tensor up to roundoff.
+    Round trips reproduce the original tensor up to roundoff.  The result
+    holds its own copies of the tensor and the deformation; the state's
+    fields were checked when it was made, so they are not checked again.
 
     Raises
     ------
     NonInvertible
-        If the attached deformation gradient has non-positive determinant.
+        If the attached deformation gradient has determinant at most 1e-12.
+    LogstrainError
+        If the converted stress is not finite (the message names the
+        target measure).
     """
     target = _check_measure(target)
-    if target == state.measure:
-        return StressState(state.tensor.copy(), target, state.deformation)
-    out = _convert(state.tensor, state.measure, target, state.deformation)
-    return StressState(out, target, state.deformation)
+    f = state.deformation
+    tensor = (state.tensor.copy() if target == state.measure
+              else _convert(state.tensor, state.measure, target, f))
+    return _checked_state(tensor, target, f.copy())

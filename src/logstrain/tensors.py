@@ -44,6 +44,11 @@ __all__ = [
 # exceed PD_REL_TOL * max(1, max|eigenvalue|).
 PD_REL_TOL = 1e-12
 
+# The identity, read-only, for the hot paths that add or remove a multiple
+# of it.
+_EYE = np.eye(3)
+_EYE.flags.writeable = False
+
 
 def as_mat3(a, name="matrix"):
     """Coerce to a finite float64 (3, 3) array (copies the input)."""
@@ -71,6 +76,26 @@ def _first(bad):
     return flat.index(True) if True in flat else None
 
 
+def _sum_is_finite(a, core=2):
+    """Whether the entries of a sum to a finite number, which proves every
+    entry finite: one Python sum for one item (``a.ndim == core``: a matrix,
+    or a spectrum with ``core=1``), one numpy reduction for a stack.  False
+    also for finite entries whose sum overflows, so a caller settles that
+    case with ``np.isfinite``."""
+    if a.ndim == core:
+        return math.isfinite(sum(a.ravel().tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return math.isfinite(a.sum())
+
+
+def _first_nonfinite(a):
+    """Flat index of the first matrix of a (..., n, n) stack with a
+    non-finite entry, or None."""
+    if _sum_is_finite(a):
+        return None
+    return _first(~np.isfinite(a).all(axis=(-2, -1)))
+
+
 def _as_mats(a, name="matrix"):
     """Coerce to a finite float64 array of shape (3, 3) or (..., 3, 3).
 
@@ -80,9 +105,8 @@ def _as_mats(a, name="matrix"):
     m = np.array(a, dtype=float)
     if m.shape[-2:] != (3, 3):
         raise ValueError(f"{name} must be 3x3, got shape {m.shape}")
-    finite = np.isfinite(m)
-    if not finite.all():
-        i = _first(~finite.all(axis=(-2, -1)))
+    i = _first_nonfinite(m)
+    if i is not None:
         raise ValueError(
             f"{name} has non-finite entries{_at(i, m.shape[:-2])}")
     return m
@@ -151,7 +175,12 @@ def _spectrum(m):
     """
     _, frame = np.linalg.eigh(m)
     vals = ((m @ frame) * frame).sum(axis=-2)
-    if (vals[..., :-1] < vals[..., 1:]).all():
+    if vals.ndim == 1:  # one spectrum: the order test on Python floats
+        v0, v1, v2 = vals.tolist()
+        ascending = v0 < v1 < v2
+    else:
+        ascending = (vals[..., :-1] < vals[..., 1:]).all()
+    if ascending:
         return vals[..., ::-1].copy(), frame[..., ::-1].copy()
     order = np.argsort(-vals, axis=-1, kind="stable")
     return (np.take_along_axis(vals, order, -1),
@@ -228,7 +257,7 @@ def _finite_values(f, vals, name, shape):
     numpy's overflow and invalid-value warnings; a value that is not finite
     raises :class:`LogstrainError` naming its eigenvalue and member."""
     out = f(vals)
-    if math.isfinite(out.sum()):  # the common case, in one reduction
+    if _sum_is_finite(out, core=1):  # the common case, in one reduction
         return out
     bad = ~np.isfinite(out)
     if not bad.any():  # finite values whose sum overflowed
@@ -296,7 +325,7 @@ def dev3(a):
     """Deviatoric (trace-free) part a - tr(a)/3 * I, of each matrix of a
     (..., 3, 3) stack."""
     a = np.asarray(a, dtype=float)
-    return a - (_trace(a) / 3.0) * np.eye(3)
+    return a - (_trace(a) / 3.0) * _EYE
 
 
 def _one(a, name):

@@ -284,16 +284,18 @@ def test_draw_calls_do_not_grow_with_samples(groups, calls):
 # sha256 of format_reports(suite(law, G, lam, samples=64, seed=9)), one per
 # configuration of the benchmark's check-suite workload.  The draws were
 # laid out in bulk once, deliberately; a change to these digests changes
-# what the suite reports and must be a deliberate one too.
+# what the suite reports and must be a deliberate one too.  The four
+# log-law digests were re-pinned once more when becker_inverse moved onto
+# the spectrum of the deviator: only their inverse_round_trip line changed.
 _SUITE_DIGESTS = {
-    ("becker", 0.0): "fe9f3d78fbe59bed1c34706cffd6b27a"
-                     "a713a4793145b508d0c39025d98af2d6",
-    ("becker", 0.5): "9c88c71f85b138cd01a73cc5215ff0cb"
-                     "d829bb101ea9f189655634e64ef46c03",
-    ("becker", 25.0): "7e6493f066f621472284ed16be475f85"
-                      "5207a1596edd1729a4b82af87369dbc0",
-    ("hencky-kirchhoff", 0.5): "572802d1aa3d40586128bc26967008ff"
-                               "d9fb185058e18fd1c09c5ed52b289c01",
+    ("becker", 0.0): "bf470d3af2583fbc64137b43d15cfbb7"
+                     "6337af60353834e59969987bef2fe611",
+    ("becker", 0.5): "f40f8a0fb4fd1fad3e515516197dc4a1"
+                     "4e2061aaab7c43bf00ea629695730304",
+    ("becker", 25.0): "b9f6de836cac2613a012de77faf87ea6"
+                      "4af504c657ff8d163a5db3657ceb92b5",
+    ("hencky-kirchhoff", 0.5): "e042e9c1ef60a3cf611dac1aa90e32b9"
+                               "4f78f3187c23c25f3c50b4260bba9881",
     ("hooke-biot", 0.5): "f5f7ee28df7382e4fd5e6a80793be239"
                          "c41ef13aeac71bcbb21499b17c52af27",
 }

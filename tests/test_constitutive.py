@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logstrain import constitutive as laws
+from logstrain import verify
 from logstrain.constitutive import (LawId, becker_biot, becker_cauchy,
                                     becker_energy_nu0, becker_inverse,
                                     becker_pk1, becker_pk2, comparison_law,
@@ -150,6 +151,19 @@ def test_inverse_round_trip(rng):
         u = random_spd(rng)
         back = becker_inverse(becker_biot(u, M), M)
         assert fro_norm(back - u) <= 1e-10 * max(1.0, fro_norm(u))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 25.0])
+def test_inverse_round_trip_bound(lam):
+    # the bound in becker_inverse's docstring, over principal stretches
+    # log-uniform in [0.05, 20]
+    m = Moduli.from_g_lam(1.0, lam)
+    u, = verify._draw(np.random.default_rng([20260810, 1]), 4000,
+                      [verify._SPD])
+    back = becker_inverse(becker_biot(u, m), m)
+    err = np.linalg.norm(back - u, axis=(-2, -1)) \
+        / np.linalg.norm(u, axis=(-2, -1))
+    assert err.max() < 5e-14
 
 
 def test_coaxiality_of_stress_and_stretch(rng):

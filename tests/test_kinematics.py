@@ -125,6 +125,24 @@ def test_glide_principal_stretches():
     assert glide_principal_stretches(0.0) == (1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("gamma", [1e-300, 1e-6, 1.0, 1e3, 1e154, 1e300])
+def test_glide_stretches_against_mpmath(gamma):
+    # gamma**2 overflows from about 1.3e154; gamma/2 + hypot(gamma/2, 1)
+    # does not
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        g = mpmath.mpf(gamma)
+        exact = (g + mpmath.sqrt(g * g + 4)) / 2
+        l1, l2, l3 = glide_principal_stretches(gamma)
+        for got, ref in ((l1, exact), (l3, 1 / exact)):
+            assert abs(mpmath.mpf(got) - ref) <= 2 * math.ulp(float(ref))
+    assert l2 == 1.0
+    theta = glide_contractile_angle(gamma)
+    assert 0.0 < theta <= math.pi / 4.0
+    assert theta == pytest.approx(math.atan(float(1 / exact)), rel=1e-15,
+                                  abs=0)
+
+
 def test_glide_stretches_match_spectrum(rng):
     for gamma in (0.3, 1.0, 2.5, 7.0):
         f = simple_glide_F(gamma)

@@ -1,6 +1,7 @@
 """Stress-measure conversions."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from logstrain.constitutive import (becker_biot, becker_cauchy,
                                     becker_kirchhoff, becker_pk1,
                                     becker_pk2, hencky_kirchhoff)
-from logstrain.errors import NonInvertible
+from logstrain.errors import LogstrainError, NonInvertible
 from logstrain.kinematics import polar_decompose, pure_shear_F
 from logstrain.moduli import Moduli
 from logstrain.stresses import MEASURES, StressState, stress_convert
@@ -72,6 +73,36 @@ def test_rejects_noninvertible_deformation():
     state = StressState(np.eye(3), "cauchy", np.diag([1.0, 1.0, 0.0]))
     with pytest.raises(NonInvertible):
         stress_convert(state, "biot")
+
+
+def test_conversion_that_overflows_raises_and_names_the_target():
+    # det F = 1, but F^-1 sigma F^-T reaches 1e310
+    state = StressState(1e300 * np.eye(3), "cauchy",
+                        np.diag([1e-5, 1e-5, 1e10]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for target in ("pk2", "biot"):
+            with pytest.raises(LogstrainError) as info:
+                stress_convert(state, target)
+            assert str(info.value) \
+                == f"stress_convert: {target} stress is not finite"
+        # the products that stay in range still convert
+        assert stress_convert(state, "kirchhoff").tensor[0, 0] == 1e300
+        assert stress_convert(state, "pk1").tensor[0, 0] \
+            == pytest.approx(1e305, rel=1e-15, abs=0)
+
+
+def test_result_shares_no_array_with_its_input(rng):
+    f = random_rotation(rng) @ random_spd(rng, 0.5, 2.0)
+    state = StressState(random_spd(rng), "cauchy", f)
+    for target in MEASURES:
+        out = stress_convert(state, target)
+        assert out.measure == target
+        for a in (out.tensor, out.deformation):
+            for b in (state.tensor, state.deformation):
+                assert not np.shares_memory(a, b)
+        assert out.deformation.tobytes() == state.deformation.tobytes()
+        assert isinstance(out, StressState)
 
 
 def test_rejects_unknown_measure():
