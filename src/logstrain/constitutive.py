@@ -19,7 +19,7 @@ the law as the paper states it, principal stresses from principal
 stretches.  The logarithmic tensor maps build it on the spectrum of the
 stretch; a stress at a deformation F (:func:`pk1_for_law`, the CLI's
 ``stress``) reads it on one SVD of F, and the simple glide on the glide's
-closed-form principal log-stretches.  Every tensor law returns a finite
+closed-form principal stretches.  Every tensor law returns a finite
 stress or raises :class:`LogstrainError`.
 """
 
@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LambdaNotZero, LogstrainError
-from .kinematics import _jacobian
+from .kinematics import _glide_stretches, _jacobian
 from .moduli import Moduli
 from .stresses import _checked_state
 from .tensors import (_DIAG, _EYE, _as_mats, _at, _finite_values, _first,
@@ -58,7 +58,6 @@ __all__ = [
     "linearized_law",
     "linearized_inverse",
     "stretch_stress",
-    "comparison_law",
     "simple_shear_sigma12",
     "pk1_for_law",
 ]
@@ -512,41 +511,6 @@ def _require_moduli(row, m):
         raise ValueError("moduli required")
 
 
-def comparison_law(law, m: Moduli = None, *, stretch=None, lam=None,
-                   gamma=None):
-    """Evaluate a law in one of three modes for side-by-side comparison.
-
-    Exactly one of the keyword arguments selects the mode:
-
-    ``stretch``
-        Tensor mode, forwards to :func:`stretch_stress`.
-    ``lam``
-        Uniaxial Biot stress under zero lateral stress.  Exact closed forms
-        for becker (``E ln lambda``) and hooke-biot (``E (lambda - 1)``);
-        the standard incompressible forms for neo-hooke, ogden and the
-        logarithmic Kirchhoff/Cauchy laws.
-    ``gamma``
-        Simple-shear stress sigma_12 at glide amount gamma.
-
-    A stretch ``lam`` or glide ``gamma`` that is not finite raises
-    ``ValueError`` for every law.
-    """
-    row, law = _resolve(law)
-    picked = [x is not None for x in (stretch, lam, gamma)]
-    if sum(picked) != 1:
-        raise ValueError("give exactly one of stretch=, lam=, gamma=")
-    _require_moduli(row, m)
-    if stretch is not None:
-        return stretch_stress(law, stretch, m)
-    if gamma is not None:
-        return simple_shear_sigma12(law, gamma, m)
-    lam = _positive(lam)
-    if row.uniaxial is None:
-        raise ValueError(f"no uniaxial closed form for {row.tag!r}")
-    e, g = (None, None) if m is None else (m.e, m.g)
-    return row.uniaxial(lam, e, g, law)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def simple_shear_sigma12(law, gamma, m: Moduli = None):
     """Cauchy shear stress sigma_12 in a simple glide of amount gamma.
@@ -554,22 +518,26 @@ def simple_shear_sigma12(law, gamma, m: Moduli = None):
     ``gamma`` is a number (the result is a float) or an array of them (the
     result has its shape); an element gets the same bits alone and inside
     an array.  The glide is a rotated pure shear with principal stretches
-    ``s = exp((a, 0, -a))``, ``a = asinh(gamma / 2)``, and ``J = 1``.  A
-    tensor law reads its principal strain from these log-stretches,
-    ``(a, 0, -a)`` itself for a logarithmic strain and ``expm1`` of it for
-    ``s - 1``, and gives ``sigma_12 = (c_1 - c_3) / sqrt(gamma**2 + 4)``
-    (the root as ``hypot(gamma, 2)``, which cannot overflow) of its
-    principal Cauchy stresses c: ``t s`` for a Biot law, its principal
-    stresses t otherwise.  No matrix is factorized.  neo-hooke and ogden
-    use their incompressible closed forms.  For Becker's law the result is
-    ``2 G asinh(gamma / 2)`` whatever lam, and for the Hencky laws ``4 G
-    asinh(gamma / 2) / sqrt(gamma**2 + 4)``.
+    ``s = (l, 1, 1/l)``, ``l = gamma/2 + hypot(gamma/2, 1)`` (the helper
+    of :func:`kinematics.glide_principal_stretches`), and ``J = 1``.  A
+    tensor law reads its principal strain from the log-stretches ``(a, 0,
+    -a)``, ``a = asinh(gamma / 2)``: ``(a, 0, -a)`` itself for a
+    logarithmic strain and ``expm1`` of it for ``s - 1``.  It gives
+    ``sigma_12 = (c_1 - c_3) / r``, ``r = sqrt(gamma**2 + 4)`` taken as
+    ``hypot(gamma, 2)``, of its principal Cauchy stresses c: ``t s`` for a
+    Biot law, formed as ``t (s / r)`` so that it cannot overflow where
+    sigma_12 is representable, and its principal stresses t otherwise.  No
+    matrix is factorized.  neo-hooke and ogden use their incompressible
+    closed forms.  For Becker's law the result is ``2 G asinh(gamma / 2)``
+    whatever lam, and for the Hencky laws ``4 G asinh(gamma / 2) /
+    sqrt(gamma**2 + 4)``.
 
-    Accuracy: against 50-digit references over gamma in [1e-300, 1e3] and
-    lam in {0, 0.5, 25}, every tensor law is within 2e-15 relative (the
-    tests check this).  Above that range the becker and finite-Hooke rows,
-    whose principal Cauchy stresses read ``exp`` or ``expm1`` of ``+-a``,
-    lose about eps * a to the rounding of a (2.4e-14 at gamma = 1e300).
+    Accuracy: against 50-digit references at lam in {0, 0.5, 25}, every
+    tensor law is within 2e-15 relative over gamma in [1e-300, 1e3], and
+    becker and the Hencky laws within 1e-15 from 1e3 to 1e300 (the tests
+    check both; they measured at most 4.4e-16 at any gamma).  Above 1e3
+    the finite-Hooke rows, whose strain is ``expm1(+-a)``, lose about eps
+    * a to the rounding of a (5.4e-14 at gamma = 1e300).
 
     Errors: ``ValueError`` for a negative or non-finite gamma (naming the
     first bad element of an array), and for missing moduli for every law
@@ -592,8 +560,12 @@ def simple_shear_sigma12(law, gamma, m: Moduli = None):
         a = np.arcsinh(0.5 * g)
         log_s = np.stack((a, np.zeros_like(a), -a), axis=-1)
         t = _lame_principal(row.strain.of_log(log_s), m)
-        c = _principal_cauchy(row, np.exp(log_s), t, np.ones_like(g))
-        sigma = (c[..., 0] - c[..., 2]) / np.hypot(g, 2.0)
+        r = np.hypot(g, 2.0)
+        if row.measure == "biot":  # c = t s, scaled by s / r <= 1 first
+            l1, l3 = _glide_stretches(g)
+            sigma = t[..., 0] * (l1 / r) - t[..., 2] * (l3 / r)
+        else:
+            sigma = (t[..., 0] - t[..., 2]) / r
     sigma = _finite(row.tag, sigma.reshape(shape + (1, 1)), m)[..., 0, 0]
     return sigma if shape else float(sigma)
 

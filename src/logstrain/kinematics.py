@@ -80,12 +80,6 @@ def polar_decompose(f, det_tol=DET_TOL):
     """
     f = _as_mats(f, "f")
     _jacobian(f, det_tol)
-    return _polar(f)
-
-
-def _polar(f):
-    """The polar factors of checked, invertible f from one SVD (the body of
-    :func:`polar_decompose`)."""
     w, s, vt = np.linalg.svd(f)
     s = s[..., None, :]
     r = w @ vt
@@ -125,9 +119,16 @@ def glide_principal_stretches(gamma):
     gamma = float(gamma)
     if gamma < 0.0 or not math.isfinite(gamma):
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    l1, l3 = _glide_stretches(gamma)
+    return (float(l1), 1.0, float(l3))
+
+
+def _glide_stretches(gamma):
+    """``(l1, 1/l1)`` of checked glide amounts gamma, a number or an array:
+    ``l1 = gamma/2 + hypot(gamma/2, 1)``."""
     half = 0.5 * gamma
-    l1 = half + math.hypot(half, 1.0)
-    return (l1, 1.0, 1.0 / l1)
+    l1 = half + np.hypot(half, 1.0)
+    return l1, 1.0 / l1
 
 
 def glide_contractile_angle(gamma):

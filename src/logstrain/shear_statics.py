@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kinematics import shear_ellipsoid_radius
+
 __all__ = [
     "MohrState",
     "TractionDecomposition",
@@ -130,19 +132,9 @@ def traction_on_line(q, alpha, n):
     Q**2 for every n, and ``t2`` is maximal (with ``n2 = 0``) exactly at the
     pond normals ``n1**2 = alpha**2 n2**2``.
     """
-    alpha = float(alpha)
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    q = float(q)
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,):
-        raise ValueError("n must be a 3-vector")
-    if abs(np.linalg.norm(n) - 1.0) > 1e-9:
-        raise ValueError("n must be a unit vector")
-    if abs(n[2]) > 1e-9:
-        raise ValueError("n must lie in the e1-e2 plane")
-    n1, n2 = n[0], n[1]
-    r2 = 1.0 / (alpha ** 2 * n2 ** 2 + n1 ** 2 / alpha ** 2)
+    r2 = shear_ellipsoid_radius(n, alpha) ** 2
+    alpha, q = float(alpha), float(q)
+    n1, n2 = np.asarray(n, dtype=float)[:2]
     traction = np.array([-q / alpha * n1, q * alpha * n2])
     big_r2 = r2 * float(traction @ traction)
     big_n2 = r2 * float(traction @ np.array([n1, n2])) ** 2

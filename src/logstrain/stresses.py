@@ -7,14 +7,17 @@ Cauchy stress using
     kirchhoff = det(F) * cauchy
     pk1       = det(F) * cauchy @ inv(F).T
     pk2       = det(F) * inv(F) @ cauchy @ inv(F).T
-    biot      = U @ pk2 = R.T @ pk1
+    biot      = R.T @ pk1
 
-with F = R @ U the polar decomposition.  No symmetrization is applied
-inside the conversions, so round trips are exact up to roundoff; for an
-isotropic law the Biot, Cauchy, Kirchhoff and PK2 tensors all come out
-symmetric, while PK1 is general.  ``constitutive.pk1_for_law`` does not
-route through here: it builds PK1 from one SVD of F, and for a law in the
-left stretch it keeps this module's ``kirchhoff @ inv(F).T`` form.
+with F = R @ U the polar decomposition.  The Biot conversions read only
+the rotation ``R = W Vt`` of one SVD ``F = W diag(s) Vt``, not U: the
+Cauchy stress of a Biot stress T is ``R @ T @ F.T / det(F)``.  No
+symmetrization is applied inside the conversions, so round trips are
+exact up to roundoff; for an isotropic law the Biot, Cauchy, Kirchhoff
+and PK2 tensors all come out symmetric, while PK1 is general.
+``constitutive.pk1_for_law`` does not route through here: it builds PK1
+from one SVD of F, and for a law in the left stretch it keeps this
+module's ``kirchhoff @ inv(F).T`` form.
 """
 
 from dataclasses import dataclass
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LogstrainError
-from .kinematics import _jacobian, _polar
+from .kinematics import _jacobian
 from .tensors import _first_nonfinite, as_mat3
 
 __all__ = ["MEASURES", "StressState", "stress_convert"]
@@ -63,6 +66,12 @@ def _checked_state(tensor, measure, deformation):
     return state
 
 
+def _rotation(f):
+    """The rotation R of F = R @ U, ``W @ Vt`` from one SVD of f."""
+    w, _, vt = np.linalg.svd(f)
+    return w @ vt
+
+
 def _to_cauchy(t, measure, f, j):
     if measure == "cauchy":
         return t
@@ -73,10 +82,8 @@ def _to_cauchy(t, measure, f, j):
         return (t @ ft) / j
     if measure == "pk2":
         return (f @ t @ ft) / j
-    # biot: S2 = inv(U) @ T
-    u = _polar(f).u
-    s2 = np.linalg.solve(u, t)
-    return (f @ s2 @ ft) / j
+    # biot: PK1 = R @ T
+    return (_rotation(f) @ t @ ft) / j
 
 
 def _from_cauchy(sigma, measure, f, j):
@@ -86,13 +93,12 @@ def _from_cauchy(sigma, measure, f, j):
         return j * sigma
     f_inv = np.linalg.inv(f)
     f_inv_t = f_inv.swapaxes(-1, -2)
-    if measure == "pk1":
-        return j * sigma @ f_inv_t
-    s2 = j * f_inv @ sigma @ f_inv_t
     if measure == "pk2":
-        return s2
-    u = _polar(f).u
-    return u @ s2
+        return j * f_inv @ sigma @ f_inv_t
+    pk1 = j * sigma @ f_inv_t
+    if measure == "pk1":
+        return pk1
+    return _rotation(f).swapaxes(-1, -2) @ pk1
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -381,7 +381,8 @@ def test_plot_columns_equal_their_per_point_values(capsys):
         "incompressible": [lambda x, form=form: form(x, m.g)
                            for form in cli._INCOMPRESSIBLE.values()],
         "tension": [
-            lambda x, law=law: laws.comparison_law(law, m, lam=x)
+            lambda x, law=law: laws._LAWS[getattr(law, "tag", law)].uniaxial(
+                x, m.e, m.g, law)
             for law in ("becker", "hooke-biot", "neo-hooke", ogden)],
     }
     for figure, forms in columns.items():
@@ -416,8 +417,9 @@ def test_plot_evaluates_each_column_once(capsys, monkeypatch):
     (["--figure", "tension", "--max", "1e300", "--ogden-mu", "1",
       "--ogden-alpha", "3"],
      "column ogden is not finite at lambda = 5.02512562814e+297"),
-    (["--figure", "simple-shear", "--max", "1e307"],
-     "law 'becker': stress is not finite at G = 1, lam = 0.5 at index 3"),
+    (["--figure", "simple-shear", "--max", "1e300", "--ogden-mu", "1",
+      "--ogden-alpha", "3"],
+     "law 'ogden': stress is not finite at G = 1, lam = 0.5 at index 1"),
 ])
 def test_plot_column_that_overflows_exits_two(capsys, argv, message):
     with warnings.catch_warnings():

@@ -12,7 +12,7 @@ from logstrain import constitutive as laws
 from logstrain import verify
 from logstrain.constitutive import (LawId, becker_biot, becker_cauchy,
                                     becker_energy_nu0, becker_inverse,
-                                    becker_pk1, becker_pk2, comparison_law,
+                                    becker_pk1, becker_pk2,
                                     hencky_cauchy, hencky_energy,
                                     hencky_kirchhoff, hooke_biot,
                                     incompressible_uniaxial_hyper,
@@ -466,38 +466,44 @@ def test_hooke_biot_tensor():
         hooke_biot(u, M), 2 * M.g * e + M.lam * np.trace(e) * np.eye(3))
 
 
+def _tension(law, m, lam):
+    """The uniaxial Biot stress of a law's row at stretch lam, as the CLI
+    tension figure reads it."""
+    return laws._LAWS[getattr(law, "tag", law)].uniaxial(lam, m.e, m.g, law)
+
+
 def test_hooke_uniaxial_reduces_to_linear():
     # with nu = 0 the uniaxial response is 2 G (lambda - 1)
     lam = 1.37
-    assert comparison_law("hooke-biot", M0, lam=lam) \
+    assert _tension("hooke-biot", M0, lam) \
         == pytest.approx(2.0 * M0.g * (lam - 1.0), rel=1e-14)
     # general moduli: E (lambda - 1), checked by zero lateral stress
     nu_lin = M.lam / (2.0 * (M.lam + M.g))
     lam_lat = 1.0 - nu_lin * (lam - 1.0)
     t = hooke_biot(np.diag([lam_lat, lam, lam_lat]), M)
     assert abs(t[0, 0]) < 1e-14 and abs(t[2, 2]) < 1e-14
-    assert comparison_law("hooke-biot", M, lam=lam) \
+    assert _tension("hooke-biot", M, lam) \
         == pytest.approx(t[1, 1], rel=1e-13)
 
 
 def test_neo_hooke_uniaxial():
     lam = 1.8
-    assert comparison_law("neo-hooke", M, lam=lam) \
+    assert _tension("neo-hooke", M, lam) \
         == pytest.approx(M.g * (lam - lam ** -2), rel=1e-15)
     # small-strain slope is 3 G, the incompressible Young's modulus
     h = 1e-7
-    slope = (comparison_law("neo-hooke", M, lam=1 + h)
-             - comparison_law("neo-hooke", M, lam=1 - h)) / (2 * h)
+    slope = (_tension("neo-hooke", M, 1 + h)
+             - _tension("neo-hooke", M, 1 - h)) / (2 * h)
     assert slope == pytest.approx(3.0 * M.g, rel=1e-6)
 
 
 def test_becker_uniaxial_mode_is_exact_compressible():
     lam = 2.1
-    assert comparison_law("becker", M, lam=lam) \
+    assert _tension("becker", M, lam) \
         == pytest.approx(M.e * math.log(lam), rel=1e-14)
     # written in E, so E = 3 G (nu -> 1/2) is the incompressible limit
     m_inc = Moduli.from_g_nu(M.g, 0.5 - 1e-12)
-    assert comparison_law("becker", m_inc, lam=lam) \
+    assert _tension("becker", m_inc, lam) \
         == pytest.approx(incompressible_uniaxial_limit(lam, M), rel=1e-11)
 
 
@@ -544,6 +550,24 @@ def test_simple_shear_closed_forms():
         assert simple_shear_sigma12(tag, 0.0, M) == 0.0
 
 
+def test_glide_above_1e3_against_mpmath():
+    # the stretches come from the hypot helper: becker and the Hencky rows
+    # measured 2.2e-16; the finite-Hooke rows read the strain expm1(+-a)
+    # and lose about eps * a to the rounding of a = asinh(gamma / 2)
+    # (5.4e-14 at gamma = 1e300)
+    mpmath = pytest.importorskip("mpmath")
+    gammas = np.geomspace(1e3, 1e300, 300)
+    for lam in (0.0, 0.5, 25.0):
+        m = Moduli.from_g_lam(1.3, lam)
+        for law in TENSOR_MAPS:
+            rel = 1e-13 if law.startswith("hooke") else 1e-15
+            got = simple_shear_sigma12(law, gammas, m)
+            for gamma, value in zip(gammas.tolist(), got.tolist()):
+                assert value == pytest.approx(
+                    _mp_glide_sigma12(mpmath, law, gamma, m), rel=rel,
+                    abs=0.0), (law, lam, gamma)
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_glide_and_stretch_must_be_finite(value):
     ogden = LawId("ogden", mu=(M.g,), alpha=(2.0,))
@@ -551,10 +575,9 @@ def test_glide_and_stretch_must_be_finite(value):
         law = ogden if law == "ogden" else law
         with pytest.raises(ValueError, match="finite"):
             simple_shear_sigma12(law, value, M)
+    for fn in (incompressible_uniaxial_limit, incompressible_uniaxial_hyper):
         with pytest.raises(ValueError, match="finite"):
-            comparison_law(law, M, gamma=value)
-        with pytest.raises(ValueError, match="finite"):
-            comparison_law(law, M, lam=value)
+            fn(value, M)
 
 
 @pytest.mark.parametrize("law", [t for t in laws.LAW_TAGS if t != "ogden"])
@@ -562,8 +585,6 @@ def test_glide_and_stretch_must_be_finite(value):
 def test_glide_without_moduli_raises(law, gamma):
     with pytest.raises(ValueError, match="moduli required"):
         simple_shear_sigma12(law, gamma)
-    with pytest.raises(ValueError, match="moduli required"):
-        comparison_law(law, gamma=gamma)
 
 
 _OGDEN = LawId("ogden", mu=(0.5, 0.1, 0.3), alpha=(2.5, -2.0, 1.3))
@@ -622,8 +643,9 @@ def test_glide_domain_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # r = hypot(gamma, 2): a naive sqrt(gamma**2 + 4) overflows here.
-        # Beyond gamma = 1e3 the rows that read the stretches exp(+-a) lose
-        # about eps * a to the rounding of a = asinh(gamma / 2)
+        # Beyond gamma = 1e3 the finite-Hooke rows, whose strain is
+        # expm1(+-a), lose about eps * a to the rounding of a = asinh(gamma
+        # / 2)
         for gamma in (1e200, 1e307):
             assert simple_shear_sigma12("hooke-cauchy", gamma, m) \
                 == pytest.approx(2.0 * m.g, rel=1e-13)
@@ -633,13 +655,17 @@ def test_glide_domain_without_warnings():
         for law in ("becker", "hencky-kirchhoff"):
             assert simple_shear_sigma12(law, 1e150, m) == pytest.approx(
                 _mp_glide_sigma12(mpmath, law, 1e150, m), rel=1e-13)
-        for law, gamma in (("becker", 1e307), ("hooke-biot", 1e200),
-                           ("neo-hooke", 1e308)):
+        # a Biot row scales t by s / r <= 1 before the product, so its
+        # sigma_12 is finite wherever it is representable
+        for law in ("becker", "hooke-biot"):
+            assert simple_shear_sigma12(law, 1e307, m) == pytest.approx(
+                _mp_glide_sigma12(mpmath, law, 1e307, m), rel=1e-13, abs=0)
+        for law in ("hooke-biot", "neo-hooke"):
             with pytest.raises(LogstrainError, match="not finite"):
-                simple_shear_sigma12(law, gamma, Moduli.from_g_lam(2.0, 0.5))
+                simple_shear_sigma12(law, 1e308, Moduli.from_g_lam(2.0, 0.5))
         with pytest.raises(LogstrainError, match=r"not finite at G = 1.3, "
                                                  r"lam = 0.5 at index 1$"):
-            simple_shear_sigma12("becker", [1.0, 1e307], m)
+            simple_shear_sigma12("hooke-biot", [1.0, 1e308], m)
         big = LawId("ogden", mu=(1.0,), alpha=(3.0,))
         with pytest.raises(LogstrainError, match=r"'ogden': stress is not "
                                                  r"finite at index 0$"):
@@ -650,22 +676,16 @@ def test_ogden_consistency_with_neo_hooke():
     # one-term ogden with alpha = 2, mu = G reproduces neo-hooke
     ogden = LawId("ogden", mu=(M.g,), alpha=(2.0,))
     for lam in (0.7, 1.0, 1.9, 3.0):
-        assert comparison_law(ogden, M, lam=lam) \
-            == pytest.approx(comparison_law("neo-hooke", M, lam=lam),
-                             rel=1e-13)
+        assert _tension(ogden, M, lam) \
+            == pytest.approx(_tension("neo-hooke", M, lam), rel=1e-13,
+                             abs=0.0)
     for gamma in (0.0, 0.8, 2.2):
         assert simple_shear_sigma12(ogden, gamma, M) \
             == pytest.approx(simple_shear_sigma12("neo-hooke", gamma, M),
                              rel=1e-13, abs=1e-13)
 
 
-def test_comparison_law_mode_validation():
-    with pytest.raises(ValueError):
-        comparison_law("becker", M)
-    with pytest.raises(ValueError):
-        comparison_law("becker", M, lam=2.0, gamma=1.0)
-    with pytest.raises(ValueError):
-        comparison_law("hooke-cauchy", M, lam=2.0)
+def test_scalar_models_have_no_stretch_form():
     with pytest.raises(ValueError):
         laws.stretch_stress("neo-hooke", np.eye(3), M)
 
@@ -682,7 +702,7 @@ def test_law_tags_cover_every_mode():
         law = ogden if tag == "ogden" else tag
         assert simple_shear_sigma12(law, 0.9, M) > 0.0
         if tag != "hooke-cauchy":
-            assert comparison_law(law, M, lam=1.5) > 0.0
+            assert _tension(law, M, 1.5) > 0.0
 
 
 def test_hooke_laws_are_the_linear_law_of_the_stretch(rng):

@@ -90,7 +90,7 @@ def test_stress_convert_call_budget(source, target, rng, calls):
     stress_convert(state, target)
     assert calls["validate"] == 0
     assert calls["det"] == 1
-    assert calls["svd"] == int("biot" in (source, target))  # U of F = R U
+    assert calls["svd"] == int("biot" in (source, target))  # R of F = R U
 
 
 def test_material_point_call_budget(rng, calls):
