@@ -33,9 +33,10 @@ from .errors import LambdaNotZero, LogstrainError
 from .kinematics import _glide_stretches, _jacobian
 from .moduli import Moduli
 from .stresses import _checked_state
-from .tensors import (_DIAG, _EYE, _as_mats, _at, _finite_values, _first,
-                      _first_nonfinite, _inners, _require_floor, _spectrum,
-                      _trace, as_mat3, dev3, inner, mat_log, sym_part, tr)
+from .tensors import (_DIAG, _EYE, _as_mats, _as_real, _at, _closed_form,
+                      _finite_values, _first_nonfinite, _inners,
+                      _require_floor, _spectrum, _trace, as_mat3, dev3, inner,
+                      mat_log, sym_part, tr)
 
 __all__ = [
     "LawId",
@@ -225,29 +226,25 @@ def hencky_energy(v, m: Moduli):
 # ---------------------------------------------------------------------------
 # uniaxial and incompressible closed forms
 
+@_closed_form
 def uniaxial_response(q, m: Moduli):
     """Stretches under a uniaxial Biot load q for Becker's law.
 
     Returns ``(lambda_axial, lambda_lateral) = (exp(q/E), exp(-nu q/E))``.
     For nu = 0 there is no lateral contraction.
     """
-    q = float(q)
+    q = _as_real(q, "q")
     return math.exp(q / m.e), math.exp(-m.nu * q / m.e)
 
 
-def _positive(lam):
-    lam = float(lam)
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError(f"stretch must be positive and finite, got {lam}")
-    return lam
-
-
+@_closed_form
 def incompressible_uniaxial_limit(lam_stretch, m: Moduli):
     """Uniaxial load in the incompressible limit K -> inf: 3 G ln(lambda)."""
-    return _LAWS["becker"].uniaxial(_positive(lam_stretch), 3.0 * m.g, m.g,
-                                    None)
+    return _LAWS["becker"].uniaxial(
+        _as_real(lam_stretch, "stretch", "positive"), 3.0 * m.g, m.g, None)
 
 
+@_closed_form
 def incompressible_uniaxial_hyper(lam_stretch, m: Moduli):
     """Uniaxial load from the lam = 0 energy under det F = 1.
 
@@ -255,7 +252,8 @@ def incompressible_uniaxial_hyper(lam_stretch, m: Moduli):
     :func:`incompressible_uniaxial_limit` to first order at lambda = 1
     (both have slope 3 G).
     """
-    return _LAWS["becker"].hyper(_positive(lam_stretch), m.g)
+    return _LAWS["becker"].hyper(
+        _as_real(lam_stretch, "stretch", "positive"), m.g)
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +468,6 @@ def _svd_principal(row, f):
     return j, w, s, vt, row.strain.of_stretch(s)
 
 
-def _principal_cauchy(row, s, t, j):
-    """Principal Cauchy stresses from the row's principal stresses t at
-    principal stretches s, (..., 3), and ``J = det F``, (...): ``t s / J``
-    (Biot), ``t / J`` (Kirchhoff) or t (Cauchy)."""
-    if row.measure == "biot":
-        return s / j[..., None] * t
-    if row.measure == "kirchhoff":
-        return t / j[..., None]
-    return t
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _stress_state(law, f, m: Moduli):
     """The law's stress state at one deformation f, in the law's own
@@ -548,12 +535,7 @@ def simple_shear_sigma12(law, gamma, m: Moduli = None):
     shape = np.shape(gamma)
     # one contiguous 1-d array, so that an element alone and inside an
     # array goes through the same numpy loops
-    g = np.array(gamma, dtype=float).reshape(-1)
-    bad = ~(g >= 0.0) | ~np.isfinite(g)
-    if bad.any():
-        i = _first(bad)
-        raise ValueError(f"gamma must be finite and nonnegative, got "
-                         f"{float(g[i])}{_at(i, shape)}")
+    g = np.reshape(_as_real(gamma, "gamma", "nonnegative"), -1)
     if row.glide is not None:
         sigma = row.glide(g, m, law)
     else:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonInvertible, NoSuchPlane
-from .tensors import (_as_mats, _at, _first, as_mat3, cofactor, eig_sym,
-                      sym_part)
+from .tensors import (_as_mats, _as_real, _at, _closed_form, _first, as_mat3,
+                      cofactor, eig_sym, sym_part)
 
 __all__ = [
     "PolarFactors",
@@ -88,21 +88,17 @@ def polar_decompose(f, det_tol=DET_TOL):
     return PolarFactors(r=r, u=u, v=v)
 
 
+@_closed_form
 def pure_shear_F(alpha):
     """Pure shear deformation diag(alpha, 1/alpha, 1), tensile axis on e1."""
-    alpha = float(alpha)
-    if not (alpha > 0.0) or not math.isfinite(alpha):
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    alpha = _as_real(alpha, "alpha", "positive")
     return np.diag([alpha, 1.0 / alpha, 1.0])
 
 
 def simple_glide_F(gamma):
     """Simple glide [[1, gamma, 0], [0, 1, 0], [0, 0, 1]]."""
-    gamma = float(gamma)
-    if gamma < 0.0 or not math.isfinite(gamma):
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
     f = np.eye(3)
-    f[0, 1] = gamma
+    f[0, 1] = _as_real(gamma, "gamma", "nonnegative")
     return f
 
 
@@ -116,10 +112,7 @@ def glide_principal_stretches(gamma):
     the tests check them against mpmath to within 2 ulp at gamma = 1e-300,
     1e-6, 1, 1e3, 1e154 and 1e300.
     """
-    gamma = float(gamma)
-    if gamma < 0.0 or not math.isfinite(gamma):
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    l1, l3 = _glide_stretches(gamma)
+    l1, l3 = _glide_stretches(_as_real(gamma, "gamma", "nonnegative"))
     return (float(l1), 1.0, float(l3))
 
 
@@ -218,22 +211,16 @@ def max_tangential_strain_direction(alpha):
 
     For ``F = pure_shear_F(alpha)`` with alpha > 1 the maximum of
     ``arccos(<x, Fx> / ||Fx||)`` over unit vectors orthogonal to e3 is
-    attained at ``(sqrt(1 - alpha**2/(1+alpha**2)), alpha/sqrt(1+alpha**2),
-    0)``, which lies in an initial plane of no distortion (``||F x|| = 1``).
+    attained at ``(1, alpha, 0) / sqrt(1 + alpha**2)``, which lies in an
+    initial plane of no distortion (``||F x|| = 1``).  The norm is taken as
+    ``hypot(1, alpha)``, which cannot overflow: ``||F x||`` is 1 within
+    4e-16 up to alpha = 1e300 (see the tests).
     """
-    alpha = float(alpha)
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
-    a2 = alpha * alpha
-    x = np.array([math.sqrt(1.0 - a2 / (1.0 + a2)),
-                  alpha / math.sqrt(1.0 + a2),
-                  0.0])
-    stretched = pure_shear_F(alpha) @ x
-    if abs(np.linalg.norm(stretched) - 1.0) > 1e-12:
-        raise RuntimeError("direction left the plane of no distortion")
-    return x
+    alpha = _as_real(alpha, "alpha", "greater than 1")
+    return np.array([1.0, alpha, 0.0]) / math.hypot(1.0, alpha)
 
 
+@_closed_form
 def shear_ellipsoid_radius(n, alpha):
     """Radius of the shear ellipse section cut by a line with normal n.
 
@@ -241,13 +228,11 @@ def shear_ellipsoid_radius(n, alpha):
     ``1/r**2 = alpha**2 * n2**2 + n1**2 / alpha**2``.  The normal must be a
     unit vector in the e1-e2 plane.
     """
-    alpha = float(alpha)
-    if not (alpha > 0.0):
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    alpha = _as_real(alpha, "alpha", "positive")
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise ValueError("n must be a 3-vector")
-    if abs(np.linalg.norm(n) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(n) - 1.0) <= 1e-9:
         raise ValueError("n must be a unit vector")
     if abs(n[2]) > 1e-9:
         raise ValueError("n must lie in the e1-e2 plane")

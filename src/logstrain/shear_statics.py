@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import shear_ellipsoid_radius
+from .tensors import _as_real, _closed_form
 
 __all__ = [
     "MohrState",
@@ -80,37 +81,26 @@ class FailureTriple:
     becker: float
 
 
-def _check_alpha_gt1(alpha):
-    alpha = float(alpha)
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
-    return alpha
-
-
+@_closed_form
 def mohr_circle(q, alpha):
     """Mohr circle data for loading Q at shear ratio alpha > 1.
 
-    The pond-normal inclination is computed from both closed forms,
-    ``arccos((alpha**2 - 1)/(alpha**2 + 1))/2`` and ``arccot(alpha)``,
-    which must agree to 1e-12.
+    The pond-normal inclination is ``arccot(alpha)``, taken as
+    ``atan(1/alpha)``, which has no cancellation: the tests find it within
+    2 ulp of mpmath at alphas from 1 + 1e-9 to 1e300.
     """
-    alpha = _check_alpha_gt1(alpha)
-    q = float(q)
-    if not math.isfinite(q):
-        raise ValueError("q must be finite")
+    alpha = _as_real(alpha, "alpha", "greater than 1")
+    q = _as_real(q, "q")
     sigma1 = -q / alpha
     sigma2 = q * alpha
     s = 0.5 * (alpha - 1.0 / alpha)
-    psi_acos = 0.5 * math.acos((alpha ** 2 - 1.0) / (alpha ** 2 + 1.0))
-    psi_acot = math.atan(1.0 / alpha)
-    if abs(psi_acos - psi_acot) > 1e-12:
-        raise RuntimeError("inconsistent pond-normal inclination formulas")
     return MohrState(sigma1=sigma1, sigma2=sigma2,
                      sigma_m=0.5 * (sigma1 + sigma2),
                      radius=0.5 * (sigma2 - sigma1),
-                     psi=psi_acot, theta=0.25 * math.pi, s=s)
+                     psi=math.atan(1.0 / alpha), theta=0.25 * math.pi, s=s)
 
 
+@_closed_form
 def pond_stress_components(q, alpha):
     """Stress components in the frame aligned with the plane of no distortion.
 
@@ -118,11 +108,12 @@ def pond_stress_components(q, alpha):
     plane of no distortion vanishes exactly, and the shear stress there
     equals the loading Q independently of alpha.
     """
-    alpha = _check_alpha_gt1(alpha)
-    q = float(q)
+    alpha = _as_real(alpha, "alpha", "greater than 1")
+    q = _as_real(q, "q")
     return 0.0, q * (alpha ** 2 - 1.0) / alpha, q
 
 
+@_closed_form
 def traction_on_line(q, alpha, n):
     """Resultant, normal and tangential load on a line cutting the ellipse.
 
@@ -132,8 +123,9 @@ def traction_on_line(q, alpha, n):
     Q**2 for every n, and ``t2`` is maximal (with ``n2 = 0``) exactly at the
     pond normals ``n1**2 = alpha**2 n2**2``.
     """
+    q = _as_real(q, "q")
     r2 = shear_ellipsoid_radius(n, alpha) ** 2
-    alpha, q = float(alpha), float(q)
+    alpha = float(alpha)
     n1, n2 = np.asarray(n, dtype=float)[:2]
     traction = np.array([-q / alpha * n1, q * alpha * n2])
     big_r2 = r2 * float(traction @ traction)
@@ -141,22 +133,22 @@ def traction_on_line(q, alpha, n):
     return TractionDecomposition(r2=big_r2, n2=big_n2, t2=big_r2 - big_n2)
 
 
+@_closed_form
 def failure_criteria(q, alpha, q_scale=1.0):
     """The three equivalent stresses for loading Q at shear ratio alpha.
 
     ``q_scale`` rescales the loading before evaluation (kept at 1 by
     default; a historical convention uses Q/3).
     """
-    q = float(q) * float(q_scale)
-    alpha = float(alpha)
-    if not (q > 0.0 and alpha > 0.0):
-        raise ValueError(f"q and alpha must be positive, got {q}, {alpha}")
+    q = _as_real(float(q) * float(q_scale), "q * q_scale", "positive")
+    alpha = _as_real(alpha, "alpha", "positive")
     return FailureTriple(
         tresca=q * (alpha + 1.0 / alpha),
         mises=q * math.sqrt(alpha ** 2 + 1.0 + alpha ** -2),
         becker=q)
 
 
+@_closed_form
 def cauchy_quadrics(principal, n):
     """Resultant, normal and tangential stress on a plane with normal n.
 
@@ -167,23 +159,17 @@ def cauchy_quadrics(principal, n):
         T^2 = R^2 - N^2
             = sum_{i<j} (s_i - s_j)**2 n_i**2 n_j**2
 
-    Both T^2 forms are evaluated and must agree to 1e-12 (relative to the
-    stress scale); the expanded, manifestly nonnegative form is returned.
+    T^2 is returned in the expanded, manifestly nonnegative form, which
+    does not cancel as ``R^2 - N^2`` does.
     """
-    s = np.asarray(principal, dtype=float)
-    if s.shape != (3,):
+    if np.shape(principal) != (3,):
         raise ValueError("principal must be a triple of stresses")
+    s = _as_real(principal, "principal")
     n = np.asarray(n, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-9:
+    if n.shape != (3,) or not abs(np.linalg.norm(n) - 1.0) <= 1e-9:
         raise ValueError("n must be a unit 3-vector")
     n2 = n * n
-    big_r2 = float((s * s) @ n2)
-    big_n = float(s @ n2)
-    t2_diff = big_r2 - big_n ** 2
-    t2_expanded = ((s[0] - s[1]) ** 2 * n2[0] * n2[1]
-                   + (s[0] - s[2]) ** 2 * n2[0] * n2[2]
-                   + (s[1] - s[2]) ** 2 * n2[1] * n2[2])
-    scale = max(1.0, big_r2)
-    if abs(t2_diff - t2_expanded) > 1e-12 * scale:
-        raise RuntimeError("inconsistent tangential-stress forms")
-    return big_r2, big_n, t2_expanded
+    t2 = ((s[0] - s[1]) ** 2 * n2[0] * n2[1]
+          + (s[0] - s[2]) ** 2 * n2[0] * n2[2]
+          + (s[1] - s[2]) ** 2 * n2[1] * n2[2])
+    return float((s * s) @ n2), float(s @ n2), t2

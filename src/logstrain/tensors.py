@@ -16,8 +16,9 @@ products ``F.T @ F``).  Everything here is a pure function of its arguments
 and safe for concurrent use.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -56,6 +57,76 @@ def as_mat3(a, name="matrix"):
     if m.ndim != 2:
         raise ValueError(f"{name} must be 3x3, got shape {m.shape}")
     return m
+
+
+# the conditions a checked number may have to meet besides finiteness
+_CONDITIONS = {
+    None: lambda x: True,
+    "positive": lambda x: x > 0.0,
+    "nonnegative": lambda x: x >= 0.0,
+    "greater than 1": lambda x: x > 1.0,
+}
+
+
+def _as_real(x, name, condition=None):
+    """A number as a Python float, an array of them as a float64 array
+    (a copy), if every value is finite and meets ``condition``:
+    ``"positive"``, ``"nonnegative"``, ``"greater than 1"`` or None.
+    Otherwise ``ValueError("{name} must be finite and {condition}, got
+    {x}")``, which for an array names the first bad element, ``at index
+    i``.  NaN meets no condition."""
+    meets = _CONDITIONS[condition]
+    if np.ndim(x) == 0:  # a number: the test on a Python float
+        v = float(x)
+        if math.isfinite(v) and meets(v):
+            return v
+        i, shape = 0, ()
+    else:
+        v = np.array(x, dtype=float)
+        bad = ~(np.isfinite(v) & meets(v))
+        if not bad.any():
+            return v
+        i, shape = _first(bad), v.shape
+        v = float(v.flat[i])
+    wording = f" and {condition}" if condition else ""
+    raise ValueError(f"{name} must be finite{wording}, got {v}"
+                     f"{_at(i, shape)}")
+
+
+def _all_finite(x):
+    """Whether every number of x, a number, an array, or a tuple or
+    dataclass of them, is finite."""
+    if isinstance(x, float):
+        return math.isfinite(x)
+    if is_dataclass(x):
+        x = tuple(vars(x).values())
+    if isinstance(x, tuple):
+        return all(map(_all_finite, x))
+    return bool(np.isfinite(x).all())
+
+
+def _closed_form(fn):
+    """Decorate a closed form so that it returns a finite result or raises
+    :class:`LogstrainError`.
+
+    The body runs without numpy's floating-point warnings.  A number of
+    the result that is not finite, or an ``ArithmeticError`` of Python
+    float arithmetic (``math.exp`` or ``**`` overflowing, a division by a
+    product that underflowed to zero), raises the error, which names the
+    call."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(all="ignore"):
+                out = fn(*args, **kwargs)
+            if _all_finite(out):
+                return out
+        except ArithmeticError:
+            pass
+        call = ", ".join([*map(repr, args),
+                          *(f"{k}={v!r}" for k, v in kwargs.items())])
+        raise LogstrainError(f"{fn.__name__}({call}): result is not finite")
+    return checked
 
 
 def _at(flat_index, shape):
@@ -312,9 +383,7 @@ def mat_pow(a, r):
     the floor of :func:`mat_fn`.  A power that overflows raises
     :class:`LogstrainError`.
     """
-    r = float(r)
-    if not math.isfinite(r):
-        raise ValueError(f"mat_pow: exponent must be finite, got {r}")
+    r = _as_real(r, "mat_pow: exponent")
     power = lambda x: np.power(x, r)
     if r != int(r):
         return mat_fn(a, power, require_pd=True, name="mat_pow")
@@ -374,14 +443,5 @@ def cofactor(m):
     ``det(m) * inv(m).T``.
     """
     m = as_mat3(m, "m")
-    c = np.empty((3, 3))
-    c[0, 0] = m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
-    c[0, 1] = m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2]
-    c[0, 2] = m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]
-    c[1, 0] = m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2]
-    c[1, 1] = m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-    c[1, 2] = m[0, 1] * m[2, 0] - m[0, 0] * m[2, 1]
-    c[2, 0] = m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]
-    c[2, 1] = m[0, 2] * m[1, 0] - m[0, 0] * m[1, 2]
-    c[2, 2] = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return c
+    # row i is the cross product of rows i + 1 and i + 2 (mod 3)
+    return np.cross(m[[1, 2, 0]], m[[2, 0, 1]])

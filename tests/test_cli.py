@@ -109,6 +109,26 @@ def test_shear_statics_rejects_alpha_below_one(capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["shear-statics", "--Q", "1", "--alpha", "1e6"], 0),
+    (["shear-statics", "--Q", "1", "--alpha", "inf"], 2),
+    (["shear-statics", "--Q", "1", "--alpha", "2", "--q-scale", "inf"], 2),
+    (["decompose", "--loads", "5000", "0", "0", "--G", "1", "--lam", "1"], 2),
+    (["decompose", "--stretch", "inf", "1", "1"], 2),
+])
+def test_statics_and_decompose_exit_zero_or_two(capsys, argv, code):
+    # a closed form that overflows, or a non-finite input, is an input
+    # error: one line on stderr, no traceback
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code == 0:
+        assert err == ""
+        assert "pond normal inclination psi = 1e-06 rad" in out
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "inf" not in out and "nan" not in out
+
+
 # ---------------------------------------------------------------------------
 # check
 

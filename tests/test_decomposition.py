@@ -54,7 +54,7 @@ def test_additive_recomposition_exact(rng):
 
 def test_uniform_stretch_is_pure_dilation():
     dec = decompose_stretch_multiplicative(1.4, 1.4, 1.4)
-    assert dec.dilation_ratio == pytest.approx(1.4, rel=1e-15)
+    assert dec.dilation_ratio == pytest.approx(1.4, rel=1e-15, abs=0)
     np.testing.assert_allclose(dec.shear1_diag, np.ones(3), atol=1e-15)
     np.testing.assert_allclose(dec.shear2_diag, np.ones(3), atol=1e-15)
 
@@ -62,7 +62,7 @@ def test_uniform_stretch_is_pure_dilation():
 def test_pure_shear_has_unit_dilation():
     alpha = 2.0
     dec = decompose_stretch_multiplicative(alpha, 1.0 / alpha, 1.0)
-    assert dec.dilation_ratio == pytest.approx(1.0, rel=1e-15)
+    assert dec.dilation_ratio == pytest.approx(1.0, rel=1e-15, abs=0)
     np.testing.assert_allclose(dec.recompose(), [alpha, 1.0 / alpha, 1.0],
                                atol=1e-13)
 
@@ -90,7 +90,7 @@ def test_tables_uniaxial_axial_stretch():
     tab = becker_tables(StressTriple(0.0, q, 0.0), M)
     axial = tab.recomposed[1]
     expected = math.exp(q / (9.0 * M.k)) * math.exp(q / (3.0 * M.g))
-    assert axial == pytest.approx(expected, rel=1e-13)
+    assert axial == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 def test_tables_zero_load_is_identity():

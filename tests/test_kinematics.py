@@ -272,6 +272,22 @@ def test_max_tangential_direction_limit():
                                atol=1e-6)
 
 
+@pytest.mark.parametrize("alpha", [1e3, 1e8, 1e300])
+def test_max_tangential_direction_against_mpmath(alpha):
+    mpmath = pytest.importorskip("mpmath")
+    x = max_tangential_strain_direction(alpha)
+    assert x[2] == 0.0
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        h = mpmath.sqrt(1 + a * a)
+        for got, ref in ((x[0], 1 / h), (x[1], a / h)):
+            assert abs(mpmath.mpf(got) - ref) <= 2 * math.ulp(float(ref))
+        # |F x| for F = diag(alpha, 1/alpha, 1), exactly at the stored x
+        stretched = mpmath.sqrt((a * mpmath.mpf(x[0])) ** 2
+                                + (mpmath.mpf(x[1]) / a) ** 2)
+        assert abs(stretched - 1) <= 4e-16
+
+
 def test_max_tangential_direction_is_global_max():
     # oracle: maximize the angle between x and F x over the unit circle
     alpha = 2.0

@@ -33,16 +33,36 @@ def test_mohr_center_is_q_times_shear_amount():
     for alpha in (1.2, 2.0, 5.0, 10.0):
         for q in (0.5, 1.0, 3.0):
             mohr = mohr_circle(q, alpha)
-            assert mohr.sigma_m == pytest.approx(q * mohr.s, rel=1e-14)
+            assert mohr.sigma_m == pytest.approx(q * mohr.s, rel=1e-14, abs=0)
             assert mohr.sigma_m \
                 == pytest.approx(0.5 * (mohr.sigma1 + mohr.sigma2),
-                                 rel=1e-14)
+                                 rel=1e-14, abs=0)
 
 
 def test_mohr_limit_alpha_to_one():
     mohr = mohr_circle(1.0, 1.0 + 1e-9)
     assert abs(mohr.sigma_m) < 1e-8
     assert mohr.psi == pytest.approx(math.pi / 4.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [1.0 + 1e-9, 1.01, 2.0, 1e3, 1e6, 1e8,
+                                   1e154, 1e300])
+def test_mohr_psi_against_mpmath(alpha):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ref = mpmath.acot(mpmath.mpf(alpha))
+        psi = mohr_circle(1.0, alpha).psi
+        assert abs(mpmath.mpf(psi) - ref) <= 2 * math.ulp(float(ref))
+
+
+def test_mohr_psi_matches_the_acos_form(rng):
+    # arccos((alpha**2 - 1)/(alpha**2 + 1))/2 loses about eps * alpha**2
+    # relative to rounding near arccos(1), so it is a reference only for
+    # moderate alpha
+    for alpha in np.exp(rng.uniform(math.log(1.01), math.log(10.0), 200)):
+        psi_acos = 0.5 * math.acos((alpha ** 2 - 1.0) / (alpha ** 2 + 1.0))
+        assert mohr_circle(1.0, alpha).psi == pytest.approx(psi_acos,
+                                                            rel=1e-13, abs=0)
 
 
 def test_mohr_psi_range():
@@ -100,7 +120,7 @@ def test_resultant_load_constant(rng):
     for _ in range(1000):
         n = in_plane_normal(rng.uniform(0.0, 2.0 * math.pi))
         dec = traction_on_line(q, alpha, n)
-        assert dec.r2 == pytest.approx(q ** 2, rel=1e-12)
+        assert dec.r2 == pytest.approx(q ** 2, rel=1e-12, abs=0)
         assert dec.t2 == pytest.approx(dec.r2 - dec.n2, abs=1e-12)
         assert dec.t2 >= -1e-12
 
@@ -110,7 +130,7 @@ def test_pond_normal_maximizes_tangential_load():
     pond = in_plane_normal(math.atan2(1.0, alpha))  # n1 = alpha * n2
     dec = traction_on_line(q, alpha, pond)
     assert dec.n2 == pytest.approx(0.0, abs=1e-14)
-    assert dec.t2 == pytest.approx(q ** 2, rel=1e-13)
+    assert dec.t2 == pytest.approx(q ** 2, rel=1e-13, abs=0)
     # grid search: nothing beats the pond normals (there are two)
     best_phi, best_t2 = None, -1.0
     for phi in np.linspace(0.0, math.pi, 2001):
@@ -126,7 +146,7 @@ def test_pond_normal_maximizes_tangential_load():
 def test_axis_normal_is_pure_normal_load():
     q, alpha = 1.3, 2.0
     dec = traction_on_line(q, alpha, np.array([1.0, 0.0, 0.0]))
-    assert dec.n2 == pytest.approx(q ** 2, rel=1e-13)
+    assert dec.n2 == pytest.approx(q ** 2, rel=1e-13, abs=0)
     assert dec.t2 == pytest.approx(0.0, abs=1e-13)
 
 
@@ -204,16 +224,16 @@ def test_quadrics_hydrostatic_has_no_shear(rng):
         v = rng.standard_normal(3)
         v /= np.linalg.norm(v)
         _, n, t2 = cauchy_quadrics((p, p, p), v)
-        assert n == pytest.approx(p, rel=1e-13)
+        assert n == pytest.approx(p, rel=1e-13, abs=0)
         assert t2 == pytest.approx(0.0, abs=1e-13)
 
 
 def test_quadrics_shear_diagonal():
     n = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
     r2, nn, t2 = cauchy_quadrics((1.0, -1.0, 0.0), n)
-    assert t2 == pytest.approx(1.0, rel=1e-14)
+    assert t2 == pytest.approx(1.0, rel=1e-14, abs=0)
     assert nn == pytest.approx(0.0, abs=1e-15)
-    assert r2 == pytest.approx(1.0, rel=1e-14)
+    assert r2 == pytest.approx(1.0, rel=1e-14, abs=0)
 
 
 def test_quadrics_consistency_random(rng):

@@ -410,6 +410,24 @@ def test_cofactor_matches_det_inverse_transpose(rng):
         assert rel_err(cofactor(m), expected) < 1e-12
 
 
+def test_cofactor_equals_the_signed_minors_bit_for_bit(rng):
+    # entries spanning 1e-20 to 1e20: the cross products of rows give the
+    # bits of the nine minors written out
+    for _ in range(2000):
+        m = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-20, 20, (3, 3))
+        minors = np.array([
+            [m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1],
+             m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2],
+             m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]],
+            [m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2],
+             m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0],
+             m[0, 1] * m[2, 0] - m[0, 0] * m[2, 1]],
+            [m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1],
+             m[0, 2] * m[1, 0] - m[0, 0] * m[1, 2],
+             m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]]])
+        assert cofactor(m).tobytes() == minors.tobytes()
+
+
 def test_cofactor_defined_for_singular():
     m = np.zeros((3, 3))
     m[0, 0] = 1.0

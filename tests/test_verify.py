@@ -540,6 +540,16 @@ def test_pk2_ladder_bounded(rng):
     assert pk2_expansion_check(M, eps).passed
 
 
+@pytest.mark.parametrize("check", [linearization_order_check,
+                                   pk2_expansion_check])
+def test_ladder_rejects_non_finite_strain(check):
+    # a NaN direction would give a NaN ladder that reads as a failed check
+    eps = np.eye(3)
+    eps[0, 1] = math.nan
+    with pytest.raises(ValueError, match="^eps has non-finite entries$"):
+        check(M, eps)
+
+
 # ---------------------------------------------------------------------------
 # the full suite
 
