@@ -13,7 +13,9 @@ error (the message names the violated precondition).
 :func:`main` builds its argument parser once per process, on its first
 call, and reuses it; :func:`build_parser` returns a fresh one.  The curve
 commands (``plot-data``, ``fit --out``) evaluate each column with one call
-on the whole abscissa array.
+on the whole abscissa array and format the whole table in one pass: one
+finiteness check, then one ``%`` of the ``%.12g`` row format repeated over
+the flattened rows.
 """
 
 import argparse
@@ -286,17 +288,17 @@ def _cmd_fit(args):
 
 
 def _write_csv(path, columns):
-    (x_name, xs), *_ = columns.items()
-    for name, col in columns.items():
-        i = _first(~np.isfinite(col))
-        if i is not None:
-            raise LogstrainError(f"column {name} is not finite at "
-                                 f"{x_name} = {_fmt(xs[i])}")
-    lines = [",".join(columns)]
-    arrays = list(columns.values())
-    for i in range(len(arrays[0])):
-        lines.append(",".join(_fmt(col[i]) for col in arrays))
-    text = "\n".join(lines) + "\n"
+    names = list(columns)
+    table = np.column_stack(list(columns.values()))
+    bad = ~np.isfinite(table)
+    if bad.any():
+        j = _first(bad.any(axis=0))
+        i = _first(bad[:, j])
+        raise LogstrainError(f"column {names[j]} is not finite at "
+                             f"{names[0]} = {_fmt(table[i, 0])}")
+    row = ",".join(["%.12g"] * len(names)) + "\n"
+    text = ",".join(names) + "\n" + (row * len(table)) % tuple(
+        table.ravel().tolist())
     if path == "-":
         sys.stdout.write(text)
     else:

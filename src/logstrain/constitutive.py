@@ -266,8 +266,12 @@ def linearized_law(eps, m: Moduli):
 
 def _lame(e, m):
     # the isotropic linear law, shared by the finite-Hooke laws; e has
-    # shape (3, 3) or (..., 3, 3)
-    return 2.0 * m.g * e + m.lam * _trace(e) * _EYE
+    # shape (3, 3) or (..., 3, 3).  At lam = 0 the spherical term is left
+    # out, so that an overflowing trace cannot spoil a finite stress
+    t = 2.0 * m.g * e
+    if m.lam != 0.0:
+        t = t + m.lam * _trace(e) * _EYE
+    return t
 
 
 def _lame_principal(e, m):

@@ -72,9 +72,12 @@ def dataset_from_rows(rows, kind, source=""):
     merged = {}
     for x, y in pairs:
         merged.setdefault(x, []).append(y)
-    xs = np.array(sorted(merged))
-    ys = np.array([np.mean(merged[x]) for x in xs])
-    return DataSet(x=xs, y=ys, kind=kind, source=source)
+    xs = sorted(merged)
+    # a lone value y is its own mean; np.mean sums from +0.0, so y + 0.0
+    # keeps its bits, -0.0 included
+    ys = [merged[x][0] + 0.0 if len(merged[x]) == 1 else np.mean(merged[x])
+          for x in xs]
+    return DataSet(x=np.array(xs), y=np.array(ys), kind=kind, source=source)
 
 
 def read_dataset(path):

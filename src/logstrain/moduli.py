@@ -7,7 +7,8 @@ or (G, nu).  Mixed over-specification is rejected instead of reconciled.
 
 Admissibility comes in two levels: every instance must satisfy G != 0 and
 3*lambda + 2*G != 0 (i.e. K != 0), which is what the nonlinear laws need to
-be invertible; the ``physical`` flag additionally enforces G > 0 and K > 0.
+be invertible, and all five constants must be finite; the ``physical`` flag
+additionally enforces G > 0 and K > 0.
 """
 
 import math
@@ -87,9 +88,20 @@ class Moduli:
             raise InvalidModuli(
                 f"inadmissible moduli: 3*K + G = 0 (G = {g_}, K = {k_}); "
                 "Young's modulus undefined")
-        e_ = 9.0 * k_ * g_ / (3.0 * k_ + g_)
-        nu_ = (3.0 * k_ - 2.0 * g_) / (2.0 * (3.0 * k_ + g_))
-        m = Moduli(g=g_, lam=lam_, k=k_, e=e_, nu=nu_, unit=unit)
+        # E and nu are homogeneous in (K, G) of degree 1 and 0.  Formed on
+        # K and G scaled by a power of two, which is exact, neither 9 K G
+        # nor 3 K over- or underflows unless K/G leaves the double range
+        s = math.ldexp(1.0, -math.frexp(max(abs(k_), abs(g_)))[1])
+        ks, gs = k_ * s, g_ * s
+        e_ = 9.0 * ks * gs / (3.0 * ks + gs) / s
+        nu_ = (3.0 * ks - 2.0 * gs) / (2.0 * (3.0 * ks + gs))
+        derived = {"g": g_, "lam": lam_, "k": k_, "e": e_, "nu": nu_}
+        for name, v in derived.items():
+            if not math.isfinite(v):
+                pair = ", ".join(f"{n} = {x}" for n, x in given.items())
+                raise InvalidModuli(
+                    f"moduli {pair} give {name} = {v}, which is not finite")
+        m = Moduli(unit=unit, **derived)
         if physical:
             m.require_physical()
         return m

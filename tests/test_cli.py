@@ -1,13 +1,19 @@
 """Command-line interface: commands, exit codes, CSV output."""
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
 import warnings
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logstrain import cli
 from logstrain import constitutive as laws
@@ -456,6 +462,102 @@ def test_plot_csv_is_deterministic(capsys):
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
     assert "," in out1 and ";" not in out1
+
+
+# ---------------------------------------------------------------------------
+# curve tables: one formatting pass, the bytes of the per-value writer
+
+_DUPLICATED = ("lambda,t\n# duplicated abscissa 1.5\n"
+               "0.6,-2.2\n0.8,-0.95\n1.0,0.02\n1.25,0.91\n1.5,1.71\n"
+               "1.5,1.79\n1.75,2.33\n2.0,2.88\n2.5,3.8\n3.0,4.55\n")
+_PAIR = ["--G", "1.3", "--lam", "0.7"]
+_ALL_LAWS = ["--laws", "becker", "becker-hyper", "hencky", "neo-hooke",
+             "hooke"]
+
+
+# sha256 of stdout, recorded with the per-value writer that formatted each
+# cell with f"{float(x):.12g}"
+@pytest.mark.parametrize("argv, digest", [
+    (["plot-data", "--figure", "incompressible", *_PAIR],
+     "eeb32a45ca1d4db5e9d1188a39b719076c146938e36d37c92a26501234db7973"),
+    (["plot-data", "--figure", "simple-shear", *_PAIR, *_OGDEN],
+     "e7233d304b4ecb53522c2fc75e2fe32f249a442e29e03b733ec0e61eed500b82"),
+    (["plot-data", "--figure", "tension", *_PAIR],
+     "789d732ac6ce5cad30599ea1932e5c279f036d2a3ddb3ef9d8e8baeed353e7e0"),
+    (["fit", "DATA", "--mode", "uniaxial-incompressible", "--out", "-",
+      *_ALL_LAWS],
+     "63fff3e59245cdc4521f8d8eedc24b717d85dbbbdae1e745041417757eb9092e"),
+    (["fit", "DATA", "--mode", "uniaxial-hyper", "--out", "-", *_ALL_LAWS],
+     "f00e5085bc2a1773699dea2510f1b955fe47732aca4625b63b45395bca5d90b7"),
+], ids=["incompressible", "simple-shear", "tension", "fit-incompressible",
+        "fit-hyper"])
+def test_curve_commands_print_pinned_bytes(capsys, tmp_path, argv, digest):
+    data = tmp_path / "duplicated.csv"
+    data.write_text(_DUPLICATED)
+    argv = [str(data) if a == "DATA" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                     max_side=7),
+                        elements=_CELL))
+@example(table=np.array([[-0.0]]))
+@example(table=np.array([[5e-324, -1e308, 0.1]]))
+@example(table=np.array([[1e308], [-0.0], [-5e-324]]))
+def test_write_csv_equals_the_per_value_join(table):
+    columns = {f"c{j}": table[:, j] for j in range(table.shape[1])}
+    expected = "".join(
+        ",".join(row) + "\n" for row in
+        [list(columns)] + [[f"{float(x):.12g}" for x in r] for r in table])
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._write_csv("-", columns)
+    assert buf.getvalue() == expected
+
+
+def test_csv_cells_are_not_formatted_one_by_one(capsys, monkeypatch):
+    calls = []
+    fmt = cli._fmt
+
+    def counting(x):
+        calls.append(x)
+        return fmt(x)
+
+    monkeypatch.setattr(cli, "_fmt", counting)
+    code, out, _ = run(capsys, "plot-data", "--figure", "tension",
+                       "--points", "50", *_PAIR)
+    assert code == 0 and len(out.splitlines()) == 51
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# moduli whose derived constants overflow
+
+@pytest.mark.parametrize("argv", [
+    ["stress", "--shear", "2"],
+    ["invert", "--T", "1 0 0 0 0 0"],
+    ["check", "--samples", "4"],
+    ["decompose", "--loads", "1", "2", "3"],
+    ["plot-data", "--figure", "tension"],
+], ids=lambda argv: argv[0])
+def test_moduli_with_an_infinite_derived_constant_exit_two(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--G", "1.7e308",
+                             "--lam", "1.7e308")
+    # decompose prints its additive split before it reads the moduli
+    assert code == 2 and "strain factors" not in out
+    assert err == ("error: moduli g = 1.7e+308, lam = 1.7e+308 give "
+                   "k = inf, which is not finite\n")
 
 
 # ---------------------------------------------------------------------------

@@ -714,6 +714,16 @@ def test_hooke_laws_are_the_linear_law_of_the_stretch(rng):
         assert np.array_equal(hencky_cauchy(u, M), hencky_kirchhoff(u, M))
 
 
+@pytest.mark.parametrize("law", [hooke_biot, laws.hooke_cauchy,
+                                 linearized_law])
+def test_linear_laws_at_lam_zero_ignore_an_overflowing_trace(law):
+    # tr(e) overflows, but at lam = 0 no entry of 2 G e does
+    u = np.diag([8e307, 8e307, 8e307])
+    e = u if law is linearized_law else u - np.eye(3)
+    t = law(u, Moduli.from_g_lam(1.0, 0.0))
+    assert t.tobytes() == (2.0 * e).tobytes()
+
+
 def test_pk1_matches_each_laws_own_measure(rng):
     from logstrain.kinematics import polar_decompose
     own = {"becker": ("biot", "u", becker_biot),

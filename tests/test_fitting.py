@@ -30,7 +30,7 @@ def test_synthetic_recovery_closed_form():
 def test_single_point_exact_solve():
     ds = dataset_from_rows([(math.e, 3.0)], "uniaxial")
     fit = fit_dataset(ds, "uniaxial-incompressible")
-    assert fit.g == pytest.approx(1.0, rel=1e-14)
+    assert fit.g == pytest.approx(1.0, rel=1e-14, abs=0)
 
 
 def test_hyper_mode_recovery():
@@ -38,7 +38,7 @@ def test_hyper_mode_recovery():
     lams = np.linspace(0.7, 2.5, 15)
     rows = [(lam, g0 * math.log(lam) * (2.0 + lam ** -1.5)) for lam in lams]
     fit = fit_dataset(dataset_from_rows(rows, "uniaxial"), "uniaxial-hyper")
-    assert fit.g == pytest.approx(g0, rel=1e-9)
+    assert fit.g == pytest.approx(g0, rel=1e-9, abs=0)
     assert fit.rms < 1e-9
 
 
@@ -78,6 +78,37 @@ def test_duplicates_averaged_and_sorted():
     ds = dataset_from_rows([(2.0, 1.0), (1.5, 0.5), (2.0, 3.0)], "uniaxial")
     np.testing.assert_allclose(ds.x, [1.5, 2.0])
     np.testing.assert_allclose(ds.y, [0.5, 2.0])
+
+
+def _averaged(group):
+    # the data set of one group at lambda = 2 and a lone row before it
+    rows = [(2.0, y) for y in group] + [(1.5, 0.25)]
+    ds = dataset_from_rows(rows, "uniaxial")
+    assert ds.x.tolist() == [1.5, 2.0]
+    return ds.y
+
+
+@pytest.mark.parametrize("group", [[0.7], [0.1, 0.2], [1.0] + [1e-16] * 8],
+                         ids=["one", "two", "nine"])
+def test_duplicates_average_to_the_bits_of_np_mean(group):
+    assert _averaged(group).tobytes() \
+        == np.array([0.25, np.mean(group)]).tobytes()
+    if len(group) == 9:
+        # numpy sums nine values pairwise; a running sum gives other bits
+        assert np.mean(group) != sum(group) / 9
+
+
+@pytest.mark.parametrize("size", [17, 130])
+def test_random_duplicates_average_to_the_bits_of_np_mean(rng, size):
+    ys = rng.normal(0.0, 1.0, size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+    assert _averaged(ys.tolist()).tobytes() \
+        == np.array([0.25, np.mean(ys)]).tobytes()
+
+
+@pytest.mark.parametrize("y", [-0.0, 5e-324, -1e308])
+def test_a_lone_value_keeps_the_bits_of_np_mean(y):
+    ds = dataset_from_rows([(1.5, y), (2.0, 1.0), (2.0, 3.0)], "uniaxial")
+    assert ds.y[:1].tobytes() == np.array([np.mean([y])]).tobytes()
 
 
 def test_degenerate_data_rejected():

@@ -1,9 +1,11 @@
 """Elastic-constant construction and consistency."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
+from logstrain.constitutive import uniaxial_response
 from logstrain.errors import InvalidModuli
 from logstrain.moduli import Moduli
 
@@ -13,25 +15,26 @@ def test_pairs_agree():
     for other in (Moduli.from_g_k(base.g, base.k),
                   Moduli.from_e_nu(base.e, base.nu),
                   Moduli.from_g_nu(base.g, base.nu)):
-        assert other.g == pytest.approx(base.g, rel=1e-14)
-        assert other.lam == pytest.approx(base.lam, rel=1e-14)
-        assert other.k == pytest.approx(base.k, rel=1e-14)
-        assert other.e == pytest.approx(base.e, rel=1e-14)
-        assert other.nu == pytest.approx(base.nu, rel=1e-14)
+        assert other.g == pytest.approx(base.g, rel=1e-14, abs=0)
+        assert other.lam == pytest.approx(base.lam, rel=1e-14, abs=0)
+        assert other.k == pytest.approx(base.k, rel=1e-14, abs=0)
+        assert other.e == pytest.approx(base.e, rel=1e-14, abs=0)
+        assert other.nu == pytest.approx(base.nu, rel=1e-14, abs=0)
 
 
 def test_conversion_formulas():
     m = Moduli.from_g_k(2.0, 5.0)
-    assert m.k == pytest.approx(m.lam + 2.0 * m.g / 3.0, rel=1e-15)
+    assert m.k == pytest.approx(m.lam + 2.0 * m.g / 3.0, rel=1e-15, abs=0)
     assert m.e == pytest.approx(9.0 * m.k * m.g / (3.0 * m.k + m.g),
-                                rel=1e-15)
+                                rel=1e-15, abs=0)
     assert m.nu == pytest.approx(
-        (3.0 * m.k - 2.0 * m.g) / (2.0 * (3.0 * m.k + m.g)), rel=1e-15)
+        (3.0 * m.k - 2.0 * m.g) / (2.0 * (3.0 * m.k + m.g)),
+        rel=1e-15, abs=0)
     # 1/9K + 1/3G = 1/E and 1/9K - 1/6G = -nu/E
     assert 1.0 / (9.0 * m.k) + 1.0 / (3.0 * m.g) \
-        == pytest.approx(1.0 / m.e, rel=1e-14)
+        == pytest.approx(1.0 / m.e, rel=1e-14, abs=0)
     assert 1.0 / (9.0 * m.k) - 1.0 / (6.0 * m.g) \
-        == pytest.approx(-m.nu / m.e, rel=1e-14)
+        == pytest.approx(-m.nu / m.e, rel=1e-14, abs=0)
 
 
 def test_nu_zero_means_lam_zero():
@@ -101,3 +104,39 @@ def test_rejects_undefined_youngs_modulus():
 def test_unit_label():
     assert Moduli.from_g_lam(1.0, 0.0).unit == "MPa"
     assert Moduli.from_g_lam(1.0, 0.0, unit="kPa").unit == "kPa"
+
+
+def _exact_e_nu(g, lam):
+    # E = G (3 lam + 2 G) / (lam + G), nu = lam / (2 (lam + G)), in rationals
+    g, lam = Fraction(g), Fraction(lam)
+    return float(g * (3 * lam + 2 * g) / (lam + g)), \
+        float(lam / (2 * (lam + g)))
+
+
+@pytest.mark.parametrize("g, lam", [(1e300, 1e300), (1.0, 5e307),
+                                    (1.0, 1e308), (1e-200, 1e-200),
+                                    (2.0, 0.5), (3.0, -1.5)])
+def test_derived_constants_are_right_where_9kg_overflows(g, lam):
+    m = Moduli.from_g_lam(g, lam)
+    e, nu = _exact_e_nu(g, lam)
+    assert m.e == pytest.approx(e, rel=4e-16, abs=0)
+    assert m.nu == pytest.approx(nu, rel=4e-16, abs=0)
+
+
+def test_uniaxial_response_at_huge_moduli():
+    # E = 2.5e300 and nu = 1/4, so q = 1e300 stretches by exp(0.4)
+    m = Moduli.from_g_lam(1e300, 1e300)
+    stretch, lateral = uniaxial_response(1e300, m)
+    assert stretch == pytest.approx(math.exp(0.4), rel=1e-15, abs=0)
+    assert lateral == pytest.approx(math.exp(-0.1), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: Moduli.from_g_lam(1.7e308, 1.7e308), "k = inf"),
+    (lambda: Moduli.from_g_lam(1e300, -1e300 * (1.0 - 1e-10)), "e = -inf"),
+    (lambda: Moduli.from_e_nu(1e308, 0.4999999999), "lam = inf"),
+])
+def test_rejects_a_derived_constant_that_is_not_finite(make, name):
+    with pytest.raises(InvalidModuli, match=f"give {name}, which is not "
+                                            "finite"):
+        make()
