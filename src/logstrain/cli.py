@@ -39,11 +39,13 @@ from .moduli import Moduli
 from .shear_statics import (failure_criteria, mohr_circle,
                             pond_stress_components)
 from .stresses import MEASURES, stress_convert
-from .tensors import _first, dev3, eig_sym, fro_norm, sym_part, tr
+from .tensors import (_all_finite, _first, dev3, eig_sym, fro_norm,
+                      sym_part, tr)
 
 CONFIG_NAME = "logstrain.cfg"
 _CONFIG_KEYS = {"g": "g", "lambda": "lam", "k": "k", "e": "e", "nu": "nu"}
-_CLI_LAWS = tuple(tag for tag, row in laws._LAWS.items() if row.tensor)
+_CLI_LAWS = tuple(tag for tag, row in laws._LAWS.items()
+                  if row.strain is not None)
 # name -> form(lambda, G) of the incompressible comparison curves, shared by
 # the incompressible figure and ``fit --laws``
 _INCOMPRESSIBLE = dict(laws._incompressible_columns())
@@ -53,9 +55,9 @@ def _fmt(x):
     return f"{float(x):.12g}"
 
 
-def _print_tensor(t, indent="  "):
+def _print_tensor(t):
     for row in np.asarray(t, dtype=float):
-        print(indent + "  ".join(f"{v: .12g}" for v in row))
+        print("  " + "  ".join(f"{v: .12g}" for v in row))
 
 
 def _read_config(path):
@@ -93,13 +95,22 @@ def _add_moduli_flags(p):
                         "if present)")
 
 
-def _moduli_from_args(args, physical=False):
+def _moduli_sources(args):
+    """``(flags, path)``: the moduli flags given, by the names of
+    :meth:`Moduli.make`, and the config file to read (``--config``, else
+    ``./logstrain.cfg`` if it exists, else None).  Moduli were given when
+    there is a flag or a path."""
     flags = {name: getattr(args, attr) for name, attr in
              [("g", "G"), ("lam", "lam"), ("k", "K"), ("e", "E"),
               ("nu", "nu")] if getattr(args, attr) is not None}
     path = args.config
     if path is None and os.path.exists(CONFIG_NAME):
         path = CONFIG_NAME
+    return flags, path
+
+
+def _moduli_from_args(args, physical=False):
+    flags, path = _moduli_sources(args)
     if len(flags) == 2:
         merged = flags  # a complete pair of flags stands alone
     elif path:
@@ -136,25 +147,30 @@ def _parse_deformation(args):
 # ---------------------------------------------------------------------------
 # subcommands
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_stress(args):
     m = _moduli_from_args(args)
     f = _parse_deformation(args)
     state = stress_convert(laws._stress_state(args.law, f, m),
                            args.measure)
     t = state.tensor
+    sym = sym_part(t)
+    spec = eig_sym(sym)
+    sphere, dev = tr(sym) / 3.0, dev3(sym)
+    if not _all_finite((spec.eigenvalues, sphere, dev)):
+        raise LogstrainError(f"the principal values or parts of the "
+                             f"{args.measure} stress are not finite")
     print(f"law {args.law}, measure {args.measure}, unit {m.unit}")
     print("deformation gradient F:")
     _print_tensor(f)
     print(f"stress ({args.measure}):")
     _print_tensor(t)
-    sym = sym_part(t)
-    spec = eig_sym(sym)
     note = "" if args.measure != "pk1" else " (of the symmetric part)"
     print(f"principal values{note}: "
           + "  ".join(_fmt(v) for v in spec.eigenvalues))
-    print(f"spherical part{note}: {_fmt(tr(sym) / 3.0)} * I")
+    print(f"spherical part{note}: {_fmt(sphere)} * I")
     print(f"deviatoric part{note}:")
-    _print_tensor(dev3(sym))
+    _print_tensor(dev)
     return 0
 
 
@@ -167,13 +183,17 @@ def _cmd_invert(args):
     t11, t22, t33, t12, t13, t23 = vals
     t = np.array([[t11, t12, t13], [t12, t22, t23], [t13, t23, t33]])
     u = laws.becker_inverse(t, m)
+    back = laws.becker_biot(u, m)  # before anything is printed
+    # both stresses scaled by one power of two s >= 1 that brings every
+    # entry to at most 1: exact, and no square in the norms overflows
+    big = max(np.abs(back).max(), np.abs(t).max())
+    s = math.ldexp(1.0, max(0, math.frexp(big)[1]))
+    err = fro_norm(back / s - t / s) / max(1.0 / s, fro_norm(t / s))
     print(f"unit {m.unit}")
     print("biot stress:")
     _print_tensor(t)
     print("stretch U with biot(U) = T:")
     _print_tensor(u)
-    back = laws.becker_biot(u, m)
-    err = fro_norm(back - t) / max(1.0, fro_norm(t))
     print(f"round trip |biot(U) - T| / max(1, |T|) = {_fmt(err)}")
     return 0
 
@@ -242,16 +262,17 @@ def _cmd_decompose(args):
         return 0
     t = StressTriple(*args.loads)
     a, b, c = decompose_stress_additive(t)
+    flags, path = _moduli_sources(args)
+    tab = None
+    if flags or path is not None:  # read before anything is printed
+        m = _moduli_from_args(args, physical=True)
+        tab = becker_tables(t, m)
     print(f"diag({_fmt(t.p)}, {_fmt(t.q)}, {_fmt(t.r)}) =")
     print(f"  {_fmt(a)} * diag(-1, 1, 0)  +  {_fmt(b)} * diag(0, 1, -1)"
           f"  +  {_fmt(c)} * I")
-    moduli_given = any(getattr(args, attr) is not None
-                       for attr in ("G", "lam", "K", "E", "nu", "config"))
-    if not moduli_given and not os.path.exists(CONFIG_NAME):
+    if tab is None:
         print("  (no moduli given; strain table skipped)")
         return 0
-    m = _moduli_from_args(args, physical=True)
-    tab = becker_tables(t, m)
     print(f"strain factors per load (unit {m.unit}):")
     names = ("P", "Q", "R")
     for i, row in enumerate(tab.rows):
@@ -354,13 +375,15 @@ def _cmd_plot_data(args):
 
 # ---------------------------------------------------------------------------
 
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+_NEGATIVE_NUMBER = re.compile(
+    r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reads a negative number in exponent form,
-    such as ``-9.7e-05``, as a value, as argparse already reads ``-1`` and
-    ``-0.5``, and not as an unknown option."""
+    such as ``-9.7e-05``, or ``-inf``, as a value, as argparse already reads
+    ``-1`` and ``-0.5``, and not as an unknown option; the command then
+    rejects a value that is not finite with its own message."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

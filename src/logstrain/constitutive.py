@@ -12,15 +12,16 @@ stretch), finite-Hooke comparison laws, the associated energies, and the
 uniaxial and incompressible closed forms all live here.
 
 Every law dispatch reads one table, ``_LAWS``, with one row per entry of
-:data:`LAW_TAGS`: the law's tensor map, its principal strain, the stretch
-it takes, the stress measure it returns, the axioms it is known to break,
-and its uniaxial and simple-glide closed forms.  The principal response is
-the law as the paper states it, principal stresses from principal
-stretches.  The logarithmic tensor maps build it on the spectrum of the
-stretch; a stress at a deformation F (:func:`pk1_for_law`, the CLI's
-``stress``) reads it on one SVD of F, and the simple glide on the glide's
-closed-form principal stretches.  Every tensor law returns a finite
-stress or raises :class:`LogstrainError`.
+:data:`LAW_TAGS`: the law's principal strain, the stretch it takes, the
+stress measure it returns, the axioms it is known to break, and its
+uniaxial and simple-glide closed forms.  A row is data: a row with a strain
+is a tensor law, and every tensor map is one function evaluated on its
+row.  The principal response is the law as the paper states it, principal
+stresses from principal stretches.  The logarithmic tensor maps build it
+on the spectrum of the stretch; a stress at a deformation F
+(:func:`pk1_for_law`, the CLI's ``stress``) reads it on one SVD of F, and
+the simple glide on the glide's closed-form principal stretches.  Every
+tensor law returns a finite stress or raises :class:`LogstrainError`.
 """
 
 import math
@@ -103,9 +104,10 @@ def becker_biot(u, m: Moduli):
     s_j``, with the spherical part added to the diagonal after the frame
     product, so that its roundoff stays off the shear entries.
     """
-    return _tensor_law("becker", u, m)
+    return _tensor_law(_LAWS["becker"], u, m)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def becker_inverse(t, m: Moduli):
     """Right stretch that produces Biot stress t under the logarithmic law.
 
@@ -141,7 +143,7 @@ def hencky_kirchhoff(v, m: Moduli):
     """Kirchhoff stress of the logarithmic law in the left stretch v (or a
     (..., 3, 3) stack of them): ``2 G dev3(log V) + K tr(log V) I``, with
     the principal values of :func:`becker_biot` on the spectrum of V."""
-    return _tensor_law("hencky-kirchhoff", v, m)
+    return _tensor_law(_LAWS["hencky-kirchhoff"], v, m)
 
 
 def hencky_cauchy(v, m: Moduli):
@@ -150,7 +152,7 @@ def hencky_cauchy(v, m: Moduli):
     Same formula as :func:`hencky_kirchhoff`; the two are independent laws
     that differ in which stress measure the result is read as.
     """
-    return _tensor_law("hencky-cauchy", v, m)
+    return _tensor_law(_LAWS["hencky-cauchy"], v, m)
 
 
 def becker_kirchhoff(v, m: Moduli):
@@ -186,7 +188,7 @@ def hooke_biot(u, m: Moduli):
 
     u has shape (3, 3) or (..., 3, 3).
     """
-    return _tensor_law("hooke-biot", u, m)
+    return _tensor_law(_LAWS["hooke-biot"], u, m)
 
 
 def hooke_cauchy(v, m: Moduli):
@@ -194,11 +196,17 @@ def hooke_cauchy(v, m: Moduli):
 
     v has shape (3, 3) or (..., 3, 3).
     """
-    return _tensor_law("hooke-cauchy", v, m)
+    return _tensor_law(_LAWS["hooke-cauchy"], v, m)
 
 
 # ---------------------------------------------------------------------------
 # energies
+
+def _lam_is_zero(m):
+    # the one rule for "lam = 0", relative to G: the lam = 0 energy and
+    # every check that needs it read this
+    return abs(m.lam) <= 1e-14 * max(1.0, abs(m.g))
+
 
 def becker_energy_nu0(u, m: Moduli):
     """Strain energy of Becker's law for lam = 0 (the only hyperelastic case).
@@ -206,8 +214,10 @@ def becker_energy_nu0(u, m: Moduli):
     ``2 G (<U, log U - I> + 3) = 2 G sum_i lambda_i (ln lambda_i - 1) + 6 G``.
     Nonnegative, zero only at U = I, and finite even as U -> 0.  For one
     matrix returns a float; for a (..., 3, 3) stack, an array of shape (...).
+    lam counts as zero within ``1e-14 max(1, |G|)``; any other lam raises
+    :class:`LambdaNotZero`.
     """
-    if abs(m.lam) > 1e-14 * max(1.0, abs(m.g)):
+    if not _lam_is_zero(m):
         raise LambdaNotZero(
             f"energy defined only for lambda = 0, got {m.lam}")
     u = sym_part(_as_mats(u, "u"))
@@ -307,12 +317,13 @@ def _ogden_glide(gamma, m, law):
 class _Law(NamedTuple):
     """One row of the law table.
 
-    ``tensor(stretch, m)`` gives the stress in ``measure`` from the right
-    (``stretch == "u"``) or left (``"v"``) stretch; the incompressible
-    scalar models have none.  ``strain`` is the principal strain of that
-    stretch, ``ln s`` or ``s - 1``, as a :class:`_Strain`: a function of the
-    principal stretches ``s`` or of their logarithms, shape (..., 3).  Every
-    tensor law is the isotropic linear law of its strain, so
+    A tensor law gives the stress in ``measure`` from the right (``stretch
+    == "u"``) or left (``"v"``) stretch.  ``strain`` is the principal strain
+    of that stretch, ``ln s`` or ``s - 1``, as a :class:`_Strain`: a
+    function of the principal stretches ``s`` or of their logarithms, shape
+    (..., 3); the incompressible scalar models have none, and a row with a
+    strain is a tensor law.  Every tensor law is the isotropic linear law of
+    its strain, so
     :meth:`principal` gives its principal response, the principal stresses
     in ``measure`` in the order of ``s``.  ``violates``
     names the checks of ``verify.check_axioms`` that the law is known to
@@ -328,7 +339,6 @@ class _Law(NamedTuple):
     """
 
     tag: str
-    tensor: object = None
     strain: object = None
     stretch: str = None
     measure: str = None
@@ -367,26 +377,20 @@ _linear_strain = _Strain(lambda s: s - 1.0, np.expm1)
 _HOOKE_VIOLATES = frozenset({"superposition", "power_law",
                              "inversion_symmetry", "shear_to_shear"})
 
-# The tensor maps are looked up by name at call time, so that wrappers put
-# on the module's functions (such as the perfbench span tracer) see them.
 _LAWS = {row.tag: row for row in (
-    _Law("becker", lambda u, m: becker_biot(u, m), _log_strain, "u",
-         "biot", uniaxial=lambda lam, e, g, law: e * np.log(lam),
-         column="becker",
+    _Law("becker", _log_strain, "u", "biot",
+         uniaxial=lambda lam, e, g, law: e * np.log(lam), column="becker",
          hyper=lambda lam, g: g * np.log(lam) * (2.0 + lam ** -1.5)),
-    _Law("hencky-kirchhoff", lambda v, m: hencky_kirchhoff(v, m),
-         _log_strain, "v", "kirchhoff", uniaxial=_hencky_uniaxial,
-         column="hencky"),
-    _Law("hencky-cauchy", lambda v, m: hencky_cauchy(v, m), _log_strain,
-         "v", "cauchy", uniaxial=_hencky_uniaxial),
+    _Law("hencky-kirchhoff", _log_strain, "v", "kirchhoff",
+         uniaxial=_hencky_uniaxial, column="hencky"),
+    _Law("hencky-cauchy", _log_strain, "v", "cauchy",
+         uniaxial=_hencky_uniaxial),
     _Law("neo-hooke",
          uniaxial=lambda lam, e, g, law: g * (lam - lam ** -2.0),
          glide=lambda gamma, m, law: m.g * gamma, column="neo-hooke"),
-    _Law("hooke-biot", lambda u, m: hooke_biot(u, m), _linear_strain, "u",
-         "biot", _HOOKE_VIOLATES,
+    _Law("hooke-biot", _linear_strain, "u", "biot", _HOOKE_VIOLATES,
          uniaxial=lambda lam, e, g, law: e * (lam - 1.0), column="hooke"),
-    _Law("hooke-cauchy", lambda v, m: hooke_cauchy(v, m), _linear_strain,
-         "v", "cauchy", _HOOKE_VIOLATES),
+    _Law("hooke-cauchy", _linear_strain, "v", "cauchy", _HOOKE_VIOLATES),
     _Law("ogden", uniaxial=_ogden_uniaxial, glide=_ogden_glide),
 )}
 
@@ -419,7 +423,7 @@ def _incompressible_columns():
 def _tensor_row(law):
     """The table row of a tensor law (ValueError for the scalar models)."""
     row, _ = _resolve(law)
-    if row.tensor is None:
+    if row.strain is None:
         raise ValueError(f"law {row.tag!r} has no deformation-gradient form")
     return row
 
@@ -450,17 +454,16 @@ def _lame_on_frame(frame, e, m):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _tensor_law(tag, a, m):
+def _tensor_law(row, a, m):
     # tensor map of a row at its stretch a: the linear law of the strain,
     # on the spectrum of a for a logarithmic strain, of a - I directly for
     # the finite-Hooke rows
-    row = _LAWS[tag]
     a = sym_part(_as_mats(a, row.stretch))
     if row.strain is _linear_strain:
-        return _finite(tag, _lame(a - _EYE, m), m)
+        return _finite(row.tag, _lame(a - _EYE, m), m)
     vals, frame = _spectrum(a)
-    return _finite(tag, _lame_on_frame(frame, row.strain.of_stretch(vals), m),
-                   m)
+    return _finite(row.tag,
+                   _lame_on_frame(frame, row.strain.of_stretch(vals), m), m)
 
 
 def _svd_principal(row, f):
@@ -493,7 +496,7 @@ def stretch_stress(law, stretch, m: Moduli):
     tensor is in the law's own measure.  Not defined for the incompressible
     scalar models (neo-hooke, ogden).
     """
-    return _tensor_row(law).tensor(stretch, m)
+    return _tensor_law(_tensor_row(law), stretch, m)
 
 
 def _require_moduli(row, m):

@@ -46,21 +46,21 @@ class PolarFactors:
     v: np.ndarray
 
 
-def _jacobian(f, det_tol=DET_TOL):
+def _jacobian(f):
     """``det f`` of each matrix of a checked (..., 3, 3) stack, or
-    :class:`NonInvertible` naming the first with ``det f <= det_tol``."""
+    :class:`NonInvertible` naming the first with ``det f <= DET_TOL``."""
     det = np.linalg.det(f)
     if f.ndim == 2:  # one matrix: the same test on a Python float
-        i = 0 if float(det) <= det_tol else None
+        i = 0 if float(det) <= DET_TOL else None
     else:
-        i = _first(det <= det_tol)
+        i = _first(det <= DET_TOL)
     if i is not None:
-        raise NonInvertible(f"det F = {det.flat[i]:.6g} <= {det_tol:.6g}"
+        raise NonInvertible(f"det F = {det.flat[i]:.6g} <= {DET_TOL:.6g}"
                             f"{_at(i, f.shape[:-2])}")
     return det
 
 
-def polar_decompose(f, det_tol=DET_TOL):
+def polar_decompose(f):
     """Polar decomposition of a deformation gradient, or of each one in a
     (..., 3, 3) stack (the factors then have the stack's shape).
 
@@ -75,11 +75,11 @@ def polar_decompose(f, det_tol=DET_TOL):
     Raises
     ------
     NonInvertible
-        If ``det f <= det_tol`` (for a stack, the message names the index
-        of the first such member).
+        If ``det f <= 1e-12`` (for a stack, the message names the index of
+        the first such member).
     """
     f = _as_mats(f, "f")
-    _jacobian(f, det_tol)
+    _jacobian(f)
     w, s, vt = np.linalg.svd(f)
     s = s[..., None, :]
     r = w @ vt
@@ -159,31 +159,32 @@ def _canonical_sign(n):
     return n
 
 
-def planes_of_no_distortion(f, unit_sv_tol=UNIT_SV_TOL):
+def planes_of_no_distortion(f):
     """Planes of no distortion of a volume-preserving shear.
 
     Works for any deformation gradient whose middle singular value equals 1
-    (within ``unit_sv_tol``), in particular for ``pure_shear_F`` along any
-    permutation of the coordinate axes: the unit singular direction is
-    detected from the spectrum, so no axis bookkeeping is needed on the
-    caller's side.
+    (within 1e-9), in particular for ``pure_shear_F`` along any permutation
+    of the coordinate axes: the unit singular direction is detected from
+    the spectrum, so no axis bookkeeping is needed on the caller's side.
 
     Raises
     ------
+    NonInvertible
+        If ``det f <= 1e-12``, as :func:`polar_decompose` does: a singular
+        f or a reflection.
     NoSuchPlane
         If the middle singular value differs from 1 beyond tolerance (the
         cone case) or if all singular values are 1.
     """
     f = as_mat3(f, "f")
+    _jacobian(f)
     spec = eig_sym(f.T @ f)
-    if spec.eigenvalues[2] <= 0.0:
-        raise NonInvertible("f is singular")
     sv = np.sqrt(spec.eigenvalues)  # descending
-    if abs(sv[1] - 1.0) > unit_sv_tol:
+    if abs(sv[1] - 1.0) > UNIT_SV_TOL:
         raise NoSuchPlane(
             f"middle singular value {sv[1]:.12g} differs from 1 beyond "
-            f"{unit_sv_tol:.1g}; no plane of no distortion exists")
-    if sv[0] - 1.0 <= unit_sv_tol:
+            f"{UNIT_SV_TOL:.1g}; no plane of no distortion exists")
+    if sv[0] - 1.0 <= UNIT_SV_TOL:
         raise NoSuchPlane(
             "all singular values equal 1; the deformation is an isometry "
             "and every plane is undistorted")

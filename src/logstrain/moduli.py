@@ -3,7 +3,9 @@
 The five isotropic constants (shear modulus G, second Lame constant lambda,
 bulk modulus K, Young's modulus E, Poisson's ratio nu) are stored together
 and constructed from exactly one of the pairs (G, lambda), (G, K), (E, nu)
-or (G, nu).  Mixed over-specification is rejected instead of reconciled.
+or (G, nu).  The two given constants are stored as given; only the other
+three are derived.  Mixed over-specification is rejected instead of
+reconciled.
 
 Admissibility comes in two levels: every instance must satisfy G != 0 and
 3*lambda + 2*G != 0 (i.e. K != 0), which is what the nonlinear laws need to
@@ -12,6 +14,7 @@ additionally enforces G > 0 and K > 0.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidModuli
@@ -19,6 +22,26 @@ from .errors import InvalidModuli
 __all__ = ["Moduli"]
 
 _PAIRS = [("g", "lam"), ("g", "k"), ("e", "nu"), ("g", "nu")]
+
+
+def _young_poisson(k, g):
+    """(E, nu) of admissible K and G.
+
+    E and nu are homogeneous in (K, G) of degree 1 and 0.  They are formed
+    on K and G scaled by a power of two, which is exact, so that neither
+    9 K G nor 3 K over- or underflows.  Where the smaller of the scaled
+    pair is subnormal or zero (K and G more than about 1e308 apart), E is
+    the ratio form ``3 G / (1 + G / 3K)`` or ``9 K / (1 + 3K / G)``, whose
+    ratio is below 1 in magnitude there.
+    """
+    s = math.ldexp(1.0, -math.frexp(max(abs(k), abs(g)))[1])
+    ks, gs = k * s, g * s
+    nu = (3.0 * ks - 2.0 * gs) / (2.0 * (3.0 * ks + gs))
+    if min(abs(ks), abs(gs)) >= sys.float_info.min:
+        return 9.0 * ks * gs / (3.0 * ks + gs) / s, nu
+    if abs(g) < abs(k):
+        return 3.0 * g / (1.0 + g / (3.0 * k)), nu
+    return 9.0 * k / (1.0 + 3.0 * k / g), nu
 
 
 @dataclass(frozen=True)
@@ -63,23 +86,26 @@ class Moduli:
         for name, v in given.items():
             if not math.isfinite(float(v)):
                 raise InvalidModuli(f"{name} = {v} is not finite")
-        if "g" in given and "lam" in given:
+        if "lam" in given:
             g_, lam_ = float(given["g"]), float(given["lam"])
-        elif "g" in given and "k" in given:
-            g_ = float(given["g"])
-            lam_ = float(given["k"]) - 2.0 * g_ / 3.0
-        elif "e" in given and "nu" in given:
+            k_ = lam_ + 2.0 * g_ / 3.0
+        elif "k" in given:
+            g_, k_ = float(given["g"]), float(given["k"])
+            lam_ = k_ - 2.0 * g_ / 3.0
+        elif "e" in given:
             e_, nu_ = float(given["e"]), float(given["nu"])
             if nu_ == 0.5 or nu_ == -1.0:
                 raise InvalidModuli(f"nu = {nu_} has no finite (G, lambda)")
             g_ = e_ / (2.0 * (1.0 + nu_))
             lam_ = e_ * nu_ / ((1.0 + nu_) * (1.0 - 2.0 * nu_))
+            k_ = e_ / (3.0 * (1.0 - 2.0 * nu_))
         else:  # (g, nu)
             g_, nu_ = float(given["g"]), float(given["nu"])
             if nu_ == 0.5:
                 raise InvalidModuli("nu = 0.5 has no finite lambda")
             lam_ = 2.0 * g_ * nu_ / (1.0 - 2.0 * nu_)
-        k_ = lam_ + 2.0 * g_ / 3.0
+            e_ = 2.0 * g_ * (1.0 + nu_)
+            k_ = e_ / (3.0 * (1.0 - 2.0 * nu_))
         if g_ == 0.0 or k_ == 0.0:
             raise InvalidModuli(
                 f"inadmissible moduli: G = {g_}, 3*lambda + 2*G = {3.0 * k_}"
@@ -88,13 +114,8 @@ class Moduli:
             raise InvalidModuli(
                 f"inadmissible moduli: 3*K + G = 0 (G = {g_}, K = {k_}); "
                 "Young's modulus undefined")
-        # E and nu are homogeneous in (K, G) of degree 1 and 0.  Formed on
-        # K and G scaled by a power of two, which is exact, neither 9 K G
-        # nor 3 K over- or underflows unless K/G leaves the double range
-        s = math.ldexp(1.0, -math.frexp(max(abs(k_), abs(g_)))[1])
-        ks, gs = k_ * s, g_ * s
-        e_ = 9.0 * ks * gs / (3.0 * ks + gs) / s
-        nu_ = (3.0 * ks - 2.0 * gs) / (2.0 * (3.0 * ks + gs))
+        if "nu" not in given:
+            e_, nu_ = _young_poisson(k_, g_)
         derived = {"g": g_, "lam": lam_, "k": k_, "e": e_, "nu": nu_}
         for name, v in derived.items():
             if not math.isfinite(v):

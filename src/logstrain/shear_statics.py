@@ -106,11 +106,14 @@ def pond_stress_components(q, alpha):
 
     Returns ``(sigma_xi, sigma_eta, sigma_xieta)``: the normal stress on the
     plane of no distortion vanishes exactly, and the shear stress there
-    equals the loading Q independently of alpha.
+    equals the loading Q independently of alpha.  ``sigma_eta = Q (alpha**2
+    - 1) / alpha`` is taken as ``Q (alpha - 1) ((alpha + 1) / alpha)``,
+    which is finite wherever sigma_eta is representable and has no
+    cancellation near alpha = 1 (``alpha - 1`` is exact there).
     """
     alpha = _as_real(alpha, "alpha", "greater than 1")
     q = _as_real(q, "q")
-    return 0.0, q * (alpha ** 2 - 1.0) / alpha, q
+    return 0.0, q * (alpha - 1.0) * ((alpha + 1.0) / alpha), q
 
 
 @_closed_form
@@ -138,13 +141,17 @@ def failure_criteria(q, alpha, q_scale=1.0):
     """The three equivalent stresses for loading Q at shear ratio alpha.
 
     ``q_scale`` rescales the loading before evaluation (kept at 1 by
-    default; a historical convention uses Q/3).
+    default; a historical convention uses Q/3).  The distortional value
+    ``Q sqrt(alpha**2 + 1 + alpha**-2)``, symmetric under alpha -> 1/alpha,
+    is taken as ``Q b sqrt(1 + b**-2 + b**-4)`` with ``b = max(alpha,
+    1/alpha)``, which is finite wherever the value is representable.
     """
     q = _as_real(float(q) * float(q_scale), "q * q_scale", "positive")
     alpha = _as_real(alpha, "alpha", "positive")
+    b = max(alpha, 1.0 / alpha)
     return FailureTriple(
         tresca=q * (alpha + 1.0 / alpha),
-        mises=q * math.sqrt(alpha ** 2 + 1.0 + alpha ** -2),
+        mises=q * b * math.sqrt(1.0 + b ** -2 + b ** -4),
         becker=q)
 
 

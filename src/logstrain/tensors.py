@@ -228,7 +228,7 @@ class Spectral3:
     frame: np.ndarray
 
     def reconstruct(self):
-        return self.frame @ np.diag(self.eigenvalues) @ self.frame.T
+        return (self.frame * self.eigenvalues[..., None, :]) @ self.frame.T
 
 
 def _spectrum(m):
@@ -319,7 +319,7 @@ def _mat_fn(a, f, name, floor_on):
     if floor_on is not None:
         _require_floor(vals, name, floor_on, shape)
     out = _finite_values(f, vals, name, shape)
-    return sym_part(frame @ _diag(out) @ frame.swapaxes(-1, -2))
+    return sym_part((frame * out[..., None, :]) @ frame.swapaxes(-1, -2))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -25,7 +25,7 @@ from logstrain.verify import (LoadPath, converged_path_work, diagonal_path,
 from conftest import rotation_from_normals, spd_from_draws
 
 M = Moduli.from_g_lam(1.0, 0.5)
-TENSOR_LAWS = [t for t in laws.LAW_TAGS if laws._LAWS[t].tensor is not None]
+TENSOR_LAWS = [t for t in laws.LAW_TAGS if laws._LAWS[t].strain is not None]
 
 
 def _stretches(rng, k):

@@ -76,6 +76,29 @@ def test_stress_rejects_missing_moduli(capsys):
     assert "pair" in err
 
 
+def test_stress_whose_parts_overflow_exits_two(capsys):
+    # a finite Biot stress of 1.2e308 on two diagonal entries: its trace
+    # overflows, so the spherical part cannot be printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "stress", "--F", "diag(6e307,6e307,1)",
+                             "--law", "hooke-biot", "--G", "1", "--lam", "0")
+    assert (code, out) == (2, "")
+    assert err == ("error: the principal values or parts of the biot "
+                   "stress are not finite\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--shear", "2", "--glide", "1"], "give exactly one of --F, --shear, "
+                                       "--glide"),
+    ([], "give exactly one of --F, --shear, --glide"),
+    (["--F", "diag(1, 2)"], "diag(...) needs exactly 3 values"),
+], ids=["two", "none", "diag-of-two"])
+def test_stress_rejects_a_deformation_it_cannot_read(capsys, argv, message):
+    code, out, err = run(capsys, "stress", *argv, *_PAIR)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # invert
 
@@ -88,6 +111,12 @@ def test_invert_round_trip(capsys):
     np.testing.assert_allclose(
         np.diag(u), [math.exp(0.25), math.exp(-0.25), 1.0], rtol=1e-11)
     assert "round trip" in out
+
+
+def test_invert_needs_six_numbers(capsys):
+    code, out, err = run(capsys, "invert", "--T", "1 0 0 0 0", *_PAIR)
+    assert (code, out) == (2, "")
+    assert err == "error: --T needs 6 numbers: t11 t22 t33 t12 t13 t23\n"
 
 
 def test_invert_overflow_exits_two(capsys):
@@ -113,6 +142,16 @@ def test_shear_statics_rejects_alpha_below_one(capsys):
     code, _, err = run(capsys, "shear-statics", "--Q", "1", "--alpha", "1")
     assert code == 2
     assert "alpha" in err
+
+
+def test_shear_statics_at_a_huge_ratio(capsys):
+    # alpha**2 overflows from alpha ~ 1.34e154; sigma_eta and the
+    # distortional value, both about Q alpha, do not
+    code, out, err = run(capsys, "shear-statics", "--Q", "1", "--alpha",
+                         "1e155")
+    assert (code, err) == (0, "")
+    assert "sigma_eta = 1e+155" in out
+    assert "distortional = 1e+155" in out
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -219,6 +258,19 @@ def test_huge_cycle_work_converges_on_the_first_grid(capsys):
     assert cycle["steps"] == 192 and cycle["quadrature_converged"]
 
 
+def test_check_at_a_lam_the_energy_reads_as_zero(capsys):
+    # the lam = 0 energy takes |lam| <= 1e-14 max(1, |G|) as zero, so the
+    # suite runs its lam = 0 checks there too and expects zero cycle work
+    code, out, err = run(capsys, "check", "--G", "1", "--lam", "1e-15",
+                         "--samples", "16")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert (code, err) == (0, "")
+    assert len(lines) == 20
+    assert all(r["passed"] == r["expected"] for r in lines)
+    assert {"m_condition_random", "hill_log_domain",
+            "open_path_energy_match"} <= {r["name"] for r in lines}
+
+
 def test_check_zero_samples_exits_two(capsys):
     code, out, err = run(capsys, "check", "--G", "1", "--lam", "0",
                          "--samples", "0")
@@ -314,6 +366,31 @@ def test_fit_nan_row_exits_two(capsys, tmp_path):
     assert code == 2
     assert "fitted" not in out
     assert err.startswith("error:") and "row 2" in err
+
+
+def test_fit_at_one_abscissa_writes_one_curve_row(capsys, tmp_path):
+    data = tmp_path / "one.csv"
+    data.write_text(f"lambda,t\n{math.e!r},3\n{math.e!r},3\n")
+    code, out, err = run(capsys, "fit", str(data), "--out", "-",
+                         "--laws", "becker")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1] == "fitted G = 1"
+    i = lines.index("lambda,fit,becker")
+    assert lines[i + 1:] == ["2.71828182846,3,3", "curve written to -"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("G 1\n", "expected key=value"),
+    ("G = 1\nmu = 2\n", "unknown key 'mu'"),
+], ids=["no-equals", "unknown-key"])
+def test_bad_config_line_exits_two(capsys, tmp_path, text, message):
+    cfg = tmp_path / "card.cfg"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "stress", "--shear", "2", "--config",
+                         str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {cfg}:") and message in err
 
 
 def test_fit_missing_file_exits_two(capsys, tmp_path):
@@ -500,6 +577,59 @@ def test_curve_commands_print_pinned_bytes(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout of ``stress`` at a row-major --F, for every law and
+# three measures, and of one ``invert``
+_F_ROWS = "1.2, 0.3, -0.1  0.05 0.9 0.2  -0.15 0.1 1.1"
+
+
+@pytest.mark.parametrize("law, measure, digest", [
+    ("becker", "biot",
+     "d35dcd0ba8e4c57bc5d880ec0374b9320712b42c6471d29698a53018327ed23c"),
+    ("becker", "cauchy",
+     "b50040da1e6bcd62034ef393e981bc6d74e3436d7ea12e35bdd9ea1db3bf63b6"),
+    ("becker", "pk1",
+     "6ae4f24725cda4d9d81852aceb3522598496aadc4651aa354caa6494a51dc935"),
+    ("hencky-kirchhoff", "biot",
+     "95a106201cc83bf1aa9982aa955f15ef9ff17dcbd3f22a60042e2d6e078aa36d"),
+    ("hencky-kirchhoff", "cauchy",
+     "cdc4a98c6dd90f4fc0ad03bd1e039b02cc444d1e38cf9231074c80a45d38f1a1"),
+    ("hencky-kirchhoff", "pk1",
+     "1db0c9fb75902eb6a212da8ec30d76d586a03b8ac9de3967dfd7ba88d59749ba"),
+    ("hencky-cauchy", "biot",
+     "6174cadb471f05b242ee9c51f2c3b076c8e3755fbb0dabfc61b3fd5ada9bf80c"),
+    ("hencky-cauchy", "cauchy",
+     "dfe0e9be90e2f0b0a2f733c9fe82984cddd21e0b399d32e158366e39e6450b98"),
+    ("hencky-cauchy", "pk1",
+     "50c0d9885cc9f6783707861927f821aafa9e0ea130dbb6d8ce5cfe4ccfaa3e29"),
+    ("hooke-biot", "biot",
+     "0ab94334e4916cc319688c2823d0aa551423881193b554bb25df4668239b1fb7"),
+    ("hooke-biot", "cauchy",
+     "e1a44e6a3fe8a99808ff715f89b01a81dd1cb0f1d909f30a477313aceff932b5"),
+    ("hooke-biot", "pk1",
+     "b1066a35ad35066b64628bf4d5abb79b62cdeef73ec3c7d4e17a422fe4d34c37"),
+    ("hooke-cauchy", "biot",
+     "a48153f01cb55e08b8b7bf462f443b0b761245ee81fdecdece5c1749c2e5274c"),
+    ("hooke-cauchy", "cauchy",
+     "1395fa16e1880fc7ee979276ab56904972dda47c5e3a6bf8adfa5d4ecf7189c1"),
+    ("hooke-cauchy", "pk1",
+     "4b1c4a81d8aa27206536a4490b7e7d1d37d0c8d1168727c3e94653273625d2cb"),
+])
+def test_stress_at_a_row_major_F_prints_pinned_bytes(capsys, law, measure,
+                                                    digest):
+    code, out, err = run(capsys, "stress", "--F", _F_ROWS, "--law", law,
+                         "--measure", measure, *_PAIR)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_invert_prints_pinned_bytes(capsys):
+    code, out, err = run(capsys, "invert", "--T",
+                         "0.4 -0.2 0.1 0.05 -0.03 0.02", *_PAIR)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "628a63a449027c5e7167ebfe13b5290ed85cb8ef5c8fb237ec2af6bfbfe5a3c2")
+
+
 _CELL = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
@@ -554,10 +684,17 @@ def test_moduli_with_an_infinite_derived_constant_exit_two(capsys, argv):
         warnings.simplefilter("error")
         code, out, err = run(capsys, *argv, "--G", "1.7e308",
                              "--lam", "1.7e308")
-    # decompose prints its additive split before it reads the moduli
-    assert code == 2 and "strain factors" not in out
+    # every subcommand reads its moduli before it prints anything
+    assert (code, out) == (2, "")
     assert err == ("error: moduli g = 1.7e+308, lam = 1.7e+308 give "
                    "k = inf, which is not finite\n")
+
+
+def test_decompose_reads_its_moduli_before_it_prints(capsys):
+    code, out, err = run(capsys, "decompose", "--loads", "1", "2", "3",
+                         "--G", "0", "--lam", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: inadmissible moduli: G = 0.0")
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +763,18 @@ def test_negative_numbers_in_exponent_form_are_values(capsys, argv, line):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert line in out.splitlines()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "--loads", "0", "0", "-inf"],
+     "loads must be finite, got -inf at index 2"),
+    (["stress", "--shear", "2", "--G", "1", "--lam", "-Inf"],
+     "lam = -inf is not finite"),
+], ids=["decompose", "stress"])
+def test_negative_infinity_is_a_value_the_command_rejects(capsys, argv,
+                                                          message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["plot-data", "--help"],

@@ -458,6 +458,30 @@ def test_law_id_validation():
     assert ogden.mu == (1.0,)
 
 
+def test_a_law_given_by_a_tag_lawid_normalizes(rng):
+    # a tag that is not a row key as written goes through LawId, which
+    # normalizes it or raises
+    u = random_spd(rng)
+    assert np.array_equal(laws.stretch_stress("Becker", u, M),
+                          becker_biot(u, M))
+    assert laws.simple_shear_sigma12("NEO-HOOKE", 2.0, M) == 2.0 * M.g
+    with pytest.raises(ValueError, match="unknown law 'mooney-rivlin'"):
+        laws.stretch_stress("mooney-rivlin", u, M)
+    with pytest.raises(ValueError, match="ogden needs nonempty"):
+        laws.simple_shear_sigma12("ogden", 1.0)
+    with pytest.raises(ValueError, match="has no deformation-gradient form"):
+        laws.pk1_for_law("neo-hooke", np.eye(3), M)
+
+
+def test_energy_takes_a_lam_within_its_rule_as_zero():
+    u = np.diag([1.5, 0.8, 1.1])
+    near = Moduli.from_g_lam(2.0, 1e-14)  # 1e-14 <= 1e-14 * max(1, 2)
+    assert becker_energy_nu0(u, near) == becker_energy_nu0(
+        u, Moduli.from_g_lam(2.0, 0.0))
+    with pytest.raises(LambdaNotZero):
+        becker_energy_nu0(u, Moduli.from_g_lam(2.0, 2.1e-14))
+
+
 def test_hooke_biot_tensor():
     np.testing.assert_allclose(hooke_biot(np.eye(3), M), np.zeros((3, 3)))
     u = np.diag([1.2, 0.9, 1.0])

@@ -1,9 +1,12 @@
 """The error contract of the package: a finite result or a ValueError /
 LogstrainError, never a traceback of another type or a numpy warning."""
 
+import argparse
 import ast
 import builtins
+import contextlib
 import dataclasses
+import io
 import math
 import re
 import warnings
@@ -15,9 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logstrain
-from logstrain import errors
-from logstrain.constitutive import (incompressible_uniaxial_hyper,
+from logstrain import cli, errors
+from logstrain.cli import main
+from logstrain.constitutive import (_LAWS, LAW_TAGS, becker_biot,
+                                    hencky_cauchy, hencky_kirchhoff,
+                                    hooke_biot, hooke_cauchy,
+                                    incompressible_uniaxial_hyper,
                                     incompressible_uniaxial_limit,
+                                    pk1_for_law, stretch_stress,
                                     uniaxial_response)
 from logstrain.decomposition import (StressTriple, becker_tables,
                                      decompose_stress_additive,
@@ -32,6 +40,7 @@ from logstrain.moduli import Moduli
 from logstrain.shear_statics import (cauchy_quadrics, failure_criteria,
                                      mohr_circle, pond_stress_components,
                                      traction_on_line)
+from logstrain.stresses import MEASURES, StressState, stress_convert
 
 _N_PLANE = np.array([0.6, 0.8, 0.0])
 _N_SPACE = np.array([1.0, 2.0, 2.0]) / 3.0
@@ -136,3 +145,123 @@ def test_scalar_check_names_the_first_bad_element(value):
     with pytest.raises(ValueError,
                        match=r"^loads must be finite, got nan at index 2$"):
         decompose_stress_additive(StressTriple(1.0, 2.0, math.nan))
+
+
+# ---------------------------------------------------------------------------
+# the law layer: the tensor maps, stress_convert, pk1_for_law and the CLI
+# commands built on them
+
+_TENSOR_MAPS = {"becker_biot": becker_biot,
+                "hencky_kirchhoff": hencky_kirchhoff,
+                "hencky_cauchy": hencky_cauchy, "hooke_biot": hooke_biot,
+                "hooke_cauchy": hooke_cauchy}
+_TENSOR_TAGS = tuple(tag for tag in LAW_TAGS
+                     if _LAWS[tag].strain is not None)
+_FRAME = np.array([[0.36, 0.48, -0.8], [-0.8, 0.6, 0.0], [0.48, 0.64, 0.6]])
+
+# a 3x3 matrix: nine arbitrary numbers, or a symmetric positive definite
+# matrix with eigenvalues 10**e across the whole exponent range
+_MATRIX = st.one_of(
+    st.lists(_REAL, min_size=9, max_size=9).map(
+        lambda v: np.array(v).reshape(3, 3)),
+    st.lists(st.floats(min_value=-320.0, max_value=308.0), min_size=3,
+             max_size=3).map(
+        lambda e: (_FRAME * 10.0 ** np.array(e)) @ _FRAME.T))
+
+
+def _quietly(call):
+    """call() with every warning an error: its result, or None when it
+    raised ValueError or a LogstrainError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call()
+        except (ValueError, LogstrainError):
+            return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_TENSOR_MAPS)), a=_MATRIX,
+       m=st.sampled_from(_MODULI))
+def test_tensor_maps_finite_or_error(name, a, m):
+    out = _quietly(lambda: _TENSOR_MAPS[name](a, m))
+    assert out is None or np.isfinite(out).all(), (name, a, out)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(law=st.sampled_from(_TENSOR_TAGS), f=_MATRIX,
+       m=st.sampled_from(_MODULI))
+def test_pk1_for_law_finite_or_error(law, f, m):
+    out = _quietly(lambda: pk1_for_law(law, f, m))
+    assert out is None or np.isfinite(out).all(), (law, f, out)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(t=_MATRIX, f=_MATRIX, measure=st.sampled_from(MEASURES),
+       target=st.sampled_from(MEASURES))
+def test_stress_convert_finite_or_error(t, f, measure, target):
+    out = _quietly(lambda: stress_convert(StressState(t, measure, f),
+                                          target).tensor)
+    assert out is None or np.isfinite(out).all(), (t, f, out)
+
+
+def _text(values):
+    return " ".join(repr(float(v)) for v in np.ravel(values))
+
+
+_COMMANDS = {
+    "stress": lambda a, law, measure: [
+        "stress", "--F", _text(a), "--law", law, "--measure", measure],
+    # t11 t22 t33 t12 t13 t23 from the upper triangle
+    "invert": lambda a, law, measure: [
+        "invert", "--T", _text(a[np.triu_indices(3)][[0, 3, 5, 1, 2, 4]])],
+    "decompose": lambda a, law, measure: [
+        "decompose", "--loads", *_text(a[0]).split()],
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(_COMMANDS)), a=_MATRIX,
+       m=st.sampled_from(_MODULI), law=st.sampled_from(_TENSOR_TAGS),
+       measure=st.sampled_from(MEASURES))
+def test_cli_law_commands_exit_zero_with_finite_output_or_two(
+        command, a, m, law, measure):
+    argv = _COMMANDS[command](a, law, measure) + [
+        "--G", repr(m.g), "--lam", repr(m.lam)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: "), argv
+        assert err.getvalue().count("\n") == 1, argv
+    else:
+        assert (code, err.getvalue()) == (0, ""), argv
+        assert not re.search(r"\b(inf|nan)\b", out.getvalue()), argv
+
+
+def test_tensor_rows_are_the_cli_laws_and_what_the_maps_accept():
+    # a row with a strain is a tensor law: the CLI's --law choices, and
+    # exactly the tags stretch_stress and pk1_for_law accept
+    assert _TENSOR_TAGS == cli._CLI_LAWS
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in ("stress", "check"):
+        law = next(a for a in sub.choices[command]._actions
+                   if a.dest == "law")
+        assert tuple(law.choices) == _TENSOR_TAGS
+    m = Moduli.from_g_lam(1.0, 0.5)
+    accepted = []
+    for tag in LAW_TAGS:
+        try:
+            stretch_stress(tag, np.eye(3), m)
+        except ValueError:
+            with pytest.raises(ValueError):
+                pk1_for_law(tag, np.eye(3), m)
+            continue
+        pk1_for_law(tag, np.eye(3), m)
+        accepted.append(tag)
+    assert tuple(accepted) == _TENSOR_TAGS

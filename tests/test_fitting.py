@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from logstrain.errors import DegenerateData
-from logstrain.fitting import (dataset_from_rows, fit_dataset, model_curve,
-                               read_dataset)
+from logstrain.fitting import (DataSet, dataset_from_rows, fit_dataset,
+                               model_curve, read_dataset)
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -161,3 +161,27 @@ def test_model_curves():
     np.testing.assert_allclose(
         model_curve("uniaxial-hyper", g, xs),
         [0.0, g * (2.0 + math.e ** -1.5)], atol=1e-14)
+
+
+def test_unknown_kind_and_mode_rejected():
+    with pytest.raises(ValueError, match="unknown data kind 'tension'"):
+        dataset_from_rows([(1.5, 0.5)], "tension")
+    with pytest.raises(ValueError, match="unknown fit mode 'linear'"):
+        model_curve("linear", 1.0, [1.5])
+    ds = dataset_from_rows([(1.5, 0.5)], "uniaxial")
+    with pytest.raises(ValueError, match="unknown fit mode 'linear'"):
+        fit_dataset(ds, "linear")
+
+
+def test_read_csv_without_rows_or_with_a_wide_row(tmp_path):
+    with pytest.raises(DegenerateData, match="empty file"):
+        read_dataset(write_csv(tmp_path, "# only a comment\n\n"))
+    with pytest.raises(ValueError, match=r"expected 2 columns, got "
+                                         r"\['2\.0', '1\.0', '3'\]"):
+        read_dataset(write_csv(tmp_path, "lambda,t\n2.0,1.0,3\n"))
+
+
+def test_fit_of_a_data_set_without_rows_is_degenerate():
+    empty = DataSet(x=np.array([]), y=np.array([]), kind="uniaxial")
+    with pytest.raises(DegenerateData, match="no data rows"):
+        fit_dataset(empty, "uniaxial-incompressible")

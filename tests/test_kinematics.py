@@ -257,6 +257,17 @@ def test_pond_rejects_identity_like():
         planes_of_no_distortion(np.eye(3))
 
 
+@pytest.mark.parametrize("f", [np.diag([-2.0, 1.0, 0.5]),
+                               np.diag([2.0, 1.0, 0.0])],
+                         ids=["reflection", "singular"])
+def test_pond_rejects_what_polar_decompose_rejects(f):
+    # one invertibility rule, det F > 1e-12, for both
+    with pytest.raises(NonInvertible, match="^det F = "):
+        polar_decompose(f)
+    with pytest.raises(NonInvertible, match="^det F = "):
+        planes_of_no_distortion(f)
+
+
 # ---------------------------------------------------------------------------
 # maximum tangential strain
 

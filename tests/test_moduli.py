@@ -1,6 +1,7 @@
 """Elastic-constant construction and consistency."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -140,3 +141,54 @@ def test_rejects_a_derived_constant_that_is_not_finite(make, name):
     with pytest.raises(InvalidModuli, match=f"give {name}, which is not "
                                             "finite"):
         make()
+
+
+def test_given_constants_are_stored_as_given():
+    m = Moduli.from_g_k(1.0, 1e-10)
+    assert (m.g, m.k) == (1.0, 1e-10)
+    m = Moduli.from_e_nu(1.0, 0.3)
+    assert (m.e, m.nu) == (1.0, 0.3)
+    m = Moduli.from_g_nu(2.0, 0.3)
+    assert (m.g, m.nu) == (2.0, 0.3)
+    m = Moduli.from_g_lam(1e-300, 4e307)
+    assert (m.g, m.lam) == (1e-300, 4e307)
+
+
+def _exact_moduli(g, k):
+    """(g, lam, k, e, nu) in 50-digit arithmetic from exact G and K."""
+    import mpmath
+    with mpmath.workdps(50):
+        return (g, k - 2 * g / 3, k, 9 * k * g / (3 * k + g),
+                (3 * k - 2 * g) / (2 * (3 * k + g)))
+
+
+def _g_k_of(pair, values):
+    import mpmath
+    a, b = (mpmath.mpf(v) for v in values)
+    with mpmath.workdps(50):
+        if pair == "g_lam":
+            return a, b + 2 * a / 3
+        if pair == "g_k":
+            return a, b
+        if pair == "e_nu":
+            return a / (2 * (1 + b)), a / (3 * (1 - 2 * b))
+        return a, 2 * a * (1 + b) / (3 * (1 - 2 * b))  # g_nu
+
+
+@pytest.mark.parametrize("pair, values", [
+    ("g_lam", (1e-300, 4e307)),  # G s underflowed: E was 0
+    ("g_k", (1.0, 1e-10)),       # K was rebuilt from lambda
+    ("g_k", (1.0, 1e-13)),
+    ("g_k", (1e300, 1e-300)),    # rejected: 3 lambda + 2 G came out 0
+    ("e_nu", (1.0, 0.3)),        # E was rebuilt as 0.9999999999999999
+    ("g_nu", (2.0, 0.3)),
+    ("g_lam", (1.0, 0.5)),
+], ids=lambda v: str(v))
+def test_every_constant_against_mpmath(pair, values):
+    pytest.importorskip("mpmath")
+    m = getattr(Moduli, f"from_{pair}")(*values)
+    ref = _exact_moduli(*_g_k_of(pair, values))
+    for name, want in zip(("g", "lam", "k", "e", "nu"), ref):
+        got = getattr(m, name)
+        assert abs(got - want) <= 2 * sys.float_info.epsilon * abs(want), \
+            (name, got, float(want))

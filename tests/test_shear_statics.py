@@ -1,6 +1,7 @@
 """Mohr circle, pond stresses, load decomposition, failure criteria."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -248,3 +249,31 @@ def test_quadrics_consistency_random(rng):
 def test_quadrics_rejects_non_unit():
     with pytest.raises(ValueError):
         cauchy_quadrics((1.0, 2.0, 3.0), np.array([1.0, 1.0, 0.0]))
+
+
+# alphas from just above 1, where alpha**2 - 1 cancels, to beyond
+# 1.34e154, where alpha**2 overflows
+_RATIOS = [1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.1, 2.0, 3.7, 1e3, 1e100,
+           1.34e154, 1e155, 1e300]
+
+
+@pytest.mark.parametrize("q", [1.0, 2.5])
+@pytest.mark.parametrize("alpha", _RATIOS)
+def test_pond_sigma_eta_against_mpmath(q, alpha):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        ref = mpmath.mpf(q) * (a * a - 1) / a
+        eta = pond_stress_components(q, alpha)[1]
+        assert abs(eta - ref) <= 2 * sys.float_info.epsilon * ref
+
+
+@pytest.mark.parametrize("alpha", _RATIOS + [1.0, 1.0 - 1e-12, 0.5,
+                                             1e-100, 1e-155, 1e-300])
+def test_failure_mises_against_mpmath(alpha):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        ref = 2.5 * mpmath.sqrt(a * a + 1 + 1 / (a * a))
+        mises = failure_criteria(2.5, alpha).mises
+        assert abs(mises - ref) <= 2 * sys.float_info.epsilon * ref

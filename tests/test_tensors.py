@@ -23,6 +23,15 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 # ---------------------------------------------------------------------------
 # eigendecomposition
 
+def test_reconstruct_has_the_bits_of_the_diagonal_product(rng):
+    # the frame product (frame * v) @ frame.T adds only exact zeros to
+    # frame @ diag(v) @ frame.T, so both give the same bits
+    for _ in range(200):
+        s = eig_sym(random_spd(rng))
+        old = s.frame @ np.diag(s.eigenvalues) @ s.frame.T
+        assert np.array_equal(s.reconstruct(), old)
+
+
 def test_eig_identity():
     s = eig_sym(np.eye(3))
     np.testing.assert_allclose(s.eigenvalues, [1.0, 1.0, 1.0])

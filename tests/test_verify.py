@@ -10,6 +10,7 @@ import pytest
 from logstrain import verify
 from logstrain.constitutive import (_LAWS, becker_energy_nu0,
                                     becker_inverse, stretch_stress)
+from logstrain.errors import NotPositiveDefinite
 from logstrain.moduli import Moduli
 from logstrain.tensors import fro_norm, mat_pow
 from logstrain.verify import (LoadPath, baker_ericksen_check, check_axioms,
@@ -60,7 +61,7 @@ def test_axioms_fail_for_finite_hooke():
 
 
 @pytest.mark.parametrize("law", [tag for tag, row in _LAWS.items()
-                                 if row.tensor is not None])
+                                 if row.strain is not None])
 def test_expected_outcomes_come_from_the_law_table(law):
     row = _LAWS[law]
     reports = check_axioms(law, M, samples=50, seed=2)
@@ -210,7 +211,7 @@ def test_m_condition_closed_form():
         assert value == pytest.approx(closed, abs=1e-12 * max(1.0,
                                                               abs(closed)))
         assert m_condition_paper_pair_value(m) \
-            == pytest.approx(closed, rel=1e-15)
+            == pytest.approx(closed, rel=1e-15, abs=0)
 
 
 def test_m_condition_sign_flip():
@@ -258,6 +259,17 @@ def test_baker_ericksen_vacuous_for_uniform():
 def test_baker_ericksen_small_strain_passes():
     v = np.eye(3) + 1e-4 * np.diag([1.0, 2.0, 3.0])
     assert baker_ericksen_check(v, M).passed
+
+
+@pytest.mark.parametrize("least", [-1.0, 1e-13, 0.0])
+def test_stretch_checks_share_the_kernel_positivity_floor(least):
+    # one rule: an eigenvalue at or below the floor of mat_log raises
+    # NotPositiveDefinite, however far below it lies
+    v = np.diag([2.0, 1.0, least])
+    with pytest.raises(NotPositiveDefinite, match="^mat_log: min eigenvalue"):
+        baker_ericksen_check(v, M)
+    with pytest.raises(NotPositiveDefinite, match="^mat_log: min eigenvalue"):
+        ordered_force_check(v, M)
 
 
 def test_ordered_force_paper_stretches():
@@ -313,6 +325,18 @@ def test_no_check_runs_on_zero_samples():
 def test_hill_probe_requires_lam_zero():
     with pytest.raises(ValueError):
         hill_convexity_probe(M, samples=10, seed=0)
+
+
+def test_suite_and_probe_read_lam_zero_as_the_energy_does():
+    near = Moduli.from_g_lam(1.0, 1e-15)
+    log_report, spd_report = hill_convexity_probe(near, samples=50, seed=3)
+    assert spd_report.passed and not log_report.expected
+    reports = suite("becker", near, samples=16, seed=0)
+    names = [r.name for r in reports]
+    assert names == [r.name for r in suite("becker", M0, samples=16)]
+    assert len(names) == 20
+    assert all(r.as_expected for r in reports), [
+        r.name for r in reports if not r.as_expected]
 
 
 def test_explicit_log_domain_violation():
