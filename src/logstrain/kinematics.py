@@ -226,8 +226,10 @@ def shear_ellipsoid_radius(n, alpha):
     """Radius of the shear ellipse section cut by a line with normal n.
 
     Uses the statics orientation (contractile axis on e1):
-    ``1/r**2 = alpha**2 * n2**2 + n1**2 / alpha**2``.  The normal must be a
-    unit vector in the e1-e2 plane.
+    ``1/r**2 = alpha**2 * n2**2 + n1**2 / alpha**2``, taken as
+    ``r = 1 / hypot(alpha n2, n1 / alpha)`` so that no square of alpha is
+    formed: r is finite and nonzero wherever it is representable.  The
+    normal must be a unit vector in the e1-e2 plane.
     """
     alpha = _as_real(alpha, "alpha", "positive")
     n = np.asarray(n, dtype=float)
@@ -237,5 +239,4 @@ def shear_ellipsoid_radius(n, alpha):
         raise ValueError("n must be a unit vector")
     if abs(n[2]) > 1e-9:
         raise ValueError("n must lie in the e1-e2 plane")
-    inv_r2 = alpha ** 2 * n[1] ** 2 + n[0] ** 2 / alpha ** 2
-    return 1.0 / math.sqrt(inv_r2)
+    return 1.0 / math.hypot(alpha * n[1], n[0] / alpha)

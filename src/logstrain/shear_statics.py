@@ -124,15 +124,17 @@ def traction_on_line(q, alpha, n):
     The magnitudes are scaled by the ellipse radius r of the cut, which is
     what makes them loads rather than stresses: ``r2`` comes out equal to
     Q**2 for every n, and ``t2`` is maximal (with ``n2 = 0``) exactly at the
-    pond normals ``n1**2 = alpha**2 n2**2``.
+    pond normals ``n1**2 = alpha**2 n2**2``.  The load is formed as ``q``
+    times the unit vector ``r (-n1 / alpha, alpha n2)`` before it is
+    squared, so no square of r, alpha or the traction is formed.
     """
     q = _as_real(q, "q")
-    r2 = shear_ellipsoid_radius(n, alpha) ** 2
+    r = shear_ellipsoid_radius(n, alpha)
     alpha = float(alpha)
     n1, n2 = np.asarray(n, dtype=float)[:2]
-    traction = np.array([-q / alpha * n1, q * alpha * n2])
-    big_r2 = r2 * float(traction @ traction)
-    big_n2 = r2 * float(traction @ np.array([n1, n2])) ** 2
+    load = q * (r * np.array([-n1 / alpha, alpha * n2]))
+    big_r2 = float(load @ load)
+    big_n2 = float(load @ np.array([n1, n2])) ** 2
     return TractionDecomposition(r2=big_r2, n2=big_n2, t2=big_r2 - big_n2)
 
 

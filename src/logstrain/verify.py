@@ -16,8 +16,15 @@ fixed order.  It evaluates the batch as (samples, 3, 3) stacks, with one
 call per law or matrix function, and reports the first worst sample, or for
 a search the first flagged one.  A NaN or infinite residual counts as the
 worst, so a check that cannot be evaluated fails.
+
+Path work to a tolerance comes from one nested Chebyshev rule
+(:func:`converged_path_work`): Clenshaw-Curtis weights and a Chebyshev
+differentiation matrix on 24 equal panels of the path parameter, N = 8
+nodes per panel at first and at most 64.  A path must have its kinks on
+the panel grid t = k / 24; elsewhere the rule reports no convergence.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -63,8 +70,10 @@ EIG_RANGE = (0.05, 20.0)
 # principal stretches closer than this, relative to max(1, stretch), are a
 # tie that the Baker-Ericksen check skips
 TIE_TOL = 1e-9
-# the most doublings of the grid that converged_path_work makes
-MAX_DOUBLINGS = 10
+# converged_path_work integrates over this many equal panels of [0, 1],
+# each with a polynomial of degree at most MAX_DEGREE
+PANELS = 24
+MAX_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -528,135 +537,120 @@ def path_work(path: LoadPath, law, m: Moduli):
     the grid, with P the first Piola stress, the reference-volume work
     conjugate of F; it needs no velocity, so open and closed paths take
     the same sum.  For a hyperelastic law the closed-path work vanishes as
-    the grid refines.  On a path that is smooth between grid points the
-    error expands in even powers of the step, which
-    :func:`converged_path_work` extrapolates away.  The PK1 stress is
-    evaluated once, on the whole (n + 1, 3, 3) stack of gradients.
+    the grid refines, with an error of order the step squared on a path
+    that is smooth between grid points.  The PK1 stress is evaluated once,
+    on the whole (n + 1, 3, 3) stack of gradients.  For the work to a
+    tolerance, sample the path with :func:`converged_path_work` instead.
     """
-    _require_points(path)
-    return _symmetric_sum(path.gradients, pk1_for_law(law, path.gradients, m))
-
-
-def _require_points(path):
-    if path.gradients.shape[0] < 3:
+    g = path.gradients
+    if g.shape[0] < 3:
         raise ValueError("path must contain at least 3 points")
-
-
-def _symmetric_sum(g, pk1):
-    # the path-work quadrature, given the PK1 stress at every grid point
+    pk1 = pk1_for_law(law, g, m)
     return 0.5 * float(np.sum(_inners(pk1[:-1] + pk1[1:], g[1:] - g[:-1])))
 
 
-# The sub-grids of the first grid that start the Romberg table: n0 / s
-# steps for each stride s that divides n0 and leaves at least 3 steps.
-_SUBGRID_STRIDES = (8, 4, 2)
-# The Romberg table extrapolates in h**2, h**4 and h**6.
-_ROMBERG_COLUMNS = 3
-# The table is trusted only once its first column shows the h**2 rate:
-# successive differences of the sums shrink by a factor within this band
-# of 4.  At a kink off the grid the factor wanders (3 to 5), and the
-# diagonal entries can agree by chance far from the work.
-_RATE_BAND = 0.1
+@functools.cache
+def _rule(n):
+    """The nested rule of degree n: its PANELS * n + 1 nodes in t on
+    [0, 1], ascending, a node shared by two panels once, and the Chebyshev
+    differentiation matrix and Clenshaw-Curtis weights of the n + 1
+    Lobatto nodes of one panel (Trefethen, Spectral Methods in MATLAB,
+    SIAM 2000, ``cheb`` and ``clencurt``).
+
+    A node is computed the same way for every n, so the rule of degree 2n
+    has the nodes of degree n, bit for bit, at its even indices.
+    """
+    k = np.arange(n + 1)
+    y = np.sin(np.pi * (2 * k - n) / (2 * n))  # Lobatto nodes of [-1, 1]
+    ends = np.where((k == 0) | (k == n), 2.0, 1.0)
+    c = ends * (-1.0) ** k
+    d = np.outer(c, 1.0 / c) / (y[:, None] - y + np.eye(n + 1))
+    d -= np.diag(d.sum(axis=1))
+    j = np.arange(1, n // 2 + 1)
+    b = np.where(j == n // 2, 1.0, 2.0) / (4.0 * j * j - 1.0)
+    w = 2.0 / (ends * n) * (1.0 - np.cos(2.0 * np.pi / n * np.outer(k, j)) @ b)
+    t = np.append((np.arange(PANELS)[:, None] + 0.5 * (1.0 + y[:-1]))
+                  / PANELS, 1.0)
+    return t, d, w
 
 
-def _extend(table, work):
-    """Append to the Romberg table the row of ``work``, the symmetric sum
-    on the grid of half the step of its last row."""
-    row = [work]
-    for k, coarse in enumerate(table[-1][:_ROMBERG_COLUMNS] if table else (),
-                               start=1):
-        row.append(row[-1] + (row[-1] - coarse) / (4.0 ** k - 1.0))
-    table.append(row)
+def _panel_works(g, pk1, n):
+    """The rule of degree n on the gradients and PK1 stresses at its nodes,
+    one work per panel: the sum over the nodes of ``w_k <P_k, (D F)_k>``,
+    in which the panel width cancels.  D is applied to the gradients
+    before the inner product, so no table of ``<P_k, F_j>`` is formed
+    (one overflows at lam = 1e307, where the work does not), and to their
+    differences from the panel's first gradient, which D maps to zero, so
+    that its roundoff scales with the change of F over the panel."""
+    _, d, w = _rule(n)
+    panels = np.arange(PANELS)[:, None] * n + np.arange(n + 1)
+    g = g.reshape(-1, 9)[panels]
+    rate = d @ (g - g[:, :1])
+    return np.sum(w[:, None] * pk1.reshape(-1, 9)[panels] * rate, axis=(1, 2))
 
 
-def _settled(table, tol):
-    """Whether the last two diagonal entries (the last entry of each row)
-    differ by less than tol, with the sums showing their h**2 rate or
-    already agreeing to tol."""
-    if len(table) < 2 or not abs(table[-1][-1] - table[-2][-1]) < tol:
-        return False
-    step = table[-1][0] - table[-2][0]
-    if abs(step) < tol:
-        return True
-    return (len(table) > 2 and abs((table[-2][0] - table[-3][0]) / step
-                                   - 4.0) <= _RATE_BAND)
+def converged_path_work(f_of_t, law, m: Moduli, closed=False, tol=None):
+    """Path work from one nested Chebyshev rule.
 
-
-def converged_path_work(f_of_t, law, m: Moduli, closed=False, n0=192,
-                        tol=None):
-    """Path work from a Romberg table of symmetric sums.
-
-    Samples ``f_of_t`` at n0 + 1 uniform parameters.  The symmetric sums
-    of :func:`path_work` on that grid and on its nested sub-grids of n0 / 8,
-    n0 / 4 and n0 / 2 steps (each used only while its step count is an
-    integer of at least 3) fill a Romberg table that extrapolates in h**2,
-    h**4 and h**6; then each of at most 10 doublings of n adds one
-    row.  Refinement stops once two successive diagonal entries
-    (the last entry of each row) differ by less than ``tol`` while the
-    last three sums shrink at the h**2 rate, a factor within 0.1 of 4 (or
-    already agree to ``tol``).  The default ``tol`` is
+    ``f_of_t`` is sampled on PANELS = 24 equal panels of [0, 1], at the
+    N + 1 Chebyshev-Lobatto nodes of each, and the work is
+    ``sum over panels, sum_k w_k <P_k, (D F)_k>``: Clenshaw-Curtis weights
+    w, the Chebyshev differentiation matrix D applied to the gradients for
+    dF/dt (so no velocity is needed), and the PK1 stress P.  The rule
+    starts at N = 8, 193 samples.  Its error estimate is the rule of N / 2
+    on every other node, which costs no sample: refinement doubles N up to
+    MAX_DEGREE = 64 and stops once ``|W_N - W_{N/2}|`` is below ``tol``,
+    in total and on every panel.  The default ``tol`` is
     ``1e-8 * max(|G|, |lam|)``: the work scales with the larger modulus,
     and a tolerance on the scale of G alone cannot be met by the roundoff
     of a work of order lam when lam is huge.  Returns ``(work, n,
-    converged)``.  A non-finite estimate stops the refinement unconverged.
+    converged)`` with ``n = 24 N`` steps.  A non-finite estimate stops the
+    refinement unconverged.
 
-    The even-power error expansion holds only where the path is smooth
-    between the points of the coarsest grid used: a kink (a corner of a
-    piecewise path) must fall on it.  The corners at t = 1/3 and 2/3 of
-    :func:`dilation_shear_cycle` do for the default n0 = 192, whose
-    coarsest sub-grid has 24 steps.  A kink off that grid breaks the h**2
-    rate of the sums, which mostly ends the run unconverged or at a work
-    the sums themselves have settled to ``tol``; the rate check is not a
-    proof, and on random diagonal cycles of 5 to 11 segments about 1 in
-    130 still stops converged with an error above ``tol``.
+    The rule is spectrally accurate where the path is smooth within each
+    panel, so a kink (a corner of a piecewise path) must fall on the grid
+    of t = k / 24, as the corners at t = 1/3 and 2/3 of
+    :func:`dilation_shear_cycle` do.  Inside a panel a kink converges only
+    algebraically, and the run stops unconverged at n = 1536; the
+    per-panel estimate keeps the errors of several kinks from cancelling
+    in the total into a false convergence.
 
-    At the defaults the dilation-shear cycle converges on the first grid,
+    At the defaults the dilation-shear cycle converges on the first rule,
     to within ``1e-13 max(1, |lam|)`` of ``lam (4 - 6 ln 2)`` for lam up
-    to 25; rotating cycles of corner stretch up to 2 at lam up to 0.5
-    come within 2e-12 of their closed forms, and within 1e-13 at
-    ``tol = 1e-12 |G|``.
+    to 1e307, and at 5e307, where the stresses come within a factor of 2
+    of overflow.  Rotating cycles of corner stretch up to 2 at lam up to
+    0.5 converge on the first rule too, within 1e-13 of their closed
+    forms, and so does a curved open path.
 
-    Sub-grids cost no sample: they are strided views of the first grid.
-    Each doubling keeps the gradients and PK1 stresses of the coarser grid
-    and samples ``f_of_t`` and evaluates PK1 only at the n new midpoints,
-    as one stack, so ``f_of_t`` is called ``n + 1`` times in all for the
-    returned n.  The kept points are those a fresh grid would sample:
-    ``linspace(0, 1, 2n + 1)[::2]`` is bit-equal to ``linspace(0, 1,
-    n + 1)``, so every table entry is built from the sums of fresh grids.
+    Each doubling keeps the gradients and PK1 stresses at the nodes of the
+    coarser rule and samples ``f_of_t`` and evaluates PK1 only at the new
+    odd nodes, as one stack, so ``f_of_t`` is called ``n + 1`` times in
+    all for the returned n, once per node.  Every sample is checked as a
+    :class:`LoadPath`.
     """
     if tol is None:
         tol = 1e-8 * max(abs(m.g), abs(m.lam))
-    n = int(n0)
-    path = LoadPath(_samples(f_of_t, np.linspace(0.0, 1.0, n + 1)),
-                    closed=closed)
-    _require_points(path)
-    pk1 = pk1_for_law(law, path.gradients, m)
-    table = []
-    strides = [s for s in _SUBGRID_STRIDES if n % s == 0 and n // s >= 3]
-    for s in strides + [1]:
-        _extend(table, _symmetric_sum(path.gradients[::s], pk1[::s]))
-    for _ in range(MAX_DOUBLINGS):
-        if _settled(table, tol) or not math.isfinite(table[-1][-1]):
-            break  # a non-finite sum stays so: the kept points stay
-        path, pk1, n = _refine(f_of_t, path, pk1, n, law, m)
-        _extend(table, _symmetric_sum(path.gradients, pk1))
-    return table[-1][-1], n, _settled(table, tol)
-
-
-def _samples(f_of_t, ts):
-    return np.array([f_of_t(t) for t in ts])
-
-
-def _refine(f_of_t, path, pk1, n, law, m):
-    """The path and its PK1 stresses on the grid of 2n steps, from those on
-    n steps: f_of_t and PK1 are evaluated at the new midpoints only."""
-    g = np.empty((2 * n + 1, 3, 3))
-    g[::2] = path.gradients
-    g[1::2] = _samples(f_of_t, np.linspace(0.0, 1.0, 2 * n + 1)[1::2])
-    path = LoadPath(g, closed=path.closed)
-    fine = np.empty_like(g)
-    fine[::2], fine[1::2] = pk1, pk1_for_law(law, g[1::2], m)
-    return path, fine, 2 * n
+    n = 8
+    g = LoadPath(np.array([f_of_t(t) for t in _rule(n)[0]]),
+                 closed=closed).gradients
+    pk1 = pk1_for_law(law, g, m)
+    while True:
+        works = _panel_works(g, pk1, n)
+        work = float(np.sum(works))
+        # on every panel too, so that the errors of panels with kinks
+        # cannot cancel in the total
+        error = works - _panel_works(g[::2], pk1[::2], n // 2)
+        converged = bool(abs(np.sum(error)) < tol
+                         and np.all(np.abs(error) < tol))
+        if converged or n == MAX_DEGREE or not math.isfinite(work):
+            return work, PANELS * n, converged
+        n *= 2
+        fine = np.empty((2, PANELS * n + 1, 3, 3))
+        fine[:, ::2] = g, pk1
+        fine[0, 1::2] = [f_of_t(t) for t in _rule(n)[0][1::2]]
+        LoadPath(fine[0], closed=closed)
+        fine[1, 1::2] = pk1_for_law(law, fine[0, 1::2], m)
+        g, pk1 = fine
 
 
 def diagonal_path(corners):
@@ -761,8 +755,11 @@ def suite(law, m: Moduli, samples=1000, seed=0):
     ``|lam| <= 1e-14 max(1, |G|)``, the rule of
     :func:`constitutive.becker_energy_nu0`; there the suite adds the random
     monotonicity search, the convexity probes and the open-path energy
-    match.  The closed-cycle witness records the paper's ``lam (4 - 6 ln
-    2)`` and the distance of the work from it, ``work_error``.  When the
+    match.  Both paths have their corners on the t = k / 24 panel grid of
+    :func:`converged_path_work` and converge on its first rule, 192
+    steps.  The closed-cycle witness records the paper's ``lam (4 - 6 ln
+    2)`` and the distance of the work from it, ``work_error``, at most
+    ``1e-13 max(1, |lam|)``.  When the
     quadrature of a path-work report did not converge, the report comes out
     not as expected: the open-path energy match fails, and the closed-cycle
     work fails at lam = 0 and passes where it is expected to fail.

@@ -18,9 +18,8 @@ from logstrain.stresses import StressState
 from logstrain.tensors import (_fro_norms, _inners, cofactor, dev3, eig_sym,
                                fro_norm, inner, mat_exp, mat_log, mat_pow,
                                mat_sqrt, tr)
-from logstrain.verify import (LoadPath, converged_path_work, diagonal_path,
-                              dilation_shear_cycle, path_work,
-                              random_rotation)
+from logstrain.verify import (converged_path_work, diagonal_path,
+                              dilation_shear_cycle, random_rotation)
 
 from conftest import rotation_from_normals, spd_from_draws
 
@@ -287,13 +286,16 @@ def test_draw_calls_do_not_grow_with_samples(groups, calls):
 # what the suite reports and must be a deliberate one too.  The four
 # log-law digests were re-pinned once more when becker_inverse moved onto
 # the spectrum of the deviator: only their inverse_round_trip line changed.
+# The three becker digests were re-pinned when the path work moved onto the
+# nested Chebyshev rule: only their closed_cycle_work and
+# open_path_energy_match lines changed.
 _SUITE_DIGESTS = {
-    ("becker", 0.0): "bf470d3af2583fbc64137b43d15cfbb7"
-                     "6337af60353834e59969987bef2fe611",
-    ("becker", 0.5): "f40f8a0fb4fd1fad3e515516197dc4a1"
-                     "4e2061aaab7c43bf00ea629695730304",
-    ("becker", 25.0): "b9f6de836cac2613a012de77faf87ea6"
-                      "4af504c657ff8d163a5db3657ceb92b5",
+    ("becker", 0.0): "b7efd5aebf15cda2faac002a46519abd"
+                     "79a179a7dd803701bda4ca09415d9ed1",
+    ("becker", 0.5): "f89b1d8e13cef8296d7fd56b7e3f1a1d"
+                     "cd117a1079642a9dfb0098bbf2d791ab",
+    ("becker", 25.0): "ea6318d93015447dd397563dfa3986fb"
+                      "0e3e769ed4409ffd659b68f2e98a4ffd",
     ("hencky-kirchhoff", 0.5): "e042e9c1ef60a3cf611dac1aa90e32b9"
                                "4f78f3187c23c25f3c50b4260bba9881",
     ("hooke-biot", 0.5): "f5f7ee28df7382e4fd5e6a80793be239"
@@ -319,15 +321,23 @@ def _counting(f_of_t):
     return f, calls
 
 
+# seven segments: the corners at t = k/7 lie off the panel grid of t = k/24,
+# so the rule refines to its finest degree without converging
+_OFF_GRID = [(1.0, 1.0, 1.0), (1.5, 1.0, 1.0), (1.5, 1.3, 1.0),
+             (1.8, 1.3, 1.2), (1.2, 1.6, 1.2), (1.0, 1.2, 1.4),
+             (0.8, 1.0, 1.1), (1.0, 1.0, 1.0)]
+
+
 @pytest.mark.parametrize("closed", [True, False])
 def test_each_grid_point_is_sampled_once(closed):
-    path = (dilation_shear_cycle() if closed
-            else diagonal_path([(1.0, 1.0, 1.0), (1.6, 0.8, 1.2)]))
+    path = diagonal_path(_OFF_GRID if closed
+                         else [(1.0, 1.0, 1.0), (1.6, 0.8, 1.2)])
     f, calls = _counting(path)
     work, n, converged = converged_path_work(f, "becker", M, closed=closed)
-    assert converged
+    assert converged != closed
+    assert n == (verify.PANELS * verify.MAX_DEGREE if closed else 192)
     assert len(calls) == n + 1
-    assert sorted(calls) == np.linspace(0.0, 1.0, n + 1).tolist()
+    assert sorted(calls) == verify._rule(n // verify.PANELS)[0].tolist()
 
 
 def test_dilation_cycle_converges_on_the_first_grid():
@@ -337,32 +347,29 @@ def test_dilation_cycle_converges_on_the_first_grid():
 
 
 def test_converged_work_equals_fresh_quadrature():
-    # the sub-grids and the kept coarse points change no bit of the
-    # symmetric sums: the work is the Romberg diagonal of fresh grids
-    f = dilation_shear_cycle()
-    work, n, converged = converged_path_work(f, "becker", M, closed=True)
-    assert converged
-    row, diagonal = [], []
-    k = 24  # n0 / 8 at the default n0 = 192
-    while k <= n:
-        w = path_work(LoadPath(np.array([f(t) for t in
-                                         np.linspace(0.0, 1.0, k + 1)]),
-                               closed=True), "becker", M)
-        new = [w]
-        for j, coarse in enumerate(row[:3], start=1):
-            new.append(new[-1] + (new[-1] - coarse) / (4.0 ** j - 1.0))
-        row = new
-        diagonal.append(row[-1])
-        k *= 2
-    assert abs(diagonal[-1] - diagonal[-2]) < 1e-8
-    assert work == diagonal[-1]
+    # the kept nodes are the even nodes of a fresh rule of twice the
+    # degree, bit for bit, so refinement changes no bit of the work
+    degree = 4
+    while degree < verify.MAX_DEGREE:
+        assert np.array_equal(verify._rule(2 * degree)[0][::2],
+                              verify._rule(degree)[0])
+        degree *= 2
+    f = diagonal_path(_OFF_GRID)
+    work, n, _ = converged_path_work(f, "becker", M, closed=True)
+    g = np.array([f(t) for t in verify._rule(verify.MAX_DEGREE)[0]])
+    works = verify._panel_works(g, pk1_for_law("becker", g, M),
+                                verify.MAX_DEGREE)
+    assert work == float(np.sum(works))
 
 
-def test_midpoint_failure_names_the_fine_grid_index():
+def test_refinement_node_failure_names_the_fine_grid_index():
+    # index 87 is the odd node 7 of panel 5 in the rule of degree 16, the
+    # first refinement: a node that the first rule does not sample
+    bad = verify._rule(16)[0][87]
+
     def f(t):
-        return np.eye(3) * (math.nan if t == 0.75 else 1.0 + t)
+        return np.eye(3) * (math.nan if t == bad else 1.0 + t)
 
-    # grids of 2 and then 4 steps: t = 0.75 is the new point at index 3
-    with pytest.raises(ValueError, match="gradient 3 on the path is not "
+    with pytest.raises(ValueError, match="gradient 87 on the path is not "
                                          "finite"):
-        converged_path_work(f, "becker", M, n0=2)
+        converged_path_work(f, "becker", M, tol=0.0)

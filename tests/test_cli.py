@@ -220,8 +220,14 @@ def test_check_at_overflowing_moduli_fails_its_checks_quietly(capsys):
         "error": "law 'becker': stress is not finite at G = 1, "
                  "lam = 5e+307 at index 3"}
     assert not by_name["power_law"]["passed"]
+    # the stresses on the dilation cycle stay within a factor of 2 of
+    # overflow, and its work lam (4 - 6 ln 2) converges on the first rule
     cycle = by_name["closed_cycle_work"]["witness"]
-    assert not cycle["quadrature_converged"] and cycle["steps"] == 192
+    assert cycle["quadrature_converged"] and cycle["steps"] == 192
+    predicted = 5e307 * (4.0 - 6.0 * math.log(2.0))
+    assert cycle["predicted_work"] == predicted
+    assert cycle["work_error"] == abs(cycle["work"] - predicted)
+    assert cycle["work_error"] <= 1e-13 * 5e307
 
 
 def _strict(token):
@@ -229,7 +235,8 @@ def _strict(token):
 
 
 def test_check_lines_are_strict_json(capsys):
-    # lam = 5e307: a NaN work and infinite ladder ratios, written as strings
+    # lam = 5e307: infinite ladder ratios, written as strings, next to a
+    # finite work
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, _ = run(capsys, "check", "--G", "1", "--lam", "5e307",
@@ -239,7 +246,8 @@ def test_check_lines_are_strict_json(capsys):
     for line in out.splitlines():
         report = json.loads(line, parse_constant=_strict)
         by_name[report["name"]] = report
-    assert by_name["closed_cycle_work"]["witness"]["work"] == "nan"
+    work = by_name["closed_cycle_work"]["witness"]["work"]
+    assert isinstance(work, float) and math.isfinite(work)
     for name in ("linearization_order", "pk2_expansion"):
         assert set(by_name[name]["witness"]["ratios"].values()) == {"inf"}
 

@@ -209,25 +209,42 @@ def _text(values):
     return " ".join(repr(float(v)) for v in np.ravel(values))
 
 
+def _moduli(m):
+    return ["--G", repr(m.g), "--lam", repr(m.lam)]
+
+
+def _plot(figure):
+    return lambda a, law, measure, m: [
+        "plot-data", "--figure", figure, "--min", repr(float(a[0, 0])),
+        "--max", repr(float(a[0, 1])), "--points", "5", *_moduli(m)]
+
+
 _COMMANDS = {
-    "stress": lambda a, law, measure: [
-        "stress", "--F", _text(a), "--law", law, "--measure", measure],
+    "stress": lambda a, law, measure, m: [
+        "stress", "--F", _text(a), "--law", law, "--measure", measure,
+        *_moduli(m)],
     # t11 t22 t33 t12 t13 t23 from the upper triangle
-    "invert": lambda a, law, measure: [
-        "invert", "--T", _text(a[np.triu_indices(3)][[0, 3, 5, 1, 2, 4]])],
-    "decompose": lambda a, law, measure: [
-        "decompose", "--loads", *_text(a[0]).split()],
+    "invert": lambda a, law, measure, m: [
+        "invert", "--T", _text(a[np.triu_indices(3)][[0, 3, 5, 1, 2, 4]]),
+        *_moduli(m)],
+    "decompose": lambda a, law, measure, m: [
+        "decompose", "--loads", *_text(a[0]).split(), *_moduli(m)],
+    # shear-statics takes no moduli
+    "shear-statics": lambda a, law, measure, m: [
+        "shear-statics", "--Q", repr(float(a[0, 0])),
+        "--alpha", repr(float(a[0, 1])), "--q-scale", repr(float(a[0, 2]))],
+    "plot-data simple-shear": _plot("simple-shear"),
+    "plot-data tension": _plot("tension"),
 }
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=600, deadline=None, derandomize=True)
 @given(command=st.sampled_from(sorted(_COMMANDS)), a=_MATRIX,
        m=st.sampled_from(_MODULI), law=st.sampled_from(_TENSOR_TAGS),
        measure=st.sampled_from(MEASURES))
 def test_cli_law_commands_exit_zero_with_finite_output_or_two(
         command, a, m, law, measure):
-    argv = _COMMANDS[command](a, law, measure) + [
-        "--G", repr(m.g), "--lam", repr(m.lam)]
+    argv = _COMMANDS[command](a, law, measure, m)
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):

@@ -1,6 +1,7 @@
 """Polar decomposition, shear deformations, planes of no distortion."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -334,6 +335,24 @@ def test_ellipse_radius_at_pond_normal_is_one():
     n = np.array([alpha, 1.0, 0.0]) / math.sqrt(alpha ** 2 + 1.0)
     assert shear_ellipsoid_radius(n, alpha) == pytest.approx(1.0,
                                                              abs=1e-14)
+
+
+# alpha**2 underflows at 1e-160 and overflows at 1e155; the radius is
+# representable across the whole range
+_ALPHAS = sorted({1e-160, 1e155, *np.geomspace(1e-300, 1e300, 61).tolist()})
+
+
+@pytest.mark.parametrize("n", [(0.6, 0.8, 0.0), (1.0, 0.0, 0.0),
+                               (0.0, 1.0, 0.0)])
+def test_ellipse_radius_against_mpmath(n):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        n1, n2 = mpmath.mpf(n[0]), mpmath.mpf(n[1])
+        for alpha in _ALPHAS:
+            a = mpmath.mpf(alpha)
+            ref = 1 / mpmath.sqrt((a * n2) ** 2 + (n1 / a) ** 2)
+            r = shear_ellipsoid_radius(np.array(n), alpha)
+            assert abs(r - ref) <= 2 * sys.float_info.epsilon * ref, alpha
 
 
 def test_ellipse_radius_rejects_bad_normals():

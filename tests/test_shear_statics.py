@@ -166,6 +166,27 @@ def test_max_tangential_stress_plane_differs_from_pond():
     assert abs(best_phi - pond_phi) > 0.1
 
 
+@pytest.mark.parametrize("q", [1.0, 2.5])
+def test_traction_against_mpmath(q):
+    # the load on the cut of normal (0.6, 0.8, 0), from alpha**2
+    # underflowing (1e-160) to overflowing (1e155) and across the range:
+    # R**2 = Q**2, N**2 = (Q r (alpha n2**2 - n1**2 / alpha))**2
+    mpmath = pytest.importorskip("mpmath")
+    n = in_plane_normal(math.atan2(0.8, 0.6))
+    alphas = sorted({1e-160, 1e155, *np.geomspace(1e-300, 1e300, 61)})
+    with mpmath.workdps(50):
+        n1, n2, qq = mpmath.mpf(n[0]), mpmath.mpf(n[1]), mpmath.mpf(q)
+        for alpha in alphas:
+            a = mpmath.mpf(alpha)
+            r = 1 / mpmath.sqrt((a * n2) ** 2 + (n1 / a) ** 2)
+            ref_n2 = (qq * r * (a * n2 ** 2 - n1 ** 2 / a)) ** 2
+            dec = traction_on_line(q, alpha, n)
+            eps = sys.float_info.epsilon
+            assert abs(dec.r2 - qq ** 2) <= 4 * eps * q ** 2, alpha
+            assert abs(dec.n2 - ref_n2) <= 8 * eps * q ** 2, alpha
+            assert abs(dec.t2 - (qq ** 2 - ref_n2)) <= 8 * eps * q ** 2, alpha
+
+
 def test_traction_rejects_bad_normals():
     with pytest.raises(ValueError):
         traction_on_line(1.0, 2.0, np.array([1.0, 1.0, 0.0]))
