@@ -39,8 +39,8 @@ from .moduli import Moduli
 from .shear_statics import (failure_criteria, mohr_circle,
                             pond_stress_components)
 from .stresses import MEASURES, stress_convert
-from .tensors import (_all_finite, _first, dev3, eig_sym, fro_norm,
-                      sym_part, tr)
+from .tensors import (_all_finite, _first, _pow2_scale, dev3, eig_sym,
+                      fro_norm, sym_part, tr)
 
 CONFIG_NAME = "logstrain.cfg"
 _CONFIG_KEYS = {"g": "g", "lambda": "lam", "k": "k", "e": "e", "nu": "nu"}
@@ -184,10 +184,9 @@ def _cmd_invert(args):
     t = np.array([[t11, t12, t13], [t12, t22, t23], [t13, t23, t33]])
     u = laws.becker_inverse(t, m)
     back = laws.becker_biot(u, m)  # before anything is printed
-    # both stresses scaled by one power of two s >= 1 that brings every
-    # entry to at most 1: exact, and no square in the norms overflows
-    big = max(np.abs(back).max(), np.abs(t).max())
-    s = math.ldexp(1.0, max(0, math.frexp(big)[1]))
+    # both stresses scaled by one power of two: exact, and no square in
+    # the norms overflows
+    s = _pow2_scale(max(np.abs(back).max(), np.abs(t).max()))
     err = fro_norm(back / s - t / s) / max(1.0 / s, fro_norm(t / s))
     print(f"unit {m.unit}")
     print("biot stress:")
@@ -290,12 +289,8 @@ def _cmd_decompose(args):
 def _cmd_fit(args):
     ds = fitting.read_dataset(args.data)
     result = fitting.fit_dataset(ds, args.mode)
-    print(f"model {result.model}")
-    print(f"fitted G = {_fmt(result.g)}")
-    print(f"rms residual = {_fmt(result.rms)} over {len(ds)} rows")
-    for x, r in zip(ds.x, result.residuals):
-        print(f"  lambda = {_fmt(x)}   residual = {_fmt(r)}")
-    if args.out:
+    text = None
+    if args.out:  # checked, and written to a file, before anything is printed
         xs = np.linspace(float(ds.x[0]), float(ds.x[-1]), args.points)
         if ds.x[0] == ds.x[-1]:
             xs = np.array([float(ds.x[0])])
@@ -303,12 +298,24 @@ def _cmd_fit(args):
                    "fit": fitting.model_curve(args.mode, result.g, xs)}
         for name in args.laws:
             columns[name] = _INCOMPRESSIBLE[name](xs, result.g)
-        _write_csv(args.out, columns)
+        text = _csv_text(columns)
+        if args.out != "-":
+            _write_text(args.out, text)
+    print(f"model {result.model}")
+    print(f"fitted G = {_fmt(result.g)}")
+    print(f"rms residual = {_fmt(result.rms)} over {len(ds)} rows")
+    for x, r in zip(ds.x, result.residuals):
+        print(f"  lambda = {_fmt(x)}   residual = {_fmt(r)}")
+    if text is not None:
+        if args.out == "-":
+            sys.stdout.write(text)
         print(f"curve written to {args.out}")
     return 0
 
 
-def _write_csv(path, columns):
+def _csv_text(columns):
+    """The CSV table of the columns, or :class:`LogstrainError` naming the
+    first column with a number that is not finite."""
     names = list(columns)
     table = np.column_stack(list(columns.values()))
     bad = ~np.isfinite(table)
@@ -318,8 +325,15 @@ def _write_csv(path, columns):
         raise LogstrainError(f"column {names[j]} is not finite at "
                              f"{names[0]} = {_fmt(table[i, 0])}")
     row = ",".join(["%.12g"] * len(names)) + "\n"
-    text = ",".join(names) + "\n" + (row * len(table)) % tuple(
+    return ",".join(names) + "\n" + (row * len(table)) % tuple(
         table.ravel().tolist())
+
+
+def _write_csv(path, columns):
+    _write_text(path, _csv_text(columns))
+
+
+def _write_text(path, text):
     if path == "-":
         sys.stdout.write(text)
     else:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constitutive import _incompressible_columns
-from .errors import DegenerateData
+from .errors import DegenerateData, LogstrainError
+from .tensors import _pow2_scale
 
 __all__ = ["DataSet", "FitResult", "read_dataset", "dataset_from_rows",
            "fit_dataset", "model_curve", "FIT_MODES"]
@@ -118,19 +119,36 @@ def model_curve(mode, g, xs):
     return g * _PHI[mode](np.asarray(xs, dtype=float))
 
 
+def _rms(r):
+    """Root mean square of the 1-d array r.  When the sum of the squares
+    overflows, r is scaled by a power of two first, which changes no bit
+    where the plain sum is finite."""
+    squares = float(r @ r)
+    if math.isinf(squares) and np.isfinite(r).all():
+        s = _pow2_scale(float(np.max(np.abs(r))))
+        q = r / s
+        return s * math.sqrt(float(q @ q) / len(r))
+    return math.sqrt(squares / len(r))
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def fit_dataset(ds: DataSet, mode):
     """Fit the shear modulus of a uniaxial model to a data set.
 
     Both models are ``t = G phi(lambda)``, so the least squares is solved in
     closed form, ``G = sum(t_i phi_i) / sum(phi_i**2)``, with ``phi`` the
     model at G = 1: ``3 ln lambda`` (incompressible) or ``ln lambda (2 +
-    lambda**-1.5)`` (hyper).
+    lambda**-1.5)`` (hyper).  The rms residual is taken without overflow
+    in its squares.
 
     Raises
     ------
     DegenerateData
         Fewer than the required rows, or all stretches equal to 1 (the
         regressor vanishes identically and G is undetermined).
+    LogstrainError
+        The fitted G, a residual or the rms residual is not finite (the
+        model or the data are beyond the range of floats).
     """
     if mode not in FIT_MODES:
         raise ValueError(f"unknown fit mode {mode!r}; expected {FIT_MODES}")
@@ -145,5 +163,9 @@ def fit_dataset(ds: DataSet, mode):
             "all stretches equal 1; the modulus is undetermined")
     g = float(ds.y @ phi) / denom
     residuals = ds.y - g * phi
-    rms = math.sqrt(float(residuals @ residuals) / len(ds))
+    rms = _rms(residuals)
+    # the rms is finite only where every residual is
+    if not (math.isfinite(g) and math.isfinite(rms)):
+        raise LogstrainError(f"the {mode} fit is not finite: G = {g:.6g}, "
+                             f"rms residual = {rms:.6g}")
     return FitResult(g=g, rms=rms, residuals=residuals, model=mode)

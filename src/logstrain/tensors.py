@@ -159,6 +159,13 @@ def _sum_is_finite(a, core=2):
         return math.isfinite(a.sum())
 
 
+def _pow2_scale(big):
+    """The power of two s >= 1 that brings a finite ``big >= 0`` below 2.
+    Dividing by s is exact, and numbers up to the largest float divided
+    by it have squares, and sums of a few squares, that do not overflow."""
+    return math.ldexp(1.0, max(0, math.frexp(big)[1] - 1))
+
+
 def _first_nonfinite(a):
     """Flat index of the first matrix of a (..., n, n) stack with a
     non-finite entry, or None."""

@@ -37,8 +37,9 @@ from .constitutive import (_LAWS, _lam_is_zero, _log_strain, _tensor_row,
                            stretch_stress)
 from .errors import LogstrainError
 from .moduli import Moduli
-from .tensors import (_as_mats, _as_real, _at, _diag, _first, _fro_norms,
-                      _inners, _spectrum, as_mat3, eig_sym, fro_norm, mat_exp,
+from .tensors import (_as_mats, _as_real, _at, _diag, _first,
+                      _first_nonfinite, _fro_norms, _inners, _pow2_scale,
+                      _spectrum, as_mat3, eig_sym, fro_norm, mat_exp,
                       mat_pow, sym_part)
 
 __all__ = [
@@ -506,28 +507,50 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
 
 @dataclass(frozen=True)
 class LoadPath:
-    """Deformation gradients F(t_i) at uniform parameter steps on [0, 1]."""
+    """Deformation gradients F(t_i) at uniform parameter steps on [0, 1].
+
+    Each gradient is checked once on construction: finite (one sum over
+    the whole stack, with the per-matrix test only when that sum is not
+    finite, so the message names the first bad gradient), ``det F > 0``
+    (a determinant that overflows to +inf counts as positive, and quietly),
+    and for a closed path end points within ``1e-12 max(1, |F_0|)`` of
+    each other in the Frobenius norm, compared on the two end points
+    scaled by one power of two so that no difference or square overflows.
+    """
 
     gradients: np.ndarray
     closed: bool = False
 
     def __post_init__(self):
-        g = np.asarray(self.gradients, dtype=float)
-        if g.ndim != 3 or g.shape[1:] != (3, 3):
-            raise ValueError("gradients must have shape (n, 3, 3)")
-        finite = np.isfinite(g).all(axis=(1, 2))
-        if not finite.all():
-            raise ValueError(f"gradient {int(np.argmin(finite))} on the "
-                             f"path is not finite")
-        dets = np.linalg.det(g)
-        if np.any(dets <= 0.0):
-            raise ValueError("every F on the path must have det > 0")
+        g = _checked_gradients(self.gradients)
         if self.closed:
-            gap = fro_norm(g[0] - g[-1])
-            if gap > 1e-12 * max(1.0, fro_norm(g[0])):
+            # the end points scaled by one power of two: exact, and the
+            # gap and the norms cannot overflow
+            s = _pow2_scale(float(np.max(np.abs(g[[0, -1]]))))
+            gap = fro_norm(g[0] / s - g[-1] / s)
+            if gap > 1e-12 * max(1.0 / s, fro_norm(g[0] / s)):
                 raise ValueError(
-                    f"closed path endpoints differ by {gap:.3g}")
+                    f"closed path endpoints differ by {gap * s:.3g}")
         object.__setattr__(self, "gradients", g)
+
+
+def _checked_gradients(g, first=0, step=1):
+    """``g`` as a float (k, 3, 3) stack of path gradients, each finite
+    with ``det > 0``, or ``ValueError``.  Gradient i of the stack is
+    gradient ``first + step * i`` of the path, the index a message
+    names."""
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 3 or g.shape[1:] != (3, 3) or not len(g):
+        raise ValueError("gradients must have shape (n, 3, 3)")
+    i = _first_nonfinite(g)
+    if i is not None:
+        raise ValueError(f"gradient {first + step * i} on the path is not "
+                         f"finite")
+    with np.errstate(over="ignore"):  # an overflow to +inf is still > 0
+        dets = np.linalg.det(g)
+    if np.any(dets <= 0.0):
+        raise ValueError("every F on the path must have det > 0")
+    return g
 
 
 def path_work(path: LoadPath, law, m: Moduli):
@@ -597,15 +620,18 @@ def converged_path_work(f_of_t, law, m: Moduli, closed=False, tol=None):
     ``sum over panels, sum_k w_k <P_k, (D F)_k>``: Clenshaw-Curtis weights
     w, the Chebyshev differentiation matrix D applied to the gradients for
     dF/dt (so no velocity is needed), and the PK1 stress P.  The rule
-    starts at N = 8, 193 samples.  Its error estimate is the rule of N / 2
-    on every other node, which costs no sample: refinement doubles N up to
-    MAX_DEGREE = 64 and stops once ``|W_N - W_{N/2}|`` is below ``tol``,
-    in total and on every panel.  The default ``tol`` is
+    starts at N = 8, 193 samples.  Its error estimate is
+    ``|W_N - W_{N/2}|``, the rule of N / 2 on every other node, which
+    costs no sample; it is the error of the N / 2 rule, so it bounds that
+    of W_N only loosely, and a run may refine after W_N is already exact.
+    Refinement doubles N up to MAX_DEGREE = 64 and stops once the estimate
+    is below ``tol``, in total and on every panel.  The default ``tol`` is
     ``1e-8 * max(|G|, |lam|)``: the work scales with the larger modulus,
     and a tolerance on the scale of G alone cannot be met by the roundoff
     of a work of order lam when lam is huge.  Returns ``(work, n,
     converged)`` with ``n = 24 N`` steps.  A non-finite estimate stops the
-    refinement unconverged.
+    refinement unconverged; a work that is not finite raises
+    :class:`LogstrainError`.
 
     The rule is spectrally accurate where the path is smooth within each
     panel, so a kink (a corner of a piecewise path) must fall on the grid
@@ -622,57 +648,107 @@ def converged_path_work(f_of_t, law, m: Moduli, closed=False, tol=None):
     0.5 converge on the first rule too, within 1e-13 of their closed
     forms, and so does a curved open path.
 
-    Each doubling keeps the gradients and PK1 stresses at the nodes of the
-    coarser rule and samples ``f_of_t`` and evaluates PK1 only at the new
-    odd nodes, as one stack, so ``f_of_t`` is called ``n + 1`` times in
-    all for the returned n, once per node.  Every sample is checked as a
-    :class:`LoadPath`.
+    Sampling: a path of :func:`diagonal_path` is evaluated on a whole
+    array of nodes in one numpy pass, with the bits of its call at each
+    node; any other ``f_of_t`` is called once per node with a Python
+    float.  The first rule samples all its nodes; each doubling keeps the
+    gradients and PK1 stresses at the nodes of the coarser rule and
+    samples the path only at the new odd nodes, so a callable is called
+    ``n + 1`` times in all for the returned n.  PK1 is one
+    :func:`constitutive.pk1_for_law` call per rule, on the stack of the
+    nodes it samples.  Each node is checked once, as :class:`LoadPath`
+    checks a gradient: the first rule as a LoadPath (the closure of a
+    closed path included), a doubling's new nodes alone, with a message
+    that names the node's index in the doubled rule.
     """
     if tol is None:
         tol = 1e-8 * max(abs(m.g), abs(m.lam))
+    if isinstance(f_of_t, _DiagonalPath):
+        sample = f_of_t._at_nodes
+    else:
+        def sample(t):
+            return np.array([f_of_t(x) for x in t.tolist()])
     n = 8
-    g = LoadPath(np.array([f_of_t(t) for t in _rule(n)[0]]),
-                 closed=closed).gradients
+    g = LoadPath(sample(_rule(n)[0]), closed=closed).gradients
     pk1 = pk1_for_law(law, g, m)
     while True:
-        works = _panel_works(g, pk1, n)
-        work = float(np.sum(works))
-        # on every panel too, so that the errors of panels with kinks
-        # cannot cancel in the total
-        error = works - _panel_works(g[::2], pk1[::2], n // 2)
-        converged = bool(abs(np.sum(error)) < tol
-                         and np.all(np.abs(error) < tol))
-        if converged or n == MAX_DEGREE or not math.isfinite(work):
+        with np.errstate(over="ignore", invalid="ignore"):
+            works = _panel_works(g, pk1, n)
+            work = float(np.sum(works))
+            # on every panel too, so that the errors of panels with kinks
+            # cannot cancel in the total
+            error = works - _panel_works(g[::2], pk1[::2], n // 2)
+            converged = bool(abs(np.sum(error)) < tol
+                             and np.all(np.abs(error) < tol))
+        if not math.isfinite(work):
+            raise LogstrainError(f"path work with {law!r} is not finite: "
+                                 f"{work} at n = {PANELS * n}")
+        if converged or n == MAX_DEGREE:
             return work, PANELS * n, converged
         n *= 2
+        new = _checked_gradients(sample(_rule(n)[0][1::2]), first=1, step=2)
         fine = np.empty((2, PANELS * n + 1, 3, 3))
         fine[:, ::2] = g, pk1
-        fine[0, 1::2] = [f_of_t(t) for t in _rule(n)[0][1::2]]
-        LoadPath(fine[0], closed=closed)
-        fine[1, 1::2] = pk1_for_law(law, fine[0, 1::2], m)
+        fine[0, 1::2] = new
+        fine[1, 1::2] = pk1_for_law(law, new, m)
         g, pk1 = fine
+
+
+class _DiagonalPath:
+    """The path of :func:`diagonal_path`: called at one t, its diagonal
+    gradient; :meth:`_at_nodes` gives the gradients at an array of t."""
+
+    __slots__ = ("_segs", "_pairs", "_ends")
+
+    def __init__(self, corners):
+        pts = np.asarray(corners, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 2:
+            raise ValueError("corners must be at least two diagonal triples")
+        self._segs = len(pts) - 1
+        self._ends = pts[:-1], pts[1:]
+        # per segment, the (start, end) pair of each diagonal entry, as
+        # Python floats: (a0, b0, a1, b1, a2, b2)
+        self._pairs = [(a[0], b[0], a[1], b[1], a[2], b[2]) for a, b in
+                       zip(pts[:-1].tolist(), pts[1:].tolist())]
+
+    def __call__(self, t):
+        x = min(max(float(t), 0.0), 1.0) * self._segs
+        i = min(int(x), self._segs - 1)
+        w = x - i
+        v = 1.0 - w
+        a0, b0, a1, b1, a2, b2 = self._pairs[i]
+        d = np.zeros((3, 3))
+        d[0, 0] = v * a0 + w * b0
+        d[1, 1] = v * a1 + w * b1
+        d[2, 2] = v * a2 + w * b2
+        return d
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _at_nodes(self, t):
+        """The gradients at the parameters of the 1-d array t, in [0, 1],
+        shape (len(t), 3, 3): the call's arithmetic on each, so each member
+        has the bits of the call at its t."""
+        x = t * self._segs
+        i = np.minimum(x.astype(np.int64), self._segs - 1)
+        w = (x - i)[:, None]
+        start, end = self._ends
+        d = np.zeros((len(t), 3, 3))
+        d[:, [0, 1, 2], [0, 1, 2]] = (1.0 - w) * start[i] + w * end[i]
+        return d
 
 
 def diagonal_path(corners):
     """Piecewise-linear path through diagonal stretches.
 
-    ``corners`` is a sequence of diagonal triples; returns ``f(t)`` tracing
-    them at uniform speed over [0, 1].
+    ``corners`` is a sequence of at least two diagonal triples; returns a
+    callable ``f(t)`` tracing them at uniform speed over [0, 1], t clamped
+    to [0, 1]: on segment i of k, ``(1 - w) a + w b`` of its end corners a
+    and b per diagonal entry, with ``w = t k - i``.  A float-valued
+    callable like any other, it also lets :func:`converged_path_work`
+    evaluate a whole array of nodes in one numpy pass, with the same
+    bits as the calls at those nodes.
     """
-    pts = np.asarray(corners, dtype=float).tolist()
-    segs = len(pts) - 1
-
-    def f(t):
-        t = min(max(float(t), 0.0), 1.0)
-        x = t * segs
-        i = min(int(x), segs - 1)
-        w = x - i
-        d = np.zeros((3, 3))
-        d[0, 0], d[1, 1], d[2, 2] = [(1.0 - w) * a + w * b
-                                     for a, b in zip(pts[i], pts[i + 1])]
-        return d
-
-    return f
+    return _DiagonalPath(corners)
 
 
 def dilation_shear_cycle():

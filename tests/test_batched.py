@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -372,4 +373,88 @@ def test_refinement_node_failure_names_the_fine_grid_index():
 
     with pytest.raises(ValueError, match="gradient 87 on the path is not "
                                          "finite"):
+        converged_path_work(f, "becker", M, tol=0.0)
+
+
+# corner lists of diagonal paths: the dilation cycle, the off-grid cycle,
+# an open path, and one with signed zeros, negative, huge, subnormal and
+# infinite entries
+_DIAGONAL_CORNERS = [
+    [(1.0, 1.0, 1.0), (2.0, 1.0, 1.0), (2.0, 2.0, 2.0), (1.0, 1.0, 1.0)],
+    _OFF_GRID,
+    [(1.0, 1.0, 1.0), (1.6, 0.8, 1.2)],
+    [(-0.0, 0.0, 1e308), (0.0, -0.0, 1e308), (-2.5, 5e-324, math.inf)],
+]
+
+
+@pytest.mark.parametrize("corners", _DIAGONAL_CORNERS)
+def test_diagonal_path_array_equals_each_call(corners):
+    path = diagonal_path(corners)
+    segs = len(corners) - 1
+    t = np.concatenate([verify._rule(verify.MAX_DEGREE)[0], [0.0, 1.0],
+                        np.arange(segs + 1) / segs])
+    with np.errstate(over="raise", invalid="raise"):
+        alone = np.array([path(x) for x in t.tolist()])
+    # the array pass runs quietly, as the calls on Python floats do
+    stack = path._at_nodes(t)
+    assert stack.shape == (len(t), 3, 3)
+    # bit for bit, the sign bits of zeros and the NaN of 0 * inf included
+    assert np.array_equal(stack.view(np.uint64), alone.view(np.uint64))
+
+
+@pytest.mark.parametrize("corners, closed", [
+    (_DIAGONAL_CORNERS[0], True), (_OFF_GRID, True),
+    (_DIAGONAL_CORNERS[2], False)])
+def test_diagonal_paths_are_sampled_as_one_array(corners, closed,
+                                                 monkeypatch):
+    path = diagonal_path(corners)
+    calls = []
+    call = type(path).__call__
+    monkeypatch.setattr(type(path), "__call__",
+                        lambda self, t: calls.append(t) or call(self, t))
+    direct = converged_path_work(path, "becker", M, closed=closed)
+    assert calls == []
+    wrapped = converged_path_work(lambda t: path(t), "becker", M,
+                                  closed=closed)
+    assert direct == wrapped
+    assert len(calls) == direct[1] + 1
+    assert direct[1] == (verify.PANELS * verify.MAX_DEGREE
+                         if corners is _OFF_GRID else 192)
+
+
+def test_a_per_node_sampler_receives_python_floats():
+    f, calls = _counting(diagonal_path(_OFF_GRID))
+    converged_path_work(f, "becker", M, closed=True)
+    assert len(calls) == 1537
+    assert {type(t) for t in calls} == {float}
+
+
+def test_the_path_check_factorizes_each_node_once(monkeypatch):
+    # the matrices passed to np.linalg.det from the verify module, that is
+    # by the path check; pk1_for_law takes its own det in the kinematics
+    # module
+    checked = []
+    det = np.linalg.det
+
+    def counted(a):
+        if sys._getframe(1).f_globals["__name__"] == "logstrain.verify":
+            checked.append(np.shape(a)[0] if np.ndim(a) == 3 else 1)
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    _, n, _ = converged_path_work(diagonal_path(_OFF_GRID), "becker", M,
+                                  closed=True)
+    assert n + 1 == sum(checked) == 1537
+    assert checked == [193, 192, 384, 768]
+
+
+def test_refinement_det_failure_is_caught_on_the_new_nodes():
+    # a reflection at one odd node of the first doubling
+    bad = verify._rule(16)[0][87]
+
+    def f(t):
+        return np.diag([1.0 + t, 1.0, -1.0 if t == bad else 1.0])
+
+    with pytest.raises(ValueError, match="every F on the path must have "
+                                         "det > 0"):
         converged_path_work(f, "becker", M, tol=0.0)

@@ -127,6 +127,15 @@ def test_invert_overflow_exits_two(capsys):
     assert err.startswith("error: mat_exp: overflow at eigenvalue")
 
 
+def test_invert_at_a_stress_near_the_largest_float(capsys):
+    # an entry above 2**1023: the power of two that scales the round-trip
+    # norms stays representable
+    code, out, err = run(capsys, "invert", "--T", "1.5e308 0 0 0 0 0",
+                         "--G", "1e307", "--lam", "0")
+    assert (code, err) == (0, "")
+    assert "round trip |biot(U) - T| / max(1, |T|) = 0\n" in out
+
+
 # ---------------------------------------------------------------------------
 # shear-statics
 
@@ -404,6 +413,15 @@ def test_bad_config_line_exits_two(capsys, tmp_path, text, message):
 def test_fit_missing_file_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "fit", str(tmp_path / "nope.csv"))
     assert code == 2
+
+
+def test_fit_to_an_unwritable_curve_prints_nothing(capsys, tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("lambda,t\n1.5,1.2\n2.0,2.1\n")
+    code, out, err = run(capsys, "fit", str(data), "--out",
+                         str(tmp_path / "missing" / "curve.csv"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import builtins
 import contextlib
 import dataclasses
 import io
+import json
 import math
 import re
 import warnings
@@ -41,6 +42,7 @@ from logstrain.shear_statics import (cauchy_quadrics, failure_criteria,
                                      mohr_circle, pond_stress_components,
                                      traction_on_line)
 from logstrain.stresses import MEASURES, StressState, stress_convert
+from logstrain.verify import LoadPath, converged_path_work, diagonal_path
 
 _N_PLANE = np.array([0.6, 0.8, 0.0])
 _N_SPACE = np.array([1.0, 2.0, 2.0]) / 3.0
@@ -205,6 +207,72 @@ def test_stress_convert_finite_or_error(t, f, measure, target):
     assert out is None or np.isfinite(out).all(), (t, f, out)
 
 
+# ---------------------------------------------------------------------------
+# the path layer: LoadPath and converged_path_work
+
+# a corner of a diagonal path: three arbitrary numbers, or three positive
+# stretches, moderate or powers of ten across the whole exponent range
+_STRETCH = st.one_of(
+    st.floats(min_value=0.25, max_value=4.0),
+    st.floats(min_value=-320.0, max_value=308.0).map(lambda e: 10.0 ** e))
+_CORNER = st.one_of(st.tuples(_REAL, _REAL, _REAL),
+                    st.tuples(_STRETCH, _STRETCH, _STRETCH))
+
+
+def _outcome(call):
+    """call() with every warning an error: ``("ok", result)`` or
+    ``(type, message)`` of the ValueError or LogstrainError it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return "ok", call()
+        except (ValueError, LogstrainError) as exc:
+            return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("corners", [
+    [(1.0, 1.0, 1.0), (1e154, 1e154, 1e154), (1.0, 1.0, 1.0)],
+    [(1.0, 1.0, 1.0), (1e200, 1e200, 1.0)]])
+@pytest.mark.parametrize("law", ["becker", "hooke-biot", "hencky-cauchy"])
+def test_paths_whose_det_overflows_run_quietly(corners, law):
+    # det F overflows to +inf at the far corner, which is still > 0; the
+    # law may then reject the path (a stretch below the floor of ln, a
+    # stress or a work that overflows), but with an error, not a warning
+    closed = corners[0] == corners[-1]
+    path = diagonal_path(corners)
+    g = np.array([path(t) for t in np.linspace(0.0, 1.0, 7).tolist()])
+    assert _outcome(lambda: LoadPath(g, closed=closed))[0] == "ok"
+    status, out = _outcome(lambda: converged_path_work(
+        path, law, Moduli.from_g_lam(1.0, 0.5), closed=closed))
+    assert status != "ok" or math.isfinite(out[0]), out
+
+
+def test_a_closed_path_whose_gap_overflows_is_rejected_quietly():
+    # the end points differ by more than the largest float
+    g = np.array([np.diag([1e308, 1e308, 1.0]), np.eye(3),
+                  np.diag([-1e308, -1e308, 1.0])])
+    assert _outcome(lambda: LoadPath(g, closed=True)) == (
+        ValueError, "closed path endpoints differ by inf")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(corners=st.lists(_CORNER, min_size=2, max_size=3),
+       law=st.sampled_from(_TENSOR_TAGS), m=st.sampled_from(_MODULI),
+       closed=st.booleans())
+def test_path_work_finite_or_error(corners, law, m, closed):
+    # a closed path returns to its first corner; every corner lies on the
+    # panel grid of t = k / 24
+    path = diagonal_path(corners + corners[:1] if closed else corners)
+    direct = _outcome(lambda: converged_path_work(path, law, m,
+                                                  closed=closed))
+    # the same path sampled one node at a time raises alike
+    assert _outcome(lambda: converged_path_work(
+        lambda t: path(t), law, m, closed=closed)) == direct
+    if direct[0] == "ok":
+        work, n, converged = direct[1]
+        assert math.isfinite(work), (corners, law, m, direct)
+
+
 def _text(values):
     return " ".join(repr(float(v)) for v in np.ravel(values))
 
@@ -214,37 +282,58 @@ def _moduli(m):
 
 
 def _plot(figure):
-    return lambda a, law, measure, m: [
+    return lambda a, law, measure, m, data: [
         "plot-data", "--figure", figure, "--min", repr(float(a[0, 0])),
         "--max", repr(float(a[0, 1])), "--points", "5", *_moduli(m)]
 
 
+def _fit(mode):
+    # data: a CSV file of the rows of a, written by the test
+    return lambda a, law, measure, m, data: [
+        "fit", data, "--mode", mode, "--out", "-", "--points", "5",
+        "--laws", "hencky", "neo-hooke"]
+
+
 _COMMANDS = {
-    "stress": lambda a, law, measure, m: [
+    "stress": lambda a, law, measure, m, data: [
         "stress", "--F", _text(a), "--law", law, "--measure", measure,
         *_moduli(m)],
     # t11 t22 t33 t12 t13 t23 from the upper triangle
-    "invert": lambda a, law, measure, m: [
+    "invert": lambda a, law, measure, m, data: [
         "invert", "--T", _text(a[np.triu_indices(3)][[0, 3, 5, 1, 2, 4]]),
         *_moduli(m)],
-    "decompose": lambda a, law, measure, m: [
+    "decompose": lambda a, law, measure, m, data: [
         "decompose", "--loads", *_text(a[0]).split(), *_moduli(m)],
     # shear-statics takes no moduli
-    "shear-statics": lambda a, law, measure, m: [
+    "shear-statics": lambda a, law, measure, m, data: [
         "shear-statics", "--Q", repr(float(a[0, 0])),
         "--alpha", repr(float(a[0, 1])), "--q-scale", repr(float(a[0, 2]))],
     "plot-data simple-shear": _plot("simple-shear"),
     "plot-data tension": _plot("tension"),
+    # 2 to 4 samples and a seed from the sign bits of a
+    "check": lambda a, law, measure, m, data: [
+        "check", "--law", law,
+        "--samples", str(2 + int(np.signbit(a[0, :2]).sum())),
+        "--seed", str(int(np.signbit(a).sum())), *_moduli(m)],
+    "fit uniaxial-incompressible": _fit("uniaxial-incompressible"),
+    "fit uniaxial-hyper": _fit("uniaxial-hyper"),
 }
 
 
-@settings(max_examples=600, deadline=None, derandomize=True)
+def _strict(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@settings(max_examples=900, deadline=None, derandomize=True)
 @given(command=st.sampled_from(sorted(_COMMANDS)), a=_MATRIX,
        m=st.sampled_from(_MODULI), law=st.sampled_from(_TENSOR_TAGS),
        measure=st.sampled_from(MEASURES))
 def test_cli_law_commands_exit_zero_with_finite_output_or_two(
-        command, a, m, law, measure):
-    argv = _COMMANDS[command](a, law, measure, m)
+        tmp_path_factory, command, a, m, law, measure):
+    data = tmp_path_factory.getbasetemp() / "fit-data.csv"
+    data.write_text("lambda,t\n" + "".join(
+        f"{x!r},{y!r}\n" for x, y in a[:, :2].tolist()))
+    argv = _COMMANDS[command](a, law, measure, m, str(data))
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -254,6 +343,14 @@ def test_cli_law_commands_exit_zero_with_finite_output_or_two(
         assert out.getvalue() == "", argv
         assert err.getvalue().startswith("error: "), argv
         assert err.getvalue().count("\n") == 1, argv
+    elif command == "check":
+        # one strict JSON report per line, exit 1 when a check failed,
+        # and on stderr only the "# " notes on the reports
+        assert code in (0, 1), argv
+        for line in out.getvalue().splitlines():
+            json.loads(line, parse_constant=_strict)
+        assert all(line.startswith("# ")
+                   for line in err.getvalue().splitlines()), argv
     else:
         assert (code, err.getvalue()) == (0, ""), argv
         assert not re.search(r"\b(inf|nan)\b", out.getvalue()), argv

@@ -550,6 +550,11 @@ def test_path_validation():
     with pytest.raises(ValueError):
         LoadPath(np.array([np.eye(3), 2 * np.eye(3), 1.5 * np.eye(3)]),
                  closed=True)
+    with pytest.raises(ValueError, match=r"shape \(n, 3, 3\)"):
+        LoadPath(np.empty((0, 3, 3)), closed=True)
+    for corners in ([(1.0, 1.0, 1.0)], [(1.0, 1.0), (2.0, 2.0)], []):
+        with pytest.raises(ValueError, match="at least two diagonal"):
+            diagonal_path(corners)
 
 
 def test_path_rejects_nonfinite_gradients_up_front():
