@@ -34,8 +34,8 @@ from .errors import LambdaNotZero, LogstrainError
 from .kinematics import _glide_stretches, _jacobian
 from .moduli import Moduli
 from .stresses import _checked_state
-from .tensors import (_DIAG, _EYE, _as_mats, _as_real, _at, _closed_form,
-                      _finite_values, _first_nonfinite, _inners,
+from .tensors import (_EYE, _as_mats, _as_real, _at, _closed_form,
+                      _finite_values, _first, _first_nonfinite, _inners,
                       _require_floor, _spectrum, _trace, as_mat3, dev3, inner,
                       mat_log, sym_part, tr)
 
@@ -127,16 +127,26 @@ def becker_inverse(t, m: Moduli):
     lam.  Most of that is inherited from the rounding of the stress itself,
     which at large lam is relative to its spherical part.
 
+    One matrix takes its trace as a Python float, summed in numpy's order,
+    and skips the stack's reshapes: the same bits as inside a stack.
+
     Raises ``ValueError`` for a t that is not 3x3 or not finite, and
-    :class:`LogstrainError` (``mat_exp: overflow at eigenvalue ...``,
-    naming the exponent) for a stretch that overflows.
+    :class:`LogstrainError` for a trace of t that overflows (``becker_inverse:
+    trace of t is not finite``) and for a stretch that overflows
+    (``mat_exp: overflow at eigenvalue ...``, naming the exponent).
     """
     t = sym_part(_as_mats(t, "t"))
-    trace = np.trace(t, axis1=-2, axis2=-1)[..., None]
-    d, frame = _spectrum(t - (trace / 3.0)[..., None] * _EYE)
+    stack = t.shape[:-2]
+    trace = _sum3(t.diagonal(0, -2, -1))
+    if not (np.isfinite(trace).all() if stack else math.isfinite(trace)):
+        raise LogstrainError("becker_inverse: trace of t is not finite"
+                             + _at(_first(~np.isfinite(trace)), stack))
+    mean = (trace / 3.0)[..., None] if stack else trace / 3.0
+    d, frame = _spectrum(t - mean * _EYE)
     out = _finite_values(np.exp, d / (2.0 * m.g) + trace / (9.0 * m.k),
-                         "mat_exp", t.shape[:-2])
-    return sym_part((frame * out[..., None, :]) @ frame.swapaxes(-1, -2))
+                         "mat_exp", stack)
+    return sym_part((frame * (out[..., None, :] if stack else out))
+                    @ frame.swapaxes(-1, -2))
 
 
 def hencky_kirchhoff(v, m: Moduli):
@@ -285,8 +295,23 @@ def _lame(e, m):
 
 
 def _lame_principal(e, m):
-    # the same law on principal values e, shape (..., 3)
+    # the same law on principal values e, shape (..., 3); one spectrum on
+    # Python floats, in the order of the stack's numpy arithmetic
+    if e.shape == (3,):
+        e0, e1, e2 = e.tolist()
+        c, s = 2.0 * m.g, m.lam * (0.0 + e0 + e1 + e2)
+        return np.array([c * e0 + s, c * e1 + s, c * e2 + s])
     return 2.0 * m.g * e + m.lam * e.sum(axis=-1, keepdims=True)
+
+
+def _sum3(v):
+    """The sum over the last axis of v, shape (..., 3), in numpy's order
+    (from 0.0, left to right): a Python float for one row, shape (..., 1)
+    for a stack."""
+    if v.ndim == 1:
+        v0, v1, v2 = v.tolist()
+        return 0.0 + v0 + v1 + v2
+    return v.sum(axis=-1, keepdims=True)
 
 
 def linearized_inverse(sigma, m: Moduli):
@@ -463,9 +488,12 @@ def _lame_on_frame(frame, e, m):
     shape (..., 3), lie on the columns of frame: ``2 G frame @ diag(e) @
     frame.T + lam sum_j e_j I``.  The spherical part is added to the
     diagonal after the frame product, so that its roundoff stays there."""
-    t = sym_part((frame * (2.0 * m.g * e)[..., None, :])
+    scaled = 2.0 * m.g * e
+    t = sym_part((frame * (scaled if e.ndim == 1 else scaled[..., None, :]))
                  @ frame.swapaxes(-1, -2))
-    t[..., _DIAG, _DIAG] += m.lam * e.sum(axis=-1, keepdims=True)
+    # the diagonal as a basic-slice view: sym_part returns a new contiguous
+    # array, so the reshape cannot copy
+    t.reshape(t.shape[:-2] + (9,))[..., ::4] += m.lam * _sum3(e)
     return t
 
 
@@ -603,9 +631,11 @@ def pk1_for_law(law, f, m: Moduli):
     f = _as_mats(f, "f")
     j, w, s, vt, e = _svd_principal(row, f)
     t = _lame_principal(e, m)
+    if f.ndim > 2:
+        t, j = t[..., None, :], j[..., None, None]
     if row.measure == "biot":
-        return _finite(row.tag, (w * t[..., None, :]) @ vt, m)
+        return _finite(row.tag, (w * t) @ vt, m)
     if row.measure == "cauchy":
-        t = t * j[..., None]
-    tau = (w * t[..., None, :]) @ w.swapaxes(-1, -2)
+        t = t * j
+    tau = (w * t) @ w.swapaxes(-1, -2)
     return _finite(row.tag, tau @ np.linalg.inv(f).swapaxes(-1, -2), m)

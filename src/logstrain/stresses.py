@@ -77,7 +77,7 @@ def _to_cauchy(t, measure, f, j):
         return t
     if measure == "kirchhoff":
         return t / j
-    ft = f.swapaxes(-1, -2)
+    ft = f.T
     if measure == "pk1":
         return (t @ ft) / j
     if measure == "pk2":
@@ -92,25 +92,25 @@ def _from_cauchy(sigma, measure, f, j):
     if measure == "kirchhoff":
         return j * sigma
     f_inv = np.linalg.inv(f)
-    f_inv_t = f_inv.swapaxes(-1, -2)
+    f_inv_t = f_inv.T
     if measure == "pk2":
         return j * f_inv @ sigma @ f_inv_t
     pk1 = j * sigma @ f_inv_t
     if measure == "pk1":
         return pk1
-    return _rotation(f).swapaxes(-1, -2) @ pk1
+    return _rotation(f).T @ pk1
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _convert(t, measure, target, f):
     """Stress tensor t in ``measure`` at deformation f, in ``target``.
 
-    t and f have shape (3, 3) or (..., 3, 3); conversions route through the
-    Cauchy stress, one determinant per matrix.  Runs without numpy's
-    overflow and invalid-value warnings: a result that is not finite raises
-    :class:`LogstrainError` naming ``target``.
+    t and f are the (3, 3) fields of one :class:`StressState`; conversions
+    route through the Cauchy stress with one determinant, a numpy scalar.
+    Runs without numpy's overflow and invalid-value warnings: a result that
+    is not finite raises :class:`LogstrainError` naming ``target``.
     """
-    j = _jacobian(f)[..., None, None]
+    j = _jacobian(f)
     out = _from_cauchy(_to_cauchy(t, measure, f, j), target, f, j)
     if _first_nonfinite(out) is not None:
         raise LogstrainError(f"stress_convert: {target} stress is not "

@@ -250,16 +250,23 @@ def _spectrum(m):
     is reversed; only when a Rayleigh quotient ties or breaks that order is
     the spectrum sorted, stably, so that ties keep eigh's order (the sort
     gives the reversal wherever the order holds).
+
+    For one matrix the quotients ``sum_i (m @ frame)_ij frame_ij`` and the
+    order test run on Python floats from two ``tolist`` calls, each sum
+    from 0.0 and top to bottom as numpy's reduction adds it, so that a
+    matrix gets the bits it gets inside a stack, signs of zero included.
     """
     _, frame = np.linalg.eigh(m)
-    vals = ((m @ frame) * frame).sum(axis=-2)
-    if vals.ndim == 1:  # one spectrum: the order test on Python floats
-        v0, v1, v2 = vals.tolist()
-        ascending = v0 < v1 < v2
+    if m.ndim == 2:  # one matrix: the quotients and the test on Python floats
+        v0, v1, v2 = [0.0 + p0 * q0 + p1 * q1 + p2 * q2 for p0, p1, p2, q0,
+                      q1, q2 in zip(*(m @ frame).tolist(), *frame.tolist())]
+        if v0 < v1 < v2:
+            return np.array([v2, v1, v0]), frame[:, ::-1].copy()
+        vals = np.array([v0, v1, v2])
     else:
-        ascending = (vals[..., :-1] < vals[..., 1:]).all()
-    if ascending:
-        return vals[..., ::-1].copy(), frame[..., ::-1].copy()
+        vals = ((m @ frame) * frame).sum(axis=-2)
+        if (vals[..., :-1] < vals[..., 1:]).all():
+            return vals[..., ::-1].copy(), frame[..., ::-1].copy()
     order = np.argsort(-vals, axis=-1, kind="stable")
     return (np.take_along_axis(vals, order, -1),
             np.take_along_axis(frame, order[..., None, :], -1))
@@ -325,15 +332,16 @@ def _mat_fn(a, f, name, floor_on):
     vals, frame = _spectrum(sym_part(m))
     if floor_on is not None:
         _require_floor(vals, name, floor_on, shape)
-    out = _finite_values(f, vals, name, shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _finite_values(f, vals, name, shape)
     return sym_part((frame * out[..., None, :]) @ frame.swapaxes(-1, -2))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _finite_values(f, vals, name, shape):
-    """``f(vals)`` on the (..., 3) spectra ``vals``, one call, without
-    numpy's overflow and invalid-value warnings; a value that is not finite
-    raises :class:`LogstrainError` naming its eigenvalue and member."""
+    """``f(vals)`` on the (..., 3) spectra ``vals``, one call; a value that
+    is not finite raises :class:`LogstrainError` naming its eigenvalue and
+    member.  Callers run it without numpy's overflow and invalid-value
+    warnings."""
     out = f(vals)
     if _sum_is_finite(out, core=1):  # the common case, in one reduction
         return out
@@ -422,9 +430,29 @@ def inner(a, b):
     return float(np.tensordot(_one(a, "inner"), _one(b, "inner")))
 
 
+# fro_norm and _fro_norms divide a matrix by a power of two only when its
+# largest |entry| lies outside this range: inside it no square overflows
+# and the largest square is a normal number
+_NORM_LO, _NORM_HI = 1e-150, 1e150
+
+
 def fro_norm(a):
-    """Frobenius norm of one matrix."""
-    return float(np.linalg.norm(_one(a, "fro_norm")))
+    """Frobenius norm of one matrix.
+
+    ``sqrt`` of one dot product of the entries, as ``np.linalg.norm``
+    forms it, with its bits while the largest |entry| lies in [1e-150,
+    1e150].  Outside that range the entries are first divided by the power
+    of two that brings the largest into [1, 2), which is exact, and the
+    root is multiplied back, so that the squares neither overflow nor
+    underflow: the result is finite wherever the norm is representable.
+    """
+    x = np.asarray(_one(a, "fro_norm"), dtype=float).ravel(order="K")
+    big = max(map(abs, x.tolist()), default=0.0)
+    if _NORM_LO <= big <= _NORM_HI:
+        return math.sqrt(x.dot(x))
+    s = math.ldexp(1.0, math.frexp(big)[1] - 1)
+    x = x / s
+    return s * math.sqrt(x.dot(x))
 
 
 def _inners(a, b):
@@ -439,8 +467,29 @@ def _inners(a, b):
 
 def _fro_norms(a):
     """Frobenius norm of each matrix of a (..., 3, 3) stack, with the bits
-    :func:`fro_norm` gives each member."""
-    return np.sqrt(_inners(a, a))
+    :func:`fro_norm` gives each member, its power-of-two scaling
+    included, and as quietly: a norm above the largest float is inf."""
+    with np.errstate(over="ignore"):
+        sq = _inners(a, a)
+    # a sum of nine squares in [9 _NORM_LO**2, _NORM_HI**2] puts the largest
+    # |entry| inside [_NORM_LO, _NORM_HI]: only the members outside that
+    # range may need scaling
+    lo, hi = 9.0 * _NORM_LO ** 2, _NORM_HI ** 2
+    out = np.sqrt(sq)
+    if sq.min(initial=lo) >= lo and sq.max(initial=hi) <= hi:
+        return out
+    bad = (sq < lo) | (sq > hi)
+    b = a[bad]  # shape (k, 3, 3), also for one matrix
+    if not b.any():  # zero matrices, whose norm is 0 either way
+        return out
+    big = np.abs(b).max(axis=(-2, -1))
+    s = np.where((big >= _NORM_LO) & (big <= _NORM_HI), 1.0,
+                 np.ldexp(1.0, np.frexp(big)[1] - 1))
+    b = b / s[:, None, None]
+    out = np.array(out)
+    with np.errstate(over="ignore"):
+        out[bad] = s * np.sqrt(_inners(b, b))
+    return out[()]
 
 
 def cofactor(m):

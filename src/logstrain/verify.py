@@ -243,8 +243,10 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
     t = lambda u: stretch_stress(row.tag, u, m)
 
     def misfit(lhs, rhs):
-        # relative distance of two stress stacks, per sample
-        return _rel(_fro_norms(lhs - rhs), _fro_norms(lhs), _fro_norms(rhs))
+        # relative distance of two stress stacks, per sample; the three
+        # norms in one call
+        norms = _fro_norms(np.concatenate((lhs - rhs, lhs, rhs)))
+        return _rel(*norms.reshape(3, -1))
 
     def stretch_draws(rng):
         # scalar log-uniform draws over EIG_RANGE, one per sample
@@ -820,6 +822,17 @@ _LADDER_EPS = np.array([[1.0, 0.3, -0.2], [0.3, -0.5, 0.1],
                         [-0.2, 0.1, 0.25]])
 
 
+def _path_work(path, law, m, closed=False):
+    """``(work, n, converged, error)`` of :func:`converged_path_work` for a
+    suite report: ``error`` is None, or the message of a
+    :class:`LogstrainError` that the path work raised, with NaN work, no
+    steps and no convergence."""
+    try:
+        return (*converged_path_work(path, law, m, closed=closed), None)
+    except LogstrainError as exc:
+        return math.nan, 0, False, str(exc)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def suite(law, m: Moduli, samples=1000, seed=0):
     """Axiom block plus, for the logarithmic Biot law, the physics checks.
@@ -894,33 +907,36 @@ def suite(law, m: Moduli, samples=1000, seed=0):
     if lam_zero:
         reports.extend(hill_convexity_probe(m, samples=samples, seed=seed))
 
-    work, n, converged = converged_path_work(
-        dilation_shear_cycle(), row.tag, m, closed=True)
     cycle_tol = 1e-6 * abs(m.g)
-    # a quadrature that did not converge decides nothing: the report then
-    # comes out not as expected, whichever way the work was expected to go
+    # a quadrature that did not converge, or a path work that raised,
+    # decides nothing: the report then comes out not as expected, whichever
+    # way the work was expected to go, with the error as its witness
     expected = lam_zero
     predicted = m.lam * (4.0 - 6.0 * math.log(2.0))
+    work, n, converged, error = _path_work(dilation_shear_cycle(), row.tag,
+                                           m, closed=True)
     reports.append(CheckReport(
         name="closed_cycle_work",
         passed=abs(work) <= cycle_tol if converged else not expected,
         tolerance=cycle_tol,
-        witness={"work": work, "steps": n, "quadrature_converged": converged,
-                 "predicted_work": predicted,
-                 "work_error": abs(work - predicted)},
+        witness={"error": error} if error else {
+            "work": work, "steps": n, "quadrature_converged": converged,
+            "predicted_work": predicted,
+            "work_error": abs(work - predicted)},
         expected=expected))
 
     if lam_zero:
         open_path = diagonal_path([(1.0, 1.0, 1.0), (2.0, 0.7, 1.3)])
-        work_open, n, converged = converged_path_work(open_path, row.tag, m)
+        work_open, n, converged, error = _path_work(open_path, row.tag, m)
         delta = (becker_energy_nu0(open_path(1.0), m)
                  - becker_energy_nu0(open_path(0.0), m))
         reports.append(CheckReport(
             name="open_path_energy_match",
             passed=converged and abs(work_open - delta) <= cycle_tol,
             tolerance=cycle_tol,
-            witness={"work": work_open, "energy_difference": delta,
-                     "steps": n, "quadrature_converged": converged}))
+            witness={"error": error} if error else {
+                "work": work_open, "energy_difference": delta, "steps": n,
+                "quadrature_converged": converged}))
 
     reports.append(linearization_order_check(m, _LADDER_EPS))
     reports.append(pk2_expansion_check(m, _LADDER_EPS))

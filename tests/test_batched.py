@@ -119,8 +119,23 @@ def test_polar_stack_equals_each_member(rng):
     lambda a, law=law: laws.stretch_stress(law, a, M)
     for law in TENSOR_LAWS])
 def test_matrix_function_stack_equals_each_member(rng, fn):
-    a = _spd(rng)
+    a = np.concatenate([_spd(rng), _signed_zeros_and_subnormals(rng)])
     assert _same_bits(fn(a), np.array([fn(x) for x in a]))
+
+
+def _signed_zeros_and_subnormals(rng):
+    # SPD matrices with -0.0 or subnormal entries off the diagonal, on
+    # tied, permuted and random spectra
+    out = []
+    for off in (-0.0, 5e-324, -5e-324, -2.5e-310):
+        for d in ([2.0, 2.0, 0.5], [0.7, 3.0, 1.5], [1.5, 1.5, 1.5],
+                  _stretches(rng, 0)):
+            a = np.diag(d)
+            a[0, 1] = a[1, 0] = off
+            a[1, 2] = a[2, 1] = -off
+            out.append(a)
+            out.append(a[[2, 0, 1]][:, [2, 0, 1]])
+    return np.array(out)
 
 
 def test_spectrum_stays_descending_on_stacks(rng):

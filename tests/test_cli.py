@@ -244,21 +244,48 @@ def _strict(token):
 
 
 def test_check_lines_are_strict_json(capsys):
-    # lam = 5e307: infinite ladder ratios, written as strings, next to a
-    # finite work
+    # lam = 5e307: a finite work of order lam, and ladder ratios of order
+    # lam that the scaled norm keeps finite; lam = 1.7e308: ratios above
+    # the largest float, written as strings
+    by_lam = {}
+    for lam in ("5e307", "1.7e308"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "check", "--G", "1", "--lam", lam,
+                               "--samples", "8")
+        assert code == 1
+        by_lam[lam] = by_name = {}
+        for line in out.splitlines():
+            report = json.loads(line, parse_constant=_strict)
+            by_name[report["name"]] = report
+    work = by_lam["5e307"]["closed_cycle_work"]["witness"]["work"]
+    assert isinstance(work, float) and math.isfinite(work)
+    for name in ("linearization_order", "pk2_expansion"):
+        ratios = by_lam["5e307"][name]["witness"]["ratios"].values()
+        assert all(isinstance(r, float) and math.isfinite(r) for r in ratios)
+        ratios = by_lam["1.7e308"][name]["witness"]["ratios"].values()
+        assert set(ratios) == {"inf"}
+
+
+def test_check_reports_a_path_work_that_overflows(capsys):
+    # lam = 1.7e308: the path work raises on an overflowing stress; the
+    # closed-cycle report carries that message and the run still prints
+    # every report
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, _ = run(capsys, "check", "--G", "1", "--lam", "5e307",
-                           "--samples", "8")
+        code, out, err = run(capsys, "check", "--G", "1", "--lam", "1.7e308",
+                             "--samples", "2")
     assert code == 1
+    assert all(line.startswith("# ") for line in err.splitlines())
     by_name = {}
     for line in out.splitlines():
         report = json.loads(line, parse_constant=_strict)
         by_name[report["name"]] = report
-    work = by_name["closed_cycle_work"]["witness"]["work"]
-    assert isinstance(work, float) and math.isfinite(work)
-    for name in ("linearization_order", "pk2_expansion"):
-        assert set(by_name[name]["witness"]["ratios"].values()) == {"inf"}
+    cycle = by_name["closed_cycle_work"]
+    assert cycle["passed"] and not cycle["expected"]
+    assert cycle["witness"] == {"error": "law 'becker': stress is not "
+                                "finite at G = 1, lam = 1.7e+308 at index 77"}
+    assert list(by_name)[-2:] == ["linearization_order", "pk2_expansion"]
 
 
 def test_huge_cycle_work_converges_on_the_first_grid(capsys):

@@ -42,7 +42,8 @@ from logstrain.shear_statics import (cauchy_quadrics, failure_criteria,
                                      mohr_circle, pond_stress_components,
                                      traction_on_line)
 from logstrain.stresses import MEASURES, StressState, stress_convert
-from logstrain.verify import LoadPath, converged_path_work, diagonal_path
+from logstrain.verify import (LoadPath, converged_path_work, diagonal_path,
+                              format_reports, suite)
 
 _N_PLANE = np.array([0.6, 0.8, 0.0])
 _N_SPACE = np.array([1.0, 2.0, 2.0]) / 3.0
@@ -379,3 +380,21 @@ def test_tensor_rows_are_the_cli_laws_and_what_the_maps_accept():
         pk1_for_law(tag, np.eye(3), m)
         accepted.append(tag)
     assert tuple(accepted) == _TENSOR_TAGS
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(law=st.sampled_from(_TENSOR_TAGS),
+       m=st.sampled_from(_MODULI + (Moduli.from_g_lam(1.0, 1.7e308),)),
+       samples=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_suite_returns_strict_json_reports(law, m, samples, seed):
+    # at lam = 1.7e308 the stresses overflow: every check that raises on
+    # its batch, the path work included, comes out failed with the error
+    # as its witness, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = suite(law, m, samples=samples, seed=seed)
+    lines = format_reports(reports)
+    assert len(lines) == len(reports) > 0
+    for line, report in zip(lines, reports):
+        json.loads(line, parse_constant=_strict)
+        assert report.passed or report.witness, report.name

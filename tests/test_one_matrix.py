@@ -1,8 +1,10 @@
 """The one-matrix path of a finite-element caller: the number of checks and
 factorizations per public call, and the edges of the one-matrix fast paths
-(finiteness by one sum, the det floor and the order test on Python floats).
+(finiteness by one sum, the det floor and the order test on Python floats),
+and sha256 pins of the bytes of one-matrix results.
 """
 
+import hashlib
 import itertools
 import math
 import sys
@@ -171,6 +173,12 @@ def _tied():
     yield np.diag([1.5, 1.5, 1.5])
     p = np.eye(3)[[2, 0, 1]]
     yield p @ np.diag([0.7, 0.7, 4.0]) @ p.T
+    # off-diagonal -0.0 and subnormal entries, whose signs and tiny
+    # products the one-matrix sums must keep
+    for off in (-0.0, 5e-324, -5e-324):
+        for u in (np.diag([2.0, 2.0, 0.5]), np.diag([1.5, 1.5, 1.5])):
+            u[0, 1] = u[1, 0] = u[1, 2] = u[2, 1] = off
+            yield u
 
 
 def test_tied_spectrum_gives_the_same_bits_alone_and_in_a_stack(rng):
@@ -185,3 +193,77 @@ def test_tied_spectrum_gives_the_same_bits_alone_and_in_a_stack(rng):
             assert stack[3].tobytes() == alone.tobytes()
         back = becker_inverse(t, M)
         assert np.abs(back - u).max() <= 1e-14 * np.abs(u).max()
+
+
+# sha256 of the bytes of each one-matrix result, over _pin_points(), in
+# order; recorded before the one-matrix lane moved its three-number sums to
+# Python floats, which must keep every bit
+_PK1_DIGESTS = {
+    "becker":
+        "a3622f2d6fb17ecabc94ad4aef8628de7240158953e415fd631361fe75cd2df7",
+    "hencky-kirchhoff":
+        "fcce5a29502e5c6c0d578b73a9d9917275d439349b1d7ae22f3a7c51a29620cf",
+    "hencky-cauchy":
+        "d8cd204d1132add696d9ae56a768b61fc18643dc87a829dbf9a1f77df637817d",
+    "hooke-biot":
+        "e55c9c1c47f72cbe9c830c1dfa15618428d5649c31917ce347a3862cbcc663a2",
+    "hooke-cauchy":
+        "aee120c3329609c668b0b47e6aa744cec3b2da868cecb89cac91105ac139fd75",
+}
+_CAUCHY_DIGESTS = {
+    "becker":
+        "857d4088fa17ed3aec268896aa4147fc744f9451e700aac218160c13832f76a5",
+    "hencky-kirchhoff":
+        "01dbebdb89df136f771824de9a9ea245c942c6c00d947c0c083b97f2da8d396d",
+    "hencky-cauchy":
+        "a494a7186f04047a056bf8984643bbe9c2bda3fec40577d84e21685d11712b25",
+    "hooke-biot":
+        "d155ecd84911778ea7f81592e7e65d65d4592e70b0c99785c766a19a6a8249e1",
+    "hooke-cauchy":
+        "41bd04358eff0b5c91aaa07cc8a76f5740f99ba73d0a79a96b9c963ac4f28d6f",
+}
+_ROUND_TRIP_DIGEST = (
+    "c4b38680fc2439da05094b639f70c543353e28751868ea05d8b76a534f7fa16a")
+
+
+def _pin_points(n=200):
+    """n seeded (F, U) pairs: F = R1 R2.T diag(s) R3 and U = Q diag(s) Q.T,
+    with two stretches tied to 1e-12 relative or exactly equal in one
+    point of three each; then the identity, exact doubles, and permuted
+    diagonals with exact ties and -0.0 off the diagonal."""
+    rng = np.random.default_rng(7)
+    points = []
+    for k in range(n - 4):
+        s = np.exp(rng.uniform(math.log(0.05), math.log(20.0), 3))
+        if k % 3 == 1:
+            s[1] = s[0] * (1.0 + 1e-12)
+        if k % 3 == 2:
+            s[2] = s[0]
+        f = (random_rotation(rng) @ random_rotation(rng).T @ np.diag(s)
+             @ random_rotation(rng))
+        q = random_rotation(rng)
+        points.append((f, q @ np.diag(s) @ q.T))
+    p = np.eye(3)[[2, 0, 1]]
+    tied = p @ np.diag([0.7, 0.7, 4.0]) @ p.T
+    signed = np.diag([2.0, 0.5, 2.0])
+    signed[0, 2] = signed[2, 0] = -0.0
+    for a in (np.eye(3), np.diag([2.0, 1.0, 1.0]), tied, signed):
+        points.append((a, a))
+    return points
+
+
+def _digest(arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+@pytest.mark.parametrize("law", sorted(_PK1_DIGESTS))
+def test_one_matrix_results_keep_their_pinned_bits(law):
+    points = _pin_points()
+    pk1 = [pk1_for_law(law, f, M) for f, _ in points]
+    cauchy = [stress_convert(StressState(p, "pk1", f), "cauchy").tensor
+              for p, (f, _) in zip(pk1, points)]
+    assert _digest(pk1) == _PK1_DIGESTS[law]
+    assert _digest(cauchy) == _CAUCHY_DIGESTS[law]
+    if law == "becker":
+        back = [becker_inverse(becker_biot(u, M), M) for _, u in points]
+        assert _digest(back) == _ROUND_TRIP_DIGEST

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from logstrain.errors import LogstrainError, NotPositiveDefinite
 from logstrain.kinematics import polar_decompose
-from logstrain.tensors import (cofactor, dev3, eig_sym, fro_norm, inner,
-                               mat_exp, mat_fn, mat_log, mat_pow, mat_sqrt,
-                               tr)
+from logstrain.tensors import (_fro_norms, cofactor, dev3, eig_sym, fro_norm,
+                               inner, mat_exp, mat_fn, mat_log, mat_pow,
+                               mat_sqrt, tr)
 from logstrain.verify import random_rotation, random_spd
 
 from conftest import rel_err, rotation_from_normals, spd_from_draws
@@ -392,6 +392,59 @@ def test_dev3_of_identity_vanishes():
 def test_dev3_trace_free(rng):
     a = rng.standard_normal((3, 3))
     assert abs(tr(dev3(a))) <= 1e-14 * max(1.0, fro_norm(a))
+
+
+def test_fro_norm_has_numpy_bits_inside_the_normal_range(rng):
+    # largest |entry| in [1e-150, 1e150]: one dot product, as numpy's norm
+    scale = np.exp(rng.uniform(-340.0, 340.0, (400, 1, 1)))
+    a = rng.standard_normal((400, 3, 3)) * scale
+    a[::7, 0, 1] = -0.0
+    a[::11, 2] = 5e-324  # subnormal entries beside a normal largest one
+    norms = _fro_norms(a)
+    for k, x in enumerate(a):
+        for view in (x, x.T):  # contiguous and transposed memory
+            assert fro_norm(view) == float(np.linalg.norm(view))
+        assert norms[k] == fro_norm(x)
+
+
+@pytest.mark.parametrize("v", [1e150 * 1.0001, 1e200, 1e300, 1e307, 1e-151,
+                               1e-200, 1e-300, 5e-324])
+def test_fro_norm_scales_outside_the_normal_range(v):
+    # the squares would overflow or fall subnormal: divided by a power of
+    # two first, the norm is right to a few ulp, and quiet
+    a = np.full((3, 3), v)
+    a[0, 1] = a[2, 0] = -v
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = fro_norm(a)
+        norms = _fro_norms(np.stack([np.eye(3), a, -a, np.zeros((3, 3))]))
+        alone = _fro_norms(a)
+    assert norm == pytest.approx(3.0 * v, rel=4e-16, abs=0.0)
+    assert norms.tolist() == [fro_norm(np.eye(3)), norm, norm, 0.0]
+    assert alone.shape == () and alone == norm
+
+
+def test_stack_norms_equal_fro_norm_across_the_exponent_range(rng):
+    # members in and out of the unscaled range, zero members among them,
+    # mixed in one stack: each gets the bits of fro_norm
+    a = rng.standard_normal((600, 3, 3)) * np.exp(
+        rng.uniform(-700.0, 700.0, (600, 1, 1)))
+    a[::5] = 0.0
+    a[1::7, 1] = 5e-324
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = _fro_norms(a)
+        assert norms.tolist() == [fro_norm(x) for x in a]
+
+
+def test_fro_norm_above_the_largest_float_is_inf_quietly():
+    a = np.full((3, 3), 1.5e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fro_norm(a) == math.inf
+        assert _fro_norms(a[None]).tolist() == [math.inf]
+    assert math.isnan(fro_norm(np.full((3, 3), math.nan)))
+    assert fro_norm(np.zeros((3, 3))) == 0.0
 
 
 def test_inner_is_trace_pairing(rng):

@@ -92,16 +92,31 @@ def test_axiom_reports_deterministic():
     assert a != c
 
 
+_AXIOMS_AT_HUGE_LAM = ("sphere_to_dilation", "superposition", "isotropy",
+                       "power_law", "inversion_symmetry")
+
+
 def test_nonfinite_residual_fails_the_check():
-    # lam = 1e307: the stresses overflow, so residuals come out NaN or inf
+    # lam = 5e307: the stresses overflow, so each check either gets a NaN
+    # or infinite residual or catches the law's error; either fails it
     with np.errstate(all="ignore"):
+        reports = check_axioms("becker", Moduli.from_g_lam(1.0, 5e307),
+                               samples=8)
+    by_name = {r.name: r for r in reports}
+    for name in _AXIOMS_AT_HUGE_LAM:
+        assert not by_name[name].passed and by_name[name].expected, name
+        assert by_name[name].witness is not None, name
+
+
+def test_axioms_hold_where_only_the_squares_overflow():
+    # lam = 1e307: the stresses are finite, and the residual norms, scaled
+    # by powers of two, do not overflow in their squares
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         reports = check_axioms("becker", Moduli.from_g_lam(1.0, 1e307),
                                samples=8)
     by_name = {r.name: r for r in reports}
-    for name in ("sphere_to_dilation", "superposition", "isotropy",
-                 "power_law", "inversion_symmetry"):
-        assert not by_name[name].passed and by_name[name].expected, name
-        assert by_name[name].witness is not None, name
+    assert all(by_name[name].passed for name in _AXIOMS_AT_HUGE_LAM)
 
 
 def _reference_axioms(law, m, samples, seed):
@@ -684,6 +699,17 @@ def test_format_reports_json_lines():
         obj = json.loads(line)
         assert {"name", "passed", "expected", "tolerance",
                 "witness"} <= set(obj)
+
+
+@pytest.mark.parametrize("g", [1e200, 1e300, 1e-200, 1e-300])
+def test_suite_at_huge_and_tiny_g(g):
+    # the residual norms are scaled by powers of two, so neither squares
+    # that overflow (huge G) nor squares that underflow (tiny G) decide a
+    # check; only the log-domain convexity probe, whose margin floor is
+    # max(1, |w|), still misses at tiny G
+    reports = suite("becker", Moduli.from_g_lam(g, 0.0), samples=16, seed=3)
+    missed = [r.name for r in reports if not r.as_expected]
+    assert missed == ([] if g > 1.0 else ["hill_log_domain"])
 
 
 def test_suite_deterministic_bit_for_bit():
