@@ -128,7 +128,9 @@ def becker_inverse(t, m: Moduli):
     which at large lam is relative to its spherical part.
 
     One matrix takes its trace as a Python float, summed in numpy's order,
-    and skips the stack's reshapes: the same bits as inside a stack.
+    and skips the stack's reshapes: the same bits as inside a stack.  Where
+    9 K overflows (K above about 2e307), tr(t) is divided by 9 and by K in
+    turn, so that the spherical part is kept.
 
     Raises ``ValueError`` for a t that is not 3x3 or not finite, and
     :class:`LogstrainError` for a trace of t that overflows (``becker_inverse:
@@ -143,8 +145,11 @@ def becker_inverse(t, m: Moduli):
                              + _at(_first(~np.isfinite(trace)), stack))
     mean = (trace / 3.0)[..., None] if stack else trace / 3.0
     d, frame = _spectrum(t - mean * _EYE)
-    out = _finite_values(np.exp, d / (2.0 * m.g) + trace / (9.0 * m.k),
-                         "mat_exp", stack)
+    nine_k = 9.0 * m.k
+    spherical = (trace / nine_k if math.isfinite(nine_k)
+                 else trace / 9.0 / m.k)
+    out = _finite_values(np.exp, d / (2.0 * m.g) + spherical, "mat_exp",
+                         stack)
     return sym_part((frame * (out[..., None, :] if stack else out))
                     @ frame.swapaxes(-1, -2))
 
@@ -225,19 +230,29 @@ def becker_energy_nu0(u, m: Moduli):
     Nonnegative, zero only at U = I, and finite even as U -> 0.  For one
     matrix returns a float; for a (..., 3, 3) stack, an array of shape (...).
     lam counts as zero within ``1e-14 max(1, |G|)``; any other lam raises
-    :class:`LambdaNotZero`.
+    :class:`LambdaNotZero`.  An energy that overflows (a G near the
+    largest float) raises :class:`LogstrainError`, naming the first such
+    member of a stack.
     """
     if not _lam_is_zero(m):
         raise LambdaNotZero(
             f"energy defined only for lambda = 0, got {m.lam}")
     u = sym_part(_as_mats(u, "u"))
     w = mat_log(u)
-    energy = 2.0 * m.g * (_inners(u, w - _EYE) + 3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = 2.0 * m.g * (_inners(u, w - _EYE) + 3.0)
+    bad = _first(~np.isfinite(energy))
+    if bad is not None:
+        raise LogstrainError(f"becker_energy_nu0: energy is not finite at "
+                             f"G = {m.g:.6g}{_at(bad, u.shape[:-2])}")
     return energy if u.ndim > 2 else float(energy)
 
 
+@_closed_form
 def hencky_energy(v, m: Moduli):
-    """Quadratic logarithmic energy G ||dev3 log V||^2 + K/2 tr(log V)^2."""
+    """Quadratic logarithmic energy G ||dev3 log V||^2 + K/2 tr(log V)^2.
+
+    An energy that overflows raises :class:`LogstrainError`."""
     w = mat_log(v)
     d = dev3(w)
     return m.g * inner(d, d) + 0.5 * m.k * tr(w) ** 2

@@ -9,8 +9,9 @@ reconciled.
 
 Admissibility comes in two levels: every instance must satisfy G != 0 and
 3*lambda + 2*G != 0 (i.e. K != 0), which is what the nonlinear laws need to
-be invertible, and all five constants must be finite; the ``physical`` flag
-additionally enforces G > 0 and K > 0.
+be invertible, the larger of |G| and |K| must be a normal float (E and nu
+cannot be formed from two subnormal numbers), and all five constants must
+be finite; the ``physical`` flag additionally enforces G > 0 and K > 0.
 """
 
 import math
@@ -110,6 +111,10 @@ class Moduli:
             raise InvalidModuli(
                 f"inadmissible moduli: G = {g_}, 3*lambda + 2*G = {3.0 * k_}"
                 " (both must be nonzero)")
+        if max(abs(g_), abs(k_)) < sys.float_info.min:
+            raise InvalidModuli(
+                f"inadmissible moduli: G = {g_}, K = {k_} (the larger must "
+                f"be at least {sys.float_info.min}, the least normal float)")
         if 3.0 * k_ + g_ == 0.0:
             raise InvalidModuli(
                 f"inadmissible moduli: 3*K + G = 0 (G = {g_}, K = {k_}); "

@@ -303,15 +303,17 @@ def test_draw_calls_do_not_grow_with_samples(groups, calls):
 # log-law digests were re-pinned once more when becker_inverse moved onto
 # the spectrum of the deviator: only their inverse_round_trip line changed.
 # The three becker digests were re-pinned when the path work moved onto the
-# nested Chebyshev rule: only their closed_cycle_work and
-# open_path_energy_match lines changed.
+# nested Chebyshev rule, and again when that rule went to 6 panels of
+# degree 16: each time only their closed_cycle_work and
+# open_path_energy_match lines changed (their steps, and the last digits
+# of the work).
 _SUITE_DIGESTS = {
-    ("becker", 0.0): "b7efd5aebf15cda2faac002a46519abd"
-                     "79a179a7dd803701bda4ca09415d9ed1",
-    ("becker", 0.5): "f89b1d8e13cef8296d7fd56b7e3f1a1d"
-                     "cd117a1079642a9dfb0098bbf2d791ab",
-    ("becker", 25.0): "ea6318d93015447dd397563dfa3986fb"
-                      "0e3e769ed4409ffd659b68f2e98a4ffd",
+    ("becker", 0.0): "f0aa3103e8cdc7123d558d1deacc789f"
+                     "b245f393d74c11921e6e946fa350ea47",
+    ("becker", 0.5): "554db4e16903cab8ba37156e29546314"
+                     "ad6bc4d4aae67b29a213a22ccc8c8eb7",
+    ("becker", 25.0): "a13a83b33a0c27ba1664b630d6a2801f"
+                      "443aec71af5afb14c83aadb9a160f85c",
     ("hencky-kirchhoff", 0.5): "e042e9c1ef60a3cf611dac1aa90e32b9"
                                "4f78f3187c23c25f3c50b4260bba9881",
     ("hooke-biot", 0.5): "f5f7ee28df7382e4fd5e6a80793be239"
@@ -337,7 +339,7 @@ def _counting(f_of_t):
     return f, calls
 
 
-# seven segments: the corners at t = k/7 lie off the panel grid of t = k/24,
+# seven segments: the corners at t = k/7 lie off the panel grid of t = k/6,
 # so the rule refines to its finest degree without converging
 _OFF_GRID = [(1.0, 1.0, 1.0), (1.5, 1.0, 1.0), (1.5, 1.3, 1.0),
              (1.8, 1.3, 1.2), (1.2, 1.6, 1.2), (1.0, 1.2, 1.4),
@@ -351,7 +353,7 @@ def test_each_grid_point_is_sampled_once(closed):
     f, calls = _counting(path)
     work, n, converged = converged_path_work(f, "becker", M, closed=closed)
     assert converged != closed
-    assert n == (verify.PANELS * verify.MAX_DEGREE if closed else 192)
+    assert n == (verify.PANELS * verify.MAX_DEGREE if closed else 96)
     assert len(calls) == n + 1
     assert sorted(calls) == verify._rule(n // verify.PANELS)[0].tolist()
 
@@ -359,7 +361,7 @@ def test_each_grid_point_is_sampled_once(closed):
 def test_dilation_cycle_converges_on_the_first_grid():
     f, calls = _counting(dilation_shear_cycle())
     converged_path_work(f, "becker", M, closed=True)
-    assert len(calls) == 193
+    assert len(calls) == 97
 
 
 def test_converged_work_equals_fresh_quadrature():
@@ -379,15 +381,15 @@ def test_converged_work_equals_fresh_quadrature():
 
 
 def test_refinement_node_failure_names_the_fine_grid_index():
-    # index 87 is the odd node 7 of panel 5 in the rule of degree 16, the
+    # index 167 is the odd node 7 of panel 5 in the rule of degree 32, the
     # first refinement: a node that the first rule does not sample
-    bad = verify._rule(16)[0][87]
+    bad = verify._rule(32)[0][167]
 
     def f(t):
         return np.eye(3) * (math.nan if t == bad else 1.0 + t)
 
-    with pytest.raises(ValueError, match="gradient 87 on the path is not "
-                                         "finite"):
+    with pytest.raises(ValueError, match="gradient 167 on the path is not "
+                                          "finite"):
         converged_path_work(f, "becker", M, tol=0.0)
 
 
@@ -434,7 +436,7 @@ def test_diagonal_paths_are_sampled_as_one_array(corners, closed,
     assert direct == wrapped
     assert len(calls) == direct[1] + 1
     assert direct[1] == (verify.PANELS * verify.MAX_DEGREE
-                         if corners is _OFF_GRID else 192)
+                         if corners is _OFF_GRID else 96)
 
 
 def test_a_per_node_sampler_receives_python_floats():
@@ -460,12 +462,12 @@ def test_the_path_check_factorizes_each_node_once(monkeypatch):
     _, n, _ = converged_path_work(diagonal_path(_OFF_GRID), "becker", M,
                                   closed=True)
     assert n + 1 == sum(checked) == 1537
-    assert checked == [193, 192, 384, 768]
+    assert checked == [97, 96, 192, 384, 768]
 
 
 def test_refinement_det_failure_is_caught_on_the_new_nodes():
     # a reflection at one odd node of the first doubling
-    bad = verify._rule(16)[0][87]
+    bad = verify._rule(32)[0][167]
 
     def f(t):
         return np.diag([1.0 + t, 1.0, -1.0 if t == bad else 1.0])

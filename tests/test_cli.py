@@ -76,6 +76,15 @@ def test_stress_rejects_missing_moduli(capsys):
     assert "pair" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["check", "--samples", "4"],
+    ["stress", "--law", "becker", "--F", "1 0 0 0 1 0 0 0 1"]])
+def test_subnormal_moduli_exit_two(capsys, command):
+    code, out, err = run(capsys, *command, "--G", "1e-320", "--lam", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: inadmissible moduli: G = 1e-320")
+
+
 def test_stress_whose_parts_overflow_exits_two(capsys):
     # a finite Biot stress of 1.2e308 on two diagonal entries: its trace
     # overflows, so the spherical part cannot be printed
@@ -232,7 +241,7 @@ def test_check_at_overflowing_moduli_fails_its_checks_quietly(capsys):
     # the stresses on the dilation cycle stay within a factor of 2 of
     # overflow, and its work lam (4 - 6 ln 2) converges on the first rule
     cycle = by_name["closed_cycle_work"]["witness"]
-    assert cycle["quadrature_converged"] and cycle["steps"] == 192
+    assert cycle["quadrature_converged"] and cycle["steps"] == 96
     predicted = 5e307 * (4.0 - 6.0 * math.log(2.0))
     assert cycle["predicted_work"] == predicted
     assert cycle["work_error"] == abs(cycle["work"] - predicted)
@@ -284,8 +293,33 @@ def test_check_reports_a_path_work_that_overflows(capsys):
     cycle = by_name["closed_cycle_work"]
     assert cycle["passed"] and not cycle["expected"]
     assert cycle["witness"] == {"error": "law 'becker': stress is not "
-                                "finite at G = 1, lam = 1.7e+308 at index 77"}
+                                "finite at G = 1, lam = 1.7e+308 at index 39"}
     assert list(by_name)[-2:] == ["linearization_order", "pk2_expansion"]
+
+
+def test_check_at_lam_zero_and_huge_g_reports_every_check(capsys):
+    # G = 5e307, lam = 0: the random monotonicity pairs and the convexity
+    # probes meet stresses and energies that overflow; each of those
+    # reports comes out not as expected with the error as its witness, and
+    # the run prints every report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "check", "--G", "5e307", "--lam", "0",
+                             "--samples", "4")
+    assert code == 1
+    assert all(line.startswith("# ") for line in err.splitlines())
+    by_name = {}
+    for line in out.splitlines():
+        report = json.loads(line, parse_constant=_strict)
+        by_name[report["name"]] = report
+    assert list(by_name)[-2:] == ["linearization_order", "pk2_expansion"]
+    for name in ("m_condition_random", "hill_log_domain",
+                 "energy_convexity_spd"):
+        report = by_name[name]
+        assert report["passed"] != report["expected"]
+        assert "not finite at G = 5e+307" in report["witness"]["error"]
+    # the open path's end energy, 4.8e307, is finite
+    assert by_name["open_path_energy_match"]["passed"]
 
 
 def test_huge_cycle_work_converges_on_the_first_grid(capsys):
@@ -299,7 +333,7 @@ def test_huge_cycle_work_converges_on_the_first_grid(capsys):
     by_name = {json.loads(l)["name"]: json.loads(l)
                for l in out.splitlines()}
     cycle = by_name["closed_cycle_work"]["witness"]
-    assert cycle["steps"] == 192 and cycle["quadrature_converged"]
+    assert cycle["steps"] == 96 and cycle["quadrature_converged"]
 
 
 def test_check_at_a_lam_the_energy_reads_as_zero(capsys):

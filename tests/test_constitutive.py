@@ -166,6 +166,19 @@ def test_inverse_round_trip_bound(lam):
     assert err.max() < 5e-14
 
 
+@pytest.mark.parametrize("lam", [1e307, 5e307, 1.7e308])
+def test_inverse_keeps_the_spherical_part_where_9k_overflows(lam):
+    # at lam >= 1e307 the stress of diag(1.1, 1, 1) is spherical in floats,
+    # lam ln(1.1) I, so the inverse gives back the dilation 1.1**(1/3) I;
+    # from lam = 2e307 on 9 K overflows, and dividing by it gave I
+    m = Moduli.from_g_lam(1.0, lam)
+    back = becker_inverse(becker_biot(np.diag([1.1, 1.0, 1.0]), m), m)
+    assert np.allclose(back, 1.1 ** (1.0 / 3.0) * np.eye(3), rtol=1e-15,
+                       atol=1e-15)
+    t = becker_biot(np.diag([1.1, 1.0, 1.0]), m)
+    assert np.array_equal(becker_inverse(np.stack([t, t]), m)[1], back)
+
+
 def test_coaxiality_of_stress_and_stretch(rng):
     for _ in range(100):
         u = random_spd(rng)

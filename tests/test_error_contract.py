@@ -22,7 +22,8 @@ import logstrain
 from logstrain import cli, errors
 from logstrain.cli import main
 from logstrain.constitutive import (_LAWS, LAW_TAGS, becker_biot,
-                                    hencky_cauchy, hencky_kirchhoff,
+                                    becker_energy_nu0, hencky_cauchy,
+                                    hencky_energy, hencky_kirchhoff,
                                     hooke_biot, hooke_cauchy,
                                     incompressible_uniaxial_hyper,
                                     incompressible_uniaxial_limit,
@@ -87,7 +88,7 @@ _REAL = st.one_of(
               st.floats(min_value=-320.0, max_value=308.0)))
 
 _MODULI = (Moduli.from_g_lam(1.0, 0.5), Moduli.from_g_lam(1e-300, 0.0),
-           Moduli.from_g_lam(1e300, 1e300))
+           Moduli.from_g_lam(1e300, 1e300), Moduli.from_g_lam(5e307, 0.0))
 
 _WORDING = re.compile(r"must be finite( and (positive|nonnegative|greater "
                       r"than 1))?, got ")
@@ -191,6 +192,33 @@ def test_tensor_maps_finite_or_error(name, a, m):
     assert out is None or np.isfinite(out).all(), (name, a, out)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(energy=st.sampled_from([becker_energy_nu0, hencky_energy]),
+       a=st.one_of(_MATRIX, st.lists(
+           st.floats(min_value=-3.0, max_value=3.0), min_size=3,
+           max_size=3).map(lambda e: (_FRAME * 10.0 ** np.array(e))
+                           @ _FRAME.T)),
+       m=st.sampled_from(_MODULI))
+def test_energies_finite_or_error(energy, a, m):
+    # at G = 5e307 an energy of a moderate stretch, eigenvalues 10**e for
+    # e in [-3, 3], already overflows
+    out = _quietly(lambda: energy(a, m))
+    assert out is None or math.isfinite(out), (energy, a, out)
+
+
+def test_energies_that_overflow_raise():
+    m = Moduli.from_g_lam(5e307, 0.0)
+    u = np.diag([20.0, 1.0, 1.0])
+    for energy in (becker_energy_nu0, hencky_energy):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LogstrainError, match="not finite"):
+                energy(u, m)
+    with pytest.raises(LogstrainError, match=r"becker_energy_nu0: energy is "
+                       r"not finite at G = 5e\+307 at index 1$"):
+        becker_energy_nu0(np.stack([np.eye(3), u]), m)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(law=st.sampled_from(_TENSOR_TAGS), f=_MATRIX,
        m=st.sampled_from(_MODULI))
@@ -262,7 +290,7 @@ def test_a_closed_path_whose_gap_overflows_is_rejected_quietly():
        closed=st.booleans())
 def test_path_work_finite_or_error(corners, law, m, closed):
     # a closed path returns to its first corner; every corner lies on the
-    # panel grid of t = k / 24
+    # panel grid of t = k / 6
     path = diagonal_path(corners + corners[:1] if closed else corners)
     direct = _outcome(lambda: converged_path_work(path, law, m,
                                                   closed=closed))

@@ -77,6 +77,23 @@ def test_rejects_inadmissible():
             Moduli.from_g_nu(1.0, bad)
 
 
+@pytest.mark.parametrize("make, args", [
+    (Moduli.from_g_lam, (1e-320, 0.0)), (Moduli.from_g_lam, (5e-324, 5e-324)),
+    (Moduli.from_g_k, (1e-320, -1e-315)), (Moduli.from_e_nu, (1e-320, 0.3)),
+    (Moduli.from_g_nu, (-2.5e-310, 0.3))])
+def test_rejects_moduli_that_are_all_subnormal(make, args):
+    # E and nu cannot be formed from two subnormal numbers (the power of
+    # two that would scale them up overflowed)
+    with pytest.raises(InvalidModuli, match="least normal float"):
+        make(*args)
+
+
+def test_a_subnormal_g_beside_a_normal_k_is_kept():
+    m = Moduli.from_g_lam(1e-320, 1.0)
+    assert (m.g, m.lam, m.k, m.nu) == (1e-320, 1.0, 1.0, 0.5)
+    assert m.e == 3e-320
+
+
 def test_physical_flag():
     Moduli.from_g_lam(1.0, 0.5, physical=True)
     m = Moduli.from_g_lam(1.0, -0.5)  # K = 1/6 > 0, still physical

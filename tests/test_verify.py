@@ -398,7 +398,7 @@ def test_cycle_work_witness_matches_the_paper(lam):
     by_name = {r.name: r for r in suite("becker", m, samples=8, seed=0)}
     w = by_name["closed_cycle_work"].witness
     predicted = lam * (4.0 - 6.0 * math.log(2.0))
-    assert w["quadrature_converged"] and w["steps"] == 192
+    assert w["quadrature_converged"] and w["steps"] == 96
     assert w["work_error"] == abs(w["work"] - predicted)
     assert w["work_error"] <= 1e-13 * max(1.0, abs(lam))
 
@@ -425,7 +425,7 @@ def test_default_tolerance_scales_with_the_larger_modulus():
     m = Moduli.from_g_lam(1.0, 1e307)
     work, n, converged = converged_path_work(dilation_shear_cycle(),
                                              "becker", m, closed=True)
-    assert converged and n == 192
+    assert converged and n == 96
     # within the docstring's 1e-13 max(1, |lam|) of the closed form
     assert abs(work - 1e307 * (4.0 - 6.0 * math.log(2.0))) <= 1e-13 * 1e307
 
@@ -483,7 +483,7 @@ def test_curved_open_path_matches_the_energy(law, lam):
         energy = (m.g * float(np.sum((e - e.mean()) ** 2))
                   + 0.5 * (m.lam + 2.0 * m.g / 3.0) * float(e.sum()) ** 2)
     work, n, converged = converged_path_work(_curved_open_path, law, m)
-    assert converged and n == 192
+    assert converged and n == 96
     assert abs(work - energy) <= 1e-13
 
 
@@ -505,7 +505,7 @@ def test_rotating_cycles_match_their_closed_forms(c, law, lam):
     closed = (lam * (2.0 * (c - 1.0) * lnc - 4.0 * (c * lnc - c + 1.0))
               if law == "becker" else 0.0)
     work, n, converged = converged_path_work(f_of_t, law, m, closed=True)
-    assert converged and n == 192 and abs(work - closed) <= 1e-13
+    assert converged and n == 96 and abs(work - closed) <= 1e-13
     work, _, converged = converged_path_work(f_of_t, law, m, closed=True,
                                              tol=1e-12)
     assert converged and abs(work - closed) <= 1e-13
@@ -522,7 +522,7 @@ def _segment_log_mean(a, b):
 @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
 def test_kinks_off_the_grid_do_not_read_as_converged(lam):
     # seven segments: the corners at t = k/7 lie inside panels of the
-    # t = k/24 grid, where the rule converges only algebraically.  Becker's
+    # t = k/6 grid, where the rule converges only algebraically.  Becker's
     # loop work is lam * sum over the segments of (mean of ln J) * (change
     # of tr U)
     corners = np.array([(1.0, 1.0, 1.0), (1.5, 1.0, 1.0), (1.5, 1.3, 1.0),
@@ -540,21 +540,86 @@ def test_kinks_off_the_grid_do_not_read_as_converged(lam):
 
 def test_kink_errors_cancelling_in_the_total_do_not_read_as_converged():
     # a random seven-segment cycle whose kinked panels' estimates cancel in
-    # the total at N = 32 (2.3e-10 against tol = 2e-8), while one panel's
-    # is 8.8e-6: only the per-panel test keeps it unconverged
-    corners = [(1.0, 1.0, 1.0), (0.7926, 1.2058, 1.3108),
-               (1.321, 0.7332, 1.5506), (1.4942, 1.0267, 1.2185),
-               (1.5131, 1.6175, 0.9725), (1.5479, 1.1666, 1.7485),
-               (1.6662, 1.0938, 1.0958), (1.0, 1.0, 1.0)]
-    m = Moduli.from_g_lam(1.0, 2.0)
+    # the total at N = 64 (2.4e-9 against tol = 1e-8), while one panel's
+    # is 4.4e-6: only the per-panel test keeps it unconverged.  Stopped by
+    # the total alone, its work would be 2.4e-6 off the closed form, 0
+    corners = [(1.0, 1.0, 1.0), (1.1334, 1.3279, 0.9573),
+               (1.7128, 1.0166, 0.8979), (1.6288, 1.0355, 0.9137),
+               (1.6854, 1.1553, 1.6747), (1.565, 1.7014, 0.7699),
+               (1.3649, 1.7937, 1.1882), (1.0, 1.0, 1.0)]
     f = diagonal_path(corners)
-    g = np.array([f(t) for t in verify._rule(32)[0]])
-    pk1 = pk1_for_law("becker", g, m)
-    error = (verify._panel_works(g, pk1, 32)
-             - verify._panel_works(g[::2], pk1[::2], 16))
-    assert abs(np.sum(error)) < 1e-9 < 1e-6 < np.max(np.abs(error))
-    _, n, converged = converged_path_work(f, "becker", m, closed=True)
+    g = np.array([f(t) for t in verify._rule(64)[0]])
+    pk1 = pk1_for_law("becker", g, M0)
+    error = (verify._panel_works(g, pk1, 64)
+             - verify._panel_works(g[::2], pk1[::2], 32))
+    assert abs(np.sum(error)) < 1e-8 < 1e-6 < np.max(np.abs(error))
+    assert abs(np.sum(verify._panel_works(g, pk1, 64))) > 1e-6
+    _, n, converged = converged_path_work(f, "becker", M0, closed=True)
     assert not converged and n == 1536
+
+
+def test_a_three_segment_cycle_converges_on_the_first_rule():
+    # its kinks at t = 1/3 and 2/3 lie on the panel grid t = k / 6, so the
+    # first rule, 97 samples, meets the default tolerance
+    corners = np.array([(1.0, 1.0, 1.0), (1.4, 0.8, 1.1), (0.9, 1.3, 1.2),
+                        (1.0, 1.0, 1.0)])
+    path = diagonal_path(corners)
+    closed = 0.5 * sum(float(np.sum(_segment_log_mean(a, b)) * np.sum(b - a))
+                       for a, b in zip(corners[:-1], corners[1:]))
+    for law, expected in (("becker", closed), ("hencky-kirchhoff", 0.0)):
+        calls = []
+        work, n, converged = converged_path_work(
+            lambda t: calls.append(t) or path(t), law, M, closed=True)
+        assert converged and n == 96 and len(calls) == 97
+        assert abs(work - expected) <= 1e-13
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_a_four_segment_cycle_does_not_read_as_converged(lam):
+    # the kinks at t = 1/4 and 3/4 lie inside panels of the t = k / 6 grid
+    # (on the former grid of t = k / 24 this cycle converged at 192 steps)
+    corners = [(1.0, 1.0, 1.0), (1.7, 1.3, 1.8), (0.8, 1.4, 1.1),
+               (1.6, 0.9, 1.7), (1.0, 1.0, 1.0)]
+    _, n, converged = converged_path_work(
+        diagonal_path(corners), "becker", Moduli.from_g_lam(1.0, lam),
+        closed=True)
+    assert not converged and n == 1536
+
+
+def _exact_diagonal_work(corners, lam):
+    # becker's work along a piecewise-linear diagonal path at G = 1, to 40
+    # digits: the potential 2 sum (s ln s - s) plus lam times the integral
+    # of ln J d(tr U), segment by segment
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for a, b in zip(corners[:-1], corners[1:]):
+            a, b = [mpmath.mpf(x) for x in a], [mpmath.mpf(x) for x in b]
+            for x, y in zip(a, b):
+                total += 2 * (y * mpmath.log(y) - y - x * mpmath.log(x) + x)
+            mean_log_j = sum(mpmath.log(x) if x == y else
+                             (y * mpmath.log(y) - x * mpmath.log(x)) / (y - x)
+                             - 1 for x, y in zip(a, b))
+            total += lam * mean_log_j * sum(y - x for x, y in zip(a, b))
+        return total
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 25.0])
+def test_diagonal_paths_meet_their_closed_forms_to_roundoff(lam):
+    # within 1e-15 max(1, |lam|) on the first rule: on each panel the
+    # differentiation matrix acts only on F's deviation from its chord
+    # (without the chord, its roundoff puts the dilation cycle up to
+    # 1.6e-15 off)
+    m = Moduli.from_g_lam(1.0, lam)
+    for corners, closed in (
+            ([(1.0, 1.0, 1.0), (2.0, 1.0, 1.0), (2.0, 2.0, 2.0),
+              (1.0, 1.0, 1.0)], True),
+            ([(1.0, 1.0, 1.0), (2.0, 0.7, 1.3)], False)):
+        work, n, converged = converged_path_work(
+            diagonal_path(corners), "becker", m, closed=closed)
+        exact = _exact_diagonal_work(corners, lam)
+        assert converged and n == 96
+        assert float(abs(work - exact)) <= 1e-15 * max(1.0, abs(lam))
 
 
 def test_path_validation():
@@ -652,7 +717,7 @@ def test_open_path_report_records_the_quadrature(monkeypatch):
     by_name = {r.name: r for r in suite("becker", M0, samples=20, seed=2)}
     w = by_name["open_path_energy_match"].witness
     assert by_name["open_path_energy_match"].passed
-    assert w["quadrature_converged"] is True and w["steps"] >= 192
+    assert w["quadrature_converged"] is True and w["steps"] >= 96
 
     def unconverged(f_of_t, law, m, closed=False):
         delta = (becker_energy_nu0(f_of_t(1.0), m)
