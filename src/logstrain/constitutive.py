@@ -310,13 +310,17 @@ def _lame(e, m):
 
 
 def _lame_principal(e, m):
-    # the same law on principal values e, shape (..., 3); one spectrum on
-    # Python floats, in the order of the stack's numpy arithmetic
-    if e.shape == (3,):
-        e0, e1, e2 = e.tolist()
-        c, s = 2.0 * m.g, m.lam * (0.0 + e0 + e1 + e2)
-        return np.array([c * e0 + s, c * e1 + s, c * e2 + s])
-    return 2.0 * m.g * e + m.lam * e.sum(axis=-1, keepdims=True)
+    # the same law on principal values e, shape (..., 3), its spherical
+    # term left out at lam = 0 as in _lame; one spectrum on Python floats,
+    # in the order of the stack's numpy arithmetic
+    if e.ndim > 1:
+        t = 2.0 * m.g * e
+        return t + m.lam * _sum3(e) if m.lam != 0.0 else t
+    c, (e0, e1, e2) = 2.0 * m.g, e.tolist()
+    if m.lam == 0.0:
+        return np.array([c * e0, c * e1, c * e2])
+    s = m.lam * _sum3(e)
+    return np.array([c * e0 + s, c * e1 + s, c * e2 + s])
 
 
 def _sum3(v):
@@ -388,10 +392,14 @@ class _Law(NamedTuple):
     column: str = None
     hyper: object = None
 
+    @np.errstate(over="ignore", invalid="ignore")
     def principal(self, s, m):
         """Principal stresses ``2 G e_i + lam sum_j e_j`` of the row's
-        strain e at principal stretches s, shape (..., 3)."""
-        return _lame_principal(self.strain.of_stretch(s), m)
+        strain e at principal stretches s, shape (..., 3).  A stress that
+        is not finite raises :class:`LogstrainError`, naming the first
+        such spectrum of a stack."""
+        t = _lame_principal(self.strain.of_stretch(s), m)
+        return _finite(self.tag, t[..., None], m)[..., 0]  # as 3x1 columns
 
 
 class _Strain(NamedTuple):
@@ -502,13 +510,15 @@ def _lame_on_frame(frame, e, m):
     """The isotropic linear law of the strain whose principal values e,
     shape (..., 3), lie on the columns of frame: ``2 G frame @ diag(e) @
     frame.T + lam sum_j e_j I``.  The spherical part is added to the
-    diagonal after the frame product, so that its roundoff stays there."""
+    diagonal after the frame product, so that its roundoff stays there,
+    and left out at lam = 0, as in :func:`_lame`."""
     scaled = 2.0 * m.g * e
     t = sym_part((frame * (scaled if e.ndim == 1 else scaled[..., None, :]))
                  @ frame.swapaxes(-1, -2))
-    # the diagonal as a basic-slice view: sym_part returns a new contiguous
-    # array, so the reshape cannot copy
-    t.reshape(t.shape[:-2] + (9,))[..., ::4] += m.lam * _sum3(e)
+    if m.lam != 0.0:
+        # the diagonal as a basic-slice view: sym_part returns a new
+        # contiguous array, so the reshape cannot copy
+        t.reshape(t.shape[:-2] + (9,))[..., ::4] += m.lam * _sum3(e)
     return t
 
 

@@ -89,10 +89,11 @@ class Moduli:
                 raise InvalidModuli(f"{name} = {v} is not finite")
         if "lam" in given:
             g_, lam_ = float(given["g"]), float(given["lam"])
-            k_ = lam_ + 2.0 * g_ / 3.0
+            # 2G/3 as G/1.5: the same bits, and no 2G to overflow
+            k_ = lam_ + g_ / 1.5
         elif "k" in given:
             g_, k_ = float(given["g"]), float(given["k"])
-            lam_ = k_ - 2.0 * g_ / 3.0
+            lam_ = k_ - g_ / 1.5
         elif "e" in given:
             e_, nu_ = float(given["e"]), float(given["nu"])
             if nu_ == 0.5 or nu_ == -1.0:

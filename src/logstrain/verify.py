@@ -15,7 +15,10 @@ per spectrum and one (samples, 3, 3) array of normals per rotation, in a
 fixed order.  It evaluates the batch as (samples, 3, 3) stacks, with one
 call per law or matrix function, and reports the first worst sample, or for
 a search the first flagged one.  A NaN or infinite residual counts as the
-worst, so a check that cannot be evaluated fails.
+worst, so a check whose residual cannot be evaluated fails.  A check whose
+evaluation raises :class:`LogstrainError` (a stress or an energy that
+overflows) decides nothing: its report comes out not as expected, whichever
+way the check was expected to go, with the message as its witness.
 
 Path work to a tolerance comes from one nested Chebyshev rule
 (:func:`converged_path_work`): Clenshaw-Curtis weights and a Chebyshev
@@ -28,20 +31,20 @@ elsewhere the rule usually reports no convergence.
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import (_LAWS, _lam_is_zero, _log_strain, _tensor_row,
-                           becker_biot, becker_energy_nu0, becker_inverse,
-                           becker_pk2, linearized_law, pk1_for_law,
-                           stretch_stress)
+from .constitutive import (_LAWS, _finite, _lam_is_zero, _log_strain,
+                           _tensor_row, becker_biot, becker_energy_nu0,
+                           becker_inverse, becker_pk2, linearized_law,
+                           pk1_for_law, stretch_stress)
 from .errors import LogstrainError
 from .moduli import Moduli
-from .tensors import (_as_mats, _as_real, _at, _diag, _first,
-                      _first_nonfinite, _fro_norms, _inners, _pow2_scale,
-                      _spectrum, as_mat3, eig_sym, fro_norm, mat_exp,
-                      mat_pow, sym_part)
+from .tensors import (_as_mats, _as_real, _at, _closed_form, _diag,
+                      _first, _first_nonfinite, _fro_norms, _inners,
+                      _pow2_scale, _spectrum, as_mat3, eig_sym, fro_norm,
+                      mat_exp, mat_pow, sym_part)
 
 __all__ = [
     "CheckReport",
@@ -197,12 +200,17 @@ def _rel(err, *scales):
     return np.where(np.isinf(scale), math.nan, err / scale)
 
 
-def _undecided(name, tolerance, exc, expected=True):
-    """The report of a check whose evaluation raised ``exc``, a
-    :class:`LogstrainError`: the check decides nothing, so the report
-    comes out not as expected, with the message as its witness."""
-    return CheckReport(name=name, passed=not expected, tolerance=tolerance,
-                       witness={"error": str(exc)}, expected=expected)
+def _run(name, tolerance, evaluate, expected=True):
+    """The report of one check, ``evaluate()`` giving ``(passed,
+    witness)``.  A :class:`LogstrainError` raised by it leaves the check
+    undecided: the report then comes out not as expected, whichever way
+    the check was expected to go, with the message as its witness."""
+    try:
+        passed, witness = evaluate()
+    except LogstrainError as exc:
+        passed, witness = not expected, {"error": str(exc)}
+    return CheckReport(name=name, passed=passed, tolerance=tolerance,
+                       witness=witness, expected=expected)
 
 
 def _worst(residuals, witness_of, floor=0.0):
@@ -243,9 +251,10 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
     draws one array of ``samples`` values), evaluates it with one stacked
     call per law or matrix function, and records the worst sample
     (the first largest relative residual) as the witness.  A NaN or
-    infinite residual is the worst and fails the check; so does a
+    infinite residual is the worst and fails the check.  A
     :class:`LogstrainError` raised while evaluating the batch (for
-    instance a stress that overflows), whose message is then the witness.
+    instance a stress that overflows) leaves the check undecided: its
+    report comes out not as expected, with the message as its witness.
     """
     _require_samples(samples)
     row = _tensor_row(law)
@@ -338,19 +347,13 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
               superposition, isotropy, power_law, inversion_symmetry]
     if row.strain is _log_strain:  # becker_inverse inverts the law
         checks.append(inverse_round_trip)
-    reports = []
-    for k, check in enumerate(checks):
-        try:
-            worst, witness = check(np.random.default_rng([seed, k]))
-        except LogstrainError as exc:
-            # a law that raises on the batch leaves the check undecided,
-            # which fails it
-            worst, witness = math.inf, {"error": str(exc)}
-        name = check.__name__
-        reports.append(CheckReport(
-            name=name, passed=worst <= AXIOM_TOL, tolerance=AXIOM_TOL,
-            witness=witness, expected=name not in row.violates))
-    return reports
+    def evaluate(check, k):
+        worst, witness = check(np.random.default_rng([seed, k]))
+        return worst <= AXIOM_TOL, witness
+
+    return [_run(check.__name__, AXIOM_TOL, lambda: evaluate(check, k),
+                 expected=check.__name__ not in row.violates)
+            for k, check in enumerate(checks)]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +366,8 @@ def m_condition_check(u1, u2, m: Moduli):
     monotonicity of the stress-stretch map; the returned value reports the
     sign at this particular pair.  ``u1`` and ``u2`` may also be
     (..., 3, 3) stacks of pairs, giving an array of shape (...); one pair
-    gives a float.
+    gives a float.  A product that is not finite raises
+    :class:`LogstrainError`, naming the first such pair of a stack.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
@@ -371,17 +375,26 @@ def m_condition_check(u1, u2, m: Moduli):
                <= 1e-14 * np.maximum(1.0, _fro_norms(u1)))
     if k is not None:
         raise ValueError(f"u1 and u2 must differ{_at(k, u1.shape[:-2])}")
-    value = _inners(becker_biot(u1, m) - becker_biot(u2, m), u1 - u2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _inners(becker_biot(u1, m) - becker_biot(u2, m), u1 - u2)
+    k = _first(~np.isfinite(value))
+    if k is not None:
+        raise LogstrainError(f"m_condition_check: product is not finite at "
+                             f"G = {m.g:.6g}, lam = {m.lam:.6g}"
+                             f"{_at(k, value.shape)}")
     return value if u1.ndim > 2 else float(value)
 
 
+@_closed_form
 def m_condition_paper_pair_value(m: Moduli):
     """Closed form of the monotonicity product at (diag(2, 1/4, 1), I).
 
     ``ln(2)/4 * (20 G - lam)``: negative, i.e. monotonicity lost, as soon
-    as lam > 20 G.
+    as lam > 20 G.  Formed as ``4 ln 2 (1.25 G - lam / 16)``, with the
+    same bits, so that it stays finite wherever the value is; a value
+    that overflows raises :class:`LogstrainError`.
     """
-    return 0.25 * math.log(2.0) * (20.0 * m.g - m.lam)
+    return 4.0 * (math.log(2.0) * (1.25 * m.g - m.lam / 16.0))
 
 
 def principal_cauchy_stresses(stretches, m: Moduli):
@@ -389,11 +402,14 @@ def principal_cauchy_stresses(stretches, m: Moduli):
 
     ``sigma_k = lam_k / (lam_1 lam_2 lam_3) * T_k``, with the principal
     forces ``T_k = 2 G ln lam_k + lam sum_j ln lam_j`` of the becker row of
-    the law table, in the order of the given stretches.
+    the law table, in the order of the given stretches.  A force or a
+    stress that is not finite raises :class:`LogstrainError`.
     """
     lam = np.asarray(stretches, dtype=float)
     forces = _LAWS["becker"].principal(lam, m)  # checks the floor first
-    return lam / np.prod(lam) * forces
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = lam / np.prod(lam) * forces
+    return _finite("becker", sigma[..., None], m)[..., 0]
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -475,7 +491,7 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
     :func:`_draw`) and evaluates the energies with one stacked call per
     argument; a NaN or infinite excess is the largest and fails
     ``energy_convexity_spd``.  A probe whose energies overflow (G near the
-    largest float) comes out not as expected, with the
+    largest float) decides nothing and comes out not as expected, with the
     :class:`LogstrainError` message as its witness.  Raises
     ``ValueError`` unless lam = 0 by the rule of
     :func:`constitutive.becker_energy_nu0`.
@@ -486,8 +502,9 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
     tol = 1e-10
     energy = lambda u: becker_energy_nu0(u, m)
 
-    def log_domain(rng):
-        x1, x2 = _draw(rng, samples, [_SYM_LOG, _SYM_LOG])
+    def log_domain():
+        x1, x2 = _draw(np.random.default_rng([seed, 100]), samples,
+                       [_SYM_LOG, _SYM_LOG])
         w1, w2 = energy(mat_exp(x1)), energy(mat_exp(x2))
         wm = energy(mat_exp(0.5 * (x1 + x2)))
         margin = tol * np.maximum(1.0, np.maximum(abs(w1), abs(w2)))
@@ -499,30 +516,22 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
                        "energies": [float(w1[k]), float(w2[k])],
                        "midpoint_energy": float(wm[k]),
                        "excess": float(wm[k] - 0.5 * (w1[k] + w2[k]))}
-        return CheckReport(name="hill_log_domain", passed=witness is None,
-                           tolerance=tol, witness=witness, expected=False)
+        return witness is None, witness
 
-    def spd_pairs(rng):
+    def spd_pairs():
         spd = (_log_range(0.1, 10.0),)
-        u1, u2 = _draw(rng, samples, [spd, spd])
+        u1, u2 = _draw(np.random.default_rng([seed, 101]), samples,
+                       [spd, spd])
         w1, w2 = energy(u1), energy(u2)
         excess = _rel(energy(0.5 * (u1 + u2)) - 0.5 * (w1 + w2), abs(w1),
                       abs(w2))
         worst, witness = _worst(excess, lambda i: {
             "u1": u1[i], "u2": u2[i], "excess": float(excess[i])},
             -math.inf)
-        return CheckReport(name="energy_convexity_spd", passed=worst <= tol,
-                           tolerance=tol, witness=witness)
+        return worst <= tol, witness
 
-    reports = []
-    for k, probe, name, expected in (
-            (100, log_domain, "hill_log_domain", False),
-            (101, spd_pairs, "energy_convexity_spd", True)):
-        try:
-            reports.append(probe(np.random.default_rng([seed, k])))
-        except LogstrainError as exc:
-            reports.append(_undecided(name, tol, exc, expected))
-    return reports
+    return [_run("hill_log_domain", tol, log_domain, expected=False),
+            _run("energy_convexity_spd", tol, spd_pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -854,17 +863,6 @@ _LADDER_EPS = np.array([[1.0, 0.3, -0.2], [0.3, -0.5, 0.1],
                         [-0.2, 0.1, 0.25]])
 
 
-def _path_work(path, law, m, closed=False):
-    """``(work, n, converged, error)`` of :func:`converged_path_work` for a
-    suite report: ``error`` is None, or the message of a
-    :class:`LogstrainError` that the path work raised, with NaN work, no
-    steps and no convergence."""
-    try:
-        return (*converged_path_work(path, law, m, closed=closed), None)
-    except LogstrainError as exc:
-        return math.nan, 0, False, str(exc)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def suite(law, m: Moduli, samples=1000, seed=0):
     """Axiom block plus, for the logarithmic Biot law, the physics checks.
@@ -887,100 +885,97 @@ def suite(law, m: Moduli, samples=1000, seed=0):
 
     A residual that overflows fails its check as a NaN or infinite
     residual, so the suite runs without numpy's floating-point warnings.
-    A check whose stresses or energies overflow (a :class:`LogstrainError`
-    raised on its batch, as at G = 5e307 with lam = 0) comes out not as
-    expected, with the message as its witness.
+    A check whose stresses, energies or closed form overflow (a
+    :class:`LogstrainError` raised while evaluating it, as at G = 8e307
+    with lam = 0) decides nothing: its report comes out not as expected,
+    whichever way it was expected to go, with the message as its witness.
     """
     row = _tensor_row(law)
     reports = check_axioms(row.tag, m, samples=samples, seed=seed)
     if row.tag != "becker":
         return reports
     lam_zero = _lam_is_zero(m)
+    # the product at the paper's pair, formed once for both of its reports
+    pair_value = functools.cache(lambda: m_condition_check(
+        np.diag([2.0, 0.25, 1.0]), np.eye(3), m))
 
-    value = m_condition_check(np.diag([2.0, 0.25, 1.0]), np.eye(3), m)
-    closed = m_condition_paper_pair_value(m)
-    scale = max(1.0, abs(closed))
-    reports.append(CheckReport(
-        name="m_condition_closed_form",
-        passed=abs(value - closed) <= 1e-12 * scale, tolerance=1e-12,
-        witness={"value": value, "closed_form": closed}))
-    reports.append(CheckReport(
-        name="m_condition_paper_pair", passed=value > 0.0, tolerance=0.0,
-        witness={"value": value, "lam_over_g": m.lam / m.g},
-        expected=closed > 0.0))
+    def closed_form():
+        value, closed = pair_value(), m_condition_paper_pair_value(m)
+        return (abs(value - closed) <= 1e-12 * max(1.0, abs(closed)),
+                {"value": value, "closed_form": closed})
 
-    if lam_zero:
+    def paper_pair():
+        value = pair_value()
+        return value > 0.0, {"value": value, "lam_over_g": m.lam / m.g}
+
+    def random_pairs():
         u1, u2 = _draw(np.random.default_rng([seed, 200]), samples,
                        [_SPD, _SPD])
         kept = np.flatnonzero(_fro_norms(u1 - u2) > 1e-12)
         u1, u2 = u1[kept], u2[kept]
-        try:
-            value = m_condition_check(u1, u2, m)
-        except LogstrainError as exc:  # a stress that overflows
-            reports.append(_undecided("m_condition_random", 0.0, exc))
-        else:
-            # the worst pair is the first smallest product
-            least, witness = _worst(-value, lambda i: {
-                "u1": u1[i], "u2": u2[i], "value": float(value[i])},
-                -math.inf)
-            reports.append(CheckReport(
-                name="m_condition_random", passed=least < 0.0,
-                tolerance=0.0, witness=witness))
+        value = m_condition_check(u1, u2, m)
+        # the worst pair is the first smallest product
+        least, witness = _worst(-value, lambda i: {
+            "u1": u1[i], "u2": u2[i], "value": float(value[i])}, -math.inf)
+        return least < 0.0, witness
 
-    counter = baker_ericksen_check(
-        np.diag([1.0 / math.e, math.e ** -2, math.e ** 3]), m)
-    reports.append(replace(counter, name="baker_ericksen_counterexample",
-                           expected=False))
-    small = baker_ericksen_check(np.eye(3) + 1e-4 * np.diag([1.0, 2.0, 3.0]),
-                                 m)
-    reports.append(replace(small, name="baker_ericksen_small_strain"))
+    def baker_ericksen(v):
+        report = baker_ericksen_check(v, m)
+        return report.passed, report.witness
 
-    u, = _draw(np.random.default_rng([seed, 201]), samples, [_SPD])
-    lam, _ = _spectrum(sym_part(_as_mats(u, "u")))
-    _, full, reduced, slack = _force_order(lam, m)
-    k = _first(((full < slack[:, None]) | (reduced < slack[:, None]))
-               .any(axis=-1))
-    reports.append(CheckReport(
-        name="ordered_force_random", passed=k is None, tolerance=1e-12,
-        witness=None if k is None else ordered_force_check(u[k], m).witness))
-
-    if lam_zero:
-        reports.extend(hill_convexity_probe(m, samples=samples, seed=seed))
+    def ordered_forces():
+        u, = _draw(np.random.default_rng([seed, 201]), samples, [_SPD])
+        lam, _ = _spectrum(sym_part(_as_mats(u, "u")))
+        _, full, reduced, slack = _force_order(lam, m)
+        k = _first(((full < slack[:, None]) | (reduced < slack[:, None]))
+                   .any(axis=-1))
+        return k is None, (None if k is None
+                           else ordered_force_check(u[k], m).witness)
 
     cycle_tol = 1e-6 * abs(m.g)
-    # a quadrature that did not converge, or a path work that raised,
-    # decides nothing: the report then comes out not as expected, whichever
-    # way the work was expected to go, with the error as its witness
-    expected = lam_zero
-    predicted = m.lam * (4.0 - 6.0 * math.log(2.0))
-    work, n, converged, error = _path_work(dilation_shear_cycle(), row.tag,
-                                           m, closed=True)
-    reports.append(CheckReport(
-        name="closed_cycle_work",
-        passed=abs(work) <= cycle_tol if converged else not expected,
-        tolerance=cycle_tol,
-        witness={"error": error} if error else {
-            "work": work, "steps": n, "quadrature_converged": converged,
-            "predicted_work": predicted,
-            "work_error": abs(work - predicted)},
-        expected=expected))
 
+    def cycle_work():
+        work, n, converged = converged_path_work(
+            dilation_shear_cycle(), row.tag, m, closed=True)
+        predicted = m.lam * (4.0 - 6.0 * math.log(2.0))
+        # a quadrature that did not converge decides nothing: the report
+        # then comes out not as expected, whichever way it was expected to go
+        return (abs(work) <= cycle_tol if converged else not lam_zero,
+                {"work": work, "steps": n, "quadrature_converged": converged,
+                 "predicted_work": predicted,
+                 "work_error": abs(work - predicted)})
+
+    def open_path_work():
+        path = diagonal_path([(1.0, 1.0, 1.0), (2.0, 0.7, 1.3)])
+        work, n, converged = converged_path_work(path, row.tag, m)
+        delta = (becker_energy_nu0(path(1.0), m)
+                 - becker_energy_nu0(path(0.0), m))
+        return (converged and abs(work - delta) <= cycle_tol,
+                {"work": work, "energy_difference": delta, "steps": n,
+                 "quadrature_converged": converged})
+
+    reports.append(_run("m_condition_closed_form", 1e-12, closed_form))
+    # the sign of the closed form, which holds where its value overflows
+    reports.append(_run("m_condition_paper_pair", 0.0, paper_pair,
+                        expected=m.lam < 20.0 * m.g))
     if lam_zero:
-        open_path = diagonal_path([(1.0, 1.0, 1.0), (2.0, 0.7, 1.3)])
-        work_open, n, converged, error = _path_work(open_path, row.tag, m)
-        try:
-            delta = (becker_energy_nu0(open_path(1.0), m)
-                     - becker_energy_nu0(open_path(0.0), m))
-        except LogstrainError as exc:  # an energy that overflows
-            delta, error = math.nan, error or str(exc)
-        reports.append(CheckReport(
-            name="open_path_energy_match",
-            passed=converged and abs(work_open - delta) <= cycle_tol,
-            tolerance=cycle_tol,
-            witness={"error": error} if error else {
-                "work": work_open, "energy_difference": delta, "steps": n,
-                "quadrature_converged": converged}))
-
+        reports.append(_run("m_condition_random", 0.0, random_pairs))
+    reports.append(_run(
+        "baker_ericksen_counterexample", TIE_TOL,
+        lambda: baker_ericksen(np.diag([1.0 / math.e, math.e ** -2,
+                                        math.e ** 3])),
+        expected=False))
+    reports.append(_run(
+        "baker_ericksen_small_strain", TIE_TOL,
+        lambda: baker_ericksen(np.eye(3) + 1e-4 * np.diag([1.0, 2.0, 3.0]))))
+    reports.append(_run("ordered_force_random", 1e-12, ordered_forces))
+    if lam_zero:
+        reports.extend(hill_convexity_probe(m, samples=samples, seed=seed))
+    reports.append(_run("closed_cycle_work", cycle_tol, cycle_work,
+                        expected=lam_zero))
+    if lam_zero:
+        reports.append(_run("open_path_energy_match", cycle_tol,
+                            open_path_work))
     reports.append(linearization_order_check(m, _LADDER_EPS))
     reports.append(pk2_expansion_check(m, _LADDER_EPS))
     return reports

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logstrain import cli
+from logstrain import cli, verify
 from logstrain import constitutive as laws
 from logstrain.cli import build_parser, main
 from logstrain.moduli import Moduli
@@ -95,6 +95,25 @@ def test_stress_whose_parts_overflow_exits_two(capsys):
     assert (code, out) == (2, "")
     assert err == ("error: the principal values or parts of the biot "
                    "stress are not finite\n")
+
+
+def test_stress_at_lam_zero_has_no_spherical_term(capsys):
+    # lam = 0: the linear law leaves out its spherical term on every path,
+    # so the strain trace 2.4e308, which overflows, spoils no stress
+    for g in (1.0, 0.25):
+        m = Moduli.from_g_lam(g, 0.0)
+        f = np.diag([8e307] * 3)
+        t = laws.hooke_biot(f, m)
+        assert t[0, 0] == 2.0 * g * (8e307 - 1.0)
+        assert np.array_equal(laws.pk1_for_law("hooke-biot", f, m), t)
+    # at G = 0.25 the printed stress and its parts are finite too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "stress", "--F",
+                             "diag(8e307,8e307,8e307)", "--law", "hooke-biot",
+                             "--measure", "biot", "--G", "0.25", "--lam", "0")
+    assert (code, err) == (0, "")
+    assert tensor_after(out, "stress (biot):") == pytest.approx(t, rel=1e-12)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -314,12 +333,38 @@ def test_check_at_lam_zero_and_huge_g_reports_every_check(capsys):
         by_name[report["name"]] = report
     assert list(by_name)[-2:] == ["linearization_order", "pk2_expansion"]
     for name in ("m_condition_random", "hill_log_domain",
-                 "energy_convexity_spd"):
+                 "energy_convexity_spd", "baker_ericksen_counterexample"):
         report = by_name[name]
         assert report["passed"] != report["expected"]
         assert "not finite at G = 5e+307" in report["witness"]["error"]
-    # the open path's end energy, 4.8e307, is finite
+    # the open path's end energy, 4.8e307, is finite, and so is the pair's
+    # closed form ln 2 (5 G) = 1.7e308
     assert by_name["open_path_energy_match"]["passed"]
+    closed_form = by_name["m_condition_closed_form"]
+    assert closed_form["passed"]
+    assert closed_form["witness"]["closed_form"] == pytest.approx(
+        5.0 * math.log(2.0) * 5e307, rel=1e-15)
+
+
+def test_check_at_lam_zero_and_g_8e307_prints_every_report(capsys):
+    # G = 8e307: the pair's monotonicity product raises as well; every
+    # report of the lam = 0 suite is still printed, and the run exits 1
+    names = [r.name for r in verify.suite("becker", Moduli.from_g_lam(
+        1.0, 0.0), samples=2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "check", "--G", "8e307", "--lam", "0",
+                             "--samples", "2")
+    assert code == 1
+    assert all(line.startswith("# ") for line in err.splitlines())
+    reports = [json.loads(line, parse_constant=_strict)
+               for line in out.splitlines()]
+    assert [r["name"] for r in reports] == names
+    for r in reports:
+        if "error" in (r["witness"] or {}):
+            assert r["passed"] != r["expected"], r["name"]
+    by_name = {r["name"]: r for r in reports}
+    assert "error" in by_name["m_condition_closed_form"]["witness"]
 
 
 def test_huge_cycle_work_converges_on_the_first_grid(capsys):

@@ -149,6 +149,19 @@ def test_uniaxial_response_at_huge_moduli():
     assert lateral == pytest.approx(math.exp(-0.1), rel=1e-15, abs=0)
 
 
+def test_k_is_formed_without_2g():
+    # K = lam + 2G/3 with 2G/3 formed as G/1.5: the bits of 2G/3, and no
+    # 2G to overflow where K is representable
+    for g in (1.0, 0.1, 3.3, -7.25e-5, 1e300, 8e307):
+        assert Moduli.from_g_lam(g, 0.0).k == 2.0 * g / 3.0
+        assert Moduli.from_g_k(g, 1.0).lam == 1.0 - 2.0 * g / 3.0
+    m = Moduli.from_g_lam(1e308, -6.6e307)
+    exact = Fraction(1e308) * 2 / 3 + Fraction(-6.6e307)
+    assert m.k == pytest.approx(float(exact), rel=1e-13, abs=0)
+    assert Moduli.from_g_k(1e308, m.k).lam == pytest.approx(-6.6e307,
+                                                            rel=1e-15)
+
+
 @pytest.mark.parametrize("make, name", [
     (lambda: Moduli.from_g_lam(1.7e308, 1.7e308), "k = inf"),
     (lambda: Moduli.from_g_lam(1e300, -1e300 * (1.0 - 1e-10)), "e = -inf"),

@@ -11,7 +11,7 @@ from logstrain import verify
 from logstrain.constitutive import (_LAWS, becker_energy_nu0,
                                     becker_inverse, pk1_for_law,
                                     stretch_stress)
-from logstrain.errors import NotPositiveDefinite
+from logstrain.errors import LogstrainError, NotPositiveDefinite
 from logstrain.moduli import Moduli
 from logstrain.tensors import fro_norm, mat_pow
 from logstrain.verify import (LoadPath, baker_ericksen_check, check_axioms,
@@ -59,6 +59,21 @@ def test_axioms_fail_for_finite_hooke():
         assert by_name[name].witness is not None
     for name in ("stress_free_reference", "sphere_to_dilation", "isotropy"):
         assert by_name[name].passed
+
+
+def test_undecided_expected_violations_are_not_as_expected():
+    # lam = 1.7e308: every finite-Hooke stress overflows, so the checks the
+    # law is known to violate decide nothing; they are not reproduced
+    # violations
+    m = Moduli.from_g_lam(1.0, 1.7e308)
+    by_name = {r.name: r for r in check_axioms("hooke-biot", m, samples=4)}
+    assert _LAWS["hooke-biot"].violates == {
+        "superposition", "power_law", "inversion_symmetry", "shear_to_shear"}
+    for name in _LAWS["hooke-biot"].violates:
+        report = by_name[name]
+        assert "not finite" in report.witness["error"]
+        assert report.passed and not report.expected
+        assert not report.as_expected, name
 
 
 @pytest.mark.parametrize("law", [tag for tag, row in _LAWS.items()
@@ -230,6 +245,32 @@ def test_m_condition_closed_form():
             == pytest.approx(closed, rel=1e-15, abs=0)
 
 
+def test_m_condition_pair_value_stays_finite_at_huge_g():
+    # 4 ln 2 (1.25 G - lam / 16): the bits of ln(2)/4 (20 G - lam) wherever
+    # that is finite, and finite itself up to G = 5.18e307
+    pair = np.diag([2.0, 0.25, 1.0]), np.eye(3)
+    for g, lam in ((1.0, 0.0), (2.3, 0.7), (1.0, 25.0), (3e-5, -1e-6),
+                   (1e300, 1e301), (7e306, -2e306)):
+        m = Moduli.from_g_lam(g, lam)
+        assert m_condition_paper_pair_value(m) == \
+            0.25 * math.log(2.0) * (20.0 * g - lam)
+    mpmath = pytest.importorskip("mpmath")
+    m = Moduli.from_g_lam(5e307, 0.0)
+    with mpmath.workdps(40):
+        exact = float(mpmath.log(2) * 5 * mpmath.mpf(m.g))
+    assert m_condition_paper_pair_value(m) == pytest.approx(exact, rel=2e-16,
+                                                            abs=0)
+    assert m_condition_check(*pair, m) == pytest.approx(exact, rel=1e-12,
+                                                        abs=0)
+    # at G = 5.2e307 the value itself overflows
+    m = Moduli.from_g_lam(5.2e307, 0.0)
+    with pytest.raises(LogstrainError, match="result is not finite"):
+        m_condition_paper_pair_value(m)
+    with pytest.raises(LogstrainError, match="^m_condition_check: product "
+                                             "is not finite at G = 5.2e"):
+        m_condition_check(*pair, m)
+
+
 def test_m_condition_sign_flip():
     m25 = Moduli.from_g_lam(1.0, 25.0)
     assert m_condition_check(np.diag([2.0, 0.25, 1.0]), np.eye(3), m25) < 0.0
@@ -302,6 +343,29 @@ def test_ordered_force_uniform_is_trivial():
 def test_ordered_force_random_sweep(rng):
     for _ in range(1000):
         assert ordered_force_check(random_spd(rng), M).passed
+
+
+def test_principal_stresses_that_overflow_raise():
+    # the forces 2 G ln lam_k overflow at G = 5e307 for lam = e^3; at
+    # G = 1e307 and (1, 1e-3, 1e-3) the forces are finite but the Cauchy
+    # stress lam_k / J T_k is not
+    with pytest.raises(LogstrainError, match="stress is not finite at "
+                                             "G = 5e\\+307"):
+        principal_cauchy_stresses([math.e ** 3, math.e ** -1, math.e ** -2],
+                                  Moduli.from_g_lam(5e307, 0.0))
+    with pytest.raises(LogstrainError, match="stress is not finite at "
+                                             "G = 1e\\+307"):
+        principal_cauchy_stresses([1.0, 1e-3, 1e-3],
+                                  Moduli.from_g_lam(1e307, 0.0))
+    m = Moduli.from_g_lam(8e307, 0.0)
+    with pytest.raises(LogstrainError, match="stress is not finite at "
+                                             "G = 8e\\+307"):
+        ordered_force_check(np.diag([20.0, 1.0, 0.05]), m)
+    # inside the suite both reports decide nothing
+    by_name = {r.name: r for r in suite("becker", m, samples=8, seed=0)}
+    for name in ("baker_ericksen_counterexample", "ordered_force_random"):
+        assert "not finite" in by_name[name].witness["error"]
+        assert not by_name[name].as_expected, name
 
 
 def test_ordered_force_requires_positive_shear_modulus():
