@@ -8,7 +8,10 @@ flags win over the file.
 
 All numbers are printed with 12 significant digits and a dot decimal
 separator.  Exit codes: 0 success, 1 check-suite failure, 2 usage or input
-error (the message names the violated precondition).
+error (the message names the violated precondition).  ``check`` exits 1
+when a check expected to pass fails or when a check is undecided (its
+evaluation raised :class:`LogstrainError`); it names each on stderr, an
+undecided one with its message.
 
 :func:`main` builds its argument parser once per process, on its first
 call, and reuses it; :func:`build_parser` returns a fresh one.  The curve
@@ -232,16 +235,19 @@ def _cmd_check(args):
                            seed=args.seed)
     for line in verify.format_reports(reports):
         print(line)
-    bad = [r for r in reports if r.expected and not r.passed]
-    surprises = [r for r in reports if not r.expected and r.passed]
-    for r in surprises:
-        print(f"# note: expected-violation check {r.name!r} passed",
+    undecided = [r for r in reports if r.undecided]
+    for r in undecided:
+        print(f"# UNDECIDED: {r.name}: {r.witness['error']}",
               file=sys.stderr)
-    if bad:
-        for r in bad:
-            print(f"# FAILED: {r.name}", file=sys.stderr)
-        return 1
-    return 0
+    decided = [r for r in reports if not r.undecided]
+    for r in decided:
+        if not r.expected and r.passed:
+            print(f"# note: expected-violation check {r.name!r} passed",
+                  file=sys.stderr)
+    bad = [r for r in decided if r.expected and not r.passed]
+    for r in bad:
+        print(f"# FAILED: {r.name}", file=sys.stderr)
+    return 1 if bad or undecided else 0
 
 
 def _cmd_decompose(args):

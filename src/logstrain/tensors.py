@@ -334,7 +334,13 @@ def _mat_fn(a, f, name, floor_on):
         _require_floor(vals, name, floor_on, shape)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _finite_values(f, vals, name, shape)
-    return sym_part((frame * out[..., None, :]) @ frame.swapaxes(-1, -2))
+    return _from_spectrum(frame, out)
+
+
+def _from_spectrum(frame, vals):
+    """The symmetric matrices ``frame @ diag(vals) @ frame.T`` of a
+    (..., 3, 3) stack of frames and its (..., 3) spectra."""
+    return sym_part((frame * vals[..., None, :]) @ frame.swapaxes(-1, -2))
 
 
 def _finite_values(f, vals, name, shape):
@@ -398,11 +404,59 @@ def mat_pow(a, r):
     the floor of :func:`mat_fn`.  A power that overflows raises
     :class:`LogstrainError`.
     """
+    power, floor_on = _pow_rule(r)
+    return _mat_fn(a, power, "mat_pow", floor_on)
+
+
+def _pow_rule(r):
+    """``(power, floor_on)`` of :func:`mat_pow` for the exponent r: the
+    power applied to eigenvalues with r as a Python float, and the floor
+    of :func:`_mat_fn` it needs."""
     r = _as_real(r, "mat_pow: exponent")
-    power = lambda x: np.power(x, r)
-    if r != int(r):
-        return mat_fn(a, power, require_pd=True, name="mat_pow")
-    return _mat_fn(a, power, "mat_pow", "|eigenvalue|" if r < 0 else None)
+    floor_on = ("eigenvalue" if r != int(r)
+                else "|eigenvalue|" if r < 0 else None)
+    return (lambda x: np.power(x, r)), floor_on
+
+
+def _mat_pows(pairs):
+    """``[mat_pow(a, r) for a, r in pairs]`` from one spectral
+    decomposition of all the stacks ``a``.
+
+    Each power is applied to its own slice of the eigenvalues with its
+    exponent as a scalar, so each result has the bits of its
+    :func:`mat_pow` call.  Every argument is checked first; then each
+    pair's floor and overflow tests run in turn, so a
+    :class:`LogstrainError` is the one the first failing call raises.
+    """
+    rules = [_pow_rule(r) for _, r in pairs]
+    mats = [_as_mats(a, "a") for a, _ in pairs]
+    vals, frame = _spectrum(sym_part(_concat(mats)))
+    out = np.empty_like(vals)
+    stop = 0
+    for m, (power, floor_on) in zip(mats, rules):
+        shape = m.shape[:-2]
+        start, stop = stop, stop + math.prod(shape)
+        piece = vals[start:stop].reshape(shape + (3,))
+        if floor_on is not None:
+            _require_floor(piece, "mat_pow", floor_on, shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[start:stop] = _finite_values(power, piece, "mat_pow",
+                                             shape).reshape(-1, 3)
+    return _split_like(_from_spectrum(frame, out), mats)
+
+
+def _concat(stacks):
+    """The matrices of ``stacks``, each (3, 3) or (..., 3, 3), as one
+    (n, 3, 3) stack, in order."""
+    return np.concatenate([np.reshape(a, (-1, 3, 3)) for a in stacks])
+
+
+def _split_like(out, stacks):
+    """``out``, a result on ``_concat(stacks)`` with one row per matrix,
+    cut into one part per stack, each with its stack's leading shape."""
+    leads = [np.shape(a)[:-2] for a in stacks]
+    parts = np.split(out, np.cumsum([math.prod(s) for s in leads])[:-1])
+    return [p.reshape(s + p.shape[1:]) for p, s in zip(parts, leads)]
 
 
 def dev3(a):

@@ -12,13 +12,19 @@ standard normals, so recorded witnesses are reproducible from the seed.
 Each randomized check draws its whole batch of samples from its own stream
 ``default_rng([seed, k])`` in bulk: one (samples, 3) array of eigenvalues
 per spectrum and one (samples, 3, 3) array of normals per rotation, in a
-fixed order.  It evaluates the batch as (samples, 3, 3) stacks, with one
-call per law or matrix function, and reports the first worst sample, or for
-a search the first flagged one.  A NaN or infinite residual counts as the
-worst, so a check whose residual cannot be evaluated fails.  A check whose
-evaluation raises :class:`LogstrainError` (a stress or an energy that
-overflows) decides nothing: its report comes out not as expected, whichever
-way the check was expected to go, with the message as its witness.
+fixed order.  A block of checks is evaluated as one batch of (n, 3, 3)
+stacks: one stacked QR for the rotations of all its streams, and one call
+per law or matrix function on the stacks of all its checks concatenated,
+each check then judging its own slice, with the bits it would get alone.
+A check reports the first worst sample, or for a search the first flagged
+one.  A NaN or infinite residual counts as the worst, so a check whose
+residual cannot be evaluated fails.  Where a batched call raises
+:class:`LogstrainError` (a stress or an energy that overflows), the calls
+are made again one stack at a time, in each check's own order, so each
+error names the member of the call that raised it.  A check whose
+evaluation raises decides nothing: its report comes out not as expected,
+whichever way the check was expected to go, with the message as its
+witness.
 
 Path work to a tolerance comes from one nested Chebyshev rule
 (:func:`converged_path_work`): Clenshaw-Curtis weights and a Chebyshev
@@ -41,10 +47,11 @@ from .constitutive import (_LAWS, _finite, _lam_is_zero, _log_strain,
                            pk1_for_law, stretch_stress)
 from .errors import LogstrainError
 from .moduli import Moduli
-from .tensors import (_as_mats, _as_real, _at, _closed_form, _diag,
-                      _first, _first_nonfinite, _fro_norms, _inners,
-                      _pow2_scale, _spectrum, as_mat3, eig_sym, fro_norm,
-                      mat_exp, mat_pow, sym_part)
+from .tensors import (_as_mats, _as_real, _at, _closed_form, _concat,
+                      _diag, _first, _first_nonfinite, _fro_norms, _inners,
+                      _mat_pows, _pow2_scale, _split_like, _spectrum,
+                      as_mat3, eig_sym, fro_norm, mat_exp, mat_pow,
+                      sym_part)
 
 __all__ = [
     "CheckReport",
@@ -100,6 +107,12 @@ class CheckReport:
     def as_expected(self):
         return self.passed == self.expected
 
+    @property
+    def undecided(self):
+        """Whether evaluating the check raised :class:`LogstrainError`,
+        whose message is then the witness ``{"error": message}``."""
+        return isinstance(self.witness, dict) and "error" in self.witness
+
 
 def _jsonable(x):
     if isinstance(x, np.ndarray):
@@ -143,33 +156,41 @@ _SPD = (_log_range(*EIG_RANGE),)
 _SYM_LOG = ((-8.0, 2.0, False),)
 
 
-def _draw(rng, samples, groups):
+def _draw(rng, samples, groups, *streams):
     """Stacks of random matrices, each group's draws made in bulk.
 
-    Each group of ``groups`` draws in turn one (samples, 3) array of
-    spectra ``rng.uniform(lo, hi, (samples, 3))`` per ``(lo, hi, log)``
-    entry, exponentiated when ``log`` is true, and then one
+    Each group of ``groups`` draws from ``rng`` in turn one (samples, 3)
+    array of spectra ``rng.uniform(lo, hi, (samples, 3))`` per ``(lo, hi,
+    log)`` entry, exponentiated when ``log`` is true, and then one
     (samples, 3, 3) array of standard normals, whose orthogonal factors Q
-    (sign-fixed, det +1) are the group's rotations.  A group gives one
-    (samples, 3, 3) stack ``Q.T @ diag(lam) @ Q`` per spectrum, or the
-    stack of Q itself when it has no spectrum; the stacks of all groups are
-    returned in one list.  The number of ``rng`` calls does not depend on
-    ``samples``, and one sample consumes the stream as the one-sample
-    functions :func:`random_spd` and :func:`random_rotation` do.
+    (sign-fixed, det +1) are the group's rotations.  ``streams`` are
+    further ``(rng, groups)`` pairs, drawn after it in turn the same way;
+    the rotations of every group of every stream come from one stacked
+    QR.  A group gives one (samples, 3, 3) stack ``Q.T @ diag(lam) @ Q``
+    per spectrum, or the stack of Q itself when it has no spectrum; the
+    stacks of all groups are returned in one list, in order.  The number
+    of ``rng`` calls does not depend on ``samples``, and one sample
+    consumes the stream as the one-sample functions :func:`random_spd` and
+    :func:`random_rotation` do.
     """
+    spectra, normals = [], []
+    for rng, groups in ((rng, groups), *streams):
+        for group in groups:
+            spectra.append([(rng.uniform(lo, hi, (samples, 3)), log)
+                            for lo, hi, log in group])
+            normals.append(rng.standard_normal((samples, 3, 3)))
+    q, r = np.linalg.qr(np.concatenate(normals))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    flip = np.linalg.det(q) < 0.0
+    if flip.any():
+        q[flip, :, 0] = -q[flip, :, 0]
     out = []
-    for group in groups:
-        spectra = [rng.uniform(lo, hi, (samples, 3)) for lo, hi, _ in group]
-        q, r = np.linalg.qr(rng.standard_normal((samples, 3, 3)))
-        q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
-        flip = np.linalg.det(q) < 0.0
-        if flip.any():
-            q[flip, :, 0] = -q[flip, :, 0]
+    for rot, group in zip(q.reshape(len(normals), samples, 3, 3), spectra):
         if not group:
-            out.append(q)
-        for (_, _, log), lam in zip(group, spectra):
+            out.append(rot)
+        for lam, log in group:
             lam = np.exp(lam) if log else lam
-            out.append((q.swapaxes(-1, -2) * lam[..., None, :]) @ q)
+            out.append((rot.swapaxes(-1, -2) * lam[..., None, :]) @ rot)
     return out
 
 
@@ -213,6 +234,20 @@ def _run(name, tolerance, evaluate, expected=True):
                        witness=witness, expected=expected)
 
 
+def _stacked(fn, stacks):
+    """``[fn(a) for a in stacks]`` from one call of ``fn`` on the stacks
+    concatenated, for an ``fn`` that gives each matrix of a stack the bits
+    it gets alone; a (3, 3) member of ``stacks`` is one matrix.  Where
+    that call raises :class:`LogstrainError` or ``ValueError``, the calls
+    are made one by one, so that the error raised is the one of the first
+    call that raises."""
+    try:
+        out = fn(_concat(stacks))
+    except (LogstrainError, ValueError):
+        return [fn(a) for a in stacks]
+    return _split_like(out, stacks)
+
+
 def _worst(residuals, witness_of, floor=0.0):
     """``(worst, witness)`` over a batch of samples.
 
@@ -235,6 +270,26 @@ def _worst(residuals, witness_of, floor=0.0):
 # ---------------------------------------------------------------------------
 # the axiom block
 
+class _Powers(list):
+    """A check's request for ``mat_pow(a, r)`` of each of its ``(a, r)``
+    pairs."""
+
+
+def _result(check, answer):
+    """What the generator ``check`` returns once sent ``answer``."""
+    try:
+        check.send(answer)
+    except StopIteration as stop:
+        return stop.value
+
+
+def _regroup(items, requests):
+    """``items``, one per member of every request in turn, as one list per
+    request."""
+    items = iter(items)
+    return [[next(items) for _ in r] for r in requests]
+
+
 def check_axioms(law, m: Moduli, samples=1000, seed=0):
     """Randomized axiom checks for a tensor stretch-stress law.
 
@@ -248,13 +303,18 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
 
     Each check draws its whole batch from its own stream
     ``default_rng([seed, k])`` in bulk (see :func:`_draw`; a scalar stretch
-    draws one array of ``samples`` values), evaluates it with one stacked
-    call per law or matrix function, and records the worst sample
+    draws one array of ``samples`` values), and records the worst sample
     (the first largest relative residual) as the witness.  A NaN or
-    infinite residual is the worst and fails the check.  A
-    :class:`LogstrainError` raised while evaluating the batch (for
-    instance a stress that overflows) leaves the check undecided: its
-    report comes out not as expected, with the message as its witness.
+    infinite residual is the worst and fails the check.  The block is
+    evaluated as one batch: one stacked QR for the rotations of every
+    check, one spectral decomposition for the real powers of
+    ``power_law`` and ``inversion_symmetry``, and one law call on every
+    stretch of every check; each check then judges its own slice, with
+    the bits it would get alone.  Where the batch raises
+    :class:`LogstrainError` (for instance a stress that overflows), each
+    check is evaluated again on its own stacks, one call per stack in its
+    own order; a check that raises is undecided: its report comes out not
+    as expected, with the message as its witness.
     """
     _require_samples(samples)
     row = _tensor_row(law)
@@ -266,27 +326,23 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
         norms = _fro_norms(np.concatenate((lhs - rhs, lhs, rhs)))
         return _rel(*norms.reshape(3, -1))
 
-    def stretch_draws(rng):
-        # scalar log-uniform draws over EIG_RANGE, one per sample
-        return np.exp(rng.uniform(*_log_range(*EIG_RANGE)[:2], samples))
+    # Each check is a generator on its draws.  It may first yield a
+    # _Powers request, answered with the powers; it then yields a tuple of
+    # stretches, answered with their stresses, and returns (worst, witness).
 
-    # Each check takes its stream and returns (worst, witness).
-
-    def stress_free_reference(rng):
+    def stress_free_reference(u):
         # the unique stress-free reference state
-        stress = t(np.eye(3))
-        u, = _draw(rng, samples, [_SPD])
+        stress, t_u = yield np.eye(3), u
         k = _first((_fro_norms(u - np.eye(3)) > 1e-6)
-                   & (_fro_norms(t(u)) == 0.0))
+                   & (_fro_norms(t_u) == 0.0))
         if k is not None:
             return math.inf, {"nonidentity_with_zero_stress": u[k]}
         return fro_norm(stress), {"stress_at_identity": stress}
 
-    def shear_to_shear(rng):
+    def shear_to_shear(alpha):
         # pure shear stretch -> trace-free plane stress diag(s, -s, 0)
-        alpha = stretch_draws(rng)
-        stress = t(_diag(np.stack([alpha, 1.0 / alpha, np.ones(samples)],
-                                  -1)))
+        stress, = yield (_diag(np.stack([alpha, 1.0 / alpha,
+                                         np.ones(samples)], -1)),)
         off = _fro_norms(stress - _diag(np.diagonal(stress, 0, -2, -1)))
         err = _rel(abs(stress[:, 2, 2]) + abs(stress[:, 0, 0]
                                               + stress[:, 1, 1])
@@ -294,66 +350,114 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
         return _worst(err, lambda i: {"alpha": float(alpha[i]),
                                       "stress": stress[i]})
 
-    def sphere_to_dilation(rng):
+    def sphere_to_dilation(lam):
         # spherical stretch -> spherical stress
-        lam = stretch_draws(rng)
-        stress = t(lam[:, None, None] * np.eye(3))
+        stress, = yield (lam[:, None, None] * np.eye(3),)
         err = _rel(_fro_norms(stress - stress[:, :1, :1] * np.eye(3)),
                    _fro_norms(stress))
         return _worst(err, lambda i: {"lam": float(lam[i]),
                                       "stress": stress[i]})
 
-    def superposition(rng):
+    def superposition(u1, u2):
         # superposition over coaxial pairs
-        u1, u2 = _draw(rng, samples, [_SPD * 2])
-        lhs, rhs = t(u1 @ u2), t(u1) + t(u2)
+        lhs, t1, t2 = yield u1 @ u2, u1, u2
+        rhs = t1 + t2
         return _worst(misfit(lhs, rhs), lambda i: {
             "u1": u1[i], "u2": u2[i], "stress_of_product": lhs[i],
             "sum_of_stresses": rhs[i]})
 
-    def isotropy(rng):
-        u, q = _draw(rng, samples, [_SPD, ()])
+    def isotropy(u, q):
         qt = q.swapaxes(-1, -2)
-        return _worst(misfit(t(qt @ u @ q), qt @ t(u) @ q),
+        t_rotated, t_u = yield qt @ u @ q, u
+        return _worst(misfit(t_rotated, qt @ t_u @ q),
                       lambda i: {"u": u[i], "q": q[i]})
 
-    def power_law(rng):
+    def power_law(u):
         # real powers scale the stress.  u**pi reaches cond ~1e6, so
         # storing u**r in float64 already moves its smallest eigenvalue by
         # ~eps * cond ~1e-10 relative with any eigensolver; amplified by
         # lam, the worst of many samples can come near AXIOM_TOL
         powers = (-2.0, -0.5, 0.5, 2.0, math.pi)
-        u, = _draw(rng, samples, [(_log_range(0.1, 10.0),)])
         r = np.resize(powers, samples)  # sample i takes powers[i % 5]
+        pieces = yield _Powers((u[k::len(powers)], p)
+                               for k, p in enumerate(powers[:samples]))
         u_r = np.empty_like(u)
-        for k, p in enumerate(powers[:samples]):
-            u_r[k::len(powers)] = mat_pow(u[k::len(powers)], p)
-        return _worst(misfit(t(u_r), r[:, None, None] * t(u)),
+        for k, piece in enumerate(pieces):
+            u_r[k::len(powers)] = piece
+        t_r, t_u = yield u_r, u
+        return _worst(misfit(t_r, r[:, None, None] * t_u),
                       lambda i: {"u": u[i], "r": float(r[i])})
 
-    def inversion_symmetry(rng):
+    def inversion_symmetry(u):
         # tension-compression symmetry T(inv(U)) = -T(U)
-        u, = _draw(rng, samples, [_SPD])
-        return _worst(misfit(t(mat_pow(u, -1)), -t(u)),
-                      lambda i: {"u": u[i]})
+        u_inv, = yield _Powers([(u, -1)])
+        t_inv, t_u = yield u_inv, u
+        return _worst(misfit(t_inv, -t_u), lambda i: {"u": u[i]})
 
-    def inverse_round_trip(rng):
-        u, = _draw(rng, samples, [_SPD])
-        back = becker_inverse(t(u), m)
+    def inverse_round_trip(u):
+        t_u, = yield (u,)
+        back = becker_inverse(t_u, m)
         err = _rel(_fro_norms(back - u), _fro_norms(u))
         return _worst(err, lambda i: {"u": u[i], "round_trip": back[i]})
 
-    checks = [stress_free_reference, shear_to_shear, sphere_to_dilation,
-              superposition, isotropy, power_law, inversion_symmetry]
+    # each check with its _draw groups, or None for one scalar stretch per
+    # sample, log-uniform over EIG_RANGE
+    checks = [(stress_free_reference, [_SPD]), (shear_to_shear, None),
+              (sphere_to_dilation, None), (superposition, [_SPD * 2]),
+              (isotropy, [_SPD, ()]),
+              (power_law, [(_log_range(0.1, 10.0),)]),
+              (inversion_symmetry, [_SPD])]
     if row.strain is _log_strain:  # becker_inverse inverts the law
-        checks.append(inverse_round_trip)
-    def evaluate(check, k):
-        worst, witness = check(np.random.default_rng([seed, k]))
+        checks.append((inverse_round_trip, [_SPD]))
+    streams = [(np.random.default_rng([seed, k]), groups)
+               for k, (_, groups) in enumerate(checks)]
+    (rng, groups), *more = [s for s in streams if s[1]]
+    stacks = iter(_draw(rng, samples, groups, *more))
+    draws = []
+    for rng, groups in streams:
+        if groups is None:
+            draws.append([np.exp(rng.uniform(*_log_range(*EIG_RANGE)[:2],
+                                             samples))])
+        else:  # a group gives a stack per spectrum, or its rotations
+            draws.append([next(stacks) for g in groups
+                          for _ in range(max(len(g), 1))])
+
+    def start():
+        return [check(*d) for (check, _), d in zip(checks, draws)]
+
+    def batched(gens):
+        # the answers to every check's requests, one call per kind
+        requests = [next(g) for g in gens]
+        asked = [r for r in requests if isinstance(r, _Powers)]
+        powers = iter(_regroup(_mat_pows([p for r in asked for p in r]),
+                               asked))
+        requests = [g.send(next(powers)) if isinstance(r, _Powers) else r
+                    for g, r in zip(gens, requests)]
+        stretches = [a for r in requests for a in r]
+        return _regroup(_split_like(t(_concat(stretches)), stretches),
+                        requests)
+
+    def alone(check):
+        # the check's own calls, one per stack, in its order
+        request = next(check)
+        if isinstance(request, _Powers):
+            request = check.send([mat_pow(a, r) for a, r in request])
+        return _result(check, [t(a) for a in request])
+
+    gens = start()
+    try:
+        answers = batched(gens)
+    except LogstrainError:  # each check again alone, inside its report
+        gens, answers = start(), None
+
+    def evaluate(k):
+        worst, witness = (alone(gens[k]) if answers is None
+                          else _result(gens[k], answers[k]))
         return worst <= AXIOM_TOL, witness
 
-    return [_run(check.__name__, AXIOM_TOL, lambda: evaluate(check, k),
+    return [_run(check.__name__, AXIOM_TOL, lambda: evaluate(k),
                  expected=check.__name__ not in row.violates)
-            for k, check in enumerate(checks)]
+            for k, (check, _) in enumerate(checks)]
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +470,11 @@ def m_condition_check(u1, u2, m: Moduli):
     monotonicity of the stress-stretch map; the returned value reports the
     sign at this particular pair.  ``u1`` and ``u2`` may also be
     (..., 3, 3) stacks of pairs, giving an array of shape (...); one pair
-    gives a float.  A product that is not finite raises
-    :class:`LogstrainError`, naming the first such pair of a stack.
+    gives a float.  Both stresses come from one :func:`becker_biot` call
+    on the two arguments concatenated; where it raises, the two calls are
+    made again one at a time, so the error names the member of u1 or u2.
+    A product that is not finite raises :class:`LogstrainError`, naming
+    the first such pair of a stack.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
@@ -376,7 +483,8 @@ def m_condition_check(u1, u2, m: Moduli):
     if k is not None:
         raise ValueError(f"u1 and u2 must differ{_at(k, u1.shape[:-2])}")
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _inners(becker_biot(u1, m) - becker_biot(u2, m), u1 - u2)
+        t1, t2 = _stacked(lambda u: becker_biot(u, m), (u1, u2))
+        value = _inners(t1 - t2, u1 - u2)
     k = _first(~np.isfinite(value))
     if k is not None:
         raise LogstrainError(f"m_condition_check: product is not finite at "
@@ -487,27 +595,37 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
     over random SPD pairs with eigenvalues in [0.1, 10], which does hold;
     its witness is the pair with the largest relative excess.
 
+    A log-domain violation must exceed the margin ``tol * max(G, |w1|,
+    |w2|)`` of the end energies w1 and w2, which scales with G as the
+    energies do.
+
     Each probe draws its pairs in bulk from its own stream (see
-    :func:`_draw`) and evaluates the energies with one stacked call per
-    argument; a NaN or infinite excess is the largest and fails
-    ``energy_convexity_spd``.  A probe whose energies overflow (G near the
-    largest float) decides nothing and comes out not as expected, with the
-    :class:`LogstrainError` message as its witness.  Raises
-    ``ValueError`` unless lam = 0 by the rule of
-    :func:`constitutive.becker_energy_nu0`.
+    :func:`_draw`), the rotations of both from one stacked QR.
+    ``hill_log_domain`` takes one ``mat_exp`` call and one energy call on
+    the stacks (x1, x2, midpoint), ``energy_convexity_spd`` one energy call
+    on (u1, u2, midpoint); a NaN or infinite excess is the largest and
+    fails ``energy_convexity_spd``.  Where a stacked call raises
+    :class:`LogstrainError` (energies that overflow, G near the largest
+    float), the calls are made again one stack at a time, and the probe
+    decides nothing: it comes out not as expected, with the message of the
+    first call that raised as its witness.  Raises ``ValueError`` unless
+    lam = 0 by the rule of :func:`constitutive.becker_energy_nu0`.
     """
     _require_samples(samples)
     if not _lam_is_zero(m):
         raise ValueError("probe defined only for lam = 0")
     tol = 1e-10
     energy = lambda u: becker_energy_nu0(u, m)
+    spd = (_log_range(0.1, 10.0),)
+    x1, x2, u1, u2 = _draw(np.random.default_rng([seed, 100]), samples,
+                           [_SYM_LOG, _SYM_LOG],
+                           (np.random.default_rng([seed, 101]), [spd, spd]))
 
     def log_domain():
-        x1, x2 = _draw(np.random.default_rng([seed, 100]), samples,
-                       [_SYM_LOG, _SYM_LOG])
-        w1, w2 = energy(mat_exp(x1)), energy(mat_exp(x2))
-        wm = energy(mat_exp(0.5 * (x1 + x2)))
-        margin = tol * np.maximum(1.0, np.maximum(abs(w1), abs(w2)))
+        w1, w2, wm = _stacked(energy, _stacked(
+            mat_exp, (x1, x2, 0.5 * (x1 + x2))))
+        # the floor scales with G, as the energies do
+        margin = tol * np.maximum(m.g, np.maximum(abs(w1), abs(w2)))
         k = _first((_fro_norms(x1 - x2) > 1e-12)
                    & (wm > 0.5 * (w1 + w2) + margin))
         witness = None
@@ -519,12 +637,8 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
         return witness is None, witness
 
     def spd_pairs():
-        spd = (_log_range(0.1, 10.0),)
-        u1, u2 = _draw(np.random.default_rng([seed, 101]), samples,
-                       [spd, spd])
-        w1, w2 = energy(u1), energy(u2)
-        excess = _rel(energy(0.5 * (u1 + u2)) - 0.5 * (w1 + w2), abs(w1),
-                      abs(w2))
+        w1, w2, wm = _stacked(energy, (u1, u2, 0.5 * (u1 + u2)))
+        excess = _rel(wm - 0.5 * (w1 + w2), abs(w1), abs(w2))
         worst, witness = _worst(excess, lambda i: {
             "u1": u1[i], "u2": u2[i], "excess": float(excess[i])},
             -math.inf)

@@ -16,9 +16,9 @@ from logstrain.errors import (LogstrainError, NonInvertible,
 from logstrain.kinematics import polar_decompose
 from logstrain.moduli import Moduli
 from logstrain.stresses import StressState
-from logstrain.tensors import (_fro_norms, _inners, cofactor, dev3, eig_sym,
-                               fro_norm, inner, mat_exp, mat_log, mat_pow,
-                               mat_sqrt, tr)
+from logstrain.tensors import (_fro_norms, _inners, _mat_pows, cofactor,
+                               dev3, eig_sym, fro_norm, inner, mat_exp,
+                               mat_log, mat_pow, mat_sqrt, tr)
 from logstrain.verify import (converged_path_work, diagonal_path,
                               dilation_shear_cycle, random_rotation)
 
@@ -215,6 +215,53 @@ def test_scalar_only_functions_reject_stacks():
         for n in (2, 3):
             with pytest.raises(ValueError, match=rf"shape \({n}, 3, "):
                 fn(np.array([np.eye(3)] * n))
+
+
+def test_many_powers_from_one_spectrum_equal_each_call(rng):
+    # the exponents of check_axioms, and a stack of two leading axes
+    u = _spd(rng)
+    pairs = [(u[k::5], r) for k, r in
+             enumerate((-2.0, -0.5, 0.5, 2.0, math.pi))]
+    pairs += [(u, -1), (u[0], 3), (u[:90].reshape(9, 10, 3, 3), 0.5)]
+    for got, (a, r) in zip(_mat_pows(pairs), pairs):
+        assert _same_bits(got, mat_pow(a, r))
+
+
+def test_many_powers_raise_the_first_failing_calls_error():
+    good, singular = np.eye(3)[None] * 2.0, np.diag([1.0, 1.0, 0.0])
+    pairs = [(good, 0.5), (np.stack([good[0], singular]), -1),
+             (singular, 0.5)]
+    with pytest.raises(NotPositiveDefinite) as alone:
+        for a, r in pairs:
+            mat_pow(a, r)
+    with pytest.raises(NotPositiveDefinite) as batched:
+        _mat_pows(pairs)
+    assert str(batched.value) == str(alone.value)
+    assert str(alone.value).endswith("at index 1")
+
+
+def _count_factorizations(monkeypatch):
+    calls = {"eigh": 0, "qr": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(np.linalg, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("block, eigh", [
+    (lambda: verify.check_axioms("becker", M, samples=64, seed=1), 3),
+    (lambda: verify.check_axioms("hooke-biot", M, samples=64, seed=1), 1),
+    (lambda: verify.hill_convexity_probe(Moduli.from_g_lam(1.0, 0.0),
+                                         samples=64, seed=1), 3)])
+def test_each_block_is_one_batch(monkeypatch, block, eigh):
+    # one QR for every rotation; the becker axioms take one spectrum for
+    # the powers, one for the law and one for becker_inverse; the probes
+    # one for mat_exp and one per energy call
+    calls = _count_factorizations(monkeypatch)
+    block()
+    assert calls == {"eigh": eigh, "qr": 1}
 
 
 def test_stacked_norm_and_inner_equal_the_one_matrix_ones(rng):

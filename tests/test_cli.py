@@ -367,6 +367,44 @@ def test_check_at_lam_zero_and_g_8e307_prints_every_report(capsys):
     assert "error" in by_name["m_condition_closed_form"]["witness"]
 
 
+def test_check_names_undecided_reports_on_stderr(capsys):
+    # G = 8e307, lam = 0: an expected violation that could not be
+    # evaluated is named as undecided with its message, not as passed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "check", "--G", "8e307", "--lam", "0",
+                             "--samples", "2")
+    assert code == 1
+    reports = [json.loads(line) for line in out.splitlines()]
+    lines = err.splitlines()
+    assert not any("passed" in line for line in lines)
+    undecided = [f"# UNDECIDED: {r['name']}: {r['witness']['error']}"
+                 for r in reports if "error" in (r["witness"] or {})]
+    assert lines[:len(undecided)] == undecided
+    assert "# UNDECIDED: baker_ericksen_counterexample: law 'becker': " \
+           "stress is not finite at G = 8e+307, lam = 0" in lines
+    assert "# UNDECIDED: hill_log_domain: becker_energy_nu0: energy is " \
+           "not finite at G = 8e+307 at index 0" in lines
+    assert lines[len(undecided):] == ["# FAILED: pk2_expansion"]
+
+
+def test_check_axiom_errors_name_each_checks_own_member(capsys):
+    # the batched law call of the axiom block overflows; each check is then
+    # evaluated alone, so its message names the member of its own call
+    code, out, _ = run(capsys, "check", "--G", "8e307", "--lam", "0",
+                       "--samples", "2")
+    assert code == 1
+    error = "law 'becker': stress is not finite at G = 8e+307, lam = 0"
+    witnesses = {json.loads(line)["name"]: json.loads(line)["witness"]
+                 for line in out.splitlines()}
+    axioms = ["stress_free_reference", "shear_to_shear", "sphere_to_dilation",
+              "superposition", "isotropy", "power_law", "inversion_symmetry",
+              "inverse_round_trip"]
+    assert {name: witnesses[name] for name in axioms} == {
+        name: {"error": error + (" at index 1" if name == "power_law"
+                                 else " at index 0")} for name in axioms}
+
+
 def test_huge_cycle_work_converges_on_the_first_grid(capsys):
     # lam = 1e307: the work is finite and of order lam, so the default
     # tolerance scales with lam too and the first grid meets it

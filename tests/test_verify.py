@@ -225,10 +225,14 @@ def _reference_axioms(law, m, samples, seed):
     ("becker", 0.0, 3), ("becker", 0.5, 4), ("becker", 25.0, 5),
     ("hencky-kirchhoff", 0.5, 6), ("hooke-biot", 0.5, 7)])
 def test_suite_axioms_equal_the_one_matrix_reference(law, lam, seed):
+    # the axiom block is one batch over all its checks; each check's
+    # slice must still give the reports of one matrix at a time, also
+    # when power_law has fewer samples than exponents
     m = Moduli.from_g_lam(1.0, lam)
-    ref = format_reports(_reference_axioms(law, m, 16, seed))
-    assert format_reports(suite(law, m, samples=16, seed=seed))[:len(ref)] \
-        == ref
+    for samples in (1, 2, 5, 16):
+        ref = format_reports(_reference_axioms(law, m, samples, seed))
+        assert format_reports(suite(law, m, samples=samples,
+                                    seed=seed))[:len(ref)] == ref, samples
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +394,16 @@ def test_hill_probe_finds_log_domain_violation():
                  + becker_energy_nu0(mat_exp(x2), M0))
     assert mid > avg
     assert spd_report.passed              # convexity in the stretch itself
+
+
+@pytest.mark.parametrize("g", [1e-200, 1e-150, 1e-100, 1.0, 1e6])
+def test_log_domain_margin_scales_with_g(g):
+    # the margin tol * max(G, |w1|, |w2|) scales with the energies, which
+    # are of order G; a floor of 1 hid every violation at tiny G
+    log_report, spd_report = hill_convexity_probe(
+        Moduli.from_g_lam(g, 0.0), samples=64, seed=0)
+    assert log_report.as_expected and spd_report.as_expected
+    assert log_report.witness["excess"] > 1e-10 * g
 
 
 def test_no_check_runs_on_zero_samples():
@@ -834,11 +848,9 @@ def test_format_reports_json_lines():
 def test_suite_at_huge_and_tiny_g(g):
     # the residual norms are scaled by powers of two, so neither squares
     # that overflow (huge G) nor squares that underflow (tiny G) decide a
-    # check; only the log-domain convexity probe, whose margin floor is
-    # max(1, |w|), still misses at tiny G
+    # check; the log-domain convexity probe's margin floor scales with G
     reports = suite("becker", Moduli.from_g_lam(g, 0.0), samples=16, seed=3)
-    missed = [r.name for r in reports if not r.as_expected]
-    assert missed == ([] if g > 1.0 else ["hill_log_domain"])
+    assert [r.name for r in reports if not r.as_expected] == []
 
 
 def test_suite_deterministic_bit_for_bit():
