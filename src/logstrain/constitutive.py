@@ -34,10 +34,10 @@ from .errors import LambdaNotZero, LogstrainError
 from .kinematics import _glide_stretches, _jacobian
 from .moduli import Moduli
 from .stresses import _checked_state
-from .tensors import (_EYE, _as_mats, _as_real, _at, _closed_form,
-                      _finite_values, _first, _first_nonfinite, _inners,
-                      _require_floor, _spectrum, _trace, as_mat3, dev3, inner,
-                      mat_log, sym_part, tr)
+from .tensors import (_EYE, _as_mats, _as_real, _at, _closed_form, _det,
+                      _finite_values, _first, _first_nonfinite, _inners, _inv,
+                      _require_floor, _solve, _spectrum, _svd, _trace,
+                      as_mat3, dev3, inner, mat_log, sym_part, tr)
 
 __all__ = [
     "LawId",
@@ -180,14 +180,14 @@ def becker_kirchhoff(v, m: Moduli):
 def becker_cauchy(v, m: Moduli):
     """Cauchy stress of Becker's law, kirchhoff / det(V)."""
     v = sym_part(as_mat3(v, "v"))
-    return becker_kirchhoff(v, m) / float(np.linalg.det(v))
+    return becker_kirchhoff(v, m) / float(_det(v))
 
 
 def becker_pk2(u, m: Moduli):
     """Second Piola-Kirchhoff stress of Becker's law, inv(U) @ biot(U)."""
     u = sym_part(as_mat3(u, "u"))
     t = becker_biot(u, m)
-    return sym_part(np.linalg.solve(u, t))
+    return sym_part(_solve(u, t))
 
 
 def becker_pk1(f, m: Moduli):
@@ -540,7 +540,7 @@ def _svd_principal(row, f):
     3): ``det F``, one SVD ``F = W diag(s) Vt`` and the row's principal
     strains at s.  Every stress at a deformation starts here."""
     j = _jacobian(f)
-    w, s, vt = np.linalg.svd(f)
+    w, s, vt = _svd(f)
     return j, w, s, vt, row.strain.of_stretch(s)
 
 
@@ -649,8 +649,9 @@ def pk1_for_law(law, f, m: Moduli):
     Errors: :class:`NonInvertible` for ``det F <= 1e-12``,
     :class:`NotPositiveDefinite` (the :func:`mat_log` text) for stretches
     below the positivity floor of a logarithmic law, and
-    :class:`LogstrainError` for a stress that is not finite; for a stack
-    they name the first bad member.
+    :class:`LogstrainError` for a stress that is not finite, or for a
+    LAPACK failure of the SVD or the inverse (naming ``svd`` or ``inv``);
+    for a stack they name the first bad member.
     """
     row = _tensor_row(law)
     f = _as_mats(f, "f")
@@ -663,4 +664,4 @@ def pk1_for_law(law, f, m: Moduli):
     if row.measure == "cauchy":
         t = t * j
     tau = (w * t) @ w.swapaxes(-1, -2)
-    return _finite(row.tag, tau @ np.linalg.inv(f).swapaxes(-1, -2), m)
+    return _finite(row.tag, tau @ _inv(f).swapaxes(-1, -2), m)

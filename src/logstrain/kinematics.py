@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonInvertible, NoSuchPlane
-from .tensors import (_as_mats, _as_real, _at, _closed_form, _first, as_mat3,
-                      cofactor, eig_sym, sym_part)
+from .tensors import (_as_mats, _as_real, _at, _closed_form, _det, _first,
+                      _svd, as_mat3, cofactor, eig_sym, sym_part)
 
 __all__ = [
     "PolarFactors",
@@ -49,7 +49,7 @@ class PolarFactors:
 def _jacobian(f):
     """``det f`` of each matrix of a checked (..., 3, 3) stack, or
     :class:`NonInvertible` naming the first with ``det f <= DET_TOL``."""
-    det = np.linalg.det(f)
+    det = _det(f)
     if f.ndim == 2:  # one matrix: the same test on a Python float
         i = 0 if float(det) <= DET_TOL else None
     else:
@@ -77,10 +77,13 @@ def polar_decompose(f):
     NonInvertible
         If ``det f <= 1e-12`` (for a stack, the message names the index of
         the first such member).
+    LogstrainError
+        If LAPACK's SVD fails (``svd: LAPACK failed ...``; see
+        :mod:`logstrain.tensors`).
     """
     f = _as_mats(f, "f")
     _jacobian(f)
-    w, s, vt = np.linalg.svd(f)
+    w, s, vt = _svd(f)
     s = s[..., None, :]
     r = w @ vt
     u = sym_part((vt.swapaxes(-1, -2) * s) @ vt)

@@ -18,6 +18,13 @@ and PK2 tensors all come out symmetric, while PK1 is general.
 ``constitutive.pk1_for_law`` does not route through here: it builds PK1
 from one SVD of F, and for a law in the left stretch it keeps this
 module's ``kirchhoff @ inv(F).T`` form.
+
+The determinant, the SVD and the inverse of F are the LAPACK boundary's
+(``tensors._det``, ``_svd``, ``_inv``): one gufunc call each, with
+``np.linalg``'s bits, or that ``np.linalg`` function where numpy has no
+such gufunc.  A LAPACK failure of the SVD or the inverse raises
+:class:`LogstrainError` naming the routine; the determinant is unchecked
+and read only against the ``det F`` floor of ``kinematics._jacobian``.
 """
 
 from dataclasses import dataclass
@@ -26,7 +33,7 @@ import numpy as np
 
 from .errors import LogstrainError
 from .kinematics import _jacobian
-from .tensors import _first_nonfinite, as_mat3
+from .tensors import _first_nonfinite, _inv, _svd, as_mat3
 
 __all__ = ["MEASURES", "StressState", "stress_convert"]
 
@@ -68,7 +75,7 @@ def _checked_state(tensor, measure, deformation):
 
 def _rotation(f):
     """The rotation R of F = R @ U, ``W @ Vt`` from one SVD of f."""
-    w, _, vt = np.linalg.svd(f)
+    w, _, vt = _svd(f)
     return w @ vt
 
 
@@ -91,7 +98,7 @@ def _from_cauchy(sigma, measure, f, j):
         return sigma
     if measure == "kirchhoff":
         return j * sigma
-    f_inv = np.linalg.inv(f)
+    f_inv = _inv(f)
     f_inv_t = f_inv.T
     if measure == "pk2":
         return j * f_inv @ sigma @ f_inv_t

@@ -14,6 +14,19 @@ with ``ValueError``.  Symmetric arguments are symmetrized on entry, so
 callers may pass matrices that are symmetric only up to roundoff (e.g.
 products ``F.T @ F``).  Everything here is a pure function of its arguments
 and safe for concurrent use.
+
+This module is the package's one LAPACK boundary: every symmetric
+eigendecomposition, SVD, determinant, inverse and linear solve of the
+package goes through ``_eigh``, ``_svd``, ``_det``, ``_inv`` and
+``_solve``.  Each is one call to the ``numpy.linalg._umath_linalg`` gufunc
+that ``np.linalg`` itself calls, with its float64 loop, bound once at
+import, so the results have ``np.linalg``'s bits without its per-call
+Python wrapper.  Their inputs are already checked finite, so where LAPACK
+fails (the gufunc then returns NaN) ``_eigh``, ``_svd``, ``_inv`` and
+``_solve`` raise :class:`LogstrainError` naming the routine instead of
+``np.linalg.LinAlgError``; ``_det`` is unchecked, as ``np.linalg.det`` is.
+Where the installed numpy has no such gufunc, the routine binds to its
+``np.linalg`` function instead, with the same failure contract.
 """
 
 import functools
@@ -23,6 +36,11 @@ from dataclasses import dataclass, is_dataclass
 import numpy as np
 
 from .errors import LogstrainError, NotPositiveDefinite
+
+try:
+    from numpy.linalg import _umath_linalg
+except ImportError:  # every routine then binds to its np.linalg function
+    _umath_linalg = None
 
 __all__ = [
     "Spectral3",
@@ -174,6 +192,67 @@ def _first_nonfinite(a):
     return _first(~np.isfinite(a).all(axis=(-2, -1)))
 
 
+# ---------------------------------------------------------------------------
+# the LAPACK boundary
+
+# name: (the gufunc np.linalg calls, its float64 loop, the np.linalg
+# function that calls it, the output whose NaN marks a LAPACK failure: an
+# index into the outputs, "all" for the one output, None for no check)
+_ROUTINES = {
+    "eigh": ("eigh_lo", "d->dd", np.linalg.eigh, 0),
+    "svd": ("svd_f", "d->ddd", np.linalg.svd, 1),
+    "det": ("det", "d->d", np.linalg.det, None),
+    "inv": ("inv", "d->d", np.linalg.inv, "all"),
+    "solve": ("solve", "dd->d", np.linalg.solve, "all"),
+}
+
+# how a LAPACK failure surfaces other than as NaN: the gufunc's invalid
+# flag under np.errstate(invalid="raise") or a warnings filter of "error",
+# and np.linalg's own error in a fallback
+_FAILURES = (FloatingPointError, RuntimeWarning, np.linalg.LinAlgError)
+
+
+def _routine(name):
+    """The LAPACK routine ``name`` of :data:`_ROUTINES` on (3, 3) or (...,
+    3, 3) float64 arrays, bound to the gufunc in ``_umath_linalg`` or, where
+    that has no such gufunc, to the ``np.linalg`` function.  A checked
+    routine raises :class:`LogstrainError` naming itself, and for a stack
+    the first failed member, where its marked output holds a NaN or the
+    call raises one of :data:`_FAILURES`."""
+    gufunc, signature, fallback, marked = _ROUTINES[name]
+    call = getattr(_umath_linalg, gufunc, None)
+    call = (fallback if call is None
+            else functools.partial(call, signature=signature))
+    if marked is None:
+        return call
+    core = 2 if marked == "all" else 1
+
+    def checked(*args):
+        try:
+            out = call(*args)
+        except _FAILURES as exc:
+            raise LogstrainError(f"{name}: LAPACK failed: {exc}") from exc
+        values = out if marked == "all" else out[marked]
+        if not _sum_is_finite(values, core):  # a NaN, or an inf
+            lead = values.shape[:values.ndim - core]
+            i = _first(np.isnan(values).reshape(lead + (-1,)).any(axis=-1))
+            if i is not None:
+                raise LogstrainError(f"{name}: LAPACK failed, result is "
+                                     f"NaN{_at(i, lead)}")
+        return out
+
+    checked.__name__ = checked.__qualname__ = f"_{name}"
+    return checked
+
+
+# one LAPACK call each
+_eigh = _routine("eigh")  # (ascending eigenvalues, frame) of the lower half
+_svd = _routine("svd")  # (W, s, Vt), W and Vt square
+_det = _routine("det")
+_inv = _routine("inv")
+_solve = _routine("solve")  # X of A X = B
+
+
 def _as_mats(a, name="matrix"):
     """Coerce to a finite float64 array of shape (3, 3) or (..., 3, 3).
 
@@ -243,7 +322,9 @@ def _spectrum(m):
 
     ``m`` has shape (3, 3) or (..., 3, 3); returns ``(eigenvalues, frame)``
     of shapes (..., 3) and (..., 3, 3), eigenvalues descending.  The frame
-    comes from LAPACK (``np.linalg.eigh``); each eigenvalue is recomputed
+    comes from one LAPACK call through the boundary's ``_eigh`` (the bits
+    of ``np.linalg.eigh``; a LAPACK failure raises :class:`LogstrainError`
+    naming ``eigh``); each eigenvalue is recomputed
     as the Rayleigh quotient ``v_i . m v_i`` of its frame column, which is
     more accurate than LAPACK's own eigenvalue for the small end of the
     spectrum, where the logarithm needs accuracy.  eigh's ascending frame
@@ -256,7 +337,7 @@ def _spectrum(m):
     from 0.0 and top to bottom as numpy's reduction adds it, so that a
     matrix gets the bits it gets inside a stack, signs of zero included.
     """
-    _, frame = np.linalg.eigh(m)
+    _, frame = _eigh(m)
     if m.ndim == 2:  # one matrix: the quotients and the test on Python floats
         v0, v1, v2 = [0.0 + p0 * q0 + p1 * q1 + p2 * q2 for p0, p1, p2, q0,
                       q1, q2 in zip(*(m @ frame).tolist(), *frame.tolist())]

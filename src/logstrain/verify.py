@@ -47,7 +47,7 @@ from .constitutive import (_LAWS, _finite, _lam_is_zero, _log_strain,
                            pk1_for_law, stretch_stress)
 from .errors import LogstrainError
 from .moduli import Moduli
-from .tensors import (_as_mats, _as_real, _at, _closed_form, _concat,
+from .tensors import (_as_mats, _as_real, _at, _closed_form, _concat, _det,
                       _diag, _first, _first_nonfinite, _fro_norms, _inners,
                       _mat_pows, _pow2_scale, _split_like, _spectrum,
                       as_mat3, eig_sym, fro_norm, mat_exp, mat_pow,
@@ -181,7 +181,7 @@ def _draw(rng, samples, groups, *streams):
             normals.append(rng.standard_normal((samples, 3, 3)))
     q, r = np.linalg.qr(np.concatenate(normals))
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
-    flip = np.linalg.det(q) < 0.0
+    flip = _det(q) < 0.0
     if flip.any():
         q[flip, :, 0] = -q[flip, :, 0]
     out = []
@@ -209,13 +209,13 @@ def _require_samples(samples):
         raise ValueError(f"samples must be at least 1, got {samples}")
 
 
-def _rel(err, *scales):
-    """err / max(1, *scales), per sample of a batch.
+def _rel(err, *scales, floor=1.0):
+    """err / max(floor, *scales), per sample of a batch.
 
     NaN where a scale is infinite: the relative residual of a quantity
     whose norm overflowed is unknown, not zero.
     """
-    scale = 1.0
+    scale = floor
     for s in scales:
         scale = np.maximum(scale, s)
     return np.where(np.isinf(scale), math.nan, err / scale)
@@ -596,8 +596,10 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
     its witness is the pair with the largest relative excess.
 
     A log-domain violation must exceed the margin ``tol * max(G, |w1|,
-    |w2|)`` of the end energies w1 and w2, which scales with G as the
-    energies do.
+    |w2|)`` of the end energies w1 and w2, and an SPD pair's excess is
+    taken relative to that same ``max(G, |w1|, |w2|)`` (NaN, so failing,
+    where it is infinite): both scale with G as the energies do, so a
+    concave energy fails at a small G as it does at G = 1.
 
     Each probe draws its pairs in bulk from its own stream (see
     :func:`_draw`), the rotations of both from one stacked QR.
@@ -638,7 +640,7 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
 
     def spd_pairs():
         w1, w2, wm = _stacked(energy, (u1, u2, 0.5 * (u1 + u2)))
-        excess = _rel(wm - 0.5 * (w1 + w2), abs(w1), abs(w2))
+        excess = _rel(wm - 0.5 * (w1 + w2), abs(w1), abs(w2), floor=m.g)
         worst, witness = _worst(excess, lambda i: {
             "u1": u1[i], "u2": u2[i], "excess": float(excess[i])},
             -math.inf)
@@ -693,7 +695,7 @@ def _checked_gradients(g, first=0, step=1):
         raise ValueError(f"gradient {first + step * i} on the path is not "
                          f"finite")
     with np.errstate(over="ignore"):  # an overflow to +inf is still > 0
-        dets = np.linalg.det(g)
+        dets = _det(g)
     if np.any(dets <= 0.0):
         raise ValueError("every F on the path must have det > 0")
     return g

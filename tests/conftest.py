@@ -1,5 +1,11 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
+
+# the LAPACK routines of the tensors boundary, each bound there as _<name>
+LAPACK = ("eigh", "svd", "det", "inv", "solve")
 
 
 def rel_err(a, b):
@@ -32,3 +38,31 @@ def spd_from_draws(log_spectrum, z):
     normals z, one matrix at a time."""
     q = rotation_from_normals(z)
     return q.T @ np.diag(np.exp(log_spectrum)) @ q
+
+
+def patch_everywhere(monkeypatch, name, value):
+    """Set ``name`` to ``value`` in every ``logstrain`` module that holds
+    it: the private helpers are imported by name into the modules that use
+    them."""
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("logstrain") and hasattr(mod, name):
+            monkeypatch.setattr(mod, name, value)
+
+
+def counting(count, key, fn):
+    """``fn`` wrapped to add one to ``count[key]`` per call."""
+    def wrapper(*args, **kwargs):
+        count[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def count_lapack(monkeypatch, names=LAPACK):
+    """A Counter of the calls of the tensors boundary's routines
+    ``names``, keyed by name, filled while the test runs."""
+    from logstrain import tensors
+    count = Counter()
+    for name in names:
+        patch_everywhere(monkeypatch, f"_{name}",
+                         counting(count, name, getattr(tensors, f"_{name}")))
+    return count

@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +22,8 @@ from logstrain.tensors import (_fro_norms, _inners, _mat_pows, cofactor,
 from logstrain.verify import (converged_path_work, diagonal_path,
                               dilation_shear_cycle, random_rotation)
 
-from conftest import rotation_from_normals, spd_from_draws
+from conftest import (count_lapack, counting, rotation_from_normals,
+                      spd_from_draws)
 
 M = Moduli.from_g_lam(1.0, 0.5)
 TENSOR_LAWS = [t for t in laws.LAW_TAGS if laws._LAWS[t].strain is not None]
@@ -68,20 +69,8 @@ def test_pk1_stack_equals_each_member(rng, law):
 
 
 def test_pk1_takes_one_svd_and_no_eigh(rng, monkeypatch):
-    calls = {"svd": 0, "eigh": 0}
-
-    def counting(name):
-        original = getattr(laws.np.linalg, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
     fs = _gradients(rng, 12)
-    for name in calls:
-        monkeypatch.setattr(laws.np.linalg, name, counting(name))
+    calls = count_lapack(monkeypatch, ("svd", "eigh"))
     for law in TENSOR_LAWS:
         # every stress at a deformation: PK1 of a stack and the CLI's stress
         # state take one SVD; the simple glide, whose principal stretches
@@ -90,10 +79,9 @@ def test_pk1_takes_one_svd_and_no_eigh(rng, monkeypatch):
                              (lambda: laws._stress_state(law, fs[1], M), 1),
                              (lambda: laws.simple_shear_sigma12(law, 0.7, M),
                               0)):
-            for name in calls:
-                calls[name] = 0
+            calls.clear()
             stress()
-            assert calls == {"svd": svds, "eigh": 0}, law
+            assert calls == Counter(svd=svds), law
 
 
 def test_pk1_keeps_leading_shape(rng):
@@ -241,12 +229,11 @@ def test_many_powers_raise_the_first_failing_calls_error():
 
 
 def _count_factorizations(monkeypatch):
-    calls = {"eigh": 0, "qr": 0}
-    for name in calls:
-        def counted(*args, _f=getattr(np.linalg, name), _name=name):
-            calls[_name] += 1
-            return _f(*args)
-        monkeypatch.setattr(np.linalg, name, counted)
+    # eigh at the tensors boundary; qr, which verify._draw calls as one
+    # stacked np.linalg.qr, in numpy
+    calls = count_lapack(monkeypatch, ("eigh",))
+    monkeypatch.setattr(np.linalg, "qr",
+                        counting(calls, "qr", np.linalg.qr))
     return calls
 
 
@@ -261,7 +248,7 @@ def test_each_block_is_one_batch(monkeypatch, block, eigh):
     # one for mat_exp and one per energy call
     calls = _count_factorizations(monkeypatch)
     block()
-    assert calls == {"eigh": eigh, "qr": 1}
+    assert calls == Counter(eigh=eigh, qr=1)
 
 
 def test_stacked_norm_and_inner_equal_the_one_matrix_ones(rng):
@@ -494,18 +481,16 @@ def test_a_per_node_sampler_receives_python_floats():
 
 
 def test_the_path_check_factorizes_each_node_once(monkeypatch):
-    # the matrices passed to np.linalg.det from the verify module, that is
-    # by the path check; pk1_for_law takes its own det in the kinematics
-    # module
+    # the matrices whose det the verify module takes, that is the path
+    # check's; pk1_for_law takes its own det in the kinematics module
     checked = []
-    det = np.linalg.det
+    det = verify._det
 
     def counted(a):
-        if sys._getframe(1).f_globals["__name__"] == "logstrain.verify":
-            checked.append(np.shape(a)[0] if np.ndim(a) == 3 else 1)
+        checked.append(np.shape(a)[0] if np.ndim(a) == 3 else 1)
         return det(a)
 
-    monkeypatch.setattr(np.linalg, "det", counted)
+    monkeypatch.setattr(verify, "_det", counted)
     _, n, _ = converged_path_work(diagonal_path(_OFF_GRID), "becker", M,
                                   closed=True)
     assert n + 1 == sum(checked) == 1537

@@ -7,7 +7,6 @@ and sha256 pins of the bytes of one-matrix results.
 import hashlib
 import itertools
 import math
-import sys
 from collections import Counter
 
 import numpy as np
@@ -24,30 +23,19 @@ from logstrain.stresses import MEASURES, StressState, stress_convert
 from logstrain.tensors import mat_log
 from logstrain.verify import random_rotation, random_spd
 
+from conftest import count_lapack, counting, patch_everywhere
+
 M = Moduli.from_g_lam(1.0, 0.5)
-_FACTORIZATIONS = ("svd", "eigh", "det", "inv")
 
 
 @pytest.fixture
 def calls(monkeypatch):
     """A Counter of ``_as_mats`` calls (key ``"validate"``) and of the
-    ``np.linalg`` factorizations, filled while the test runs."""
-    count = Counter()
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            count[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    # _as_mats is imported by name into the modules that use it
-    validate = counted("validate", tensors._as_mats)
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("logstrain") and hasattr(mod, "_as_mats"):
-            monkeypatch.setattr(mod, "_as_mats", validate)
-    for name in _FACTORIZATIONS:
-        monkeypatch.setattr(np.linalg, name,
-                            counted(name, getattr(np.linalg, name)))
+    factorizations of the tensors boundary (``_svd`` under ``"svd"``, and
+    so on), filled while the test runs."""
+    count = count_lapack(monkeypatch)
+    patch_everywhere(monkeypatch, "_as_mats",
+                     counting(count, "validate", tensors._as_mats))
     return count
 
 

@@ -406,6 +406,26 @@ def test_log_domain_margin_scales_with_g(g):
     assert log_report.witness["excess"] > 1e-10 * g
 
 
+@pytest.mark.parametrize("g", [1.0, 1e-12, 1e-20])
+def test_a_concave_energy_fails_the_spd_probe_at_every_g(g, monkeypatch):
+    # the excess is taken relative to max(G, |w1|, |w2|), which scales with
+    # the energies; a floor of 1 passed this concave energy from G = 1e-12
+    monkeypatch.setattr(verify, "becker_energy_nu0",
+                        lambda u, m: -m.g * np.sum(u * u, axis=(-2, -1)))
+    _, spd_report = hill_convexity_probe(Moduli.from_g_lam(g, 0.0),
+                                         samples=64, seed=0)
+    assert not spd_report.passed and not spd_report.as_expected
+    assert spd_report.witness["excess"] > 1e-10
+
+
+def test_the_spd_probe_excess_is_nan_where_its_scale_is_infinite():
+    excess = verify._rel(np.array([1.0, 1.0]), np.array([math.inf, 2.0]),
+                         floor=1e-20)
+    assert math.isnan(excess[0]) and excess[1] == 0.5
+    assert verify._rel(np.array([1e-20]), np.array([0.0]),
+                       floor=1e-20)[0] == 1.0
+
+
 def test_no_check_runs_on_zero_samples():
     for samples in (0, -1):
         with pytest.raises(ValueError, match="samples"):
