@@ -36,7 +36,7 @@ from .moduli import Moduli
 from .stresses import _checked_state
 from .tensors import (_EYE, _as_mats, _as_real, _at, _closed_form, _det,
                       _finite_values, _first, _first_nonfinite, _inners, _inv,
-                      _require_floor, _solve, _spectrum, _svd, _trace,
+                      _over, _require_floor, _solve, _spectrum, _svd, _trace,
                       as_mat3, dev3, inner, mat_log, sym_part, tr)
 
 __all__ = [
@@ -129,8 +129,9 @@ def becker_inverse(t, m: Moduli):
 
     One matrix takes its trace as a Python float, summed in numpy's order,
     and skips the stack's reshapes: the same bits as inside a stack.  Where
-    9 K overflows (K above about 2e307), tr(t) is divided by 9 and by K in
-    turn, so that the spherical part is kept.
+    2 G or 9 K overflows (G above about 9e307, K above about 2e307), the
+    deviator or tr(t) is divided by the factor and by the modulus in turn,
+    so that neither part is lost.
 
     Raises ``ValueError`` for a t that is not 3x3 or not finite, and
     :class:`LogstrainError` for a trace of t that overflows (``becker_inverse:
@@ -145,11 +146,8 @@ def becker_inverse(t, m: Moduli):
                              + _at(_first(~np.isfinite(trace)), stack))
     mean = (trace / 3.0)[..., None] if stack else trace / 3.0
     d, frame = _spectrum(t - mean * _EYE)
-    nine_k = 9.0 * m.k
-    spherical = (trace / nine_k if math.isfinite(nine_k)
-                 else trace / 9.0 / m.k)
-    out = _finite_values(np.exp, d / (2.0 * m.g) + spherical, "mat_exp",
-                         stack)
+    out = _finite_values(np.exp, _over(d, 2.0, m.g) + _over(trace, 9.0, m.k),
+                         "mat_exp", stack)
     return sym_part((frame * (out[..., None, :] if stack else out))
                     @ frame.swapaxes(-1, -2))
 
@@ -186,7 +184,12 @@ def becker_cauchy(v, m: Moduli):
 def becker_pk2(u, m: Moduli):
     """Second Piola-Kirchhoff stress of Becker's law, inv(U) @ biot(U)."""
     u = sym_part(as_mat3(u, "u"))
-    t = becker_biot(u, m)
+    return _pk2_of_biot(u, becker_biot(u, m))
+
+
+def _pk2_of_biot(u, t):
+    """The PK2 stress inv(U) @ T of the Biot stress t at the symmetric
+    stretch u."""
     return sym_part(_solve(u, t))
 
 
@@ -334,9 +337,12 @@ def _sum3(v):
 
 
 def linearized_inverse(sigma, m: Moduli):
-    """Inverse of the infinitesimal law: dev3(s)/(2G) + tr(s)/(9K) I."""
+    """Inverse of the infinitesimal law: dev3(s)/(2G) + tr(s)/(9K) I.
+
+    Where 2 G or 9 K overflows, its part is divided by the factor and by
+    the modulus in turn, so that it is not lost."""
     sigma = sym_part(as_mat3(sigma, "sigma"))
-    return dev3(sigma) / (2.0 * m.g) + tr(sigma) / (9.0 * m.k) * _EYE
+    return _over(dev3(sigma), 2.0, m.g) + _over(tr(sigma), 9.0, m.k) * _EYE
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +536,14 @@ def _tensor_law(row, a, m):
     a = sym_part(_as_mats(a, row.stretch))
     if row.strain is _linear_strain:
         return _finite(row.tag, _lame(a - _EYE, m), m)
-    vals, frame = _spectrum(a)
+    return _law_on_spectrum(row, *_spectrum(a), m)
+
+
+def _law_on_spectrum(row, vals, frame, m):
+    """The stress of a logarithmic-strain row at the stretches whose
+    :func:`tensors._spectrum` is ``(vals, frame)``, with the bits of its
+    tensor map at those stretches.  Callers run it without numpy's
+    overflow and invalid-value warnings."""
     return _finite(row.tag,
                    _lame_on_frame(frame, row.strain.of_stretch(vals), m), m)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moduli import Moduli
-from .tensors import _as_real, _closed_form
+from .tensors import _as_real, _closed_form, _over
 
 __all__ = [
     "StressTriple",
@@ -125,12 +125,14 @@ def becker_tables(t: StressTriple, m: Moduli):
     Each axial load F contributes a dilation ``exp(F/9K)`` and two fixed-axes
     shears built from ``exp(F/6G)``; a uniaxial load Q therefore stretches
     its own axis by ``exp(Q/9K) * exp(Q/3G)``.  The recomposed product is
-    Becker's inverse law at ``diag(P, Q, R)``.
+    Becker's inverse law at ``diag(P, Q, R)``.  Where 6 G or 9 K
+    overflows, a load is divided by the factor and by the modulus in turn,
+    so that its strain is not lost.
     """
     m.require_physical()
     loads = _as_real([t.p, t.q, t.r], "loads").tolist()
-    p, q, r = (math.exp(x / (6.0 * m.g)) for x in loads)
-    h1, h2, h3 = (math.exp(x / (9.0 * m.k)) for x in loads)
+    p, q, r = (math.exp(_over(x, 6.0, m.g)) for x in loads)
+    h1, h2, h3 = (math.exp(_over(x, 9.0, m.k)) for x in loads)
     rows = (
         (np.full(3, h1), np.array([p * p, 1.0 / (p * p), 1.0]),
          np.array([1.0, p, 1.0 / p])),

@@ -184,6 +184,15 @@ def _pow2_scale(big):
     return math.ldexp(1.0, max(0, math.frexp(big)[1] - 1))
 
 
+def _over(x, factor, modulus):
+    """``x / (factor * modulus)`` for a number ``factor`` and a modulus:
+    where that product overflows, ``x / factor / modulus`` instead, so the
+    quotient keeps every bit wherever the product is finite and is not
+    lost to an infinite divisor where it is not."""
+    product = factor * modulus
+    return x / product if math.isfinite(product) else x / factor / modulus
+
+
 def _first_nonfinite(a):
     """Flat index of the first matrix of a (..., n, n) stack with a
     non-finite entry, or None."""
@@ -501,29 +510,62 @@ def _pow_rule(r):
 
 def _mat_pows(pairs):
     """``[mat_pow(a, r) for a, r in pairs]`` from one spectral
-    decomposition of all the stacks ``a``.
-
-    Each power is applied to its own slice of the eigenvalues with its
-    exponent as a scalar, so each result has the bits of its
-    :func:`mat_pow` call.  Every argument is checked first; then each
-    pair's floor and overflow tests run in turn, so a
-    :class:`LogstrainError` is the one the first failing call raises.
-    """
-    rules = [_pow_rule(r) for _, r in pairs]
+    decomposition of all the stacks ``a``, with the bits and the first
+    error of those calls (see :func:`_pows_of_spectrum`)."""
+    for _, r in pairs:
+        _pow_rule(r)  # every exponent is checked first, then every matrix
     mats = [_as_mats(a, "a") for a, _ in pairs]
     vals, frame = _spectrum(sym_part(_concat(mats)))
+    pieces, stop = [], 0
+    for a, (_, r) in zip(mats, pairs):
+        start, stop = stop, stop + math.prod(a.shape[:-2])
+        pieces.append((np.arange(start, stop), r, a.shape[:-2]))
+    return _split_like(_pows_of_spectrum(vals, frame, pieces), mats)
+
+
+def _pows_of_spectrum(vals, frame, pieces):
+    """Real powers of matrices already decomposed: ``vals`` and ``frame``
+    are a (n, 3) and (n, 3, 3) :func:`_spectrum` result, and each piece
+    ``(rows, r, shape)`` stands for the call ``mat_pow(a, r)`` on the
+    matrices of those rows, a stack of leading shape ``shape``, which its
+    messages name members by.  Returns one (k, 3, 3) stack, the rows of
+    every piece in turn.
+
+    Each power is applied to its own contiguous slice of the eigenvalues
+    with its exponent as a Python float, so each matrix has the bits of
+    its :func:`mat_pow` call.  The floor and overflow tests run once on
+    the whole stack; only where one fails do the pieces' own tests run in
+    turn, so the :class:`LogstrainError` raised is the one the first
+    failing call raises.
+    """
+    rules = [_pow_rule(r) for _, r, _ in pieces]
+    counts = [len(piece[0]) for piece in pieces]
+    rows = np.concatenate([piece[0] for piece in pieces])
+    vals, frame = vals[rows], frame[rows]
+    bounds = np.cumsum([0] + counts).tolist()
     out = np.empty_like(vals)
-    stop = 0
-    for m, (power, floor_on) in zip(mats, rules):
-        shape = m.shape[:-2]
-        start, stop = stop, stop + math.prod(shape)
-        piece = vals[start:stop].reshape(shape + (3,))
-        if floor_on is not None:
-            _require_floor(piece, "mat_pow", floor_on, shape)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[start:stop] = _finite_values(power, piece, "mat_pow",
-                                             shape).reshape(-1, 3)
-    return _split_like(_from_spectrum(frame, out), mats)
+    # quietly: a row below its floor may divide by zero here, and raises
+    # below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for (power, _), start, stop in zip(rules, bounds, bounds[1:]):
+            out[start:stop] = power(vals[start:stop])
+    # the floor of _require_floor, each row on its piece's eigenvalue or
+    # |eigenvalue|, or untested
+    kinds = [floor_on for _, floor_on in rules]
+    mags = np.abs(vals)
+    least = np.where(np.repeat([k == "eigenvalue" for k in kinds], counts),
+                     vals.min(axis=-1), mags.min(axis=-1))
+    low = (np.repeat([k is not None for k in kinds], counts)
+           & (least <= PD_REL_TOL * np.maximum(mags.max(axis=-1), 1.0)))
+    if low.any() or not _sum_is_finite(out, core=1):
+        for (power, floor_on), (_, _, shape), start, stop in zip(
+                rules, pieces, bounds, bounds[1:]):
+            piece = vals[start:stop].reshape(shape + (3,))
+            if floor_on is not None:
+                _require_floor(piece, "mat_pow", floor_on, shape)
+            with np.errstate(over="ignore", invalid="ignore"):
+                _finite_values(power, piece, "mat_pow", shape)
+    return _from_spectrum(frame, out)
 
 
 def _concat(stacks):
@@ -534,10 +576,13 @@ def _concat(stacks):
 
 def _split_like(out, stacks):
     """``out``, a result on ``_concat(stacks)`` with one row per matrix,
-    cut into one part per stack, each with its stack's leading shape."""
-    leads = [np.shape(a)[:-2] for a in stacks]
-    parts = np.split(out, np.cumsum([math.prod(s) for s in leads])[:-1])
-    return [p.reshape(s + p.shape[1:]) for p, s in zip(parts, leads)]
+    cut into one slice per stack, each with its stack's leading shape."""
+    parts, stop = [], 0
+    for a in stacks:
+        lead = np.shape(a)[:-2]
+        start, stop = stop, stop + math.prod(lead)
+        parts.append(out[start:stop].reshape(lead + out.shape[1:]))
+    return parts
 
 
 def dev3(a):

@@ -12,16 +12,21 @@ standard normals, so recorded witnesses are reproducible from the seed.
 Each randomized check draws its whole batch of samples from its own stream
 ``default_rng([seed, k])`` in bulk: one (samples, 3) array of eigenvalues
 per spectrum and one (samples, 3, 3) array of normals per rotation, in a
-fixed order.  A block of checks is evaluated as one batch of (n, 3, 3)
-stacks: one stacked QR for the rotations of all its streams, and one call
-per law or matrix function on the stacks of all its checks concatenated,
-each check then judging its own slice, with the bits it would get alone.
-A check reports the first worst sample, or for a search the first flagged
-one.  A NaN or infinite residual counts as the worst, so a check whose
-residual cannot be evaluated fails.  Where a batched call raises
-:class:`LogstrainError` (a stress or an energy that overflows), the calls
-are made again one stack at a time, in each check's own order, so each
-error names the member of the call that raised it.  A check whose
+fixed order.  A suite (:func:`suite`, or the axiom block of
+:func:`check_axioms` alone) is evaluated as one batch of (n, 3, 3) stacks.
+One :func:`_draw` call makes the draws of every stream, the rotations
+from one stacked QR.  Each matrix is decomposed once, in rounds: round 1
+is one spectrum of every stretch the checks give, the bases of real
+powers and the stretches whose eigenvalues a check reads included, from
+which the powers, the eigenvalues and the stresses are read; round 2 is
+one spectrum of the powers; and the law is called once, on the spectra
+of both rounds.  Each check then judges its own slice, with the bits it
+would get alone.  A check reports the first worst sample, or for a search
+the first flagged one.  A NaN or infinite residual counts as the worst,
+so a check whose residual cannot be evaluated fails.  Where the batch
+raises :class:`LogstrainError` (a stress or an energy that overflows),
+each check runs again alone, one call per stack in its own order, so
+each error names the member of the call that raised it.  A check whose
 evaluation raises decides nothing: its report comes out not as expected,
 whichever way the check was expected to go, with the message as its
 witness.
@@ -38,20 +43,21 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .constitutive import (_LAWS, _finite, _lam_is_zero, _log_strain,
+from .constitutive import (_LAWS, _finite, _lam_is_zero, _law_on_spectrum,
+                           _log_strain, _pk2_of_biot, _tensor_law,
                            _tensor_row, becker_biot, becker_energy_nu0,
-                           becker_inverse, becker_pk2, linearized_law,
-                           pk1_for_law, stretch_stress)
+                           becker_inverse, linearized_law, pk1_for_law)
 from .errors import LogstrainError
 from .moduli import Moduli
 from .tensors import (_as_mats, _as_real, _at, _closed_form, _concat, _det,
                       _diag, _first, _first_nonfinite, _fro_norms, _inners,
-                      _mat_pows, _pow2_scale, _split_like, _spectrum,
-                      as_mat3, eig_sym, fro_norm, mat_exp, mat_pow,
-                      sym_part)
+                      _pow2_scale, _pows_of_spectrum, _split_like,
+                      _spectrum, as_mat3, eig_sym, fro_norm, mat_exp,
+                      mat_pow, sym_part)
 
 __all__ = [
     "CheckReport",
@@ -194,6 +200,26 @@ def _draw(rng, samples, groups, *streams):
     return out
 
 
+def _draws(samples, seed, streams):
+    """The draws of the ``(key, groups)`` streams ``default_rng([seed,
+    key])``, one list per stream: the stacks of its groups, the groups of
+    every stream drawn by one :func:`_draw` call, or for groups None one
+    array of ``samples`` scalar stretches, log-uniform over EIG_RANGE."""
+    rngs = [(np.random.default_rng([seed, key]), groups)
+            for key, groups in streams]
+    (rng, groups), *more = [s for s in rngs if s[1] is not None]
+    stacks = iter(_draw(rng, samples, groups, *more))
+    out = []
+    for rng, groups in rngs:
+        if groups is None:
+            out.append([np.exp(rng.uniform(*_log_range(*EIG_RANGE)[:2],
+                                           samples))])
+        else:  # a group gives a stack per spectrum, or its rotations
+            out.append([next(stacks) for g in groups
+                        for _ in range(max(len(g), 1))])
+    return out
+
+
 def random_rotation(rng):
     """Orthogonal factor of a 3x3 standard-normal matrix, det fixed to +1."""
     return _draw(rng, 1, [()])[0][0]
@@ -268,11 +294,33 @@ def _worst(residuals, witness_of, floor=0.0):
 
 
 # ---------------------------------------------------------------------------
-# the axiom block
+# one batch of checks
+#
+# A check is a generator on its draws.  It yields one request, a tuple
+# whose members are stretches, answered with the law's stress at each,
+# _Power stacks, answered with the law's stress at the powers, or
+# _Eigenvalues, answered with the eigenvalues; it then returns its outcome.
 
-class _Powers(list):
-    """A check's request for ``mat_pow(a, r)`` of each of its ``(a, r)``
-    pairs."""
+class _Power(NamedTuple):
+    """The stretches ``a**r`` of a (n, 3, 3) stack ``a``: matrix i raised
+    to ``exponents[i % len(exponents)]``."""
+
+    a: np.ndarray
+    exponents: tuple
+
+    def alone(self):
+        # one mat_pow call per exponent, in turn, on its strided slice
+        n = len(self.exponents)
+        out = np.empty_like(self.a)
+        for k, r in enumerate(self.exponents[:len(self.a)]):
+            out[k::n] = mat_pow(self.a[k::n], r)
+        return out
+
+
+class _Eigenvalues(NamedTuple):
+    """The descending eigenvalues of each matrix of the stack ``a``."""
+
+    a: np.ndarray
 
 
 def _result(check, answer):
@@ -283,52 +331,127 @@ def _result(check, answer):
         return stop.value
 
 
-def _regroup(items, requests):
-    """``items``, one per member of every request in turn, as one list per
-    request."""
-    items = iter(items)
-    return [[next(items) for _ in r] for r in requests]
+def _count(a):
+    """The number of matrices of a (3, 3) or (..., 3, 3) array."""
+    return math.prod(np.shape(a)[:-2])
 
 
-def check_axioms(law, m: Moduli, samples=1000, seed=0):
-    """Randomized axiom checks for a tensor stretch-stress law.
+def _alone(row, m, check):
+    """What ``check`` returns, each member of its request answered by its
+    own calls, in turn: one law call per stretch (after one ``mat_pow``
+    call per exponent of a :class:`_Power`), one spectrum per
+    :class:`_Eigenvalues`."""
+    answers = []
+    for x in next(check):
+        if isinstance(x, _Eigenvalues):
+            answers.append(_spectrum(sym_part(_as_mats(x.a, "u")))[0])
+        else:
+            answers.append(_tensor_law(
+                row, x.alone() if isinstance(x, _Power) else x, m))
+    return _result(check, answers)
 
-    Runs the superposition, isotropy, shear-to-shear, sphere-to-dilation,
-    uniqueness-of-the-stress-free-state, power-law and inversion-symmetry
-    checks; for a law whose strain is logarithmic also the inverse round
-    trip.  A check is expected to pass unless the law's row of the law
-    table names it in ``violates`` (the finite-Hooke laws fail
-    superposition, among others, with the violating pair recorded).
-    ``samples < 1`` raises ``ValueError``: no check passes vacuously.
 
-    Each check draws its whole batch from its own stream
-    ``default_rng([seed, k])`` in bulk (see :func:`_draw`; a scalar stretch
-    draws one array of ``samples`` values), and records the worst sample
-    (the first largest relative residual) as the witness.  A NaN or
-    infinite residual is the worst and fails the check.  The block is
-    evaluated as one batch: one stacked QR for the rotations of every
-    check, one spectral decomposition for the real powers of
-    ``power_law`` and ``inversion_symmetry``, and one law call on every
-    stretch of every check; each check then judges its own slice, with
-    the bits it would get alone.  Where the batch raises
-    :class:`LogstrainError` (for instance a stress that overflows), each
-    check is evaluated again on its own stacks, one call per stack in its
-    own order; a check that raises is undecided: its report comes out not
-    as expected, with the message as its witness.
+@np.errstate(over="ignore", invalid="ignore")
+def _answers(row, m, requests):
+    """The answers to the requests of many checks, with the bits
+    :func:`_alone` gives each, from one call per kind and round.
+
+    Round 1 is one spectrum of every stack the requests name as such, each
+    once: the stretches (for a logarithmic law, whose stress is read from
+    the spectrum), then the power bases and the eigenvalue requests.  The
+    powers are read from that spectrum, their floor and overflow tests run
+    once (:func:`tensors._pows_of_spectrum`), and round 2 is one spectrum
+    of the powers.  The law is then called once, on the spectra of the
+    stretches and of the powers, or for a finite-Hooke law on the
+    matrices.
     """
-    _require_samples(samples)
-    row = _tensor_row(law)
-    t = lambda u: stretch_stress(row.tag, u, m)
+    members = [x for r in requests for x in r]
+    plain = list({id(x): x for x in members
+                  if isinstance(x, np.ndarray)}.values())
+    powers = [x for x in members if isinstance(x, _Power)]
+    log = row.strain is _log_strain
+    first = {id(a): a for a in (plain if log else [])}
+    for x in members:
+        if not isinstance(x, np.ndarray):
+            first.setdefault(id(x.a), x.a)
+    stacks = list(first.values())
+    starts = dict(zip(first, np.cumsum([0] + list(map(_count, stacks)))
+                      .tolist()))
+    vals, frame = _spectrum(sym_part(_as_mats(_concat(stacks))))
+    # the pieces of one exponent each, and where each power's matrices
+    # land among them, to put them back in sample order
+    pieces, order, done = [], [], 0
+    for x in powers:
+        n, k = len(x.a), len(x.exponents)
+        rows = [np.arange(j, n, k) for j in range(min(k, n))]
+        pieces += [(starts[id(x.a)] + i, r, i.shape)
+                   for i, r in zip(rows, x.exponents)]
+        order.append(done + np.argsort(np.concatenate(rows)))
+        done += n
+    powered = _pows_of_spectrum(vals, frame, pieces)[np.concatenate(order)]
+    p = sum(map(_count, plain))
+    if log:
+        v, f = _spectrum(sym_part(_as_mats(powered)))
+        t = _law_on_spectrum(row, np.concatenate((vals[:p], v)),
+                             np.concatenate((frame[:p], f)), m)
+    else:
+        t = _tensor_law(row, _concat(plain + [powered]), m)
+    stress = dict(zip(map(id, plain + powers),
+                      _split_like(t, plain + [x.a for x in powers])))
+
+    def answer(x):
+        if isinstance(x, _Eigenvalues):
+            start = starts[id(x.a)]
+            return vals[start:start + _count(x.a)].reshape(x.a.shape[:-1])
+        return stress[id(x)]
+
+    return [[answer(x) for x in r] for r in requests]
+
+
+def _batch(row, m, checks):
+    """One function per check of ``checks``, each a zero-argument
+    function that starts a check's generator, giving what the check
+    returns.
+
+    Every check's request is answered from one batch (:func:`_answers`),
+    each check then judging its own slice, with the bits it would get
+    alone.  Where the batch raises :class:`LogstrainError` or
+    ``ValueError``, each check runs again alone (:func:`_alone`), so that
+    an error is the one its own calls raise.  A function may be called
+    again: it then evaluates its check again, on the same answers.
+    """
+    gens = [start() for start in checks]
+    try:
+        answers = _answers(row, m, [next(g) for g in gens])
+    except (LogstrainError, ValueError):
+        answers = None
+
+    def outcome(k):
+        if answers is None:
+            return _alone(row, m, checks[k]())
+        check, gens[k] = gens[k], None
+        if check is None:  # called again: a fresh generator
+            check = checks[k]()
+            next(check)
+        return _result(check, answers[k])
+
+    return [functools.partial(outcome, k) for k in range(len(checks))]
+
+
+# ---------------------------------------------------------------------------
+# the axiom block
+
+def _axioms(row, m, samples):
+    """The checks of :func:`check_axioms` for the law of table row
+    ``row``, each with its :func:`_draw` groups, or None for one scalar
+    stretch per sample, log-uniform over EIG_RANGE.  Each returns
+    ``(worst, witness)``."""
 
     def misfit(lhs, rhs):
         # relative distance of two stress stacks, per sample; the three
         # norms in one call
         norms = _fro_norms(np.concatenate((lhs - rhs, lhs, rhs)))
         return _rel(*norms.reshape(3, -1))
-
-    # Each check is a generator on its draws.  It may first yield a
-    # _Powers request, answered with the powers; it then yields a tuple of
-    # stretches, answered with their stresses, and returns (worst, witness).
 
     def stress_free_reference(u):
         # the unique stress-free reference state
@@ -379,19 +502,13 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
         # lam, the worst of many samples can come near AXIOM_TOL
         powers = (-2.0, -0.5, 0.5, 2.0, math.pi)
         r = np.resize(powers, samples)  # sample i takes powers[i % 5]
-        pieces = yield _Powers((u[k::len(powers)], p)
-                               for k, p in enumerate(powers[:samples]))
-        u_r = np.empty_like(u)
-        for k, piece in enumerate(pieces):
-            u_r[k::len(powers)] = piece
-        t_r, t_u = yield u_r, u
+        t_r, t_u = yield _Power(u, powers), u
         return _worst(misfit(t_r, r[:, None, None] * t_u),
                       lambda i: {"u": u[i], "r": float(r[i])})
 
     def inversion_symmetry(u):
         # tension-compression symmetry T(inv(U)) = -T(U)
-        u_inv, = yield _Powers([(u, -1)])
-        t_inv, t_u = yield u_inv, u
+        t_inv, t_u = yield _Power(u, (-1,)), u
         return _worst(misfit(t_inv, -t_u), lambda i: {"u": u[i]})
 
     def inverse_round_trip(u):
@@ -400,8 +517,6 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
         err = _rel(_fro_norms(back - u), _fro_norms(u))
         return _worst(err, lambda i: {"u": u[i], "round_trip": back[i]})
 
-    # each check with its _draw groups, or None for one scalar stretch per
-    # sample, log-uniform over EIG_RANGE
     checks = [(stress_free_reference, [_SPD]), (shear_to_shear, None),
               (sphere_to_dilation, None), (superposition, [_SPD * 2]),
               (isotropy, [_SPD, ()]),
@@ -409,59 +524,86 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
               (inversion_symmetry, [_SPD])]
     if row.strain is _log_strain:  # becker_inverse inverts the law
         checks.append((inverse_round_trip, [_SPD]))
-    streams = [(np.random.default_rng([seed, k]), groups)
-               for k, (_, groups) in enumerate(checks)]
-    (rng, groups), *more = [s for s in streams if s[1]]
-    stacks = iter(_draw(rng, samples, groups, *more))
-    draws = []
-    for rng, groups in streams:
-        if groups is None:
-            draws.append([np.exp(rng.uniform(*_log_range(*EIG_RANGE)[:2],
-                                             samples))])
-        else:  # a group gives a stack per spectrum, or its rotations
-            draws.append([next(stacks) for g in groups
-                          for _ in range(max(len(g), 1))])
+    return checks
 
-    def start():
-        return [check(*d) for (check, _), d in zip(checks, draws)]
 
-    def batched(gens):
-        # the answers to every check's requests, one call per kind
-        requests = [next(g) for g in gens]
-        asked = [r for r in requests if isinstance(r, _Powers)]
-        powers = iter(_regroup(_mat_pows([p for r in asked for p in r]),
-                               asked))
-        requests = [g.send(next(powers)) if isinstance(r, _Powers) else r
-                    for g, r in zip(gens, requests)]
-        stretches = [a for r in requests for a in r]
-        return _regroup(_split_like(t(_concat(stretches)), stretches),
-                        requests)
-
-    def alone(check):
-        # the check's own calls, one per stack, in its order
-        request = next(check)
-        if isinstance(request, _Powers):
-            request = check.send([mat_pow(a, r) for a, r in request])
-        return _result(check, [t(a) for a in request])
-
-    gens = start()
-    try:
-        answers = batched(gens)
-    except LogstrainError:  # each check again alone, inside its report
-        gens, answers = start(), None
-
-    def evaluate(k):
-        worst, witness = (alone(gens[k]) if answers is None
-                          else _result(gens[k], answers[k]))
+def _axiom_reports(row, axioms, outcomes):
+    """The reports of the checks ``axioms`` of :func:`_axioms`, from their
+    outcome functions."""
+    def evaluate(outcome):
+        worst, witness = outcome()
         return worst <= AXIOM_TOL, witness
 
-    return [_run(check.__name__, AXIOM_TOL, lambda: evaluate(k),
+    return [_run(check.__name__, AXIOM_TOL,
+                 functools.partial(evaluate, outcome),
                  expected=check.__name__ not in row.violates)
-            for k, (check, _) in enumerate(checks)]
+            for (check, _), outcome in zip(axioms, outcomes)]
+
+
+def _bound(checks, draws):
+    """Each check of the ``(check, groups)`` pairs ``checks`` bound to its
+    draws, a zero-argument function that starts its generator."""
+    return [functools.partial(check, *d) for (check, _), d in
+            zip(checks, draws)]
+
+
+def check_axioms(law, m: Moduli, samples=1000, seed=0):
+    """Randomized axiom checks for a tensor stretch-stress law.
+
+    Runs the superposition, isotropy, shear-to-shear, sphere-to-dilation,
+    uniqueness-of-the-stress-free-state, power-law and inversion-symmetry
+    checks; for a law whose strain is logarithmic also the inverse round
+    trip.  A check is expected to pass unless the law's row of the law
+    table names it in ``violates`` (the finite-Hooke laws fail
+    superposition, among others, with the violating pair recorded).
+    ``samples < 1`` raises ``ValueError``: no check passes vacuously.
+
+    Each check draws its whole batch from its own stream
+    ``default_rng([seed, k])`` in bulk (see :func:`_draw`; a scalar stretch
+    draws one array of ``samples`` values), and records the worst sample
+    (the first largest relative residual) as the witness.  A NaN or
+    infinite residual is the worst and fails the check.  The block is
+    evaluated as one batch, in two rounds: one stacked QR for the
+    rotations of every check; one spectral decomposition of every
+    stretch, from which both the law's stresses and the real powers of
+    ``power_law`` and ``inversion_symmetry`` are read; one of the powers;
+    and one law call on the spectra of all of them.  Each check then
+    judges its own slice, with the bits it would get alone.  Where the
+    batch raises :class:`LogstrainError` (for instance a stress that
+    overflows), each check is evaluated again on its own stacks, one call
+    per stack in its own order; a check that raises is undecided: its
+    report comes out not as expected, with the message as its witness.
+    """
+    _require_samples(samples)
+    row = _tensor_row(law)
+    axioms = _axioms(row, m, samples)
+    draws = _draws(samples, seed, [(k, groups)
+                                   for k, (_, groups) in enumerate(axioms)])
+    return _axiom_reports(row, axioms, _batch(row, m, _bound(axioms, draws)))
 
 
 # ---------------------------------------------------------------------------
 # constitutive inequalities
+
+def _m_condition(u1, u2, m):
+    """:func:`m_condition_check` as a check generator: it yields ``(u1,
+    u2)`` and, sent their stresses, returns the product."""
+    u1 = np.asarray(u1, dtype=float)
+    u2 = np.asarray(u2, dtype=float)
+    k = _first(_fro_norms(u1 - u2)
+               <= 1e-14 * np.maximum(1.0, _fro_norms(u1)))
+    if k is not None:
+        raise ValueError(f"u1 and u2 must differ{_at(k, u1.shape[:-2])}")
+    t1, t2 = yield u1, u2
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _inners(t1 - t2, u1 - u2)
+    k = _first(~np.isfinite(value))
+    if k is not None:
+        raise LogstrainError(f"m_condition_check: product is not finite at "
+                             f"G = {m.g:.6g}, lam = {m.lam:.6g}"
+                             f"{_at(k, value.shape)}")
+    return value if u1.ndim > 2 else float(value)
+
 
 def m_condition_check(u1, u2, m: Moduli):
     """Monotonicity inner product <T(U1) - T(U2), U1 - U2> for the log law.
@@ -476,21 +618,8 @@ def m_condition_check(u1, u2, m: Moduli):
     A product that is not finite raises :class:`LogstrainError`, naming
     the first such pair of a stack.
     """
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    k = _first(_fro_norms(u1 - u2)
-               <= 1e-14 * np.maximum(1.0, _fro_norms(u1)))
-    if k is not None:
-        raise ValueError(f"u1 and u2 must differ{_at(k, u1.shape[:-2])}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        t1, t2 = _stacked(lambda u: becker_biot(u, m), (u1, u2))
-        value = _inners(t1 - t2, u1 - u2)
-    k = _first(~np.isfinite(value))
-    if k is not None:
-        raise LogstrainError(f"m_condition_check: product is not finite at "
-                             f"G = {m.g:.6g}, lam = {m.lam:.6g}"
-                             f"{_at(k, value.shape)}")
-    return value if u1.ndim > 2 else float(value)
+    check = _m_condition(u1, u2, m)
+    return _result(check, _stacked(lambda u: becker_biot(u, m), next(check)))
 
 
 @_closed_form
@@ -584,6 +713,12 @@ def ordered_force_check(u, m: Moduli):
                        tolerance=float(abs(slack)), witness=witness)
 
 
+# the streams of hill_convexity_probe: the symmetric log-domain pairs, then
+# the SPD pairs
+_HILL_STREAMS = [(100, [_SYM_LOG, _SYM_LOG]),
+                 (101, [(_log_range(0.1, 10.0),)] * 2)]
+
+
 def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
     """Midpoint-convexity probes of the lam = 0 energy.
 
@@ -602,30 +737,39 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
     concave energy fails at a small G as it does at G = 1.
 
     Each probe draws its pairs in bulk from its own stream (see
-    :func:`_draw`), the rotations of both from one stacked QR.
-    ``hill_log_domain`` takes one ``mat_exp`` call and one energy call on
-    the stacks (x1, x2, midpoint), ``energy_convexity_spd`` one energy call
-    on (u1, u2, midpoint); a NaN or infinite excess is the largest and
-    fails ``energy_convexity_spd``.  Where a stacked call raises
+    :func:`_draw`), the rotations of both from one stacked QR.  Both
+    probes take one ``mat_exp`` call, on the log-domain stacks (x1, x2,
+    midpoint), and one energy call, on their exponentials and the SPD
+    stacks (u1, u2, midpoint); a NaN or infinite excess is the largest and
+    fails ``energy_convexity_spd``.  Where that batch raises
     :class:`LogstrainError` (energies that overflow, G near the largest
-    float), the calls are made again one stack at a time, and the probe
-    decides nothing: it comes out not as expected, with the message of the
-    first call that raised as its witness.  Raises ``ValueError`` unless
-    lam = 0 by the rule of :func:`constitutive.becker_energy_nu0`.
+    float), each probe runs again alone, one stack at a time, and a probe
+    that raises decides nothing: it comes out not as expected, with the
+    message of its first call that raised as its witness.  Raises
+    ``ValueError`` unless lam = 0 by the rule of
+    :func:`constitutive.becker_energy_nu0`.
     """
     _require_samples(samples)
     if not _lam_is_zero(m):
         raise ValueError("probe defined only for lam = 0")
+    (x1, x2), (u1, u2) = _draws(samples, seed, _HILL_STREAMS)
+    return _hill_reports(m, x1, x2, u1, u2)
+
+
+def _hill_reports(m, x1, x2, u1, u2):
+    """The two reports of :func:`hill_convexity_probe` on its draws."""
     tol = 1e-10
     energy = lambda u: becker_energy_nu0(u, m)
-    spd = (_log_range(0.1, 10.0),)
-    x1, x2, u1, u2 = _draw(np.random.default_rng([seed, 100]), samples,
-                           [_SYM_LOG, _SYM_LOG],
-                           (np.random.default_rng([seed, 101]), [spd, spd]))
+    xm, um = 0.5 * (x1 + x2), 0.5 * (u1 + u2)
+    try:  # both probes: one mat_exp call and one energy call
+        w = energy(np.concatenate((mat_exp(_concat((x1, x2, xm))),
+                                   u1, u2, um))).reshape(6, -1)
+    except (LogstrainError, ValueError):  # each probe again alone
+        w = None
 
     def log_domain():
-        w1, w2, wm = _stacked(energy, _stacked(
-            mat_exp, (x1, x2, 0.5 * (x1 + x2))))
+        w1, w2, wm = (w[:3] if w is not None else _stacked(
+            energy, _stacked(mat_exp, (x1, x2, xm))))
         # the floor scales with G, as the energies do
         margin = tol * np.maximum(m.g, np.maximum(abs(w1), abs(w2)))
         k = _first((_fro_norms(x1 - x2) > 1e-12)
@@ -639,7 +783,8 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
         return witness is None, witness
 
     def spd_pairs():
-        w1, w2, wm = _stacked(energy, (u1, u2, 0.5 * (u1 + u2)))
+        w1, w2, wm = (w[3:] if w is not None
+                      else _stacked(energy, (u1, u2, um)))
         excess = _rel(wm - 0.5 * (w1 + w2), abs(w1), abs(w2), floor=m.g)
         worst, witness = _worst(excess, lambda i: {
             "u1": u1[i], "u2": u2[i], "excess": float(excess[i])},
@@ -924,19 +1069,46 @@ def dilation_shear_cycle():
 # ---------------------------------------------------------------------------
 # order-of-remainder ladders
 
-def _ladder_report(name, residual_of_h, h_ladder):
-    ratios = {}
-    for h in h_ladder:
-        ratios[h] = residual_of_h(h) / h ** 2
+def _ladder_report(name, residuals, h_ladder):
+    """The report of a ladder of ``residuals``, one per h of ``h_ladder``:
+    the ratios residual / h**2 may vary by less than LADDER_FACTOR.
+
+    Where a ratio overflows while every residual is finite, the residuals
+    are first divided by the one power of two that brings the largest
+    below 2, which is exact; the witness then records that power as
+    ``ratio_scale``, by which its ratios are to be multiplied.  The pass
+    test ``top / bottom`` is scale-free, and finite ratios keep their
+    bits."""
+    ratios = {h: r / h ** 2 for h, r in zip(h_ladder, residuals)}
+    scale = 1.0
+    if (not all(map(math.isfinite, ratios.values()))
+            and all(map(math.isfinite, residuals))):
+        scale = _pow2_scale(max(residuals))
+        ratios = {h: r / scale / h ** 2 for h, r in zip(h_ladder, residuals)}
     vals = list(ratios.values())
     top, bottom = max(vals), min(vals)
-    if top <= 1e-9:  # residual numerically zero across the ladder
+    if top <= 1e-9 / scale:  # residual numerically zero across the ladder
         passed = True
     else:
         passed = bottom > 0.0 and top / bottom < LADDER_FACTOR
     witness = {"ratios": {f"{h:g}": v for h, v in ratios.items()}}
+    if scale != 1.0:
+        witness["ratio_scale"] = scale
     return CheckReport(name=name, passed=passed, tolerance=LADDER_FACTOR,
                        witness=witness)
+
+
+def _linearization_ladder(m, eps, h_ladder):
+    """:func:`linearization_order_check` as a check generator: it yields
+    the stretches ``I + h eps`` and, sent their stresses, returns the
+    report."""
+    eps = sym_part(as_mat3(eps, "eps"))
+    h_ladder = tuple(h_ladder)
+    steps = [h * eps for h in h_ladder]
+    full = yield tuple(np.eye(3) + s for s in steps)
+    return _ladder_report("linearization_order", [
+        fro_norm(t - linearized_law(s, m)) for t, s in zip(full, steps)],
+        h_ladder)
 
 
 def linearization_order_check(m: Moduli, eps, h_ladder=LADDER_H):
@@ -946,14 +1118,22 @@ def linearization_order_check(m: Moduli, eps, h_ladder=LADDER_H):
     must scale like h**2: the ladder of residual/h**2 ratios may vary by
     less than a factor of 4.
     """
+    return _alone(_LAWS["becker"], m, _linearization_ladder(m, eps, h_ladder))
+
+
+def _pk2_ladder(m, eps, h_ladder):
+    """:func:`pk2_expansion_check` as a check generator: it yields the
+    stretches ``U = I + h eps``, symmetrized as :func:`becker_pk2` takes
+    them, and, sent their Biot stresses, returns the report."""
     eps = sym_part(as_mat3(eps, "eps"))
-
-    def residual(h):
-        full = becker_biot(np.eye(3) + h * eps, m)
-        lin = linearized_law(h * eps, m)
-        return fro_norm(full - lin)
-
-    return _ladder_report("linearization_order", residual, h_ladder)
+    h_ladder = tuple(h_ladder)
+    us = [np.eye(3) + h * eps for h in h_ladder]
+    sym = [sym_part(u) for u in us]
+    biot = yield tuple(sym)
+    return _ladder_report("pk2_expansion", [
+        fro_norm(_pk2_of_biot(s, t)
+                 - linearized_law(0.5 * (u @ u - np.eye(3)), m))
+        for u, s, t in zip(us, sym, biot)], h_ladder)
 
 
 def pk2_expansion_check(m: Moduli, eps, h_ladder=LADDER_H):
@@ -962,14 +1142,7 @@ def pk2_expansion_check(m: Moduli, eps, h_ladder=LADDER_H):
     With ``E`` the Green-Lagrange strain of ``U = I + h*eps``, the residual
     ``||pk2(U) - (lam tr(E) I + 2 G E)||`` must scale like h**2.
     """
-    eps = sym_part(as_mat3(eps, "eps"))
-
-    def residual(h):
-        u = np.eye(3) + h * eps
-        e = 0.5 * (u @ u - np.eye(3))
-        return fro_norm(becker_pk2(u, m) - linearized_law(e, m))
-
-    return _ladder_report("pk2_expansion", residual, h_ladder)
+    return _alone(_LAWS["becker"], m, _pk2_ladder(m, eps, h_ladder))
 
 
 # ---------------------------------------------------------------------------
@@ -999,6 +1172,21 @@ def suite(law, m: Moduli, samples=1000, seed=0):
     not as expected: the open-path energy match fails, and the closed-cycle
     work fails at lam = 0 and passes where it is expected to fail.
 
+    For the becker law the suite is evaluated as one batch, as the axiom
+    block of :func:`check_axioms` is: one :func:`_draw` call, one QR, for
+    the axiom streams ``[seed, k]``, ``m_condition_random`` (``[seed,
+    200]``), ``ordered_force_random`` (``[seed, 201]``) and the convexity
+    probes (``[seed, 100]``, ``[seed, 101]``); in round 1 one spectral
+    decomposition of every stretch: the axioms', the power bases, the
+    monotonicity pairs, the ordered-force stretches and the ladder
+    stretches, from which the powers, the eigenvalues and the stresses are
+    read; in round 2 one of the powers; and one law call on the spectra of
+    both rounds.  The probes make one ``mat_exp`` and one energy call (see
+    :func:`hill_convexity_probe`).  Each check judges its own slice, with
+    the bits it would get alone.  Where the batch raises
+    :class:`LogstrainError`, each check runs again alone, so every report
+    keeps its own message.
+
     A residual that overflows fails its check as a NaN or infinite
     residual, so the suite runs without numpy's floating-point warnings.
     A check whose stresses, energies or closed form overflow (a
@@ -1007,13 +1195,49 @@ def suite(law, m: Moduli, samples=1000, seed=0):
     whichever way it was expected to go, with the message as its witness.
     """
     row = _tensor_row(law)
-    reports = check_axioms(row.tag, m, samples=samples, seed=seed)
     if row.tag != "becker":
-        return reports
+        return check_axioms(row.tag, m, samples=samples, seed=seed)
+    _require_samples(samples)
     lam_zero = _lam_is_zero(m)
+    axioms = _axioms(row, m, samples)
+
+    def random_pairs(u1, u2):
+        kept = np.flatnonzero(_fro_norms(u1 - u2) > 1e-12)
+        u1, u2 = u1[kept], u2[kept]
+        value = yield from _m_condition(u1, u2, m)
+        # the worst pair is the first smallest product
+        least, witness = _worst(-value, lambda i: {
+            "u1": u1[i], "u2": u2[i], "value": float(value[i])}, -math.inf)
+        return least < 0.0, witness
+
+    def ordered_forces(u):
+        lam, = yield (_Eigenvalues(u),)
+        _, full, reduced, slack = _force_order(lam, m)
+        k = _first(((full < slack[:, None]) | (reduced < slack[:, None]))
+                   .any(axis=-1))
+        return k is None, (None if k is None
+                           else ordered_force_check(u[k], m).witness)
+
+    # the streams of the axioms, of ordered_force_random, and at lam = 0 of
+    # m_condition_random and the probes
+    streams = [(k, groups) for k, (_, groups) in enumerate(axioms)]
+    streams.append((201, [_SPD]))
+    if lam_zero:
+        streams += [(200, [_SPD, _SPD]), *_HILL_STREAMS]
+    draws = _draws(samples, seed, streams)
+    n = len(axioms)
+    checks = _bound(axioms, draws) + [
+        functools.partial(ordered_forces, *draws[n]),
+        functools.partial(_m_condition, np.diag([2.0, 0.25, 1.0]),
+                          np.eye(3), m),
+        functools.partial(_linearization_ladder, m, _LADDER_EPS, LADDER_H),
+        functools.partial(_pk2_ladder, m, _LADDER_EPS, LADDER_H)]
+    if lam_zero:
+        checks.append(functools.partial(random_pairs, *draws[n + 1]))
+    outcomes = _batch(row, m, checks)
+    ordered, pair, linearization, pk2, *random = outcomes[n:]
     # the product at the paper's pair, formed once for both of its reports
-    pair_value = functools.cache(lambda: m_condition_check(
-        np.diag([2.0, 0.25, 1.0]), np.eye(3), m))
+    pair_value = functools.cache(pair)
 
     def closed_form():
         value, closed = pair_value(), m_condition_paper_pair_value(m)
@@ -1024,29 +1248,9 @@ def suite(law, m: Moduli, samples=1000, seed=0):
         value = pair_value()
         return value > 0.0, {"value": value, "lam_over_g": m.lam / m.g}
 
-    def random_pairs():
-        u1, u2 = _draw(np.random.default_rng([seed, 200]), samples,
-                       [_SPD, _SPD])
-        kept = np.flatnonzero(_fro_norms(u1 - u2) > 1e-12)
-        u1, u2 = u1[kept], u2[kept]
-        value = m_condition_check(u1, u2, m)
-        # the worst pair is the first smallest product
-        least, witness = _worst(-value, lambda i: {
-            "u1": u1[i], "u2": u2[i], "value": float(value[i])}, -math.inf)
-        return least < 0.0, witness
-
     def baker_ericksen(v):
         report = baker_ericksen_check(v, m)
         return report.passed, report.witness
-
-    def ordered_forces():
-        u, = _draw(np.random.default_rng([seed, 201]), samples, [_SPD])
-        lam, _ = _spectrum(sym_part(_as_mats(u, "u")))
-        _, full, reduced, slack = _force_order(lam, m)
-        k = _first(((full < slack[:, None]) | (reduced < slack[:, None]))
-                   .any(axis=-1))
-        return k is None, (None if k is None
-                           else ordered_force_check(u[k], m).witness)
 
     cycle_tol = 1e-6 * abs(m.g)
 
@@ -1070,12 +1274,13 @@ def suite(law, m: Moduli, samples=1000, seed=0):
                 {"work": work, "energy_difference": delta, "steps": n,
                  "quadrature_converged": converged})
 
+    reports = _axiom_reports(row, axioms, outcomes[:n])
     reports.append(_run("m_condition_closed_form", 1e-12, closed_form))
     # the sign of the closed form, which holds where its value overflows
     reports.append(_run("m_condition_paper_pair", 0.0, paper_pair,
                         expected=m.lam < 20.0 * m.g))
     if lam_zero:
-        reports.append(_run("m_condition_random", 0.0, random_pairs))
+        reports.append(_run("m_condition_random", 0.0, *random))
     reports.append(_run(
         "baker_ericksen_counterexample", TIE_TOL,
         lambda: baker_ericksen(np.diag([1.0 / math.e, math.e ** -2,
@@ -1084,14 +1289,15 @@ def suite(law, m: Moduli, samples=1000, seed=0):
     reports.append(_run(
         "baker_ericksen_small_strain", TIE_TOL,
         lambda: baker_ericksen(np.eye(3) + 1e-4 * np.diag([1.0, 2.0, 3.0]))))
-    reports.append(_run("ordered_force_random", 1e-12, ordered_forces))
+    reports.append(_run("ordered_force_random", 1e-12, ordered))
     if lam_zero:
-        reports.extend(hill_convexity_probe(m, samples=samples, seed=seed))
+        (x1, x2), (u1, u2) = draws[-2:]
+        reports.extend(_hill_reports(m, x1, x2, u1, u2))
     reports.append(_run("closed_cycle_work", cycle_tol, cycle_work,
                         expected=lam_zero))
     if lam_zero:
         reports.append(_run("open_path_energy_match", cycle_tol,
                             open_path_work))
-    reports.append(linearization_order_check(m, _LADDER_EPS))
-    reports.append(pk2_expansion_check(m, _LADDER_EPS))
+    reports.append(linearization())
+    reports.append(pk2())
     return reports

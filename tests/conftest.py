@@ -1,3 +1,4 @@
+import math
 import sys
 from collections import Counter
 
@@ -57,12 +58,39 @@ def counting(count, key, fn):
     return wrapper
 
 
+class FactorizationCount(Counter):
+    """Calls per routine, keyed by name, and in ``matrices`` the matrices
+    those calls factorized, a (..., 3, 3) stack counting one per matrix,
+    so that a budget cannot hide work inside one larger call.  ``clear``
+    clears both."""
+
+    def __init__(self):
+        super().__init__()
+        self.matrices = Counter()
+
+    def clear(self):
+        super().clear()
+        self.matrices.clear()
+
+
+def counting_matrices(count, key, fn):
+    """``fn`` wrapped to add one to the FactorizationCount ``count[key]``
+    and the number of matrices of its first argument to
+    ``count.matrices[key]`` per call."""
+    def wrapper(a, *args, **kwargs):
+        count[key] += 1
+        count.matrices[key] += math.prod(np.shape(a)[:-2])
+        return fn(a, *args, **kwargs)
+    return wrapper
+
+
 def count_lapack(monkeypatch, names=LAPACK):
-    """A Counter of the calls of the tensors boundary's routines
-    ``names``, keyed by name, filled while the test runs."""
+    """A FactorizationCount of the calls of the tensors boundary's routines
+    ``names`` and of the matrices they factorized, keyed by name, filled
+    while the test runs."""
     from logstrain import tensors
-    count = Counter()
+    count = FactorizationCount()
     for name in names:
-        patch_everywhere(monkeypatch, f"_{name}",
-                         counting(count, name, getattr(tensors, f"_{name}")))
+        patch_everywhere(monkeypatch, f"_{name}", counting_matrices(
+            count, name, getattr(tensors, f"_{name}")))
     return count

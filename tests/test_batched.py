@@ -22,8 +22,8 @@ from logstrain.tensors import (_fro_norms, _inners, _mat_pows, cofactor,
 from logstrain.verify import (converged_path_work, diagonal_path,
                               dilation_shear_cycle, random_rotation)
 
-from conftest import (count_lapack, counting, rotation_from_normals,
-                      spd_from_draws)
+from conftest import (count_lapack, counting_matrices,
+                      rotation_from_normals, spd_from_draws)
 
 M = Moduli.from_g_lam(1.0, 0.5)
 TENSOR_LAWS = [t for t in laws.LAW_TAGS if laws._LAWS[t].strain is not None]
@@ -75,13 +75,14 @@ def test_pk1_takes_one_svd_and_no_eigh(rng, monkeypatch):
         # every stress at a deformation: PK1 of a stack and the CLI's stress
         # state take one SVD; the simple glide, whose principal stretches
         # are known in closed form, takes none
-        for stress, svds in ((lambda: laws.pk1_for_law(law, fs, M), 1),
-                             (lambda: laws._stress_state(law, fs[1], M), 1),
-                             (lambda: laws.simple_shear_sigma12(law, 0.7, M),
-                              0)):
+        for stress, svds, matrices in (
+                (lambda: laws.pk1_for_law(law, fs, M), 1, len(fs)),
+                (lambda: laws._stress_state(law, fs[1], M), 1, 1),
+                (lambda: laws.simple_shear_sigma12(law, 0.7, M), 0, 0)):
             calls.clear()
             stress()
             assert calls == Counter(svd=svds), law
+            assert calls.matrices == Counter(svd=matrices), law
 
 
 def test_pk1_keeps_leading_shape(rng):
@@ -228,27 +229,78 @@ def test_many_powers_raise_the_first_failing_calls_error():
     assert str(alone.value).endswith("at index 1")
 
 
+def test_many_powers_raise_an_overflow_as_the_calls_do():
+    # the first failing call decides, an overflow before a later floor, and
+    # within one call the floor before an overflow
+    good, huge = np.eye(3)[None] * 2.0, np.diag([1e200, 1.0, 1.0])
+    singular = np.diag([1.0, 1.0, 0.0])
+    for pairs in ([(good, 0.5), (np.stack([good[0], huge]), 2.0),
+                   (singular, 0.5)],
+                  [(good, -1), (np.stack([huge, -huge]), 1.5)],
+                  [(huge, 3), (good, 2.0)]):
+        with pytest.raises(LogstrainError) as alone:
+            for a, r in pairs:
+                mat_pow(a, r)
+        with pytest.raises(LogstrainError) as batched:
+            _mat_pows(pairs)
+        assert type(batched.value) is type(alone.value)
+        assert str(batched.value) == str(alone.value)
+
+
 def _count_factorizations(monkeypatch):
     # eigh at the tensors boundary; qr, which verify._draw calls as one
     # stacked np.linalg.qr, in numpy
     calls = count_lapack(monkeypatch, ("eigh",))
     monkeypatch.setattr(np.linalg, "qr",
-                        counting(calls, "qr", np.linalg.qr))
+                        counting_matrices(calls, "qr", np.linalg.qr))
     return calls
 
 
-@pytest.mark.parametrize("block, eigh", [
-    (lambda: verify.check_axioms("becker", M, samples=64, seed=1), 3),
-    (lambda: verify.check_axioms("hooke-biot", M, samples=64, seed=1), 1),
+@pytest.mark.parametrize("block, eigh, matrices", [
+    (lambda: verify.check_axioms("becker", M, samples=64, seed=1), 3,
+     Counter(eigh=705 + 128 + 64, qr=7 * 64)),
+    (lambda: verify.check_axioms("hooke-biot", M, samples=64, seed=1), 1,
+     Counter(eigh=128, qr=6 * 64)),
     (lambda: verify.hill_convexity_probe(Moduli.from_g_lam(1.0, 0.0),
-                                         samples=64, seed=1), 3)])
-def test_each_block_is_one_batch(monkeypatch, block, eigh):
-    # one QR for every rotation; the becker axioms take one spectrum for
-    # the powers, one for the law and one for becker_inverse; the probes
-    # one for mat_exp and one per energy call
+                                         samples=64, seed=1), 2,
+     Counter(eigh=192 + 384, qr=4 * 64))],
+    ids=["becker-axioms", "hooke-biot-axioms", "hill-probes"])
+def test_each_block_is_one_batch(monkeypatch, block, eigh, matrices):
+    # one QR for every rotation; the becker axioms take one spectrum of
+    # their 705 stretches (the power bases among them), one of the 128
+    # powers and one of the 64 stresses becker_inverse inverts; hooke-biot
+    # one of its power bases; the probes one of their 3 x 64 log-domain
+    # matrices for mat_exp and one of those exponentials and their 3 x 64
+    # SPD matrices for the energies of both
     calls = _count_factorizations(monkeypatch)
     block()
     assert calls == Counter(eigh=eigh, qr=1)
+    assert calls.matrices == matrices
+
+
+# per configuration of the benchmark's check-suite workload, one suite at
+# samples 64, seed 1: its eigh calls, and the matrices of its one qr call
+# and of its eigh calls.  A becker suite decomposes, besides the axiom
+# block, the monotonicity pairs (2, and 128 at lam = 0), the ordered-force
+# stretches (64) and the ladder stretches (6) in its first round; then the
+# two Baker-Ericksen stretches, and at lam = 0 the probes (192 + 384) and
+# the open path's two ends, one call each.
+_SUITE_BUDGETS = {
+    ("becker", 0.0): (9, 896, 905 + 128 + 64 + 2 + 576 + 2),
+    ("becker", 0.5): (5, 512, 777 + 128 + 64 + 2),
+    ("becker", 25.0): (5, 512, 777 + 128 + 64 + 2),
+    ("hencky-kirchhoff", 0.5): (3, 448, 705 + 128 + 64),
+    ("hooke-biot", 0.5): (1, 384, 128),
+}
+
+
+@pytest.mark.parametrize("law, lam", list(_SUITE_BUDGETS))
+def test_suite_is_one_batch(monkeypatch, law, lam):
+    eigh, qr_matrices, eigh_matrices = _SUITE_BUDGETS[law, lam]
+    calls = _count_factorizations(monkeypatch)
+    verify.suite(law, Moduli.from_g_lam(1.0, lam), samples=64, seed=1)
+    assert calls == Counter(eigh=eigh, qr=1)
+    assert calls.matrices == Counter(eigh=eigh_matrices, qr=qr_matrices)
 
 
 def test_stacked_norm_and_inner_equal_the_one_matrix_ones(rng):
@@ -361,6 +413,66 @@ def test_seeded_suite_reports_are_pinned(law, lam):
         law, Moduli.from_g_lam(1.0, lam), samples=64, seed=9)))
     assert hashlib.sha256(text.encode()).hexdigest() \
         == _SUITE_DIGESTS[law, lam]
+
+
+# the same configurations at samples 1 and 5, seed 10: a batch of one
+# sample, and one in which power_law's five exponents each take one matrix
+_SMALL_SUITE_DIGESTS = {
+    ("becker", 0.0, 1): "b8946edfdf101c41d9e22793c77f2674"
+                        "885d07197709e52e12e4a55fd666274a",
+    ("becker", 0.5, 1): "f3104eb25b4c2b94a826a05b8bab9a36"
+                        "cc9e87a323068a88530b012e71e87cf3",
+    ("becker", 25.0, 1): "fd32c217252ec6c3d2b283d9d3cb8f41"
+                         "fb6d82dbf6d5392131e40c01c0102d7f",
+    ("hencky-kirchhoff", 0.5, 1): "b9e76396145816b7f15335186db3eb7c"
+                                  "dbd33d979eedcd4d914d03157856ef33",
+    ("hooke-biot", 0.5, 1): "e4eef5e62aecc2a344fcfad759532b4e"
+                            "0a9df1fd5be7dd9a1f37b73f0ef1eb76",
+    ("becker", 0.0, 5): "32d8b5de2c9dbef0fdc1502c0001d5ab"
+                        "a2db9a21037d3b674b96c42ecaf21c78",
+    ("becker", 0.5, 5): "cd333139e63a8936248d0468c35c42ce"
+                        "bde6cd53a415d646b422360fbf519906",
+    ("becker", 25.0, 5): "7318c5a4adfdd6d7522f4b97d6ba4f58"
+                         "1d7fb090c3ba41405b468e559b4377c3",
+    ("hencky-kirchhoff", 0.5, 5): "d20ea599d547e80d2d76ae8cd9c31ada"
+                                  "7f08012c60970efd52fc5c9b725e0e8b",
+    ("hooke-biot", 0.5, 5): "4b202451211d4a746e57b435ddcd6b99"
+                            "756741f479972a9acb76d1d5113f8357",
+}
+
+
+@pytest.mark.parametrize("law, lam, samples", list(_SMALL_SUITE_DIGESTS))
+def test_small_seeded_suite_reports_are_pinned(law, lam, samples):
+    text = "\n".join(verify.format_reports(verify.suite(
+        law, Moduli.from_g_lam(1.0, lam), samples=samples, seed=10)))
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == _SMALL_SUITE_DIGESTS[law, lam, samples]
+
+
+@pytest.mark.parametrize("law, lam", list(_SUITE_DIGESTS))
+@pytest.mark.parametrize("samples", [1, 2, 5, 16])
+def test_batched_suite_equals_each_check_alone(monkeypatch, law, lam,
+                                               samples):
+    # every report byte for byte as with the batch refused, when each check
+    # makes its own calls, one per stack, and each probe its own
+    m = Moduli.from_g_lam(1.0, lam)
+    batched = verify.format_reports(verify.suite(law, m, samples=samples,
+                                                 seed=4))
+    energy = verify.becker_energy_nu0
+
+    def probe_energy_alone(u, m):
+        if len(u) > 3 * samples:  # both probes' energies in one call
+            raise LogstrainError("refused")
+        return energy(u, m)
+
+    def refused(*args):
+        raise LogstrainError("refused")
+
+    monkeypatch.setattr(verify, "_answers", refused)
+    monkeypatch.setattr(verify, "becker_energy_nu0", probe_energy_alone)
+    alone = verify.format_reports(verify.suite(law, m, samples=samples,
+                                               seed=4))
+    assert alone == batched
 
 
 def _counting(f_of_t):

@@ -24,7 +24,7 @@ from logstrain.errors import (LambdaNotZero, LogstrainError,
 from logstrain.kinematics import simple_glide_F
 from logstrain.moduli import Moduli
 from logstrain.stresses import StressState, stress_convert
-from logstrain.tensors import fro_norm, inner, mat_pow
+from logstrain.tensors import dev3, fro_norm, inner, mat_pow, tr
 from logstrain.verify import random_rotation, random_spd
 
 from conftest import LAPACK, patch_everywhere, rel_err
@@ -177,6 +177,33 @@ def test_inverse_keeps_the_spherical_part_where_9k_overflows(lam):
                        atol=1e-15)
     t = becker_biot(np.diag([1.1, 1.0, 1.0]), m)
     assert np.array_equal(becker_inverse(np.stack([t, t]), m)[1], back)
+
+
+def test_inverses_keep_a_part_whose_modulus_product_overflows():
+    # 2 G overflows at G = 1e308 (K = 6.7e305, nu = -0.97), and dividing by
+    # it dropped the deviator: becker_inverse gave 1.01681 I; 9 K
+    # overflows at lam = 5e307, and linearized_inverse gave 0
+    mpmath = pytest.importorskip("mpmath")
+    m = Moduli.from_g_lam(1e308, -6.6e307)
+    loads = [2e305, -2e305, 1e305]
+    with mpmath.workdps(40):
+        g, k = mpmath.mpf(m.g), mpmath.mpf(m.k)
+        trace = sum(map(mpmath.mpf, loads))
+        expected = [float(mpmath.exp((x - trace / 3) / (2 * g)
+                                     + trace / (9 * k))) for x in loads]
+        k_huge = mpmath.mpf(Moduli.from_g_lam(1.0, 5e307).k)
+        spherical = float(mpmath.mpf(3e307) / (9 * k_huge))
+    back = becker_inverse(np.diag(loads), m)
+    np.testing.assert_allclose(back, np.diag(expected), rtol=1e-15, atol=0)
+    assert np.allclose(expected, [1.01765, 1.01562, 1.01715], rtol=1e-5)
+    back = linearized_inverse(1e307 * np.eye(3), Moduli.from_g_lam(1.0, 5e307))
+    np.testing.assert_allclose(back, spherical * np.eye(3), rtol=1e-15)
+    assert spherical == pytest.approx(1.0 / 15.0, rel=1e-15)
+    # a finite product keeps the one-division bits
+    sigma = np.array([[1.0, 0.3, -0.2], [0.3, -0.5, 0.1], [-0.2, 0.1, 0.25]])
+    assert np.array_equal(linearized_inverse(sigma, M),
+                          dev3(sigma) / (2.0 * M.g)
+                          + tr(sigma) / (9.0 * M.k) * np.eye(3))
 
 
 def test_coaxiality_of_stress_and_stretch(rng):

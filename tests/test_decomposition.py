@@ -131,6 +131,29 @@ def test_tables_total_product_form(rng):
     np.testing.assert_allclose(tab.recomposed, expected, rtol=1e-12)
 
 
+def test_tables_keep_loads_whose_modulus_product_overflows():
+    # 6 G overflows at G = 1e308 (K = 6.7e305, nu = -0.97), and dividing by
+    # it gave shear ratios (1, 1, 1)
+    mpmath = pytest.importorskip("mpmath")
+    m = Moduli.from_g_lam(1e308, -6.6e307)
+    loads = (3e306, -1e306, 5e305)
+    tab = becker_tables(StressTriple(*loads), m)
+    with mpmath.workdps(40):
+        g, k = mpmath.mpf(m.g), mpmath.mpf(m.k)
+        shears = [float(mpmath.exp(mpmath.mpf(x) / (6 * g))) for x in loads]
+        dilations = [float(mpmath.exp(mpmath.mpf(x) / (9 * k)))
+                     for x in loads]
+    np.testing.assert_allclose(tab.shear_ratios, shears, rtol=1e-15)
+    np.testing.assert_allclose(tab.dilations, dilations, rtol=1e-15)
+    assert np.allclose(shears, [1.00501, 0.99833, 1.00083], rtol=1e-5)
+    # a finite product keeps the one-division bits
+    tab = becker_tables(StressTriple(1.1, -0.4, 0.7), M)
+    assert tab.shear_ratios == tuple(math.exp(x / (6.0 * M.g))
+                                     for x in (1.1, -0.4, 0.7))
+    assert tab.dilations == tuple(math.exp(x / (9.0 * M.k))
+                                  for x in (1.1, -0.4, 0.7))
+
+
 def test_tables_require_physical_moduli():
     with pytest.raises(InvalidModuli):
         becker_tables(StressTriple(1.0, 0.0, 0.0),

@@ -30,9 +30,10 @@ M = Moduli.from_g_lam(1.0, 0.5)
 
 @pytest.fixture
 def calls(monkeypatch):
-    """A Counter of ``_as_mats`` calls (key ``"validate"``) and of the
-    factorizations of the tensors boundary (``_svd`` under ``"svd"``, and
-    so on), filled while the test runs."""
+    """A FactorizationCount of ``_as_mats`` calls (key ``"validate"``)
+    and of the factorizations of the tensors boundary (``_svd`` under
+    ``"svd"``, and so on) and their matrices, filled while the test
+    runs."""
     count = count_lapack(monkeypatch)
     patch_everywhere(monkeypatch, "_as_mats",
                      counting(count, "validate", tensors._as_mats))
@@ -55,12 +56,14 @@ def test_pk1_call_budget(law, rng, calls):
     pk1_for_law(law, f, M)
     left = laws._LAWS[law].stretch == "v"  # P = tau @ inv(F).T
     assert calls == Counter(validate=1, svd=1, det=1, inv=int(left))
+    assert calls.matrices == Counter(svd=1, det=1, inv=int(left))
 
 
 def test_becker_biot_call_budget(rng, calls):
     _, u = _point(rng, calls)
     becker_biot(u, M)
     assert calls == Counter(validate=1, eigh=1)
+    assert calls.matrices == Counter(eigh=1)
 
 
 def test_becker_inverse_call_budget(rng, calls):
@@ -69,6 +72,7 @@ def test_becker_inverse_call_budget(rng, calls):
     calls.clear()
     becker_inverse(t, M)
     assert calls == Counter(validate=1, eigh=1)
+    assert calls.matrices == Counter(eigh=1)
 
 
 @pytest.mark.parametrize("source, target",
@@ -79,8 +83,10 @@ def test_stress_convert_call_budget(source, target, rng, calls):
     calls.clear()
     stress_convert(state, target)
     assert calls["validate"] == 0
-    assert calls["det"] == 1
-    assert calls["svd"] == int("biot" in (source, target))  # R of F = R U
+    assert calls["det"] == calls.matrices["det"] == 1
+    # R of F = R U
+    assert calls["svd"] == calls.matrices["svd"] \
+        == int("biot" in (source, target))
 
 
 def test_material_point_call_budget(rng, calls):
@@ -90,6 +96,7 @@ def test_material_point_call_budget(rng, calls):
     stress_convert(StressState(p, "pk1", f), "cauchy")
     becker_inverse(becker_biot(u, M), M)
     assert calls == Counter(validate=5, svd=1, det=2, eigh=2)
+    assert calls.matrices == Counter(svd=1, det=2, eigh=2)
 
 
 def test_finite_entries_whose_sum_overflows_are_accepted():

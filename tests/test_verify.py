@@ -9,7 +9,8 @@ import pytest
 
 from logstrain import verify
 from logstrain.constitutive import (_LAWS, becker_energy_nu0,
-                                    becker_inverse, pk1_for_law,
+                                    becker_inverse, becker_pk2,
+                                    linearized_law, pk1_for_law,
                                     stretch_stress)
 from logstrain.errors import LogstrainError, NotPositiveDefinite
 from logstrain.moduli import Moduli
@@ -767,6 +768,35 @@ def test_pk2_ladder_bounded(rng):
     eps = 0.5 * (eps + eps.T)
     eps /= np.linalg.norm(eps)
     assert pk2_expansion_check(M, eps).passed
+
+
+@pytest.mark.parametrize("g", [4e307, 8e307])
+def test_ladder_ratios_that_overflow_are_scaled(g):
+    # at lam = 0 the residuals are of order G h**2, so residual / h**2
+    # overflows; the residuals are divided by one power of two first, and
+    # the ladder passes as it does at G = 1e307
+    report = pk2_expansion_check(Moduli.from_g_lam(g, 0.0), verify._LADDER_EPS)
+    assert report.passed
+    scale = report.witness["ratio_scale"]
+    assert scale == math.ldexp(1.0, math.frexp(scale)[1] - 1) > 1.0
+    ratios = list(report.witness["ratios"].values())
+    assert all(math.isinf(r * scale) for r in ratios)
+    assert max(ratios) / min(ratios) < verify.LADDER_FACTOR
+
+
+def test_finite_ladder_ratios_keep_their_bits():
+    # G = 1e307: ratios of 4.95e307, finite, so no scale and the plain
+    # residual / h**2
+    m = Moduli.from_g_lam(1e307, 0.0)
+    eps = verify._LADDER_EPS
+    report = pk2_expansion_check(m, eps)
+    assert report.passed and "ratio_scale" not in report.witness
+    for h, ratio in zip(verify.LADDER_H, report.witness["ratios"].values()):
+        u = np.eye(3) + h * eps
+        e = 0.5 * (u @ u - np.eye(3))
+        residual = fro_norm(becker_pk2(u, m) - linearized_law(e, m))
+        assert ratio == residual / h ** 2
+    assert 4.9e307 < min(report.witness["ratios"].values())
 
 
 @pytest.mark.parametrize("check", [linearization_order_check,
