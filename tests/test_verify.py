@@ -297,6 +297,45 @@ def test_m_condition_rejects_equal_arguments():
         m_condition_check(u, u, M)
 
 
+_U1 = np.array([np.diag([2.0, 1.0, 0.5]), np.diag([1.5, 1.2, 0.8])])
+_U2 = np.array([np.eye(3), np.diag([0.9, 1.1, 1.3])])
+
+
+def _with(stack, k, member):
+    out = stack.copy()
+    out[k] = member
+    return out
+
+
+@pytest.mark.parametrize("u1, u2, m, error, message", [
+    # each message names the member of u1 or of u2 by its own index
+    (_with(_U1, 1, np.diag([1.0, math.nan, 1.0])), _U2, M, ValueError,
+     "u has non-finite entries at index 1"),
+    (_U1, _with(_U2, 1, np.diag([1.0, -1.0, 2.0])), M, NotPositiveDefinite,
+     "mat_log: min eigenvalue -1 <= tolerance 2e-12 at index 1"),
+    (_with(_U1, 1, np.diag([1e5, 1.0, 1.0])), _U2,
+     Moduli.from_g_lam(1e307, 0.5), LogstrainError,
+     "law 'becker': stress is not finite at G = 1e+307, lam = 0.5 "
+     "at index 1"),
+    (_U1, _with(_U2, 1, np.diag([1e5, 1.0, 1.0])),
+     Moduli.from_g_lam(1e307, 0.5), LogstrainError,
+     "law 'becker': stress is not finite at G = 1e+307, lam = 0.5 "
+     "at index 1"),
+    # u1's stresses are evaluated before u2's, whatever fails in u2
+    (_with(_U1, 0, np.diag([1.0, -1.0, 2.0])),
+     _with(_U2, 1, np.diag([1.0, 1.0, math.inf])), M, NotPositiveDefinite,
+     "mat_log: min eigenvalue -1 <= tolerance 2e-12 at index 0"),
+])
+def test_m_condition_errors_name_their_own_member(u1, u2, m, error,
+                                                  message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as err:
+            m_condition_check(u1, u2, m)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Baker-Ericksen and ordered forces
 
@@ -807,6 +846,17 @@ def test_ladder_rejects_non_finite_strain(check):
     eps[0, 1] = math.nan
     with pytest.raises(ValueError, match="^eps has non-finite entries$"):
         check(M, eps)
+
+
+@pytest.mark.parametrize("check", [linearization_order_check,
+                                   pk2_expansion_check])
+def test_ladder_raises_for_a_stretch_below_the_floor(check):
+    # I + 1e-2 eps has the eigenvalue -0.5; the first stretch of the
+    # ladder raises, as becker_biot does at it
+    with pytest.raises(NotPositiveDefinite) as err:
+        check(M, np.diag([-150.0, 1.0, 0.5]))
+    assert str(err.value) == ("mat_log: min eigenvalue -0.5 <= tolerance "
+                              "1.01e-12")
 
 
 # ---------------------------------------------------------------------------
