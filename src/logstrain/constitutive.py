@@ -35,9 +35,10 @@ from .kinematics import _glide_stretches, _jacobian
 from .moduli import Moduli
 from .stresses import _checked_state
 from .tensors import (_EYE, _as_mats, _as_real, _at, _closed_form, _det,
-                      _finite_values, _first, _first_nonfinite, _inners, _inv,
-                      _over, _require_floor, _solve, _spectrum, _svd, _trace,
-                      as_mat3, dev3, inner, mat_log, sym_part, tr)
+                      _finite_values, _first, _first_nonfinite,
+                      _from_spectrum, _inners, _inv, _over, _require_floor,
+                      _solve, _spectrum, _svd, _trace, as_mat3, dev3, inner,
+                      mat_log, sym_part, tr)
 
 __all__ = [
     "LawId",
@@ -241,14 +242,31 @@ def becker_energy_nu0(u, m: Moduli):
         raise LambdaNotZero(
             f"energy defined only for lambda = 0, got {m.lam}")
     u = sym_part(_as_mats(u, "u"))
-    w = mat_log(u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        energy = 2.0 * m.g * (_inners(u, w - _EYE) + 3.0)
+    vals, frame = _spectrum(sym_part(u))
+    energy = _energy_nu0(u, vals, frame, m)
+    _require_energy(vals, energy, m, u.shape[:-2])
+    return energy if u.ndim > 2 else float(energy)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _energy_nu0(u, vals, frame, m):
+    """The lam = 0 energy at the symmetric stretches u whose
+    :func:`tensors._spectrum` is ``(vals, frame)``, quietly and untested:
+    not finite where :func:`_require_energy` raises."""
+    log_u = _from_spectrum(frame, np.log(vals))  # mat_log's bits
+    return 2.0 * m.g * (_inners(u, log_u - _EYE) + 3.0)
+
+
+def _require_energy(vals, energy, m, shape):
+    """The errors of :func:`becker_energy_nu0` at stretches of spectra
+    vals, shape (..., 3), and energies ``energy``, naming members of a
+    stack of leading shape ``shape``: the floor of :func:`mat_log`, then
+    an energy that is not finite."""
+    _require_floor(vals, "mat_log", "eigenvalue", shape)
     bad = _first(~np.isfinite(energy))
     if bad is not None:
         raise LogstrainError(f"becker_energy_nu0: energy is not finite at "
-                             f"G = {m.g:.6g}{_at(bad, u.shape[:-2])}")
-    return energy if u.ndim > 2 else float(energy)
+                             f"G = {m.g:.6g}{_at(bad, shape)}")
 
 
 @_closed_form
@@ -297,16 +315,20 @@ def incompressible_uniaxial_hyper(lam_stretch, m: Moduli):
 # ---------------------------------------------------------------------------
 # linearized (infinitesimal) law
 
+@np.errstate(over="ignore", invalid="ignore")
 def linearized_law(eps, m: Moduli):
-    """Infinitesimal isotropic law 2 G eps + lam tr(eps) I."""
-    return _lame(sym_part(as_mat3(eps, "eps")), m)
+    """Infinitesimal isotropic law 2 G eps + lam tr(eps) I.
+
+    A stress that is not finite raises :class:`LogstrainError`."""
+    return _finite("linearized", _lame(sym_part(as_mat3(eps, "eps")), m), m)
 
 
 def _lame(e, m):
     # the isotropic linear law, shared by the finite-Hooke laws; e has
     # shape (3, 3) or (..., 3, 3).  At lam = 0 the spherical term is left
-    # out, so that an overflowing trace cannot spoil a finite stress
-    t = 2.0 * m.g * e
+    # out, so that an overflowing trace cannot spoil a finite stress.  2 G e
+    # is formed as 2 (G e): finite wherever 2 G e is, also where 2 G is not
+    t = 2.0 * (m.g * e)
     if m.lam != 0.0:
         t = t + m.lam * _trace(e) * _EYE
     return t
@@ -317,13 +339,14 @@ def _lame_principal(e, m):
     # term left out at lam = 0 as in _lame; one spectrum on Python floats,
     # in the order of the stack's numpy arithmetic
     if e.ndim > 1:
-        t = 2.0 * m.g * e
+        t = 2.0 * (m.g * e)
         return t + m.lam * _sum3(e) if m.lam != 0.0 else t
-    c, (e0, e1, e2) = 2.0 * m.g, e.tolist()
+    g, (e0, e1, e2) = m.g, e.tolist()
+    t0, t1, t2 = 2.0 * (g * e0), 2.0 * (g * e1), 2.0 * (g * e2)
     if m.lam == 0.0:
-        return np.array([c * e0, c * e1, c * e2])
+        return np.array([t0, t1, t2])
     s = m.lam * _sum3(e)
-    return np.array([c * e0 + s, c * e1 + s, c * e2 + s])
+    return np.array([t0 + s, t1 + s, t2 + s])
 
 
 def _sum3(v):
@@ -336,13 +359,16 @@ def _sum3(v):
     return v.sum(axis=-1, keepdims=True)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def linearized_inverse(sigma, m: Moduli):
     """Inverse of the infinitesimal law: dev3(s)/(2G) + tr(s)/(9K) I.
 
     Where 2 G or 9 K overflows, its part is divided by the factor and by
-    the modulus in turn, so that it is not lost."""
+    the modulus in turn, so that it is not lost.  A strain that is not
+    finite raises :class:`LogstrainError`."""
     sigma = sym_part(as_mat3(sigma, "sigma"))
-    return _over(dev3(sigma), 2.0, m.g) + _over(tr(sigma), 9.0, m.k) * _EYE
+    return _finite("linearized", _over(dev3(sigma), 2.0, m.g)
+                   + _over(tr(sigma), 9.0, m.k) * _EYE, m, "strain")
 
 
 # ---------------------------------------------------------------------------
@@ -498,17 +524,17 @@ def _tensor_row(law):
     return row
 
 
-def _finite(tag, t, m):
-    """t, a (..., 3, 3) stress of law ``tag``, if it is finite; else
-    :class:`LogstrainError` naming the law, its moduli (if given) and the
-    first bad member.  The stress dispatches run with numpy's overflow and
-    invalid-value warnings off, so an overflow on the way raises here,
-    quietly."""
+def _finite(tag, t, m, quantity="stress"):
+    """t, a (..., 3, 3) stress (or other ``quantity``) of law ``tag``, if
+    it is finite; else :class:`LogstrainError` naming the law, its moduli
+    (if given) and the first bad member.  The stress dispatches run with
+    numpy's overflow and invalid-value warnings off, so an overflow on the
+    way raises here, quietly."""
     i = _first_nonfinite(t)
     if i is None:
         return t
     moduli = "" if m is None else f" at G = {m.g:.6g}, lam = {m.lam:.6g}"
-    raise LogstrainError(f"law {tag!r}: stress is not finite{moduli}"
+    raise LogstrainError(f"law {tag!r}: {quantity} is not finite{moduli}"
                          f"{_at(i, t.shape[:-2])}")
 
 
@@ -518,7 +544,7 @@ def _lame_on_frame(frame, e, m):
     frame.T + lam sum_j e_j I``.  The spherical part is added to the
     diagonal after the frame product, so that its roundoff stays there,
     and left out at lam = 0, as in :func:`_lame`."""
-    scaled = 2.0 * m.g * e
+    scaled = 2.0 * (m.g * e)
     t = sym_part((frame * (scaled if e.ndim == 1 else scaled[..., None, :]))
                  @ frame.swapaxes(-1, -2))
     if m.lam != 0.0:
@@ -536,14 +562,7 @@ def _tensor_law(row, a, m):
     a = sym_part(_as_mats(a, row.stretch))
     if row.strain is _linear_strain:
         return _finite(row.tag, _lame(a - _EYE, m), m)
-    return _law_on_spectrum(row, *_spectrum(a), m)
-
-
-def _law_on_spectrum(row, vals, frame, m):
-    """The stress of a logarithmic-strain row at the stretches whose
-    :func:`tensors._spectrum` is ``(vals, frame)``, with the bits of its
-    tensor map at those stretches.  Callers run it without numpy's
-    overflow and invalid-value warnings."""
+    vals, frame = _spectrum(a)
     return _finite(row.tag,
                    _lame_on_frame(frame, row.strain.of_stretch(vals), m), m)
 

@@ -389,28 +389,43 @@ def eig_sym(a):
     return Spectral3(eigenvalues=vals, frame=frame)
 
 
+def _below_floor(vals, signed):
+    """Whether each spectrum of vals, shape (..., 3), is at or below the
+    floor of :func:`_require_floor`: its least eigenvalue (where
+    ``signed``, a bool or an array of them per spectrum) or least
+    |eigenvalue| at most ``PD_REL_TOL * max(1, max|eigenvalue|)``.  NaN is
+    never below it.  The three columns are compared elementwise, which
+    gives the values of a reduction over the last axis, faster."""
+    def least(x):
+        return np.minimum(np.minimum(x[..., 0], x[..., 1]), x[..., 2])
+
+    mags = np.abs(vals)
+    biggest = np.maximum(np.maximum(mags[..., 0], mags[..., 1]), mags[..., 2])
+    low = (np.where(signed, least(vals), least(mags)) if np.ndim(signed)
+           else least(vals if signed else mags))
+    return low <= PD_REL_TOL * np.maximum(biggest, 1.0)
+
+
 def _require_floor(vals, name, floor_on, shape):
     """Raise :class:`NotPositiveDefinite` for the first spectrum of vals,
     shape (..., 3), whose least eigenvalue (``floor_on == "eigenvalue"``)
     or least |eigenvalue| is at most ``PD_REL_TOL * max(1, max|eigenvalue|)``;
-    ``shape`` is the leading shape of the stack it names."""
-    if vals.ndim == 1:  # one spectrum: the same test on Python floats
-        ev = vals.tolist()
-        mags = list(map(abs, ev))
-        least = min(ev if floor_on == "eigenvalue" else mags)
-        floor = PD_REL_TOL * max(1.0, max(mags))
-        k = 0 if least <= floor else None
-    else:
-        mags = np.abs(vals)
-        least = (vals if floor_on == "eigenvalue" else mags).min(axis=-1)
-        floor = PD_REL_TOL * np.maximum(mags.max(axis=-1), 1.0)
-        k = _first(least <= floor)
-        if k is not None:
-            least, floor = least.flat[k], floor.flat[k]
-    if k is not None:
-        raise NotPositiveDefinite(
-            f"{name}: min {floor_on} {float(least):.6g} <= "
-            f"tolerance {float(floor):.6g}{_at(k, shape)}")
+    ``shape`` is the leading shape of the stack it names.  A stack is
+    tested by :func:`_below_floor`; the message's numbers, and the test of
+    one spectrum, come from Python floats."""
+    k = 0
+    if vals.ndim > 1:
+        k = _first(_below_floor(vals, floor_on == "eigenvalue"))
+        if k is None:
+            return
+        vals = vals.reshape(-1, 3)[k]
+    ev = vals.tolist()
+    mags = list(map(abs, ev))
+    least = min(ev if floor_on == "eigenvalue" else mags)
+    floor = PD_REL_TOL * max(1.0, max(mags))
+    if least <= floor:
+        raise NotPositiveDefinite(f"{name}: min {floor_on} {least:.6g} <= "
+                                  f"tolerance {floor:.6g}{_at(k, shape)}")
 
 
 def _mat_fn(a, f, name, floor_on):
@@ -420,10 +435,8 @@ def _mat_fn(a, f, name, floor_on):
     m = _as_mats(a, "a")
     shape = m.shape[:-2]
     vals, frame = _spectrum(sym_part(m))
-    if floor_on is not None:
-        _require_floor(vals, name, floor_on, shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _finite_values(f, vals, name, shape)
+        out = _finite_values(f, vals, name, shape, floor_on)
     return _from_spectrum(frame, out)
 
 
@@ -433,11 +446,14 @@ def _from_spectrum(frame, vals):
     return sym_part((frame * vals[..., None, :]) @ frame.swapaxes(-1, -2))
 
 
-def _finite_values(f, vals, name, shape):
-    """``f(vals)`` on the (..., 3) spectra ``vals``, one call; a value that
-    is not finite raises :class:`LogstrainError` naming its eigenvalue and
-    member.  Callers run it without numpy's overflow and invalid-value
-    warnings."""
+def _finite_values(f, vals, name, shape, floor_on=None):
+    """``f(vals)`` on the (..., 3) spectra ``vals``, one call, after the
+    floor test of :func:`_require_floor` on ``floor_on`` where that is
+    given; a value that is not finite raises :class:`LogstrainError`
+    naming its eigenvalue and member.  Callers run it without numpy's
+    overflow and invalid-value warnings."""
+    if floor_on is not None:
+        _require_floor(vals, name, floor_on, shape)
     out = f(vals)
     if _sum_is_finite(out, core=1):  # the common case, in one reduction
         return out
@@ -506,66 +522,6 @@ def _pow_rule(r):
     floor_on = ("eigenvalue" if r != int(r)
                 else "|eigenvalue|" if r < 0 else None)
     return (lambda x: np.power(x, r)), floor_on
-
-
-def _mat_pows(pairs):
-    """``[mat_pow(a, r) for a, r in pairs]`` from one spectral
-    decomposition of all the stacks ``a``, with the bits and the first
-    error of those calls (see :func:`_pows_of_spectrum`)."""
-    for _, r in pairs:
-        _pow_rule(r)  # every exponent is checked first, then every matrix
-    mats = [_as_mats(a, "a") for a, _ in pairs]
-    vals, frame = _spectrum(sym_part(_concat(mats)))
-    pieces, stop = [], 0
-    for a, (_, r) in zip(mats, pairs):
-        start, stop = stop, stop + math.prod(a.shape[:-2])
-        pieces.append((np.arange(start, stop), r, a.shape[:-2]))
-    return _split_like(_pows_of_spectrum(vals, frame, pieces), mats)
-
-
-def _pows_of_spectrum(vals, frame, pieces):
-    """Real powers of matrices already decomposed: ``vals`` and ``frame``
-    are a (n, 3) and (n, 3, 3) :func:`_spectrum` result, and each piece
-    ``(rows, r, shape)`` stands for the call ``mat_pow(a, r)`` on the
-    matrices of those rows, a stack of leading shape ``shape``, which its
-    messages name members by.  Returns one (k, 3, 3) stack, the rows of
-    every piece in turn.
-
-    Each power is applied to its own contiguous slice of the eigenvalues
-    with its exponent as a Python float, so each matrix has the bits of
-    its :func:`mat_pow` call.  The floor and overflow tests run once on
-    the whole stack; only where one fails do the pieces' own tests run in
-    turn, so the :class:`LogstrainError` raised is the one the first
-    failing call raises.
-    """
-    rules = [_pow_rule(r) for _, r, _ in pieces]
-    counts = [len(piece[0]) for piece in pieces]
-    rows = np.concatenate([piece[0] for piece in pieces])
-    vals, frame = vals[rows], frame[rows]
-    bounds = np.cumsum([0] + counts).tolist()
-    out = np.empty_like(vals)
-    # quietly: a row below its floor may divide by zero here, and raises
-    # below
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for (power, _), start, stop in zip(rules, bounds, bounds[1:]):
-            out[start:stop] = power(vals[start:stop])
-    # the floor of _require_floor, each row on its piece's eigenvalue or
-    # |eigenvalue|, or untested
-    kinds = [floor_on for _, floor_on in rules]
-    mags = np.abs(vals)
-    least = np.where(np.repeat([k == "eigenvalue" for k in kinds], counts),
-                     vals.min(axis=-1), mags.min(axis=-1))
-    low = (np.repeat([k is not None for k in kinds], counts)
-           & (least <= PD_REL_TOL * np.maximum(mags.max(axis=-1), 1.0)))
-    if low.any() or not _sum_is_finite(out, core=1):
-        for (power, floor_on), (_, _, shape), start, stop in zip(
-                rules, pieces, bounds, bounds[1:]):
-            piece = vals[start:stop].reshape(shape + (3,))
-            if floor_on is not None:
-                _require_floor(piece, "mat_pow", floor_on, shape)
-            with np.errstate(over="ignore", invalid="ignore"):
-                _finite_values(power, piece, "mat_pow", shape)
-    return _from_spectrum(frame, out)
 
 
 def _concat(stacks):

@@ -23,10 +23,13 @@ one spectrum of the powers; and the law is called once, on the spectra
 of both rounds.  Each check then judges its own slice, with the bits it
 would get alone.  A check reports the first worst sample, or for a search
 the first flagged one.  A NaN or infinite residual counts as the worst,
-so a check whose residual cannot be evaluated fails.  Where the batch
-raises :class:`LogstrainError` (a stress or an energy that overflows),
-each check runs again alone, one call per stack in its own order, so
-each error names the member of the call that raised it.  A check whose
+so a check whose residual cannot be evaluated fails.  The batch raises
+nothing for a member: its floor and finiteness tests run once on the
+whole batch, as masks, and where one fails, a check's read of its slice
+runs its members' own tests in the order of their own calls, so the
+error it raises (a stress or an energy that overflows) names the member
+as the check's own call would.  The batch is evaluated inside the first
+report that reads it, and nothing is evaluated twice.  A check whose
 evaluation raises decides nothing: its report comes out not as expected,
 whichever way the check was expected to go, with the message as its
 witness.
@@ -47,17 +50,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constitutive import (_LAWS, _finite, _lam_is_zero, _law_on_spectrum,
-                           _log_strain, _pk2_of_biot, _tensor_law,
-                           _tensor_row, becker_biot, becker_energy_nu0,
+from .constitutive import (_LAWS, _energy_nu0, _finite, _lam_is_zero, _lame,
+                           _lame_on_frame, _log_strain, _pk2_of_biot,
+                           _require_energy, _tensor_row, becker_energy_nu0,
                            becker_inverse, linearized_law, pk1_for_law)
 from .errors import LogstrainError
 from .moduli import Moduli
-from .tensors import (_as_mats, _as_real, _at, _closed_form, _concat, _det,
-                      _diag, _first, _first_nonfinite, _fro_norms, _inners,
-                      _pow2_scale, _pows_of_spectrum, _split_like,
-                      _spectrum, as_mat3, eig_sym, fro_norm, mat_exp,
-                      mat_pow, sym_part)
+from .tensors import (_EYE, _as_mats, _as_real, _at, _below_floor,
+                      _closed_form, _concat, _det, _diag, _finite_values,
+                      _first, _first_nonfinite, _fro_norms, _from_spectrum,
+                      _inners, _pow2_scale, _pow_rule,
+                      _require_floor, _split_like, _spectrum, _sum_is_finite,
+                      as_mat3, eig_sym, fro_norm, sym_part)
 
 __all__ = [
     "CheckReport",
@@ -260,20 +264,6 @@ def _run(name, tolerance, evaluate, expected=True):
                        witness=witness, expected=expected)
 
 
-def _stacked(fn, stacks):
-    """``[fn(a) for a in stacks]`` from one call of ``fn`` on the stacks
-    concatenated, for an ``fn`` that gives each matrix of a stack the bits
-    it gets alone; a (3, 3) member of ``stacks`` is one matrix.  Where
-    that call raises :class:`LogstrainError` or ``ValueError``, the calls
-    are made one by one, so that the error raised is the one of the first
-    call that raises."""
-    try:
-        out = fn(_concat(stacks))
-    except (LogstrainError, ValueError):
-        return [fn(a) for a in stacks]
-    return _split_like(out, stacks)
-
-
 def _worst(residuals, witness_of, floor=0.0):
     """``(worst, witness)`` over a batch of samples.
 
@@ -302,19 +292,13 @@ def _worst(residuals, witness_of, floor=0.0):
 # _Eigenvalues, answered with the eigenvalues; it then returns its outcome.
 
 class _Power(NamedTuple):
-    """The stretches ``a**r`` of a (n, 3, 3) stack ``a``: matrix i raised
-    to ``exponents[i % len(exponents)]``."""
+    """The stretches ``a**r`` of a (..., 3, 3) stack ``a``: matrix i raised
+    to ``exponents[i % len(exponents)]``, each exponent's matrices the
+    call ``mat_pow(a[k::len(exponents)], r)`` (so with several exponents
+    ``a`` is one (n, 3, 3) stack)."""
 
     a: np.ndarray
     exponents: tuple
-
-    def alone(self):
-        # one mat_pow call per exponent, in turn, on its strided slice
-        n = len(self.exponents)
-        out = np.empty_like(self.a)
-        for k, r in enumerate(self.exponents[:len(self.a)]):
-            out[k::n] = mat_pow(self.a[k::n], r)
-        return out
 
 
 class _Eigenvalues(NamedTuple):
@@ -323,47 +307,44 @@ class _Eigenvalues(NamedTuple):
     a: np.ndarray
 
 
-def _result(check, answer):
-    """What the generator ``check`` returns once sent ``answer``."""
-    try:
-        check.send(answer)
-    except StopIteration as stop:
-        return stop.value
-
-
 def _count(a):
     """The number of matrices of a (3, 3) or (..., 3, 3) array."""
     return math.prod(np.shape(a)[:-2])
 
 
-def _alone(row, m, check):
-    """What ``check`` returns, each member of its request answered by its
-    own calls, in turn: one law call per stretch (after one ``mat_pow``
-    call per exponent of a :class:`_Power`), one spectrum per
-    :class:`_Eigenvalues`."""
-    answers = []
-    for x in next(check):
-        if isinstance(x, _Eigenvalues):
-            answers.append(_spectrum(sym_part(_as_mats(x.a, "u")))[0])
-        else:
-            answers.append(_tensor_law(
-                row, x.alone() if isinstance(x, _Power) else x, m))
-    return _result(check, answers)
+def _finite_or_eye(a):
+    """``(a, clean)`` for a (n, 3, 3) stack: ``clean`` when its sum is
+    finite; where not, each matrix with an entry that is not finite is
+    replaced by I, so that the stack can be decomposed."""
+    if _sum_is_finite(a):
+        return a, True
+    return np.where(np.isfinite(a).all(axis=(-2, -1))[:, None, None], a,
+                    _EYE), False
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _answers(row, m, requests):
-    """The answers to the requests of many checks, with the bits
-    :func:`_alone` gives each, from one call per kind and round.
+    """``read``, the answers to the requests of many checks: ``read(k)``
+    answers request k, each member with the bits of its own calls (one
+    law call per stretch, after one ``mat_pow`` call per exponent of a
+    :class:`_Power`, one spectrum per :class:`_Eigenvalues`), from one
+    call per kind and round.
 
     Round 1 is one spectrum of every stack the requests name as such, each
     once: the stretches (for a logarithmic law, whose stress is read from
     the spectrum), then the power bases and the eigenvalue requests.  The
-    powers are read from that spectrum, their floor and overflow tests run
-    once (:func:`tensors._pows_of_spectrum`), and round 2 is one spectrum
-    of the powers.  The law is then called once, on the spectra of the
-    stretches and of the powers, or for a finite-Hooke law on the
-    matrices.
+    powers are read from that spectrum, and round 2 is one spectrum of the
+    powers.  The law is then evaluated
+    once, on the spectra of the stretches and of the powers, or for a
+    finite-Hooke law on the matrices.
+
+    Nothing here raises for a member: a matrix with an entry that is not
+    finite is decomposed as I, and the tests of the inputs, of the floors
+    and of finiteness run once on the whole batch, as masks.  Where one
+    fails, ``read(k)`` first runs each member's own tests on its own
+    slice, in the order of its calls: the input, each exponent's
+    ``mat_pow`` in turn, then the law; so it raises the error of the
+    first of those calls that would raise.
     """
     members = [x for r in requests for x in r]
     plain = list({id(x): x for x in members
@@ -374,30 +355,71 @@ def _answers(row, m, requests):
     for x in members:
         if not isinstance(x, np.ndarray):
             first.setdefault(id(x.a), x.a)
-    stacks = list(first.values())
-    starts = dict(zip(first, np.cumsum([0] + list(map(_count, stacks)))
+    starts = dict(zip(first, np.cumsum([0] + list(map(_count, first.values())))
                       .tolist()))
-    vals, frame = _spectrum(sym_part(_as_mats(_concat(stacks))))
-    # the pieces of one exponent each, and where each power's matrices
-    # land among them, to put them back in sample order
-    pieces, order, done = [], [], 0
+    a, clean = _finite_or_eye(_concat(list(first.values())))
+    vals, frame = _spectrum(sym_part(a))
+    # the powers, in sample order: each exponent applied to a contiguous
+    # copy of its eigenvalues, with its exponent as a Python float, as its
+    # own mat_pow call applies it, and each row marked with the floor that
+    # call tests
+    rows = np.concatenate([np.arange(0)] + [
+        starts[id(x.a)] + np.arange(_count(x.a)) for x in powers])
+    pv, out = vals[rows], np.empty((len(rows), 3))
+    (signed, tested), done = np.zeros((2, len(rows)), bool), 0
     for x in powers:
-        n, k = len(x.a), len(x.exponents)
-        rows = [np.arange(j, n, k) for j in range(min(k, n))]
-        pieces += [(starts[id(x.a)] + i, r, i.shape)
-                   for i, r in zip(rows, x.exponents)]
-        order.append(done + np.argsort(np.concatenate(rows)))
+        n, k = _count(x.a), len(x.exponents)
+        for j, r in enumerate(x.exponents[:n]):
+            power, floor_on = _pow_rule(r)
+            piece = slice(done + j, done + n, k)
+            out[piece] = power(np.ascontiguousarray(pv[piece]))
+            signed[piece], tested[piece] = (floor_on == "eigenvalue",
+                                            floor_on is not None)
         done += n
-    powered = _pows_of_spectrum(vals, frame, pieces)[np.concatenate(order)]
+    powered = _from_spectrum(frame[rows], out)
+    clean = (clean and _sum_is_finite(out, core=1)
+             and not (tested & _below_floor(pv, signed)).any())
     p = sum(map(_count, plain))
+    shapes = plain + [x.a for x in powers]
     if log:
-        v, f = _spectrum(sym_part(_as_mats(powered)))
-        t = _law_on_spectrum(row, np.concatenate((vals[:p], v)),
-                             np.concatenate((frame[:p], f)), m)
+        law_vals, law_frame = vals[:p], frame[:p]
+        if powers:
+            b, finite = _finite_or_eye(powered)
+            v, f = _spectrum(sym_part(b))
+            law_vals = np.concatenate((law_vals, v))
+            law_frame = np.concatenate((law_frame, f))
+            clean = clean and finite
+        t = _lame_on_frame(law_frame, np.log(law_vals), m)
+        clean = clean and not _below_floor(law_vals, True).any()
     else:
-        t = _tensor_law(row, _concat(plain + [powered]), m)
-    stress = dict(zip(map(id, plain + powers),
-                      _split_like(t, plain + [x.a for x in powers])))
+        t = _lame(sym_part(_concat(plain + [powered])) - _EYE, m)
+    clean = clean and _sum_is_finite(t)
+    ids = list(map(id, plain + powers))
+    stress = dict(zip(ids, _split_like(t, shapes)))
+    if not clean:  # the slices the members' own tests read
+        inputs = dict(zip(ids, plain + _split_like(
+            powered, [x.a for x in powers])))
+        if log:
+            floors = dict(zip(ids, _split_like(law_vals, shapes)))
+
+    def test(x):
+        # the tests of x's own calls, on its slices, in their order
+        if isinstance(x, _Eigenvalues):
+            _as_mats(x.a, "u")
+            return
+        if isinstance(x, _Power):
+            n, k = _count(x.a), len(x.exponents)
+            for j, r in enumerate(x.exponents[:n]):
+                piece = _as_mats(x.a[j::k], "a")
+                shape = piece.shape[:-2]
+                power, floor_on = _pow_rule(r)
+                piece_vals = vals[starts[id(x.a)] + np.arange(j, n, k)]
+                piece_vals = piece_vals.reshape(shape + (3,))
+                _finite_values(power, piece_vals, "mat_pow", shape, floor_on)
+        shape = _as_mats(inputs[id(x)], row.stretch).shape[:-2]
+        if log:
+            _require_floor(floors[id(x)], "mat_log", "eigenvalue", shape)
+        _finite(row.tag, stress[id(x)], m)
 
     def answer(x):
         if isinstance(x, _Eigenvalues):
@@ -405,7 +427,14 @@ def _answers(row, m, requests):
             return vals[start:start + _count(x.a)].reshape(x.a.shape[:-1])
         return stress[id(x)]
 
-    return [[answer(x) for x in r] for r in requests]
+    def read(k):
+        if not clean:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for x in requests[k]:
+                    test(x)
+        return [answer(x) for x in requests[k]]
+
+    return read
 
 
 def _batch(row, m, checks):
@@ -415,27 +444,30 @@ def _batch(row, m, checks):
 
     Every check's request is answered from one batch (:func:`_answers`),
     each check then judging its own slice, with the bits it would get
-    alone.  Where the batch raises :class:`LogstrainError` or
-    ``ValueError``, each check runs again alone (:func:`_alone`), so that
-    an error is the one its own calls raise.  A function may be called
-    again: it then evaluates its check again, on the same answers.
+    alone.  The batch is evaluated by the first function called, and a
+    member's error is raised by the function of each check that reads it,
+    naming the member as that check's own call would.  An error of the
+    batch itself (a LAPACK failure) is raised by every function that reads
+    it.  Each function is called once.
     """
     gens = [start() for start in checks]
-    try:
-        answers = _answers(row, m, [next(g) for g in gens])
-    except (LogstrainError, ValueError):
-        answers = None
+    read = functools.cache(functools.partial(
+        _answers, row, m, [next(g) for g in gens]))
 
-    def outcome(k):
-        if answers is None:
-            return _alone(row, m, checks[k]())
-        check, gens[k] = gens[k], None
-        if check is None:  # called again: a fresh generator
-            check = checks[k]()
-            next(check)
-        return _result(check, answers[k])
+    def outcome(k):  # what check k returns once sent its answers
+        try:
+            gens[k].send(read()(k))
+        except StopIteration as stop:
+            return stop.value
 
     return [functools.partial(outcome, k) for k in range(len(checks))]
+
+
+def _single(check, m):
+    """What ``check``, a zero-argument function that starts a check's
+    generator, returns for Becker's law: a batch of one."""
+    outcome, = _batch(_LAWS["becker"], m, [check])
+    return outcome()
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +599,12 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
     rotations of every check; one spectral decomposition of every
     stretch, from which both the law's stresses and the real powers of
     ``power_law`` and ``inversion_symmetry`` are read; one of the powers;
-    and one law call on the spectra of all of them.  Each check then
-    judges its own slice, with the bits it would get alone.  Where the
-    batch raises :class:`LogstrainError` (for instance a stress that
-    overflows), each check is evaluated again on its own stacks, one call
-    per stack in its own order; a check that raises is undecided: its
-    report comes out not as expected, with the message as its witness.
+    and one law evaluation on the spectra of all of them.  Each check then
+    judges its own slice, with the bits it would get alone.  A check that
+    meets an error on its own slice (for instance a stress that
+    overflows) raises the error its own calls would raise, naming its own
+    member, and is undecided: its report comes out not as expected, with
+    the message as its witness.
     """
     _require_samples(samples)
     row = _tensor_row(law)
@@ -612,14 +644,13 @@ def m_condition_check(u1, u2, m: Moduli):
     monotonicity of the stress-stretch map; the returned value reports the
     sign at this particular pair.  ``u1`` and ``u2`` may also be
     (..., 3, 3) stacks of pairs, giving an array of shape (...); one pair
-    gives a float.  Both stresses come from one :func:`becker_biot` call
-    on the two arguments concatenated; where it raises, the two calls are
-    made again one at a time, so the error names the member of u1 or u2.
-    A product that is not finite raises :class:`LogstrainError`, naming
-    the first such pair of a stack.
+    gives a float.  Both stresses come from one batch, a spectrum of the
+    two arguments together, with the bits and the errors of
+    :func:`becker_biot` on u1 and then on u2, so an error names the member
+    of u1 or u2 by its own index.  A product that is not finite raises
+    :class:`LogstrainError`, naming the first such pair of a stack.
     """
-    check = _m_condition(u1, u2, m)
-    return _result(check, _stacked(lambda u: becker_biot(u, m), next(check)))
+    return _single(functools.partial(_m_condition, u1, u2, m), m)
 
 
 @_closed_form
@@ -738,14 +769,15 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
 
     Each probe draws its pairs in bulk from its own stream (see
     :func:`_draw`), the rotations of both from one stacked QR.  Both
-    probes take one ``mat_exp`` call, on the log-domain stacks (x1, x2,
-    midpoint), and one energy call, on their exponentials and the SPD
-    stacks (u1, u2, midpoint); a NaN or infinite excess is the largest and
-    fails ``energy_convexity_spd``.  Where that batch raises
-    :class:`LogstrainError` (energies that overflow, G near the largest
-    float), each probe runs again alone, one stack at a time, and a probe
-    that raises decides nothing: it comes out not as expected, with the
-    message of its first call that raised as its witness.  Raises
+    probes take one spectrum for ``mat_exp``, of the log-domain stacks
+    (x1, x2, midpoint), and one for the energies, of their exponentials
+    and the SPD stacks (u1, u2, midpoint); a NaN or infinite excess is the
+    largest and fails ``energy_convexity_spd``.  Each probe reads its own
+    three energies; where one of them meets an error (an energy that
+    overflows, G near the largest float), the probe raises the error of
+    its own first call that would raise, one stack at a time, and decides
+    nothing: it comes out not as expected, with that message as its
+    witness.  Raises
     ``ValueError`` unless lam = 0 by the rule of
     :func:`constitutive.becker_energy_nu0`.
     """
@@ -756,20 +788,43 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
     return _hill_reports(m, x1, x2, u1, u2)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _probe_energies(m, xs, us):
+    """``read``, the lam = 0 energies of both convexity probes:
+    ``read(0)`` at ``mat_exp`` of each log-domain stack of ``xs``,
+    ``read(1)`` at each SPD stack of ``us``, with the bits of those calls,
+    from one spectrum of xs and one of the exponentials and us.  The
+    draws' eigenvalues lie in [-8, 2] and [0.1, 10], so no exponential
+    overflows; as in :func:`_answers`, the energy's tests run once on the
+    whole batch, and where one fails, ``read(k)`` first runs them on each
+    of its stacks in turn."""
+    ev, ef = _spectrum(sym_part(_concat(xs)))
+    stacks = [*_split_like(_from_spectrum(ef, np.exp(ev)), xs), *us]
+    u = sym_part(_concat(stacks))
+    vals, frame = _spectrum(sym_part(u))
+    w = _energy_nu0(u, vals, frame, m)
+    clean = _sum_is_finite(w) and not _below_floor(vals, True).any()
+    w, vals = _split_like(w, stacks), _split_like(vals, stacks)
+
+    def read(probe):
+        own = range(3 * probe, 3 * probe + 3)
+        if not clean:
+            for i in own:
+                _require_energy(vals[i], w[i], m, w[i].shape)
+        return [w[i] for i in own]
+
+    return read
+
+
 def _hill_reports(m, x1, x2, u1, u2):
     """The two reports of :func:`hill_convexity_probe` on its draws."""
     tol = 1e-10
-    energy = lambda u: becker_energy_nu0(u, m)
     xm, um = 0.5 * (x1 + x2), 0.5 * (u1 + u2)
-    try:  # both probes: one mat_exp call and one energy call
-        w = energy(np.concatenate((mat_exp(_concat((x1, x2, xm))),
-                                   u1, u2, um))).reshape(6, -1)
-    except (LogstrainError, ValueError):  # each probe again alone
-        w = None
+    energies = functools.cache(functools.partial(
+        _probe_energies, m, (x1, x2, xm), (u1, u2, um)))
 
     def log_domain():
-        w1, w2, wm = (w[:3] if w is not None else _stacked(
-            energy, _stacked(mat_exp, (x1, x2, xm))))
+        w1, w2, wm = energies()(0)
         # the floor scales with G, as the energies do
         margin = tol * np.maximum(m.g, np.maximum(abs(w1), abs(w2)))
         k = _first((_fro_norms(x1 - x2) > 1e-12)
@@ -783,8 +838,7 @@ def _hill_reports(m, x1, x2, u1, u2):
         return witness is None, witness
 
     def spd_pairs():
-        w1, w2, wm = (w[3:] if w is not None
-                      else _stacked(energy, (u1, u2, um)))
+        w1, w2, wm = energies()(1)
         excess = _rel(wm - 0.5 * (w1 + w2), abs(w1), abs(w2), floor=m.g)
         worst, witness = _worst(excess, lambda i: {
             "u1": u1[i], "u2": u2[i], "excess": float(excess[i])},
@@ -1069,9 +1123,10 @@ def dilation_shear_cycle():
 # ---------------------------------------------------------------------------
 # order-of-remainder ladders
 
-def _ladder_report(name, residuals, h_ladder):
-    """The report of a ladder of ``residuals``, one per h of ``h_ladder``:
-    the ratios residual / h**2 may vary by less than LADDER_FACTOR.
+def _ladder_outcome(residuals, h_ladder):
+    """``(passed, witness)`` of a ladder of ``residuals``, one per h of
+    ``h_ladder``: the ratios residual / h**2 may vary by less than
+    LADDER_FACTOR.
 
     Where a ratio overflows while every residual is finite, the residuals
     are first divided by the one power of two that brings the largest
@@ -1094,21 +1149,21 @@ def _ladder_report(name, residuals, h_ladder):
     witness = {"ratios": {f"{h:g}": v for h, v in ratios.items()}}
     if scale != 1.0:
         witness["ratio_scale"] = scale
-    return CheckReport(name=name, passed=passed, tolerance=LADDER_FACTOR,
-                       witness=witness)
+    return passed, witness
+
+
 
 
 def _linearization_ladder(m, eps, h_ladder):
     """:func:`linearization_order_check` as a check generator: it yields
-    the stretches ``I + h eps`` and, sent their stresses, returns the
-    report."""
+    the stretches ``I + h eps`` and, sent their stresses, returns
+    ``(passed, witness)``."""
     eps = sym_part(as_mat3(eps, "eps"))
     h_ladder = tuple(h_ladder)
     steps = [h * eps for h in h_ladder]
     full = yield tuple(np.eye(3) + s for s in steps)
-    return _ladder_report("linearization_order", [
-        fro_norm(t - linearized_law(s, m)) for t, s in zip(full, steps)],
-        h_ladder)
+    return _ladder_outcome([fro_norm(t - linearized_law(s, m))
+                            for t, s in zip(full, steps)], h_ladder)
 
 
 def linearization_order_check(m: Moduli, eps, h_ladder=LADDER_H):
@@ -1118,19 +1173,21 @@ def linearization_order_check(m: Moduli, eps, h_ladder=LADDER_H):
     must scale like h**2: the ladder of residual/h**2 ratios may vary by
     less than a factor of 4.
     """
-    return _alone(_LAWS["becker"], m, _linearization_ladder(m, eps, h_ladder))
+    passed, witness = _single(functools.partial(
+        _linearization_ladder, m, eps, h_ladder), m)
+    return CheckReport("linearization_order", passed, LADDER_FACTOR, witness)
 
 
 def _pk2_ladder(m, eps, h_ladder):
     """:func:`pk2_expansion_check` as a check generator: it yields the
     stretches ``U = I + h eps``, symmetrized as :func:`becker_pk2` takes
-    them, and, sent their Biot stresses, returns the report."""
+    them, and, sent their Biot stresses, returns ``(passed, witness)``."""
     eps = sym_part(as_mat3(eps, "eps"))
     h_ladder = tuple(h_ladder)
     us = [np.eye(3) + h * eps for h in h_ladder]
     sym = [sym_part(u) for u in us]
     biot = yield tuple(sym)
-    return _ladder_report("pk2_expansion", [
+    return _ladder_outcome([
         fro_norm(_pk2_of_biot(s, t)
                  - linearized_law(0.5 * (u @ u - np.eye(3)), m))
         for u, s, t in zip(us, sym, biot)], h_ladder)
@@ -1142,7 +1199,9 @@ def pk2_expansion_check(m: Moduli, eps, h_ladder=LADDER_H):
     With ``E`` the Green-Lagrange strain of ``U = I + h*eps``, the residual
     ``||pk2(U) - (lam tr(E) I + 2 G E)||`` must scale like h**2.
     """
-    return _alone(_LAWS["becker"], m, _pk2_ladder(m, eps, h_ladder))
+    passed, witness = _single(functools.partial(
+        _pk2_ladder, m, eps, h_ladder), m)
+    return CheckReport("pk2_expansion", passed, LADDER_FACTOR, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -1181,11 +1240,11 @@ def suite(law, m: Moduli, samples=1000, seed=0):
     monotonicity pairs, the ordered-force stretches and the ladder
     stretches, from which the powers, the eigenvalues and the stresses are
     read; in round 2 one of the powers; and one law call on the spectra of
-    both rounds.  The probes make one ``mat_exp`` and one energy call (see
-    :func:`hill_convexity_probe`).  Each check judges its own slice, with
-    the bits it would get alone.  Where the batch raises
-    :class:`LogstrainError`, each check runs again alone, so every report
-    keeps its own message.
+    both rounds.  The probes take one spectrum for ``mat_exp`` and one for
+    the energies (see :func:`hill_convexity_probe`).  Each check judges
+    its own slice, with the bits it would get alone, and an error on its
+    slice is the one its own calls would raise.  The remainder ladders
+    are reports like every other check.
 
     A residual that overflows fails its check as a NaN or infinite
     residual, so the suite runs without numpy's floating-point warnings.
@@ -1226,27 +1285,30 @@ def suite(law, m: Moduli, samples=1000, seed=0):
         streams += [(200, [_SPD, _SPD]), *_HILL_STREAMS]
     draws = _draws(samples, seed, streams)
     n = len(axioms)
+
+    # the product at the paper's pair, one check per report of it; both
+    # read the pair's one stress stack
+    def closed_form():
+        value = yield from _m_condition(*pair, m)
+        closed = m_condition_paper_pair_value(m)
+        return (abs(value - closed) <= 1e-12 * max(1.0, abs(closed)),
+                {"value": value, "closed_form": closed})
+
+    def paper_pair():
+        value = yield from _m_condition(*pair, m)
+        return value > 0.0, {"value": value, "lam_over_g": m.lam / m.g}
+
+    pair = np.diag([2.0, 0.25, 1.0]), np.eye(3)
     checks = _bound(axioms, draws) + [
-        functools.partial(ordered_forces, *draws[n]),
-        functools.partial(_m_condition, np.diag([2.0, 0.25, 1.0]),
-                          np.eye(3), m),
+        functools.partial(ordered_forces, *draws[n]), closed_form,
+        paper_pair,
         functools.partial(_linearization_ladder, m, _LADDER_EPS, LADDER_H),
         functools.partial(_pk2_ladder, m, _LADDER_EPS, LADDER_H)]
     if lam_zero:
         checks.append(functools.partial(random_pairs, *draws[n + 1]))
     outcomes = _batch(row, m, checks)
-    ordered, pair, linearization, pk2, *random = outcomes[n:]
-    # the product at the paper's pair, formed once for both of its reports
-    pair_value = functools.cache(pair)
-
-    def closed_form():
-        value, closed = pair_value(), m_condition_paper_pair_value(m)
-        return (abs(value - closed) <= 1e-12 * max(1.0, abs(closed)),
-                {"value": value, "closed_form": closed})
-
-    def paper_pair():
-        value = pair_value()
-        return value > 0.0, {"value": value, "lam_over_g": m.lam / m.g}
+    ordered, closed_form, paper_pair, linearization, pk2, *random = \
+        outcomes[n:]
 
     def baker_ericksen(v):
         report = baker_ericksen_check(v, m)
@@ -1298,6 +1360,6 @@ def suite(law, m: Moduli, samples=1000, seed=0):
     if lam_zero:
         reports.append(_run("open_path_energy_match", cycle_tol,
                             open_path_work))
-    reports.append(linearization())
-    reports.append(pk2())
+    reports.append(_run("linearization_order", LADDER_FACTOR, linearization))
+    reports.append(_run("pk2_expansion", LADDER_FACTOR, pk2))
     return reports

@@ -16,9 +16,9 @@ from logstrain.errors import (LogstrainError, NonInvertible,
 from logstrain.kinematics import polar_decompose
 from logstrain.moduli import Moduli
 from logstrain.stresses import StressState
-from logstrain.tensors import (_fro_norms, _inners, _mat_pows, cofactor,
-                               dev3, eig_sym, fro_norm, inner, mat_exp,
-                               mat_log, mat_pow, mat_sqrt, tr)
+from logstrain.tensors import (_fro_norms, _inners, cofactor, dev3, eig_sym,
+                               fro_norm, inner, mat_exp, mat_log, mat_pow,
+                               mat_sqrt, tr)
 from logstrain.verify import (converged_path_work, diagonal_path,
                               dilation_shear_cycle, random_rotation)
 
@@ -206,27 +206,60 @@ def test_scalar_only_functions_reject_stacks():
                 fn(np.array([np.eye(3)] * n))
 
 
+def _powers_of_the_batch(law, pairs):
+    # one request whose members are the powers a**r of the pairs, answered
+    # by the batch with the law's stress at each; a pair whose exponent is
+    # a tuple is one _Power of several exponents
+    read = verify._answers(laws._LAWS[law], M, [[
+        verify._Power(a, r if isinstance(r, tuple) else (r,))
+        for a, r in pairs]])
+    return read(0)
+
+
+def _powers_alone(law, pairs):
+    # the same stresses from public calls, one mat_pow call per exponent
+    out = []
+    for a, r in pairs:
+        if isinstance(r, tuple):
+            p = np.empty_like(a)
+            for k, x in enumerate(r):
+                p[k::len(r)] = mat_pow(a[k::len(r)], x)
+        else:
+            p = mat_pow(a, r)
+        out.append(laws.stretch_stress(law, p, M))
+    return out
+
+
 def test_many_powers_from_one_spectrum_equal_each_call(rng):
-    # the exponents of check_axioms, and a stack of two leading axes
+    # the exponents of check_axioms, on strided slices and as one _Power;
+    # a matrix alone, and a stack of two leading axes
     u = _spd(rng)
-    pairs = [(u[k::5], r) for k, r in
-             enumerate((-2.0, -0.5, 0.5, 2.0, math.pi))]
-    pairs += [(u, -1), (u[0], 3), (u[:90].reshape(9, 10, 3, 3), 0.5)]
-    for got, (a, r) in zip(_mat_pows(pairs), pairs):
-        assert _same_bits(got, mat_pow(a, r))
+    powers = (-2.0, -0.5, 0.5, 2.0, math.pi)
+    pairs = [(u[k::5], r) for k, r in enumerate(powers)]
+    pairs += [(u, powers), (u, -1), (u[0], 3),
+              (u[:90].reshape(9, 10, 3, 3), 0.5)]
+    for law in ("becker", "hooke-biot"):
+        got = _powers_of_the_batch(law, pairs)
+        want = _powers_alone(law, pairs)
+        assert len(got) == len(want) == len(pairs)
+        assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+
+def _first_error(call):
+    with pytest.raises(LogstrainError) as err:
+        call()
+    return err.value
 
 
 def test_many_powers_raise_the_first_failing_calls_error():
     good, singular = np.eye(3)[None] * 2.0, np.diag([1.0, 1.0, 0.0])
     pairs = [(good, 0.5), (np.stack([good[0], singular]), -1),
              (singular, 0.5)]
-    with pytest.raises(NotPositiveDefinite) as alone:
-        for a, r in pairs:
-            mat_pow(a, r)
-    with pytest.raises(NotPositiveDefinite) as batched:
-        _mat_pows(pairs)
-    assert str(batched.value) == str(alone.value)
-    assert str(alone.value).endswith("at index 1")
+    alone = _first_error(lambda: _powers_alone("becker", pairs))
+    batched = _first_error(lambda: _powers_of_the_batch("becker", pairs))
+    assert type(alone) is type(batched) is NotPositiveDefinite
+    assert str(batched) == str(alone)
+    assert str(alone).endswith("at index 1")
 
 
 def test_many_powers_raise_an_overflow_as_the_calls_do():
@@ -238,13 +271,10 @@ def test_many_powers_raise_an_overflow_as_the_calls_do():
                    (singular, 0.5)],
                   [(good, -1), (np.stack([huge, -huge]), 1.5)],
                   [(huge, 3), (good, 2.0)]):
-        with pytest.raises(LogstrainError) as alone:
-            for a, r in pairs:
-                mat_pow(a, r)
-        with pytest.raises(LogstrainError) as batched:
-            _mat_pows(pairs)
-        assert type(batched.value) is type(alone.value)
-        assert str(batched.value) == str(alone.value)
+        alone = _first_error(lambda: _powers_alone("becker", pairs))
+        batched = _first_error(lambda: _powers_of_the_batch("becker", pairs))
+        assert type(batched) is type(alone)
+        assert str(batched) == str(alone)
 
 
 def _count_factorizations(monkeypatch):
@@ -449,27 +479,41 @@ def test_small_seeded_suite_reports_are_pinned(law, lam, samples):
         == _SMALL_SUITE_DIGESTS[law, lam, samples]
 
 
+def _answers_alone(row, m, requests):
+    # each member of a request answered by its own public calls, one member
+    # at a time: one mat_pow call per exponent slice, one stretch_stress
+    # call per stretch, one eig_sym call per matrix
+    def answer(x):
+        if isinstance(x, verify._Eigenvalues):
+            return np.array([eig_sym(a).eigenvalues for a in x.a])
+        if isinstance(x, verify._Power):
+            n, a = len(x.exponents), np.empty_like(x.a)
+            for k, r in enumerate(x.exponents[:len(x.a)]):
+                a[k::n] = mat_pow(x.a[k::n], r)
+            x = a
+        return laws.stretch_stress(row.tag, x, m)
+
+    return lambda k: [answer(x) for x in requests[k]]
+
+
+def _probe_energies_alone(m, xs, us):
+    # one mat_exp call and one energy call per stack
+    return lambda probe: [becker_energy_nu0(mat_exp(x), m) for x in xs] \
+        if probe == 0 else [becker_energy_nu0(u, m) for u in us]
+
+
 @pytest.mark.parametrize("law, lam", list(_SUITE_DIGESTS))
 @pytest.mark.parametrize("samples", [1, 2, 5, 16])
 def test_batched_suite_equals_each_check_alone(monkeypatch, law, lam,
                                                samples):
-    # every report byte for byte as with the batch refused, when each check
-    # makes its own calls, one per stack, and each probe its own
+    # every report byte for byte as when each member of each check's
+    # request is answered by its own public calls, and each probe's
+    # energies by their own
     m = Moduli.from_g_lam(1.0, lam)
     batched = verify.format_reports(verify.suite(law, m, samples=samples,
                                                  seed=4))
-    energy = verify.becker_energy_nu0
-
-    def probe_energy_alone(u, m):
-        if len(u) > 3 * samples:  # both probes' energies in one call
-            raise LogstrainError("refused")
-        return energy(u, m)
-
-    def refused(*args):
-        raise LogstrainError("refused")
-
-    monkeypatch.setattr(verify, "_answers", refused)
-    monkeypatch.setattr(verify, "becker_energy_nu0", probe_energy_alone)
+    monkeypatch.setattr(verify, "_answers", _answers_alone)
+    monkeypatch.setattr(verify, "_probe_energies", _probe_energies_alone)
     alone = verify.format_reports(verify.suite(law, m, samples=samples,
                                                seed=4))
     assert alone == batched

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from logstrain import cli, verify
 from logstrain import constitutive as laws
 from logstrain.cli import build_parser, main
+from logstrain.errors import LogstrainError
 from logstrain.moduli import Moduli
 
 
@@ -412,6 +413,41 @@ def test_check_axiom_errors_name_each_checks_own_member(capsys):
     assert {name: witnesses[name] for name in axioms} == {
         name: {"error": error + (" at index 1" if name == "power_law"
                                  else " at index 0")} for name in axioms}
+
+
+def test_check_reports_every_check_where_2g_overflows(capsys):
+    # G = 1e308, lam = -6.6e307: 2 G overflows, 2 G e need not; every
+    # report of the becker suite at lam != 0 is printed
+    names = [r.name for r in verify.suite("becker", Moduli.from_g_lam(
+        1.0, 0.5), samples=2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "check", "--G", "1e308", "--lam",
+                             "-6.6e307", "--samples", "2")
+    assert code in (0, 1)
+    assert all(line.startswith("# ") for line in err.splitlines())
+    reports = [json.loads(line, parse_constant=_strict)
+               for line in out.splitlines()]
+    assert [r["name"] for r in reports] == names
+
+
+def test_check_reports_a_ladder_whose_linear_law_raises(capsys, monkeypatch):
+    # a ladder is a report like every other check: an error on its way is
+    # its witness, and the run goes on
+    def refused(eps, m):
+        raise LogstrainError("refused")
+
+    monkeypatch.setattr(verify, "linearized_law", refused)
+    code, out, err = run(capsys, "check", "--G", "1", "--lam", "0.5",
+                         "--samples", "2")
+    assert code == 1
+    by_name = {json.loads(l)["name"]: json.loads(l)
+               for l in out.splitlines()}
+    for name in ("linearization_order", "pk2_expansion"):
+        report = by_name[name]
+        assert report["witness"] == {"error": "refused"}
+        assert report["passed"] != report["expected"]
+        assert f"# UNDECIDED: {name}: refused" in err.splitlines()
 
 
 def test_huge_cycle_work_converges_on_the_first_grid(capsys):

@@ -206,6 +206,50 @@ def test_inverses_keep_a_part_whose_modulus_product_overflows():
                           + tr(sigma) / (9.0 * M.k) * np.eye(3))
 
 
+def test_forward_laws_keep_a_stress_whose_2g_overflows():
+    # 2 G overflows at G = 1e308 (lam = -6.6e307, K = 6.7e305), while
+    # 2 G e does not: the laws form 2 (G e), with the bits of (2 G) e
+    # wherever 2 G is finite
+    m = Moduli.from_g_lam(1e308, -6.6e307)
+    u = np.diag([1.01, 1.0, 1.0])
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        g, lam = mpmath.mpf(m.g), mpmath.mpf(m.lam)
+        for fn, strain in ((becker_biot, mpmath.log(mpmath.mpf(1.01))),
+                           (hooke_biot, mpmath.mpf(1.01) - 1)):
+            expected = [float(2 * g * strain + lam * strain),
+                        float(lam * strain)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                t = fn(u, m)
+            np.testing.assert_allclose(np.diag(t), [expected[0]]
+                                       + [expected[1]] * 2, rtol=1e-15)
+    u = np.array([[1.2, 0.1, 0.0], [0.1, 0.9, 0.05], [0.0, 0.05, 1.1]])
+    for g in (1.0, 3.7e-5, 8.9e307):
+        for lam in (0.0, 0.5, -g / 2):
+            m = Moduli.from_g_lam(g, lam)
+            e = 0.5 * (u + u.T) - np.eye(3)
+            assert np.array_equal(hooke_biot(u, m), (2.0 * g) * e
+                                  + (lam * np.trace(e) * np.eye(3)
+                                     if lam else 0.0))
+            assert np.array_equal(linearized_law(e, m), hooke_biot(u, m))
+
+
+def test_linearized_maps_raise_for_a_result_that_is_not_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        with pytest.raises(LogstrainError) as err:
+            linearized_law(np.diag([1e10, 0.0, 0.0]),
+                           Moduli.from_g_lam(1e300, 0.0))
+        assert str(err.value) == ("law 'linearized': stress is not finite "
+                                  "at G = 1e+300, lam = 0")
+        with pytest.raises(LogstrainError) as err:
+            linearized_inverse(np.diag([1e308, 1e308, 0.0]),
+                               Moduli.from_g_lam(1.0, 0.5))
+        assert str(err.value) == ("law 'linearized': strain is not "
+                                  "finite at G = 1, lam = 0.5")
+
+
 def test_coaxiality_of_stress_and_stretch(rng):
     for _ in range(100):
         u = random_spd(rng)

@@ -27,6 +27,7 @@ from logstrain.constitutive import (_LAWS, LAW_TAGS, becker_biot,
                                     hooke_biot, hooke_cauchy,
                                     incompressible_uniaxial_hyper,
                                     incompressible_uniaxial_limit,
+                                    linearized_inverse, linearized_law,
                                     pk1_for_law, stretch_stress,
                                     uniaxial_response)
 from logstrain.decomposition import (StressTriple, becker_tables,
@@ -158,7 +159,9 @@ def test_scalar_check_names_the_first_bad_element(value):
 _TENSOR_MAPS = {"becker_biot": becker_biot,
                 "hencky_kirchhoff": hencky_kirchhoff,
                 "hencky_cauchy": hencky_cauchy, "hooke_biot": hooke_biot,
-                "hooke_cauchy": hooke_cauchy}
+                "hooke_cauchy": hooke_cauchy,
+                "linearized_law": linearized_law,
+                "linearized_inverse": linearized_inverse}
 _TENSOR_TAGS = tuple(tag for tag in LAW_TAGS
                      if _LAWS[tag].strain is not None)
 _FRAME = np.array([[0.36, 0.48, -0.8], [-0.8, 0.6, 0.0], [0.48, 0.64, 0.6]])

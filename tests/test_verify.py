@@ -1,8 +1,10 @@
 """Verification suite: axioms, inequalities, path work, ladders."""
 
+import ast
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,9 +451,10 @@ def test_log_domain_margin_scales_with_g(g):
 @pytest.mark.parametrize("g", [1.0, 1e-12, 1e-20])
 def test_a_concave_energy_fails_the_spd_probe_at_every_g(g, monkeypatch):
     # the excess is taken relative to max(G, |w1|, |w2|), which scales with
-    # the energies; a floor of 1 passed this concave energy from G = 1e-12
-    monkeypatch.setattr(verify, "becker_energy_nu0",
-                        lambda u, m: -m.g * np.sum(u * u, axis=(-2, -1)))
+    # the energies; a floor of 1 passed this concave energy from G = 1e-12.
+    # The probes read their energies from the spectra of their stacks
+    monkeypatch.setattr(verify, "_energy_nu0", lambda u, vals, frame, m:
+                        -m.g * np.sum(u * u, axis=(-2, -1)))
     _, spd_report = hill_convexity_probe(Moduli.from_g_lam(g, 0.0),
                                          samples=64, seed=0)
     assert not spd_report.passed and not spd_report.as_expected
@@ -957,3 +960,26 @@ def test_suite_deterministic_bit_for_bit():
     a = format_reports(suite("becker", M, samples=50, seed=11))
     b = format_reports(suite("becker", M, samples=50, seed=11))
     assert a == b
+
+
+def _handlers_catching(tree, name):
+    """The functions of a module that hold an ``except`` handler whose
+    type names ``name``, one entry per handler."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None \
+                    and any(isinstance(n, ast.Name) and n.id == name
+                            for n in ast.walk(node.type)):
+                found.append(fn.name)
+    return found
+
+
+def test_one_handler_catches_logstrain_error():
+    # every check is evaluated on one path: the one handler is _run's,
+    # which makes a check that raises undecided; nothing is caught to be
+    # evaluated again another way
+    tree = ast.parse(Path(verify.__file__).read_text())
+    assert _handlers_catching(tree, "LogstrainError") == ["_run"]
