@@ -463,13 +463,6 @@ def _batch(row, m, checks):
     return [functools.partial(outcome, k) for k in range(len(checks))]
 
 
-def _single(check, m):
-    """What ``check``, a zero-argument function that starts a check's
-    generator, returns for Becker's law: a batch of one."""
-    outcome, = _batch(_LAWS["becker"], m, [check])
-    return outcome()
-
-
 # ---------------------------------------------------------------------------
 # the axiom block
 
@@ -650,7 +643,9 @@ def m_condition_check(u1, u2, m: Moduli):
     of u1 or u2 by its own index.  A product that is not finite raises
     :class:`LogstrainError`, naming the first such pair of a stack.
     """
-    return _single(functools.partial(_m_condition, u1, u2, m), m)
+    outcome, = _batch(_LAWS["becker"], m,
+                      [functools.partial(_m_condition, u1, u2, m)])
+    return outcome()
 
 
 @_closed_form
@@ -1173,8 +1168,9 @@ def linearization_order_check(m: Moduli, eps, h_ladder=LADDER_H):
     must scale like h**2: the ladder of residual/h**2 ratios may vary by
     less than a factor of 4.
     """
-    passed, witness = _single(functools.partial(
-        _linearization_ladder, m, eps, h_ladder), m)
+    outcome, = _batch(_LAWS["becker"], m, [functools.partial(
+        _linearization_ladder, m, eps, h_ladder)])
+    passed, witness = outcome()
     return CheckReport("linearization_order", passed, LADDER_FACTOR, witness)
 
 
@@ -1199,8 +1195,9 @@ def pk2_expansion_check(m: Moduli, eps, h_ladder=LADDER_H):
     With ``E`` the Green-Lagrange strain of ``U = I + h*eps``, the residual
     ``||pk2(U) - (lam tr(E) I + 2 G E)||`` must scale like h**2.
     """
-    passed, witness = _single(functools.partial(
-        _pk2_ladder, m, eps, h_ladder), m)
+    outcome, = _batch(_LAWS["becker"], m, [functools.partial(
+        _pk2_ladder, m, eps, h_ladder)])
+    passed, witness = outcome()
     return CheckReport("pk2_expansion", passed, LADDER_FACTOR, witness)
 
 
