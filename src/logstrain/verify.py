@@ -363,22 +363,24 @@ def _answers(row, m, requests):
     # copy of its eigenvalues, with its exponent as a Python float, as its
     # own mat_pow call applies it, and each row marked with the floor that
     # call tests
-    rows = np.concatenate([np.arange(0)] + [
-        starts[id(x.a)] + np.arange(_count(x.a)) for x in powers])
-    pv, out = vals[rows], np.empty((len(rows), 3))
-    (signed, tested), done = np.zeros((2, len(rows)), bool), 0
-    for x in powers:
-        n, k = _count(x.a), len(x.exponents)
-        for j, r in enumerate(x.exponents[:n]):
-            power, floor_on = _pow_rule(r)
-            piece = slice(done + j, done + n, k)
-            out[piece] = power(np.ascontiguousarray(pv[piece]))
-            signed[piece], tested[piece] = (floor_on == "eigenvalue",
-                                            floor_on is not None)
-        done += n
-    powered = _from_spectrum(frame[rows], out)
-    clean = (clean and _sum_is_finite(out, core=1)
-             and not (tested & _below_floor(pv, signed)).any())
+    powered = np.empty((0, 3, 3))
+    if powers:
+        rows = np.concatenate([starts[id(x.a)] + np.arange(_count(x.a))
+                               for x in powers])
+        pv, out = vals[rows], np.empty((len(rows), 3))
+        (signed, tested), done = np.zeros((2, len(rows)), bool), 0
+        for x in powers:
+            n, k = _count(x.a), len(x.exponents)
+            for j, r in enumerate(x.exponents[:n]):
+                power, floor_on = _pow_rule(r)
+                piece = slice(done + j, done + n, k)
+                out[piece] = power(np.ascontiguousarray(pv[piece]))
+                signed[piece], tested[piece] = (floor_on == "eigenvalue",
+                                                floor_on is not None)
+            done += n
+        powered = _from_spectrum(frame[rows], out)
+        clean = (clean and _sum_is_finite(out, core=1)
+                 and not (tested & _below_floor(pv, signed)).any())
     p = sum(map(_count, plain))
     shapes = plain + [x.a for x in powers]
     if log:
