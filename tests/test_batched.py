@@ -498,8 +498,12 @@ def _answers_alone(row, m, requests):
 
 def _probe_energies_alone(m, xs, us):
     # one mat_exp call and one energy call per stack
-    return lambda probe: [becker_energy_nu0(mat_exp(x), m) for x in xs] \
-        if probe == 0 else [becker_energy_nu0(u, m) for u in us]
+    def read(probe):
+        if probe == 0:
+            return [becker_energy_nu0(mat_exp(x), m) for x in xs]
+        return [becker_energy_nu0(u, m) for u in us]
+
+    return read
 
 
 @pytest.mark.parametrize("law, lam", list(_SUITE_DIGESTS))
