@@ -44,8 +44,8 @@ def test_stress_pure_shear_biot(capsys):
                        "--measure", "biot", "--G", "1", "--lam", "0.5")
     assert code == 0
     t = tensor_after(out, "stress (biot):")
-    assert t[0, 0] == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
-    assert t[1, 1] == pytest.approx(-2.0 * math.log(2.0), rel=1e-12)
+    assert t[0, 0] == pytest.approx(2.0 * math.log(2.0), rel=1e-12, abs=0.0)
+    assert t[1, 1] == pytest.approx(-2.0 * math.log(2.0), rel=1e-12, abs=0.0)
 
 
 def test_stress_glide_pk1(capsys):
@@ -54,7 +54,7 @@ def test_stress_glide_pk1(capsys):
     assert code == 0
     t = tensor_after(out, "stress (pk1):")
     assert t[0, 1] == pytest.approx(2.0 * math.log(0.5 * (1 + math.sqrt(5))),
-                                    rel=1e-12)
+                                    rel=1e-12, abs=0.0)
 
 
 def test_stress_trivial_shear_is_zero(capsys):
@@ -114,7 +114,8 @@ def test_stress_at_lam_zero_has_no_spherical_term(capsys):
                              "diag(8e307,8e307,8e307)", "--law", "hooke-biot",
                              "--measure", "biot", "--G", "0.25", "--lam", "0")
     assert (code, err) == (0, "")
-    assert tensor_after(out, "stress (biot):") == pytest.approx(t, rel=1e-12)
+    assert tensor_after(out, "stress (biot):") == pytest.approx(
+        t, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -352,7 +353,7 @@ def test_check_at_lam_zero_and_huge_g_reports_every_check(capsys):
     closed_form = by_name["m_condition_closed_form"]
     assert closed_form["passed"]
     assert closed_form["witness"]["closed_form"] == pytest.approx(
-        5.0 * math.log(2.0) * 5e307, rel=1e-15)
+        5.0 * math.log(2.0) * 5e307, rel=1e-15, abs=0.0)
 
 
 def test_check_at_lam_zero_and_g_8e307_prints_every_report(capsys):
@@ -524,7 +525,7 @@ def test_fit_synthetic(capsys, tmp_path):
                        "--laws", "hencky", "neo-hooke")
     assert code == 0
     fitted = float(out.splitlines()[1].split("=")[1])
-    assert fitted == pytest.approx(g0, rel=1e-10)
+    assert fitted == pytest.approx(g0, rel=1e-10, abs=0.0)
     header, first, *rest = out_csv.read_text().splitlines()
     assert header == "lambda,fit,hencky,neo-hooke"
     assert len(rest) + 1 == 200
@@ -540,7 +541,7 @@ def test_fit_hyper_mode(capsys, tmp_path):
     code, out, _ = run(capsys, "fit", str(data), "--mode", "uniaxial-hyper")
     assert code == 0
     fitted = float(out.splitlines()[1].split("=")[1])
-    assert fitted == pytest.approx(g0, rel=1e-8)
+    assert fitted == pytest.approx(g0, rel=1e-8, abs=0.0)
 
 
 def test_check_exit_one_on_unexpected_failure(capsys, monkeypatch):
@@ -628,8 +629,9 @@ def test_plot_simple_shear_zero_row(capsys):
     last = dict(zip(lines[0].split(","),
                     (float(v) for v in lines[-1].split(","))))
     lam1 = 0.5 * (math.sqrt(2.0 ** 2 + 4.0) + 2.0)
-    assert last["becker"] == pytest.approx(2.0 * math.log(lam1), rel=1e-11)
-    assert last["neo_hooke"] == pytest.approx(2.0, rel=1e-11)
+    assert last["becker"] == pytest.approx(2.0 * math.log(lam1), rel=1e-11,
+                                           abs=0.0)
+    assert last["neo_hooke"] == pytest.approx(2.0, rel=1e-11, abs=0.0)
 
 
 def test_plot_incompressible_becker_column(capsys):
@@ -640,7 +642,7 @@ def test_plot_incompressible_becker_column(capsys):
     lines = out.splitlines()
     cols = lines[0].split(",")
     vals = dict(zip(cols, (float(v) for v in lines[1].split(","))))
-    assert vals["becker"] == pytest.approx(3.0 * 2.0, rel=1e-12)
+    assert vals["becker"] == pytest.approx(3.0 * 2.0, rel=1e-12, abs=0.0)
 
 
 def test_plot_tension_hooke_slope(capsys):
@@ -656,8 +658,8 @@ def test_plot_tension_hooke_slope(capsys):
     hi = dict(zip(cols, (float(v) for v in lines[2].split(","))))
     slope_hooke = (hi["hooke"] - lo["hooke"]) / (2 * h)
     slope_becker = (hi["becker"] - lo["becker"]) / (2 * h)
-    assert slope_hooke == pytest.approx(m_e, rel=1e-9)
-    assert slope_becker == pytest.approx(m_e, rel=1e-6)
+    assert slope_hooke == pytest.approx(m_e, rel=1e-9, abs=0.0)
+    assert slope_becker == pytest.approx(m_e, rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("figure", ["tension", "incompressible",
@@ -1015,7 +1017,7 @@ def test_config_file_moduli(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "stress", "--shear", "2")
     assert code == 0
     t = tensor_after(out, "stress (biot):")
-    assert t[0, 0] == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
+    assert t[0, 0] == pytest.approx(2.0 * math.log(2.0), rel=1e-12, abs=0.0)
 
 
 def test_flags_win_over_config(capsys, tmp_path):
@@ -1026,7 +1028,7 @@ def test_flags_win_over_config(capsys, tmp_path):
     assert code == 0
     t = tensor_after(out, "stress (biot):")
     # G overridden to 2, lambda from file
-    assert t[0, 0] == pytest.approx(4.0 * math.log(2.0), rel=1e-12)
+    assert t[0, 0] == pytest.approx(4.0 * math.log(2.0), rel=1e-12, abs=0.0)
 
 
 def test_entry_point_runs():

@@ -198,7 +198,7 @@ def test_inverses_keep_a_part_whose_modulus_product_overflows():
     assert np.allclose(expected, [1.01765, 1.01562, 1.01715], rtol=1e-5)
     back = linearized_inverse(1e307 * np.eye(3), Moduli.from_g_lam(1.0, 5e307))
     np.testing.assert_allclose(back, spherical * np.eye(3), rtol=1e-15)
-    assert spherical == pytest.approx(1.0 / 15.0, rel=1e-15)
+    assert spherical == pytest.approx(1.0 / 15.0, rel=1e-15, abs=0.0)
     # a finite product keeps the one-division bits
     sigma = np.array([[1.0, 0.3, -0.2], [0.3, -0.5, 0.1], [-0.2, 0.1, 0.25]])
     assert np.array_equal(linearized_inverse(sigma, M),
@@ -330,8 +330,8 @@ def test_incompressible_limit_from_stiff_bulk():
     lam = 1.9
     q = 3.0 * stiff.g * math.log(lam)
     lam_ax, lam_lat = uniaxial_response(q, stiff)
-    assert lam_ax == pytest.approx(lam, rel=1e-10)
-    assert lam_lat == pytest.approx(1.0 / math.sqrt(lam), rel=1e-10)
+    assert lam_ax == pytest.approx(lam, rel=1e-10, abs=0.0)
+    assert lam_lat == pytest.approx(1.0 / math.sqrt(lam), rel=1e-10, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +388,7 @@ def test_glide_cauchy_closed_form():
 def test_energy_closed_forms():
     assert becker_energy_nu0(np.eye(3), M0) == pytest.approx(0.0, abs=1e-13)
     assert becker_energy_nu0(np.diag([math.e, 1.0, 1.0]), M0) \
-        == pytest.approx(2.0 * M0.g, rel=1e-13)
+        == pytest.approx(2.0 * M0.g, rel=1e-13, abs=0.0)
 
 
 def test_energy_finite_at_collapse():
@@ -431,10 +431,10 @@ def test_hencky_energy_closed_forms():
     assert hencky_energy(np.eye(3), M) == pytest.approx(0.0, abs=1e-14)
     lam = 1.9
     assert hencky_energy(lam * np.eye(3), M) \
-        == pytest.approx(4.5 * M.k * math.log(lam) ** 2, rel=1e-13)
+        == pytest.approx(4.5 * M.k * math.log(lam) ** 2, rel=1e-13, abs=0.0)
     alpha = 2.4
     assert hencky_energy(np.diag([alpha, 1 / alpha, 1.0]), M) \
-        == pytest.approx(2.0 * M.g * math.log(alpha) ** 2, rel=1e-13)
+        == pytest.approx(2.0 * M.g * math.log(alpha) ** 2, rel=1e-13, abs=0.0)
 
 
 def test_stress_blowup_at_collapse():
@@ -450,8 +450,8 @@ def test_uniaxial_response():
     assert uniaxial_response(0.0, M) == (1.0, 1.0)
     q = M.e
     lam_ax, lam_lat = uniaxial_response(q, M)
-    assert lam_ax == pytest.approx(math.e, rel=1e-15)
-    assert lam_lat == pytest.approx(math.exp(-M.nu), rel=1e-15)
+    assert lam_ax == pytest.approx(math.e, rel=1e-15, abs=0.0)
+    assert lam_lat == pytest.approx(math.exp(-M.nu), rel=1e-15, abs=0.0)
     # nu = 0: no lateral contraction
     assert uniaxial_response(3.7, M0)[1] == 1.0
 
@@ -467,9 +467,9 @@ def test_incompressible_closed_forms():
     assert incompressible_uniaxial_limit(1.0, M) == 0.0
     assert incompressible_uniaxial_hyper(1.0, M) == 0.0
     assert incompressible_uniaxial_limit(math.e, M) \
-        == pytest.approx(3.0 * M.g, rel=1e-15)
+        == pytest.approx(3.0 * M.g, rel=1e-15, abs=0.0)
     assert incompressible_uniaxial_hyper(math.e, M) \
-        == pytest.approx(M.g * (2.0 + math.e ** -1.5), rel=1e-15)
+        == pytest.approx(M.g * (2.0 + math.e ** -1.5), rel=1e-15, abs=0.0)
 
 
 def test_incompressible_slopes_agree_at_identity():
@@ -477,7 +477,7 @@ def test_incompressible_slopes_agree_at_identity():
     h = 1e-7
     for fn in (incompressible_uniaxial_limit, incompressible_uniaxial_hyper):
         slope = (fn(1.0 + h, M) - fn(1.0 - h, M)) / (2.0 * h)
-        assert slope == pytest.approx(3.0 * M.g, rel=1e-6)
+        assert slope == pytest.approx(3.0 * M.g, rel=1e-6, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -584,35 +584,36 @@ def test_hooke_uniaxial_reduces_to_linear():
     # with nu = 0 the uniaxial response is 2 G (lambda - 1)
     lam = 1.37
     assert _tension("hooke-biot", M0, lam) \
-        == pytest.approx(2.0 * M0.g * (lam - 1.0), rel=1e-14)
+        == pytest.approx(2.0 * M0.g * (lam - 1.0), rel=1e-14, abs=0.0)
     # general moduli: E (lambda - 1), checked by zero lateral stress
     nu_lin = M.lam / (2.0 * (M.lam + M.g))
     lam_lat = 1.0 - nu_lin * (lam - 1.0)
     t = hooke_biot(np.diag([lam_lat, lam, lam_lat]), M)
     assert abs(t[0, 0]) < 1e-14 and abs(t[2, 2]) < 1e-14
     assert _tension("hooke-biot", M, lam) \
-        == pytest.approx(t[1, 1], rel=1e-13)
+        == pytest.approx(t[1, 1], rel=1e-13, abs=0.0)
 
 
 def test_neo_hooke_uniaxial():
     lam = 1.8
     assert _tension("neo-hooke", M, lam) \
-        == pytest.approx(M.g * (lam - lam ** -2), rel=1e-15)
+        == pytest.approx(M.g * (lam - lam ** -2), rel=1e-15, abs=0.0)
     # small-strain slope is 3 G, the incompressible Young's modulus
     h = 1e-7
     slope = (_tension("neo-hooke", M, 1 + h)
              - _tension("neo-hooke", M, 1 - h)) / (2 * h)
-    assert slope == pytest.approx(3.0 * M.g, rel=1e-6)
+    assert slope == pytest.approx(3.0 * M.g, rel=1e-6, abs=0.0)
 
 
 def test_becker_uniaxial_mode_is_exact_compressible():
     lam = 2.1
     assert _tension("becker", M, lam) \
-        == pytest.approx(M.e * math.log(lam), rel=1e-14)
+        == pytest.approx(M.e * math.log(lam), rel=1e-14, abs=0.0)
     # written in E, so E = 3 G (nu -> 1/2) is the incompressible limit
     m_inc = Moduli.from_g_nu(M.g, 0.5 - 1e-12)
     assert _tension("becker", m_inc, lam) \
-        == pytest.approx(incompressible_uniaxial_limit(lam, M), rel=1e-11)
+        == pytest.approx(incompressible_uniaxial_limit(lam, M), rel=1e-11,
+                         abs=0.0)
 
 
 def _mp_glide_sigma12(mpmath, law, gamma, m):
@@ -653,7 +654,7 @@ def test_simple_shear_closed_forms():
                     (law, lam, gamma)
     gamma = 1.2
     assert simple_shear_sigma12("neo-hooke", gamma, M) \
-        == pytest.approx(M.g * gamma, rel=1e-15)
+        == pytest.approx(M.g * gamma, rel=1e-15, abs=0.0)
     for tag in ("becker", "hencky-kirchhoff", "neo-hooke", "hooke-biot"):
         assert simple_shear_sigma12(tag, 0.0, M) == 0.0
 
@@ -753,18 +754,18 @@ def test_glide_domain_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # r = hypot(gamma, 2): a naive sqrt(gamma**2 + 4) overflows here.
-        # Beyond gamma = 1e3 the finite-Hooke rows, whose strain is
-        # expm1(+-a), lose about eps * a to the rounding of a = asinh(gamma
-        # / 2)
+        # The finite-Hooke rows form s - 1 from h = gamma / 2 without
+        # cancellation, so they hold 2e-15 up to gamma = 1e300 (see
+        # test_glide_above_1e3_against_mpmath)
         for gamma in (1e200, 1e307):
             assert simple_shear_sigma12("hooke-cauchy", gamma, m) \
-                == pytest.approx(2.0 * m.g, rel=1e-13)
+                == pytest.approx(2.0 * m.g, rel=1e-13, abs=0.0)
         assert (simple_shear_sigma12("hooke-cauchy", [1e200, 1e307], m)
-                == pytest.approx(2.0 * m.g, rel=1e-13))
+                == pytest.approx(2.0 * m.g, rel=1e-13, abs=0.0))
         # the smallest stretch 1/l1 = 1e-150 is no longer floored
         for law in ("becker", "hencky-kirchhoff"):
             assert simple_shear_sigma12(law, 1e150, m) == pytest.approx(
-                _mp_glide_sigma12(mpmath, law, 1e150, m), rel=1e-13)
+                _mp_glide_sigma12(mpmath, law, 1e150, m), rel=1e-13, abs=0.0)
         # a Biot row scales t by s / r <= 1 before the product, so its
         # sigma_12 is finite wherever it is representable
         for law in ("becker", "hooke-biot"):

@@ -71,7 +71,7 @@ def test_noisy_fit_is_least_squares(rng):
     assert sse(fit.g) <= sse(fit.g * (1 + 1e-6))
     assert sse(fit.g) <= sse(fit.g * (1 - 1e-6))
     assert fit.rms == pytest.approx(math.sqrt(sse(fit.g) / len(ds)),
-                                    rel=1e-12)
+                                    rel=1e-12, abs=0.0)
 
 
 def test_duplicates_averaged_and_sorted():

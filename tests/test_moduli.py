@@ -41,7 +41,7 @@ def test_conversion_formulas():
 def test_nu_zero_means_lam_zero():
     m = Moduli.from_g_nu(3.0, 0.0)
     assert m.lam == 0.0
-    assert m.e == pytest.approx(2.0 * m.g, rel=1e-15)
+    assert m.e == pytest.approx(2.0 * m.g, rel=1e-15, abs=0.0)
 
 
 def test_rejects_overspecification():
@@ -159,7 +159,7 @@ def test_k_is_formed_without_2g():
     exact = Fraction(1e308) * 2 / 3 + Fraction(-6.6e307)
     assert m.k == pytest.approx(float(exact), rel=1e-13, abs=0)
     assert Moduli.from_g_k(1e308, m.k).lam == pytest.approx(-6.6e307,
-                                                            rel=1e-15)
+                                                            rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("make, name", [
