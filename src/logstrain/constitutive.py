@@ -149,8 +149,7 @@ def becker_inverse(t, m: Moduli):
     d, frame = _spectrum(t - mean * _EYE)
     out = _finite_values(np.exp, _over(d, 2.0, m.g) + _over(trace, 9.0, m.k),
                          "mat_exp", stack)
-    return sym_part((frame * (out[..., None, :] if stack else out))
-                    @ frame.swapaxes(-1, -2))
+    return _from_spectrum(frame, out)
 
 
 def hencky_kirchhoff(v, m: Moduli):
@@ -244,7 +243,11 @@ def becker_energy_nu0(u, m: Moduli):
     u = sym_part(_as_mats(u, "u"))
     vals, frame = _spectrum(sym_part(u))
     energy = _energy_nu0(u, vals, frame, m)
-    _require_energy(vals, energy, m, u.shape[:-2])
+    _require_floor(vals, "mat_log", "eigenvalue", u.shape[:-2])
+    bad = _first(~np.isfinite(energy))
+    if bad is not None:
+        raise LogstrainError(f"becker_energy_nu0: energy is not finite at "
+                             f"G = {m.g:.6g}{_at(bad, u.shape[:-2])}")
     return energy if u.ndim > 2 else float(energy)
 
 
@@ -252,21 +255,10 @@ def becker_energy_nu0(u, m: Moduli):
 def _energy_nu0(u, vals, frame, m):
     """The lam = 0 energy at the symmetric stretches u whose
     :func:`tensors._spectrum` is ``(vals, frame)``, quietly and untested:
-    not finite where :func:`_require_energy` raises."""
+    not finite where :func:`becker_energy_nu0` raises for an energy that
+    is not finite."""
     log_u = _from_spectrum(frame, np.log(vals))  # mat_log's bits
     return 2.0 * m.g * (_inners(u, log_u - _EYE) + 3.0)
-
-
-def _require_energy(vals, energy, m, shape):
-    """The errors of :func:`becker_energy_nu0` at stretches of spectra
-    vals, shape (..., 3), and energies ``energy``, naming members of a
-    stack of leading shape ``shape``: the floor of :func:`mat_log`, then
-    an energy that is not finite."""
-    _require_floor(vals, "mat_log", "eigenvalue", shape)
-    bad = _first(~np.isfinite(energy))
-    if bad is not None:
-        raise LogstrainError(f"becker_energy_nu0: energy is not finite at "
-                             f"G = {m.g:.6g}{_at(bad, shape)}")
 
 
 @_closed_form
@@ -544,11 +536,9 @@ def _lame_on_frame(frame, e, m):
     frame.T + lam sum_j e_j I``.  The spherical part is added to the
     diagonal after the frame product, so that its roundoff stays there,
     and left out at lam = 0, as in :func:`_lame`."""
-    scaled = 2.0 * (m.g * e)
-    t = sym_part((frame * (scaled if e.ndim == 1 else scaled[..., None, :]))
-                 @ frame.swapaxes(-1, -2))
+    t = _from_spectrum(frame, 2.0 * (m.g * e))
     if m.lam != 0.0:
-        # the diagonal as a basic-slice view: sym_part returns a new
+        # the diagonal as a basic-slice view: _from_spectrum returns a new
         # contiguous array, so the reshape cannot copy
         t.reshape(t.shape[:-2] + (9,))[..., ::4] += m.lam * _sum3(e)
     return t

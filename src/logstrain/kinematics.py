@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonInvertible, NoSuchPlane
 from .tensors import (_as_mats, _as_real, _at, _closed_form, _det, _first,
-                      _svd, as_mat3, cofactor, eig_sym, sym_part)
+                      _from_spectrum, _svd, as_mat3, cofactor, eig_sym)
 
 __all__ = [
     "PolarFactors",
@@ -84,11 +84,9 @@ def polar_decompose(f):
     f = _as_mats(f, "f")
     _jacobian(f)
     w, s, vt = _svd(f)
-    s = s[..., None, :]
-    r = w @ vt
-    u = sym_part((vt.swapaxes(-1, -2) * s) @ vt)
-    v = sym_part((w * s) @ w.swapaxes(-1, -2))
-    return PolarFactors(r=r, u=u, v=v)
+    u = _from_spectrum(vt.swapaxes(-1, -2), s)
+    v = _from_spectrum(w, s)
+    return PolarFactors(r=w @ vt, u=u, v=v)
 
 
 @_closed_form

@@ -443,7 +443,8 @@ def _mat_fn(a, f, name, floor_on):
 def _from_spectrum(frame, vals):
     """The symmetric matrices ``frame @ diag(vals) @ frame.T`` of a
     (..., 3, 3) stack of frames and its (..., 3) spectra."""
-    return sym_part((frame * vals[..., None, :]) @ frame.swapaxes(-1, -2))
+    return sym_part((frame * (vals if vals.ndim == 1 else vals[..., None, :]))
+                    @ frame.swapaxes(-1, -2))
 
 
 def _finite_values(f, vals, name, shape, floor_on=None):

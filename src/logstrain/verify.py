@@ -12,27 +12,28 @@ standard normals, so recorded witnesses are reproducible from the seed.
 Each randomized check draws its whole batch of samples from its own stream
 ``default_rng([seed, k])`` in bulk: one (samples, 3) array of eigenvalues
 per spectrum and one (samples, 3, 3) array of normals per rotation, in a
-fixed order.  A suite (:func:`suite`, or the axiom block of
-:func:`check_axioms` alone) is evaluated as one batch of (n, 3, 3) stacks.
-One :func:`_draw` call makes the draws of every stream, the rotations
-from one stacked QR.  Each matrix is decomposed once, in rounds: round 1
-is one spectrum of every stretch the checks give, the bases of real
-powers and the stretches whose eigenvalues a check reads included, from
-which the powers, the eigenvalues and the stresses are read; round 2 is
-one spectrum of the powers; and the law is called once, on the spectra
-of both rounds.  Each check then judges its own slice, with the bits it
-would get alone.  A check reports the first worst sample, or for a search
-the first flagged one.  A NaN or infinite residual counts as the worst,
-so a check whose residual cannot be evaluated fails.  The batch raises
-nothing for a member: its floor and finiteness tests run once on the
-whole batch, as masks, and where one fails, a check's read of its slice
-runs its members' own tests in the order of their own calls, so the
-error it raises (a stress or an energy that overflows) names the member
-as the check's own call would.  The batch is evaluated inside the first
-report that reads it, and nothing is evaluated twice.  A check whose
-evaluation raises decides nothing: its report comes out not as expected,
-whichever way the check was expected to go, with the message as its
-witness.
+fixed order; a check of stretches alone (scalar, or principal) draws one
+array of them.  A suite (:func:`suite`, or the axiom block of
+:func:`check_axioms` alone) is evaluated as one batch of (n, 3, 3) stacks,
+which answers stresses only.  One :func:`_draw` call makes the draws of
+every stream, the rotations from one stacked QR.  Each matrix is
+decomposed once, in rounds: round 1 is one spectrum of every stretch the
+checks give, the bases of real powers included, from which the powers and
+the stresses are read; round 2 is one spectrum of the powers; and the law
+is called once, on the spectra of both rounds.  Each check then judges
+its own slice, with the bits it would get alone.  A check reports the
+first worst sample, or for a search the first flagged one.  A NaN or
+infinite residual counts as the worst, so a check whose residual cannot
+be evaluated fails.  The batch raises nothing for a member: its floor and
+finiteness tests run once on the whole batch, as masks, and where one
+fails, a check's read of its slice makes its members' own public calls
+in order (``mat_pow`` per exponent, then the law), so the error it raises
+(a stress or an energy that overflows) is the one its own call raises;
+the answers still come from the batch.  The batch is evaluated inside
+the first report that reads it; where its masks pass, nothing is
+evaluated twice.  A check whose evaluation raises decides nothing: its
+report comes out not as expected, whichever way the check was expected
+to go, with the message as its witness.
 
 Path work to a tolerance comes from one nested Chebyshev rule
 (:func:`converged_path_work`): Clenshaw-Curtis weights and a Chebyshev
@@ -52,16 +53,15 @@ import numpy as np
 
 from .constitutive import (_LAWS, _energy_nu0, _finite, _lam_is_zero, _lame,
                            _lame_on_frame, _log_strain, _pk2_of_biot,
-                           _require_energy, _tensor_row, becker_energy_nu0,
+                           _tensor_law, _tensor_row, becker_energy_nu0,
                            becker_inverse, linearized_law, pk1_for_law)
 from .errors import LogstrainError
 from .moduli import Moduli
-from .tensors import (_EYE, _as_mats, _as_real, _at, _below_floor,
-                      _closed_form, _concat, _det, _diag, _finite_values,
-                      _first, _first_nonfinite, _fro_norms, _from_spectrum,
-                      _inners, _pow2_scale, _pow_rule,
-                      _require_floor, _split_like, _spectrum, _sum_is_finite,
-                      as_mat3, eig_sym, fro_norm, sym_part)
+from .tensors import (_EYE, _as_real, _at, _below_floor, _closed_form,
+                      _concat, _det, _diag, _first, _first_nonfinite,
+                      _fro_norms, _from_spectrum, _inners, _pow2_scale,
+                      _pow_rule, _split_like, _spectrum, _sum_is_finite,
+                      as_mat3, eig_sym, fro_norm, mat_pow, sym_part)
 
 __all__ = [
     "CheckReport",
@@ -164,6 +164,8 @@ def _log_range(lo, hi):
 
 _SPD = (_log_range(*EIG_RANGE),)
 _SYM_LOG = ((-8.0, 2.0, False),)
+# per-sample shapes of a stream of stretches alone: one, or three principal
+_STRETCH, _PRINCIPAL = (), (3,)
 
 
 def _draw(rng, samples, groups, *streams):
@@ -206,18 +208,19 @@ def _draw(rng, samples, groups, *streams):
 
 def _draws(samples, seed, streams):
     """The draws of the ``(key, groups)`` streams ``default_rng([seed,
-    key])``, one list per stream: the stacks of its groups, the groups of
-    every stream drawn by one :func:`_draw` call, or for groups None one
-    array of ``samples`` scalar stretches, log-uniform over EIG_RANGE."""
+    key])``, one list per stream: for a list of groups, their stacks, the
+    groups of every stream drawn by one :func:`_draw` call; for a
+    per-sample shape (``_STRETCH``, ``_PRINCIPAL``), one array of shape
+    ``(samples, *shape)`` of stretches log-uniform over EIG_RANGE, with no
+    rotation: for ``(3,)`` the call and bits of a :func:`_draw` spectrum."""
     rngs = [(np.random.default_rng([seed, key]), groups)
             for key, groups in streams]
-    (rng, groups), *more = [s for s in rngs if s[1] is not None]
+    (rng, groups), *more = [s for s in rngs if isinstance(s[1], list)]
     stacks = iter(_draw(rng, samples, groups, *more))
     out = []
     for rng, groups in rngs:
-        if groups is None:
-            out.append([np.exp(rng.uniform(*_log_range(*EIG_RANGE)[:2],
-                                           samples))])
+        if isinstance(groups, tuple):  # stretches alone
+            out.append([np.exp(rng.uniform(*_SPD[0][:2], (samples, *groups)))])
         else:  # a group gives a stack per spectrum, or its rotations
             out.append([next(stacks) for g in groups
                         for _ in range(max(len(g), 1))])
@@ -287,9 +290,10 @@ def _worst(residuals, witness_of, floor=0.0):
 # one batch of checks
 #
 # A check is a generator on its draws.  It yields one request, a tuple
-# whose members are stretches, answered with the law's stress at each,
-# _Power stacks, answered with the law's stress at the powers, or
-# _Eigenvalues, answered with the eigenvalues; it then returns its outcome.
+# whose members are stretches, answered with the law's stress at each, or
+# _Power stacks, answered with the law's stress at the powers; it then
+# returns its outcome.  The batch answers stresses only; where its masks
+# fail, a member makes the public calls it stands for, for their error.
 
 class _Power(NamedTuple):
     """The stretches ``a**r`` of a (..., 3, 3) stack ``a``: matrix i raised
@@ -299,12 +303,6 @@ class _Power(NamedTuple):
 
     a: np.ndarray
     exponents: tuple
-
-
-class _Eigenvalues(NamedTuple):
-    """The descending eigenvalues of each matrix of the stack ``a``."""
-
-    a: np.ndarray
 
 
 def _count(a):
@@ -324,37 +322,35 @@ def _finite_or_eye(a):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _answers(row, m, requests):
-    """``read``, the answers to the requests of many checks: ``read(k)``
-    answers request k, each member with the bits of its own calls (one
-    law call per stretch, after one ``mat_pow`` call per exponent of a
-    :class:`_Power`, one spectrum per :class:`_Eigenvalues`), from one
-    call per kind and round.
+    """``read``, the stresses that answer the requests of many checks:
+    ``read(k)`` answers request k, each member with the bits of its own
+    calls (one ``mat_pow`` call per exponent of a :class:`_Power`, then
+    one law call on the stretch), from one call per kind and round.
 
     Round 1 is one spectrum of every stack the requests name as such, each
     once: the stretches (for a logarithmic law, whose stress is read from
-    the spectrum), then the power bases and the eigenvalue requests.  The
-    powers are read from that spectrum, and round 2 is one spectrum of the
-    powers.  The law is then evaluated
-    once, on the spectra of the stretches and of the powers, or for a
-    finite-Hooke law on the matrices.
+    the spectrum), then the power bases.  The powers are read from that
+    spectrum, and round 2 is one spectrum of the powers.  The law is then
+    evaluated once, on the spectra of the stretches and of the powers, or
+    for a finite-Hooke law on the matrices.
 
     Nothing here raises for a member: a matrix with an entry that is not
     finite is decomposed as I, and the tests of the inputs, of the floors
     and of finiteness run once on the whole batch, as masks.  Where one
-    fails, ``read(k)`` first runs each member's own tests on its own
-    slice, in the order of its calls: the input, each exponent's
-    ``mat_pow`` in turn, then the law; so it raises the error of the
-    first of those calls that would raise.
+    fails, ``read(k)`` first makes each member's own public calls, in
+    order: for a :class:`_Power`, ``mat_pow`` on each exponent's slice;
+    then ``constitutive._tensor_law`` on the stretch, as
+    :func:`constitutive.stretch_stress` does.  So it raises the error of
+    the first of those calls that raises.  The calls only raise: the
+    answers still come from the batch.
     """
     members = [x for r in requests for x in r]
     plain = list({id(x): x for x in members
                   if isinstance(x, np.ndarray)}.values())
     powers = [x for x in members if isinstance(x, _Power)]
     log = row.strain is _log_strain
-    first = {id(a): a for a in (plain if log else [])}
-    for x in members:
-        if not isinstance(x, np.ndarray):
-            first.setdefault(id(x.a), x.a)
+    first = {id(a): a for a in [*(plain if log else []),
+                                *(x.a for x in powers)]}
     starts = dict(zip(first, np.cumsum([0] + list(map(_count, first.values())))
                       .tolist()))
     a, clean = _finite_or_eye(_concat(list(first.values())))
@@ -382,7 +378,6 @@ def _answers(row, m, requests):
         clean = (clean and _sum_is_finite(out, core=1)
                  and not (tested & _below_floor(pv, signed)).any())
     p = sum(map(_count, plain))
-    shapes = plain + [x.a for x in powers]
     if log:
         law_vals, law_frame = vals[:p], frame[:p]
         if powers:
@@ -396,45 +391,24 @@ def _answers(row, m, requests):
     else:
         t = _lame(sym_part(_concat(plain + [powered])) - _EYE, m)
     clean = clean and _sum_is_finite(t)
-    ids = list(map(id, plain + powers))
-    stress = dict(zip(ids, _split_like(t, shapes)))
-    if not clean:  # the slices the members' own tests read
-        inputs = dict(zip(ids, plain + _split_like(
-            powered, [x.a for x in powers])))
-        if log:
-            floors = dict(zip(ids, _split_like(law_vals, shapes)))
+    stress = dict(zip(map(id, plain + powers),
+                      _split_like(t, plain + [x.a for x in powers])))
 
-    def test(x):
-        # the tests of x's own calls, on its slices, in their order
-        if isinstance(x, _Eigenvalues):
-            _as_mats(x.a, "u")
-            return
+    def own_calls(x):
+        # the public calls member x stands for, in their order
         if isinstance(x, _Power):
             n, k = _count(x.a), len(x.exponents)
+            stretch = np.empty(np.shape(x.a))
             for j, r in enumerate(x.exponents[:n]):
-                piece = _as_mats(x.a[j::k], "a")
-                shape = piece.shape[:-2]
-                power, floor_on = _pow_rule(r)
-                piece_vals = vals[starts[id(x.a)] + np.arange(j, n, k)]
-                piece_vals = piece_vals.reshape(shape + (3,))
-                _finite_values(power, piece_vals, "mat_pow", shape, floor_on)
-        shape = _as_mats(inputs[id(x)], row.stretch).shape[:-2]
-        if log:
-            _require_floor(floors[id(x)], "mat_log", "eigenvalue", shape)
-        _finite(row.tag, stress[id(x)], m)
-
-    def answer(x):
-        if isinstance(x, _Eigenvalues):
-            start = starts[id(x.a)]
-            return vals[start:start + _count(x.a)].reshape(x.a.shape[:-1])
-        return stress[id(x)]
+                stretch[j::k] = mat_pow(x.a[j::k], r)
+            x = stretch
+        _tensor_law(row, x, m)
 
     def read(k):
         if not clean:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for x in requests[k]:
-                    test(x)
-        return [answer(x) for x in requests[k]]
+            for x in requests[k]:
+                own_calls(x)
+        return [stress[id(x)] for x in requests[k]]
 
     return read
 
@@ -470,9 +444,9 @@ def _batch(row, m, checks):
 
 def _axioms(row, m, samples):
     """The checks of :func:`check_axioms` for the law of table row
-    ``row``, each with its :func:`_draw` groups, or None for one scalar
-    stretch per sample, log-uniform over EIG_RANGE.  Each returns
-    ``(worst, witness)``."""
+    ``row``, each with its :func:`_draw` groups, or :data:`_STRETCH` for
+    one scalar stretch per sample, log-uniform over EIG_RANGE (see
+    :func:`_draws`).  Each returns ``(worst, witness)``."""
 
     def misfit(lhs, rhs):
         # relative distance of two stress stacks, per sample; the three
@@ -544,8 +518,8 @@ def _axioms(row, m, samples):
         err = _rel(_fro_norms(back - u), _fro_norms(u))
         return _worst(err, lambda i: {"u": u[i], "round_trip": back[i]})
 
-    checks = [(stress_free_reference, [_SPD]), (shear_to_shear, None),
-              (sphere_to_dilation, None), (superposition, [_SPD * 2]),
+    checks = [(stress_free_reference, [_SPD]), (shear_to_shear, _STRETCH),
+              (sphere_to_dilation, _STRETCH), (superposition, [_SPD * 2]),
               (isotropy, [_SPD, ()]),
               (power_law, [(_log_range(0.1, 10.0),)]),
               (inversion_symmetry, [_SPD])]
@@ -597,7 +571,7 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
     and one law evaluation on the spectra of all of them.  Each check then
     judges its own slice, with the bits it would get alone.  A check that
     meets an error on its own slice (for instance a stress that
-    overflows) raises the error its own calls would raise, naming its own
+    overflows) makes its own calls, which raise the error naming its own
     member, and is undecided: its report comes out not as expected, with
     the message as its witness.
     """
@@ -717,7 +691,8 @@ def _force_order(lam, m: Moduli):
     slack = -1e-12 * np.maximum(1.0, np.abs(forces).max(axis=-1))
     i, j = np.array(_PAIRS).T
     full = (forces[..., i] - forces[..., j]) * (lam[..., i] - lam[..., j])
-    reduced = (2.0 * m.g * (logs[..., i] - logs[..., j])
+    # 2 (G d), as the laws form it: finite also where 2 G is not
+    reduced = (2.0 * (m.g * (logs[..., i] - logs[..., j]))
                * (lam[..., i] - lam[..., j]))
     return forces, full, reduced, slack
 
@@ -771,12 +746,11 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
     and the SPD stacks (u1, u2, midpoint); a NaN or infinite excess is the
     largest and fails ``energy_convexity_spd``.  Each probe reads its own
     three energies; where one of them meets an error (an energy that
-    overflows, G near the largest float), the probe raises the error of
-    its own first call that would raise, one stack at a time, and decides
-    nothing: it comes out not as expected, with that message as its
-    witness.  Raises
-    ``ValueError`` unless lam = 0 by the rule of
-    :func:`constitutive.becker_energy_nu0`.
+    overflows, G near the largest float), the probe calls
+    :func:`constitutive.becker_energy_nu0` on its stacks in turn, raises
+    the first error, and decides nothing: it comes out not as expected,
+    with that message as its witness.  Raises ``ValueError`` unless lam =
+    0 by the rule of :func:`constitutive.becker_energy_nu0`.
     """
     _require_samples(samples)
     if not _lam_is_zero(m):
@@ -792,22 +766,23 @@ def _probe_energies(m, xs, us):
     ``read(1)`` at each SPD stack of ``us``, with the bits of those calls,
     from one spectrum of xs and one of the exponentials and us.  The
     draws' eigenvalues lie in [-8, 2] and [0.1, 10], so no exponential
-    overflows; as in :func:`_answers`, the energy's tests run once on the
-    whole batch, and where one fails, ``read(k)`` first runs them on each
-    of its stacks in turn."""
+    overflows.  As in :func:`_answers`, the energy's tests run once on the
+    whole batch, as masks; where one fails, ``read(k)`` first calls
+    :func:`constitutive.becker_energy_nu0` on each of its three stacks in
+    turn, for the error it raises, and still answers from the batch."""
     ev, ef = _spectrum(sym_part(_concat(xs)))
     stacks = [*_split_like(_from_spectrum(ef, np.exp(ev)), xs), *us]
     u = sym_part(_concat(stacks))
     vals, frame = _spectrum(sym_part(u))
     w = _energy_nu0(u, vals, frame, m)
     clean = _sum_is_finite(w) and not _below_floor(vals, True).any()
-    w, vals = _split_like(w, stacks), _split_like(vals, stacks)
+    w = _split_like(w, stacks)
 
     def read(probe):
         own = range(3 * probe, 3 * probe + 3)
         if not clean:
             for i in own:
-                _require_energy(vals[i], w[i], m, w[i].shape)
+                becker_energy_nu0(stacks[i], m)
         return [w[i] for i in own]
 
     return read
@@ -1149,8 +1124,6 @@ def _ladder_outcome(residuals, h_ladder):
     return passed, witness
 
 
-
-
 def _linearization_ladder(m, eps, h_ladder):
     """:func:`linearization_order_check` as a check generator: it yields
     the stretches ``I + h eps`` and, sent their stresses, returns
@@ -1233,17 +1206,18 @@ def suite(law, m: Moduli, samples=1000, seed=0):
     For the becker law the suite is evaluated as one batch, as the axiom
     block of :func:`check_axioms` is: one :func:`_draw` call, one QR, for
     the axiom streams ``[seed, k]``, ``m_condition_random`` (``[seed,
-    200]``), ``ordered_force_random`` (``[seed, 201]``) and the convexity
-    probes (``[seed, 100]``, ``[seed, 101]``); in round 1 one spectral
-    decomposition of every stretch: the axioms', the power bases, the
-    monotonicity pairs, the ordered-force stretches and the ladder
-    stretches, from which the powers, the eigenvalues and the stresses are
-    read; in round 2 one of the powers; and one law call on the spectra of
-    both rounds.  The probes take one spectrum for ``mat_exp`` and one for
-    the energies (see :func:`hill_convexity_probe`).  Each check judges
-    its own slice, with the bits it would get alone, and an error on its
-    slice is the one its own calls would raise.  The remainder ladders
-    are reports like every other check.
+    200]``) and the convexity probes (``[seed, 100]``, ``[seed, 101]``);
+    in round 1 one spectral decomposition of every stretch: the axioms',
+    the power bases, the monotonicity pairs and the ladder stretches, from
+    which the powers and the stresses are read; in round 2 one of the
+    powers; and one law call on the spectra of both rounds.  The probes
+    take one spectrum for ``mat_exp`` and one for the energies (see
+    :func:`hill_convexity_probe`).  Each check judges its own slice, with
+    the bits it would get alone, and an error on its slice is the one its
+    own calls raise.  ``ordered_force_random`` judges the principal
+    stretches that its stream ``[seed, 201]`` draws, one (samples, 3)
+    log-uniform array, and factorizes nothing.  The remainder ladders are
+    reports like every other check.
 
     A residual that overflows fails its check as a NaN or infinite
     residual, so the suite runs without numpy's floating-point warnings.
@@ -1268,18 +1242,19 @@ def suite(law, m: Moduli, samples=1000, seed=0):
             "u1": u1[i], "u2": u2[i], "value": float(value[i])}, -math.inf)
         return least < 0.0, witness
 
-    def ordered_forces(u):
-        lam, = yield (_Eigenvalues(u),)
+    def ordered_forces(lam):
+        # the principal stretches as drawn; the witness is that of the
+        # diagonal stretch, whose eigenvalues are its diagonal, sorted
         _, full, reduced, slack = _force_order(lam, m)
         k = _first(((full < slack[:, None]) | (reduced < slack[:, None]))
                    .any(axis=-1))
-        return k is None, (None if k is None
-                           else ordered_force_check(u[k], m).witness)
+        return k is None, (None if k is None else
+                           ordered_force_check(np.diag(lam[k]), m).witness)
 
     # the streams of the axioms, of ordered_force_random, and at lam = 0 of
     # m_condition_random and the probes
     streams = [(k, groups) for k, (_, groups) in enumerate(axioms)]
-    streams.append((201, [_SPD]))
+    streams.append((201, _PRINCIPAL))
     if lam_zero:
         streams += [(200, [_SPD, _SPD]), *_HILL_STREAMS]
     draws = _draws(samples, seed, streams)
@@ -1299,15 +1274,13 @@ def suite(law, m: Moduli, samples=1000, seed=0):
 
     pair = np.diag([2.0, 0.25, 1.0]), np.eye(3)
     checks = _bound(axioms, draws) + [
-        functools.partial(ordered_forces, *draws[n]), closed_form,
-        paper_pair,
+        closed_form, paper_pair,
         functools.partial(_linearization_ladder, m, _LADDER_EPS, LADDER_H),
         functools.partial(_pk2_ladder, m, _LADDER_EPS, LADDER_H)]
     if lam_zero:
         checks.append(functools.partial(random_pairs, *draws[n + 1]))
     outcomes = _batch(row, m, checks)
-    ordered, closed_form, paper_pair, linearization, pk2, *random = \
-        outcomes[n:]
+    closed_form, paper_pair, linearization, pk2, *random = outcomes[n:]
 
     def baker_ericksen(v):
         report = baker_ericksen_check(v, m)
@@ -1350,7 +1323,8 @@ def suite(law, m: Moduli, samples=1000, seed=0):
     reports.append(_run(
         "baker_ericksen_small_strain", TIE_TOL,
         lambda: baker_ericksen(np.eye(3) + 1e-4 * np.diag([1.0, 2.0, 3.0]))))
-    reports.append(_run("ordered_force_random", 1e-12, ordered))
+    reports.append(_run("ordered_force_random", 1e-12,
+                        functools.partial(ordered_forces, *draws[n])))
     if lam_zero:
         (x1, x2), (u1, u2) = draws[-2:]
         reports.extend(_hill_reports(m, x1, x2, u1, u2))

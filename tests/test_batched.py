@@ -311,14 +311,15 @@ def test_each_block_is_one_batch(monkeypatch, block, eigh, matrices):
 # per configuration of the benchmark's check-suite workload, one suite at
 # samples 64, seed 1: its eigh calls, and the matrices of its one qr call
 # and of its eigh calls.  A becker suite decomposes, besides the axiom
-# block, the monotonicity pairs (2, and 128 at lam = 0), the ordered-force
-# stretches (64) and the ladder stretches (6) in its first round; then the
-# two Baker-Ericksen stretches, and at lam = 0 the probes (192 + 384) and
-# the open path's two ends, one call each.
+# block, the monotonicity pairs (2, and 128 at lam = 0) and the ladder
+# stretches (6) in its first round; then the two Baker-Ericksen stretches,
+# and at lam = 0 the probes (192 + 384) and the open path's two ends, one
+# call each.  The ordered-force check reads its drawn principal stretches
+# and factorizes nothing: its stream draws no rotation.
 _SUITE_BUDGETS = {
-    ("becker", 0.0): (9, 896, 905 + 128 + 64 + 2 + 576 + 2),
-    ("becker", 0.5): (5, 512, 777 + 128 + 64 + 2),
-    ("becker", 25.0): (5, 512, 777 + 128 + 64 + 2),
+    ("becker", 0.0): (9, 832, 841 + 128 + 64 + 2 + 576 + 2),
+    ("becker", 0.5): (5, 448, 713 + 128 + 64 + 2),
+    ("becker", 25.0): (5, 448, 713 + 128 + 64 + 2),
     ("hencky-kirchhoff", 0.5): (3, 448, 705 + 128 + 64),
     ("hooke-biot", 0.5): (1, 384, 128),
 }
@@ -331,6 +332,40 @@ def test_suite_is_one_batch(monkeypatch, law, lam):
     verify.suite(law, Moduli.from_g_lam(1.0, lam), samples=64, seed=1)
     assert calls == Counter(eigh=eigh, qr=1)
     assert calls.matrices == Counter(eigh=eigh_matrices, qr=qr_matrices)
+
+
+@pytest.mark.parametrize("samples", [1, 5, 64])
+def test_ordered_forces_judge_the_drawn_stretches(monkeypatch, samples):
+    # ordered_force_random judges the principal stretches its stream
+    # [seed, 201] draws, bit for bit and in the order drawn: one (samples,
+    # 3) log-uniform array, with no rotation and no eigendecomposition
+    seen, force_order = [], verify._force_order
+
+    def capture(lam, m):
+        seen.append(lam)
+        return force_order(lam, m)
+
+    monkeypatch.setattr(verify, "_force_order", capture)
+    verify.suite("becker", M, samples=samples, seed=7)
+    rng = np.random.default_rng([7, 201])
+    drawn = np.exp(rng.uniform(math.log(0.05), math.log(20.0), (samples, 3)))
+    assert len(seen) == 1 and _same_bits(seen[0], drawn)
+
+
+def test_a_clean_batch_makes_no_member_call(monkeypatch):
+    # where the batch's masks pass, no member's own call is made: nothing
+    # is evaluated twice
+    def refuse(*args):
+        raise AssertionError("a member call on a clean batch")
+
+    for name in ("mat_pow", "_tensor_law", "becker_energy_nu0"):
+        monkeypatch.setattr(verify, name, refuse)
+    for law in TENSOR_LAWS:
+        assert all(r.as_expected for r in verify.check_axioms(
+            law, M, samples=16, seed=2))
+    u = _spd(np.random.default_rng(3))
+    assert verify.m_condition_check(u, u[::-1], M)[0] > 0.0
+    verify.hill_convexity_probe(Moduli.from_g_lam(1.0, 0.0), samples=16)
 
 
 def test_stacked_norm_and_inner_equal_the_one_matrix_ones(rng):
@@ -482,10 +517,8 @@ def test_small_seeded_suite_reports_are_pinned(law, lam, samples):
 def _answers_alone(row, m, requests):
     # each member of a request answered by its own public calls, one member
     # at a time: one mat_pow call per exponent slice, one stretch_stress
-    # call per stretch, one eig_sym call per matrix
+    # call per stretch
     def answer(x):
-        if isinstance(x, verify._Eigenvalues):
-            return np.array([eig_sym(a).eigenvalues for a in x.a])
         if isinstance(x, verify._Power):
             n, a = len(x.exponents), np.empty_like(x.a)
             for k, r in enumerate(x.exponents[:len(x.a)]):

@@ -414,6 +414,20 @@ def test_principal_stresses_that_overflow_raise():
         assert not by_name[name].as_expected, name
 
 
+def test_reduced_forces_stay_finite_where_2g_overflows():
+    # 2 (G d) as the laws form it: at G = 1e308 the product 2 G is inf, but
+    # 2 G (ln lam_i - ln lam_j)(lam_i - lam_j) is finite
+    m = Moduli.from_g_lam(1e308, -6.6e307)
+    lam = np.array([1.01, 1.0, 0.99])
+    _, _, reduced, _ = verify._force_order(lam, m)
+    i, j = np.array(verify._PAIRS).T
+    logs = np.log(lam)
+    want = 2.0 * (m.g * (logs[i] - logs[j])) * (lam[i] - lam[j])
+    assert np.isfinite(reduced).all()
+    assert np.array_equal(reduced, want)
+    assert ordered_force_check(np.diag(lam), m).passed
+
+
 def test_ordered_force_requires_positive_shear_modulus():
     with pytest.raises(ValueError):
         ordered_force_check(np.eye(3), Moduli.from_g_lam(-1.0, 2.0))
@@ -983,3 +997,23 @@ def test_one_handler_catches_logstrain_error():
     # evaluated again another way
     tree = ast.parse(Path(verify.__file__).read_text())
     assert _handlers_catching(tree, "LogstrainError") == ["_run"]
+
+
+def _calls_in(tree, function):
+    """The names that the module-level function ``function`` of ``tree``
+    calls, its nested functions included."""
+    fn, = [n for n in tree.body
+           if isinstance(n, ast.FunctionDef) and n.name == function]
+    return {n.func.id for n in ast.walk(fn)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+
+def test_batch_errors_come_from_the_members_own_calls():
+    # the batch mirrors no validation of its own: where its masks fail, a
+    # member's error comes from the public calls it stands for
+    tree = ast.parse(Path(verify.__file__).read_text())
+    mirrored = {"_as_mats", "_require_floor", "_finite_values", "_finite"}
+    assert not _calls_in(tree, "_answers") & mirrored
+    assert not _calls_in(tree, "_probe_energies") & mirrored
+    assert {"mat_pow", "_tensor_law"} <= _calls_in(tree, "_answers")
+    assert "becker_energy_nu0" in _calls_in(tree, "_probe_energies")
