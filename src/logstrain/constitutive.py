@@ -255,8 +255,7 @@ def becker_energy_nu0(u, m: Moduli):
 def _energy_nu0(u, vals, frame, m):
     """The lam = 0 energy at the symmetric stretches u whose
     :func:`tensors._spectrum` is ``(vals, frame)``, quietly and untested:
-    not finite where :func:`becker_energy_nu0` raises for an energy that
-    is not finite."""
+    :func:`becker_energy_nu0` tests the floor and the energy."""
     log_u = _from_spectrum(frame, np.log(vals))  # mat_log's bits
     return 2.0 * m.g * (_inners(u, log_u - _EYE) + 3.0)
 
