@@ -26,6 +26,7 @@ from logstrain.verify import random_rotation, random_spd
 from conftest import count_lapack, counting, patch_everywhere
 
 M = Moduli.from_g_lam(1.0, 0.5)
+M0 = Moduli.from_g_lam(1.0, 0.0)
 
 
 @pytest.fixture
@@ -89,14 +90,18 @@ def test_stress_convert_call_budget(source, target, rng, calls):
         == int("biot" in (source, target))
 
 
-def test_material_point_call_budget(rng, calls):
+@pytest.mark.parametrize("law", ["becker", "hencky-kirchhoff",
+                                 "hencky-cauchy", "hooke-biot"])
+def test_material_point_call_budget(law, rng, calls):
     # one operation of the finite-element caller, as the benchmark runs it
+    # for each law it cycles through
     f, u = _point(rng, calls)
-    p = pk1_for_law("becker", f, M)
+    p = pk1_for_law(law, f, M)
     stress_convert(StressState(p, "pk1", f), "cauchy")
     becker_inverse(becker_biot(u, M), M)
-    assert calls == Counter(validate=5, svd=1, det=2, eigh=2)
-    assert calls.matrices == Counter(svd=1, det=2, eigh=2)
+    inv = int(laws._LAWS[law].stretch == "v")  # P = tau @ inv(F).T
+    assert calls == Counter(validate=5, svd=1, det=2, eigh=2, inv=inv)
+    assert calls.matrices == Counter(svd=1, det=2, eigh=2, inv=inv)
 
 
 def test_finite_entries_whose_sum_overflows_are_accepted():
@@ -262,3 +267,41 @@ def test_one_matrix_results_keep_their_pinned_bits(law):
     if law == "becker":
         back = [becker_inverse(becker_biot(u, M), M) for _, u in points]
         assert _digest(back) == _ROUND_TRIP_DIGEST
+
+
+# sha256 over _pin_points() of each tensor row's one-matrix stretch_stress,
+# at lam = 0.5 and at lam = 0 (where the spherical part is left out), and of
+# becker_inverse alone, at stresses that are no law's output: U, the
+# nonsymmetric F (symmetrized on entry) and U - 3 I (a negative mean, which
+# turns the -0.0 off the diagonal of the signed point into +0.0).  The three
+# logarithmic rows evaluate one map, so their digests agree, as do the two
+# finite-Hooke rows'.  Recorded before the one-matrix lane moved its
+# principal-value steps to Python floats, which must keep every bit
+_STRETCH_DIGESTS = {
+    "becker":
+        "0efce41be17d2b33950b94f31d6c5362ebc7b6f845d3410698a103d313827d94",
+    "hencky-kirchhoff":
+        "0efce41be17d2b33950b94f31d6c5362ebc7b6f845d3410698a103d313827d94",
+    "hencky-cauchy":
+        "0efce41be17d2b33950b94f31d6c5362ebc7b6f845d3410698a103d313827d94",
+    "hooke-biot":
+        "91e73f0a0359df599b824257098ff04757e46113732e3e58bf775fa6437bc66b",
+    "hooke-cauchy":
+        "91e73f0a0359df599b824257098ff04757e46113732e3e58bf775fa6437bc66b",
+}
+_INVERSE_DIGEST = (
+    "e1c95022340c8c397fe545b1e5d94b50216c5388177e56637f8cc91faa10f602")
+
+
+@pytest.mark.parametrize("law", sorted(_STRETCH_DIGESTS))
+def test_one_matrix_stretch_stresses_keep_their_pinned_bits(law):
+    points = _pin_points()
+    stresses = [laws.stretch_stress(law, u, m) for m in (M, M0)
+                for _, u in points]
+    assert _digest(stresses) == _STRETCH_DIGESTS[law]
+
+
+def test_one_matrix_inverse_keeps_its_pinned_bits():
+    back = [becker_inverse(t, M) for f, u in _pin_points()
+            for t in (u, f, u - 3.0 * np.eye(3))]
+    assert _digest(back) == _INVERSE_DIGEST
