@@ -22,6 +22,16 @@ on the spectrum of the stretch; a stress at a deformation F
 (:func:`pk1_for_law`, the CLI's ``stress``) reads it on one SVD of F, and
 the simple glide on the glide's closed-form principal stretches.  Every
 tensor law returns a finite stress or raises :class:`LogstrainError`.
+
+One matrix takes the one-matrix lane, with the bits it gets inside a
+stack: a tensor map, :func:`becker_inverse` and :func:`pk1_for_law` call
+numpy, besides checking and symmetrizing their input, only to factorize
+through the ``tensors`` boundary, to take ``np.log`` or ``np.exp`` of the
+spectrum and to multiply the frames (with the product's ``sym_part``).
+Every principal-value step in between (the floor test, ``2 G e_i`` and the
+spherical part, ``J t_i``, the trace and the exponents of the inverse) runs
+on Python floats, one spectrum travelling as a list of three of them, each
+sum from 0.0 and left to right as numpy adds it.
 """
 
 import math
@@ -37,8 +47,8 @@ from .stresses import _checked_state
 from .tensors import (_EYE, _as_mats, _as_real, _at, _closed_form, _det,
                       _finite_values, _first, _first_nonfinite,
                       _from_spectrum, _inners, _inv, _over, _require_floor,
-                      _solve, _spectrum, _svd, _trace, as_mat3, dev3, inner,
-                      mat_log, sym_part, tr)
+                      _solve, _spectrum, _spectrum_floats, _svd, _trace,
+                      as_mat3, dev3, inner, mat_log, sym_part, tr)
 
 __all__ = [
     "LawId",
@@ -128,9 +138,12 @@ def becker_inverse(t, m: Moduli):
     lam.  Most of that is inherited from the rounding of the stress itself,
     which at large lam is relative to its spherical part.
 
-    One matrix takes its trace as a Python float, summed in numpy's order,
-    and skips the stack's reshapes: the same bits as inside a stack.  Where
-    2 G or 9 K overflows (G above about 9e307, K above about 2e307), the
+    One matrix takes the one-matrix lane, with the bits it gets inside a
+    stack: numpy only factorizes the deviator, takes the exponential and
+    multiplies the frames.  The trace (summed in numpy's order), the
+    deviator's diagonal (written in place, with the sign that ``- mean *
+    0.0`` gives each zero off the diagonal) and the exponents ``d_i / (2 G)
+    + tr(t) / (9 K)`` are Python floats.  Where 2 G or 9 K overflows (G above about 9e307, K above about 2e307), the
     deviator or tr(t) is divided by the factor and by the modulus in turn,
     so that neither part is lost.
 
@@ -141,15 +154,33 @@ def becker_inverse(t, m: Moduli):
     """
     t = sym_part(_as_mats(t, "t"))
     stack = t.shape[:-2]
-    trace = _sum3(t.diagonal(0, -2, -1))
-    if not (np.isfinite(trace).all() if stack else math.isfinite(trace)):
-        raise LogstrainError("becker_inverse: trace of t is not finite"
-                             + _at(_first(~np.isfinite(trace)), stack))
-    mean = (trace / 3.0)[..., None] if stack else trace / 3.0
-    d, frame = _spectrum(t - mean * _EYE)
-    out = _finite_values(np.exp, _over(d, 2.0, m.g) + _over(trace, 9.0, m.k),
-                         "mat_exp", stack)
-    return _from_spectrum(frame, out)
+    if stack:
+        trace = _sum3(t.diagonal(0, -2, -1))
+        if not np.isfinite(trace).all():
+            raise LogstrainError("becker_inverse: trace of t is not finite"
+                                 + _at(_first(~np.isfinite(trace)), stack))
+        d, frame = _spectrum(t - (trace / 3.0)[..., None] * _EYE)
+        x = _over(d, 2.0, m.g) + _over(trace, 9.0, m.k)
+    else:  # one matrix: the principal steps on Python floats
+        (t00, t01, t02), (_, t11, t12), (_, _, t22) = t.tolist()
+        trace = 0.0 + t00 + t11 + t22  # _sum3 of the diagonal
+        if not math.isfinite(trace):
+            raise LogstrainError("becker_inverse: trace of t is not finite")
+        # t - mean I in place, with its bits: off the diagonal that
+        # subtracts mean * 0.0, which for a negative mean turns -0.0 into
+        # +0.0 (t is symmetric, so its upper entries hold every zero)
+        mean = trace / 3.0
+        t[0, 0] = t00 - mean
+        t[1, 1] = t11 - mean
+        t[2, 2] = t22 - mean
+        if mean < 0.0 and 0.0 in (t01, t02, t12):
+            t += 0.0
+        (d0, d1, d2), frame = _spectrum_floats(t)
+        spherical = _over(trace, 9.0, m.k)
+        x = np.array([_over(d0, 2.0, m.g) + spherical,
+                      _over(d1, 2.0, m.g) + spherical,
+                      _over(d2, 2.0, m.g) + spherical])
+    return _from_spectrum(frame, _finite_values(np.exp, x, "mat_exp", stack))
 
 
 def hencky_kirchhoff(v, m: Moduli):
@@ -241,7 +272,7 @@ def becker_energy_nu0(u, m: Moduli):
         raise LambdaNotZero(
             f"energy defined only for lambda = 0, got {m.lam}")
     u = sym_part(_as_mats(u, "u"))
-    vals, frame = _spectrum(sym_part(u))
+    vals, frame = _spectrum(u)
     energy = _energy_nu0(u, vals, frame, m)
     _require_floor(vals, "mat_log", "eigenvalue", u.shape[:-2])
     bad = _first(~np.isfinite(energy))
@@ -318,7 +349,17 @@ def _lame(e, m):
     # the isotropic linear law, shared by the finite-Hooke laws; e has
     # shape (3, 3) or (..., 3, 3).  At lam = 0 the spherical term is left
     # out, so that an overflowing trace cannot spoil a finite stress.  2 G e
-    # is formed as 2 (G e): finite wherever 2 G e is, also where 2 G is not
+    # is formed as 2 (G e): finite wherever 2 G e is, also where 2 G is not.
+    # One matrix runs on Python floats with the bits of the stack's numpy
+    # arithmetic, which adds s * 0.0 to each entry off the diagonal
+    if e.ndim == 2:
+        g, x = m.g, e.ravel().tolist()
+        t = [2.0 * (g * v) for v in x]
+        if m.lam != 0.0:
+            s = m.lam * (0.0 + x[0] + x[4] + x[8])  # lam tr(e)
+            z = s * 0.0
+            t = [v + (z if k % 4 else s) for k, v in enumerate(t)]
+        return np.array(t).reshape(3, 3)
     t = 2.0 * (m.g * e)
     if m.lam != 0.0:
         t = t + m.lam * _trace(e) * _EYE
@@ -327,26 +368,23 @@ def _lame(e, m):
 
 def _lame_principal(e, m):
     # the same law on principal values e, shape (..., 3), its spherical
-    # term left out at lam = 0 as in _lame; one spectrum on Python floats,
-    # in the order of the stack's numpy arithmetic
-    if e.ndim > 1:
-        t = 2.0 * (m.g * e)
-        return t + m.lam * _sum3(e) if m.lam != 0.0 else t
-    g, (e0, e1, e2) = m.g, e.tolist()
-    t0, t1, t2 = 2.0 * (g * e0), 2.0 * (g * e1), 2.0 * (g * e2)
-    if m.lam == 0.0:
-        return np.array([t0, t1, t2])
-    s = m.lam * _sum3(e)
-    return np.array([t0 + s, t1 + s, t2 + s])
+    # term left out at lam = 0 as in _lame; one spectrum, a list of three
+    # Python floats, gives one, with the bits of the stack's arithmetic
+    if isinstance(e, list):
+        g, (e0, e1, e2) = m.g, e
+        t0, t1, t2 = 2.0 * (g * e0), 2.0 * (g * e1), 2.0 * (g * e2)
+        if m.lam == 0.0:
+            return [t0, t1, t2]
+        s = m.lam * (0.0 + e0 + e1 + e2)  # _sum3(e)
+        return [t0 + s, t1 + s, t2 + s]
+    t = 2.0 * (m.g * e)
+    return t + m.lam * _sum3(e) if m.lam != 0.0 else t
 
 
 def _sum3(v):
-    """The sum over the last axis of v, shape (..., 3), in numpy's order
-    (from 0.0, left to right): a Python float for one row, shape (..., 1)
-    for a stack."""
-    if v.ndim == 1:
-        v0, v1, v2 = v.tolist()
-        return 0.0 + v0 + v1 + v2
+    """The sum over the last axis of a stack v, shape (..., 3), as shape
+    (..., 1), in numpy's order: from 0.0, left to right, as the one-matrix
+    lane adds the same three numbers on Python floats."""
     return v.sum(axis=-1, keepdims=True)
 
 
@@ -421,22 +459,34 @@ class _Law(NamedTuple):
         strain e at principal stretches s, shape (..., 3).  A stress that
         is not finite raises :class:`LogstrainError`, naming the first
         such spectrum of a stack."""
-        t = _lame_principal(self.strain.of_stretch(s), m)
+        t = np.asarray(_lame_principal(self.strain.of_stretch(s), m))
         return _finite(self.tag, t[..., None], m)[..., 0]  # as 3x1 columns
 
 
 class _Strain(NamedTuple):
     """A principal strain, ``of_stretch(s)`` at principal stretches s, shape
     (..., 3), and ``of_glide(gamma)`` at the stretches ``(l, 1, 1/l)`` of
-    simple glides of 1-d amounts gamma, shape (len(gamma), 3)."""
+    simple glides of 1-d amounts gamma, shape (len(gamma), 3).  One
+    spectrum, a (3,) array or the list of three Python floats of the
+    one-matrix lane, gives a list of three Python floats."""
 
     of_stretch: object
     of_glide: object
 
 
 def _ln_above_floor(s):
+    if isinstance(s, list) or s.ndim == 1:  # one spectrum
+        _require_floor(s, "mat_log", "eigenvalue", ())
+        return np.log(s).tolist()
     _require_floor(s, "mat_log", "eigenvalue", s.shape[:-1])
     return np.log(s)
+
+
+def _minus_one(s):
+    if s.ndim == 1:  # one spectrum
+        s0, s1, s2 = s.tolist()
+        return [s0 - 1.0, s1 - 1.0, s2 - 1.0]
+    return s - 1.0
 
 
 def _glide_log_strain(gamma):
@@ -455,7 +505,7 @@ def _glide_linear_strain(gamma):
 
 
 _log_strain = _Strain(_ln_above_floor, _glide_log_strain)
-_linear_strain = _Strain(lambda s: s - 1.0, _glide_linear_strain)
+_linear_strain = _Strain(_minus_one, _glide_linear_strain)
 
 
 # The checks the finite-Hooke laws fail: the strain s - 1 does not add
@@ -534,7 +584,20 @@ def _lame_on_frame(frame, e, m):
     shape (..., 3), lie on the columns of frame: ``2 G frame @ diag(e) @
     frame.T + lam sum_j e_j I``.  The spherical part is added to the
     diagonal after the frame product, so that its roundoff stays there,
-    and left out at lam = 0, as in :func:`_lame`."""
+    and left out at lam = 0, as in :func:`_lame`.  One spectrum, the list
+    of three Python floats of the one-matrix lane, forms ``2 G e_i`` and
+    the spherical part on those floats; numpy multiplies the frames, and
+    the part is added to the three diagonal entries in turn."""
+    if isinstance(e, list):
+        g, (e0, e1, e2) = m.g, e
+        t = _from_spectrum(frame, np.array([2.0 * (g * e0), 2.0 * (g * e1),
+                                            2.0 * (g * e2)]))
+        if m.lam != 0.0:
+            s = m.lam * (0.0 + e0 + e1 + e2)  # _sum3(e)
+            t[0, 0] += s
+            t[1, 1] += s
+            t[2, 2] += s
+        return t
     t = _from_spectrum(frame, 2.0 * (m.g * e))
     if m.lam != 0.0:
         # the diagonal as a basic-slice view: _from_spectrum returns a new
@@ -551,7 +614,7 @@ def _tensor_law(row, a, m):
     a = sym_part(_as_mats(a, row.stretch))
     if row.strain is _linear_strain:
         return _finite(row.tag, _lame(a - _EYE, m), m)
-    vals, frame = _spectrum(a)
+    vals, frame = _spectrum(a) if a.ndim > 2 else _spectrum_floats(a)
     return _finite(row.tag,
                    _lame_on_frame(frame, row.strain.of_stretch(vals), m), m)
 
@@ -679,10 +742,13 @@ def pk1_for_law(law, f, m: Moduli):
     j, w, s, vt, e = _svd_principal(row, f)
     t = _lame_principal(e, m)
     if f.ndim > 2:
-        t, j = t[..., None, :], j[..., None, None]
+        t = (t * j[..., None] if row.measure == "cauchy" else t)[..., None, :]
+    else:  # one matrix: J t_i on Python floats
+        if row.measure == "cauchy":
+            j = float(j)
+            t = [t[0] * j, t[1] * j, t[2] * j]
+        t = np.array(t)
     if row.measure == "biot":
         return _finite(row.tag, (w * t) @ vt, m)
-    if row.measure == "cauchy":
-        t = t * j
     tau = (w * t) @ w.swapaxes(-1, -2)
     return _finite(row.tag, tau @ _inv(f).swapaxes(-1, -2), m)

@@ -27,6 +27,11 @@ fails (the gufunc then returns NaN) ``_eigh``, ``_svd``, ``_inv`` and
 ``np.linalg.LinAlgError``; ``_det`` is unchecked, as ``np.linalg.det`` is.
 Where the installed numpy has no such gufunc, the routine binds to its
 ``np.linalg`` function instead, with the same failure contract.
+
+One matrix takes a lane of its own, with the bits it gets inside a stack:
+:func:`_spectrum_floats` gives its eigenvalues as Python floats, on which
+the laws of ``constitutive`` take their principal-value steps, and
+:func:`sym_part` adds a contiguous copy of its transpose.
 """
 
 import functools
@@ -284,9 +289,13 @@ def sym_part(a):
     Halved before the sum, ``a / 2 + a.T / 2``, so that it overflows only
     where the result does.  Halving a normal number is exact, so this has
     the bits of ``(a + a.T) / 2`` wherever that sum neither overflows nor
-    meets subnormal entries.
+    meets subnormal entries.  One matrix adds a contiguous copy of its
+    transpose, which numpy sums faster than the transposed view, with the
+    same bits.
     """
     half = 0.5 * a
+    if half.ndim == 2:
+        return half + half.T.copy()
     return half + half.swapaxes(-1, -2)
 
 
@@ -339,27 +348,49 @@ def _spectrum(m):
     spectrum, where the logarithm needs accuracy.  eigh's ascending frame
     is reversed; only when a Rayleigh quotient ties or breaks that order is
     the spectrum sorted, stably, so that ties keep eigh's order (the sort
-    gives the reversal wherever the order holds).
-
-    For one matrix the quotients ``sum_i (m @ frame)_ij frame_ij`` and the
-    order test run on Python floats from two ``tolist`` calls, each sum
-    from 0.0 and top to bottom as numpy's reduction adds it, so that a
-    matrix gets the bits it gets inside a stack, signs of zero included.
+    gives the reversal wherever the order holds).  One matrix takes the
+    one-matrix lane of :func:`_spectrum_floats`.
     """
+    if m.ndim == 2:
+        vals, frame = _spectrum_floats(m)
+        return np.array(vals), frame
     _, frame = _eigh(m)
-    if m.ndim == 2:  # one matrix: the quotients and the test on Python floats
-        v0, v1, v2 = [0.0 + p0 * q0 + p1 * q1 + p2 * q2 for p0, p1, p2, q0,
-                      q1, q2 in zip(*(m @ frame).tolist(), *frame.tolist())]
-        if v0 < v1 < v2:
-            return np.array([v2, v1, v0]), frame[:, ::-1].copy()
-        vals = np.array([v0, v1, v2])
-    else:
-        vals = ((m @ frame) * frame).sum(axis=-2)
-        if (vals[..., :-1] < vals[..., 1:]).all():
-            return vals[..., ::-1].copy(), frame[..., ::-1].copy()
+    vals = ((m @ frame) * frame).sum(axis=-2)
+    if (vals[..., :-1] < vals[..., 1:]).all():
+        return vals[..., ::-1].copy(), frame[..., ::-1].copy()
+    return _sorted_spectrum(vals, frame)
+
+
+def _sorted_spectrum(vals, frame):
+    """The spectra ``vals`` (..., 3) and their frames sorted descending,
+    stably."""
     order = np.argsort(-vals, axis=-1, kind="stable")
     return (np.take_along_axis(vals, order, -1),
             np.take_along_axis(frame, order[..., None, :], -1))
+
+
+def _spectrum_floats(m):
+    """:func:`_spectrum` of one checked, symmetric matrix, its eigenvalues
+    a list of three Python floats: the one-matrix lane.
+
+    Only the factorization, the product ``m @ frame`` and the reversed
+    copy of the frame run in numpy.  The quotients ``sum_i (m @ frame)_ij
+    frame_ij`` and the order test run on the Python floats of two
+    ``tolist`` calls, each sum from 0.0 and top to bottom as numpy's
+    reduction adds it, so that a matrix gets the bits it gets inside a
+    stack, signs of zero included.  Its callers take their principal-value
+    steps on the floats returned, with no second ``tolist``.
+    """
+    _, frame = _eigh(m)
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (m @ frame).tolist()
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = frame.tolist()
+    v0 = 0.0 + a0 * p0 + b0 * q0 + c0 * r0
+    v1 = 0.0 + a1 * p1 + b1 * q1 + c1 * r1
+    v2 = 0.0 + a2 * p2 + b2 * q2 + c2 * r2
+    if v0 < v1 < v2:
+        return [v2, v1, v0], frame[:, ::-1].copy()
+    vals, frame = _sorted_spectrum(np.array([v0, v1, v2]), frame)
+    return vals.tolist(), frame
 
 
 def eig_sym(a):
@@ -412,16 +443,18 @@ def _require_floor(vals, name, floor_on, shape):
     or least |eigenvalue| is at most ``PD_REL_TOL * max(1, max|eigenvalue|)``;
     ``shape`` is the leading shape of the stack it names.  A stack is
     tested by :func:`_below_floor`; the message's numbers, and the test of
-    one spectrum, come from Python floats."""
+    one spectrum, come from Python floats.  One spectrum may come as a
+    list of three Python floats, which is tested as it is."""
     k = 0
-    if vals.ndim > 1:
-        k = _first(_below_floor(vals, floor_on == "eigenvalue"))
-        if k is None:
-            return
-        vals = vals.reshape(-1, 3)[k]
-    ev = vals.tolist()
-    mags = list(map(abs, ev))
-    least = min(ev if floor_on == "eigenvalue" else mags)
+    if not isinstance(vals, list):
+        if vals.ndim > 1:
+            k = _first(_below_floor(vals, floor_on == "eigenvalue"))
+            if k is None:
+                return
+            vals = vals.reshape(-1, 3)[k]
+        vals = vals.tolist()
+    mags = list(map(abs, vals))
+    least = min(vals if floor_on == "eigenvalue" else mags)
     floor = PD_REL_TOL * max(1.0, max(mags))
     if least <= floor:
         raise NotPositiveDefinite(f"{name}: min {floor_on} {least:.6g} <= "

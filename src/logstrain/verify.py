@@ -773,7 +773,7 @@ def _probe_energies(m, xs, us):
     ev, ef = _spectrum(sym_part(_concat(xs)))
     stacks = [*_split_like(_from_spectrum(ef, np.exp(ev)), xs), *us]
     u = sym_part(_concat(stacks))
-    vals, frame = _spectrum(sym_part(u))
+    vals, frame = _spectrum(u)
     w = _energy_nu0(u, vals, frame, m)
     clean = _sum_is_finite(w) and not _below_floor(vals, True).any()
     w = _split_like(w, stacks)

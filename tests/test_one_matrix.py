@@ -305,3 +305,44 @@ def test_one_matrix_inverse_keeps_its_pinned_bits():
     back = [becker_inverse(t, M) for f, u in _pin_points()
             for t in (u, f, u - 3.0 * np.eye(3))]
     assert _digest(back) == _INVERSE_DIGEST
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.0, -0.6])
+def test_one_matrix_lane_gives_the_stack_bits(lam, rng):
+    # the lane's Python floats against the stack's numpy arithmetic, on
+    # ties, -0.0 and subnormal entries, where lam tr(e) of either sign adds
+    # +0.0 or -0.0 off the diagonal
+    m = Moduli.from_g_lam(1.0, lam)
+    other = random_spd(rng)
+    for u in _tied():
+        for law in laws.LAW_TAGS:
+            if laws._LAWS[law].strain is None:
+                continue
+            alone = laws.stretch_stress(law, u, m)
+            stack = laws.stretch_stress(law, np.stack([other, u]), m)[1]
+            assert stack.tobytes() == alone.tobytes(), law
+        for e in (u, u - 3.0 * np.eye(3), -0.0 * u):
+            alone = laws._lame(e, m)
+            assert laws._lame(np.stack([other, e]), m)[1].tobytes() \
+                == alone.tobytes()
+
+
+def test_one_matrix_inverse_factorizes_the_stacks_deviator(monkeypatch):
+    # t - mean I as the stack forms it, the sign of each zero off the
+    # diagonal included: -0.0 stays for a positive mean and turns +0.0
+    # for a negative one
+    factorized = []
+
+    def spy(a):
+        factorized.append(a.copy())
+        return tensors._spectrum_floats(a)
+
+    monkeypatch.setattr(laws, "_spectrum_floats", spy)
+    for u in _tied():
+        for t in (u, -u, u - 3.0 * np.eye(3)):
+            factorized.clear()
+            becker_inverse(t, M)
+            s = tensors.sym_part(t[None])
+            trace = s.diagonal(0, -2, -1).sum(axis=-1, keepdims=True)
+            deviator = s - (trace / 3.0)[..., None] * np.eye(3)
+            assert factorized[0].tobytes() == deviator[0].tobytes()
