@@ -143,9 +143,10 @@ def becker_inverse(t, m: Moduli):
     multiplies the frames.  The trace (summed in numpy's order), the
     deviator's diagonal (written in place, with the sign that ``- mean *
     0.0`` gives each zero off the diagonal) and the exponents ``d_i / (2 G)
-    + tr(t) / (9 K)`` are Python floats.  Where 2 G or 9 K overflows (G above about 9e307, K above about 2e307), the
-    deviator or tr(t) is divided by the factor and by the modulus in turn,
-    so that neither part is lost.
+    + tr(t) / (9 K)`` are Python floats.  Where 2 G or 9 K overflows (G
+    above about 9e307, K above about 2e307), the deviator or tr(t) is
+    divided by the factor and by the modulus in turn, so that neither part
+    is lost.
 
     Raises ``ValueError`` for a t that is not 3x3 or not finite, and
     :class:`LogstrainError` for a trace of t that overflows (``becker_inverse:
@@ -467,8 +468,9 @@ class _Strain(NamedTuple):
     """A principal strain, ``of_stretch(s)`` at principal stretches s, shape
     (..., 3), and ``of_glide(gamma)`` at the stretches ``(l, 1, 1/l)`` of
     simple glides of 1-d amounts gamma, shape (len(gamma), 3).  One
-    spectrum, a (3,) array or the list of three Python floats of the
-    one-matrix lane, gives a list of three Python floats."""
+    spectrum, a (3,) array, gives a list of three Python floats; the
+    logarithmic strain also takes the list of three Python floats of the
+    one-matrix lane's spectrum."""
 
     of_stretch: object
     of_glide: object
