@@ -168,13 +168,14 @@ def becker_inverse(t, m: Moduli):
         if not math.isfinite(trace):
             raise LogstrainError("becker_inverse: trace of t is not finite")
         # t - mean I in place, with its bits: off the diagonal that
-        # subtracts mean * 0.0, which for a negative mean turns -0.0 into
-        # +0.0 (t is symmetric, so its upper entries hold every zero)
+        # subtracts mean * 0.0, which for a mean of negative sign (-0.0
+        # included) turns -0.0 into +0.0 (t is symmetric, so its upper
+        # entries hold every zero)
         mean = trace / 3.0
         t[0, 0] = t00 - mean
         t[1, 1] = t11 - mean
         t[2, 2] = t22 - mean
-        if mean < 0.0 and 0.0 in (t01, t02, t12):
+        if math.copysign(1.0, mean) < 0.0 and 0.0 in (t01, t02, t12):
             t += 0.0
         (d0, d1, d2), frame = _spectrum_floats(t)
         spherical = _over(trace, 9.0, m.k)
@@ -350,17 +351,7 @@ def _lame(e, m):
     # the isotropic linear law, shared by the finite-Hooke laws; e has
     # shape (3, 3) or (..., 3, 3).  At lam = 0 the spherical term is left
     # out, so that an overflowing trace cannot spoil a finite stress.  2 G e
-    # is formed as 2 (G e): finite wherever 2 G e is, also where 2 G is not.
-    # One matrix runs on Python floats with the bits of the stack's numpy
-    # arithmetic, which adds s * 0.0 to each entry off the diagonal
-    if e.ndim == 2:
-        g, x = m.g, e.ravel().tolist()
-        t = [2.0 * (g * v) for v in x]
-        if m.lam != 0.0:
-            s = m.lam * (0.0 + x[0] + x[4] + x[8])  # lam tr(e)
-            z = s * 0.0
-            t = [v + (z if k % 4 else s) for k, v in enumerate(t)]
-        return np.array(t).reshape(3, 3)
+    # is formed as 2 (G e): finite wherever 2 G e is, also where 2 G is not
     t = 2.0 * (m.g * e)
     if m.lam != 0.0:
         t = t + m.lam * _trace(e) * _EYE
@@ -460,7 +451,8 @@ class _Law(NamedTuple):
         strain e at principal stretches s, shape (..., 3).  A stress that
         is not finite raises :class:`LogstrainError`, naming the first
         such spectrum of a stack."""
-        t = np.asarray(_lame_principal(self.strain.of_stretch(s), m))
+        e = self.strain.of_stretch(s.tolist() if s.ndim == 1 else s)
+        t = np.asarray(_lame_principal(e, m))
         return _finite(self.tag, t[..., None], m)[..., 0]  # as 3x1 columns
 
 
@@ -468,16 +460,15 @@ class _Strain(NamedTuple):
     """A principal strain, ``of_stretch(s)`` at principal stretches s, shape
     (..., 3), and ``of_glide(gamma)`` at the stretches ``(l, 1, 1/l)`` of
     simple glides of 1-d amounts gamma, shape (len(gamma), 3).  One
-    spectrum, a (3,) array, gives a list of three Python floats; the
-    logarithmic strain also takes the list of three Python floats of the
-    one-matrix lane's spectrum."""
+    spectrum, the one-matrix lane's list of three Python floats, gives
+    such a list."""
 
     of_stretch: object
     of_glide: object
 
 
 def _ln_above_floor(s):
-    if isinstance(s, list) or s.ndim == 1:  # one spectrum
+    if isinstance(s, list):  # one spectrum
         _require_floor(s, "mat_log", "eigenvalue", ())
         return np.log(s).tolist()
     _require_floor(s, "mat_log", "eigenvalue", s.shape[:-1])
@@ -485,8 +476,8 @@ def _ln_above_floor(s):
 
 
 def _minus_one(s):
-    if s.ndim == 1:  # one spectrum
-        s0, s1, s2 = s.tolist()
+    if isinstance(s, list):  # one spectrum
+        s0, s1, s2 = s
         return [s0 - 1.0, s1 - 1.0, s2 - 1.0]
     return s - 1.0
 
@@ -624,10 +615,11 @@ def _tensor_law(row, a, m):
 def _svd_principal(row, f):
     """``(J, W, s, Vt, e)`` at checked deformations f, (3, 3) or (..., 3,
     3): ``det F``, one SVD ``F = W diag(s) Vt`` and the row's principal
-    strains at s.  Every stress at a deformation starts here."""
+    strains at s.  Every stress at a deformation starts here; one matrix
+    hands its strain the lane's list of three Python floats."""
     j = _jacobian(f)
     w, s, vt = _svd(f)
-    return j, w, s, vt, row.strain.of_stretch(s)
+    return j, w, s, vt, row.strain.of_stretch(s.tolist() if f.ndim == 2 else s)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -358,12 +358,6 @@ def _spectrum(m):
     vals = ((m @ frame) * frame).sum(axis=-2)
     if (vals[..., :-1] < vals[..., 1:]).all():
         return vals[..., ::-1].copy(), frame[..., ::-1].copy()
-    return _sorted_spectrum(vals, frame)
-
-
-def _sorted_spectrum(vals, frame):
-    """The spectra ``vals`` (..., 3) and their frames sorted descending,
-    stably."""
     order = np.argsort(-vals, axis=-1, kind="stable")
     return (np.take_along_axis(vals, order, -1),
             np.take_along_axis(frame, order[..., None, :], -1))
@@ -389,8 +383,9 @@ def _spectrum_floats(m):
     v2 = 0.0 + a2 * p2 + b2 * q2 + c2 * r2
     if v0 < v1 < v2:
         return [v2, v1, v0], frame[:, ::-1].copy()
-    vals, frame = _sorted_spectrum(np.array([v0, v1, v2]), frame)
-    return vals.tolist(), frame
+    vals = [v0, v1, v2]
+    order = np.argsort([-v0, -v1, -v2], kind="stable").tolist()
+    return [vals[k] for k in order], frame.take(order, 1)
 
 
 def eig_sym(a):
