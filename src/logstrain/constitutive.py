@@ -24,14 +24,16 @@ the simple glide on the glide's closed-form principal stretches.  Every
 tensor law returns a finite stress or raises :class:`LogstrainError`.
 
 One matrix takes the one-matrix lane, with the bits it gets inside a
-stack: a tensor map, :func:`becker_inverse` and :func:`pk1_for_law` call
-numpy, besides checking and symmetrizing their input, only to factorize
-through the ``tensors`` boundary, to take ``np.log`` or ``np.exp`` of the
-spectrum and to multiply the frames (with the product's ``sym_part``).
-Every principal-value step in between (the floor test, ``2 G e_i`` and the
-spherical part, ``J t_i``, the trace and the exponents of the inverse) runs
-on Python floats, one spectrum travelling as a list of three of them, each
-sum from 0.0 and left to right as numpy adds it.
+stack: a logarithmic tensor map, :func:`becker_inverse` and
+:func:`pk1_for_law` call numpy, besides checking and symmetrizing their
+input, only to factorize through the ``tensors`` boundary, to take
+``np.log`` or ``np.exp`` of the spectrum and to multiply the frames (with
+the product's ``sym_part``).  Every principal-value step in between (the
+floor test, ``2 G e_i`` and the spherical part, ``J t_i``, the trace and
+the exponents of the inverse) runs on Python floats, one spectrum
+travelling as a list of three of them, each sum from 0.0 and left to right
+as numpy adds it.  The finite-Hooke maps factorize nothing: they read
+``2 G e + lam tr(e) I`` of the matrix with the stack's numpy arithmetic.
 """
 
 import math

@@ -310,8 +310,8 @@ def test_one_matrix_inverse_keeps_its_pinned_bits():
 @pytest.mark.parametrize("lam", [0.5, 0.0, -0.6])
 def test_one_matrix_lane_gives_the_stack_bits(lam, rng):
     # the lane's Python floats against the stack's numpy arithmetic, on
-    # ties, -0.0 and subnormal entries, where lam tr(e) of either sign adds
-    # +0.0 or -0.0 off the diagonal
+    # ties, -0.0 and subnormal entries; and _lame of the finite-Hooke maps,
+    # where lam tr(e) of either sign adds +0.0 or -0.0 off the diagonal
     m = Moduli.from_g_lam(1.0, lam)
     other = random_spd(rng)
     for u in _tied():
