@@ -377,9 +377,11 @@ def _lame_principal(e, m):
 
 def _sum3(v):
     """The sum over the last axis of a stack v, shape (..., 3), as shape
-    (..., 1), in numpy's order: from 0.0, left to right, as the one-matrix
-    lane adds the same three numbers on Python floats."""
-    return v.sum(axis=-1, keepdims=True)
+    (..., 1), in numpy's order: from 0.0, left to right, the order of
+    ``v.sum(axis=-1, keepdims=True)`` and of the one-matrix lane on Python
+    floats, spelled out as three additions of columns, which numpy runs in
+    about a quarter of the reduction's time."""
+    return 0.0 + v[..., 0:1] + v[..., 1:2] + v[..., 2:3]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")

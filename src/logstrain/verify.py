@@ -37,10 +37,13 @@ to go, with the message as its witness.
 
 Path work to a tolerance comes from one nested Chebyshev rule
 (:func:`converged_path_work`): Clenshaw-Curtis weights and a Chebyshev
-differentiation matrix on 6 equal panels of the path parameter, degree
+differentiation matrix on equal panels of the path parameter, degree
 N = 16 per panel at first and at most 256.  A path must have its kinks on
-the panel grid t = k / 6 (a path of 1, 2, 3 or 6 equal segments);
-elsewhere the rule usually reports no convergence.
+panel boundaries.  A :func:`diagonal_path` of k segments takes the
+smallest multiple of k panels that is at least 6, so its corners always
+are; any other path gets 6 panels and must have its kinks on the grid
+t = j / 6 (a path of 1, 2, 3 or 6 equal segments); elsewhere the rule
+usually reports no convergence.
 """
 
 import functools
@@ -175,7 +178,8 @@ def _draw(rng, samples, groups, *streams):
     array of spectra ``rng.uniform(lo, hi, (samples, 3))`` per ``(lo, hi,
     log)`` entry, exponentiated when ``log`` is true, and then one
     (samples, 3, 3) array of standard normals, whose orthogonal factors Q
-    (sign-fixed, det +1) are the group's rotations.  ``streams`` are
+    (sign-fixed, det +1, the sign of det Q read from the triple product of
+    its columns) are the group's rotations.  ``streams`` are
     further ``(rng, groups)`` pairs, drawn after it in turn the same way;
     the rotations of every group of every stream come from one stacked
     QR.  A group gives one (samples, 3, 3) stack ``Q.T @ diag(lam) @ Q``
@@ -193,7 +197,12 @@ def _draw(rng, samples, groups, *streams):
             normals.append(rng.standard_normal((samples, 3, 3)))
     q, r = np.linalg.qr(np.concatenate(normals))
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
-    flip = _det(q) < 0.0
+    # det Q as the triple product q_0 . (q_1 x q_2) of its columns, which
+    # for an orthogonal Q is +-1 within roundoff: the sign of the LU
+    # determinant, without an LU factorization
+    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = q.transpose(1, 2, 0)
+    flip = (a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2)
+            + a2 * (b0 * c1 - b1 * c0)) < 0.0
     if flip.any():
         q[flip, :, 0] = -q[flip, :, 0]
     out = []
@@ -892,13 +901,14 @@ def path_work(path: LoadPath, law, m: Moduli):
 
 
 @functools.cache
-def _rule(n):
-    """The nested rule of degree n: its PANELS * n + 1 nodes in t on
-    [0, 1], ascending, a node shared by two panels once, and, for the
-    n + 1 Lobatto nodes y of one panel, the Chebyshev differentiation
-    matrix, the Clenshaw-Curtis weights (Trefethen, Spectral Methods in
-    MATLAB, SIAM 2000, ``cheb`` and ``clencurt``) and the chord fractions
-    ``(1 + y) / 2``, from 0 at the panel's first node to 1 at its last.
+def _rule(n, panels=PANELS):
+    """The nested rule of degree n on ``panels`` equal panels: its
+    ``panels * n + 1`` nodes in t on [0, 1], ascending, a node shared by
+    two panels once, and, for the n + 1 Lobatto nodes y of one panel, the
+    Chebyshev differentiation matrix, the Clenshaw-Curtis weights
+    (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ``cheb`` and
+    ``clencurt``) and the chord fractions ``(1 + y) / 2``, from 0 at the
+    panel's first node to 1 at its last.
 
     A node is computed the same way for every n, so the rule of degree 2n
     has the nodes of degree n, bit for bit, at its even indices.
@@ -913,61 +923,67 @@ def _rule(n):
     b = np.where(j == n // 2, 1.0, 2.0) / (4.0 * j * j - 1.0)
     w = 2.0 / (ends * n) * (1.0 - np.cos(2.0 * np.pi / n * np.outer(k, j)) @ b)
     s = 0.5 * (1.0 + y)
-    t = np.append((np.arange(PANELS)[:, None] + s[:-1]) / PANELS, 1.0)
+    t = np.append((np.arange(panels)[:, None] + s[:-1]) / panels, 1.0)
     return t, d, w, s
 
 
-def _panel_works(g, pk1, n):
-    """The rule of degree n on the gradients and PK1 stresses at its nodes,
-    one work per panel: the sum over the nodes of ``w_k <P_k, (D F)_k>``,
-    in which the panel width cancels.  D is applied to the gradients
-    before the inner product, so no table of ``<P_k, F_j>`` is formed
-    (one overflows at lam = 1e307, where the work does not), and only to
-    F's deviation from its chord: with F_0 and F_N the panel's end
-    gradients, ``(D F)_k = (F_N - F_0) / 2 + (D (F - F_0 - s (F_N -
-    F_0)))_k`` for the chord fractions s, since D maps a linear function
-    to its slope.  So D's roundoff scales with the curvature of F over
-    the panel, not with F or its change."""
-    _, d, w, s = _rule(n)
-    panels = np.arange(PANELS)[:, None] * n + np.arange(n + 1)
-    g = g.reshape(-1, 9)[panels]
+def _panel_works(g, pk1, n, panels=PANELS):
+    """The rule of degree n on ``panels`` panels, on the gradients and PK1
+    stresses at its nodes, one work per panel: the sum over the nodes of
+    ``w_k <P_k, (D F)_k>``, in which the panel width cancels.  D is
+    applied to the gradients before the inner product, so no table of
+    ``<P_k, F_j>`` is formed (one overflows at lam = 1e307, where the work
+    does not), and only to F's deviation from its chord: with F_0 and F_N
+    the panel's end gradients, ``(D F)_k = (F_N - F_0) / 2 + (D (F - F_0
+    - s (F_N - F_0)))_k`` for the chord fractions s, since D maps a linear
+    function to its slope.  So D's roundoff scales with the curvature of F
+    over the panel, not with F or its change."""
+    _, d, w, s = _rule(n, panels)
+    nodes = np.arange(panels)[:, None] * n + np.arange(n + 1)
+    g = g.reshape(-1, 9)[nodes]
     first = g[:, :1]
     chord = g[:, -1:] - first
     rate = 0.5 * chord + d @ (g - first - s[:, None] * chord)
-    return np.sum(w[:, None] * pk1.reshape(-1, 9)[panels] * rate, axis=(1, 2))
+    return np.sum(w[:, None] * pk1.reshape(-1, 9)[nodes] * rate, axis=(1, 2))
 
 
 def converged_path_work(f_of_t, law, m: Moduli, closed=False, tol=None):
     """Path work from one nested Chebyshev rule.
 
-    ``f_of_t`` is sampled on PANELS = 6 equal panels of [0, 1], at the
-    N + 1 Chebyshev-Lobatto nodes of each, and the work is
+    ``f_of_t`` is sampled on equal panels of [0, 1], at the N + 1
+    Chebyshev-Lobatto nodes of each, and the work is
     ``sum over panels, sum_k w_k <P_k, (D F)_k>``: Clenshaw-Curtis weights
     w, the Chebyshev differentiation matrix D applied to the gradients for
     dF/dt (so no velocity is needed; D acts only on F's deviation from its
     chord on each panel, see :func:`_panel_works`), and the PK1 stress P.
-    The rule starts at N = 16: 97 samples, 96 steps.  Its error estimate
-    is ``|W_N - W_{N/2}|``, the rule of N / 2 on every other node, which
-    costs no sample; it is the error of the N / 2 rule, so it bounds that
-    of W_N only loosely, and a run may refine after W_N is already exact.
+    There are PANELS = 6 panels, except for a path of
+    :func:`diagonal_path` with k segments, which takes the smallest
+    multiple of k that is at least 6: 6 panels for 1, 2, 3 or 6 segments,
+    8 for 4, 7 for 7.  The rule starts at N = 16 (on 6 panels 97 samples,
+    96 steps).  Its error estimate is ``|W_N - W_{N/2}|``, the rule of
+    N / 2 on every other node, which costs no sample; it is the error of
+    the N / 2 rule, so it bounds that of W_N only loosely, and a run may
+    refine after W_N is already exact.
     Refinement doubles N up to MAX_DEGREE = 256 and stops once the
     estimate is below ``tol``, in total and on every panel.  The default
     ``tol`` is ``1e-8 * max(|G|, |lam|)``: the work scales with the larger
     modulus, and a tolerance on the scale of G alone cannot be met by the
     roundoff of a work of order lam when lam is huge.  Returns ``(work, n,
-    converged)`` with ``n = 6 N`` steps.  A non-finite estimate stops the
-    refinement unconverged; a work that is not finite raises
-    :class:`LogstrainError`.
+    converged)`` with ``n`` steps, N per panel (``6 N`` on 6 panels).  A
+    non-finite estimate stops the refinement unconverged; a work that is
+    not finite raises :class:`LogstrainError`.
 
     The rule is spectrally accurate where the path is smooth within each
-    panel, so a kink (a corner of a piecewise path) must fall on the grid
-    of t = k / 6, as the corners at t = 1/3 and 2/3 of
-    :func:`dilation_shear_cycle` do: a path of 1, 2, 3 or 6 equal
-    segments.  Inside a panel a kink converges only algebraically, and the
-    run usually stops unconverged at n = 1536, as a 4-segment cycle (kinks
-    at t = 1/4 and 3/4) and the 7-segment cycles of the tests do; the
-    per-panel estimate keeps the errors of several kinks from cancelling
-    in the total into a false convergence.
+    panel, so a kink (a corner of a piecewise path) must fall on a panel
+    boundary.  Every corner of a :func:`diagonal_path` does, at t = i / k
+    of its k segments.  Any other callable must have its kinks on the grid
+    of t = j / 6: a path of 1, 2, 3 or 6 equal segments.  Inside a panel a
+    kink converges only algebraically, and the run usually stops
+    unconverged at n = 1536, as a callable that traces a 4-segment cycle
+    (kinks at t = 1/4 and 3/4) or a 7-segment one does; the per-panel
+    estimate keeps the errors of several kinks from cancelling in the
+    total into a false convergence.  As diagonal paths, the same 4- and
+    7-segment cycles converge on 8 and 7 panels, at n = 128 and 112.
 
     At the defaults the dilation-shear cycle converges on the first rule,
     to within ``1e-13 max(1, |lam|)`` of ``lam (4 - 6 ln 2)`` for lam up
@@ -993,31 +1009,34 @@ def converged_path_work(f_of_t, law, m: Moduli, closed=False, tol=None):
     """
     if tol is None:
         tol = 1e-8 * max(abs(m.g), abs(m.lam))
+    panels = PANELS
     if isinstance(f_of_t, _DiagonalPath):
         sample = f_of_t._at_nodes
+        panels = f_of_t._segs * math.ceil(PANELS / f_of_t._segs)
     else:
         def sample(t):
             return np.array([f_of_t(x) for x in t.tolist()])
     n = 16
-    g = LoadPath(sample(_rule(n)[0]), closed=closed).gradients
+    g = LoadPath(sample(_rule(n, panels)[0]), closed=closed).gradients
     pk1 = pk1_for_law(law, g, m)
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
-            works = _panel_works(g, pk1, n)
+            works = _panel_works(g, pk1, n, panels)
             work = float(np.sum(works))
             # on every panel too, so that the errors of panels with kinks
             # cannot cancel in the total
-            error = works - _panel_works(g[::2], pk1[::2], n // 2)
+            error = works - _panel_works(g[::2], pk1[::2], n // 2, panels)
             converged = bool(abs(np.sum(error)) < tol
                              and np.all(np.abs(error) < tol))
         if not math.isfinite(work):
             raise LogstrainError(f"path work with {law!r} is not finite: "
-                                 f"{work} at n = {PANELS * n}")
+                                 f"{work} at n = {panels * n}")
         if converged or n == MAX_DEGREE:
-            return work, PANELS * n, converged
+            return work, panels * n, converged
         n *= 2
-        new = _checked_gradients(sample(_rule(n)[0][1::2]), first=1, step=2)
-        fine = np.empty((2, PANELS * n + 1, 3, 3))
+        new = _checked_gradients(sample(_rule(n, panels)[0][1::2]), first=1,
+                                 step=2)
+        fine = np.empty((2, panels * n + 1, 3, 3))
         fine[:, ::2] = g, pk1
         fine[0, 1::2] = new
         fine[1, 1::2] = pk1_for_law(law, new, m)
@@ -1194,11 +1213,11 @@ def suite(law, m: Moduli, samples=1000, seed=0):
     ``|lam| <= 1e-14 max(1, |G|)``, the rule of
     :func:`constitutive.becker_energy_nu0`; there the suite adds the random
     monotonicity search, the convexity probes and the open-path energy
-    match.  Both paths have their corners on the t = k / 6 panel grid of
-    :func:`converged_path_work` and converge on its first rule, 96
-    steps.  The closed-cycle witness records the paper's ``lam (4 - 6 ln
-    2)`` and the distance of the work from it, ``work_error``, at most
-    ``1e-13 max(1, |lam|)``.  When the
+    match.  Both are diagonal paths, of 3 and 1 segments, which
+    :func:`converged_path_work` integrates on 6 panels; both converge on
+    its first rule, 96 steps.  The closed-cycle witness records the
+    paper's ``lam (4 - 6 ln 2)`` and the distance of the work from it,
+    ``work_error``, at most ``1e-13 max(1, |lam|)``.  When the
     quadrature of a path-work report did not converge, the report comes out
     not as expected: the open-path energy match fails, and the closed-cycle
     work fails at lam = 0 and passes where it is expected to fail.

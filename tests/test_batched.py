@@ -278,9 +278,9 @@ def test_many_powers_raise_an_overflow_as_the_calls_do():
 
 
 def _count_factorizations(monkeypatch):
-    # eigh at the tensors boundary; qr, which verify._draw calls as one
-    # stacked np.linalg.qr, in numpy
-    calls = count_lapack(monkeypatch, ("eigh",))
+    # eigh and det (an LU factorization) at the tensors boundary; qr,
+    # which verify._draw calls as one stacked np.linalg.qr, in numpy
+    calls = count_lapack(monkeypatch, ("eigh", "det"))
     monkeypatch.setattr(np.linalg, "qr",
                         counting_matrices(calls, "qr", np.linalg.qr))
     return calls
@@ -296,7 +296,8 @@ def _count_factorizations(monkeypatch):
      Counter(eigh=192 + 384, qr=4 * 64))],
     ids=["becker-axioms", "hooke-biot-axioms", "hill-probes"])
 def test_each_block_is_one_batch(monkeypatch, block, eigh, matrices):
-    # one QR for every rotation; the becker axioms take one spectrum of
+    # one QR for every rotation, and no det: the draws read the sign of
+    # det Q from a triple product; the becker axioms take one spectrum of
     # their 705 stretches (the power bases among them), one of the 128
     # powers and one of the 64 stresses becker_inverse inverts; hooke-biot
     # one of its power bases; the probes one of their 3 x 64 log-domain
@@ -309,29 +310,34 @@ def test_each_block_is_one_batch(monkeypatch, block, eigh, matrices):
 
 
 # per configuration of the benchmark's check-suite workload, one suite at
-# samples 64, seed 1: its eigh calls, and the matrices of its one qr call
-# and of its eigh calls.  A becker suite decomposes, besides the axiom
-# block, the monotonicity pairs (2, and 128 at lam = 0) and the ladder
-# stretches (6) in its first round; then the two Baker-Ericksen stretches,
-# and at lam = 0 the probes (192 + 384) and the open path's two ends, one
-# call each.  The ordered-force check reads its drawn principal stretches
-# and factorizes nothing: its stream draws no rotation.
+# samples 64, seed 1: its eigh calls, the matrices of its one qr call and
+# of its eigh calls, and its det calls and their matrices.  A becker suite
+# decomposes, besides the axiom block, the monotonicity pairs (2, and 128
+# at lam = 0) and the ladder stretches (6) in its first round; then the
+# two Baker-Ericksen stretches, and at lam = 0 the probes (192 + 384) and
+# the open path's two ends, one call each.  The ordered-force check reads
+# its drawn principal stretches and factorizes nothing: its stream draws
+# no rotation.  The draws take no det; only becker's path work does, two
+# calls per path on its 97 nodes: the LoadPath check and the Jacobian of
+# its PK1 stresses (the closed cycle, and at lam = 0 the open path).
 _SUITE_BUDGETS = {
-    ("becker", 0.0): (9, 832, 841 + 128 + 64 + 2 + 576 + 2),
-    ("becker", 0.5): (5, 448, 713 + 128 + 64 + 2),
-    ("becker", 25.0): (5, 448, 713 + 128 + 64 + 2),
-    ("hencky-kirchhoff", 0.5): (3, 448, 705 + 128 + 64),
-    ("hooke-biot", 0.5): (1, 384, 128),
+    ("becker", 0.0): (9, 832, 841 + 128 + 64 + 2 + 576 + 2, 4, 4 * 97),
+    ("becker", 0.5): (5, 448, 713 + 128 + 64 + 2, 2, 2 * 97),
+    ("becker", 25.0): (5, 448, 713 + 128 + 64 + 2, 2, 2 * 97),
+    ("hencky-kirchhoff", 0.5): (3, 448, 705 + 128 + 64, 0, 0),
+    ("hooke-biot", 0.5): (1, 384, 128, 0, 0),
 }
 
 
 @pytest.mark.parametrize("law, lam", list(_SUITE_BUDGETS))
 def test_suite_is_one_batch(monkeypatch, law, lam):
-    eigh, qr_matrices, eigh_matrices = _SUITE_BUDGETS[law, lam]
+    eigh, qr_matrices, eigh_matrices, det, det_matrices = \
+        _SUITE_BUDGETS[law, lam]
     calls = _count_factorizations(monkeypatch)
     verify.suite(law, Moduli.from_g_lam(1.0, lam), samples=64, seed=1)
-    assert calls == Counter(eigh=eigh, qr=1)
-    assert calls.matrices == Counter(eigh=eigh_matrices, qr=qr_matrices)
+    assert calls == Counter(eigh=eigh, qr=1, det=det)
+    assert calls.matrices == Counter(eigh=eigh_matrices, qr=qr_matrices,
+                                     det=det_matrices)
 
 
 @pytest.mark.parametrize("samples", [1, 5, 64])
@@ -567,7 +573,8 @@ def _counting(f_of_t):
 
 
 # seven segments: the corners at t = k/7 lie off the panel grid of t = k/6,
-# so the rule refines to its finest degree without converging
+# so the rule refines a per-node callable that traces them to its finest
+# degree without converging (their diagonal path takes 7 panels instead)
 _OFF_GRID = [(1.0, 1.0, 1.0), (1.5, 1.0, 1.0), (1.5, 1.3, 1.0),
              (1.8, 1.3, 1.2), (1.2, 1.6, 1.2), (1.0, 1.2, 1.4),
              (0.8, 1.0, 1.1), (1.0, 1.0, 1.0)]
@@ -599,12 +606,17 @@ def test_converged_work_equals_fresh_quadrature():
         assert np.array_equal(verify._rule(2 * degree)[0][::2],
                               verify._rule(degree)[0])
         degree *= 2
-    f = diagonal_path(_OFF_GRID)
-    work, n, _ = converged_path_work(f, "becker", M, closed=True)
-    g = np.array([f(t) for t in verify._rule(verify.MAX_DEGREE)[0]])
-    works = verify._panel_works(g, pk1_for_law("becker", g, M),
-                                verify.MAX_DEGREE)
-    assert work == float(np.sum(works))
+    path = diagonal_path(_OFF_GRID)
+    # a per-node callable on 6 panels, and the diagonal path itself on 7,
+    # refined to the finest rule by tol = 0, which no estimate meets
+    for f, panels in ((lambda t: path(t), 6), (path, 7)):
+        work, n, _ = converged_path_work(f, "becker", M, closed=True, tol=0.0)
+        assert n == panels * verify.MAX_DEGREE
+        g = np.array([path(t) for t in
+                      verify._rule(verify.MAX_DEGREE, panels)[0]])
+        works = verify._panel_works(g, pk1_for_law("becker", g, M),
+                                    verify.MAX_DEGREE, panels)
+        assert work == float(np.sum(works))
 
 
 def test_refinement_node_failure_names_the_fine_grid_index():
@@ -646,24 +658,34 @@ def test_diagonal_path_array_equals_each_call(corners):
     assert np.array_equal(stack.view(np.uint64), alone.view(np.uint64))
 
 
+# a closed diagonal path of six segments, which takes the 6 panels of a
+# per-node callable
+_SIX_SEGMENTS = [(1.0, 1.0, 1.0), (1.5, 1.0, 1.0), (1.5, 1.3, 1.0),
+                 (1.8, 1.3, 1.2), (1.2, 1.6, 1.2), (0.8, 1.0, 1.1),
+                 (1.0, 1.0, 1.0)]
+
+
 @pytest.mark.parametrize("corners, closed", [
-    (_DIAGONAL_CORNERS[0], True), (_OFF_GRID, True),
+    (_DIAGONAL_CORNERS[0], True), (_SIX_SEGMENTS, True),
     (_DIAGONAL_CORNERS[2], False)])
 def test_diagonal_paths_are_sampled_as_one_array(corners, closed,
                                                  monkeypatch):
+    # the six-segment cycle is run with tol = 0, which no estimate meets,
+    # so that every doubling samples the array
+    tol = 0.0 if corners is _SIX_SEGMENTS else None
     path = diagonal_path(corners)
     calls = []
     call = type(path).__call__
     monkeypatch.setattr(type(path), "__call__",
                         lambda self, t: calls.append(t) or call(self, t))
-    direct = converged_path_work(path, "becker", M, closed=closed)
+    direct = converged_path_work(path, "becker", M, closed=closed, tol=tol)
     assert calls == []
     wrapped = converged_path_work(lambda t: path(t), "becker", M,
-                                  closed=closed)
+                                  closed=closed, tol=tol)
     assert direct == wrapped
     assert len(calls) == direct[1] + 1
     assert direct[1] == (verify.PANELS * verify.MAX_DEGREE
-                         if corners is _OFF_GRID else 96)
+                         if tol == 0.0 else 96)
 
 
 def test_a_per_node_sampler_receives_python_floats():
@@ -684,7 +706,8 @@ def test_the_path_check_factorizes_each_node_once(monkeypatch):
         return det(a)
 
     monkeypatch.setattr(verify, "_det", counted)
-    _, n, _ = converged_path_work(diagonal_path(_OFF_GRID), "becker", M,
+    path = diagonal_path(_OFF_GRID)
+    _, n, _ = converged_path_work(lambda t: path(t), "becker", M,
                                   closed=True)
     assert n + 1 == sum(checked) == 1537
     assert checked == [97, 96, 192, 384, 768]

@@ -16,7 +16,7 @@ from logstrain.kinematics import (glide_contractile_angle,
 from logstrain.tensors import eig_sym, fro_norm
 from logstrain.verify import random_rotation
 
-from conftest import rel_err
+from conftest import rel_err, rotation_from_normals
 
 
 def random_F(rng, det_lo=0.1, det_hi=10.0):
@@ -246,6 +246,28 @@ def test_pond_axis_permuted():
         for t in np.linspace(0.0, math.pi, 17):
             x = math.cos(t) * b1 + math.sin(t) * b2
             assert abs(np.linalg.norm(f @ x) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [10.0, 1e3, 1e5, 1e6])
+def test_pond_at_large_shear_ratios(alpha):
+    # F = R diag(alpha, 1/alpha, 1) Q^T with seeded rotations.  The roots
+    # of the spectrum of F^T F, whose condition number is alpha^4, lose the
+    # unit middle value (and at 1e6 take the root of a negative number);
+    # the SVD of F keeps it.  A plane's normal is as sensitive as alpha, so
+    # ||F x|| - 1 is bounded relative to it
+    rng = np.random.default_rng(1)
+    q = rotation_from_normals(rng.standard_normal((3, 3)))
+    r = rotation_from_normals(rng.standard_normal((3, 3)))
+    f = r @ np.diag([alpha, 1.0 / alpha, 1.0]) @ q.T
+    pair = planes_of_no_distortion(f)
+    assert abs(pair.shear_ratio - alpha) <= 1e-15 * alpha
+    for n in pair.initial_normals:
+        b1 = np.cross(n, [0.0, 0.0, 1.0])
+        b1 /= np.linalg.norm(b1)
+        b2 = np.cross(n, b1)
+        for t in np.linspace(0.0, math.pi, 17):
+            x = math.cos(t) * b1 + math.sin(t) * b2
+            assert abs(np.linalg.norm(f @ x) - 1.0) <= 1e-15 * alpha
 
 
 def test_pond_rejects_uniform_scaling():

@@ -225,27 +225,39 @@ def test_cli_stress_exits_two_on_a_failed_factorization(failing_lapack,
 
 
 def _linalg_calls(tree):
-    """The names of ``np.linalg.<name>`` attributes (or ``numpy.linalg``)
-    and ``from numpy.linalg import <name>`` imports of a module, for the
-    routines of the boundary."""
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr in LAPACK
+    """The ``np.linalg.<name>`` attributes (or ``numpy.linalg``) and ``from
+    numpy.linalg import <name>`` imports of a module, for the routines of
+    the boundary and for qr: each as ``(name, function)``, the function
+    that names it, or None at module level."""
+    names = (*LAPACK, "qr")
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr in names
                 and isinstance(node.value, ast.Attribute)
                 and node.value.attr == "linalg"):
-            yield node.attr, node.lineno
+            yield node.attr, function
         if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
             for alias in node.names:
-                if alias.name in LAPACK:
-                    yield alias.name, node.lineno
+                if alias.name in names:
+                    yield alias.name, function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return list(visit(tree, None))
 
 
 def test_only_tensors_names_the_np_linalg_factorizations():
     package = Path(logstrain.__file__).parent
     found = {}
     for path in sorted(package.glob("*.py")):
-        calls = list(_linalg_calls(ast.parse(path.read_text())))
+        calls = _linalg_calls(ast.parse(path.read_text()))
         if calls:
             found[path.name] = calls
-    assert set(found) == {"tensors.py"}, found
+    assert set(found) == {"tensors.py", "verify.py"}, found
     # the fallbacks of the boundary's table, each named once
     assert sorted(name for name, _ in found["tensors.py"]) == sorted(LAPACK)
+    # the one factorization outside the boundary: the stacked QR of the
+    # random rotations
+    assert found["verify.py"] == [("qr", "_draw")]

@@ -674,35 +674,51 @@ def _segment_log_mean(a, b):
                     np.log(a))
 
 
+_SEVEN_SEGMENTS = np.array([
+    (1.0, 1.0, 1.0), (1.5, 1.0, 1.0), (1.5, 1.3, 1.0), (1.8, 1.3, 1.2),
+    (1.2, 1.6, 1.2), (1.0, 1.2, 1.4), (0.8, 1.0, 1.1), (1.0, 1.0, 1.0)])
+_FOUR_SEGMENTS = np.array([(1.0, 1.0, 1.0), (1.7, 1.3, 1.8), (0.8, 1.4, 1.1),
+                           (1.6, 0.9, 1.7), (1.0, 1.0, 1.0)])
+
+
+def _loop_work(corners, lam):
+    # becker's loop work along a closed diagonal path at G = 1: lam * sum
+    # over the segments of (mean of ln J) * (change of tr U)
+    return lam * sum(float(np.sum(_segment_log_mean(a, b)) * np.sum(b - a))
+                     for a, b in zip(corners[:-1], corners[1:]))
+
+
+def _per_node(corners):
+    # the path of diagonal_path(corners) as a plain callable, which
+    # converged_path_work samples on the 6 panels of t = k / 6
+    path = diagonal_path(corners)
+    return lambda t: path(t)
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
 def test_kinks_off_the_grid_do_not_read_as_converged(lam):
-    # seven segments: the corners at t = k/7 lie inside panels of the
-    # t = k/6 grid, where the rule converges only algebraically.  Becker's
-    # loop work is lam * sum over the segments of (mean of ln J) * (change
-    # of tr U)
-    corners = np.array([(1.0, 1.0, 1.0), (1.5, 1.0, 1.0), (1.5, 1.3, 1.0),
-                        (1.8, 1.3, 1.2), (1.2, 1.6, 1.2), (1.0, 1.2, 1.4),
-                        (0.8, 1.0, 1.1), (1.0, 1.0, 1.0)])
+    # seven segments traced by a plain callable: the corners at t = k/7 lie
+    # inside panels of the t = k/6 grid, where the rule converges only
+    # algebraically
     m = Moduli.from_g_lam(1.0, lam)
-    closed = lam * sum(float(np.sum(_segment_log_mean(a, b)) * np.sum(b - a))
-                       for a, b in zip(corners[:-1], corners[1:]))
-    work, n, converged = converged_path_work(diagonal_path(corners),
+    work, n, converged = converged_path_work(_per_node(_SEVEN_SEGMENTS),
                                              "becker", m, closed=True)
     assert not converged and n == 1536
     # the finest rule is still near the work, which it cannot certify
-    assert abs(work - closed) < 1e-6
+    assert abs(work - _loop_work(_SEVEN_SEGMENTS, lam)) < 1e-6
 
 
 def test_kink_errors_cancelling_in_the_total_do_not_read_as_converged():
-    # a random seven-segment cycle whose kinked panels' estimates cancel in
-    # the total at N = 64 (2.4e-9 against tol = 1e-8), while one panel's
-    # is 4.4e-6: only the per-panel test keeps it unconverged.  Stopped by
-    # the total alone, its work would be 2.4e-6 off the closed form, 0
+    # a random seven-segment cycle, traced by a plain callable, whose
+    # kinked panels' estimates cancel in the total at N = 64 (2.4e-9
+    # against tol = 1e-8), while one panel's is 4.4e-6: only the per-panel
+    # test keeps it unconverged.  Stopped by the total alone, its work
+    # would be 2.4e-6 off the closed form, 0
     corners = [(1.0, 1.0, 1.0), (1.1334, 1.3279, 0.9573),
                (1.7128, 1.0166, 0.8979), (1.6288, 1.0355, 0.9137),
                (1.6854, 1.1553, 1.6747), (1.565, 1.7014, 0.7699),
                (1.3649, 1.7937, 1.1882), (1.0, 1.0, 1.0)]
-    f = diagonal_path(corners)
+    f = _per_node(corners)
     g = np.array([f(t) for t in verify._rule(64)[0]])
     pk1 = pk1_for_law("becker", g, M0)
     error = (verify._panel_works(g, pk1, 64)
@@ -731,14 +747,29 @@ def test_a_three_segment_cycle_converges_on_the_first_rule():
 
 @pytest.mark.parametrize("lam", [0.5, 2.0])
 def test_a_four_segment_cycle_does_not_read_as_converged(lam):
-    # the kinks at t = 1/4 and 3/4 lie inside panels of the t = k / 6 grid
-    # (on the former grid of t = k / 24 this cycle converged at 192 steps)
-    corners = [(1.0, 1.0, 1.0), (1.7, 1.3, 1.8), (0.8, 1.4, 1.1),
-               (1.6, 0.9, 1.7), (1.0, 1.0, 1.0)]
+    # traced by a plain callable, the kinks at t = 1/4 and 3/4 lie inside
+    # panels of the t = k / 6 grid (on the former grid of t = k / 24 this
+    # cycle converged at 192 steps)
     _, n, converged = converged_path_work(
-        diagonal_path(corners), "becker", Moduli.from_g_lam(1.0, lam),
+        _per_node(_FOUR_SEGMENTS), "becker", Moduli.from_g_lam(1.0, lam),
         closed=True)
     assert not converged and n == 1536
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("corners, panels", [(_FOUR_SEGMENTS, 8),
+                                             (_SEVEN_SEGMENTS, 7)],
+                         ids=["four-segments", "seven-segments"])
+def test_diagonal_cycles_take_panels_from_their_corners(corners, panels,
+                                                        lam):
+    # a diagonal path of k segments is integrated on the smallest multiple
+    # of k panels that is at least 6, so its corners lie on the panel
+    # boundaries and the first rule, N = 16 per panel, converges
+    m = Moduli.from_g_lam(1.0, lam)
+    work, n, converged = converged_path_work(diagonal_path(corners),
+                                             "becker", m, closed=True)
+    assert converged and n == 16 * panels
+    assert abs(work - _loop_work(corners, lam)) <= 1e-14
 
 
 def _exact_diagonal_work(corners, lam):
