@@ -900,7 +900,8 @@ def path_work(path: LoadPath, law, m: Moduli):
     return 0.5 * float(np.sum(_inners(pk1[:-1] + pk1[1:], g[1:] - g[:-1])))
 
 
-@functools.cache
+# bounded: each panel count a diagonal path brings adds its own rules
+@functools.lru_cache(maxsize=32)
 def _rule(n, panels=PANELS):
     """The nested rule of degree n on ``panels`` equal panels: its
     ``panels * n + 1`` nodes in t on [0, 1], ascending, a node shared by
