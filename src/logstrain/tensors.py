@@ -370,7 +370,7 @@ def _spectrum(m):
     out = vals[..., ::-1].copy(), frame[..., ::-1].copy()
     ascending = vals[..., :-1] < vals[..., 1:]
     if not ascending.all():
-        unordered = ~ascending.all(axis=-1)
+        unordered = ~(ascending[..., 0] & ascending[..., 1])
         vals, frame = vals[unordered], frame[unordered]
         order = np.argsort(-vals, axis=-1, kind="stable")
         out[0][unordered] = np.take_along_axis(vals, order, -1)
