@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonInvertible, NoSuchPlane
 from .tensors import (_as_mats, _as_real, _at, _closed_form, _det, _first,
-                      _from_spectrum, _svd, as_mat3, cofactor)
+                      _from_spectrum, _svd, as_mat3, cofactor, fro_norm)
 
 __all__ = [
     "PolarFactors",
@@ -171,7 +171,9 @@ def planes_of_no_distortion(f):
     errors are of order ``eps |f|``: at shear ratios up to 1e6 the middle
     value stays within the tolerance (see the tests), where the roots of
     the spectrum of ``f.T @ f``, whose condition number is the square of
-    f's, lose it by 1e5.
+    f's, lose it by 1e5.  Nothing is squared on the way to the normals, so
+    they stay finite where the square of the shear ratio overflows (tested
+    up to 1e300).
 
     Raises
     ------
@@ -188,31 +190,35 @@ def planes_of_no_distortion(f):
     # rows of Vt) from one SVD, not the roots of the spectrum of F^T F,
     # whose condition number is the square of F's
     _, sv, vt = _svd(f)
-    if abs(sv[1] - 1.0) > UNIT_SV_TOL:
+    s1, s2, s3 = sv.tolist()
+    if abs(s2 - 1.0) > UNIT_SV_TOL:
         raise NoSuchPlane(
-            f"middle singular value {sv[1]:.12g} differs from 1 beyond "
+            f"middle singular value {s2:.12g} differs from 1 beyond "
             f"{UNIT_SV_TOL:.1g}; no plane of no distortion exists")
-    if sv[0] - 1.0 <= UNIT_SV_TOL:
+    if s1 - 1.0 <= UNIT_SV_TOL:
         raise NoSuchPlane(
             "all singular values equal 1; the deformation is an isometry "
             "and every plane is undistorted")
     u1, u2, u3 = vt
-    alpha = float(sv[0])
-    # ||F x|| = ||x|| restricted to span{u2, u1 + k u3}
-    k = math.sqrt((sv[0] ** 2 - 1.0) / (1.0 - sv[2] ** 2))
+    # ||F x|| = ||x|| restricted to span{u2, u1 + k u3}, k^2 = (s1^2 - 1)
+    # / (1 - s3^2) in factors that square nothing, so k is finite for
+    # every finite s1; fro_norm scales a normal that would overflow a
+    # sum of squares
+    k = (math.sqrt(s1 - 1.0) * math.sqrt(s1 + 1.0)
+         / math.sqrt((1.0 - s3) * (1.0 + s3)))
     initial, final = [], []
     cof = cofactor(f)
     for sign in (+1.0, -1.0):
         w = u1 + sign * k * u3
         n0 = np.cross(w, u2)
-        n0 = _canonical_sign(n0 / np.linalg.norm(n0))
+        n0 = _canonical_sign(n0 / fro_norm(n0))
         n1 = cof @ n0
-        n1 = _canonical_sign(n1 / np.linalg.norm(n1))
+        n1 = _canonical_sign(n1 / fro_norm(n1))
         initial.append(n0)
         final.append(n1)
     return PondPair(initial_normals=tuple(initial),
                     final_normals=tuple(final),
-                    shear_ratio=alpha)
+                    shear_ratio=s1)
 
 
 def max_tangential_strain_direction(alpha):

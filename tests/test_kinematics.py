@@ -270,6 +270,27 @@ def test_pond_at_large_shear_ratios(alpha):
             assert abs(np.linalg.norm(f @ x) - 1.0) <= 1e-15 * alpha
 
 
+@pytest.mark.parametrize("alpha", [1e160, 1e300])
+def test_pond_where_the_shear_ratio_squared_overflows(alpha):
+    # the normals (1, -+1/alpha, 0) and (+-1/alpha, 1, 0) of pure shear,
+    # finite and unit, where alpha**2 is not representable
+    f = pure_shear_F(alpha)
+    pair = planes_of_no_distortion(f)
+    assert pair.shear_ratio == pytest.approx(alpha, rel=1e-15, abs=0.0)
+    for n0, n1 in zip(pair.initial_normals, pair.final_normals):
+        assert n0[0] == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        assert abs(n0[1]) * alpha == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        assert abs(n1[0]) * alpha == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        assert abs(n1[1]) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        assert n0[2] == n1[2] == 0.0
+        b1 = np.cross(n0, [0.0, 0.0, 1.0])
+        b1 /= np.linalg.norm(b1)
+        b2 = np.cross(n0, b1)
+        for t in np.linspace(0.0, math.pi, 17):
+            x = math.cos(t) * b1 + math.sin(t) * b2
+            assert abs(np.linalg.norm(f @ x) - 1.0) <= 1e-15
+
+
 def test_pond_rejects_uniform_scaling():
     with pytest.raises(NoSuchPlane):
         planes_of_no_distortion(2.0 * np.eye(3))
