@@ -735,8 +735,7 @@ def test_a_three_segment_cycle_converges_on_the_first_rule():
     corners = np.array([(1.0, 1.0, 1.0), (1.4, 0.8, 1.1), (0.9, 1.3, 1.2),
                         (1.0, 1.0, 1.0)])
     path = diagonal_path(corners)
-    closed = 0.5 * sum(float(np.sum(_segment_log_mean(a, b)) * np.sum(b - a))
-                       for a, b in zip(corners[:-1], corners[1:]))
+    closed = _loop_work(corners, M.lam)
     for law, expected in (("becker", closed), ("hencky-kirchhoff", 0.0)):
         calls = []
         work, n, converged = converged_path_work(
