@@ -277,22 +277,15 @@ def becker_energy_nu0(u, m: Moduli):
             f"energy defined only for lambda = 0, got {m.lam}")
     u = sym_part(_as_mats(u, "u"))
     vals, frame = _spectrum(u)
-    energy = _energy_nu0(u, vals, frame, m)
     _require_floor(vals, "mat_log", "eigenvalue", u.shape[:-2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_u = _from_spectrum(frame, np.log(vals))  # mat_log's bits
+        energy = 2.0 * m.g * (_inners(u, log_u - _EYE) + 3.0)
     bad = _first(~np.isfinite(energy))
     if bad is not None:
         raise LogstrainError(f"becker_energy_nu0: energy is not finite at "
                              f"G = {m.g:.6g}{_at(bad, u.shape[:-2])}")
     return energy if u.ndim > 2 else float(energy)
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _energy_nu0(u, vals, frame, m):
-    """The lam = 0 energy at the symmetric stretches u whose
-    :func:`tensors._spectrum` is ``(vals, frame)``, quietly and untested:
-    :func:`becker_energy_nu0` tests the floor and the energy."""
-    log_u = _from_spectrum(frame, np.log(vals))  # mat_log's bits
-    return 2.0 * m.g * (_inners(u, log_u - _EYE) + 3.0)
 
 
 @_closed_form

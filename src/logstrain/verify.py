@@ -28,7 +28,7 @@ be evaluated fails.  The batch raises nothing for a member: its floor and
 finiteness tests run once on the whole batch, as masks, and where one
 fails, a check's read of its slice makes its members' own public calls
 in order (``mat_pow`` per exponent, then the law), so the error it raises
-(a stress or an energy that overflows) is the one its own call raises;
+(a stress that overflows) is the one its own call raises;
 the answers still come from the batch.  The batch is evaluated inside
 the first report that reads it; where its masks pass, nothing is
 evaluated twice.  A check whose evaluation raises decides nothing: its
@@ -49,22 +49,23 @@ usually reports no convergence.
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .constitutive import (_LAWS, _energy_nu0, _finite, _lam_is_zero, _lame,
-                           _lame_on_frame, _log_strain, _pk2_of_biot,
-                           _tensor_law, _tensor_row, becker_energy_nu0,
-                           becker_inverse, linearized_law, pk1_for_law)
+from .constitutive import (_LAWS, _finite, _lam_is_zero, _lame, _lame_on_frame,
+                           _log_strain, _pk2_of_biot, _tensor_law, _tensor_row,
+                           becker_energy_nu0, becker_inverse, linearized_law,
+                           pk1_for_law)
 from .errors import LogstrainError
 from .moduli import Moduli
-from .tensors import (_EYE, _as_real, _at, _below_floor, _closed_form,
-                      _concat, _det, _diag, _first, _first_nonfinite,
-                      _fro_norms, _from_spectrum, _inners, _pow2_scale,
-                      _pow_rule, _split_like, _spectrum, _sum_is_finite,
-                      as_mat3, eig_sym, fro_norm, mat_pow, sym_part)
+from .tensors import (_EYE, _as_real, _at, _below_floor, _closed_form, _concat,
+                      _det, _diag, _first, _first_nonfinite, _fro_norms,
+                      _from_spectrum, _inners, _pow2_scale, _pow_rule,
+                      _split_like, _spectrum, _sum_is_finite, as_mat3, eig_sym,
+                      fro_norm, mat_exp, mat_pow, sym_part)
 
 __all__ = [
     "CheckReport",
@@ -247,6 +248,8 @@ def random_spd(rng, lo=EIG_RANGE[0], hi=EIG_RANGE[1]):
 
 
 def _require_samples(samples):
+    if not isinstance(samples, numbers.Integral):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
 
@@ -279,11 +282,11 @@ def _run(name, tolerance, evaluate, expected=True):
 def _worst(residuals, witness_of, floor=0.0):
     """``(worst, witness)`` over a batch of samples.
 
-    The worst sample is the first largest residual; a NaN or infinite
+    The worst sample is the first largest residual; a NaN or +inf
     residual counts as the worst, so that a check which cannot be
-    evaluated fails.  ``witness_of(i)`` builds the witness of sample i.
-    When no residual exceeds ``floor`` (or the batch is empty), returns
-    ``(floor, None)``.
+    evaluated fails, and -inf ranks lowest.  ``witness_of(i)`` builds the
+    witness of sample i.  When no residual exceeds ``floor`` (or the batch
+    is empty), returns ``(floor, None)``.
     """
     res = np.asarray(residuals)
     if res.size == 0:
@@ -566,7 +569,8 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
     trip.  A check is expected to pass unless the law's row of the law
     table names it in ``violates`` (the finite-Hooke laws fail
     superposition, among others, with the violating pair recorded).
-    ``samples < 1`` raises ``ValueError``: no check passes vacuously.
+    A ``samples`` that is not an integer of at least 1 raises
+    ``ValueError``: no check passes vacuously.
 
     Each check draws its whole batch from its own stream
     ``default_rng([seed, k])`` in bulk (see :func:`_draw`; a scalar stretch
@@ -650,13 +654,20 @@ def principal_cauchy_stresses(stretches, m: Moduli):
 
     ``sigma_k = lam_k / (lam_1 lam_2 lam_3) * T_k``, with the principal
     forces ``T_k = 2 G ln lam_k + lam sum_j ln lam_j`` of the becker row of
-    the law table, in the order of the given stretches.  A force or a
-    stress that is not finite raises :class:`LogstrainError`.
+    the law table, in the order of the given stretches, shape (3,) or
+    (..., 3), each row its own stretches.  Stretches of another shape or
+    not finite raise ``ValueError``; a force or a stress that is not
+    finite raises :class:`LogstrainError`.
     """
     lam = np.asarray(stretches, dtype=float)
+    if lam.shape[-1:] != (3,):
+        raise ValueError(f"stretches must have shape (..., 3), got "
+                         f"{lam.shape}")
+    if not np.isfinite(lam).all():
+        raise ValueError("stretches must be finite")
     forces = _LAWS["becker"].principal(lam, m)  # checks the floor first
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = lam / np.prod(lam) * forces
+        sigma = lam / np.prod(lam, axis=-1, keepdims=True) * forces
     return _finite("becker", sigma[..., None], m)[..., 0]
 
 
@@ -749,17 +760,18 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
     concave energy fails at a small G as it does at G = 1.
 
     Each probe draws its pairs in bulk from its own stream (see
-    :func:`_draw`), the rotations of both from one stacked QR.  Both
-    probes take one spectrum for ``mat_exp``, of the log-domain stacks
-    (x1, x2, midpoint), and one for the energies, of their exponentials
-    and the SPD stacks (u1, u2, midpoint); a NaN or infinite excess is the
-    largest and fails ``energy_convexity_spd``.  Each probe reads its own
-    three energies; where one of them meets an error (an energy that
-    overflows, G near the largest float), the probe calls
-    :func:`constitutive.becker_energy_nu0` on its stacks in turn, raises
-    the first error, and decides nothing: it comes out not as expected,
-    with that message as its witness.  Raises ``ValueError`` unless lam =
-    0 by the rule of :func:`constitutive.becker_energy_nu0`.
+    :func:`_draw`), the rotations of both from one stacked QR.  The
+    log-domain probe makes one :func:`tensors.mat_exp` call on the stack
+    (x1, x2, midpoint) and one :func:`constitutive.becker_energy_nu0` call
+    on its exponentials; the SPD probe one energy call on (u1, u2,
+    midpoint).  The chord's midpoint is ``0.5 w1 + 0.5 w2``, finite
+    wherever w1 and w2 are, so every pair is judged; a NaN or infinite
+    excess is the largest and fails ``energy_convexity_spd``.  A probe
+    whose call raises (an energy that overflows, G near the largest
+    float) decides nothing: it comes out not as expected, with the
+    message, which names a member by its index in that stack, as its
+    witness.  Raises ``ValueError`` unless lam = 0 by the rule of
+    :func:`constitutive.becker_energy_nu0`.
     """
     _require_samples(samples)
     if not _lam_is_zero(m):
@@ -768,59 +780,35 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
     return _hill_reports(m, x1, x2, u1, u2)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _probe_energies(m, xs, us):
-    """``read``, the lam = 0 energies of both convexity probes:
-    ``read(0)`` at ``mat_exp`` of each log-domain stack of ``xs``,
-    ``read(1)`` at each SPD stack of ``us``, with the bits of those calls,
-    from one spectrum of xs and one of the exponentials and us.  The
-    draws' eigenvalues lie in [-8, 2] and [0.1, 10], so no exponential
-    overflows.  As in :func:`_answers`, the energy's tests run once on the
-    whole batch, as masks; where one fails, ``read(k)`` first calls
-    :func:`constitutive.becker_energy_nu0` on each of its three stacks in
-    turn, for the error it raises, and still answers from the batch."""
-    ev, ef = _spectrum(sym_part(_concat(xs)))
-    stacks = [*_split_like(_from_spectrum(ef, np.exp(ev)), xs), *us]
-    u = sym_part(_concat(stacks))
-    vals, frame = _spectrum(u)
-    w = _energy_nu0(u, vals, frame, m)
-    clean = _sum_is_finite(w) and not _below_floor(vals, True).any()
-    w = _split_like(w, stacks)
-
-    def read(probe):
-        own = range(3 * probe, 3 * probe + 3)
-        if not clean:
-            for i in own:
-                becker_energy_nu0(stacks[i], m)
-        return [w[i] for i in own]
-
-    return read
-
-
 def _hill_reports(m, x1, x2, u1, u2):
     """The two reports of :func:`hill_convexity_probe` on its draws."""
     tol = 1e-10
-    xm, um = 0.5 * (x1 + x2), 0.5 * (u1 + u2)
-    energies = functools.cache(functools.partial(
-        _probe_energies, m, (x1, x2, xm), (u1, u2, um)))
+
+    def energies(u):
+        # (w1, w2, wm) of a probe's one stack of pairs and midpoints, from
+        # one call, whose error names a member by its index in that stack
+        return becker_energy_nu0(u, m).reshape(3, -1)
 
     def log_domain():
-        w1, w2, wm = energies()(0)
-        # the floor scales with G, as the energies do
+        w1, w2, wm = energies(mat_exp(np.concatenate(
+            (x1, x2, 0.5 * (x1 + x2)))))
+        # the floor scales with G, as the energies do; the chord's midpoint
+        # is formed from halves, finite where w1 + w2 is not
         margin = tol * np.maximum(m.g, np.maximum(abs(w1), abs(w2)))
         k = _first((_fro_norms(x1 - x2) > 1e-12)
-                   & (wm > 0.5 * (w1 + w2) + margin))
+                   & (wm > 0.5 * w1 + 0.5 * w2 + margin))
         witness = None
         if k is not None:
             witness = {"x1": x1[k], "x2": x2[k],
                        "energies": [float(w1[k]), float(w2[k])],
                        "midpoint_energy": float(wm[k]),
-                       "excess": float(wm[k] - 0.5 * (w1[k] + w2[k]))}
+                       "excess": float(wm[k] - (0.5 * w1[k] + 0.5 * w2[k]))}
         return witness is None, witness
 
     def spd_pairs():
-        w1, w2, wm = energies()(1)
-        excess = _rel(wm - 0.5 * (w1 + w2), abs(w1), abs(w2), floor=m.g)
+        w1, w2, wm = energies(np.concatenate((u1, u2, 0.5 * (u1 + u2))))
+        excess = _rel(wm - (0.5 * w1 + 0.5 * w2), abs(w1), abs(w2),
+                      floor=m.g)
         worst, witness = _worst(excess, lambda i: {
             "u1": u1[i], "u2": u2[i], "excess": float(excess[i])},
             -math.inf)
@@ -1231,7 +1219,7 @@ def suite(law, m: Moduli, samples=1000, seed=0):
     the power bases, the monotonicity pairs and the ladder stretches, from
     which the powers and the stresses are read; in round 2 one of the
     powers; and one law call on the spectra of both rounds.  The probes
-    take one spectrum for ``mat_exp`` and one for the energies (see
+    make their own ``mat_exp`` and energy calls (see
     :func:`hill_convexity_probe`).  Each check judges its own slice, with
     the bits it would get alone, and an error on its slice is the one its
     own calls raise.  ``ordered_force_random`` judges the principal

@@ -292,7 +292,7 @@ def _count_factorizations(monkeypatch):
     (lambda: verify.check_axioms("hooke-biot", M, samples=64, seed=1), 1,
      Counter(eigh=128, qr=6 * 64)),
     (lambda: verify.hill_convexity_probe(Moduli.from_g_lam(1.0, 0.0),
-                                         samples=64, seed=1), 2,
+                                         samples=64, seed=1), 3,
      Counter(eigh=192 + 384, qr=4 * 64))],
     ids=["becker-axioms", "hooke-biot-axioms", "hill-probes"])
 def test_each_block_is_one_batch(monkeypatch, block, eigh, matrices):
@@ -300,9 +300,9 @@ def test_each_block_is_one_batch(monkeypatch, block, eigh, matrices):
     # det Q from a triple product; the becker axioms take one spectrum of
     # their 705 stretches (the power bases among them), one of the 128
     # powers and one of the 64 stresses becker_inverse inverts; hooke-biot
-    # one of its power bases; the probes one of their 3 x 64 log-domain
-    # matrices for mat_exp and one of those exponentials and their 3 x 64
-    # SPD matrices for the energies of both
+    # one of its power bases; the log-domain probe one of its 3 x 64
+    # matrices for mat_exp and one of their exponentials for its energies,
+    # the SPD probe one of its 3 x 64 matrices for its energies
     calls = _count_factorizations(monkeypatch)
     block()
     assert calls == Counter(eigh=eigh, qr=1)
@@ -314,14 +314,15 @@ def test_each_block_is_one_batch(monkeypatch, block, eigh, matrices):
 # of its eigh calls, and its det calls and their matrices.  A becker suite
 # decomposes, besides the axiom block, the monotonicity pairs (2, and 128
 # at lam = 0) and the ladder stretches (6) in its first round; then the
-# two Baker-Ericksen stretches, and at lam = 0 the probes (192 + 384) and
-# the open path's two ends, one call each.  The ordered-force check reads
-# its drawn principal stretches and factorizes nothing: its stream draws
-# no rotation.  The draws take no det; only becker's path work does, two
+# two Baker-Ericksen stretches, and at lam = 0 the probes (192 for
+# mat_exp, then 192 for the energies of each probe) and the open path's
+# two ends, one call each.  The ordered-force check reads its drawn
+# principal stretches and factorizes nothing: its stream draws no
+# rotation.  The draws take no det; only becker's path work does, two
 # calls per path on its 97 nodes: the LoadPath check and the Jacobian of
 # its PK1 stresses (the closed cycle, and at lam = 0 the open path).
 _SUITE_BUDGETS = {
-    ("becker", 0.0): (9, 832, 841 + 128 + 64 + 2 + 576 + 2, 4, 4 * 97),
+    ("becker", 0.0): (10, 832, 841 + 128 + 64 + 2 + 576 + 2, 4, 4 * 97),
     ("becker", 0.5): (5, 448, 713 + 128 + 64 + 2, 2, 2 * 97),
     ("becker", 25.0): (5, 448, 713 + 128 + 64 + 2, 2, 2 * 97),
     ("hencky-kirchhoff", 0.5): (3, 448, 705 + 128 + 64, 0, 0),
@@ -364,14 +365,34 @@ def test_a_clean_batch_makes_no_member_call(monkeypatch):
     def refuse(*args):
         raise AssertionError("a member call on a clean batch")
 
-    for name in ("mat_pow", "_tensor_law", "becker_energy_nu0"):
+    for name in ("mat_pow", "_tensor_law"):
         monkeypatch.setattr(verify, name, refuse)
     for law in TENSOR_LAWS:
         assert all(r.as_expected for r in verify.check_axioms(
             law, M, samples=16, seed=2))
     u = _spd(np.random.default_rng(3))
     assert verify.m_condition_check(u, u[::-1], M)[0] > 0.0
+
+
+def test_each_probe_makes_its_own_public_calls(monkeypatch):
+    # the convexity probes have no evaluator of their own: the log-domain
+    # probe makes one mat_exp call on its stack (x1, x2, midpoint) and one
+    # energy call on the exponentials, the SPD probe one energy call on
+    # its stack (u1, u2, midpoint)
+    calls = []
+
+    def counting(f):
+        def call(a, *args):
+            calls.append((f.__name__, np.shape(a)))
+            return f(a, *args)
+        return call
+
+    for f in (mat_exp, becker_energy_nu0):
+        monkeypatch.setattr(verify, f.__name__, counting(f))
     verify.hill_convexity_probe(Moduli.from_g_lam(1.0, 0.0), samples=16)
+    assert calls == [("mat_exp", (48, 3, 3)),
+                     ("becker_energy_nu0", (48, 3, 3)),
+                     ("becker_energy_nu0", (48, 3, 3))]
 
 
 def test_stacked_norm_and_inner_equal_the_one_matrix_ones(rng):
@@ -535,14 +556,13 @@ def _answers_alone(row, m, requests):
     return lambda k: [answer(x) for x in requests[k]]
 
 
-def _probe_energies_alone(m, xs, us):
-    # one mat_exp call and one energy call per stack
-    def read(probe):
-        if probe == 0:
-            return [becker_energy_nu0(mat_exp(x), m) for x in xs]
-        return [becker_energy_nu0(u, m) for u in us]
+def _one_at_a_time(f):
+    # f called on each matrix of a stack alone
+    def each(a, *args):
+        return np.array([f(x, *args) for x in a]) if a.ndim > 2 \
+            else f(a, *args)
 
-    return read
+    return each
 
 
 @pytest.mark.parametrize("law, lam", list(_SUITE_DIGESTS))
@@ -551,12 +571,14 @@ def test_batched_suite_equals_each_check_alone(monkeypatch, law, lam,
                                                samples):
     # every report byte for byte as when each member of each check's
     # request is answered by its own public calls, and each probe's
-    # energies by their own
+    # exponentials and energies by one call per matrix
     m = Moduli.from_g_lam(1.0, lam)
     batched = verify.format_reports(verify.suite(law, m, samples=samples,
                                                  seed=4))
     monkeypatch.setattr(verify, "_answers", _answers_alone)
-    monkeypatch.setattr(verify, "_probe_energies", _probe_energies_alone)
+    monkeypatch.setattr(verify, "mat_exp", _one_at_a_time(mat_exp))
+    monkeypatch.setattr(verify, "becker_energy_nu0",
+                        _one_at_a_time(becker_energy_nu0))
     alone = verify.format_reports(verify.suite(law, m, samples=samples,
                                                seed=4))
     assert alone == batched

@@ -391,6 +391,23 @@ def test_ordered_force_random_sweep(rng):
         assert ordered_force_check(random_spd(rng), M).passed
 
 
+@pytest.mark.parametrize("stretches", [
+    [1.0, 2.0], [1.0, 2.0, 0.5, 1.0], np.ones((3, 2)), 2.0,
+    [1.0, math.nan, 1.0]], ids=["2", "4", "3x2", "scalar", "nan"])
+def test_principal_stresses_refuse_stretches_that_are_not_finite_triples(
+        stretches):
+    with pytest.raises(ValueError, match="^stretches must"):
+        principal_cauchy_stresses(stretches, M)
+
+
+def test_principal_stresses_of_a_stack_are_those_of_each_row():
+    lam = np.array([[2.0, 1.0, 1.0], [1.5, 0.5, 1.2], [0.3, 4.0, 0.9]])
+    got = principal_cauchy_stresses(lam, M)
+    assert got.shape == (3, 3)
+    assert np.array_equal(got, [principal_cauchy_stresses(x, M)
+                                for x in lam])
+
+
 def test_principal_stresses_that_overflow_raise():
     # the forces 2 G ln lam_k overflow at G = 5e307 for lam = e^3; at
     # G = 1e307 and (1, 1e-3, 1e-3) the forces are finite but the Cauchy
@@ -465,14 +482,45 @@ def test_log_domain_margin_scales_with_g(g):
 @pytest.mark.parametrize("g", [1.0, 1e-12, 1e-20])
 def test_a_concave_energy_fails_the_spd_probe_at_every_g(g, monkeypatch):
     # the excess is taken relative to max(G, |w1|, |w2|), which scales with
-    # the energies; a floor of 1 passed this concave energy from G = 1e-12.
-    # The probes read their energies from the spectra of their stacks
-    monkeypatch.setattr(verify, "_energy_nu0", lambda u, vals, frame, m:
+    # the energies; a floor of 1 passed this concave energy from G = 1e-12
+    monkeypatch.setattr(verify, "becker_energy_nu0", lambda u, m:
                         -m.g * np.sum(u * u, axis=(-2, -1)))
     _, spd_report = hill_convexity_probe(Moduli.from_g_lam(g, 0.0),
                                          samples=64, seed=0)
     assert not spd_report.passed and not spd_report.as_expected
     assert spd_report.witness["excess"] > 1e-10
+
+
+@pytest.mark.parametrize("samples, seed, overflowing", [(16, 3, 2),
+                                                        (64, 0, 1)])
+def test_every_chord_is_judged_where_its_end_energies_sum_past_the_max(
+        samples, seed, overflowing):
+    # at G = 3e306 these draws hold SPD pairs whose finite end energies
+    # sum past the largest float; the chord's midpoint is formed from
+    # halves, so those pairs are judged too, without a warning
+    m = Moduli.from_g_lam(3e306, 0.0)
+    _, (u1, u2) = verify._draws(samples, seed, verify._HILL_STREAMS)
+    w1, w2 = becker_energy_nu0(u1, m), becker_energy_nu0(u2, m)
+    assert np.isfinite(w1).all() and np.isfinite(w2).all()
+    with np.errstate(over="ignore"):
+        assert np.isinf(w1 + w2).sum() == overflowing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = hill_convexity_probe(m, samples=samples, seed=seed)
+    assert [(r.undecided, r.as_expected) for r in reports] \
+        == [(False, True)] * 2
+
+
+def test_each_probe_is_undecided_only_by_its_own_energies():
+    # at G = 5e306 some SPD energies overflow and no log-domain one does:
+    # each probe makes its own energy call, so only the SPD probe decides
+    # nothing, its message naming a member of its (u1, u2, midpoint) stack
+    log_report, spd_report = hill_convexity_probe(
+        Moduli.from_g_lam(5e306, 0.0), samples=64, seed=0)
+    assert not log_report.undecided and log_report.as_expected
+    assert spd_report.undecided and not spd_report.as_expected
+    assert spd_report.witness["error"] == ("becker_energy_nu0: energy is not "
+                                           "finite at G = 5e+306 at index 49")
 
 
 def test_the_spd_probe_excess_is_nan_where_its_scale_is_infinite():
@@ -484,13 +532,22 @@ def test_the_spd_probe_excess_is_nan_where_its_scale_is_infinite():
 
 
 def test_no_check_runs_on_zero_samples():
-    for samples in (0, -1):
-        with pytest.raises(ValueError, match="samples"):
+    for samples in (0, -1, np.int64(0)):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
             check_axioms("becker", M, samples=samples)
-        with pytest.raises(ValueError, match="samples"):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
             hill_convexity_probe(M0, samples=samples)
-        with pytest.raises(ValueError, match="samples"):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
             suite("becker", M0, samples=samples)
+    # a count that is not an integer is refused, not rounded or compared
+    for samples in (2.0, 1.5, math.nan, "3", None):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            check_axioms("becker", M, samples=samples)
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            hill_convexity_probe(M0, samples=samples)
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            suite("becker", M0, samples=samples)
+    assert len(check_axioms("becker", M, samples=np.int64(2))) == 8
 
 
 def test_hill_probe_requires_lam_zero():
@@ -1044,6 +1101,4 @@ def test_batch_errors_come_from_the_members_own_calls():
     tree = ast.parse(Path(verify.__file__).read_text())
     mirrored = {"_as_mats", "_require_floor", "_finite_values", "_finite"}
     assert not _calls_in(tree, "_answers") & mirrored
-    assert not _calls_in(tree, "_probe_energies") & mirrored
     assert {"mat_pow", "_tensor_law"} <= _calls_in(tree, "_answers")
-    assert "becker_energy_nu0" in _calls_in(tree, "_probe_energies")
