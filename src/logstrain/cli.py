@@ -19,6 +19,13 @@ commands (``plot-data``, ``fit --out``) evaluate each column with one call
 on the whole abscissa array and format the whole table in one pass: one
 finiteness check, then one ``%`` of the ``%.12g`` row format repeated over
 the flattened rows.
+
+Only ``check`` loads :mod:`logstrain.verify` and only ``decompose`` loads
+:mod:`logstrain.decomposition`, each on its first call; ``stress``,
+``invert``, ``shear-statics``, ``fit`` and ``plot-data`` start without
+them.  A number that does not parse names its source: the flag, the
+config file's ``path:line`` (a key given twice names both lines), or the
+data file and row.  Config and data files are read as UTF-8.
 """
 
 import argparse
@@ -32,10 +39,6 @@ import numpy as np
 
 from . import constitutive as laws
 from . import fitting
-from . import verify
-from .decomposition import (StressTriple, becker_tables,
-                            decompose_stress_additive,
-                            decompose_stretch_multiplicative)
 from .errors import LogstrainError
 from .kinematics import pure_shear_F, simple_glide_F
 from .moduli import Moduli
@@ -63,23 +66,42 @@ def _print_tensor(t):
         print("  " + "  ".join(f"{v: .12g}" for v in row))
 
 
+def _number(text, where):
+    """``float(text)``, or :class:`LogstrainError` naming ``where`` the
+    text came from (a flag, or ``path:line: key`` of the config file)."""
+    try:
+        return float(text)
+    except ValueError:
+        raise LogstrainError(
+            f"{where}: expected a number, got {text!r}") from None
+
+
+def _require_points(points):
+    if points < 1:
+        raise LogstrainError(f"--points must be at least 1, got {points}")
+
+
 def _read_config(path):
-    values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise LogstrainError(
-                    f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            name = _CONFIG_KEYS.get(key.lower())
-            if name is None:
-                raise LogstrainError(
-                    f"{path}:{lineno}: unknown key {key!r} "
-                    f"(expected one of {sorted(_CONFIG_KEYS)})")
-            values[name] = float(val)
+    values, first = {}, {}
+    for lineno, raw in enumerate(fitting._lines(path), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise LogstrainError(
+                f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        name = _CONFIG_KEYS.get(key.lower())
+        if name is None:
+            raise LogstrainError(
+                f"{path}:{lineno}: unknown key {key!r} "
+                f"(expected one of {sorted(_CONFIG_KEYS)})")
+        if name in first:
+            raise LogstrainError(
+                f"{path}:{lineno}: key {key!r} is already set at "
+                f"{path}:{first[name]}")
+        first[name] = lineno
+        values[name] = _number(val, f"{path}:{lineno}: {key}")
     return values
 
 
@@ -135,7 +157,7 @@ def _parse_deformation(args):
         return simple_glide_F(args.glide)
     text = args.F.strip()
     if text.lower().startswith("diag(") and text.endswith(")"):
-        vals = [float(v) for v in text[5:-1].split(",")]
+        vals = [_number(v, "--F") for v in text[5:-1].split(",")]
         if len(vals) != 3:
             raise LogstrainError("diag(...) needs exactly 3 values")
         return np.diag(vals)
@@ -144,7 +166,7 @@ def _parse_deformation(args):
         raise LogstrainError(
             f"--F needs 9 numbers (row-major) or diag(a,b,c), "
             f"got {len(parts)} values")
-    return np.array([float(v) for v in parts]).reshape(3, 3)
+    return np.array([_number(v, "--F") for v in parts]).reshape(3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +201,7 @@ def _cmd_stress(args):
 
 def _cmd_invert(args):
     m = _moduli_from_args(args)
-    vals = [float(v) for v in args.T.replace(",", " ").split()]
+    vals = [_number(v, "--T") for v in args.T.replace(",", " ").split()]
     if len(vals) != 6:
         raise LogstrainError(
             "--T needs 6 numbers: t11 t22 t33 t12 t13 t23")
@@ -230,6 +252,8 @@ def _cmd_shear_statics(args):
 
 
 def _cmd_check(args):
+    from . import verify
+
     m = _moduli_from_args(args)
     reports = verify.suite(args.law, m, samples=args.samples,
                            seed=args.seed)
@@ -251,6 +275,10 @@ def _cmd_check(args):
 
 
 def _cmd_decompose(args):
+    from .decomposition import (StressTriple, becker_tables,
+                                decompose_stress_additive,
+                                decompose_stretch_multiplicative)
+
     if (args.loads is None) == (args.stretch is None):
         raise LogstrainError("give exactly one of --loads, --stretch")
     if args.stretch is not None:
@@ -293,6 +321,8 @@ def _cmd_decompose(args):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _cmd_fit(args):
+    if args.out:
+        _require_points(args.points)
     ds = fitting.read_dataset(args.data)
     result = fitting.fit_dataset(ds, args.mode)
     text = None
@@ -356,10 +386,13 @@ def _cmd_plot_data(args):
     for flag, value in (("--min", args.min), ("--max", args.max)):
         if value is not None and not math.isfinite(value):
             raise LogstrainError(f"{flag} must be finite, got {value}")
+    _require_points(args.points)
     ogden = None
     if args.ogden_mu or args.ogden_alpha:
-        mu = [float(v) for v in (args.ogden_mu or "").split(",") if v]
-        al = [float(v) for v in (args.ogden_alpha or "").split(",") if v]
+        mu = [_number(v, "--ogden-mu")
+              for v in (args.ogden_mu or "").split(",") if v]
+        al = [_number(v, "--ogden-alpha")
+              for v in (args.ogden_alpha or "").split(",") if v]
         ogden = laws.LawId("ogden", mu=mu, alpha=al)
 
     if args.figure == "simple-shear":

@@ -81,10 +81,24 @@ def dataset_from_rows(rows, kind, source=""):
     return DataSet(x=np.array(xs), y=np.array(ys), kind=kind, source=source)
 
 
+def _lines(path):
+    """The lines of a UTF-8 text file, each with its line end as written,
+    or ``ValueError`` naming a file that is not UTF-8."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            return list(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def read_dataset(path):
-    """Read a CSV data file, inferring the kind from the header."""
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+    """Read a UTF-8 CSV data file, inferring the kind from the header.
+
+    Raises ``ValueError`` naming the file, and the data row (counted from
+    1 after the header, as :func:`dataset_from_rows` counts) for a row with
+    a cell that is not a number."""
+    lines = [ln for ln in _lines(path)
+             if ln.strip() and not ln.lstrip().startswith("#")]
     reader = csv.reader(lines)
     try:
         header = tuple(c.strip().lower() for c in next(reader))
@@ -99,7 +113,11 @@ def read_dataset(path):
     for rec in reader:
         if len(rec) != 2:
             raise ValueError(f"{path}: expected 2 columns, got {rec!r}")
-        rows.append((float(rec[0]), float(rec[1])))
+        try:
+            rows.append((float(rec[0]), float(rec[1])))
+        except ValueError:
+            raise ValueError(f"{path}: data row {len(rows) + 1}: expected "
+                             f"two numbers, got {rec!r}") from None
     return dataset_from_rows(rows, kind, source=str(path))
 
 

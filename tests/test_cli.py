@@ -5,9 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -20,6 +22,9 @@ from logstrain import constitutive as laws
 from logstrain.cli import build_parser, main
 from logstrain.errors import LogstrainError
 from logstrain.moduli import Moduli
+
+
+_PAIR = ["--G", "1.3", "--lam", "0.7"]
 
 
 def run(capsys, *argv):
@@ -551,7 +556,7 @@ def test_check_exit_one_on_unexpected_failure(capsys, monkeypatch):
         return [CheckReport(name="stub", passed=False, tolerance=1e-10,
                             witness={"reason": "stub"}, expected=True)]
 
-    monkeypatch.setattr("logstrain.cli.verify.suite", broken_suite)
+    monkeypatch.setattr("logstrain.verify.suite", broken_suite)
     code, out, err = run(capsys, "check", "--law", "becker", "--G", "1",
                          "--lam", "0")
     assert code == 1
@@ -588,16 +593,73 @@ def test_fit_at_one_abscissa_writes_one_curve_row(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("G 1\n", "expected key=value"),
-    ("G = 1\nmu = 2\n", "unknown key 'mu'"),
-], ids=["no-equals", "unknown-key"])
+    (b"G 1\n", "expected key=value"),
+    (b"G = 1\nmu = 2\n", "unknown key 'mu'"),
+    (b"lambda = 0\nG = abc\n", "{cfg}:2: G: expected a number, got 'abc'"),
+    (b"G = 1\nlambda = 0\ng = 2\n",
+     "{cfg}:3: key 'g' is already set at {cfg}:1"),
+    (b"G = 1\xff\nlambda = 0\n", "{cfg}: not UTF-8 text ("),
+], ids=["no-equals", "unknown-key", "not-a-number", "key-twice",
+        "not-utf8"])
 def test_bad_config_line_exits_two(capsys, tmp_path, text, message):
     cfg = tmp_path / "card.cfg"
-    cfg.write_text(text)
+    cfg.write_bytes(text)
     code, out, err = run(capsys, "stress", "--shear", "2", "--config",
                          str(cfg))
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {cfg}:") and message in err
+    assert err.startswith(f"error: {cfg}:") and message.format(cfg=cfg) in err
+
+
+_CURVE = b"lambda,t\n1.2,0.5\n1.5,1.2\n"
+
+
+@pytest.mark.parametrize("argv, data, message", [
+    (["stress", "--F", "1,x,0,0,1,0,0,0,1", *_PAIR], _CURVE,
+     "--F: expected a number, got 'x'"),
+    (["stress", "--F", "diag(1,y,1)", *_PAIR], _CURVE,
+     "--F: expected a number, got 'y'"),
+    (["invert", "--T", "1,2,3,4,5,z", *_PAIR], _CURVE,
+     "--T: expected a number, got 'z'"),
+    (["plot-data", "--figure", "tension", "--ogden-mu", "1,q",
+      "--ogden-alpha", "2,-2", *_PAIR], _CURVE,
+     "--ogden-mu: expected a number, got 'q'"),
+    (["plot-data", "--figure", "simple-shear", "--ogden-mu", "1,2",
+      "--ogden-alpha", "2,r", *_PAIR], _CURVE,
+     "--ogden-alpha: expected a number, got 'r'"),
+    (["fit", "DATA"], b"lambda,t\n# comment\n1.2,0.5\n1.1,abc\n",
+     "{data}: data row 2: expected two numbers, got ['1.1', 'abc']"),
+    (["fit", "DATA", "--out", "-"], b"lambda,t\nx,0.5\n",
+     "{data}: data row 1: expected two numbers, got ['x', '0.5']"),
+    (["fit", "DATA"], b"lambda,t\n1.2,0.5\n\xff1.5,1.2\n",
+     "{data}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in "
+     "position 17: invalid start byte)"),
+], ids=["F", "F-diag", "T", "ogden-mu", "ogden-alpha", "data-cell",
+        "data-abscissa", "data-not-utf8"])
+def test_unreadable_input_names_its_source(capsys, tmp_path, argv, data,
+                                           message):
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    argv = [str(path) if a == "DATA" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message.format(data=path)}\n")
+
+
+@pytest.mark.parametrize("points", [0, -3])
+@pytest.mark.parametrize("argv", [
+    ["plot-data", "--figure", "tension", *_PAIR],
+    ["plot-data", "--figure", "simple-shear", "--out", "OUT", *_PAIR],
+    ["fit", "DATA", "--out", "-"],
+    ["fit", "DATA", "--out", "OUT"],
+], ids=["plot-stdout", "plot-file", "fit-stdout", "fit-file"])
+def test_fewer_than_one_point_exits_two_before_any_output(capsys, tmp_path,
+                                                          argv, points):
+    data, curve = tmp_path / "data.csv", tmp_path / "curve.csv"
+    data.write_bytes(_CURVE)
+    argv = [{"DATA": str(data), "OUT": str(curve)}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv, "--points", str(points))
+    assert (code, out) == (2, "")
+    assert err == f"error: --points must be at least 1, got {points}\n"
+    assert not curve.exists()
 
 
 def test_fit_missing_file_exits_two(capsys, tmp_path):
@@ -764,7 +826,6 @@ def test_plot_csv_is_deterministic(capsys):
 _DUPLICATED = ("lambda,t\n# duplicated abscissa 1.5\n"
                "0.6,-2.2\n0.8,-0.95\n1.0,0.02\n1.25,0.91\n1.5,1.71\n"
                "1.5,1.79\n1.75,2.33\n2.0,2.88\n2.5,3.8\n3.0,4.55\n")
-_PAIR = ["--G", "1.3", "--lam", "0.7"]
 _ALL_LAWS = ["--laws", "becker", "becker-hyper", "hencky", "neo-hooke",
              "hooke"]
 
@@ -1029,6 +1090,45 @@ def test_flags_win_over_config(capsys, tmp_path):
     t = tensor_after(out, "stress (biot):")
     # G overridden to 2, lambda from file
     assert t[0, 0] == pytest.approx(4.0 * math.log(2.0), rel=1e-12, abs=0.0)
+
+
+# prints, after each command of the JSON list argv[1], its exit code and
+# which of the modules that only check and decompose call are loaded
+_LOADED_AFTER_EACH = """
+import contextlib, io, json, sys
+from logstrain.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([argv[0], code, [m for m in (
+        "logstrain.verify", "logstrain.decomposition") if m in sys.modules]]))
+"""
+
+
+def test_only_check_and_decompose_load_their_modules(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("lambda,t\n1.2,0.5\n1.5,1.2\n")
+    pair = ["--G", "1", "--lam", "0"]
+    commands = [
+        ["plot-data", "--figure", "tension", "--points", "3", *pair],
+        ["fit", str(data), "--out", "-", "--points", "3"],
+        ["stress", "--shear", "2", *pair],
+        ["invert", "--T", "0.5 -0.5 0 0 0 0", *pair],
+        ["shear-statics", "--Q", "1", "--alpha", "2"],
+        ["decompose", "--loads", "1", "2", "3", *pair],
+        ["check", "--samples", "1", *pair],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_EACH, json.dumps(commands)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True)
+    decomposition = ["logstrain.decomposition"]
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+        ["plot-data", 0, []], ["fit", 0, []], ["stress", 0, []],
+        ["invert", 0, []], ["shear-statics", 0, []],
+        ["decompose", 0, decomposition],
+        ["check", 0, ["logstrain.verify", *decomposition]]]
 
 
 def test_entry_point_runs():
