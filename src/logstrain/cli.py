@@ -321,8 +321,7 @@ def _cmd_decompose(args):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _cmd_fit(args):
-    if args.out:
-        _require_points(args.points)
+    _require_points(args.points)
     ds = fitting.read_dataset(args.data)
     result = fitting.fit_dataset(ds, args.mode)
     text = None

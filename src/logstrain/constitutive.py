@@ -275,11 +275,10 @@ def becker_energy_nu0(u, m: Moduli):
     if not _lam_is_zero(m):
         raise LambdaNotZero(
             f"energy defined only for lambda = 0, got {m.lam}")
-    u = sym_part(_as_mats(u, "u"))
-    vals, frame = _spectrum(u)
-    _require_floor(vals, "mat_log", "eigenvalue", u.shape[:-2])
+    u = _as_mats(u, "u")
+    log_u = mat_log(u)  # of sym_part(u), the stretch the energy takes
+    u = sym_part(u)
     with np.errstate(over="ignore", invalid="ignore"):
-        log_u = _from_spectrum(frame, np.log(vals))  # mat_log's bits
         energy = 2.0 * m.g * (_inners(u, log_u - _EYE) + 3.0)
     bad = _first(~np.isfinite(energy))
     if bad is not None:

@@ -13,10 +13,12 @@ Each randomized check draws its whole batch of samples from its own stream
 ``default_rng([seed, k])`` in bulk: one (samples, 3) array of eigenvalues
 per spectrum and one (samples, 3, 3) array of normals per rotation, in a
 fixed order; a check of stretches alone (scalar, or principal) draws one
-array of them.  A suite (:func:`suite`, or the axiom block of
-:func:`check_axioms` alone) is evaluated as one batch of (n, 3, 3) stacks,
-which answers stresses only.  One :func:`_draw` call makes the draws of
-every stream, the rotations from one stacked QR.  Each matrix is
+array of them.  :func:`check_axioms`, :func:`hill_convexity_probe` and
+:func:`suite` each declare their checks once, in report order, and one
+runner (:func:`_reports`) makes the draws of every stream in one
+:func:`_draw` call, the rotations from one stacked QR, and answers the
+checks that ask for stresses from one batch of (n, 3, 3) stacks, which
+answers stresses only.  Each matrix is
 decomposed once, in rounds: round 1 is one spectrum of every stretch the
 checks give, the bases of real powers included, from which the powers and
 the stresses are read; round 2 is one spectrum of the powers; and the law
@@ -47,6 +49,7 @@ usually reports no convergence.
 """
 
 import functools
+import inspect
 import json
 import math
 import numbers
@@ -452,13 +455,48 @@ def _batch(row, m, checks):
 
 
 # ---------------------------------------------------------------------------
+# the report runner
+
+class _Check(NamedTuple):
+    """One report of a check list: its name, tolerance, ``expected`` flag,
+    judge, which returns ``(passed, witness)``, and the ``(key, groups)``
+    stream of :func:`_draws` whose draws are the judge's arguments, or
+    None.  A judge that is a generator is a check of :func:`_batch`."""
+
+    name: str
+    tolerance: float
+    judge: object
+    stream: tuple = None
+    expected: bool = True
+
+
+def _reports(row, m, samples, seed, checks):
+    """The reports of the :class:`_Check` list ``checks``, in its order,
+    each made by :func:`_run`: the draws of every stream from one
+    :func:`_draws` call, the generator checks answered from one
+    :func:`_batch` for the law of table row ``row``."""
+    draws = iter(_draws(samples, seed, [c.stream for c in checks
+                                        if c.stream is not None]))
+    judges = [c.judge if c.stream is None
+              else functools.partial(c.judge, *next(draws)) for c in checks]
+    batched = [k for k, c in enumerate(checks)
+               if inspect.isgeneratorfunction(c.judge)]
+    outcomes = _batch(row, m, [judges[k] for k in batched])
+    for k, outcome in zip(batched, outcomes):
+        judges[k] = outcome
+    return [_run(c.name, c.tolerance, judge, c.expected)
+            for c, judge in zip(checks, judges)]
+
+
+# ---------------------------------------------------------------------------
 # the axiom block
 
 def _axioms(row, m, samples):
     """The checks of :func:`check_axioms` for the law of table row
-    ``row``, each with its :func:`_draw` groups, or :data:`_STRETCH` for
-    one scalar stretch per sample, log-uniform over EIG_RANGE (see
-    :func:`_draws`).  Each returns ``(worst, witness)``."""
+    ``row``, each a generator on its stream ``[seed, k]``, k its index:
+    its :func:`_draw` groups, or :data:`_STRETCH` for one scalar stretch
+    per sample, log-uniform over EIG_RANGE (see :func:`_draws`).  Each
+    finds ``(worst, witness)``, the worst judged against AXIOM_TOL."""
 
     def misfit(lhs, rhs):
         # relative distance of two stress stacks, per sample; the three
@@ -530,6 +568,12 @@ def _axioms(row, m, samples):
         err = _rel(_fro_norms(back - u), _fro_norms(u))
         return _worst(err, lambda i: {"u": u[i], "round_trip": back[i]})
 
+    def judged(check):
+        def judge(*draws):
+            worst, witness = yield from check(*draws)
+            return worst <= AXIOM_TOL, witness
+        return judge
+
     checks = [(stress_free_reference, [_SPD]), (shear_to_shear, _STRETCH),
               (sphere_to_dilation, _STRETCH), (superposition, [_SPD * 2]),
               (isotropy, [_SPD, ()]),
@@ -537,27 +581,9 @@ def _axioms(row, m, samples):
               (inversion_symmetry, [_SPD])]
     if row.strain is _log_strain:  # becker_inverse inverts the law
         checks.append((inverse_round_trip, [_SPD]))
-    return checks
-
-
-def _axiom_reports(row, axioms, outcomes):
-    """The reports of the checks ``axioms`` of :func:`_axioms`, from their
-    outcome functions."""
-    def evaluate(outcome):
-        worst, witness = outcome()
-        return worst <= AXIOM_TOL, witness
-
-    return [_run(check.__name__, AXIOM_TOL,
-                 functools.partial(evaluate, outcome),
-                 expected=check.__name__ not in row.violates)
-            for (check, _), outcome in zip(axioms, outcomes)]
-
-
-def _bound(checks, draws):
-    """Each check of the ``(check, groups)`` pairs ``checks`` bound to its
-    draws, a zero-argument function that starts its generator."""
-    return [functools.partial(check, *d) for (check, _), d in
-            zip(checks, draws)]
+    return [_Check(check.__name__, AXIOM_TOL, judged(check), (k, groups),
+                   expected=check.__name__ not in row.violates)
+            for k, (check, groups) in enumerate(checks)]
 
 
 def check_axioms(law, m: Moduli, samples=1000, seed=0):
@@ -576,24 +602,21 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
     ``default_rng([seed, k])`` in bulk (see :func:`_draw`; a scalar stretch
     draws one array of ``samples`` values), and records the worst sample
     (the first largest relative residual) as the witness.  A NaN or
-    infinite residual is the worst and fails the check.  The block is
-    evaluated as one batch, in two rounds: one stacked QR for the
-    rotations of every check; one spectral decomposition of every
-    stretch, from which both the law's stresses and the real powers of
-    ``power_law`` and ``inversion_symmetry`` are read; one of the powers;
-    and one law evaluation on the spectra of all of them.  Each check then
-    judges its own slice, with the bits it would get alone.  A check that
-    meets an error on its own slice (for instance a stress that
-    overflows) makes its own calls, which raise the error naming its own
-    member, and is undecided: its report comes out not as expected, with
-    the message as its witness.
+    infinite residual is the worst and fails the check.  The block is one
+    check list, run by the report runner as one batch, in two rounds: one
+    stacked QR for the rotations of every check; one spectral
+    decomposition of every stretch, from which both the law's stresses
+    and the real powers of ``power_law`` and ``inversion_symmetry`` are
+    read; one of the powers; and one law evaluation on the spectra of all
+    of them.  Each check then judges its own slice, with the bits it would
+    get alone.  A check that meets an error on its own slice (for instance
+    a stress that overflows) makes its own calls, which raise the error
+    naming its own member, and is undecided: its report comes out not as
+    expected, with the message as its witness.
     """
     _require_samples(samples)
     row = _tensor_row(law)
-    axioms = _axioms(row, m, samples)
-    draws = _draws(samples, seed, [(k, groups)
-                                   for k, (_, groups) in enumerate(axioms)])
-    return _axiom_reports(row, axioms, _batch(row, m, _bound(axioms, draws)))
+    return _reports(row, m, samples, seed, _axioms(row, m, samples))
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +782,8 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
     where it is infinite): both scale with G as the energies do, so a
     concave energy fails at a small G as it does at G = 1.
 
-    Each probe draws its pairs in bulk from its own stream (see
-    :func:`_draw`), the rotations of both from one stacked QR.  The
+    The probes are one check list: each draws its pairs in bulk from its
+    own stream (see :func:`_draw`), the rotations of both from one QR.  The
     log-domain probe makes one :func:`tensors.mat_exp` call on the stack
     (x1, x2, midpoint) and one :func:`constitutive.becker_energy_nu0` call
     on its exponentials; the SPD probe one energy call on (u1, u2,
@@ -776,12 +799,11 @@ def hill_convexity_probe(m: Moduli, samples=1000, seed=0):
     _require_samples(samples)
     if not _lam_is_zero(m):
         raise ValueError("probe defined only for lam = 0")
-    (x1, x2), (u1, u2) = _draws(samples, seed, _HILL_STREAMS)
-    return _hill_reports(m, x1, x2, u1, u2)
+    return _reports(_LAWS["becker"], m, samples, seed, _hill_checks(m))
 
 
-def _hill_reports(m, x1, x2, u1, u2):
-    """The two reports of :func:`hill_convexity_probe` on its draws."""
+def _hill_checks(m):
+    """The two checks of :func:`hill_convexity_probe`, on its streams."""
     tol = 1e-10
 
     def energies(u):
@@ -789,7 +811,7 @@ def _hill_reports(m, x1, x2, u1, u2):
         # one call, whose error names a member by its index in that stack
         return becker_energy_nu0(u, m).reshape(3, -1)
 
-    def log_domain():
+    def log_domain(x1, x2):
         w1, w2, wm = energies(mat_exp(np.concatenate(
             (x1, x2, 0.5 * (x1 + x2)))))
         # the floor scales with G, as the energies do; the chord's midpoint
@@ -805,7 +827,7 @@ def _hill_reports(m, x1, x2, u1, u2):
                        "excess": float(wm[k] - (0.5 * w1[k] + 0.5 * w2[k]))}
         return witness is None, witness
 
-    def spd_pairs():
+    def spd_pairs(u1, u2):
         w1, w2, wm = energies(np.concatenate((u1, u2, 0.5 * (u1 + u2))))
         excess = _rel(wm - (0.5 * w1 + 0.5 * w2), abs(w1), abs(w2),
                       floor=m.g)
@@ -814,8 +836,9 @@ def _hill_reports(m, x1, x2, u1, u2):
             -math.inf)
         return worst <= tol, witness
 
-    return [_run("hill_log_domain", tol, log_domain, expected=False),
-            _run("energy_convexity_spd", tol, spd_pairs)]
+    return [_Check("hill_log_domain", tol, log_domain, _HILL_STREAMS[0],
+                   expected=False),
+            _Check("energy_convexity_spd", tol, spd_pairs, _HILL_STREAMS[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -1132,16 +1155,36 @@ def _ladder_outcome(residuals, h_ladder):
     return passed, witness
 
 
-def _linearization_ladder(m, eps, h_ladder):
-    """:func:`linearization_order_check` as a check generator: it yields
-    the stretches ``I + h eps`` and, sent their stresses, returns
-    ``(passed, witness)``."""
-    eps = sym_part(as_mat3(eps, "eps"))
-    h_ladder = tuple(h_ladder)
-    steps = [h * eps for h in h_ladder]
-    full = yield tuple(np.eye(3) + s for s in steps)
-    return _ladder_outcome([fro_norm(t - linearized_law(s, m))
-                            for t, s in zip(full, steps)], h_ladder)
+# the remainder of each ladder at the step h eps, the stretch U = I + h eps
+# and its Biot stress T, by the name of its report: the Biot stress less
+# the infinitesimal law, and the PK2 stress (at U symmetrized, as
+# becker_pk2 takes it) less its expansion in the Green-Lagrange strain
+_REMAINDERS = {
+    "linearization_order": lambda step, u, t, m: t - linearized_law(step, m),
+    "pk2_expansion": lambda step, u, t, m: (
+        _pk2_of_biot(sym_part(u), t)
+        - linearized_law(0.5 * (u @ u - np.eye(3)), m))}
+
+
+def _ladder(name, m, eps, h_ladder=LADDER_H):
+    """The remainder ladder ``name`` as a check: its generator yields the
+    stretches ``I + h eps`` for the h of ``h_ladder`` and, sent their Biot
+    stresses, judges the norms of the remainders ``_REMAINDERS[name]``."""
+    def judge():
+        e, hs = sym_part(as_mat3(eps, "eps")), tuple(h_ladder)
+        steps = [h * e for h in hs]
+        us = tuple(np.eye(3) + s for s in steps)
+        biot = yield us
+        return _ladder_outcome([fro_norm(_REMAINDERS[name](s, u, t, m))
+                                for s, u, t in zip(steps, us, biot)], hs)
+    return _Check(name, LADDER_FACTOR, judge)
+
+
+def _report_alone(check, m):
+    """The report of a ladder alone: a batch of one; errors propagate."""
+    outcome, = _batch(_LAWS["becker"], m, [check.judge])
+    passed, witness = outcome()
+    return CheckReport(check.name, passed, check.tolerance, witness)
 
 
 def linearization_order_check(m: Moduli, eps, h_ladder=LADDER_H):
@@ -1151,25 +1194,8 @@ def linearization_order_check(m: Moduli, eps, h_ladder=LADDER_H):
     must scale like h**2: the ladder of residual/h**2 ratios may vary by
     less than a factor of 4.
     """
-    outcome, = _batch(_LAWS["becker"], m, [functools.partial(
-        _linearization_ladder, m, eps, h_ladder)])
-    passed, witness = outcome()
-    return CheckReport("linearization_order", passed, LADDER_FACTOR, witness)
-
-
-def _pk2_ladder(m, eps, h_ladder):
-    """:func:`pk2_expansion_check` as a check generator: it yields the
-    stretches ``U = I + h eps``, symmetrized as :func:`becker_pk2` takes
-    them, and, sent their Biot stresses, returns ``(passed, witness)``."""
-    eps = sym_part(as_mat3(eps, "eps"))
-    h_ladder = tuple(h_ladder)
-    us = [np.eye(3) + h * eps for h in h_ladder]
-    sym = [sym_part(u) for u in us]
-    biot = yield tuple(sym)
-    return _ladder_outcome([
-        fro_norm(_pk2_of_biot(s, t)
-                 - linearized_law(0.5 * (u @ u - np.eye(3)), m))
-        for u, s, t in zip(us, sym, biot)], h_ladder)
+    return _report_alone(_ladder("linearization_order", m, eps, h_ladder),
+                         m)
 
 
 def pk2_expansion_check(m: Moduli, eps, h_ladder=LADDER_H):
@@ -1178,10 +1204,7 @@ def pk2_expansion_check(m: Moduli, eps, h_ladder=LADDER_H):
     With ``E`` the Green-Lagrange strain of ``U = I + h*eps``, the residual
     ``||pk2(U) - (lam tr(E) I + 2 G E)||`` must scale like h**2.
     """
-    outcome, = _batch(_LAWS["becker"], m, [functools.partial(
-        _pk2_ladder, m, eps, h_ladder)])
-    passed, witness = outcome()
-    return CheckReport("pk2_expansion", passed, LADDER_FACTOR, witness)
+    return _report_alone(_ladder("pk2_expansion", m, eps, h_ladder), m)
 
 
 # ---------------------------------------------------------------------------
@@ -1211,21 +1234,22 @@ def suite(law, m: Moduli, samples=1000, seed=0):
     not as expected: the open-path energy match fails, and the closed-cycle
     work fails at lam = 0 and passes where it is expected to fail.
 
-    For the becker law the suite is evaluated as one batch, as the axiom
-    block of :func:`check_axioms` is: one :func:`_draw` call, one QR, for
-    the axiom streams ``[seed, k]``, ``m_condition_random`` (``[seed,
-    200]``) and the convexity probes (``[seed, 100]``, ``[seed, 101]``);
-    in round 1 one spectral decomposition of every stretch: the axioms',
-    the power bases, the monotonicity pairs and the ladder stretches, from
-    which the powers and the stresses are read; in round 2 one of the
-    powers; and one law call on the spectra of both rounds.  The probes
-    make their own ``mat_exp`` and energy calls (see
-    :func:`hill_convexity_probe`).  Each check judges its own slice, with
-    the bits it would get alone, and an error on its slice is the one its
-    own calls raise.  ``ordered_force_random`` judges the principal
-    stretches that its stream ``[seed, 201]`` draws, one (samples, 3)
-    log-uniform array, and factorizes nothing.  The remainder ladders are
-    reports like every other check.
+    For the becker law the suite is one check list, in report order, run
+    as the axiom block of :func:`check_axioms` is: one :func:`_draw` call,
+    one QR, for the axiom streams ``[seed, k]``, ``m_condition_random``
+    (``[seed, 200]``) and the convexity probes (``[seed, 100]``, ``[seed,
+    101]``); one batch for the checks that ask for stresses, in round 1
+    one spectral decomposition of every stretch: the axioms', the power
+    bases, the monotonicity pairs and the ladder stretches, from which the
+    powers and the stresses are read; in round 2 one of the powers; and
+    one law call on the spectra of both rounds.  The probes make their own
+    ``mat_exp`` and energy calls (see :func:`hill_convexity_probe`).  Each
+    check judges its own slice, with the bits it would get alone, and an
+    error on its slice is the one its own calls raise.
+    ``ordered_force_random`` judges the principal stretches that its
+    stream ``[seed, 201]`` draws, one (samples, 3) log-uniform array, and
+    factorizes nothing.  The remainder ladders are reports like every
+    other check.
 
     A residual that overflows fails its check as a NaN or infinite
     residual, so the suite runs without numpy's floating-point warnings.
@@ -1239,37 +1263,14 @@ def suite(law, m: Moduli, samples=1000, seed=0):
         return check_axioms(row.tag, m, samples=samples, seed=seed)
     _require_samples(samples)
     lam_zero = _lam_is_zero(m)
-    axioms = _axioms(row, m, samples)
 
-    def random_pairs(u1, u2):
-        kept = np.flatnonzero(_fro_norms(u1 - u2) > 1e-12)
-        u1, u2 = u1[kept], u2[kept]
-        value = yield from _m_condition(u1, u2, m)
-        # the worst pair is the first smallest product
-        least, witness = _worst(-value, lambda i: {
-            "u1": u1[i], "u2": u2[i], "value": float(value[i])}, -math.inf)
-        return least < 0.0, witness
-
-    def ordered_forces(lam):
-        # the principal stretches as drawn; the witness is that of the
-        # diagonal stretch, whose eigenvalues are its diagonal, sorted
-        _, full, reduced, slack = _force_order(lam, m)
-        k = _first(((full < slack[:, None]) | (reduced < slack[:, None]))
-                   .any(axis=-1))
-        return k is None, (None if k is None else
-                           ordered_force_check(np.diag(lam[k]), m).witness)
-
-    # the streams of the axioms, of ordered_force_random, and at lam = 0 of
-    # m_condition_random and the probes
-    streams = [(k, groups) for k, (_, groups) in enumerate(axioms)]
-    streams.append((201, _PRINCIPAL))
-    if lam_zero:
-        streams += [(200, [_SPD, _SPD]), *_HILL_STREAMS]
-    draws = _draws(samples, seed, streams)
-    n = len(axioms)
+    def at_lam_zero(*checks):  # the checks the suite adds where lam = 0
+        return checks if lam_zero else ()
 
     # the product at the paper's pair, one check per report of it; both
     # read the pair's one stress stack
+    pair = np.diag([2.0, 0.25, 1.0]), np.eye(3)
+
     def closed_form():
         value = yield from _m_condition(*pair, m)
         closed = m_condition_paper_pair_value(m)
@@ -1280,19 +1281,27 @@ def suite(law, m: Moduli, samples=1000, seed=0):
         value = yield from _m_condition(*pair, m)
         return value > 0.0, {"value": value, "lam_over_g": m.lam / m.g}
 
-    pair = np.diag([2.0, 0.25, 1.0]), np.eye(3)
-    checks = _bound(axioms, draws) + [
-        closed_form, paper_pair,
-        functools.partial(_linearization_ladder, m, _LADDER_EPS, LADDER_H),
-        functools.partial(_pk2_ladder, m, _LADDER_EPS, LADDER_H)]
-    if lam_zero:
-        checks.append(functools.partial(random_pairs, *draws[n + 1]))
-    outcomes = _batch(row, m, checks)
-    closed_form, paper_pair, linearization, pk2, *random = outcomes[n:]
+    def random_pairs(u1, u2):
+        kept = np.flatnonzero(_fro_norms(u1 - u2) > 1e-12)
+        u1, u2 = u1[kept], u2[kept]
+        value = yield from _m_condition(u1, u2, m)
+        # the worst pair is the first smallest product
+        least, witness = _worst(-value, lambda i: {
+            "u1": u1[i], "u2": u2[i], "value": float(value[i])}, -math.inf)
+        return least < 0.0, witness
 
     def baker_ericksen(v):
         report = baker_ericksen_check(v, m)
         return report.passed, report.witness
+
+    def ordered_forces(lam):
+        # the principal stretches as drawn; the witness is that of the
+        # diagonal stretch, whose eigenvalues are its diagonal, sorted
+        _, full, reduced, slack = _force_order(lam, m)
+        k = _first(((full < slack[:, None]) | (reduced < slack[:, None]))
+                   .any(axis=-1))
+        return k is None, (None if k is None else
+                           ordered_force_check(np.diag(lam[k]), m).witness)
 
     cycle_tol = 1e-6 * abs(m.g)
 
@@ -1316,31 +1325,24 @@ def suite(law, m: Moduli, samples=1000, seed=0):
                 {"work": work, "energy_difference": delta, "steps": n,
                  "quadrature_converged": converged})
 
-    reports = _axiom_reports(row, axioms, outcomes[:n])
-    reports.append(_run("m_condition_closed_form", 1e-12, closed_form))
-    # the sign of the closed form, which holds where its value overflows
-    reports.append(_run("m_condition_paper_pair", 0.0, paper_pair,
-                        expected=m.lam < 20.0 * m.g))
-    if lam_zero:
-        reports.append(_run("m_condition_random", 0.0, *random))
-    reports.append(_run(
-        "baker_ericksen_counterexample", TIE_TOL,
-        lambda: baker_ericksen(np.diag([1.0 / math.e, math.e ** -2,
-                                        math.e ** 3])),
-        expected=False))
-    reports.append(_run(
-        "baker_ericksen_small_strain", TIE_TOL,
-        lambda: baker_ericksen(np.eye(3) + 1e-4 * np.diag([1.0, 2.0, 3.0]))))
-    reports.append(_run("ordered_force_random", 1e-12,
-                        functools.partial(ordered_forces, *draws[n])))
-    if lam_zero:
-        (x1, x2), (u1, u2) = draws[-2:]
-        reports.extend(_hill_reports(m, x1, x2, u1, u2))
-    reports.append(_run("closed_cycle_work", cycle_tol, cycle_work,
-                        expected=lam_zero))
-    if lam_zero:
-        reports.append(_run("open_path_energy_match", cycle_tol,
-                            open_path_work))
-    reports.append(_run("linearization_order", LADDER_FACTOR, linearization))
-    reports.append(_run("pk2_expansion", LADDER_FACTOR, pk2))
-    return reports
+    return _reports(row, m, samples, seed, [
+        *_axioms(row, m, samples),
+        _Check("m_condition_closed_form", 1e-12, closed_form),
+        # the sign of the closed form, which holds where its value overflows
+        _Check("m_condition_paper_pair", 0.0, paper_pair,
+               expected=m.lam < 20.0 * m.g),
+        *at_lam_zero(_Check("m_condition_random", 0.0, random_pairs,
+                            (200, [_SPD, _SPD]))),
+        _Check("baker_ericksen_counterexample", TIE_TOL, functools.partial(
+            baker_ericksen, np.diag([1.0 / math.e, math.e ** -2,
+                                     math.e ** 3])), expected=False),
+        _Check("baker_ericksen_small_strain", TIE_TOL, functools.partial(
+            baker_ericksen, np.eye(3) + 1e-4 * np.diag([1.0, 2.0, 3.0]))),
+        _Check("ordered_force_random", 1e-12, ordered_forces,
+               (201, _PRINCIPAL)),
+        *at_lam_zero(*_hill_checks(m)),
+        _Check("closed_cycle_work", cycle_tol, cycle_work,
+               expected=lam_zero),
+        *at_lam_zero(_Check("open_path_energy_match", cycle_tol,
+                            open_path_work)),
+        *(_ladder(name, m, _LADDER_EPS) for name in _REMAINDERS)])

@@ -650,7 +650,8 @@ def test_unreadable_input_names_its_source(capsys, tmp_path, argv, data,
     ["plot-data", "--figure", "simple-shear", "--out", "OUT", *_PAIR],
     ["fit", "DATA", "--out", "-"],
     ["fit", "DATA", "--out", "OUT"],
-], ids=["plot-stdout", "plot-file", "fit-stdout", "fit-file"])
+    ["fit", "DATA"],
+], ids=["plot-stdout", "plot-file", "fit-stdout", "fit-file", "fit-no-out"])
 def test_fewer_than_one_point_exits_two_before_any_output(capsys, tmp_path,
                                                           argv, points):
     data, curve = tmp_path / "data.csv", tmp_path / "curve.csv"

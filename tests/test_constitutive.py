@@ -960,3 +960,11 @@ def test_overflowing_stress_raises_and_names_the_member(law):
                                                      "lam = 1e\\+307$"):
                 fn(f[2])
             assert np.array_equal(fn(f[:2]), np.zeros((2, 3, 3)))
+
+
+@pytest.mark.parametrize("u", [np.eye(2), np.ones((4, 3, 2))],
+                         ids=["2x2", "stack-3x2"])
+def test_biot_rejects_a_stretch_that_is_not_3x3(u):
+    with pytest.raises(ValueError) as err:
+        becker_biot(u, M)
+    assert str(err.value) == f"u must be 3x3, got shape {u.shape}"

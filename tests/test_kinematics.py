@@ -403,3 +403,8 @@ def test_ellipse_radius_rejects_bad_normals():
         shear_ellipsoid_radius(np.array([1.0, 1.0, 0.0]), 2.0)
     with pytest.raises(ValueError):
         shear_ellipsoid_radius(np.array([0.0, 0.0, 1.0]), 2.0)
+
+
+def test_ellipse_radius_rejects_a_normal_that_is_not_a_3_vector():
+    with pytest.raises(ValueError, match="^n must be a 3-vector$"):
+        shear_ellipsoid_radius([1, 0], 2.0)

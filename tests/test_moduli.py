@@ -77,6 +77,11 @@ def test_rejects_inadmissible():
             Moduli.from_g_nu(1.0, bad)
 
 
+def test_g_nu_rejects_the_incompressible_ratio():
+    with pytest.raises(InvalidModuli, match="^nu = 0.5 has no finite lambda$"):
+        Moduli.from_g_nu(1.0, 0.5)
+
+
 @pytest.mark.parametrize("make, args", [
     (Moduli.from_g_lam, (1e-320, 0.0)), (Moduli.from_g_lam, (5e-324, 5e-324)),
     (Moduli.from_g_k, (1e-320, -1e-315)), (Moduli.from_e_nu, (1e-320, 0.3)),

@@ -272,6 +272,12 @@ def test_quadrics_rejects_non_unit():
         cauchy_quadrics((1.0, 2.0, 3.0), np.array([1.0, 1.0, 0.0]))
 
 
+def test_quadrics_reject_a_principal_that_is_not_a_triple():
+    with pytest.raises(ValueError,
+                       match="^principal must be a triple of stresses$"):
+        cauchy_quadrics((1.0, 2.0), np.array([1.0, 0.0, 0.0]))
+
+
 # alphas from just above 1, where alpha**2 - 1 cancels, to beyond
 # 1.34e154, where alpha**2 overflows
 _RATIOS = [1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.1, 2.0, 3.7, 1e3, 1e100,

@@ -1,6 +1,7 @@
 """Verification suite: axioms, inequalities, path work, ladders."""
 
 import ast
+import importlib.util
 import json
 import math
 import warnings
@@ -17,8 +18,8 @@ from logstrain.constitutive import (_LAWS, becker_energy_nu0,
 from logstrain.errors import LogstrainError, NotPositiveDefinite
 from logstrain.moduli import Moduli
 from logstrain.tensors import fro_norm, mat_pow
-from logstrain.verify import (LoadPath, baker_ericksen_check, check_axioms,
-                              converged_path_work, diagonal_path,
+from logstrain.verify import (CheckReport, LoadPath, baker_ericksen_check,
+                              check_axioms, converged_path_work, diagonal_path,
                               dilation_shear_cycle, format_reports,
                               hill_convexity_probe,
                               linearization_order_check, m_condition_check,
@@ -1048,6 +1049,15 @@ def test_format_reports_json_lines():
                 "witness"} <= set(obj)
 
 
+def test_format_reports_writes_non_finite_witness_floats_as_strings():
+    report = CheckReport("x", False, 1.0, witness={
+        "a": math.inf, "b": [-math.inf, math.nan],
+        "c": np.array([math.nan, 1.0]), "d": np.float64(math.inf)})
+    line, = format_reports([report])
+    assert json.loads(line)["witness"] == {
+        "a": "inf", "b": ["-inf", "nan"], "c": ["nan", 1.0], "d": "inf"}
+
+
 @pytest.mark.parametrize("g", [1e200, 1e300, 1e-200, 1e-300])
 def test_suite_at_huge_and_tiny_g(g):
     # the residual norms are scaled by powers of two, so neither squares
@@ -1102,3 +1112,30 @@ def test_batch_errors_come_from_the_members_own_calls():
     mirrored = {"_as_mats", "_require_floor", "_finite_values", "_finite"}
     assert not _calls_in(tree, "_answers") & mirrored
     assert {"mat_pow", "_tensor_law"} <= _calls_in(tree, "_answers")
+
+
+def test_one_runner_makes_the_reports_and_the_draws():
+    # every check list becomes reports in one place: only the runner
+    # makes a report of a check and draws the checks' streams
+    tree = ast.parse(Path(verify.__file__).read_text())
+    functions = [n.name for n in tree.body if isinstance(n, ast.FunctionDef)]
+    for called in ("_run", "_draws"):
+        assert [f for f in functions
+                if called in _calls_in(tree, f)] == ["_reports"], called
+
+
+def _check_suite_workload():
+    # the benchmark's check-suite workload, read from its file
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CheckSuite
+
+
+def test_suite_report_names_are_the_benchmarks():
+    workload = _check_suite_workload()
+    for (law, g, lam), names in zip(workload.configs,
+                                    workload.expected_names):
+        reports = suite(law, Moduli.from_g_lam(g, lam), samples=1, seed=0)
+        assert sorted(r.name for r in reports) == sorted(names), law
