@@ -608,12 +608,14 @@ def _tensor_law(row, a, m):
                    _lame_on_frame(frame, row.strain.of_stretch(vals), m), m)
 
 
-def _svd_principal(row, f):
+def _svd_principal(row, f, det=None):
     """``(J, W, s, Vt, e)`` at checked deformations f, (3, 3) or (..., 3,
-    3): ``det F``, one SVD ``F = W diag(s) Vt`` and the row's principal
-    strains at s.  Every stress at a deformation starts here; one matrix
-    hands its strain the lane's list of three Python floats."""
-    j = _jacobian(f)
+    3): ``det F`` (the given ``det``, if the caller has taken it; see
+    :func:`kinematics._jacobian`), one SVD ``F = W diag(s) Vt`` and the
+    row's principal strains at s.  Every stress at a deformation starts
+    here; one matrix hands its strain the lane's list of three Python
+    floats."""
+    j = _jacobian(f, det)
     w, s, vt = _svd(f)
     return j, w, s, vt, row.strain.of_stretch(s.tolist() if f.ndim == 2 else s)
 
@@ -703,7 +705,6 @@ def simple_shear_sigma12(law, gamma, m: Moduli = None):
     return sigma if shape else float(sigma)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def pk1_for_law(law, f, m: Moduli):
     """First Piola-Kirchhoff stress of a tensor law at deformation f.
 
@@ -727,9 +728,16 @@ def pk1_for_law(law, f, m: Moduli):
     LAPACK failure of the SVD or the inverse (naming ``svd`` or ``inv``);
     for a stack they name the first bad member.
     """
-    row = _tensor_row(law)
-    f = _as_mats(f, "f")
-    j, w, s, vt, e = _svd_principal(row, f)
+    return _pk1(_tensor_row(law), _as_mats(f, "f"), m)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _pk1(row, f, m, det=None):
+    """:func:`pk1_for_law` of the tensor-law ``row`` at deformations f
+    that are already a finite float array, with their ``det F`` if the
+    caller has taken it (see :func:`kinematics._jacobian`).  The path
+    work calls it on the nodes its path check has checked."""
+    j, w, s, vt, e = _svd_principal(row, f, det)
     t = _lame_principal(e, m)
     if f.ndim > 2:
         t = (t * j[..., None] if row.measure == "cauchy" else t)[..., None, :]

@@ -46,10 +46,14 @@ class PolarFactors:
     v: np.ndarray
 
 
-def _jacobian(f):
+def _jacobian(f, det=None):
     """``det f`` of each matrix of a checked (..., 3, 3) stack, or
-    :class:`NonInvertible` naming the first with ``det f <= DET_TOL``."""
-    det = _det(f)
+    :class:`NonInvertible` naming the first with ``det f <= DET_TOL``.
+    A caller that has already taken the dets, with ``_det`` on the same
+    matrices, passes them as ``det``; they are tested without factorizing
+    again."""
+    if det is None:
+        det = _det(f)
     if f.ndim == 2:  # one matrix: the same test on a Python float
         i = 0 if float(det) <= DET_TOL else None
     else:

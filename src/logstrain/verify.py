@@ -59,10 +59,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .constitutive import (_LAWS, _finite, _lam_is_zero, _lame, _lame_on_frame,
-                           _log_strain, _pk2_of_biot, _tensor_law, _tensor_row,
-                           becker_energy_nu0, becker_inverse, linearized_law,
-                           pk1_for_law)
+                           _log_strain, _pk1, _pk2_of_biot, _tensor_law,
+                           _tensor_row, becker_energy_nu0, becker_inverse,
+                           linearized_law, pk1_for_law)
 from .errors import LogstrainError
+from .kinematics import DET_TOL, _jacobian
 from .moduli import Moduli
 from .tensors import (_EYE, _as_real, _at, _below_floor, _closed_form, _concat,
                       _det, _diag, _first, _first_nonfinite, _fro_norms,
@@ -855,29 +856,42 @@ class LoadPath:
     and for a closed path end points within ``1e-12 max(1, |F_0|)`` of
     each other in the Frobenius norm, compared on the two end points
     scaled by one power of two so that no difference or square overflows.
+    :func:`converged_path_work` checks its first rule the same way and
+    hands the determinants on to the PK1 stresses, so that each node is
+    factorized once.
     """
 
     gradients: np.ndarray
     closed: bool = False
 
     def __post_init__(self):
-        g = _checked_gradients(self.gradients)
-        if self.closed:
-            # the end points scaled by one power of two: exact, and the
-            # gap and the norms cannot overflow
-            s = _pow2_scale(float(np.max(np.abs(g[[0, -1]]))))
-            gap = fro_norm(g[0] / s - g[-1] / s)
-            if gap > 1e-12 * max(1.0 / s, fro_norm(g[0] / s)):
-                raise ValueError(
-                    f"closed path endpoints differ by {gap * s:.3g}")
+        g, _ = _checked_path(self.gradients, self.closed)
         object.__setattr__(self, "gradients", g)
 
 
+def _checked_path(g, closed):
+    """The check of :class:`LoadPath`: ``(g, det)`` of
+    :func:`_checked_gradients`, and for a closed path the closure test."""
+    g, det = _checked_gradients(g)
+    if closed:
+        # the end points scaled by one power of two: exact, and the gap
+        # and the norms cannot overflow
+        ends = g[[0, -1]]
+        s = _pow2_scale(float(np.max(np.abs(ends))))
+        first, last = ends / s
+        gap = fro_norm(first - last)
+        if gap > 1e-12 * max(1.0 / s, fro_norm(first)):
+            raise ValueError(f"closed path endpoints differ by {gap * s:.3g}")
+    return g, det
+
+
 def _checked_gradients(g, first=0, step=1):
-    """``g`` as a float (k, 3, 3) stack of path gradients, each finite
-    with ``det > 0``, or ``ValueError``.  Gradient i of the stack is
-    gradient ``first + step * i`` of the path, the index a message
-    names."""
+    """``(g, det)``: ``g`` as a float (k, 3, 3) stack of path gradients,
+    each finite with ``det > 0``, and their determinants, or
+    ``ValueError``.  Gradient i of the stack is gradient ``first + step *
+    i`` of the path, the index a message names.  ``det`` is ``_det`` of
+    the stack, as :func:`kinematics._jacobian` takes it, so the PK1
+    stresses test it against ``DET_TOL`` without factorizing again."""
     g = np.asarray(g, dtype=float)
     if g.ndim != 3 or g.shape[1:] != (3, 3) or not len(g):
         raise ValueError("gradients must have shape (n, 3, 3)")
@@ -886,10 +900,10 @@ def _checked_gradients(g, first=0, step=1):
         raise ValueError(f"gradient {first + step * i} on the path is not "
                          f"finite")
     with np.errstate(over="ignore"):  # an overflow to +inf is still > 0
-        dets = _det(g)
-    if np.any(dets <= 0.0):
+        det = _det(g)
+    if np.any(det <= 0.0):
         raise ValueError("every F on the path must have det > 0")
-    return g
+    return g, det
 
 
 def path_work(path: LoadPath, law, m: Moduli):
@@ -920,7 +934,9 @@ def _rule(n, panels=PANELS):
     Chebyshev differentiation matrix, the Clenshaw-Curtis weights
     (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ``cheb`` and
     ``clencurt``) and the chord fractions ``(1 + y) / 2``, from 0 at the
-    panel's first node to 1 at its last.
+    panel's first node to 1 at its last; then the (panels, n + 1) table of
+    each panel's node indices, and that table doubled, which reads the
+    rule from the nodes of the rule of degree 2n.
 
     A node is computed the same way for every n, so the rule of degree 2n
     has the nodes of degree n, bit for bit, at its even indices.
@@ -936,22 +952,26 @@ def _rule(n, panels=PANELS):
     w = 2.0 / (ends * n) * (1.0 - np.cos(2.0 * np.pi / n * np.outer(k, j)) @ b)
     s = 0.5 * (1.0 + y)
     t = np.append((np.arange(panels)[:, None] + s[:-1]) / panels, 1.0)
-    return t, d, w, s
+    nodes = np.arange(panels)[:, None] * n + k
+    return t, d, w, s, nodes, 2 * nodes
 
 
-def _panel_works(g, pk1, n, panels=PANELS):
+def _panel_works(g, pk1, n, panels=PANELS, coarse=False):
     """The rule of degree n on ``panels`` panels, on the gradients and PK1
-    stresses at its nodes, one work per panel: the sum over the nodes of
-    ``w_k <P_k, (D F)_k>``, in which the panel width cancels.  D is
-    applied to the gradients before the inner product, so no table of
-    ``<P_k, F_j>`` is formed (one overflows at lam = 1e307, where the work
-    does not), and only to F's deviation from its chord: with F_0 and F_N
-    the panel's end gradients, ``(D F)_k = (F_N - F_0) / 2 + (D (F - F_0
-    - s (F_N - F_0)))_k`` for the chord fractions s, since D maps a linear
-    function to its slope.  So D's roundoff scales with the curvature of F
-    over the panel, not with F or its change."""
-    _, d, w, s = _rule(n, panels)
-    nodes = np.arange(panels)[:, None] * n + np.arange(n + 1)
+    stresses at its nodes (with ``coarse``, at the nodes of the rule of
+    degree 2n, of which it reads every other), one work per panel: the
+    sum over the nodes of ``w_k <P_k, (D F)_k>``, in which the panel
+    width cancels.  D is applied to the gradients before the inner
+    product, so no table of ``<P_k, F_j>`` is formed (one overflows at
+    lam = 1e307, where the work does not), and only to F's deviation from
+    its chord: with F_0 and F_N the panel's end gradients, ``(D F)_k =
+    (F_N - F_0) / 2 + (D (F - F_0 - s (F_N - F_0)))_k`` for the chord
+    fractions s, since D maps a linear function to its slope.  So D's
+    roundoff scales with the curvature of F over the panel, not with F or
+    its change."""
+    _, d, w, s, nodes, doubled = _rule(n, panels)
+    if coarse:
+        nodes = doubled
     g = g.reshape(-1, 9)[nodes]
     first = g[:, :1]
     chord = g[:, -1:] - first
@@ -1012,12 +1032,17 @@ def converged_path_work(f_of_t, law, m: Moduli, closed=False, tol=None):
     float.  The first rule samples all its nodes; each doubling keeps the
     gradients and PK1 stresses at the nodes of the coarser rule and
     samples the path only at the new odd nodes, so a callable is called
-    ``n + 1`` times in all for the returned n.  PK1 is one
-    :func:`constitutive.pk1_for_law` call per rule, on the stack of the
-    nodes it samples.  Each node is checked once, as :class:`LoadPath`
-    checks a gradient: the first rule as a LoadPath (the closure of a
-    closed path included), a doubling's new nodes alone, with a message
-    that names the node's index in the doubled rule.
+    ``n + 1`` times in all for the returned n.  Each node is checked once,
+    as :class:`LoadPath` checks a gradient: the first rule as a LoadPath
+    (the closure of a closed path included), a doubling's new nodes alone.
+    That check takes the only determinant of each node.  PK1 is one call
+    per rule of the kernel of :func:`constitutive.pk1_for_law`, with its
+    bits, on the stack of the nodes the rule samples: it tests the
+    check's determinants against the ``det F <= 1e-12`` floor of
+    :class:`~logstrain.errors.NonInvertible` and does not copy or check
+    the stack again.  Every message names a node by its index in the rule
+    that samples it.  The N / 2 estimate reads the coarser rule from the
+    fine arrays through the rule's cached table of node indices.
     """
     if tol is None:
         tol = 1e-8 * max(abs(m.g), abs(m.lam))
@@ -1029,15 +1054,16 @@ def converged_path_work(f_of_t, law, m: Moduli, closed=False, tol=None):
         def sample(t):
             return np.array([f_of_t(x) for x in t.tolist()])
     n = 16
-    g = LoadPath(sample(_rule(n, panels)[0]), closed=closed).gradients
-    pk1 = pk1_for_law(law, g, m)
+    g, det = _checked_path(sample(_rule(n, panels)[0]), closed)
+    row = _tensor_row(law)
+    pk1 = _pk1(row, g, m, det)
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             works = _panel_works(g, pk1, n, panels)
             work = float(np.sum(works))
             # on every panel too, so that the errors of panels with kinks
             # cannot cancel in the total
-            error = works - _panel_works(g[::2], pk1[::2], n // 2, panels)
+            error = works - _panel_works(g, pk1, n // 2, panels, coarse=True)
             converged = bool(abs(np.sum(error)) < tol
                              and np.all(np.abs(error) < tol))
         if not math.isfinite(work):
@@ -1046,12 +1072,17 @@ def converged_path_work(f_of_t, law, m: Moduli, closed=False, tol=None):
         if converged or n == MAX_DEGREE:
             return work, panels * n, converged
         n *= 2
-        new = _checked_gradients(sample(_rule(n, panels)[0][1::2]), first=1,
-                                 step=2)
+        new, det = _checked_gradients(sample(_rule(n, panels)[0][1::2]),
+                                      first=1, step=2)
         fine = np.empty((2, panels * n + 1, 3, 3))
         fine[:, ::2] = g, pk1
         fine[0, 1::2] = new
-        fine[1, 1::2] = pk1_for_law(law, new, m)
+        if np.any(det <= DET_TOL):
+            # name the node by its index in the doubled rule: the coarser
+            # nodes passed, and their dets come out the same
+            with np.errstate(over="ignore"):
+                _jacobian(fine[0])
+        fine[1, 1::2] = _pk1(row, new, m, det)
         g, pk1 = fine
 
 
@@ -1073,8 +1104,13 @@ class _DiagonalPath:
                        zip(pts[:-1].tolist(), pts[1:].tolist())]
 
     def __call__(self, t):
-        x = min(max(float(t), 0.0), 1.0) * self._segs
-        i = min(int(x), self._segs - 1)
+        t = float(t)
+        segs = self._segs
+        # t clamped to [0, 1]; only t = 1 needs its segment index clamped
+        x = (0.0 if t < 0.0 else 1.0 if t > 1.0 else t) * segs
+        i = int(x)
+        if i == segs:
+            i -= 1
         w = x - i
         v = 1.0 - w
         a0, b0, a1, b1, a2, b2 = self._pairs[i]
@@ -1094,7 +1130,8 @@ class _DiagonalPath:
         w = (x - i)[:, None]
         start, end = self._ends
         d = np.zeros((len(t), 3, 3))
-        d[:, [0, 1, 2], [0, 1, 2]] = (1.0 - w) * start[i] + w * end[i]
+        # the diagonal as a basic-slice view of the new contiguous stack
+        d.reshape(-1, 9)[:, ::4] = (1.0 - w) * start[i] + w * end[i]
         return d
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from logstrain import constitutive as laws
-from logstrain import verify
+from logstrain import tensors, verify
 from logstrain.constitutive import (becker_biot, becker_energy_nu0,
                                     becker_inverse, pk1_for_law)
 from logstrain.errors import (LogstrainError, NonInvertible,
@@ -22,7 +22,7 @@ from logstrain.tensors import (_fro_norms, _inners, cofactor, dev3, eig_sym,
 from logstrain.verify import (converged_path_work, diagonal_path,
                               dilation_shear_cycle, random_rotation)
 
-from conftest import (count_lapack, counting_matrices,
+from conftest import (count_lapack, counting_matrices, patch_everywhere,
                       rotation_from_normals, spd_from_draws)
 
 M = Moduli.from_g_lam(1.0, 0.5)
@@ -318,13 +318,14 @@ def test_each_block_is_one_batch(monkeypatch, block, eigh, matrices):
 # mat_exp, then 192 for the energies of each probe) and the open path's
 # two ends, one call each.  The ordered-force check reads its drawn
 # principal stretches and factorizes nothing: its stream draws no
-# rotation.  The draws take no det; only becker's path work does, two
-# calls per path on its 97 nodes: the LoadPath check and the Jacobian of
-# its PK1 stresses (the closed cycle, and at lam = 0 the open path).
+# rotation.  The draws take no det; only becker's path work does, one
+# call per path on its 97 nodes: the path check's, whose dets the PK1
+# stresses test again without factorizing (the closed cycle, and at
+# lam = 0 the open path).
 _SUITE_BUDGETS = {
-    ("becker", 0.0): (10, 832, 841 + 128 + 64 + 2 + 576 + 2, 4, 4 * 97),
-    ("becker", 0.5): (5, 448, 713 + 128 + 64 + 2, 2, 2 * 97),
-    ("becker", 25.0): (5, 448, 713 + 128 + 64 + 2, 2, 2 * 97),
+    ("becker", 0.0): (10, 832, 841 + 128 + 64 + 2 + 576 + 2, 2, 2 * 97),
+    ("becker", 0.5): (5, 448, 713 + 128 + 64 + 2, 1, 97),
+    ("becker", 25.0): (5, 448, 713 + 128 + 64 + 2, 1, 97),
     ("hencky-kirchhoff", 0.5): (3, 448, 705 + 128 + 64, 0, 0),
     ("hooke-biot", 0.5): (1, 384, 128, 0, 0),
 }
@@ -680,6 +681,31 @@ def test_diagonal_path_array_equals_each_call(corners):
     assert np.array_equal(stack.view(np.uint64), alone.view(np.uint64))
 
 
+@pytest.mark.parametrize("corners", _DIAGONAL_CORNERS)
+def test_diagonal_path_call_clamps_t(corners):
+    # t outside [0, 1] gives the end points; inside, (1 - w) a + w b of
+    # segment i, with the last segment at t = 1; bit for bit, signed
+    # zeros and the NaN of 0 * inf included
+    path = diagonal_path(corners)
+    segs = len(corners) - 1
+    pts = np.array(corners, dtype=float)
+
+    def expected(t):
+        x = min(max(t, 0.0), 1.0) * segs
+        i = min(int(x), segs - 1)
+        w = x - i
+        with np.errstate(invalid="ignore"):
+            return np.diag((1.0 - w) * pts[i] + w * pts[i + 1])
+
+    for t in (-1e300, -2.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0 - 2**-53, 1.0,
+              1.5, 1e300, math.inf, -math.inf):
+        for got in (path(t), path(np.float64(t))):
+            assert np.array_equal(got.view(np.uint64),
+                                  expected(t).view(np.uint64)), t
+    with pytest.raises(ValueError):
+        path(math.nan)
+
+
 # a closed diagonal path of six segments, which takes the 6 panels of a
 # per-node callable
 _SIX_SEGMENTS = [(1.0, 1.0, 1.0), (1.5, 1.0, 1.0), (1.5, 1.3, 1.0),
@@ -718,16 +744,17 @@ def test_a_per_node_sampler_receives_python_floats():
 
 
 def test_the_path_check_factorizes_each_node_once(monkeypatch):
-    # the matrices whose det the verify module takes, that is the path
-    # check's; pk1_for_law takes its own det in the kinematics module
+    # the matrices of every det the run takes, through each module's
+    # binding: only the path check's, whose dets the PK1 stresses test
+    # against DET_TOL without factorizing again
     checked = []
-    det = verify._det
+    det = tensors._det
 
     def counted(a):
         checked.append(np.shape(a)[0] if np.ndim(a) == 3 else 1)
         return det(a)
 
-    monkeypatch.setattr(verify, "_det", counted)
+    patch_everywhere(monkeypatch, "_det", counted)
     path = diagonal_path(_OFF_GRID)
     _, n, _ = converged_path_work(lambda t: path(t), "becker", M,
                                   closed=True)
@@ -745,3 +772,42 @@ def test_refinement_det_failure_is_caught_on_the_new_nodes():
     with pytest.raises(ValueError, match="every F on the path must have "
                                          "det > 0"):
         converged_path_work(f, "becker", M, tol=0.0)
+
+
+def test_refinement_det_below_the_floor_names_the_fine_grid_index():
+    # det F = 1.85e-13 <= DET_TOL at node 167 alone, an odd node of the
+    # first doubling: the message names it as the finiteness and det > 0
+    # checks do, by its index in the doubled rule, not in the new nodes
+    bad = verify._rule(32)[0][167]
+
+    def f(t):
+        return np.diag([1.0 + t, 1.0, 1e-13 if t == bad else 1.0])
+
+    with pytest.raises(NonInvertible, match=r"det F = 1\.85225e-13 <= 1e-12 "
+                                            r"at index 167$"):
+        converged_path_work(f, "becker", M, tol=0.0)
+
+
+@pytest.mark.parametrize("law", TENSOR_LAWS)
+def test_path_work_stresses_are_the_public_calls(monkeypatch, law):
+    # the (g, pk1) the rule receives on the first rule and on the first
+    # doubling: pk1 is pk1_for_law of g, bit for bit, for every tensor law
+    seen, panel_works = [], verify._panel_works
+
+    def capture(g, pk1, n, panels=verify.PANELS, coarse=False):
+        if not coarse:
+            seen.append((g.copy(), pk1.copy()))
+        return panel_works(g, pk1, n, panels, coarse)
+
+    monkeypatch.setattr(verify, "_panel_works", capture)
+    path = diagonal_path(_OFF_GRID)
+
+    def f(t):  # a turn about e3, so that the frames of F differ
+        c, s = math.cos(2.0 * math.pi * t), math.sin(2.0 * math.pi * t)
+        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ path(t)
+
+    converged_path_work(f, law, M, tol=0.0)
+    assert [len(g) for g, _ in seen[:2]] == [97, 193]
+    for g, pk1 in seen[:2]:
+        assert np.array_equal(pk1.view(np.uint64),
+                              pk1_for_law(law, g, M).view(np.uint64))
