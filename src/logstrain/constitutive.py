@@ -48,9 +48,10 @@ from .moduli import Moduli
 from .stresses import _checked_state
 from .tensors import (_EYE, _as_mats, _as_real, _at, _closed_form, _det,
                       _finite_values, _first, _first_nonfinite,
-                      _from_spectrum, _inners, _inv, _over, _require_floor,
-                      _solve, _spectrum, _spectrum_floats, _svd, _trace,
-                      as_mat3, dev3, inner, mat_log, sym_part, tr)
+                      _from_spectrum, _inners, _inv, _over, _pow2_scale,
+                      _require_floor, _solve, _spectrum, _spectrum_floats,
+                      _svd, _trace, as_mat3, dev3, inner, mat_log, sym_part,
+                      tr)
 
 __all__ = [
     "LawId",
@@ -203,29 +204,60 @@ def hencky_cauchy(v, m: Moduli):
     return _tensor_law(_LAWS["hencky-cauchy"], v, m)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def becker_kirchhoff(v, m: Moduli):
     """Kirchhoff stress of Becker's law: V @ becker_biot(V), which is
-    V @ hencky_kirchhoff(V)."""
+    V @ hencky_kirchhoff(V).  A stress that overflows raises
+    :class:`LogstrainError`, quietly."""
     v = sym_part(as_mat3(v, "v"))
-    return sym_part(v @ becker_biot(v, m))
+    return _finite("becker", sym_part(v @ becker_biot(v, m)), m,
+                   "Kirchhoff stress")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def becker_cauchy(v, m: Moduli):
-    """Cauchy stress of Becker's law, kirchhoff / det(V)."""
+    """Cauchy stress of Becker's law, kirchhoff / det(V).
+
+    Where the Kirchhoff stress or det V overflows, both are taken of V / s
+    instead, for the power of two s that brings the largest |V_ij| below
+    2, and the quotient is divided by s twice before it is divided by
+    det(V / s): exact steps, so that a Cauchy stress that is finite comes
+    out finite (``1e150 I`` at G = 1, lam = 0.5 gives about 1.2e-297 I).
+    Elsewhere the result has the bits of kirchhoff / det(V).  A stress
+    that overflows raises :class:`LogstrainError`, quietly.
+    """
     v = sym_part(as_mat3(v, "v"))
-    return becker_kirchhoff(v, m) / float(_det(v))
+    t = becker_biot(v, m)
+    s, tau, j = 1.0, sym_part(v @ t), float(_det(v))
+    if not (math.isfinite(j) and np.isfinite(tau).all()):
+        s = _pow2_scale(float(np.abs(v).max()))
+        tau, j = sym_part((v / s) @ t), float(_det(v / s))
+    return _finite("becker", tau / s / s / j, m, "Cauchy stress")
 
 
 def becker_pk2(u, m: Moduli):
-    """Second Piola-Kirchhoff stress of Becker's law, inv(U) @ biot(U)."""
+    """Second Piola-Kirchhoff stress of Becker's law, inv(U) @ biot(U).
+    A stress that overflows raises :class:`LogstrainError`, quietly."""
     u = sym_part(as_mat3(u, "u"))
-    return _pk2_of_biot(u, becker_biot(u, m))
+    return _pk2_of_biot(u, becker_biot(u, m), m)
 
 
-def _pk2_of_biot(u, t):
-    """The PK2 stress inv(U) @ T of the Biot stress t at the symmetric
-    stretch u."""
-    return sym_part(_solve(u, t))
+def _pk2_of_biot(u, t, m):
+    """The PK2 stress inv(U) @ T of the becker law's Biot stress t at the
+    symmetric stretch u, or :class:`LogstrainError` where it overflows.
+
+    The solve takes t / s, for the least power of two s that brings the
+    largest |t_ij| below 2**961, and its solution is multiplied by s.
+    Where every |t_ij| < 2**960, s is 1; elsewhere both steps are exact
+    unless an entry is subnormal, so the result keeps the bits of the
+    plain solve.  No step inside LAPACK overflows, since the floor of the
+    law's stretch keeps |inv(U)| below 1e12: an overflow is the stress's,
+    not a failed solve.
+    """
+    s = _pow2_scale(float(np.abs(t).max()) * 2.0 ** -960)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite("becker", sym_part(_solve(u, t / s) * s), m,
+                       "PK2 stress")
 
 
 def becker_pk1(f, m: Moduli):

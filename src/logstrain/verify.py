@@ -471,11 +471,30 @@ class _Check(NamedTuple):
     expected: bool = True
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _alone(m, judge, name=None, tolerance=None):
+    """A check outside a check list, run as quietly as :func:`_reports`
+    runs a list: what ``judge()`` returns, a generator judge's request
+    answered by a batch of one (:func:`_batch`) for the becker law; with a
+    ``name``, the report of the ``(passed, witness)`` it returns.  Errors
+    propagate: the check is not one of many that an error leaves
+    undecided."""
+    if inspect.isgeneratorfunction(judge):
+        judge, = _batch(_LAWS["becker"], m, [judge])
+    if name is None:
+        return judge()
+    passed, witness = judge()
+    return CheckReport(name, passed, tolerance, witness)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _reports(row, m, samples, seed, checks):
     """The reports of the :class:`_Check` list ``checks``, in its order,
     each made by :func:`_run`: the draws of every stream from one
     :func:`_draws` call, the generator checks answered from one
-    :func:`_batch` for the law of table row ``row``."""
+    :func:`_batch` for the law of table row ``row``.  The list runs
+    without numpy's overflow and invalid-value warnings: a residual that
+    overflows fails its check as a NaN or infinite residual."""
     draws = iter(_draws(samples, seed, [c.stream for c in checks
                                         if c.stream is not None]))
     judges = [c.judge if c.stream is None
@@ -613,7 +632,8 @@ def check_axioms(law, m: Moduli, samples=1000, seed=0):
     get alone.  A check that meets an error on its own slice (for instance
     a stress that overflows) makes its own calls, which raise the error
     naming its own member, and is undecided: its report comes out not as
-    expected, with the message as its witness.
+    expected, with the message as its witness.  The block runs without
+    numpy's floating-point warnings, as :func:`suite` does.
     """
     _require_samples(samples)
     row = _tensor_row(law)
@@ -654,11 +674,10 @@ def m_condition_check(u1, u2, m: Moduli):
     two arguments together, with the bits and the errors of
     :func:`becker_biot` on u1 and then on u2, so an error names the member
     of u1 or u2 by its own index.  A product that is not finite raises
-    :class:`LogstrainError`, naming the first such pair of a stack.
+    :class:`LogstrainError`, naming the first such pair of a stack.  The
+    suite's monotonicity reports run the same check (see :func:`_alone`).
     """
-    outcome, = _batch(_LAWS["becker"], m,
-                      [functools.partial(_m_condition, u1, u2, m)])
-    return outcome()
+    return _alone(m, functools.partial(_m_condition, u1, u2, m))
 
 
 @_closed_form
@@ -698,6 +717,23 @@ def principal_cauchy_stresses(stretches, m: Moduli):
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
+def _baker_ericksen(lam, m):
+    """``(passed, witness)`` of the Baker-Ericksen inequality at the
+    principal stretches ``lam``, shape (3,), in descending order, as
+    :func:`tensors.eig_sym` orders eigenvalues: the judge of
+    :func:`baker_ericksen_check` and of the suite's two reports, which
+    pass the diagonals of their diagonal stretches."""
+    sigma = principal_cauchy_stresses(lam, m)
+    product = {(i, j): (sigma[i] - sigma[j]) * (lam[i] - lam[j])
+               for i, j in _PAIRS
+               if abs(lam[i] - lam[j]) > TIE_TOL * max(1.0, lam[i], lam[j])}
+    violations = [{"pair": [i, j], "stretches": [lam[i], lam[j]],
+                   "stresses": [sigma[i], sigma[j]], "product": p}
+                  for (i, j), p in product.items() if p <= 0.0]
+    return not violations, {"stretches": lam, "stresses": sigma,
+                            "violations": violations}
+
+
 def baker_ericksen_check(v, m: Moduli):
     """Ordering of principal Cauchy stresses against principal stretches.
 
@@ -707,27 +743,21 @@ def baker_ericksen_check(v, m: Moduli):
     the ordering is broken; the log law does break it at strongly
     compressive stretches.  A ``v`` whose least eigenvalue is at the
     positivity floor of :func:`tensors.mat_log` or below raises
-    :class:`NotPositiveDefinite`, as the law does.
+    :class:`NotPositiveDefinite`, as the law does.  The check runs as
+    quietly as :func:`suite` runs it, with the same judge: a product that
+    overflows is infinite, with its sign.
     """
-    lam = eig_sym(v).eigenvalues
-    sigma = principal_cauchy_stresses(lam, m)
-    product = {(i, j): (sigma[i] - sigma[j]) * (lam[i] - lam[j])
-               for i, j in _PAIRS
-               if abs(lam[i] - lam[j]) > TIE_TOL * max(1.0, lam[i], lam[j])}
-    violations = [{"pair": [i, j], "stretches": [lam[i], lam[j]],
-                   "stresses": [sigma[i], sigma[j]], "product": p}
-                  for (i, j), p in product.items() if p <= 0.0]
-    witness = {"stretches": lam, "stresses": sigma, "violations": violations}
-    return CheckReport(name="baker_ericksen", passed=not violations,
-                       tolerance=TIE_TOL, witness=witness)
+    return _alone(m, lambda: _baker_ericksen(eig_sym(v).eigenvalues, m),
+                  "baker_ericksen", TIE_TOL)
 
 
 def _force_order(lam, m: Moduli):
-    """``(forces, full, reduced, slack)`` of the ordered-force check.
+    """``(forces, full, reduced, slack, violated)`` of the ordered-force
+    check.
 
     ``lam`` holds principal stretches, shape (..., 3); ``full`` and
-    ``reduced`` hold one column per pair of ``_PAIRS``, and a pair is
-    violated where either falls below ``slack``.
+    ``reduced`` hold one column per pair of ``_PAIRS``, and ``violated``,
+    of their shape, marks the pairs where either falls below ``slack``.
     """
     _as_real(m.g, "G", "positive")
     forces = _LAWS["becker"].principal(lam, m)
@@ -738,25 +768,33 @@ def _force_order(lam, m: Moduli):
     # 2 (G d), as the laws form it: finite also where 2 G is not
     reduced = (2.0 * (m.g * (logs[..., i] - logs[..., j]))
                * (lam[..., i] - lam[..., j]))
-    return forces, full, reduced, slack
+    violated = (full < slack[..., None]) | (reduced < slack[..., None])
+    return forces, full, reduced, slack, violated
 
 
+def _force_witness(lam, m):
+    """``(slack, witness)`` of :func:`ordered_force_check` at the
+    principal stretches ``lam``, shape (3,), in descending order."""
+    forces, full, reduced, slack, violated = _force_order(lam, m)
+    return slack, {"stretches": lam, "forces": forces, "violations": [
+        {"pair": list(_PAIRS[p]), "full": full[p], "reduced": reduced[p]}
+        for p in np.flatnonzero(violated)]}
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def ordered_force_check(u, m: Moduli):
     """Ordering of principal Biot forces against principal stretches.
 
     Checks ``(T_i - T_j)(lam_i - lam_j) >= 0`` with ``T_k = 2 G ln lam_k +
     lam ln(lam_1 lam_2 lam_3)``, and the reduced form ``2 G (ln lam_i -
     ln lam_j)(lam_i - lam_j) >= 0`` directly.  Holds for every SPD u and
-    every G > 0, independently of lam.
+    every G > 0, independently of lam.  The tolerance is the slack
+    ``1e-12 max(1, max_k |T_k|)``.  The check runs as quietly as
+    :func:`suite` runs it, on the same violation mask: a difference or a
+    product that overflows is infinite, with its sign.
     """
-    lam = eig_sym(u).eigenvalues
-    forces, full, reduced, slack = _force_order(lam, m)
-    violations = [{"pair": list(pair), "full": full[p],
-                   "reduced": reduced[p]}
-                  for p, pair in enumerate(_PAIRS)
-                  if full[p] < slack or reduced[p] < slack]
-    witness = {"stretches": lam, "forces": forces, "violations": violations}
-    return CheckReport(name="ordered_force", passed=not violations,
+    slack, witness = _force_witness(eig_sym(u).eigenvalues, m)
+    return CheckReport(name="ordered_force", passed=not witness["violations"],
                        tolerance=float(abs(slack)), witness=witness)
 
 
@@ -1199,7 +1237,7 @@ def _ladder_outcome(residuals, h_ladder):
 _REMAINDERS = {
     "linearization_order": lambda step, u, t, m: t - linearized_law(step, m),
     "pk2_expansion": lambda step, u, t, m: (
-        _pk2_of_biot(sym_part(u), t)
+        _pk2_of_biot(sym_part(u), t, m)
         - linearized_law(0.5 * (u @ u - np.eye(3)), m))}
 
 
@@ -1217,13 +1255,6 @@ def _ladder(name, m, eps, h_ladder=LADDER_H):
     return _Check(name, LADDER_FACTOR, judge)
 
 
-def _report_alone(check, m):
-    """The report of a ladder alone: a batch of one; errors propagate."""
-    outcome, = _batch(_LAWS["becker"], m, [check.judge])
-    passed, witness = outcome()
-    return CheckReport(check.name, passed, check.tolerance, witness)
-
-
 def linearization_order_check(m: Moduli, eps, h_ladder=LADDER_H):
     """Second-order agreement of the log law with the infinitesimal law.
 
@@ -1231,8 +1262,8 @@ def linearization_order_check(m: Moduli, eps, h_ladder=LADDER_H):
     must scale like h**2: the ladder of residual/h**2 ratios may vary by
     less than a factor of 4.
     """
-    return _report_alone(_ladder("linearization_order", m, eps, h_ladder),
-                         m)
+    check = _ladder("linearization_order", m, eps, h_ladder)
+    return _alone(m, check.judge, check.name, check.tolerance)
 
 
 def pk2_expansion_check(m: Moduli, eps, h_ladder=LADDER_H):
@@ -1241,7 +1272,8 @@ def pk2_expansion_check(m: Moduli, eps, h_ladder=LADDER_H):
     With ``E`` the Green-Lagrange strain of ``U = I + h*eps``, the residual
     ``||pk2(U) - (lam tr(E) I + 2 G E)||`` must scale like h**2.
     """
-    return _report_alone(_ladder("pk2_expansion", m, eps, h_ladder), m)
+    check = _ladder("pk2_expansion", m, eps, h_ladder)
+    return _alone(m, check.judge, check.name, check.tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -1251,7 +1283,6 @@ _LADDER_EPS = np.array([[1.0, 0.3, -0.2], [0.3, -0.5, 0.1],
                         [-0.2, 0.1, 0.25]])
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def suite(law, m: Moduli, samples=1000, seed=0):
     """Axiom block plus, for the logarithmic Biot law, the physics checks.
 
@@ -1282,11 +1313,18 @@ def suite(law, m: Moduli, samples=1000, seed=0):
     one law call on the spectra of both rounds.  The probes make their own
     ``mat_exp`` and energy calls (see :func:`hill_convexity_probe`).  Each
     check judges its own slice, with the bits it would get alone, and an
-    error on its slice is the one its own calls raise.
-    ``ordered_force_random`` judges the principal stretches that its
-    stream ``[seed, 201]`` draws, one (samples, 3) log-uniform array, and
-    factorizes nothing.  The remainder ladders are reports like every
-    other check.
+    error on its slice is the one its own calls raise.  The principal-
+    stretch reports have the judges of the public single checks and
+    factorize nothing: the two Baker-Ericksen reports judge the diagonals
+    of their diagonal stretches, sorted descending as
+    :func:`baker_ericksen_check` receives them from
+    :func:`tensors.eig_sym`, and ``ordered_force_random`` judges the
+    principal stretches that its stream ``[seed, 201]`` draws, one
+    (samples, 3) log-uniform array, on the violation mask of
+    :func:`ordered_force_check`; its witness is that check's, at its
+    first violated row sorted descending.  The remainder ladders are
+    reports like every other check.  For any other law the suite is the
+    axiom block of :func:`check_axioms`, made by the same runner.
 
     A residual that overflows fails its check as a NaN or infinite
     residual, so the suite runs without numpy's floating-point warnings.
@@ -1296,9 +1334,10 @@ def suite(law, m: Moduli, samples=1000, seed=0):
     whichever way it was expected to go, with the message as its witness.
     """
     row = _tensor_row(law)
-    if row.tag != "becker":
-        return check_axioms(row.tag, m, samples=samples, seed=seed)
     _require_samples(samples)
+    axioms = _axioms(row, m, samples)
+    if row.tag != "becker":
+        return _reports(row, m, samples, seed, axioms)
     lam_zero = _lam_is_zero(m)
 
     def at_lam_zero(*checks):  # the checks the suite adds where lam = 0
@@ -1327,18 +1366,13 @@ def suite(law, m: Moduli, samples=1000, seed=0):
             "u1": u1[i], "u2": u2[i], "value": float(value[i])}, -math.inf)
         return least < 0.0, witness
 
-    def baker_ericksen(v):
-        report = baker_ericksen_check(v, m)
-        return report.passed, report.witness
-
     def ordered_forces(lam):
         # the principal stretches as drawn; the witness is that of the
-        # diagonal stretch, whose eigenvalues are its diagonal, sorted
-        _, full, reduced, slack = _force_order(lam, m)
-        k = _first(((full < slack[:, None]) | (reduced < slack[:, None]))
-                   .any(axis=-1))
+        # first violated row, sorted descending as the eigenvalues of its
+        # diagonal stretch are
+        k = _first(_force_order(lam, m)[-1].any(axis=-1))
         return k is None, (None if k is None else
-                           ordered_force_check(np.diag(lam[k]), m).witness)
+                           _force_witness(np.sort(lam[k])[::-1], m)[1])
 
     cycle_tol = 1e-6 * abs(m.g)
 
@@ -1362,19 +1396,20 @@ def suite(law, m: Moduli, samples=1000, seed=0):
                 {"work": work, "energy_difference": delta, "steps": n,
                  "quadrature_converged": converged})
 
-    return _reports(row, m, samples, seed, [
-        *_axioms(row, m, samples),
+    return _reports(row, m, samples, seed, axioms + [
         _Check("m_condition_closed_form", 1e-12, closed_form),
         # the sign of the closed form, which holds where its value overflows
         _Check("m_condition_paper_pair", 0.0, paper_pair,
                expected=m.lam < 20.0 * m.g),
         *at_lam_zero(_Check("m_condition_random", 0.0, random_pairs,
                             (200, [_SPD, _SPD]))),
+        # the diagonals of diag(1/e, e**-2, e**3) and of I + 1e-4 diag(1,
+        # 2, 3), sorted descending
         _Check("baker_ericksen_counterexample", TIE_TOL, functools.partial(
-            baker_ericksen, np.diag([1.0 / math.e, math.e ** -2,
-                                     math.e ** 3])), expected=False),
+            _baker_ericksen, np.array([math.e ** 3, 1.0 / math.e,
+                                       math.e ** -2]), m), expected=False),
         _Check("baker_ericksen_small_strain", TIE_TOL, functools.partial(
-            baker_ericksen, np.eye(3) + 1e-4 * np.diag([1.0, 2.0, 3.0]))),
+            _baker_ericksen, 1.0 + 1e-4 * np.array([3.0, 2.0, 1.0]), m)),
         _Check("ordered_force_random", 1e-12, ordered_forces,
                (201, _PRINCIPAL)),
         *at_lam_zero(*_hill_checks(m)),

@@ -12,7 +12,7 @@ from logstrain import constitutive as laws
 from logstrain import verify
 from logstrain.constitutive import (LawId, becker_biot, becker_cauchy,
                                     becker_energy_nu0, becker_inverse,
-                                    becker_pk1, becker_pk2,
+                                    becker_kirchhoff, becker_pk1, becker_pk2,
                                     hencky_cauchy, hencky_energy,
                                     hencky_kirchhoff, hooke_biot,
                                     incompressible_uniaxial_hyper,
@@ -313,6 +313,22 @@ def test_pk2_from_metric_tensor(rng):
                        @ mat_pow(c, -0.5))
         assert fro_norm(becker_pk2(u, M) - ref) \
             <= 1e-11 * max(1.0, fro_norm(ref))
+
+
+@pytest.mark.parametrize("g", [1.0, 1e250, 1e300])
+def test_other_becker_measures_keep_the_plain_bits(rng, g):
+    # where the plain formulas are finite, PK2 has the bits of the plain
+    # solve and Cauchy those of kirchhoff / det(V), also where the Biot
+    # stress exceeds 2**960, so that the PK2 solve takes a scaled stress
+    from logstrain.tensors import _det, _solve, sym_part
+    m = Moduli.from_g_lam(g, 0.5 * g)
+    for _ in range(50):
+        u = sym_part(random_spd(rng))
+        t = becker_biot(u, m)
+        assert np.array_equal(becker_pk2(u, m), sym_part(_solve(u, t)))
+        tau = becker_kirchhoff(u, m)
+        assert np.array_equal(tau, sym_part(u @ t))
+        assert np.array_equal(becker_cauchy(u, m), tau / float(_det(u)))
 
 
 def test_hencky_kirchhoff_tension_compression_symmetric(rng):

@@ -22,9 +22,11 @@ import logstrain
 from logstrain import cli, errors
 from logstrain.cli import main
 from logstrain.constitutive import (_LAWS, LAW_TAGS, becker_biot,
-                                    becker_energy_nu0, hencky_cauchy,
-                                    hencky_energy, hencky_kirchhoff,
-                                    hooke_biot, hooke_cauchy,
+                                    becker_cauchy, becker_energy_nu0,
+                                    becker_kirchhoff, becker_pk2,
+                                    hencky_cauchy, hencky_energy,
+                                    hencky_kirchhoff, hooke_biot,
+                                    hooke_cauchy,
                                     incompressible_uniaxial_hyper,
                                     incompressible_uniaxial_limit,
                                     linearized_inverse, linearized_law,
@@ -44,8 +46,11 @@ from logstrain.shear_statics import (cauchy_quadrics, failure_criteria,
                                      mohr_circle, pond_stress_components,
                                      traction_on_line)
 from logstrain.stresses import MEASURES, StressState, stress_convert
-from logstrain.verify import (LoadPath, converged_path_work, diagonal_path,
-                              format_reports, suite)
+from logstrain.verify import (CheckReport, LoadPath, baker_ericksen_check,
+                              check_axioms, converged_path_work, diagonal_path,
+                              format_reports, linearization_order_check,
+                              m_condition_check, ordered_force_check,
+                              pk2_expansion_check, suite)
 
 _N_PLANE = np.array([0.6, 0.8, 0.0])
 _N_SPACE = np.array([1.0, 2.0, 2.0]) / 3.0
@@ -157,6 +162,8 @@ def test_scalar_check_names_the_first_bad_element(value):
 # commands built on them
 
 _TENSOR_MAPS = {"becker_biot": becker_biot,
+                "becker_kirchhoff": becker_kirchhoff,
+                "becker_cauchy": becker_cauchy, "becker_pk2": becker_pk2,
                 "hencky_kirchhoff": hencky_kirchhoff,
                 "hencky_cauchy": hencky_cauchy, "hooke_biot": hooke_biot,
                 "hooke_cauchy": hooke_cauchy,
@@ -193,6 +200,32 @@ def _quietly(call):
 def test_tensor_maps_finite_or_error(name, a, m):
     out = _quietly(lambda: _TENSOR_MAPS[name](a, m))
     assert out is None or np.isfinite(out).all(), (name, a, out)
+
+
+def test_becker_measures_that_overflow_raise_and_finite_ones_return():
+    # lam = 0 unless given: Kirchhoff stress 20 * 2 G ln 20 overflows; the
+    # Cauchy stress diag(2 G ln 20, 0, 0) does not; 1e-11 I at G = 1e300
+    # has Cauchy and PK2 stresses near -5e323; det(1e150 I) overflows
+    # while its Cauchy stress is (2 G + 3 lam) ln(1e150) / 1e300 I
+    u, m = np.diag([20.0, 1.0, 1.0]), Moduli.from_g_lam(1e307, 0.0)
+    tiny, big = 1e-11 * np.eye(3), Moduli.from_g_lam(1e300, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LogstrainError, match=r"^law 'becker': Kirchhoff "
+                           r"stress is not finite at G = 1e\+307, lam = 0$"):
+            becker_kirchhoff(u, m)
+        sigma = becker_cauchy(u, m)
+        with pytest.raises(LogstrainError, match=r"^law 'becker': Cauchy "
+                                                 r"stress is not finite"):
+            becker_cauchy(tiny, big)
+        with pytest.raises(LogstrainError, match=r"^law 'becker': PK2 "
+                                                 r"stress is not finite"):
+            becker_pk2(tiny, big)
+        huge = becker_cauchy(1e150 * np.eye(3), Moduli.from_g_lam(1.0, 0.5))
+    want = np.diag([2e307 * math.log(20.0), 0.0, 0.0])
+    np.testing.assert_allclose(sigma, want, rtol=1e-15, atol=0.0)
+    want = 3.5 * math.log(1e150) * 1e-300 * np.eye(3)
+    np.testing.assert_allclose(huge, want, rtol=1e-14, atol=0.0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -237,6 +270,70 @@ def test_stress_convert_finite_or_error(t, f, measure, target):
     out = _quietly(lambda: stress_convert(StressState(t, measure, f),
                                           target).tensor)
     assert out is None or np.isfinite(out).all(), (t, f, out)
+
+
+# ---------------------------------------------------------------------------
+# the public single checks of verify
+
+# each called with two matrices a and b and moduli m: the ladders take a as
+# their strain direction
+_SINGLE_CHECKS = {
+    "baker_ericksen_check": lambda a, b, m: baker_ericksen_check(a, m),
+    "ordered_force_check": lambda a, b, m: ordered_force_check(a, m),
+    "m_condition_check": lambda a, b, m: m_condition_check(a, b, m),
+    "linearization_order_check":
+        lambda a, b, m: linearization_order_check(m, a),
+    "pk2_expansion_check": lambda a, b, m: pk2_expansion_check(m, a),
+}
+
+
+# a moderate SPD stretch, eigenvalues 10**e for e in [-1.5, 1.5], at which
+# products of stresses overflow only for moduli near the largest float
+_MODERATE = st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=3,
+                     max_size=3).map(
+    lambda e: (_FRAME * 10.0 ** np.array(e)) @ _FRAME.T)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_SINGLE_CHECKS)),
+       a=st.one_of(_MATRIX, _MODERATE), b=st.one_of(_MATRIX, _MODERATE),
+       m=st.sampled_from(_MODULI + (Moduli.from_g_lam(1.0, 1e307),)))
+def test_single_checks_report_or_raise_quietly(name, a, b, m):
+    # a report is one strict JSON line with a finite tolerance; the
+    # monotonicity product is a finite number
+    out = _quietly(lambda: _SINGLE_CHECKS[name](a, b, m))
+    if isinstance(out, CheckReport):
+        line, = format_reports([out])
+        json.loads(line, parse_constant=_strict)
+        assert math.isfinite(out.tolerance), (name, a, m)
+    else:
+        assert out is None or math.isfinite(out), (name, a, b, m, out)
+
+
+@pytest.mark.parametrize("law", _TENSOR_TAGS)
+def test_axiom_block_runs_quietly_where_residuals_overflow(law):
+    # at lam = 1e307 the finite-Hooke sums of stresses overflow: the
+    # residual is infinite and fails its check, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = check_axioms(law, Moduli.from_g_lam(1.0, 1e307),
+                               samples=4)
+    for line in format_reports(reports):
+        json.loads(line, parse_constant=_strict)
+
+
+def test_single_checks_keep_the_sign_of_an_overflowed_product():
+    # (sigma_0 - sigma_1)(20 - 1) overflows at lam = 1e307, and
+    # T_0 - T_2 = 2 G (ln 2 - ln 0.25) at G = 5e307; each is +inf, so the
+    # ordering holds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        be = baker_ericksen_check(np.diag([20.0, 1.0, 1.0]),
+                                  Moduli.from_g_lam(1.0, 1e307))
+        of = ordered_force_check(np.diag([2.0, 0.25, 1.0]),
+                                 Moduli.from_g_lam(5e307, 0.0))
+    assert be.passed and of.passed
+    assert be.witness["violations"] == of.witness["violations"] == []
 
 
 # ---------------------------------------------------------------------------

@@ -437,12 +437,13 @@ def test_reduced_forces_stay_finite_where_2g_overflows():
     # 2 G (ln lam_i - ln lam_j)(lam_i - lam_j) is finite
     m = Moduli.from_g_lam(1e308, -6.6e307)
     lam = np.array([1.01, 1.0, 0.99])
-    _, _, reduced, _ = verify._force_order(lam, m)
+    _, _, reduced, _, violated = verify._force_order(lam, m)
     i, j = np.array(verify._PAIRS).T
     logs = np.log(lam)
     want = 2.0 * (m.g * (logs[i] - logs[j])) * (lam[i] - lam[j])
     assert np.isfinite(reduced).all()
     assert np.array_equal(reduced, want)
+    assert not violated.any()
     assert ordered_force_check(np.diag(lam), m).passed
 
 
@@ -1114,6 +1115,21 @@ def test_batch_errors_come_from_the_members_own_calls():
     assert {"mat_pow", "_tensor_law"} <= _calls_in(tree, "_answers")
 
 
+def _reached(tree, function):
+    """The module-level functions of ``tree`` that ``function`` names, its
+    nested functions included, the functions they name in turn, and
+    ``function`` itself."""
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    seen, todo = set(), [function]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += [n.id for n in ast.walk(defs[name])
+                     if isinstance(n, ast.Name) and n.id in defs]
+    return seen
+
+
 def test_one_runner_makes_the_reports_and_the_draws():
     # every check list becomes reports in one place: only the runner
     # makes a report of a check and draws the checks' streams
@@ -1122,6 +1138,16 @@ def test_one_runner_makes_the_reports_and_the_draws():
     for called in ("_run", "_draws"):
         assert [f for f in functions
                 if called in _calls_in(tree, f)] == ["_reports"], called
+    # besides it, only the runner of a lone check and the ordered-force
+    # check, whose tolerance depends on its stretch, build a report
+    assert {f for f in functions if "CheckReport" in _calls_in(tree, f)} \
+        == {"_run", "_alone", "ordered_force_check"}
+    # the suite shares the single checks' judges: nothing it reaches
+    # factorizes a stretch it already knows or runs a public single check
+    reached = _reached(tree, "suite")
+    assert not reached & {"baker_ericksen_check", "ordered_force_check"}
+    assert not [f for f in reached if "eig_sym" in _calls_in(tree, f)]
+    assert {"_baker_ericksen", "_force_order", "_force_witness"} <= reached
 
 
 def _check_suite_workload():
