@@ -26,7 +26,9 @@ fails (the gufunc then returns NaN) ``_eigh``, ``_svd``, ``_inv`` and
 ``_solve`` raise :class:`LogstrainError` naming the routine instead of
 ``np.linalg.LinAlgError``; ``_det`` is unchecked, as ``np.linalg.det`` is.
 Where the installed numpy has no such gufunc, the routine binds to its
-``np.linalg`` function instead, with the same failure contract.
+``np.linalg`` function instead, with the same failure contract.  The QR
+factorization of the random rotations goes through ``_qr``, one
+``np.linalg.qr`` call.
 
 One matrix takes a lane of its own, with the bits it gets inside a stack:
 :func:`_spectrum_floats` gives its eigenvalues as Python floats, on which
@@ -270,6 +272,14 @@ _svd = _routine("svd")  # (W, s, Vt), W and Vt square
 _det = _routine("det")
 _inv = _routine("inv")
 _solve = _routine("solve")  # X of A X = B
+
+
+def _qr(a):
+    """The QR factorization of a (..., 3, 3) float64 stack: ``(Q, d)``,
+    the orthogonal factors and the diagonals of R, from one
+    ``np.linalg.qr`` call, with its bits."""
+    q, r = np.linalg.qr(a)
+    return q, np.diagonal(r, axis1=-2, axis2=-1)
 
 
 def _as_mats(a, name="matrix"):

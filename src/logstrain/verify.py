@@ -67,7 +67,7 @@ from .kinematics import DET_TOL, _jacobian
 from .moduli import Moduli
 from .tensors import (_EYE, _as_real, _at, _below_floor, _closed_form, _concat,
                       _det, _diag, _first, _first_nonfinite, _fro_norms,
-                      _from_spectrum, _inners, _pow2_scale, _pow_rule,
+                      _from_spectrum, _inners, _pow2_scale, _pow_rule, _qr,
                       _split_like, _spectrum, _sum_is_finite, as_mat3, eig_sym,
                       fro_norm, mat_exp, mat_pow, sym_part)
 
@@ -200,8 +200,8 @@ def _draw(rng, samples, groups, *streams):
             spectra.append([(rng.uniform(lo, hi, (samples, 3)), log)
                             for lo, hi, log in group])
             normals.append(rng.standard_normal((samples, 3, 3)))
-    q, r = np.linalg.qr(np.concatenate(normals))
-    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    q, r_diagonals = _qr(np.concatenate(normals))
+    q = q * np.sign(r_diagonals)[..., None, :]
     # det Q as the triple product q_0 . (q_1 x q_2) of its columns, which
     # for an orthogonal Q is +-1 within roundoff: the sign of the LU
     # determinant, without an LU factorization
@@ -973,8 +973,7 @@ def _rule(n, panels=PANELS):
     (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ``cheb`` and
     ``clencurt``) and the chord fractions ``(1 + y) / 2``, from 0 at the
     panel's first node to 1 at its last; then the (panels, n + 1) table of
-    each panel's node indices, and that table doubled, which reads the
-    rule from the nodes of the rule of degree 2n.
+    each panel's node indices.
 
     A node is computed the same way for every n, so the rule of degree 2n
     has the nodes of degree n, bit for bit, at its even indices.
@@ -990,31 +989,35 @@ def _rule(n, panels=PANELS):
     w = 2.0 / (ends * n) * (1.0 - np.cos(2.0 * np.pi / n * np.outer(k, j)) @ b)
     s = 0.5 * (1.0 + y)
     t = np.append((np.arange(panels)[:, None] + s[:-1]) / panels, 1.0)
-    nodes = np.arange(panels)[:, None] * n + k
-    return t, d, w, s, nodes, 2 * nodes
+    return t, d, w, s, np.arange(panels)[:, None] * n + k
 
 
-def _panel_works(g, pk1, n, panels=PANELS, coarse=False):
-    """The rule of degree n on ``panels`` panels, on the gradients and PK1
-    stresses at its nodes (with ``coarse``, at the nodes of the rule of
-    degree 2n, of which it reads every other), one work per panel: the
-    sum over the nodes of ``w_k <P_k, (D F)_k>``, in which the panel
-    width cancels.  D is applied to the gradients before the inner
+def _panel_works(g, pk1, n, panels=PANELS):
+    """``(works, error)`` of the rule of degree n on ``panels`` panels, on
+    the gradients and PK1 stresses at its nodes: per panel, its work
+    ``W_N`` and the estimate ``W_N - W_{N/2}``.  A rule's work on a panel
+    is the sum over its nodes of ``w_k <P_k, (D F)_k>``, in which the
+    panel width cancels.  D is applied to the gradients before the inner
     product, so no table of ``<P_k, F_j>`` is formed (one overflows at
     lam = 1e307, where the work does not), and only to F's deviation from
     its chord: with F_0 and F_N the panel's end gradients, ``(D F)_k =
     (F_N - F_0) / 2 + (D (F - F_0 - s (F_N - F_0)))_k`` for the chord
     fractions s, since D maps a linear function to its slope.  So D's
     roundoff scales with the curvature of F over the panel, not with F or
-    its change."""
-    _, d, w, s, nodes, doubled = _rule(n, panels)
-    if coarse:
-        nodes = doubled
-    g = g.reshape(-1, 9)[nodes]
-    first = g[:, :1]
-    chord = g[:, -1:] - first
-    rate = 0.5 * chord + d @ (g - first - s[:, None] * chord)
-    return np.sum(w[:, None] * pk1.reshape(-1, 9)[nodes] * rate, axis=(1, 2))
+    its change.  The nodes of the rule of degree N / 2 are every other
+    node of a panel, so both rules read one gather of the panels' nodes
+    and share its deviation ``F - F_0`` and its chord."""
+    nodes = _rule(n, panels)[4]
+    g, p = g.reshape(-1, 9)[nodes], pk1.reshape(-1, 9)[nodes]
+    g, chord = g - g[:, :1], g[:, -1:] - g[:, :1]  # F - F_0 and F_N - F_0
+
+    def works(every, degree):
+        _, d, w, s, _ = _rule(degree, panels)
+        rate = 0.5 * chord + d @ (g[:, ::every] - s[:, None] * chord)
+        return np.sum(w[:, None] * p[:, ::every] * rate, axis=(1, 2))
+
+    fine = works(1, n)
+    return fine, fine - works(2, n // 2)
 
 
 def converged_path_work(f_of_t, law, m: Moduli, closed=False, tol=None):
@@ -1079,8 +1082,9 @@ def converged_path_work(f_of_t, law, m: Moduli, closed=False, tol=None):
     check's determinants against the ``det F <= 1e-12`` floor of
     :class:`~logstrain.errors.NonInvertible` and does not copy or check
     the stack again.  Every message names a node by its index in the rule
-    that samples it.  The N / 2 estimate reads the coarser rule from the
-    fine arrays through the rule's cached table of node indices.
+    that samples it.  Each rule gathers its nodes once, panel by panel,
+    through the cached table of node indices of :func:`_rule`, and reads
+    the N / 2 estimate from every other column of that gather.
     """
     if tol is None:
         tol = 1e-8 * max(abs(m.g), abs(m.lam))
@@ -1097,11 +1101,10 @@ def converged_path_work(f_of_t, law, m: Moduli, closed=False, tol=None):
     pk1 = _pk1(row, g, m, det)
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
-            works = _panel_works(g, pk1, n, panels)
+            works, error = _panel_works(g, pk1, n, panels)
             work = float(np.sum(works))
             # on every panel too, so that the errors of panels with kinks
             # cannot cancel in the total
-            error = works - _panel_works(g, pk1, n // 2, panels, coarse=True)
             converged = bool(abs(np.sum(error)) < tol
                              and np.all(np.abs(error) < tol))
         if not math.isfinite(work):
@@ -1201,9 +1204,9 @@ def dilation_shear_cycle():
 # ---------------------------------------------------------------------------
 # order-of-remainder ladders
 
-def _ladder_outcome(residuals, h_ladder):
+def _ladder_outcome(residuals):
     """``(passed, witness)`` of a ladder of ``residuals``, one per h of
-    ``h_ladder``: the ratios residual / h**2 may vary by less than
+    LADDER_H: the ratios residual / h**2 may vary by less than
     LADDER_FACTOR.
 
     Where a ratio overflows while every residual is finite, the residuals
@@ -1212,12 +1215,12 @@ def _ladder_outcome(residuals, h_ladder):
     ``ratio_scale``, by which its ratios are to be multiplied.  The pass
     test ``top / bottom`` is scale-free, and finite ratios keep their
     bits."""
-    ratios = {h: r / h ** 2 for h, r in zip(h_ladder, residuals)}
+    ratios = {h: r / h ** 2 for h, r in zip(LADDER_H, residuals)}
     scale = 1.0
     if (not all(map(math.isfinite, ratios.values()))
             and all(map(math.isfinite, residuals))):
         scale = _pow2_scale(max(residuals))
-        ratios = {h: r / scale / h ** 2 for h, r in zip(h_ladder, residuals)}
+        ratios = {h: r / scale / h ** 2 for h, r in zip(LADDER_H, residuals)}
     vals = list(ratios.values())
     top, bottom = max(vals), min(vals)
     if top <= 1e-9 / scale:  # residual numerically zero across the ladder
@@ -1241,38 +1244,41 @@ _REMAINDERS = {
         - linearized_law(0.5 * (u @ u - np.eye(3)), m))}
 
 
-def _ladder(name, m, eps, h_ladder=LADDER_H):
+def _ladder(name, m, eps):
     """The remainder ladder ``name`` as a check: its generator yields the
-    stretches ``I + h eps`` for the h of ``h_ladder`` and, sent their Biot
+    stretches ``I + h eps`` for the h of LADDER_H and, sent their Biot
     stresses, judges the norms of the remainders ``_REMAINDERS[name]``."""
     def judge():
-        e, hs = sym_part(as_mat3(eps, "eps")), tuple(h_ladder)
-        steps = [h * e for h in hs]
+        e = sym_part(as_mat3(eps, "eps"))
+        steps = [h * e for h in LADDER_H]
         us = tuple(np.eye(3) + s for s in steps)
         biot = yield us
         return _ladder_outcome([fro_norm(_REMAINDERS[name](s, u, t, m))
-                                for s, u, t in zip(steps, us, biot)], hs)
+                                for s, u, t in zip(steps, us, biot)])
     return _Check(name, LADDER_FACTOR, judge)
 
 
-def linearization_order_check(m: Moduli, eps, h_ladder=LADDER_H):
+def linearization_order_check(m: Moduli, eps):
     """Second-order agreement of the log law with the infinitesimal law.
 
     The residual ``||biot(I + h*eps) - (2 G h eps + lam tr(h eps) I)||``
-    must scale like h**2: the ladder of residual/h**2 ratios may vary by
-    less than a factor of 4.
+    must scale like h**2 over the steps h of LADDER_H = (1e-2, 1e-3,
+    1e-4): the ratios residual / h**2 may vary by less than a factor of
+    LADDER_FACTOR = 4.  The witness holds the ratios, keyed by h.
     """
-    check = _ladder("linearization_order", m, eps, h_ladder)
+    check = _ladder("linearization_order", m, eps)
     return _alone(m, check.judge, check.name, check.tolerance)
 
 
-def pk2_expansion_check(m: Moduli, eps, h_ladder=LADDER_H):
+def pk2_expansion_check(m: Moduli, eps):
     """Second-order agreement of the PK2 stress with its leading expansion.
 
     With ``E`` the Green-Lagrange strain of ``U = I + h*eps``, the residual
-    ``||pk2(U) - (lam tr(E) I + 2 G E)||`` must scale like h**2.
+    ``||pk2(U) - (lam tr(E) I + 2 G E)||`` must scale like h**2 over the
+    steps h of LADDER_H, judged as :func:`linearization_order_check`
+    judges its ladder.
     """
-    check = _ladder("pk2_expansion", m, eps, h_ladder)
+    check = _ladder("pk2_expansion", m, eps)
     return _alone(m, check.judge, check.name, check.tolerance)
 
 

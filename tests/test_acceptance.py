@@ -191,7 +191,9 @@ def test_criterion_07_remainder_ladders():
                     [-0.1, 0.3, 0.2]])
     eps /= fro_norm(eps)
     for check in (linearization_order_check, pk2_expansion_check):
-        rep = check(M, eps, h_ladder=(1e-2, 1e-3, 1e-4))
+        rep = check(M, eps)
+        # one ratio per step h of the ladder (1e-2, 1e-3, 1e-4)
+        assert list(rep.witness["ratios"]) == ["0.01", "0.001", "0.0001"]
         ratios = list(rep.witness["ratios"].values())
         assert rep.passed
         assert max(ratios) / min(ratios) < 4.0

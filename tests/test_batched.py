@@ -22,8 +22,8 @@ from logstrain.tensors import (_fro_norms, _inners, cofactor, dev3, eig_sym,
 from logstrain.verify import (converged_path_work, diagonal_path,
                               dilation_shear_cycle, random_rotation)
 
-from conftest import (count_lapack, counting_matrices, patch_everywhere,
-                      rotation_from_normals, spd_from_draws)
+from conftest import (count_lapack, patch_everywhere, rotation_from_normals,
+                      spd_from_draws)
 
 M = Moduli.from_g_lam(1.0, 0.5)
 TENSOR_LAWS = [t for t in laws.LAW_TAGS if laws._LAWS[t].strain is not None]
@@ -278,12 +278,9 @@ def test_many_powers_raise_an_overflow_as_the_calls_do():
 
 
 def _count_factorizations(monkeypatch):
-    # eigh and det (an LU factorization) at the tensors boundary; qr,
-    # which verify._draw calls as one stacked np.linalg.qr, in numpy
-    calls = count_lapack(monkeypatch, ("eigh", "det"))
-    monkeypatch.setattr(np.linalg, "qr",
-                        counting_matrices(calls, "qr", np.linalg.qr))
-    return calls
+    # eigh, det (an LU factorization) and qr, which verify._draw calls
+    # once on the stack of its normals, at the tensors boundary
+    return count_lapack(monkeypatch, ("eigh", "det", "qr"))
 
 
 @pytest.mark.parametrize("block, eigh, matrices", [
@@ -637,8 +634,8 @@ def test_converged_work_equals_fresh_quadrature():
         assert n == panels * verify.MAX_DEGREE
         g = np.array([path(t) for t in
                       verify._rule(verify.MAX_DEGREE, panels)[0]])
-        works = verify._panel_works(g, pk1_for_law("becker", g, M),
-                                    verify.MAX_DEGREE, panels)
+        works, _ = verify._panel_works(g, pk1_for_law("becker", g, M),
+                                       verify.MAX_DEGREE, panels)
         assert work == float(np.sum(works))
 
 
@@ -788,26 +785,53 @@ def test_refinement_det_below_the_floor_names_the_fine_grid_index():
         converged_path_work(f, "becker", M, tol=0.0)
 
 
+def _turning(t, path=diagonal_path(_OFF_GRID)):
+    # the off-grid cycle under a turn about e3, so that the frames of F
+    # differ, traced by a per-node callable: its kinks fall inside panels
+    c, s = math.cos(2.0 * math.pi * t), math.sin(2.0 * math.pi * t)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ path(t)
+
+
 @pytest.mark.parametrize("law", TENSOR_LAWS)
 def test_path_work_stresses_are_the_public_calls(monkeypatch, law):
     # the (g, pk1) the rule receives on the first rule and on the first
     # doubling: pk1 is pk1_for_law of g, bit for bit, for every tensor law
     seen, panel_works = [], verify._panel_works
 
-    def capture(g, pk1, n, panels=verify.PANELS, coarse=False):
-        if not coarse:
-            seen.append((g.copy(), pk1.copy()))
-        return panel_works(g, pk1, n, panels, coarse)
+    def capture(g, pk1, n, panels=verify.PANELS):
+        seen.append((g.copy(), pk1.copy()))
+        return panel_works(g, pk1, n, panels)
 
     monkeypatch.setattr(verify, "_panel_works", capture)
-    path = diagonal_path(_OFF_GRID)
-
-    def f(t):  # a turn about e3, so that the frames of F differ
-        c, s = math.cos(2.0 * math.pi * t), math.sin(2.0 * math.pi * t)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ path(t)
-
-    converged_path_work(f, law, M, tol=0.0)
+    converged_path_work(_turning, law, M, tol=0.0)
     assert [len(g) for g, _ in seen[:2]] == [97, 193]
     for g, pk1 in seen[:2]:
         assert np.array_equal(pk1.view(np.uint64),
                               pk1_for_law(law, g, M).view(np.uint64))
+
+
+# (work, n, converged) of converged_path_work at tol = 0, which no estimate
+# meets, so every doubling up to n = 1536 runs: the work in hex, per tensor
+# law, on the turning off-grid cycle and on the dilation cycle
+_TOL0_WORKS = {
+    "becker": (("-0x1.a35f25d358680p-8", 1536, False),
+               ("-0x1.45647e7756e60p-4", 1536, False)),
+    "hencky-kirchhoff": (("0x1.88a1b7f800000p-28", 1536, False),
+                         ("0x1.8000000000000p-52", 1536, False)),
+    "hencky-cauchy": (("-0x1.7c28aab7920a2p-5", 1536, False),
+                      ("-0x1.1f19eaec1c2f4p-1", 1536, False)),
+    "hooke-biot": (("0x1.029e2c4000000p-30", 1536, False),
+                   ("0x0.0p+0", 1536, False)),
+    "hooke-cauchy": (("-0x1.9a6af12c104c9p-5", 1536, False),
+                     ("-0x1.4000000000000p-1", 1536, False)),
+}
+
+
+@pytest.mark.parametrize("law", TENSOR_LAWS)
+def test_every_doubling_keeps_the_bits_of_the_work(law):
+    got = []
+    for path in (_turning, dilation_shear_cycle()):
+        work, n, converged = converged_path_work(path, law, M, closed=True,
+                                                 tol=0.0)
+        got.append((work.hex(), n, converged))
+    assert tuple(got) == _TOL0_WORKS[law]

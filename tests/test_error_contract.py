@@ -301,13 +301,47 @@ _MODERATE = st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=3,
 def test_single_checks_report_or_raise_quietly(name, a, b, m):
     # a report is one strict JSON line with a finite tolerance; the
     # monotonicity product is a finite number
-    out = _quietly(lambda: _SINGLE_CHECKS[name](a, b, m))
+    _assert_report_or_value(
+        name, _quietly(lambda: _SINGLE_CHECKS[name](a, b, m)), a, b, m)
+
+
+def _assert_report_or_value(name, out, *args):
+    """What a single check may give: a report of one strict JSON line with
+    a finite tolerance, a finite number, or None for an error."""
     if isinstance(out, CheckReport):
         line, = format_reports([out])
         json.loads(line, parse_constant=_strict)
-        assert math.isfinite(out.tolerance), (name, a, m)
+        assert math.isfinite(out.tolerance), (name, *args)
     else:
-        assert out is None or math.isfinite(out), (name, a, b, m, out)
+        assert out is None or math.isfinite(out), (name, *args, out)
+
+
+# moduli at the overflow edge, G or lam from 1e306 up (G up to 5e307, as
+# Young's modulus 3 G overflows above 6e307), each with moderate stretches:
+# there the stresses are finite, and their products and differences may not
+# be.  A random draw seldom pairs the two, so every pair is run
+_EDGE_MODULI = (*(Moduli.from_g_lam(g, 0.0) for g in (1e306, 1e307, 5e307)),
+                *(Moduli.from_g_lam(1.0, lam) for lam in (1e306, 1e307,
+                                                           1.7e308)),
+                Moduli.from_g_lam(1e307, 1e307))
+_EDGE_STRETCHES = [
+    frame @ np.diag(10.0 ** np.array(e)) @ frame.T
+    for frame in (np.eye(3), _FRAME)
+    for e in ((1.3, 0.0, 0.0), (0.3, -0.6, 0.0), (1.5, -1.5, 0.0),
+              (-1.5, -1.5, -1.5), (1.5, 1.5, 1.5), (-1.0, 0.5, 1.2))]
+
+
+@pytest.mark.parametrize("name", sorted(_TENSOR_MAPS) + sorted(_SINGLE_CHECKS))
+def test_moderate_stretches_at_the_overflow_edge_run_quietly(name):
+    for m in _EDGE_MODULI:
+        for k, a in enumerate(_EDGE_STRETCHES):
+            if name in _TENSOR_MAPS:
+                out = _quietly(lambda: _TENSOR_MAPS[name](a, m))
+                assert out is None or np.isfinite(out).all(), (name, a, m)
+            else:
+                b = _EDGE_STRETCHES[k - 1]
+                _assert_report_or_value(name, _quietly(
+                    lambda: _SINGLE_CHECKS[name](a, b, m)), a, b, m)
 
 
 @pytest.mark.parametrize("law", _TENSOR_TAGS)

@@ -122,6 +122,21 @@ def test_a_numpy_without_the_gufuncs_falls_back_with_the_same_bits(
         routines["inv"](np.zeros((3, 3)))
 
 
+def test_qr_has_the_bits_of_np_linalg():
+    # Q and the diagonals of R, byte for byte, on the general matrices of
+    # every case, for each matrix alone and for the stack
+    for label, general, _ in _cases():
+        for a in (general, *general):
+            q, r = np.linalg.qr(a)
+            want = q, np.diagonal(r, axis1=-2, axis2=-1)
+            assert _same_bits(tensors._qr(a), want), label
+    # 448 matrices, the rotations of a becker suite at 64 samples
+    normals = np.random.default_rng(0).standard_normal((448, 3, 3))
+    q, r = np.linalg.qr(normals)
+    got_q, got_d = tensors._qr(normals)
+    assert _same_bits((got_q, got_d), (q, np.diagonal(r, 0, -2, -1)))
+
+
 def test_a_singular_matrix_is_a_lapack_failure():
     singular = np.zeros((3, 3))
     stack = np.stack([np.eye(3), singular])
@@ -227,8 +242,8 @@ def test_cli_stress_exits_two_on_a_failed_factorization(failing_lapack,
 def _linalg_calls(tree):
     """The ``np.linalg.<name>`` attributes (or ``numpy.linalg``) and ``from
     numpy.linalg import <name>`` imports of a module, for the routines of
-    the boundary and for qr: each as ``(name, function)``, the function
-    that names it, or None at module level."""
+    the boundary, qr among them: each as ``(name, function)``, the
+    function that names it, or None at module level."""
     names = (*LAPACK, "qr")
 
     def visit(node, function):
@@ -255,9 +270,9 @@ def test_only_tensors_names_the_np_linalg_factorizations():
         calls = _linalg_calls(ast.parse(path.read_text()))
         if calls:
             found[path.name] = calls
-    assert set(found) == {"tensors.py", "verify.py"}, found
-    # the fallbacks of the boundary's table, each named once
-    assert sorted(name for name, _ in found["tensors.py"]) == sorted(LAPACK)
-    # the one factorization outside the boundary: the stacked QR of the
-    # random rotations
-    assert found["verify.py"] == [("qr", "_draw")]
+    assert set(found) == {"tensors.py"}, found
+    # the fallbacks of the boundary's table, each named once, and that of
+    # its QR
+    assert sorted(name for name, _ in found["tensors.py"]) == sorted(
+        (*LAPACK, "qr"))
+    assert ("qr", "_qr") in found["tensors.py"]

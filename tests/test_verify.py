@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import inspect
 import json
 import math
 import warnings
@@ -780,10 +781,12 @@ def test_kink_errors_cancelling_in_the_total_do_not_read_as_converged():
     f = _per_node(corners)
     g = np.array([f(t) for t in verify._rule(64)[0]])
     pk1 = pk1_for_law("becker", g, M0)
-    error = (verify._panel_works(g, pk1, 64)
-             - verify._panel_works(g[::2], pk1[::2], 32))
+    works, error = verify._panel_works(g, pk1, 64)
+    # the estimate is the rule of degree 32 on every other node, bit for bit
+    coarse = works - verify._panel_works(g[::2], pk1[::2], 32)[0]
+    assert np.array_equal(error.view(np.uint64), coarse.view(np.uint64))
     assert abs(np.sum(error)) < 1e-8 < 1e-6 < np.max(np.abs(error))
-    assert abs(np.sum(verify._panel_works(g, pk1, 64))) > 1e-6
+    assert abs(np.sum(works)) > 1e-6
     _, n, converged = converged_path_work(f, "becker", M0, closed=True)
     assert not converged and n == 1536
 
@@ -1150,18 +1153,34 @@ def test_one_runner_makes_the_reports_and_the_draws():
     assert {"_baker_ericksen", "_force_order", "_force_witness"} <= reached
 
 
-def _check_suite_workload():
-    # the benchmark's check-suite workload, read from its file
-    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_workloads", path)
+def _perfbench(name):
+    # a module of the benchmark, read from its file
+    path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.CheckSuite
+    return module
 
 
 def test_suite_report_names_are_the_benchmarks():
-    workload = _check_suite_workload()
+    workload = _perfbench("workloads").CheckSuite
     for (law, g, lam), names in zip(workload.configs,
                                     workload.expected_names):
         reports = suite(law, Moduli.from_g_lam(g, lam), samples=1, seed=0)
         assert sorted(r.name for r in reports) == sorted(names), law
+
+
+def test_the_tracers_labels_name_public_functions():
+    # the benchmark's tracer wraps the public functions of each layer and
+    # then looks up each of these labels, "<module>.<function>", among
+    # them: a label whose function is gone or private ends a traced run
+    # in a KeyError
+    tracing = _perfbench("tracing")
+    labels = [label for label, *_ in tracing.FUNCTIONS]
+    for label in labels + [tracing.PATH_WORK, tracing.PK1]:
+        layer, name = label.split(".")
+        module = importlib.import_module(f"logstrain.{layer}")
+        function = getattr(module, name, None)
+        assert not name.startswith("_"), label
+        assert inspect.isfunction(function), label
+        assert function.__module__ == module.__name__, label
