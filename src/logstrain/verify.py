@@ -1081,10 +1081,15 @@ def converged_path_work(f_of_t, law, m: Moduli, closed=False, tol=None):
     bits, on the stack of the nodes the rule samples: it tests the
     check's determinants against the ``det F <= 1e-12`` floor of
     :class:`~logstrain.errors.NonInvertible` and does not copy or check
-    the stack again.  Every message names a node by its index in the rule
-    that samples it.  Each rule gathers its nodes once, panel by panel,
-    through the cached table of node indices of :func:`_rule`, and reads
-    the N / 2 estimate from every other column of that gather.
+    the stack again.  Where every node of that stack is positive diagonal,
+    as on a diagonal path through positive corners (the dilation-shear
+    cycle, an open diagonal path), the kernel reads the stresses off the
+    sorted diagonals and takes no SVD and no inverse; a path sampled node
+    by node gets the same, since the test is on the values of the stack,
+    not on the path's type.  Every message names a node by its index in
+    the rule that samples it.  Each rule gathers its nodes once, panel by
+    panel, through the cached table of node indices of :func:`_rule`, and
+    reads the N / 2 estimate from every other column of that gather.
     """
     if tol is None:
         tol = 1e-8 * max(abs(m.g), abs(m.lam))

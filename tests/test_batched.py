@@ -278,9 +278,9 @@ def test_many_powers_raise_an_overflow_as_the_calls_do():
 
 
 def _count_factorizations(monkeypatch):
-    # eigh, det (an LU factorization) and qr, which verify._draw calls
-    # once on the stack of its normals, at the tensors boundary
-    return count_lapack(monkeypatch, ("eigh", "det", "qr"))
+    # eigh, det (an LU factorization), qr, which verify._draw calls once on
+    # the stack of its normals, svd and inv, at the tensors boundary
+    return count_lapack(monkeypatch, ("eigh", "det", "qr", "svd", "inv"))
 
 
 @pytest.mark.parametrize("block, eigh, matrices", [
@@ -318,7 +318,9 @@ def test_each_block_is_one_batch(monkeypatch, block, eigh, matrices):
 # nothing, and the ordered-force stream draws no rotation.  The draws
 # take no det; only becker's path work does, one call per path on its 97
 # nodes: the path check's, whose dets the PK1 stresses test again without
-# factorizing (the closed cycle, and at lam = 0 the open path).
+# factorizing (the closed cycle, and at lam = 0 the open path).  No suite
+# takes an svd or an inv: the nodes of both paths are positive diagonal,
+# whose PK1 stresses are read off their diagonals.
 _SUITE_BUDGETS = {
     ("becker", 0.0): (8, 832, 841 + 128 + 64 + 576 + 2, 2, 2 * 97),
     ("becker", 0.5): (3, 448, 713 + 128 + 64, 1, 97),
@@ -792,10 +794,9 @@ def _turning(t, path=diagonal_path(_OFF_GRID)):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ path(t)
 
 
-@pytest.mark.parametrize("law", TENSOR_LAWS)
-def test_path_work_stresses_are_the_public_calls(monkeypatch, law):
+def _first_two_rules(monkeypatch, path, law, m, closed=False):
     # the (g, pk1) the rule receives on the first rule and on the first
-    # doubling: pk1 is pk1_for_law of g, bit for bit, for every tensor law
+    # doubling, at tol = 0, which no estimate meets
     seen, panel_works = [], verify._panel_works
 
     def capture(g, pk1, n, panels=verify.PANELS):
@@ -803,9 +804,16 @@ def test_path_work_stresses_are_the_public_calls(monkeypatch, law):
         return panel_works(g, pk1, n, panels)
 
     monkeypatch.setattr(verify, "_panel_works", capture)
-    converged_path_work(_turning, law, M, tol=0.0)
-    assert [len(g) for g, _ in seen[:2]] == [97, 193]
-    for g, pk1 in seen[:2]:
+    converged_path_work(path, law, m, closed=closed, tol=0.0)
+    return seen[:2]
+
+
+@pytest.mark.parametrize("law", TENSOR_LAWS)
+def test_path_work_stresses_are_the_public_calls(monkeypatch, law):
+    # pk1 is pk1_for_law of g, bit for bit, for every tensor law
+    seen = _first_two_rules(monkeypatch, _turning, law, M)
+    assert [len(g) for g, _ in seen] == [97, 193]
+    for g, pk1 in seen:
         assert np.array_equal(pk1.view(np.uint64),
                               pk1_for_law(law, g, M).view(np.uint64))
 
@@ -835,3 +843,133 @@ def test_every_doubling_keeps_the_bits_of_the_work(law):
                                                  tol=0.0)
         got.append((work.hex(), n, converged))
     assert tuple(got) == _TOL0_WORKS[law]
+
+
+# diagonal paths whose nodes are all positive diagonal: the dilation
+# cycle, the off-grid cycle and an open path to the ends of EIG_RANGE
+_POSITIVE_DIAGONAL = {
+    "dilation": (dilation_shear_cycle(), True),
+    "off-grid": (diagonal_path(_OFF_GRID), True),
+    "open": (diagonal_path([(1.0, 1.0, 1.0), (0.05, 20.0, 1.3)]), False),
+}
+
+
+def _svd_route(patch):
+    # every PK1 stress through the SVD, as for an F that is not positive
+    # diagonal
+    patch.setattr(laws, "_diagonal_pk1", lambda *args: None)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 25.0])
+@pytest.mark.parametrize("law", TENSOR_LAWS)
+@pytest.mark.parametrize("name", list(_POSITIVE_DIAGONAL))
+def test_positive_diagonal_pk1_has_the_bits_of_the_svd(monkeypatch, name,
+                                                        law, lam):
+    # the PK1 stresses of a positive diagonal path, read off the diagonals,
+    # are pk1_for_law of its nodes, each member alone as inside the stack,
+    # and have the bits the SVD gives them, signed zeros included
+    path, closed = _POSITIVE_DIAGONAL[name]
+    m = Moduli.from_g_lam(1.0, lam)
+    seen = _first_two_rules(monkeypatch, path, law, m, closed)
+    assert len(seen[1][0]) == 2 * len(seen[0][0]) - 1
+    for g, pk1 in seen:
+        bits = pk1.view(np.uint64)
+        assert np.array_equal(bits, pk1_for_law(law, g, m).view(np.uint64))
+        alone = np.array([pk1_for_law(law, f, m) for f in g])
+        assert np.array_equal(bits, alone.view(np.uint64))
+    _svd_route(monkeypatch)
+    for g, pk1 in seen:
+        assert np.array_equal(pk1.view(np.uint64),
+                              pk1_for_law(law, g, m).view(np.uint64))
+
+
+@pytest.mark.parametrize("law", TENSOR_LAWS)
+def test_positive_diagonal_paths_take_no_svd_and_no_inv(monkeypatch, law):
+    # a positive diagonal path factorizes nothing for its stresses; a
+    # turning path takes one svd per rule on the nodes it samples, and a
+    # law in the left stretch one inv; so does a diagonal path through
+    # negative pairs, whose SVD is not a permutation of its diagonal
+    calls = count_lapack(monkeypatch, ("svd", "inv"))
+    for path, closed in _POSITIVE_DIAGONAL.values():
+        converged_path_work(path, law, M, closed=closed, tol=0.0)
+        assert calls == Counter(), law
+    inv = 0 if laws._LAWS[law].measure == "biot" else 1
+    rules = 1 + int(math.log2(verify.MAX_DEGREE // 16))
+    for path, closed in ((_turning, True), (diagonal_path(
+            [(-1.0, -1.0, 1.0), (-2.0, -0.5, 1.5)]), False)):
+        calls.clear()
+        _, n, _ = converged_path_work(path, law, M, closed=closed, tol=0.0)
+        assert calls == Counter(svd=rules, inv=inv * rules)
+        assert calls.matrices == Counter(svd=n + 1, inv=inv * (n + 1))
+
+
+def _outcome(fn):
+    # the bits of a stress, or the class and message of its error
+    try:
+        stress = fn()
+    except LogstrainError as exc:
+        return type(exc), str(exc)
+    return stress.view(np.uint64).tolist()
+
+
+def _errors(law, end):
+    # the outcomes of a diagonal path, of the same path sampled node by
+    # node, of its last node alone and inside a stack
+    path = diagonal_path([(1.0, 1.0, 1.0), end])
+    return [_outcome(fn) for fn in (
+        lambda: converged_path_work(path, law, M),
+        lambda: converged_path_work(lambda t: path(t), law, M),
+        lambda: pk1_for_law(law, np.diag(end), M),
+        lambda: pk1_for_law(law, np.stack([np.eye(3), np.diag(end)]), M))]
+
+
+@pytest.mark.parametrize("end, tags, error", [
+    # below the log floor at the last node alone: 1e-13 <= 1e-12 * 1e7
+    ((1e-13, 1e7, 1e7), ("becker", "hencky-kirchhoff", "hencky-cauchy"),
+     NotPositiveDefinite),
+    # det F = 1e-13 <= DET_TOL at the last node, which is below the floor
+    # too: the det test comes first
+    ((1e-13, 1.0, 1.0), TENSOR_LAWS, NonInvertible)])
+def test_positive_diagonal_errors_are_the_svds(monkeypatch, end, tags,
+                                               error):
+    # the path, sampled as an array or node by node, names the same node
+    # by the same error as the SVD route does, and so does its last node
+    # alone and inside a stack
+    for law in tags:
+        diagonal = _errors(law, end)
+        with monkeypatch.context() as patch:
+            _svd_route(patch)
+            assert _errors(law, end) == diagonal, law
+        assert diagonal[0] == diagonal[1], law
+        assert diagonal[0][0] is diagonal[2][0] is error
+        assert diagonal[0][1].endswith(" at index 96")
+        assert diagonal[3][1] == diagonal[2][1] + " at index 1"
+
+
+@pytest.mark.parametrize("law", TENSOR_LAWS)
+def test_positive_diagonal_lane_has_the_bits_of_an_unscaled_svd(rng, law):
+    # where the largest entry of F lies below 1e125 (and det F above the
+    # floor), LAPACK does not scale F and returns its diagonal as the
+    # singular values: a stack of positive diagonal F has the bits, or
+    # raises the error, of the same F inside a stack that takes the SVD
+    m = Moduli.from_g_lam(1.0, 0.5)
+    d = 10.0 ** rng.uniform(-3.0, 125.0, (200, 1)) * np.exp(
+        rng.uniform(-2.0, 2.0, (200, 3)))
+    d[::4, 1] = d[::4, 2]  # ties
+    turned = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    for x in d:
+        f = np.diag(x)[None]
+        assert (_outcome(lambda: pk1_for_law(law, f, m))
+                == _outcome(lambda: pk1_for_law(
+                    law, np.concatenate([f, turned[None]]), m)[:1])), x
+
+
+def test_positive_diagonal_stretches_are_the_exact_diagonal():
+    # beyond that range LAPACK scales F, and its least singular value of
+    # diag(1, 10**298.75, 1e-158) is 1.00001e-158; the lane reads the
+    # exact 1e-158 below the log floor
+    f = np.diag([1.0, 10.0 ** 298.75, 1e-158])
+    assert tensors._svd(f)[1][2] != 1e-158
+    with pytest.raises(NotPositiveDefinite,
+                       match=r"^mat_log: min eigenvalue 1e-158 <= "):
+        pk1_for_law("becker", f, M)
