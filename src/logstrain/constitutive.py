@@ -25,17 +25,18 @@ simple glide on the glide's closed-form principal stretches.  Every
 tensor law returns a finite stress or raises :class:`LogstrainError`.
 
 One matrix takes the one-matrix lane, with the bits it gets inside a
-stack: a logarithmic tensor map, :func:`becker_inverse` and
-:func:`pk1_for_law` call numpy, besides checking and symmetrizing their
-input, only to factorize through the ``tensors`` boundary, to take
-``np.log`` or ``np.exp`` of the spectrum and to multiply the frames (with
-the product's ``sym_part``), or to place the stresses of a positive
-diagonal F on its diagonal.  Every principal-value step in between (the
-floor test, ``2 G e_i`` and the spherical part, ``J t_i``, the trace and
-the exponents of the inverse) runs on Python floats, one spectrum
-travelling as a list of three of them, each sum from 0.0 and left to right
-as numpy adds it.  The finite-Hooke maps factorize nothing: they read
-``2 G e + lam tr(e) I`` of the matrix with the stack's numpy arithmetic.
+stack (for a stack of positive diagonal F, within the range that
+:func:`pk1_for_law` states): a logarithmic tensor map,
+:func:`becker_inverse` and :func:`pk1_for_law` call numpy, besides
+checking and symmetrizing their input, only to factorize through the
+``tensors`` boundary, to take ``np.log`` or ``np.exp`` of the spectrum and
+to multiply the frames (with the product's ``sym_part``).  Every
+principal-value step in between (the floor test, ``2 G e_i`` and the
+spherical part, ``J t_i``, the trace and the exponents of the inverse)
+runs on Python floats, one spectrum travelling as a list of three of
+them, each sum from 0.0 and left to right as numpy adds it.  The
+finite-Hooke maps factorize nothing: they read ``2 G e + lam tr(e) I`` of
+the matrix with the stack's numpy arithmetic.
 """
 
 import math
@@ -647,9 +648,9 @@ def _svd_principal(row, f, det=None):
     3): ``det F`` (the given ``det``, if the caller has taken it; see
     :func:`kinematics._jacobian`), one SVD ``F = W diag(s) Vt`` and the
     row's principal strains at s.  Every stress at a deformation starts
-    here or, for PK1 at a stack of positive diagonal F, in
-    :func:`_diagonal_pk1`; one matrix hands its strain the lane's list of
-    three Python floats."""
+    here but PK1 at a stack of positive diagonal F (see
+    :func:`_positive_diagonal`); one matrix hands its strain the lane's
+    list of three Python floats."""
     j = _jacobian(f, det)
     w, s, vt = _svd(f)
     return j, w, s, vt, row.strain.of_stretch(s.tolist() if f.ndim == 2 else s)
@@ -745,8 +746,9 @@ def pk1_for_law(law, f, m: Moduli):
 
     ``f`` is one deformation gradient, shape (3, 3), or a stack of them,
     shape (..., 3, 3); the result has the same shape, and a matrix gives
-    the same bits alone and inside a stack (but see the positive diagonal
-    F below).  Used as the work-conjugate stress in path integrals.
+    the same bits alone and inside a stack (but see a stack of positive
+    diagonal F below).  Used as the work-conjugate stress in path
+    integrals.
 
     One SVD ``F = W diag(s) V.T`` and the row's principal stresses ``t_i``
     at ``s_i`` give P, with no eigendecomposition: ``P = W diag(t_i) V.T``
@@ -756,19 +758,20 @@ def pk1_for_law(law, f, m: Moduli):
     ``W diag(t_i / s_i) V.T`` is more accurate for P itself, but the
     Cauchy stress ``P @ F.T / J`` recovered from it loses about 0.7 digits.
 
-    Where every F of ``f`` is positive diagonal (each off-diagonal entry
-    0.0, each diagonal entry d_i > 0), F is its own stretch and its SVD a
-    permutation, so neither the SVD nor the inverse is taken: s is the
-    diagonal sorted descending, and P is diagonal, ``t_i`` for a Biot law
-    and ``t_i * (1.0 / d_i)`` (``J t_i`` for a Cauchy law) for a law in
-    the left stretch, each at its own diagonal entry.  These are the bits
-    of the SVD route wherever LAPACK returns the diagonal entries as the
-    singular values, as it does, measured, where the largest entry of F
-    is below about 1e130: on every diagonal path of the suite and the
-    benchmark.  Beyond that LAPACK scales F, and its singular values can
-    miss the diagonal, the exact ones, by an ulp or more; there an F alone
-    can differ in its last bits from the same F inside a stack that holds
-    any other F, which takes the SVD.
+    Where ``f`` is a stack and every F of it is positive diagonal (each
+    off-diagonal entry 0.0, each diagonal entry d_i > 0), F is its own
+    stretch and its SVD a permutation, so neither the SVD nor the inverse
+    is taken: s is the diagonal sorted descending, and P is diagonal,
+    ``t_i`` for a Biot law and ``t_i * (1.0 / d_i)`` (``J t_i`` for a
+    Cauchy law) for a law in the left stretch, each at its own diagonal
+    entry.  One matrix, and a stack that holds any other F, always takes
+    the SVD.  The two give the same bits wherever LAPACK returns the
+    diagonal entries as the singular values; the tests check that for
+    every F whose entries lie between 1e-3 and 1e125, which covers every
+    diagonal path of the suite and the benchmark.  Far beyond that LAPACK
+    scales F, and its singular values can miss the diagonal, the exact
+    ones, by an ulp or more; there an F inside a stack of positive
+    diagonal F can differ in its last bits from the same F alone.
 
     Errors: :class:`NonInvertible` for ``det F <= 1e-12``,
     :class:`NotPositiveDefinite` (the :func:`mat_log` text) for stretches
@@ -786,15 +789,23 @@ def _pk1(row, f, m, det=None):
     that are already a finite float array, with their ``det F`` if the
     caller has taken it (see :func:`kinematics._jacobian`).  The path
     work calls it on the nodes its path check has checked.  A stack of
-    positive diagonal F takes :func:`_diagonal_pk1`, and any other f one
-    SVD."""
-    p = _diagonal_pk1(row, f, m, det)
-    if p is not None:
-        return _finite(row.tag, p, m)
-    j, w, s, vt, e = _svd_principal(row, f, det)
+    positive diagonal F reads its stretches off its diagonals (see
+    :func:`_positive_diagonal`) and places P on them; one matrix and any
+    other stack take one SVD."""
+    lane = _positive_diagonal(f) if f.ndim > 2 else None
+    if lane is None:
+        j, w, s, vt, e = _svd_principal(row, f, det)
+    else:
+        s, at = lane
+        j, e = _jacobian(f, det), row.strain.of_stretch(s)
     t = _lame_principal(e, m)
     if f.ndim > 2:
-        t = (t * j[..., None] if row.measure == "cauchy" else t)[..., None, :]
+        t = t * j[..., None] if row.measure == "cauchy" else t
+        if lane is not None:  # 1.0 / s is the diagonal of inv(F)
+            p = np.zeros(f.size)
+            p[at] = t if row.measure == "biot" else t * (1.0 / s)
+            return _finite(row.tag, p.reshape(f.shape), m)
+        t = t[..., None, :]
     else:  # one matrix: J t_i on Python floats
         if row.measure == "cauchy":
             j = float(j)
@@ -806,51 +817,21 @@ def _pk1(row, f, m, det=None):
     return _finite(row.tag, tau @ _inv(f).swapaxes(-1, -2), m)
 
 
-def _diagonal_pk1(row, f, m, det=None):
-    """PK1 of the tensor-law ``row`` at checked deformations f, (3, 3) or
-    (..., 3, 3), in which every F is positive diagonal, ``F = U =
-    diag(d)`` with each off-diagonal entry 0.0 and each d_i > 0; None for
-    any other f.  Such an F's SVD is a permutation, so no matrix is
-    factorized or multiplied.  The stretches s are each diagonal in the
+def _positive_diagonal(f):
+    """``(s, at)`` for a stack f, (..., 3, 3), in which every F is
+    positive diagonal, ``F = U = diag(d)`` with each off-diagonal entry
+    0.0 and each d_i > 0; None for any other stack.  Such an F's SVD is a
+    permutation: its stretches s, shape (..., 3), are its diagonal in the
     stable descending order in which LAPACK gives its singular values, so
-    that the floor test and the sums over a spectrum keep their bits.  The
-    row's principal stresses t at s, ``J t`` for a Cauchy law (``det F``
-    as :func:`_svd_principal` takes it), times ``1.0 / s``, the diagonal
-    of ``inv(F)``, for a law in the left stretch, are the diagonal entries
-    of the SVD route's products, with their bits; they are scattered back
-    to the entries ``at`` of f that s came from.  A stack is tested as a
-    whole: a matrix takes the SVD inside a stack that holds any other F.
-    One matrix takes each principal step on Python floats."""
-    if f.ndim == 2:
-        (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = f.tolist()
-        if not (f01 == f02 == f10 == f12 == f20 == f21 == 0.0
-                and f00 > 0.0 and f11 > 0.0 and f22 > 0.0):
-            return None
-        d = [f00, f11, f22]
-        order = sorted(range(3), key=d.__getitem__, reverse=True)  # stable
-        s, at = [d[i] for i in order], [4 * i for i in order]
-    else:
-        flat = f.reshape(-1, 9)
-        d = flat[:, ::4]
-        # each diagonal entry > 0 and no other nonzero entry
-        if not d.size or np.count_nonzero(flat) != d.size or d.min() <= 0.0:
-            return None
-        at = (np.argsort(-d, kind="stable") * 4
-              + np.arange(0, flat.size, 9)[:, None]).reshape(f.shape[:-1])
-        s = flat.ravel()[at]
-    j = _jacobian(f, det)
-    t = _lame_principal(row.strain.of_stretch(s), m)
-    if f.ndim > 2:
-        if row.measure == "cauchy":
-            t = t * j[..., None]
-        if row.measure != "biot":
-            t = t * (1.0 / s)
-    else:  # one matrix: J t_i and t_i / s_i on Python floats
-        if row.measure == "cauchy":
-            j = float(j)
-            t = [t[0] * j, t[1] * j, t[2] * j]
-        if row.measure != "biot":
-            t = [t[0] * (1.0 / s[0]), t[1] * (1.0 / s[1]), t[2] * (1.0 / s[2])]
-    p = np.zeros(np.size(at) * 3)
-    p[at] = t
-    return p.reshape(np.shape(at) + (3,))
+    that the floor test and the sums over a spectrum keep their bits, and
+    ``at`` holds the flat index into f of each s_i, where its stress goes.
+    The stack is tested as a whole, so an F inside a stack that holds any
+    other F takes the SVD."""
+    flat = f.reshape(-1, 9)
+    d = flat[:, ::4]
+    # each diagonal entry > 0 and no other nonzero entry
+    if not d.size or np.count_nonzero(flat) != d.size or d.min() <= 0.0:
+        return None
+    at = (np.argsort(-d, kind="stable") * 4
+          + np.arange(0, flat.size, 9)[:, None]).reshape(f.shape[:-1])
+    return flat.ravel()[at], at

@@ -857,7 +857,7 @@ _POSITIVE_DIAGONAL = {
 def _svd_route(patch):
     # every PK1 stress through the SVD, as for an F that is not positive
     # diagonal
-    patch.setattr(laws, "_diagonal_pk1", lambda *args: None)
+    patch.setattr(laws, "_positive_diagonal", lambda f: None)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 25.0])
@@ -866,8 +866,9 @@ def _svd_route(patch):
 def test_positive_diagonal_pk1_has_the_bits_of_the_svd(monkeypatch, name,
                                                         law, lam):
     # the PK1 stresses of a positive diagonal path, read off the diagonals,
-    # are pk1_for_law of its nodes, each member alone as inside the stack,
-    # and have the bits the SVD gives them, signed zeros included
+    # are pk1_for_law of its nodes, and have the bits the SVD gives them,
+    # signed zeros included: each member alone, which takes the SVD, and
+    # the whole stack sent through the SVD
     path, closed = _POSITIVE_DIAGONAL[name]
     m = Moduli.from_g_lam(1.0, lam)
     seen = _first_two_rules(monkeypatch, path, law, m, closed)
@@ -948,12 +949,12 @@ def test_positive_diagonal_errors_are_the_svds(monkeypatch, end, tags,
 
 @pytest.mark.parametrize("law", TENSOR_LAWS)
 def test_positive_diagonal_lane_has_the_bits_of_an_unscaled_svd(rng, law):
-    # where the largest entry of F lies below 1e125 (and det F above the
-    # floor), LAPACK does not scale F and returns its diagonal as the
-    # singular values: a stack of positive diagonal F has the bits, or
-    # raises the error, of the same F inside a stack that takes the SVD
+    # where the entries of F lie between 1e-3 and 1e125, LAPACK does not
+    # scale F and returns its diagonal as the singular values: a stack of
+    # positive diagonal F has the bits, or raises the error, of the same F
+    # inside a stack that takes the SVD
     m = Moduli.from_g_lam(1.0, 0.5)
-    d = 10.0 ** rng.uniform(-3.0, 125.0, (200, 1)) * np.exp(
+    d = 10.0 ** rng.uniform(-2.0, 124.0, (200, 1)) * np.exp(
         rng.uniform(-2.0, 2.0, (200, 3)))
     d[::4, 1] = d[::4, 2]  # ties
     turned = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -966,10 +967,14 @@ def test_positive_diagonal_lane_has_the_bits_of_an_unscaled_svd(rng, law):
 
 def test_positive_diagonal_stretches_are_the_exact_diagonal():
     # beyond that range LAPACK scales F, and its least singular value of
-    # diag(1, 10**298.75, 1e-158) is 1.00001e-158; the lane reads the
-    # exact 1e-158 below the log floor
+    # diag(1, 10**298.75, 1e-158) is 1.00001e-158; a stack of such F reads
+    # the exact 1e-158 below the log floor, and one matrix takes the SVD
     f = np.diag([1.0, 10.0 ** 298.75, 1e-158])
     assert tensors._svd(f)[1][2] != 1e-158
     with pytest.raises(NotPositiveDefinite,
-                       match=r"^mat_log: min eigenvalue 1e-158 <= "):
+                       match=r"^mat_log: min eigenvalue 1e-158 <= .* at "
+                             r"index 0$"):
+        pk1_for_law("becker", f[None], M)
+    with pytest.raises(NotPositiveDefinite,
+                       match=r"^mat_log: min eigenvalue 1\.00001e-158 <= "):
         pk1_for_law("becker", f, M)
