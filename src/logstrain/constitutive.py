@@ -34,9 +34,11 @@ to multiply the frames (with the product's ``sym_part``).  Every
 principal-value step in between (the floor test, ``2 G e_i`` and the
 spherical part, ``J t_i``, the trace and the exponents of the inverse)
 runs on Python floats, one spectrum travelling as a list of three of
-them, each sum from 0.0 and left to right as numpy adds it.  The
-finite-Hooke maps factorize nothing: they read ``2 G e + lam tr(e) I`` of
-the matrix with the stack's numpy arithmetic.
+them, each sum from 0.0 and left to right as numpy adds it.  (A PK1
+whose ``J t_i`` or Kirchhoff stress overflows is formed again from its
+principal values with the stack's numpy arithmetic.)  The finite-Hooke
+maps factorize nothing: they read ``2 G e + lam tr(e) I`` of the matrix
+with the stack's numpy arithmetic.
 """
 
 import math
@@ -48,7 +50,7 @@ import numpy as np
 from .errors import LambdaNotZero, LogstrainError
 from .kinematics import _glide_stretches, _jacobian
 from .moduli import Moduli
-from .stresses import _checked_state
+from .stresses import _checked_state, _convert
 from .tensors import (_EYE, _as_mats, _as_real, _at, _closed_form, _det,
                       _finite_values, _first, _first_nonfinite,
                       _from_spectrum, _inners, _inv, _over, _pow2_scale,
@@ -219,23 +221,21 @@ def becker_kirchhoff(v, m: Moduli):
 
 @np.errstate(over="ignore", invalid="ignore")
 def becker_cauchy(v, m: Moduli):
-    """Cauchy stress of Becker's law, kirchhoff / det(V).
+    """Cauchy stress of Becker's law, kirchhoff / det(V), with those bits.
 
-    Where the Kirchhoff stress or det V overflows, both are taken of V / s
-    instead, for the power of two s that brings the largest |V_ij| below
-    2, and the quotient is divided by s twice before it is divided by
-    det(V / s): exact steps, so that a Cauchy stress that is finite comes
-    out finite (``1e150 I`` at G = 1, lam = 0.5 gives about 1.2e-297 I).
-    Elsewhere the result has the bits of kirchhoff / det(V).  A stress
-    that overflows raises :class:`LogstrainError`, quietly.
+    Where the Kirchhoff stress or det V overflows, the Biot stress is
+    converted to the Cauchy stress by ``stress_convert``, whose
+    power-of-two rescue returns a Cauchy stress that is finite (``1e150
+    I`` at G = 1, lam = 0.5 gives about 1.2e-297 I).  A stress that
+    overflows raises :class:`LogstrainError`, quietly, with the message
+    of ``stress_convert`` where it comes from that rescue.
     """
     v = sym_part(as_mat3(v, "v"))
     t = becker_biot(v, m)
-    s, tau, j = 1.0, sym_part(v @ t), float(_det(v))
+    tau, j = sym_part(v @ t), float(_det(v))
     if not (math.isfinite(j) and np.isfinite(tau).all()):
-        s = _pow2_scale(float(np.abs(v).max()))
-        tau, j = sym_part((v / s) @ t), float(_det(v / s))
-    return _finite("becker", tau / s / s / j, m, "Cauchy stress")
+        return sym_part(_convert(t, "biot", "cauchy", v))
+    return _finite("becker", tau / j, m, "Cauchy stress")
 
 
 def becker_pk2(u, m: Moduli):
@@ -754,9 +754,11 @@ def pk1_for_law(law, f, m: Moduli):
     at ``s_i`` give P, with no eigendecomposition: ``P = W diag(t_i) V.T``
     (that is ``R @ T``) for a Biot law; for a law in the left stretch, the
     Kirchhoff stress ``tau = W diag(t_i) W.T`` (``t_i`` times ``J = det F``
-    for a Cauchy law) and ``P = tau @ inv(F).T``.  The shorter
-    ``W diag(t_i / s_i) V.T`` is more accurate for P itself, but the
-    Cauchy stress ``P @ F.T / J`` recovered from it loses about 0.7 digits.
+    for a Cauchy law) and ``P = tau @ inv(F).T``.  Where that P is not
+    finite, J t or tau may have overflowed where P does not: there P is
+    ``W diag(p_i) V.T`` of its principal values, ``p_i = t_i / s_i``, or
+    ``t_i s_j s_k`` (which is ``J t_i / s_i``) for a Cauchy law, without
+    J.
 
     Where ``f`` is a stack and every F of it is positive diagonal (each
     off-diagonal entry 0.0, each diagonal entry d_i > 0), F is its own
@@ -772,6 +774,16 @@ def pk1_for_law(law, f, m: Moduli):
     scales F, and its singular values can miss the diagonal, the exact
     ones, by an ulp or more; there an F inside a stack of positive
     diagonal F can differ in its last bits from the same F alone.
+
+    Accuracy: at a positive diagonal F = diag(d), alone or inside a
+    stack, each principal value ``P_i = t_i c_i``, with ``c_i`` 1 for a
+    Biot law, ``1 / d_i`` for a Kirchhoff law and ``J / d_i`` for a Cauchy
+    law, is within ``4 u (2 |G e_i| + |lam| sum_j |e_j|) |c_i|`` of its
+    exact value at the principal strains e (u = 2**-53), plus ``2 (1 +
+    |ln J|) u |P_i|`` for a Cauchy law, the error of numpy's determinant.
+    Where that exact value is a normal float, it is returned.  The tests
+    check this for F = D 2**k, D's entries in e**[-1.4, 1.4], k from -11
+    to 1021.
 
     Errors: :class:`NonInvertible` for ``det F <= 1e-12``,
     :class:`NotPositiveDefinite` (the :func:`mat_log` text) for stretches
@@ -804,17 +816,41 @@ def _pk1(row, f, m, det=None):
         if lane is not None:  # 1.0 / s is the diagonal of inv(F)
             p = np.zeros(f.size)
             p[at] = t if row.measure == "biot" else t * (1.0 / s)
-            return _finite(row.tag, p.reshape(f.shape), m)
+            p = p.reshape(f.shape)
         t = t[..., None, :]
     else:  # one matrix: J t_i on Python floats
         if row.measure == "cauchy":
             j = float(j)
             t = [t[0] * j, t[1] * j, t[2] * j]
         t = np.array(t)
-    if row.measure == "biot":
-        return _finite(row.tag, (w * t) @ vt, m)
-    tau = (w * t) @ w.swapaxes(-1, -2)
-    return _finite(row.tag, tau @ _inv(f).swapaxes(-1, -2), m)
+    if lane is None and row.measure == "biot":
+        p = (w * t) @ vt
+    elif lane is None:  # the Kirchhoff stress W diag(t) W.T, times inv(F).T
+        p = (w * t) @ w.swapaxes(-1, -2) @ _inv(f).swapaxes(-1, -2)
+    if _first_nonfinite(p) is None:
+        return p
+    if row.measure != "biot":
+        # J t or tau may overflow where P does not: each member that is
+        # not finite takes P from its principal values
+        bad = ~np.isfinite(p).all(axis=(-2, -1))
+        q = _left_pk1(row, _lame_principal(np.asarray(e)[bad], m), s[bad])
+        if lane is None:
+            p[bad] = (w[bad] * q[..., None, :]) @ vt[bad]
+        else:
+            p.reshape(-1)[at[bad]] = q
+    return _finite(row.tag, p, m)
+
+
+def _left_pk1(row, t, s):
+    """The principal PK1 stresses of a law in the left stretch, from its
+    principal stresses t at stretches s, shape (..., 3): ``t_i / s_i``
+    for a Kirchhoff law, and for a Cauchy law ``J t_i / s_i`` formed as
+    ``t_i s_k s_j``, j < k, without J, which may overflow where they do
+    not.  s descends, as singular values do, so that tied stretches give
+    tied stresses."""
+    if row.measure == "kirchhoff":
+        return t / s
+    return t * s[..., [2, 2, 1]] * s[..., [1, 0, 0]]
 
 
 def _positive_diagonal(f):

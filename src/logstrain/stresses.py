@@ -2,19 +2,31 @@
 
 A :class:`StressState` is a 3x3 stress tensor tagged with its measure and
 the deformation gradient it refers to.  Conversions route through the
-Cauchy stress using
+Kirchhoff stress tau using
 
-    kirchhoff = det(F) * cauchy
-    pk1       = det(F) * cauchy @ inv(F).T
-    pk2       = det(F) * inv(F) @ cauchy @ inv(F).T
-    biot      = R.T @ pk1
+    cauchy = tau / det(F)
+    pk1    = tau @ inv(F).T
+    pk2    = inv(F) @ tau @ inv(F).T
+    biot   = R.T @ pk1
 
-with F = R @ U the polar decomposition.  The Biot conversions read only
+with F = R @ U the polar decomposition, so that ``J = det F`` enters only
+a conversion from or to the Cauchy stress.  The Biot conversions read only
 the rotation ``R = W Vt`` of one SVD ``F = W diag(s) Vt``, not U: the
-Cauchy stress of a Biot stress T is ``R @ T @ F.T / det(F)``.  No
+Kirchhoff stress of a Biot stress T is ``R @ T @ F.T``.  No
 symmetrization is applied inside the conversions, so round trips are
 exact up to roundoff; for an isotropic law the Biot, Cauchy, Kirchhoff
 and PK2 tensors all come out symmetric, while PK1 is general.
+
+Where J or a converted stress is not finite, the conversion is taken once
+more of the stress and of F each divided by the power of two that brings
+its largest entry into [1, 2), and the result is multiplied back by one
+power of two, fixed by each measure's degree in F at a fixed Kirchhoff
+stress (kirchhoff 0, biot and pk1 -1, pk2 -2, cauchy -3).  Those steps
+are exact but for subnormal entries, so that a J or a product on the way
+that overflows does not lose a stress that is a normal float (the tests
+check this at every scale of a positive diagonal F);
+``constitutive.becker_cauchy`` takes this rescue where its own
+Kirchhoff stress or J overflows.
 ``constitutive.pk1_for_law`` does not route through here: it builds PK1
 from one SVD of F, and for a law in the left stretch it keeps this
 module's ``kirchhoff @ inv(F).T`` form.
@@ -27,13 +39,14 @@ such gufunc.  A LAPACK failure of the SVD or the inverse raises
 and read only against the ``det F`` floor of ``kinematics._jacobian``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LogstrainError
 from .kinematics import _jacobian
-from .tensors import _first_nonfinite, _inv, _svd, as_mat3
+from .tensors import _det, _first_nonfinite, _inv, _svd, as_mat3
 
 __all__ = ["MEASURES", "StressState", "stress_convert"]
 
@@ -79,49 +92,56 @@ def _rotation(f):
     return w @ vt
 
 
-def _to_cauchy(t, measure, f, j):
-    if measure == "cauchy":
-        return t
-    if measure == "kirchhoff":
-        return t / j
-    ft = f.T
-    if measure == "pk1":
-        return (t @ ft) / j
-    if measure == "pk2":
-        return (f @ t @ ft) / j
-    # biot: PK1 = R @ T
-    return (_rotation(f) @ t @ ft) / j
+def _to_kirchhoff(t, measure, f, j):
+    if measure in ("kirchhoff", "cauchy"):  # J enters only at a Cauchy end
+        return j * t if measure == "cauchy" else t
+    # tau = PK1 @ F.T, with PK1 = F @ PK2 = R @ T
+    pk1 = t if measure == "pk1" else (
+        f if measure == "pk2" else _rotation(f)) @ t
+    return pk1 @ f.T
 
 
-def _from_cauchy(sigma, measure, f, j):
-    if measure == "cauchy":
-        return sigma
-    if measure == "kirchhoff":
-        return j * sigma
-    f_inv = _inv(f)
-    f_inv_t = f_inv.T
-    if measure == "pk2":
-        return j * f_inv @ sigma @ f_inv_t
-    pk1 = j * sigma @ f_inv_t
+def _from_kirchhoff(tau, measure, f, j):
+    if measure in ("kirchhoff", "cauchy"):
+        return tau / j if measure == "cauchy" else tau
+    f_inv_t = _inv(f).T
+    pk1 = tau @ f_inv_t
     if measure == "pk1":
         return pk1
-    return _rotation(f).T @ pk1
+    return (f_inv_t.T if measure == "pk2" else _rotation(f).T) @ pk1
 
 
-@np.errstate(over="ignore", invalid="ignore")
+# each measure's degree in F at a fixed Kirchhoff stress
+_DEGREE = {"kirchhoff": 0, "biot": -1, "pk1": -1, "pk2": -2, "cauchy": -3}
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _convert(t, measure, target, f):
     """Stress tensor t in ``measure`` at deformation f, in ``target``.
 
     t and f are the (3, 3) fields of one :class:`StressState`; conversions
-    route through the Cauchy stress with one determinant, a numpy scalar.
-    Runs without numpy's overflow and invalid-value warnings: a result that
-    is not finite raises :class:`LogstrainError` naming ``target``.
+    route through the Kirchhoff stress, and ``J = det F`` enters only at a
+    Cauchy end.  Where J or the result is not finite, the conversion is
+    taken of ``t / 2**a`` and ``f / 2**e``, each largest entry brought
+    into [1, 2), and its result multiplied by ``2**(a + e (d_target -
+    d_measure))`` with :data:`_DEGREE`'s d: exact steps but where an entry
+    is subnormal.  Runs without numpy's overflow, invalid-value and
+    divide warnings: a result that is still not finite, also where
+    ``det(f / 2**e)`` underflows to 0.0, raises :class:`LogstrainError`
+    naming ``target``.
     """
     j = _jacobian(f)
-    out = _from_cauchy(_to_cauchy(t, measure, f, j), target, f, j)
-    if _first_nonfinite(out) is not None:
-        raise LogstrainError(f"stress_convert: {target} stress is not "
-                             f"finite")
+    out = _from_kirchhoff(_to_kirchhoff(t, measure, f, j), target, f, j)
+    if not math.isfinite(j) or _first_nonfinite(out) is not None:
+        a, e = np.frexp([np.abs(t).max(), np.abs(f).max()])[1] - 1
+        t, f = np.ldexp(t, -a), np.ldexp(f, -e)
+        j = _det(f)
+        out = np.ldexp(_from_kirchhoff(_to_kirchhoff(t, measure, f, j),
+                                       target, f, j),
+                       a + e * (_DEGREE[target] - _DEGREE[measure]))
+        if _first_nonfinite(out) is not None:
+            raise LogstrainError(f"stress_convert: {target} stress is not "
+                                 f"finite")
     return out
 
 
@@ -131,6 +151,14 @@ def stress_convert(state, target):
     Round trips reproduce the original tensor up to roundoff.  The result
     holds its own copies of the tensor and the deformation; the state's
     fields were checked when it was made, so they are not checked again.
+
+    Accuracy: for a diagonal stress at a positive diagonal F = diag(d),
+    each entry of the result is within 8 u (u = 2**-53) of its exact
+    value, ``t_i`` times powers of d_i and J, where neither measure is
+    the Cauchy stress, and within ``2 (1 + |ln J|) u`` where one is, the
+    error of numpy's determinant, ``sign * exp(log |det|)``.  Where that
+    exact value is a normal float, it is returned.  The tests check this
+    for F = D 2**k, D's entries in e**[-1.4, 1.4], k from -11 to 1021.
 
     Raises
     ------

@@ -698,7 +698,10 @@ def principal_cauchy_stresses(stretches, m: Moduli):
     ``sigma_k = lam_k / (lam_1 lam_2 lam_3) * T_k``, with the principal
     forces ``T_k = 2 G ln lam_k + lam sum_j ln lam_j`` of the becker row of
     the law table, in the order of the given stretches, shape (3,) or
-    (..., 3), each row its own stretches.  Stretches of another shape or
+    (..., 3), each row its own stretches.  Where the product J of a row's
+    stretches overflows, the row is ``T_k / (lam_i lam_j)`` of the other
+    two stretches instead, so that a finite stress is not lost to
+    ``lam_k / J = 0.0``.  Stretches of another shape or
     not finite raise ``ValueError``; a force or a stress that is not
     finite raises :class:`LogstrainError`.
     """
@@ -710,7 +713,11 @@ def principal_cauchy_stresses(stretches, m: Moduli):
         raise ValueError("stretches must be finite")
     forces = _LAWS["becker"].principal(lam, m)  # checks the floor first
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = lam / np.prod(lam, axis=-1, keepdims=True) * forces
+        j = np.prod(lam, axis=-1, keepdims=True)
+        sigma = lam / j * forces
+        if not np.isfinite(j).all():  # there lam_k / J is 1 / (lam_i lam_j)
+            sigma = np.where(np.isfinite(j), sigma, forces / (
+                lam[..., [1, 2, 0]] * lam[..., [2, 0, 1]]))
     return _finite("becker", sigma[..., None], m)[..., 0]
 
 

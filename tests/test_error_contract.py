@@ -7,10 +7,12 @@ import builtins
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import re
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +370,232 @@ def test_single_checks_keep_the_sign_of_an_overflowed_product():
                                  Moduli.from_g_lam(5e307, 0.0))
     assert be.passed and of.passed
     assert be.witness["violations"] == of.witness["violations"] == []
+
+
+# ---------------------------------------------------------------------------
+# stresses at every stretch scale: the principal closed forms at a positive
+# diagonal F = D 2**k, and moduli and stretches drawn near the overflow edge
+# together
+
+_U = 2.0 ** -53
+_TINY, _BIG = 2.2250738585072014e-308, 1.7976931348623157e308
+# D's entries in e**[-1.4, 1.4]; k from -11, where det F nears the 1e-12
+# floor, to 1021, where an entry nears the largest float
+_SCALED_DIAGONAL = st.builds(
+    lambda x, k: np.ldexp(np.exp(np.array(x)), k),
+    st.lists(st.floats(-1.4, 1.4), min_size=3, max_size=3),
+    st.integers(-11, 1021))
+# each measure's degree in F at a fixed Kirchhoff stress tau: at a
+# principal stretch d of a diagonal F, a measure is tau d**n, but the
+# Cauchy stress is tau / J
+_DEGREE = {"kirchhoff": 0, "biot": -1, "pk1": -1, "pk2": -2, "cauchy": -3}
+
+
+def _normal(x):
+    return x == 0 or _TINY <= abs(x) <= _BIG
+
+
+def _exact(x, d, j, measure, target):
+    """The principal value, as a Fraction, in ``target`` of the principal
+    value x in ``measure`` at the principal stretch d of a diagonal F of
+    determinant j."""
+    tau = x * j if measure == "cauchy" else x / d ** _DEGREE[measure]
+    return tau / j if target == "cauchy" else tau * d ** _DEGREE[target]
+
+
+def _assert_diagonal(out, exact, bounds, context):
+    """out, a diagonal matrix or None for an error, against the exact
+    principal values (Fractions, or 50-digit mpmath numbers): None only
+    where one of them is not a normal float, and each normal one within
+    its absolute bound."""
+    if out is None:
+        assert not all(map(_normal, exact)), context
+        return
+    assert np.count_nonzero(out - np.diag(np.diag(out))) == 0, context
+    for got, want, bound in zip(np.diag(out).tolist(), exact, bounds):
+        assert not _normal(want) or abs(type(want)(got) - want) <= bound, (
+            context, got, float(want))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(d=_SCALED_DIAGONAL, t=st.lists(st.builds(
+    lambda sign, x: sign * 10.0 ** x, st.sampled_from([-1.0, 1.0]),
+    st.floats(-3.0, 3.0)), min_size=3, max_size=3))
+def test_diagonal_conversions_are_their_principal_closed_forms(d, t):
+    # within 8 u where neither measure is the Cauchy stress and 2 (1 +
+    # |ln J|) u where one is, as stress_convert states
+    fd = [Fraction(x) for x in d.tolist()]
+    j = fd[0] * fd[1] * fd[2]
+    ln_j = abs(math.fsum(math.log(x) for x in d.tolist()))
+    for measure, target in itertools.product(MEASURES, MEASURES):
+        exact = [_exact(Fraction(x), di, j, measure, target)
+                 for x, di in zip(t, fd)]
+        rel = (2.0 * (1.0 + ln_j) * _U if "cauchy" in (measure, target)
+               else 8.0 * _U)
+        out = _quietly(lambda: stress_convert(
+            StressState(np.diag(t), measure, np.diag(d)), target).tensor)
+        _assert_diagonal(out, exact, [Fraction(rel) * abs(x) for x in exact],
+                         (measure, target, d.tolist()))
+
+
+_DIAGONAL_MODULI = (Moduli.from_g_lam(1.0, 0.5), Moduli.from_g_lam(1.0, 0.0),
+                    Moduli.from_g_lam(3.0, -1.5),
+                    Moduli.from_g_lam(1e-300, 1e-300),
+                    Moduli.from_g_lam(1e300, 2e300))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(law=st.sampled_from(_TENSOR_TAGS), d=_SCALED_DIAGONAL,
+       m=st.sampled_from(_DIAGONAL_MODULI))
+def test_diagonal_pk1_is_its_principal_closed_form(law, d, m):
+    # P_i = t_i c_i, c_i = 1, 1 / d_i or J / d_i by the law's measure,
+    # within pk1_for_law's stated bound, alone and inside a stack
+    mpmath = pytest.importorskip("mpmath")
+    measure = _LAWS[law].measure
+    with mpmath.workdps(50):
+        dm = [mpmath.mpf(x) for x in d.tolist()]
+        e = [x - 1 if law.startswith("hooke") else mpmath.log(x)
+             for x in dm]
+        j = dm[0] * dm[1] * dm[2]
+        c = [1 if measure == "biot" else (1 if measure == "kirchhoff"
+                                          else j) / x for x in dm]
+        exact = [(2 * m.g * ei + m.lam * sum(e)) * ci
+                 for ei, ci in zip(e, c)]
+        bounds = [4 * _U * (2 * abs(m.g * ei)
+                            + abs(m.lam) * sum(abs(x) for x in e)) * abs(ci)
+                  + (2 * (1 + abs(mpmath.log(j))) * _U * abs(pi)
+                     if measure == "cauchy" else 0)
+                  for ei, ci, pi in zip(e, c, exact)]
+        for f in (np.diag(d), np.diag(d)[None]):
+            out = _quietly(lambda: pk1_for_law(law, f, m))
+            _assert_diagonal(None if out is None else out.reshape(3, 3),
+                             exact, bounds, (law, d.tolist(), m, f.ndim))
+
+
+@pytest.mark.parametrize("c", [1e110, 1e150])
+def test_large_stretch_scales_give_the_principal_stresses(c):
+    # det(diag(1, 2, 3) c) overflows: the Biot stress T still converts to
+    # every measure within 1e-15 of its closed form, the Cauchy-measure
+    # PK1 stresses are finite, and the principal Cauchy stresses of the
+    # Baker-Ericksen check are T_i / (d_j d_k), ordered, not 0.0
+    m = Moduli.from_g_lam(1.0, 0.5)
+    d = np.array([1.0, 2.0, 3.0]) * c
+    t = becker_biot(np.diag(d), m)
+    fd = [Fraction(x) for x in d.tolist()]
+    j = fd[0] * fd[1] * fd[2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for target in MEASURES:
+            out = stress_convert(StressState(t, "biot", np.diag(d)), target)
+            exact = [_exact(Fraction(x), di, j, "biot", target)
+                     for x, di in zip(np.diag(t).tolist(), fd)]
+            _assert_diagonal(out.tensor, exact,
+                             [abs(x) * Fraction(1e-15) for x in exact],
+                             target)
+        assert np.array_equal(becker_cauchy(np.diag(d), m),
+                              stress_convert(StressState(t, "biot",
+                                                         np.diag(d)),
+                                             "cauchy").tensor)
+        report = baker_ericksen_check(np.diag(d), m)
+    assert report.passed, report.witness
+    want = [Fraction(x) / (j / di) for x, di in zip(np.diag(t).tolist(), fd)]
+    got = report.witness["stresses"].tolist()[::-1]  # descending stretches
+    for x, y in zip(got, want):
+        assert abs(Fraction(x) - y) <= abs(y) * Fraction(1e-15)
+
+
+@pytest.mark.parametrize("law, c", [("hooke-cauchy", 1e100),
+                                    ("hencky-cauchy", 1e110)])
+def test_cauchy_measure_pk1_beyond_an_overflowing_j_t(law, c):
+    # J t overflows, and P = J t_i / d_i, about 3e301 and 5.3e223, does
+    # not: alone and inside a stack, on the SVD and on the diagonal lane
+    mpmath = pytest.importorskip("mpmath")
+    m = Moduli.from_g_lam(1.0, 0.5)
+    f = np.diag([1.0, 2.0, 3.0]) * c
+    with mpmath.workdps(50):
+        d = [mpmath.mpf(x) for x in np.diag(f).tolist()]
+        e = [x - 1 if law == "hooke-cauchy" else mpmath.log(x) for x in d]
+        want = [(2 * ei + 0.5 * sum(e)) * d[0] * d[1] * d[2] / di
+                for ei, di in zip(e, d)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            turned = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                               [0.0, 0.0, 1.0]])
+            for a in (f, f[None], np.stack([f, turned])):
+                p = pk1_for_law(law, a, m).reshape(-1, 3, 3)[0]
+                _assert_diagonal(p, want, [1e-15 * abs(x) for x in want],
+                                 a.shape)
+
+
+# moduli and a stretch drawn together near the overflow edge: G s = 10**x
+# for x from 100 to 308.2, split at c in [0, min(x, 154)] between the
+# stretch scale s = 10**c and the modulus that carries the rest, G (at
+# most 5e307, as Young's modulus 3 G overflows above 6e307, with lam = r G)
+# or lam (at most 1.7e308, with G = 1); the stretch has eigenvalues
+# s 10**e, e in [-1.5, 1.5], on the frame I or _FRAME.  So the stresses,
+# their products or J = det V lie near the largest float or beyond it,
+# where a draw of moduli and stretches apart seldom pairs the two
+@st.composite
+def _near_the_edge(draw):
+    x = draw(st.floats(100.0, 308.2))
+    c = draw(st.floats(0.0, min(x, 154.0)))
+    if draw(st.booleans()):
+        g = min(10.0 ** (x - c), 5e307)
+        m = Moduli.from_g_lam(g, draw(st.sampled_from([0.0, 0.5, -0.6])) * g)
+    else:
+        m = Moduli.from_g_lam(1.0, min(10.0 ** (x - c), 1.7e308))
+    e = draw(st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3))
+    frame = draw(st.sampled_from([np.eye(3), _FRAME]))
+    return m, (frame * 10.0 ** (c + np.array(e))) @ frame.T
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_TENSOR_MAPS) + list(_TENSOR_TAGS)),
+       pair=_near_the_edge())
+def test_law_maps_near_the_overflow_edge_finite_or_error(name, pair):
+    # the tensor maps by name, pk1_for_law by law tag
+    m, a = pair
+    out = _quietly(lambda: _TENSOR_MAPS[name](a, m) if name in _TENSOR_MAPS
+                   else pk1_for_law(name, a, m))
+    assert out is None or np.isfinite(out).all(), (name, a, m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_SINGLE_CHECKS)), pair=_near_the_edge(),
+       b=_MODERATE)
+def test_single_checks_near_the_overflow_edge_report_or_raise_quietly(
+        name, pair, b):
+    m, a = pair
+    _assert_report_or_value(
+        name, _quietly(lambda: _SINGLE_CHECKS[name](a, b, m)), a, b, m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(law=st.sampled_from(_TENSOR_TAGS), pair=_near_the_edge(),
+       target=st.sampled_from(MEASURES))
+def test_stress_convert_near_the_overflow_edge_scales_with_f(law, pair,
+                                                             target):
+    # a law's stress t at F = V near the edge converts as t / 2**a at
+    # F / 2**e, their largest entries brought into [1, 2), times
+    # 2**(a + e (n_target - n_measure)), n each measure's _DEGREE: to 11
+    # digits, or with an error only where that is not finite
+    m, f = pair
+    measure = _LAWS[law].measure
+    t = _quietly(lambda: stretch_stress(law, f, m))
+    if t is None:
+        return
+    a, e = (math.frexp(float(np.abs(x).max()))[1] - 1 for x in (t, f))
+    with np.errstate(over="ignore"):
+        want = np.ldexp(stress_convert(StressState(
+            np.ldexp(t, -a), measure, np.ldexp(f, -e)), target).tensor,
+            a + e * (_DEGREE[target] - _DEGREE[measure]))
+    out = _quietly(lambda: stress_convert(StressState(t, measure, f),
+                                          target).tensor)
+    if out is None:
+        assert not np.isfinite(want).all(), (law, f, m, target)
+    else:
+        assert np.abs(out - want).max() <= 1e-11 * np.abs(want).max(), (
+            law, f, m, target, out, want)
 
 
 # ---------------------------------------------------------------------------

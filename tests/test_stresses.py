@@ -186,3 +186,16 @@ def test_becker_kirchhoff_is_v_times_hencky(rng):
         lhs = np.linalg.norm(tau_b - tau_h)
         rhs = np.linalg.norm(v - np.eye(3)) * np.linalg.norm(tau_h)
         assert lhs <= rhs * (1.0 + 1e-12) + 1e-14
+
+
+def test_rescue_raises_quietly_where_det_of_the_scaled_f_underflows():
+    # det F = 1, but det(F / 2**428), F's largest entry brought into
+    # [1, 2), underflows to 0.0: the Cauchy stress of 1e200 I, which
+    # overflows, raises without a divide-by-zero warning
+    f = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 6.9e128]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LogstrainError, match=r"^stress_convert: cauchy "
+                                                 r"stress is not finite$"):
+            stress_convert(StressState(1e200 * np.eye(3), "biot", f),
+                           "cauchy")
