@@ -26,19 +26,23 @@ tensor law returns a finite stress or raises :class:`LogstrainError`.
 
 One matrix takes the one-matrix lane, with the bits it gets inside a
 stack (for a stack of positive diagonal F, within the range that
-:func:`pk1_for_law` states): a logarithmic tensor map,
-:func:`becker_inverse` and :func:`pk1_for_law` call numpy, besides
-checking and symmetrizing their input, only to factorize through the
-``tensors`` boundary, to take ``np.log`` or ``np.exp`` of the spectrum and
-to multiply the frames (with the product's ``sym_part``).  Every
-principal-value step in between (the floor test, ``2 G e_i`` and the
-spherical part, ``J t_i``, the trace and the exponents of the inverse)
-runs on Python floats, one spectrum travelling as a list of three of
-them, each sum from 0.0 and left to right as numpy adds it.  (A PK1
-whose ``J t_i`` or Kirchhoff stress overflows is formed again from its
-principal values with the stack's numpy arithmetic.)  The finite-Hooke
-maps factorize nothing: they read ``2 G e + lam tr(e) I`` of the matrix
-with the stack's numpy arithmetic.
+:func:`pk1_for_law` states).  The lanes live here, each one straight pass
+after its input check, behind the shape test that sends a stack down its
+own path: a logarithmic tensor map in :func:`_tensor_law`, with its law
+on the frame in :func:`_law_on_frame` (which the CLI's ``stress`` reads
+too), PK1 in :func:`_pk1` and the inverse in :func:`becker_inverse`.
+They call numpy, besides checking and symmetrizing their input, only to
+factorize through the ``tensors`` boundary, to take ``np.log`` or
+``np.exp`` of the spectrum and to multiply the frames.  Every other step
+(the floor test, ``2 G e_i`` and the spherical part, ``J t_i``, the
+trace and the exponents of the inverse, the symmetric part of a law's
+frame product and the finiteness test of the result) runs on Python
+floats, one spectrum travelling as a list of three of them, each sum from
+0.0 and left to right as numpy adds it.  (A PK1 whose ``J t_i`` or
+Kirchhoff stress overflows is formed again from its principal values with
+the stack's numpy arithmetic.)  The finite-Hooke maps factorize nothing:
+they read ``2 G e + lam tr(e) I`` of the matrix with the stack's numpy
+arithmetic.
 """
 
 import math
@@ -51,8 +55,8 @@ from .errors import LambdaNotZero, LogstrainError
 from .kinematics import _glide_stretches, _jacobian
 from .moduli import Moduli
 from .stresses import _checked_state, _convert
-from .tensors import (_EYE, _as_mats, _as_real, _at, _closed_form, _det,
-                      _finite_values, _first, _first_nonfinite,
+from .tensors import (_EYE, PD_REL_TOL, _as_mats, _as_real, _at, _closed_form,
+                      _det, _finite_values, _first, _first_nonfinite,
                       _from_spectrum, _inners, _inv, _over, _pow2_scale,
                       _require_floor, _solve, _spectrum, _spectrum_floats,
                       _svd, _trace, as_mat3, dev3, inner, mat_log, sym_part,
@@ -146,15 +150,16 @@ def becker_inverse(t, m: Moduli):
     lam.  Most of that is inherited from the rounding of the stress itself,
     which at large lam is relative to its spherical part.
 
-    One matrix takes the one-matrix lane, with the bits it gets inside a
-    stack: numpy only factorizes the deviator, takes the exponential and
-    multiplies the frames.  The trace (summed in numpy's order), the
-    deviator's diagonal (written in place, with the sign that ``- mean *
-    0.0`` gives each zero off the diagonal) and the exponents ``d_i / (2 G)
-    + tr(t) / (9 K)`` are Python floats.  Where 2 G or 9 K overflows (G
-    above about 9e307, K above about 2e307), the deviator or tr(t) is
-    divided by the factor and by the modulus in turn, so that neither part
-    is lost.
+    One matrix takes its own lane here, one straight pass after the input
+    check, with the bits it gets inside a stack: numpy only symmetrizes t,
+    factorizes the deviator, takes the exponential and multiplies the
+    frames.  The trace (summed in numpy's order), the deviator's diagonal
+    (written in place, with the sign that ``- mean * 0.0`` gives each zero
+    off the diagonal), the exponents ``d_i / (2 G) + tr(t) / (9 K)`` and
+    the finiteness test of their exponentials are Python floats.  Where
+    2 G or 9 K overflows (G above about 9e307, K above about 2e307), the
+    deviator or tr(t) is divided by the factor and by the modulus in turn,
+    so that neither part is lost.
 
     Raises ``ValueError`` for a t that is not 3x3 or not finite, and
     :class:`LogstrainError` for a trace of t that overflows (``becker_inverse:
@@ -170,6 +175,7 @@ def becker_inverse(t, m: Moduli):
                                  + _at(_first(~np.isfinite(trace)), stack))
         d, frame = _spectrum(t - (trace / 3.0)[..., None] * _EYE)
         x = _over(d, 2.0, m.g) + _over(trace, 9.0, m.k)
+        y = _finite_values(np.exp, x, "mat_exp", stack)
     else:  # one matrix: the principal steps on Python floats
         (t00, t01, t02), (_, t11, t12), (_, _, t22) = t.tolist()
         trace = 0.0 + t00 + t11 + t22  # _sum3 of the diagonal
@@ -186,11 +192,16 @@ def becker_inverse(t, m: Moduli):
         if math.copysign(1.0, mean) < 0.0 and 0.0 in (t01, t02, t12):
             t += 0.0
         (d0, d1, d2), frame = _spectrum_floats(t)
-        spherical = _over(trace, 9.0, m.k)
-        x = np.array([_over(d0, 2.0, m.g) + spherical,
-                      _over(d1, 2.0, m.g) + spherical,
-                      _over(d2, 2.0, m.g) + spherical])
-    return _from_spectrum(frame, _finite_values(np.exp, x, "mat_exp", stack))
+        # _over of each part, its factor and modulus multiplied once
+        g2, k9 = 2.0 * m.g, 9.0 * m.k
+        spherical = trace / k9 if math.isfinite(k9) else trace / 9.0 / m.k
+        if not math.isfinite(g2):
+            d0, d1, d2, g2 = d0 / 2.0, d1 / 2.0, d2 / 2.0, m.g
+        x = [d0 / g2 + spherical, d1 / g2 + spherical, d2 / g2 + spherical]
+        y = np.exp(x)
+        if not math.isfinite(sum(y.tolist())):  # raises where it overflows
+            y = _finite_values(np.exp, np.array(x), "mat_exp", stack)
+    return _from_spectrum(frame, y)
 
 
 def hencky_kirchhoff(v, m: Moduli):
@@ -499,8 +510,10 @@ class _Strain(NamedTuple):
 
 
 def _ln_above_floor(s):
-    if isinstance(s, list):  # one spectrum
-        _require_floor(s, "mat_log", "eigenvalue", ())
+    if isinstance(s, list):  # one spectrum: the floor test of
+        # _require_floor on its floats, calling it only to raise
+        if min(s) <= PD_REL_TOL * max(1.0, max(map(abs, s))):
+            _require_floor(s, "mat_log", "eigenvalue", ())
         return np.log(s).tolist()
     _require_floor(s, "mat_log", "eigenvalue", s.shape[:-1])
     return np.log(s)
@@ -605,23 +618,11 @@ def _finite(tag, t, m, quantity="stress"):
 
 def _lame_on_frame(frame, e, m):
     """The isotropic linear law of the strain whose principal values e,
-    shape (..., 3), lie on the columns of frame: ``2 G frame @ diag(e) @
-    frame.T + lam sum_j e_j I``.  The spherical part is added to the
-    diagonal after the frame product, so that its roundoff stays there,
-    and left out at lam = 0, as in :func:`_lame`.  One spectrum, the list
-    of three Python floats of the one-matrix lane, forms ``2 G e_i`` and
-    the spherical part on those floats; numpy multiplies the frames, and
-    the part is added to the three diagonal entries in turn."""
-    if isinstance(e, list):
-        g, (e0, e1, e2) = m.g, e
-        t = _from_spectrum(frame, np.array([2.0 * (g * e0), 2.0 * (g * e1),
-                                            2.0 * (g * e2)]))
-        if m.lam != 0.0:
-            s = m.lam * (0.0 + e0 + e1 + e2)  # _sum3(e)
-            t[0, 0] += s
-            t[1, 1] += s
-            t[2, 2] += s
-        return t
+    shape (..., 3), lie on the columns of the (..., 3, 3) stack frame:
+    ``2 G frame @ diag(e) @ frame.T + lam sum_j e_j I``.  The spherical
+    part is added to the diagonal after the frame product, so that its
+    roundoff stays there, and left out at lam = 0, as in :func:`_lame`.
+    One matrix reads its law in :func:`_law_on_frame`."""
     t = _from_spectrum(frame, 2.0 * (m.g * e))
     if m.lam != 0.0:
         # the diagonal as a basic-slice view: _from_spectrum returns a new
@@ -630,42 +631,65 @@ def _lame_on_frame(frame, e, m):
     return t
 
 
+def _law_on_frame(row, frame, s, m):
+    """The stress of the tensor-law ``row`` at one matrix's principal
+    stretches s, a list of three Python floats, whose principal axes are
+    the columns of frame, (3, 3): ``sym(frame @ diag(2 G e) @ frame.T) +
+    lam sum_j e_j I`` of the row's strains e, with the bits of
+    :func:`_lame_on_frame` on a stack.  Numpy takes the frame product;
+    the strains, ``2 G e_i``, the symmetric part (halved before the sum,
+    as :func:`sym_part` forms it), the spherical part, added to the
+    diagonal after the product and left out at lam = 0, and the
+    finiteness test run on Python floats.  A stress that is not finite
+    raises the :class:`LogstrainError` of :func:`_finite`.  The law step
+    of one matrix: the tensor maps and the CLI's stress state both read
+    it here."""
+    g, (e0, e1, e2) = m.g, row.strain.of_stretch(s)
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (
+        (frame * np.array([2.0 * (g * e0), 2.0 * (g * e1), 2.0 * (g * e2)]))
+        @ frame.T).tolist()
+    h0, h1, h2 = 0.5 * a0, 0.5 * b1, 0.5 * c2
+    t00, t11, t22 = h0 + h0, h1 + h1, h2 + h2
+    t01, t02, t12 = (0.5 * a1 + 0.5 * b0, 0.5 * a2 + 0.5 * c0,
+                     0.5 * b2 + 0.5 * c1)
+    if m.lam != 0.0:
+        sph = m.lam * (0.0 + e0 + e1 + e2)  # _sum3(e)
+        t00, t11, t22 = t00 + sph, t11 + sph, t22 + sph
+    t = np.array([t00, t01, t02, t01, t11, t12, t02, t12, t22]).reshape(3, 3)
+    if math.isfinite(t00 + t11 + t22 + t01 + t02 + t12):
+        return t
+    return _finite(row.tag, t, m)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _tensor_law(row, a, m):
     # tensor map of a row at its stretch a: the linear law of the strain,
-    # on the spectrum of a for a logarithmic strain, of a - I directly for
-    # the finite-Hooke rows
+    # on the spectrum of a for a logarithmic strain (one matrix on its
+    # Python floats, by _law_on_frame), of a - I directly for the
+    # finite-Hooke rows
     a = sym_part(_as_mats(a, row.stretch))
     if row.strain is _linear_strain:
         return _finite(row.tag, _lame(a - _EYE, m), m)
-    vals, frame = _spectrum(a) if a.ndim > 2 else _spectrum_floats(a)
+    if a.ndim == 2:
+        vals, frame = _spectrum_floats(a)
+        return _law_on_frame(row, frame, vals, m)
+    vals, frame = _spectrum(a)
     return _finite(row.tag,
                    _lame_on_frame(frame, row.strain.of_stretch(vals), m), m)
-
-
-def _svd_principal(row, f, det=None):
-    """``(J, W, s, Vt, e)`` at checked deformations f, (3, 3) or (..., 3,
-    3): ``det F`` (the given ``det``, if the caller has taken it; see
-    :func:`kinematics._jacobian`), one SVD ``F = W diag(s) Vt`` and the
-    row's principal strains at s.  Every stress at a deformation starts
-    here but PK1 at a stack of positive diagonal F (see
-    :func:`_positive_diagonal`); one matrix hands its strain the lane's
-    list of three Python floats."""
-    j = _jacobian(f, det)
-    w, s, vt = _svd(f)
-    return j, w, s, vt, row.strain.of_stretch(s.tolist() if f.ndim == 2 else s)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _stress_state(law, f, m: Moduli):
     """The law's stress state at one deformation f, in the law's own
-    measure, from one SVD ``F = W diag(s) V.T``: ``V diag(t) V.T`` for a
-    Biot law, ``W diag(t) W.T`` for a law in the left stretch."""
+    measure, from ``det F`` (tested against its floor) and one SVD ``F =
+    W diag(s) V.T``: ``V diag(t) V.T`` for a Biot law, ``W diag(t) W.T``
+    for a law in the left stretch, read by :func:`_law_on_frame`."""
     row = _tensor_row(law)
     f = as_mat3(f, "f")
-    _, w, _, vt, e = _svd_principal(row, f)
-    frame = vt.swapaxes(-1, -2) if row.stretch == "u" else w
-    return _checked_state(_finite(row.tag, _lame_on_frame(frame, e, m), m),
+    _jacobian(f)
+    w, s, vt = _svd(f)
+    frame = vt.T if row.stretch == "u" else w
+    return _checked_state(_law_on_frame(row, frame, s.tolist(), m),
                           row.measure, f)
 
 
@@ -760,6 +784,11 @@ def pk1_for_law(law, f, m: Moduli):
     ``t_i s_j s_k`` (which is ``J t_i / s_i``) for a Cauchy law, without
     J.
 
+    One matrix takes one straight pass in :func:`_pk1`: the SVD (and for
+    a law in the left stretch the inverse) and the frame products in
+    numpy, the strains, ``J t_i`` and the finiteness test of P on Python
+    floats.
+
     Where ``f`` is a stack and every F of it is positive diagonal (each
     off-diagonal entry 0.0, each diagonal entry d_i > 0), F is its own
     stretch and its SVD a permutation, so neither the SVD nor the inverse
@@ -800,35 +829,45 @@ def _pk1(row, f, m, det=None):
     """:func:`pk1_for_law` of the tensor-law ``row`` at deformations f
     that are already a finite float array, with their ``det F`` if the
     caller has taken it (see :func:`kinematics._jacobian`).  The path
-    work calls it on the nodes its path check has checked.  A stack of
-    positive diagonal F reads its stretches off its diagonals (see
-    :func:`_positive_diagonal`) and places P on them; one matrix and any
-    other stack take one SVD."""
-    lane = _positive_diagonal(f) if f.ndim > 2 else None
-    if lane is None:
-        j, w, s, vt, e = _svd_principal(row, f, det)
+    work calls it on the nodes its path check has checked.  One matrix
+    takes one straight pass on one SVD, its principal steps and the
+    finiteness test of P on Python floats.  A stack of positive diagonal F
+    reads its stretches off its diagonals (see :func:`_positive_diagonal`)
+    and places P on them; any other stack takes one SVD."""
+    j, lane = _jacobian(f, det), None
+    if f.ndim == 2:
+        w, s, vt = _svd(f)
+        e = row.strain.of_stretch(s.tolist())
+        t = _lame_principal(e, m)
+        if row.measure == "cauchy":  # J t_i on Python floats
+            j = float(j)
+            t = [t[0] * j, t[1] * j, t[2] * j]
+        p = w * np.array(t)
+        # P = W diag(t) Vt, or the Kirchhoff stress W diag(t) W.T times
+        # inv(F).T
+        p = p @ vt if row.measure == "biot" else p @ w.T @ _inv(f).T
+        if math.isfinite(sum(p.ravel().tolist())):
+            return p
     else:
-        s, at = lane
-        j, e = _jacobian(f, det), row.strain.of_stretch(s)
-    t = _lame_principal(e, m)
-    if f.ndim > 2:
+        lane = _positive_diagonal(f)
+        if lane is None:
+            w, s, vt = _svd(f)
+        else:
+            s, at = lane
+        e = row.strain.of_stretch(s)
+        t = _lame_principal(e, m)
         t = t * j[..., None] if row.measure == "cauchy" else t
         if lane is not None:  # 1.0 / s is the diagonal of inv(F)
             p = np.zeros(f.size)
             p[at] = t if row.measure == "biot" else t * (1.0 / s)
             p = p.reshape(f.shape)
-        t = t[..., None, :]
-    else:  # one matrix: J t_i on Python floats
-        if row.measure == "cauchy":
-            j = float(j)
-            t = [t[0] * j, t[1] * j, t[2] * j]
-        t = np.array(t)
-    if lane is None and row.measure == "biot":
-        p = (w * t) @ vt
-    elif lane is None:  # the Kirchhoff stress W diag(t) W.T, times inv(F).T
-        p = (w * t) @ w.swapaxes(-1, -2) @ _inv(f).swapaxes(-1, -2)
-    if _first_nonfinite(p) is None:
-        return p
+        elif row.measure == "biot":
+            p = (w * t[..., None, :]) @ vt
+        else:  # the Kirchhoff stress W diag(t) W.T, times inv(F).T
+            p = ((w * t[..., None, :]) @ w.swapaxes(-1, -2)
+                 @ _inv(f).swapaxes(-1, -2))
+        if _first_nonfinite(p) is None:
+            return p
     if row.measure != "biot":
         # J t or tau may overflow where P does not: each member that is
         # not finite takes P from its principal values

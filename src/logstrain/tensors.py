@@ -30,15 +30,20 @@ Where the installed numpy has no such gufunc, the routine binds to its
 factorization of the random rotations goes through ``_qr``, one
 ``np.linalg.qr`` call.
 
-One matrix takes a lane of its own, with the bits it gets inside a stack:
-:func:`_spectrum_floats` gives its eigenvalues as Python floats, on which
-the laws of ``constitutive`` take their principal-value steps, and
-:func:`sym_part` adds a contiguous copy of its transpose.  A stack makes
-no numpy pass that the same bits do not need: :func:`_spectrum` sums its
-Rayleigh quotients as three row additions in the order of numpy's
-reduction and sorts only the members whose quotients are out of order,
-and :func:`_from_spectrum` multiplies by a contiguous copy of the
-transposed frames.
+One matrix takes a lane of its own, with the bits it gets inside a stack.
+The laws' one-matrix lanes live in ``constitutive``: each tensor map,
+``becker_inverse`` and ``pk1_for_law`` is one straight pass after its
+input check, with its principal-value steps on Python floats.  This
+module gives them :func:`_spectrum_floats`, the eigenvalues of one
+matrix as Python floats, and tests one matrix for finiteness by one
+Python sum of its entries, spelled out in :func:`_as_mats` and the
+checked LAPACK routines so that the common case costs no further call;
+:func:`sym_part` adds a contiguous copy of one matrix's transpose.  A
+stack makes no numpy pass that the same bits do not need:
+:func:`_spectrum` sums its Rayleigh quotients as three row additions in
+the order of numpy's reduction and sorts only the members whose quotients
+are out of order, and :func:`_from_spectrum` multiplies by a contiguous
+copy of the transposed frames.
 """
 
 import functools
@@ -254,7 +259,10 @@ def _routine(name):
         except _FAILURES as exc:
             raise LogstrainError(f"{name}: LAPACK failed: {exc}") from exc
         values = out if marked == "all" else out[marked]
-        if not _sum_is_finite(values, core):  # a NaN, or an inf
+        # a NaN, or an inf; one item by the one Python sum of
+        # _sum_is_finite spelled out, so that the common case makes no call
+        if not (math.isfinite(sum(values.ravel().tolist()))
+                if values.ndim == core else _sum_is_finite(values, core)):
             lead = values.shape[:values.ndim - core]
             i = _first(np.isnan(values).reshape(lead + (-1,)).any(axis=-1))
             if i is not None:
@@ -291,6 +299,10 @@ def _as_mats(a, name="matrix"):
     m = np.array(a, dtype=float)
     if m.shape[-2:] != (3, 3):
         raise ValueError(f"{name} must be 3x3, got shape {m.shape}")
+    # one matrix whose entries sum to a finite number, by the one Python
+    # sum of _sum_is_finite spelled out: the common case makes no call
+    if m.ndim == 2 and math.isfinite(sum(m.ravel().tolist())):
+        return m
     i = _first_nonfinite(m)
     if i is not None:
         raise ValueError(

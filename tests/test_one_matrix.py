@@ -7,6 +7,8 @@ and sha256 pins of the bytes of one-matrix results.
 import hashlib
 import itertools
 import math
+import os
+import sys
 from collections import Counter
 
 import numpy as np
@@ -88,6 +90,11 @@ def test_stress_convert_call_budget(source, target, rng, calls):
     # R of F = R U
     assert calls["svd"] == calls.matrices["svd"] \
         == int("biot" in (source, target))
+    # inv(F) only for S = inv(F) P, or for P = tau @ inv(F).T from a
+    # spatial stress: the material measures convert by left factors only
+    material = ("biot", "pk1", "pk2")
+    assert calls["inv"] == calls.matrices["inv"] == int(
+        target == "pk2" or (source not in material and target in material))
 
 
 @pytest.mark.parametrize("law", ["becker", "hencky-kirchhoff",
@@ -102,6 +109,34 @@ def test_material_point_call_budget(law, rng, calls):
     inv = int(laws._LAWS[law].stretch == "v")  # P = tau @ inv(F).T
     assert calls == Counter(validate=5, svd=1, det=2, eigh=2, inv=inv)
     assert calls.matrices == Counter(svd=1, det=2, eigh=2, inv=inv)
+
+
+_PACKAGE = os.path.dirname(logstrain.__file__) + os.sep
+
+
+@pytest.mark.parametrize("law", ["becker", "hencky-kirchhoff",
+                                 "hencky-cauchy", "hooke-biot"])
+def test_material_point_call_depth(law, rng):
+    # the calls of functions of the package during the operation of
+    # test_material_point_call_budget, counted as sys.setprofile sees
+    # them: the one-matrix lanes are straight passes, as the budget above
+    # pins their factorizations (67 to 70 calls before they were)
+    u = random_spd(rng)
+    f = random_rotation(rng) @ u
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(_PACKAGE):
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        p = pk1_for_law(law, f, M)
+        stress_convert(StressState(p, "pk1", f), "cauchy")
+        becker_inverse(becker_biot(u, M), M)
+    finally:
+        sys.setprofile(None)
+    assert calls.total() <= 40, calls
 
 
 def test_finite_entries_whose_sum_overflows_are_accepted():

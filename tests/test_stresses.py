@@ -108,6 +108,39 @@ def test_biot_cauchy_against_mpmath_polar_factors(rng):
     assert max(worst.values()) <= 2e-14, worst
 
 
+def test_material_conversions_take_left_factors_only(rng):
+    # kappa(F) = 1e6, F = Q1 diag(1e3, 1, 1e-3) Q2, T = diag(1, 2, 3):
+    # within the material family a conversion is a product by the float
+    # factors R = W Vt of one SVD and inv(F), so against the 40-digit
+    # products of those factors biot <-> pk1 and pk1 -> pk2 are within a
+    # few ulps (the worst of 20 gradients measured 1.1e-16).  Routed
+    # through tau = R T F.T and back by inv(F).T they were off by 1.3e-10
+    mpmath = pytest.importorskip("mpmath")
+
+    def mp(a):
+        return mpmath.matrix(a.tolist())
+
+    t = np.diag([1.0, 2.0, 3.0])
+    worst = 0.0
+    for _ in range(20):
+        f = (random_rotation(rng) @ np.diag([1e3, 1.0, 1e-3])
+             @ random_rotation(rng))
+        w, _, vt = np.linalg.svd(f)
+        with mpmath.workdps(40):
+            r, f_inv = mp(w @ vt), mp(np.linalg.inv(f))
+            p = r * mp(t)
+            pk1 = np.array(p.tolist(), dtype=float)
+            cases = [(t, "biot", "pk1", p),
+                     (pk1, "pk1", "biot", r.T * mp(pk1)),
+                     (pk1, "pk1", "pk2", f_inv * mp(pk1)),
+                     (t, "biot", "pk2", f_inv * p)]
+            for x, source, target, ref in cases:
+                out = stress_convert(StressState(x, source, f), target).tensor
+                worst = max(worst, float(mpmath.mnorm(mp(out) - ref, "f")
+                                         / mpmath.mnorm(ref, "f")))
+    assert worst <= 1e-14
+
+
 def test_rejects_noninvertible_deformation():
     state = StressState(np.eye(3), "cauchy", np.diag([1.0, 1.0, 0.0]))
     with pytest.raises(NonInvertible):
