@@ -25,7 +25,8 @@ Only ``check`` loads :mod:`logstrain.verify` and only ``decompose`` loads
 ``invert``, ``shear-statics``, ``fit`` and ``plot-data`` start without
 them.  A number that does not parse names its source: the flag, the
 config file's ``path:line`` (a key given twice names both lines), or the
-data file and row.  Config and data files are read as UTF-8.
+data file and row.  Config and data files are read as UTF-8, a leading
+byte-order mark dropped.
 """
 
 import argparse

@@ -31,18 +31,19 @@ after its input check, behind the shape test that sends a stack down its
 own path: a logarithmic tensor map in :func:`_tensor_law`, with its law
 on the frame in :func:`_law_on_frame` (which the CLI's ``stress`` reads
 too), PK1 in :func:`_pk1` and the inverse in :func:`becker_inverse`.
-They call numpy, besides checking and symmetrizing their input, only to
-factorize through the ``tensors`` boundary, to take ``np.log`` or
-``np.exp`` of the spectrum and to multiply the frames.  Every other step
-(the floor test, ``2 G e_i`` and the spherical part, ``J t_i``, the
-trace and the exponents of the inverse, the symmetric part of a law's
-frame product and the finiteness test of the result) runs on Python
-floats, one spectrum travelling as a list of three of them, each sum from
-0.0 and left to right as numpy adds it.  (A PK1 whose ``J t_i`` or
-Kirchhoff stress overflows is formed again from its principal values with
-the stack's numpy arithmetic.)  The finite-Hooke maps factorize nothing:
-they read ``2 G e + lam tr(e) I`` of the matrix with the stack's numpy
-arithmetic.
+They call numpy, besides reading their input once and building one
+array of the matrix they factorize, only to factorize through the
+``tensors`` boundary, to take ``np.log`` or ``np.exp`` of the spectrum
+and to multiply the frames.  Every other step (the symmetric part of
+the input and, for the inverse, its deviator, the floor test, ``2 G
+e_i`` and the spherical part, ``J t_i``, the trace and the exponents of
+the inverse, the symmetric part of a frame product and the finiteness
+test of the result) runs on Python floats, one spectrum travelling as a
+list of three of them, each sum from 0.0 and left to right as numpy adds
+it.  (A PK1 whose ``J t_i`` or Kirchhoff stress overflows is formed again
+from its principal values with the stack's numpy arithmetic.)  The
+finite-Hooke maps factorize nothing: they read ``2 G e + lam tr(e) I`` of
+the matrix with the stack's numpy arithmetic.
 """
 
 import math
@@ -59,8 +60,8 @@ from .tensors import (_EYE, PD_REL_TOL, _as_mats, _as_real, _at, _closed_form,
                       _det, _finite_values, _first, _first_nonfinite,
                       _from_spectrum, _inners, _inv, _over, _pow2_scale,
                       _require_floor, _solve, _spectrum, _spectrum_floats,
-                      _svd, _trace, as_mat3, dev3, inner, mat_log, sym_part,
-                      tr)
+                      _svd, _sym_floats, _trace, as_mat3, dev3, inner,
+                      mat_log, sym_part, tr)
 
 __all__ = [
     "LawId",
@@ -151,12 +152,14 @@ def becker_inverse(t, m: Moduli):
     which at large lam is relative to its spherical part.
 
     One matrix takes its own lane here, one straight pass after the input
-    check, with the bits it gets inside a stack: numpy only symmetrizes t,
-    factorizes the deviator, takes the exponential and multiplies the
-    frames.  The trace (summed in numpy's order), the deviator's diagonal
-    (written in place, with the sign that ``- mean * 0.0`` gives each zero
-    off the diagonal), the exponents ``d_i / (2 G) + tr(t) / (9 K)`` and
-    the finiteness test of their exponentials are Python floats.  Where
+    check, with the bits it gets inside a stack: numpy only factorizes
+    the deviator, takes the exponential and multiplies the frames.  The
+    nine floats that the input check read give the symmetric part of t,
+    its trace (summed in numpy's order) and the deviator (with the sign
+    that ``- mean * 0.0`` gives each zero off the diagonal), built into
+    one array.  The exponents ``d_i / (2 G) + tr(t) / (9 K)``, the
+    finiteness test of their exponentials and the symmetric part of the
+    frame product are Python floats too.  Where
     2 G or 9 K overflows (G above about 9e307, K above about 2e307), the
     deviator or tr(t) is divided by the factor and by the modulus in turn,
     so that neither part is lost.
@@ -166,9 +169,10 @@ def becker_inverse(t, m: Moduli):
     trace of t is not finite``) and for a stretch that overflows
     (``mat_exp: overflow at eigenvalue ...``, naming the exponent).
     """
-    t = sym_part(_as_mats(t, "t"))
-    stack = t.shape[:-2]
+    t = _as_mats(t, "t", floats=True)
+    stack = () if isinstance(t, list) else t.shape[:-2]
     if stack:
+        t = sym_part(t)
         trace = _sum3(t.diagonal(0, -2, -1))
         if not np.isfinite(trace).all():
             raise LogstrainError("becker_inverse: trace of t is not finite"
@@ -177,21 +181,18 @@ def becker_inverse(t, m: Moduli):
         x = _over(d, 2.0, m.g) + _over(trace, 9.0, m.k)
         y = _finite_values(np.exp, x, "mat_exp", stack)
     else:  # one matrix: the principal steps on Python floats
-        (t00, t01, t02), (_, t11, t12), (_, _, t22) = t.tolist()
+        t00, t01, t02, _, t11, t12, _, _, t22 = _sym_floats(t)
         trace = 0.0 + t00 + t11 + t22  # _sum3 of the diagonal
         if not math.isfinite(trace):
             raise LogstrainError("becker_inverse: trace of t is not finite")
-        # t - mean I in place, with its bits: off the diagonal that
-        # subtracts mean * 0.0, which for a mean of negative sign (-0.0
-        # included) turns -0.0 into +0.0 (t is symmetric, so its upper
-        # entries hold every zero)
+        # t - mean I as the stack forms it: off the diagonal that subtracts
+        # mean * 0.0, which for a mean of negative sign (-0.0 included)
+        # turns -0.0 into +0.0
         mean = trace / 3.0
-        t[0, 0] = t00 - mean
-        t[1, 1] = t11 - mean
-        t[2, 2] = t22 - mean
-        if math.copysign(1.0, mean) < 0.0 and 0.0 in (t01, t02, t12):
-            t += 0.0
-        (d0, d1, d2), frame = _spectrum_floats(t)
+        z = mean * 0.0
+        (d0, d1, d2), frame = _spectrum_floats(np.array([
+            t00 - mean, t01 - z, t02 - z, t01 - z, t11 - mean, t12 - z,
+            t02 - z, t12 - z, t22 - mean]).reshape(3, 3))
         # _over of each part, its factor and modulus multiplied once
         g2, k9 = 2.0 * m.g, 9.0 * m.k
         spherical = trace / k9 if math.isfinite(k9) else trace / 9.0 / m.k
@@ -201,6 +202,9 @@ def becker_inverse(t, m: Moduli):
         y = np.exp(x)
         if not math.isfinite(sum(y.tolist())):  # raises where it overflows
             y = _finite_values(np.exp, np.array(x), "mat_exp", stack)
+        # _from_spectrum of one matrix, symmetrized on its floats
+        return np.array(_sym_floats(
+            ((frame * y) @ frame.T).ravel().tolist())).reshape(3, 3)
     return _from_spectrum(frame, y)
 
 
@@ -645,13 +649,9 @@ def _law_on_frame(row, frame, s, m):
     of one matrix: the tensor maps and the CLI's stress state both read
     it here."""
     g, (e0, e1, e2) = m.g, row.strain.of_stretch(s)
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (
+    t00, t01, t02, _, t11, t12, _, _, t22 = _sym_floats((
         (frame * np.array([2.0 * (g * e0), 2.0 * (g * e1), 2.0 * (g * e2)]))
-        @ frame.T).tolist()
-    h0, h1, h2 = 0.5 * a0, 0.5 * b1, 0.5 * c2
-    t00, t11, t22 = h0 + h0, h1 + h1, h2 + h2
-    t01, t02, t12 = (0.5 * a1 + 0.5 * b0, 0.5 * a2 + 0.5 * c0,
-                     0.5 * b2 + 0.5 * c1)
+        @ frame.T).ravel().tolist())
     if m.lam != 0.0:
         sph = m.lam * (0.0 + e0 + e1 + e2)  # _sum3(e)
         t00, t11, t22 = t00 + sph, t11 + sph, t22 + sph
@@ -667,7 +667,9 @@ def _tensor_law(row, a, m):
     # on the spectrum of a for a logarithmic strain (one matrix on its
     # Python floats, by _law_on_frame), of a - I directly for the
     # finite-Hooke rows
-    a = sym_part(_as_mats(a, row.stretch))
+    a = _as_mats(a, row.stretch, floats=True)
+    a = (np.array(_sym_floats(a)).reshape(3, 3) if isinstance(a, list)
+         else sym_part(a))
     if row.strain is _linear_strain:
         return _finite(row.tag, _lame(a - _EYE, m), m)
     if a.ndim == 2:
@@ -821,7 +823,10 @@ def pk1_for_law(law, f, m: Moduli):
     LAPACK failure of the SVD or the inverse (naming ``svd`` or ``inv``);
     for a stack they name the first bad member.
     """
-    return _pk1(_tensor_row(law), _as_mats(f, "f"), m)
+    row = _LAWS.get(law) if isinstance(law, str) else None
+    if row is None or row.strain is None:  # raises for a scalar model
+        row = _tensor_row(law)
+    return _pk1(row, _as_mats(f, "f"), m)
 
 
 @np.errstate(over="ignore", invalid="ignore")

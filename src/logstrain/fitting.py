@@ -83,8 +83,10 @@ def dataset_from_rows(rows, kind, source=""):
 
 def _lines(path):
     """The lines of a UTF-8 text file, each with its line end as written,
-    or ``ValueError`` naming a file that is not UTF-8."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    or ``ValueError`` naming a file that is not UTF-8.  A leading
+    byte-order mark, which spreadsheet tools write, is not part of the
+    first line."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         try:
             return list(fh)
         except UnicodeDecodeError as exc:

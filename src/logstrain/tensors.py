@@ -16,19 +16,21 @@ products ``F.T @ F``).  Everything here is a pure function of its arguments
 and safe for concurrent use.
 
 This module is the package's one LAPACK boundary: every symmetric
-eigendecomposition, SVD, determinant, inverse and linear solve of the
-package goes through ``_eigh``, ``_svd``, ``_det``, ``_inv`` and
-``_solve``.  Each is one call to the ``numpy.linalg._umath_linalg`` gufunc
-that ``np.linalg`` itself calls, with its float64 loop, bound once at
-import, so the results have ``np.linalg``'s bits without its per-call
-Python wrapper.  Their inputs are already checked finite, so where LAPACK
-fails (the gufunc then returns NaN) ``_eigh``, ``_svd``, ``_inv`` and
-``_solve`` raise :class:`LogstrainError` naming the routine instead of
-``np.linalg.LinAlgError``; ``_det`` is unchecked, as ``np.linalg.det`` is.
-Where the installed numpy has no such gufunc, the routine binds to its
-``np.linalg`` function instead, with the same failure contract.  The QR
-factorization of the random rotations goes through ``_qr``, one
-``np.linalg.qr`` call.
+eigendecomposition, SVD, determinant, inverse, linear solve and QR
+factorization of the package goes through ``_eigh``, ``_svd``, ``_det``,
+``_inv``, ``_solve`` and ``_qr``.  Each is bound once at import to the
+``numpy.linalg._umath_linalg`` gufunc that ``np.linalg`` itself calls
+(``_qr`` to the pair ``qr_r_raw`` and ``qr_reduced``), called directly,
+so the results have ``np.linalg``'s bits without its per-call Python
+wrapper.  Every caller passes float64 arrays, so numpy runs the gufunc's
+float64 loop, the one ``np.linalg`` selects.  Their inputs are already
+checked finite, so where LAPACK fails (the gufunc then returns NaN)
+``_eigh``, ``_svd``, ``_inv`` and ``_solve`` raise
+:class:`LogstrainError` naming the routine instead of
+``np.linalg.LinAlgError``; ``_det`` and ``_qr`` are unchecked, as
+``np.linalg.det`` is.  Where the installed numpy has no such gufunc, the
+routine binds to its ``np.linalg`` function instead, with the same
+failure contract.
 
 One matrix takes a lane of its own, with the bits it gets inside a stack.
 The laws' one-matrix lanes live in ``constitutive``: each tensor map,
@@ -37,13 +39,16 @@ input check, with its principal-value steps on Python floats.  This
 module gives them :func:`_spectrum_floats`, the eigenvalues of one
 matrix as Python floats, and tests one matrix for finiteness by one
 Python sum of its entries, spelled out in :func:`_as_mats` and the
-checked LAPACK routines so that the common case costs no further call;
-:func:`sym_part` adds a contiguous copy of one matrix's transpose.  A
-stack makes no numpy pass that the same bits do not need:
-:func:`_spectrum` sums its Rayleigh quotients as three row additions in
-the order of numpy's reduction and sorts only the members whose quotients
-are out of order, and :func:`_from_spectrum` multiplies by a contiguous
-copy of the transposed frames.
+checked LAPACK routines so that the common case costs no further call.
+The nine floats that sum reads are the input's one read: with
+``floats``, :func:`_as_mats` hands them to a lane, and
+:func:`_sym_floats` forms the symmetric part from them, with the bits of
+:func:`sym_part`, for the lane to build into one array.  A stack makes
+no numpy pass that the same bits do not need: :func:`_spectrum` sums its
+Rayleigh quotients as three row additions in the order of numpy's
+reduction and sorts only the members whose quotients are out of order,
+and :func:`_from_spectrum` multiplies by a contiguous copy of the
+transposed frames.
 """
 
 import functools
@@ -221,15 +226,15 @@ def _first_nonfinite(a):
 # ---------------------------------------------------------------------------
 # the LAPACK boundary
 
-# name: (the gufunc np.linalg calls, its float64 loop, the np.linalg
-# function that calls it, the output whose NaN marks a LAPACK failure: an
-# index into the outputs, "all" for the one output, None for no check)
+# name: (the gufunc np.linalg calls, the np.linalg function that calls it,
+# the output whose NaN marks a LAPACK failure: an index into the outputs,
+# "all" for the one output, None for no check)
 _ROUTINES = {
-    "eigh": ("eigh_lo", "d->dd", np.linalg.eigh, 0),
-    "svd": ("svd_f", "d->ddd", np.linalg.svd, 1),
-    "det": ("det", "d->d", np.linalg.det, None),
-    "inv": ("inv", "d->d", np.linalg.inv, "all"),
-    "solve": ("solve", "dd->d", np.linalg.solve, "all"),
+    "eigh": ("eigh_lo", np.linalg.eigh, 0),
+    "svd": ("svd_f", np.linalg.svd, 1),
+    "det": ("det", np.linalg.det, None),
+    "inv": ("inv", np.linalg.inv, "all"),
+    "solve": ("solve", np.linalg.solve, "all"),
 }
 
 # how a LAPACK failure surfaces other than as NaN: the gufunc's invalid
@@ -240,15 +245,14 @@ _FAILURES = (FloatingPointError, RuntimeWarning, np.linalg.LinAlgError)
 
 def _routine(name):
     """The LAPACK routine ``name`` of :data:`_ROUTINES` on (3, 3) or (...,
-    3, 3) float64 arrays, bound to the gufunc in ``_umath_linalg`` or, where
-    that has no such gufunc, to the ``np.linalg`` function.  A checked
-    routine raises :class:`LogstrainError` naming itself, and for a stack
-    the first failed member, where its marked output holds a NaN or the
-    call raises one of :data:`_FAILURES`."""
-    gufunc, signature, fallback, marked = _ROUTINES[name]
-    call = getattr(_umath_linalg, gufunc, None)
-    call = (fallback if call is None
-            else functools.partial(call, signature=signature))
+    3, 3) float64 arrays: the gufunc itself in ``_umath_linalg`` or, where
+    that has no such gufunc, the ``np.linalg`` function.  On float64
+    arrays the gufunc runs the float64 loop that ``np.linalg`` selects.  A
+    checked routine raises :class:`LogstrainError` naming itself, and for a
+    stack the first failed member, where its marked output holds a NaN or
+    the call raises one of :data:`_FAILURES`."""
+    gufunc, fallback, marked = _ROUTINES[name]
+    call = getattr(_umath_linalg, gufunc, fallback)
     if marked is None:
         return call
     core = 2 if marked == "all" else 1
@@ -261,7 +265,8 @@ def _routine(name):
         values = out if marked == "all" else out[marked]
         # a NaN, or an inf; one item by the one Python sum of
         # _sum_is_finite spelled out, so that the common case makes no call
-        if not (math.isfinite(sum(values.ravel().tolist()))
+        if not (math.isfinite(sum(values.tolist() if core == 1
+                                  else values.ravel().tolist()))
                 if values.ndim == core else _sum_is_finite(values, core)):
             lead = values.shape[:values.ndim - core]
             i = _first(np.isnan(values).reshape(lead + (-1,)).any(axis=-1))
@@ -281,33 +286,49 @@ _det = _routine("det")
 _inv = _routine("inv")
 _solve = _routine("solve")  # X of A X = B
 
+# the gufunc pair np.linalg.qr calls, bound as _routine binds: qr_r_raw,
+# which leaves R in the upper triangle of its input, and qr_reduced, which
+# forms Q; None where numpy has no such pair
+_QR = (None if not hasattr(_umath_linalg, "qr_reduced")
+       else (_umath_linalg.qr_r_raw, _umath_linalg.qr_reduced))
+
 
 def _qr(a):
     """The QR factorization of a (..., 3, 3) float64 stack: ``(Q, d)``,
-    the orthogonal factors and the diagonals of R, from one
-    ``np.linalg.qr`` call, with its bits."""
-    q, r = np.linalg.qr(a)
+    the orthogonal factors and the diagonals of R, with the bits of
+    ``np.linalg.qr``: one call of each gufunc of :data:`_QR` on a copy of
+    a, or where numpy has no such pair one ``np.linalg.qr`` call."""
+    if _QR is None:
+        q, r = np.linalg.qr(a)
+    else:
+        r = a.copy()
+        q = _QR[1](r, _QR[0](r))
     return q, np.diagonal(r, axis1=-2, axis2=-1)
 
 
-def _as_mats(a, name="matrix"):
+def _as_mats(a, name="matrix", floats=False):
     """Coerce to a finite float64 array of shape (3, 3) or (..., 3, 3).
 
     Copies the input.  For a stack the non-finite message names the index
-    of the first bad member.
+    of the first bad member.  With ``floats``, for callers that only read
+    what comes back, nothing is copied that need not be, and one matrix
+    comes back as the list of its nine entries, Python floats row by row,
+    that its finiteness test read.
     """
-    m = np.array(a, dtype=float)
+    m = np.asarray(a, dtype=float) if floats else np.array(a, dtype=float)
     if m.shape[-2:] != (3, 3):
         raise ValueError(f"{name} must be 3x3, got shape {m.shape}")
     # one matrix whose entries sum to a finite number, by the one Python
     # sum of _sum_is_finite spelled out: the common case makes no call
-    if m.ndim == 2 and math.isfinite(sum(m.ravel().tolist())):
-        return m
+    if m.ndim == 2:
+        x = m.ravel().tolist()
+        if math.isfinite(sum(x)):
+            return x if floats else m
     i = _first_nonfinite(m)
     if i is not None:
         raise ValueError(
             f"{name} has non-finite entries{_at(i, m.shape[:-2])}")
-    return m
+    return x if floats and m.ndim == 2 else m
 
 
 def sym_part(a):
@@ -324,6 +345,17 @@ def sym_part(a):
     if half.ndim == 2:
         return half + half.T.copy()
     return half + half.swapaxes(-1, -2)
+
+
+def _sym_floats(x):
+    """:func:`sym_part` of one matrix on Python floats: the nine entries
+    of the symmetric part of the matrix whose entries, row by row, are x,
+    with sym_part's bits (each entry halved before the sum)."""
+    a0, a1, a2, b0, b1, b2, c0, c1, c2 = x
+    h0, h1, h2 = 0.5 * a0, 0.5 * b1, 0.5 * c2
+    t01, t02, t12 = (0.5 * a1 + 0.5 * b0, 0.5 * a2 + 0.5 * c0,
+                     0.5 * b2 + 0.5 * c1)
+    return [h0 + h0, t01, t02, t01, h1 + h1, t12, t02, t12, h2 + h2]
 
 
 def _trace(a):

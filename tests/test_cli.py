@@ -613,6 +613,23 @@ def test_bad_config_line_exits_two(capsys, tmp_path, text, message):
 _CURVE = b"lambda,t\n1.2,0.5\n1.5,1.2\n"
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["fit", "FILE", "--out", "-"], _CURVE),
+    (["stress", "--shear", "2", "--config", "FILE"], b"G = 1\nlambda = 0\n"),
+], ids=["data", "config"])
+def test_a_byte_order_mark_is_not_part_of_the_file(capsys, tmp_path, argv,
+                                                   text):
+    # spreadsheet tools start a UTF-8 file with one
+    outputs = []
+    for name, data in (("plain", text), ("marked", b"\xef\xbb\xbf" + text)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        outputs.append(run(capsys, *(str(path) if a == "FILE" else a
+                                     for a in argv)))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
 @pytest.mark.parametrize("argv, data, message", [
     (["stress", "--F", "1,x,0,0,1,0,0,0,1", *_PAIR], _CURVE,
      "--F: expected a number, got 'x'"),

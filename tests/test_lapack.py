@@ -2,8 +2,9 @@
 failure contract, its fallback, and that no other module calls around it."""
 
 import ast
-import functools
+import inspect
 import math
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,13 +13,13 @@ import numpy as np
 import pytest
 
 import logstrain
-from logstrain import tensors
+from logstrain import tensors, verify
 from logstrain.cli import main
 from logstrain import constitutive as laws
 from logstrain.constitutive import becker_biot, pk1_for_law
 from logstrain.errors import LogstrainError
 from logstrain.moduli import Moduli
-from logstrain.verify import random_rotation
+from logstrain.verify import random_rotation, random_spd
 
 from conftest import LAPACK, patch_everywhere
 
@@ -104,11 +105,52 @@ def test_the_boundary_has_the_bits_of_np_linalg():
     _check_bits({name: getattr(tensors, f"_{name}") for name in LAPACK})
 
 
-def test_the_boundary_calls_the_gufuncs_np_linalg_calls():
-    det = tensors._det
-    assert isinstance(det, functools.partial)
-    assert det.func is tensors._umath_linalg.det
-    assert det.keywords == {"signature": "d->d"}
+def _spying(real, log):
+    """A stand-in for the gufunc module ``real``: each of its gufuncs
+    appends ``(name, dtypes of its array arguments, dtypes of its
+    outputs)`` to ``log`` and returns what the real one does."""
+    def dtypes(arrays):
+        return tuple(a.dtype.str for a in _outputs(arrays)
+                     if isinstance(a, np.ndarray))
+
+    def spy(name, gufunc):
+        def call(*args, **kwargs):
+            out = gufunc(*args, **kwargs)
+            log.append((name, dtypes(args), dtypes(out)))
+            return out
+        return call
+
+    return SimpleNamespace(**{name: spy(name, g) for name, g
+                              in vars(real).items()
+                              if isinstance(g, np.ufunc)})
+
+
+def test_the_boundary_calls_the_gufuncs_np_linalg_calls(monkeypatch):
+    # bound at import, an unchecked routine is the gufunc itself and a
+    # checked one calls it; bound to a spying module, each routine calls
+    # the gufuncs that its np.linalg function calls, in the same order,
+    # with the same argument and output dtypes (so the same loop), for one
+    # matrix and for a stack
+    real = tensors._umath_linalg
+    assert tensors._det is real.det
+    assert tensors._QR == (real.qr_r_raw, real.qr_reduced)
+    linalg = sys.modules[inspect.unwrap(np.linalg.det).__module__]
+    ours, theirs = [], []
+    monkeypatch.setattr(tensors, "_umath_linalg", _spying(real, ours))
+    monkeypatch.setattr(linalg, "_umath_linalg", _spying(real, theirs))
+    spy = tensors._umath_linalg
+    monkeypatch.setattr(tensors, "_QR", (spy.qr_r_raw, spy.qr_reduced))
+    _, general, symmetric = next(_cases())
+    routines = {name: tensors._routine(name) for name in LAPACK}
+    routines["qr"] = tensors._qr
+    for name, routine in routines.items():
+        for args in (_args(name, general, symmetric),
+                     _args(name, general[0], symmetric[0])):
+            ours.clear()
+            theirs.clear()
+            routine(*args)
+            getattr(np.linalg, name)(*args)
+            assert ours and ours == theirs, name
 
 
 def test_a_numpy_without_the_gufuncs_falls_back_with_the_same_bits(
@@ -117,9 +159,54 @@ def test_a_numpy_without_the_gufuncs_falls_back_with_the_same_bits(
     routines = {name: tensors._routine(name) for name in LAPACK}
     assert routines["det"] is np.linalg.det
     _check_bits(routines)
+    monkeypatch.setattr(tensors, "_QR", None)
+    for _, general, _ in _cases():
+        for a in (general, *general):
+            q, r = np.linalg.qr(a)
+            assert _same_bits(tensors._qr(a),
+                              (q, np.diagonal(r, axis1=-2, axis2=-1)))
     # np.linalg's own error is the boundary's failure too
     with pytest.raises(LogstrainError, match="^inv: LAPACK failed: "):
         routines["inv"](np.zeros((3, 3)))
+
+
+def test_every_array_reaching_the_boundary_is_float64(monkeypatch):
+    # the gufuncs are bound without a loop signature, so numpy runs their
+    # float64 loop because every caller passes float64 arrays: one suite,
+    # one path work (rotating, so that it takes the SVD) and one
+    # material-point operation per law
+    seen = []
+
+    def recording(name, fn):
+        def wrapper(*args):
+            seen.extend((name, type(a), getattr(a, "dtype", None))
+                        for a in args)
+            return fn(*args)
+        return wrapper
+
+    for name in (*LAPACK, "qr"):
+        patch_everywhere(monkeypatch, f"_{name}",
+                         recording(name, getattr(tensors, f"_{name}")))
+    verify.suite("becker", M, samples=16, seed=1)
+
+    def turning(t):
+        c, s = math.cos(2.0 * math.pi * t), math.sin(2.0 * math.pi * t)
+        return (np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+                @ np.diag([1.0 + t * (1.0 - t), 1.0, 1.0]))
+
+    verify.converged_path_work(turning, "hencky-kirchhoff", M, closed=True)
+    rng = np.random.default_rng(8)
+    for law in ("becker", "hencky-kirchhoff", "hencky-cauchy",
+                "hooke-biot"):
+        u = random_spd(rng)
+        f = random_rotation(rng) @ u
+        p = pk1_for_law(law, f, M)
+        logstrain.stress_convert(logstrain.StressState(p, "pk1", f),
+                                 "cauchy")
+        laws.becker_inverse(becker_biot(u, M), M)
+    assert {name for name, *_ in seen} == {*LAPACK, "qr"}
+    assert {(kind, dtype) for _, kind, dtype in seen} == {
+        (np.ndarray, np.dtype(np.float64))}
 
 
 def test_qr_has_the_bits_of_np_linalg():
@@ -165,8 +252,8 @@ def test_a_singular_matrix_is_a_lapack_failure():
 def _nan_gufunc(real):
     """A stand-in for the gufunc ``real`` that returns outputs of its
     shapes filled with NaN, as numpy's gufuncs do where LAPACK fails."""
-    def fake(*args, signature):
-        out = real(*args, signature=signature)
+    def fake(*args, **kwargs):
+        out = real(*args, **kwargs)
         return (tuple(np.full_like(o, math.nan) for o in out)
                 if isinstance(out, tuple) else np.full_like(out, math.nan))
     return fake

@@ -114,15 +114,9 @@ def test_material_point_call_budget(law, rng, calls):
 _PACKAGE = os.path.dirname(logstrain.__file__) + os.sep
 
 
-@pytest.mark.parametrize("law", ["becker", "hencky-kirchhoff",
-                                 "hencky-cauchy", "hooke-biot"])
-def test_material_point_call_depth(law, rng):
-    # the calls of functions of the package during the operation of
-    # test_material_point_call_budget, counted as sys.setprofile sees
-    # them: the one-matrix lanes are straight passes, as the budget above
-    # pins their factorizations (67 to 70 calls before they were)
-    u = random_spd(rng)
-    f = random_rotation(rng) @ u
+def _package_calls(operation):
+    """The calls of functions of the package while ``operation()`` runs,
+    by name, as sys.setprofile sees them."""
     calls = Counter()
 
     def profile(frame, event, arg):
@@ -131,12 +125,41 @@ def test_material_point_call_depth(law, rng):
 
     sys.setprofile(profile)
     try:
+        operation()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("law", ["becker", "hencky-kirchhoff",
+                                 "hencky-cauchy", "hooke-biot"])
+def test_material_point_call_depth(law, rng):
+    # the operation of test_material_point_call_budget: the one-matrix
+    # lanes are straight passes, as the budget above pins their
+    # factorizations (67 to 70 calls before they were; 38 or 39 before
+    # pk1_for_law looked its row up at once, the stress state checked
+    # each field by one call and the inverse symmetrized on floats); a
+    # law in the left stretch inverts F
+    u = random_spd(rng)
+    f = random_rotation(rng) @ u
+
+    def operation():
         p = pk1_for_law(law, f, M)
         stress_convert(StressState(p, "pk1", f), "cauchy")
         becker_inverse(becker_biot(u, M), M)
-    finally:
-        sys.setprofile(None)
-    assert calls.total() <= 40, calls
+
+    calls = _package_calls(operation)
+    assert calls.total() <= 32 + (laws._LAWS[law].stretch == "v"), calls
+
+
+def test_stress_state_call_depth(rng):
+    # a PK1 state converted to Cauchy: each field checked by one call, the
+    # converted stress tested by one Python sum (14 calls before)
+    f = random_rotation(rng) @ random_spd(rng)
+    p = pk1_for_law("becker", f, M)
+    calls = _package_calls(
+        lambda: stress_convert(StressState(p, "pk1", f), "cauchy"))
+    assert calls.total() <= 10, calls
 
 
 def test_finite_entries_whose_sum_overflows_are_accepted():
