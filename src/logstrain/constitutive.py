@@ -31,16 +31,17 @@ after its input check, behind the shape test that sends a stack down its
 own path: a logarithmic tensor map in :func:`_tensor_law`, with its law
 on the frame in :func:`_law_on_frame` (which the CLI's ``stress`` reads
 too), PK1 in :func:`_pk1` and the inverse in :func:`becker_inverse`.
-They call numpy, besides reading their input once and building one
-array of the matrix they factorize, only to factorize through the
-``tensors`` boundary, to take ``np.log`` or ``np.exp`` of the spectrum
-and to multiply the frames.  Every other step (the symmetric part of
-the input and, for the inverse, its deviator, the floor test, ``2 G
-e_i`` and the spherical part, ``J t_i``, the trace and the exponents of
-the inverse, the symmetric part of a frame product and the finiteness
-test of the result) runs on Python floats, one spectrum travelling as a
-list of three of them, each sum from 0.0 and left to right as numpy adds
-it.  (A PK1 whose ``J t_i`` or Kirchhoff stress overflows is formed again
+They call numpy, besides checking their input (and for a tensor map
+symmetrizing it), only to factorize through the ``tensors`` boundary, to
+take ``np.log`` or ``np.exp`` of the spectrum and to multiply the frames;
+the inverse reads its input's entries as Python floats and builds the
+deviator it factorizes into one array.  Every other step (the symmetric
+part, trace and deviator of the inverse's input, the floor test, ``2 G
+e_i`` and the spherical part, ``J t_i``, the exponents of the inverse,
+the symmetric part of a frame product and the finiteness test of the
+result) runs on Python floats, one spectrum travelling as a list of
+three of them, each sum from 0.0 and left to right as numpy adds it.
+(A PK1 whose ``J t_i`` or Kirchhoff stress overflows is formed again
 from its principal values with the stack's numpy arithmetic.)  The
 finite-Hooke maps factorize nothing: they read ``2 G e + lam tr(e) I`` of
 the matrix with the stack's numpy arithmetic.
@@ -154,7 +155,7 @@ def becker_inverse(t, m: Moduli):
     One matrix takes its own lane here, one straight pass after the input
     check, with the bits it gets inside a stack: numpy only factorizes
     the deviator, takes the exponential and multiplies the frames.  The
-    nine floats that the input check read give the symmetric part of t,
+    nine entries of t, read once as Python floats, give its symmetric part,
     its trace (summed in numpy's order) and the deviator (with the sign
     that ``- mean * 0.0`` gives each zero off the diagonal), built into
     one array.  The exponents ``d_i / (2 G) + tr(t) / (9 K)``, the
@@ -169,8 +170,8 @@ def becker_inverse(t, m: Moduli):
     trace of t is not finite``) and for a stretch that overflows
     (``mat_exp: overflow at eigenvalue ...``, naming the exponent).
     """
-    t = _as_mats(t, "t", floats=True)
-    stack = () if isinstance(t, list) else t.shape[:-2]
+    t = _as_mats(t, "t")
+    stack = t.shape[:-2]
     if stack:
         t = sym_part(t)
         trace = _sum3(t.diagonal(0, -2, -1))
@@ -181,7 +182,8 @@ def becker_inverse(t, m: Moduli):
         x = _over(d, 2.0, m.g) + _over(trace, 9.0, m.k)
         y = _finite_values(np.exp, x, "mat_exp", stack)
     else:  # one matrix: the principal steps on Python floats
-        t00, t01, t02, _, t11, t12, _, _, t22 = _sym_floats(t)
+        t00, t01, t02, _, t11, t12, _, _, t22 = _sym_floats(
+            t.ravel().tolist())
         trace = 0.0 + t00 + t11 + t22  # _sum3 of the diagonal
         if not math.isfinite(trace):
             raise LogstrainError("becker_inverse: trace of t is not finite")
@@ -599,10 +601,15 @@ def _incompressible_columns():
 
 
 def _tensor_row(law):
-    """The table row of a tensor law (ValueError for the scalar models)."""
-    row, _ = _resolve(law)
-    if row.strain is None:
-        raise ValueError(f"law {row.tag!r} has no deformation-gradient form")
+    """The table row of a tensor law (ValueError for the scalar models).
+    A tag string of a tensor law is looked up at once, anything else
+    through :func:`_resolve`."""
+    row = _LAWS.get(law) if isinstance(law, str) else None
+    if row is None or row.strain is None:
+        row, _ = _resolve(law)
+        if row.strain is None:
+            raise ValueError(
+                f"law {row.tag!r} has no deformation-gradient form")
     return row
 
 
@@ -667,9 +674,7 @@ def _tensor_law(row, a, m):
     # on the spectrum of a for a logarithmic strain (one matrix on its
     # Python floats, by _law_on_frame), of a - I directly for the
     # finite-Hooke rows
-    a = _as_mats(a, row.stretch, floats=True)
-    a = (np.array(_sym_floats(a)).reshape(3, 3) if isinstance(a, list)
-         else sym_part(a))
+    a = sym_part(_as_mats(a, row.stretch))
     if row.strain is _linear_strain:
         return _finite(row.tag, _lame(a - _EYE, m), m)
     if a.ndim == 2:
@@ -823,10 +828,7 @@ def pk1_for_law(law, f, m: Moduli):
     LAPACK failure of the SVD or the inverse (naming ``svd`` or ``inv``);
     for a stack they name the first bad member.
     """
-    row = _LAWS.get(law) if isinstance(law, str) else None
-    if row is None or row.strain is None:  # raises for a scalar model
-        row = _tensor_row(law)
-    return _pk1(row, _as_mats(f, "f"), m)
+    return _pk1(_tensor_row(law), _as_mats(f, "f"), m)
 
 
 @np.errstate(over="ignore", invalid="ignore")

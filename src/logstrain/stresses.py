@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import LogstrainError
 from .kinematics import _jacobian
-from .tensors import _as_mats, _det, _first_nonfinite, _inv, _svd
+from .tensors import _det, _first_nonfinite, _inv, _svd, as_mat3
 
 __all__ = ["MEASURES", "StressState", "stress_convert"]
 
@@ -88,16 +88,10 @@ class StressState:
     deformation: np.ndarray
 
     def __post_init__(self):
-        # as_mat3 of each matrix, spelled out so that each takes one call
-        tensor = _as_mats(self.tensor, "tensor")
-        if tensor.ndim != 2:
-            raise ValueError(f"tensor must be 3x3, got shape {tensor.shape}")
-        object.__setattr__(self, "tensor", tensor)
+        object.__setattr__(self, "tensor", as_mat3(self.tensor, "tensor"))
         object.__setattr__(self, "measure", _check_measure(self.measure))
-        f = _as_mats(self.deformation, "deformation")
-        if f.ndim != 2:
-            raise ValueError(f"deformation must be 3x3, got shape {f.shape}")
-        object.__setattr__(self, "deformation", f)
+        object.__setattr__(
+            self, "deformation", as_mat3(self.deformation, "deformation"))
 
 
 def _checked_state(tensor, measure, deformation):
@@ -166,10 +160,7 @@ def _convert(t, measure, target, f):
     """
     j = _jacobian(f)
     out = _route(t, measure, target, f, j)
-    # one Python sum proves out finite, and only where it does not is
-    # _first_nonfinite asked
-    if not math.isfinite(j) or not (math.isfinite(sum(out.ravel().tolist()))
-                                    or _first_nonfinite(out) is None):
+    if not math.isfinite(j) or _first_nonfinite(out) is not None:
         a, e = np.frexp([np.abs(t).max(), np.abs(f).max()])[1] - 1
         t, f = np.ldexp(t, -a), np.ldexp(f, -e)
         j = _det(f)

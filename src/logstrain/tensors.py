@@ -38,17 +38,17 @@ The laws' one-matrix lanes live in ``constitutive``: each tensor map,
 input check, with its principal-value steps on Python floats.  This
 module gives them :func:`_spectrum_floats`, the eigenvalues of one
 matrix as Python floats, and tests one matrix for finiteness by one
-Python sum of its entries, spelled out in :func:`_as_mats` and the
-checked LAPACK routines so that the common case costs no further call.
-The nine floats that sum reads are the input's one read: with
-``floats``, :func:`_as_mats` hands them to a lane, and
+Python sum of its entries, spelled out in :func:`_as_mats`,
+:func:`_first_nonfinite` and the checked LAPACK routines so that the
+common case costs no further call.  Where a lane needs one matrix's
+symmetric part on Python floats (the inverse's input, a law's frame
+product), it reads the matrix's nine entries once and
 :func:`_sym_floats` forms the symmetric part from them, with the bits of
-:func:`sym_part`, for the lane to build into one array.  A stack makes
-no numpy pass that the same bits do not need: :func:`_spectrum` sums its
-Rayleigh quotients as three row additions in the order of numpy's
-reduction and sorts only the members whose quotients are out of order,
-and :func:`_from_spectrum` multiplies by a contiguous copy of the
-transposed frames.
+:func:`sym_part`.  A stack makes no numpy pass that the same bits do not
+need: :func:`_spectrum` sums its Rayleigh quotients as three row
+additions in the order of numpy's reduction and sorts only the members
+whose quotients are out of order, and :func:`_from_spectrum` multiplies
+by a contiguous copy of the transposed frames.
 """
 
 import functools
@@ -217,8 +217,11 @@ def _over(x, factor, modulus):
 
 def _first_nonfinite(a):
     """Flat index of the first matrix of a (..., n, n) stack with a
-    non-finite entry, or None."""
-    if _sum_is_finite(a):
+    non-finite entry, or None.  One matrix whose entries sum to a finite
+    number, the common case, takes the one Python sum of
+    :func:`_sum_is_finite` spelled out, without a further call."""
+    if (math.isfinite(sum(a.ravel().tolist())) if a.ndim == 2
+            else _sum_is_finite(a)):
         return None
     return _first(~np.isfinite(a).all(axis=(-2, -1)))
 
@@ -286,11 +289,19 @@ _det = _routine("det")
 _inv = _routine("inv")
 _solve = _routine("solve")  # X of A X = B
 
-# the gufunc pair np.linalg.qr calls, bound as _routine binds: qr_r_raw,
-# which leaves R in the upper triangle of its input, and qr_reduced, which
-# forms Q; None where numpy has no such pair
-_QR = (None if not hasattr(_umath_linalg, "qr_reduced")
-       else (_umath_linalg.qr_r_raw, _umath_linalg.qr_reduced))
+
+def _qr_pair(linalg):
+    """The gufunc pair ``np.linalg.qr`` calls, taken from ``linalg`` (a
+    ``_umath_linalg`` module, or None): ``qr_r_raw``, which leaves R in
+    the upper triangle of its input, and ``qr_reduced``, which forms Q;
+    None where linalg lacks either, as it may in another numpy version,
+    and then :func:`_qr` calls ``np.linalg.qr``."""
+    r_raw = getattr(linalg, "qr_r_raw", None)
+    reduced = getattr(linalg, "qr_reduced", None)
+    return None if r_raw is None or reduced is None else (r_raw, reduced)
+
+
+_QR = _qr_pair(_umath_linalg)
 
 
 def _qr(a):
@@ -306,29 +317,24 @@ def _qr(a):
     return q, np.diagonal(r, axis1=-2, axis2=-1)
 
 
-def _as_mats(a, name="matrix", floats=False):
+def _as_mats(a, name="matrix"):
     """Coerce to a finite float64 array of shape (3, 3) or (..., 3, 3).
 
     Copies the input.  For a stack the non-finite message names the index
-    of the first bad member.  With ``floats``, for callers that only read
-    what comes back, nothing is copied that need not be, and one matrix
-    comes back as the list of its nine entries, Python floats row by row,
-    that its finiteness test read.
+    of the first bad member.
     """
-    m = np.asarray(a, dtype=float) if floats else np.array(a, dtype=float)
+    m = np.array(a, dtype=float)
     if m.shape[-2:] != (3, 3):
         raise ValueError(f"{name} must be 3x3, got shape {m.shape}")
     # one matrix whose entries sum to a finite number, by the one Python
     # sum of _sum_is_finite spelled out: the common case makes no call
-    if m.ndim == 2:
-        x = m.ravel().tolist()
-        if math.isfinite(sum(x)):
-            return x if floats else m
+    if m.ndim == 2 and math.isfinite(sum(m.ravel().tolist())):
+        return m
     i = _first_nonfinite(m)
     if i is not None:
         raise ValueError(
             f"{name} has non-finite entries{_at(i, m.shape[:-2])}")
-    return x if floats and m.ndim == 2 else m
+    return m
 
 
 def sym_part(a):

@@ -6,6 +6,7 @@ import inspect
 import math
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ from logstrain.errors import LogstrainError
 from logstrain.moduli import Moduli
 from logstrain.verify import random_rotation, random_spd
 
-from conftest import LAPACK, patch_everywhere
+from conftest import LAPACK, counting, patch_everywhere
 
 M = Moduli.from_g_lam(1.0, 0.5)
 TENSOR_LAWS = [t for t in laws.LAW_TAGS if laws._LAWS[t].strain is not None]
@@ -133,13 +134,14 @@ def test_the_boundary_calls_the_gufuncs_np_linalg_calls(monkeypatch):
     # matrix and for a stack
     real = tensors._umath_linalg
     assert tensors._det is real.det
-    assert tensors._QR == (real.qr_r_raw, real.qr_reduced)
+    assert tensors._QR == (real.qr_r_raw, real.qr_reduced) \
+        == tensors._qr_pair(real)
     linalg = sys.modules[inspect.unwrap(np.linalg.det).__module__]
     ours, theirs = [], []
     monkeypatch.setattr(tensors, "_umath_linalg", _spying(real, ours))
     monkeypatch.setattr(linalg, "_umath_linalg", _spying(real, theirs))
     spy = tensors._umath_linalg
-    monkeypatch.setattr(tensors, "_QR", (spy.qr_r_raw, spy.qr_reduced))
+    monkeypatch.setattr(tensors, "_QR", tensors._qr_pair(spy))
     _, general, symmetric = next(_cases())
     routines = {name: tensors._routine(name) for name in LAPACK}
     routines["qr"] = tensors._qr
@@ -155,16 +157,31 @@ def test_the_boundary_calls_the_gufuncs_np_linalg_calls(monkeypatch):
 
 def test_a_numpy_without_the_gufuncs_falls_back_with_the_same_bits(
         monkeypatch):
+    real = tensors._umath_linalg
     monkeypatch.setattr(tensors, "_umath_linalg", SimpleNamespace())
     routines = {name: tensors._routine(name) for name in LAPACK}
     assert routines["det"] is np.linalg.det
     _check_bits(routines)
-    monkeypatch.setattr(tensors, "_QR", None)
+    # a gufunc module that lacks either gufunc of the QR pair (one that
+    # names the raw step otherwise, say) binds no pair, and _qr calls
+    # np.linalg.qr
+    halves = [SimpleNamespace(qr_reduced=real.qr_reduced),
+              SimpleNamespace(qr_r_raw_m=real.qr_r_raw,
+                              qr_r_raw_n=real.qr_r_raw,
+                              qr_reduced=real.qr_reduced),
+              SimpleNamespace(qr_r_raw=real.qr_r_raw), SimpleNamespace()]
+    assert [tensors._qr_pair(m) for m in (*halves, None)] == [None] * 5
+    monkeypatch.setattr(tensors, "_QR", tensors._qr_pair(halves[0]))
+    calls = Counter()
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", counting(calls, "qr", qr))
     for _, general, _ in _cases():
         for a in (general, *general):
-            q, r = np.linalg.qr(a)
+            q, r = qr(a)
+            before = calls["qr"]
             assert _same_bits(tensors._qr(a),
                               (q, np.diagonal(r, axis1=-2, axis2=-1)))
+            assert calls["qr"] == before + 1
     # np.linalg's own error is the boundary's failure too
     with pytest.raises(LogstrainError, match="^inv: LAPACK failed: "):
         routines["inv"](np.zeros((3, 3)))
